@@ -9,6 +9,7 @@ from .complexes import (
     orient_consistently,
     pachner_33,
     star_of_triangle,
+    stellar_subdivide,
     tetra_circle_join,
 )
 from .errors import (
@@ -57,6 +58,7 @@ from .jacobians import (
     assemble_domega_dS,
     build_jacobians,
     dS_dL_simplex,
+    dtheta_dL_blocks,
     dtheta_dL_simplex,
     rank_and_submatrix,
 )

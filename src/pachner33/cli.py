@@ -150,7 +150,7 @@ def cmd_jacobian(args, t0):
     c = doc.to_complex()
     coords = _coords_for(doc, args, c)
     m = realize(c, coords)
-    jac = build_jacobians(c, m, richardson=True)
+    jac = build_jacobians(c, m)
     sel = rank_and_submatrix(jac.dOmega_dL, tol=args.pivot_tol).with_keys(
         c.faces[2], c.faces[1]
     )
@@ -210,12 +210,14 @@ def cmd_invariant(args, t0):
     c = doc.to_complex()
     coords = _coords_for(doc, args, c)
     m = realize(c, coords)
-    report = invariants.full_invariant(c, m, pivot_tol=args.pivot_tol, richardson=True)
+    report = invariants.full_invariant(c, m, pivot_tol=args.pivot_tol)
     rep = _report(
         "invariant",
         args,
         tolerances={"pivot": args.pivot_tol},
         value=report.value,
+        log_abs_value=report.log_abs_value,
+        sign=report.sign,
         abs_value=abs(report.value),
         prod_S=report.prod_S,
         prod_V=report.prod_V,
@@ -241,6 +243,8 @@ def cmd_compare(args, t0):
         new_face=list(mc.new_face),
         value_before=mc.value_before,
         value_after=mc.value_after,
+        log_abs_value_before=mc.log_abs_before,
+        log_abs_value_after=mc.log_abs_after,
         ratio=mc.ratio,
         deviation=mc.deviation,
         materialized=mc.materialized,

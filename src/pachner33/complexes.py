@@ -309,6 +309,21 @@ def orient_consistently(simplex_sets):
     return [oriented_tuple(sets[i], signs[i]) for i in range(len(sets))]
 
 
+def stellar_subdivide(c, sid):
+    """Stellar 1->5 subdivision of simplex sid at a new vertex.
+
+    The cell is replaced by the cone over its boundary from the vertex
+    max(c.vertices) + 1.  Each cone cell is the oriented cell with one vertex
+    replaced by the apex, so it keeps the cell's orientation and every other
+    cell keeps its own.
+    """
+    apex = c.vertices[-1] + 1
+    cell = c.oriented_simplex(sid)
+    cells = [c.oriented_simplex(n) for n in range(len(c.simplices)) if n != sid]
+    cells += [tuple(apex if u == x else u for u in cell) for x in cell]
+    return build_complex(cells, allow_boundary=not c.is_closed)
+
+
 def boundary_delta5():
     """Boundary of the 5-simplex on vertices 0..5 with its standard orientation."""
     simplices = []

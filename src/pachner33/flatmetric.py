@@ -27,8 +27,8 @@ from .errors import DegenerateSimplexError, Pachner33Error
 FLATNESS_TOL = 1e-8
 
 # random_realization resamples until every simplex clears this relative
-# volume floor; well above the hard degeneracy threshold so that finite
-# differences and angle sums keep comfortable accuracy margins.
+# volume floor; well above the hard degeneracy threshold so that angle sums
+# and angle derivatives keep comfortable accuracy margins.
 DEFAULT_QUALITY = 2e-3
 
 _MAX_RESAMPLE = 500

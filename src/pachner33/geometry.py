@@ -24,7 +24,8 @@ TWO_PI = 2.0 * math.pi
 # |V| below DEGENERACY_REL * (mean edge length)^4 counts as degenerate.
 DEGENERACY_REL = 1e-10
 
-# Central finite differences use a step of FD_REL_STEP * max(L).
+# The finite-difference oracles (identities.central_difference and the flat
+# family of invariants.check_basic2) use a step of FD_REL_STEP * max(L).
 FD_REL_STEP = 1e-5
 
 EDGES5 = tuple((i, j) for i in range(5) for j in range(i + 1, 5))
@@ -33,6 +34,8 @@ FACES5 = tuple(
 )
 EDGE_INDEX5 = {e: n for n, e in enumerate(EDGES5)}
 FACE_INDEX5 = {f: n for n, f in enumerate(FACES5)}
+# the two vertices opposite each face, aligned with FACES5
+OPPOSITE5 = tuple(tuple(v for v in range(5) if v not in face) for face in FACES5)
 
 
 def squared_length_table(points):
@@ -178,12 +181,6 @@ def dihedral_angle(points, face):
     return angle
 
 
-# complements of the ten faces, aligned with FACES5
-_OPPOSITE5 = tuple(
-    tuple(v for v in range(5) if v not in face) for face in FACES5
-)
-
-
 def dihedral_angles_from_points(points):
     """All ten dihedral angle magnitudes of an embedded simplex at once.
 
@@ -205,7 +202,7 @@ def dihedral_angles_from_points(points):
     d = np.sqrt(np.diag(G))
     cosines = -G / np.outer(d, d)
     out = {}
-    for face, (x, y) in zip(FACES5, _OPPOSITE5):
+    for face, (x, y) in zip(FACES5, OPPOSITE5):
         c = min(1.0, max(-1.0, cosines[x, y]))
         out[face] = math.acos(c)
     return out

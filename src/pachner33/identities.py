@@ -1,9 +1,13 @@
 """Randomized batteries for the differential identities.
 
 Each battery draws seed-deterministic configurations, evaluates one identity
-and reports the worst relative residual.  Finite differences run with one
-Richardson extrapolation level so that truncation stays far below the
-tolerances even for moderately thin simplices.
+and reports the worst relative residual.  The library computes every angle
+derivative in closed form (jacobians.dtheta_dL_blocks); the batteries check
+those blocks against closed-form identities and against one independent
+oracle, central_difference, which differentiates the dihedral angles
+themselves.  It runs with one Richardson extrapolation level so that
+truncation stays far below the tolerances even for moderately thin
+simplices.
 """
 from __future__ import annotations
 
@@ -18,7 +22,7 @@ from .invariants import (
     cluster_complexes,
     random_cluster,
 )
-from .jacobians import assemble_domega_dL
+from .jacobians import assemble_domega_dL, dtheta_dL_simplex
 
 DEFAULT_TOL = 1e-6
 PARALLEL_COS_TOL = 1e-10
@@ -55,29 +59,46 @@ def _trial_seeds(seed, trials):
     return np.random.default_rng(seed).integers(0, 2**63 - 1, size=trials)
 
 
-def _fd_signed_angle_derivative(L, face, edge, eps, h_rel, richardson=True):
-    h0 = h_rel * float(L.max())
+def central_difference(fn, L, direction):
+    """Derivative of fn at the squared-length table L along direction.
 
-    def fd(h):
-        i, j = edge
-        Lp = L.copy()
-        Lp[i, j] += h
-        Lp[j, i] += h
-        Lm = L.copy()
-        Lm[i, j] -= h
-        Lm[j, i] -= h
-        return (geometry.signed_dihedral(Lp, face, eps) - geometry.signed_dihedral(Lm, face, eps)) / (2 * h)
+    Central differences at the step FD_REL_STEP * max(L) and at half of it,
+    combined by one Richardson extrapolation level.  This is the one
+    finite-difference oracle of the package; the library itself never
+    differentiates numerically.
+    """
+    h = geometry.FD_REL_STEP * float(L.max())
 
-    if not richardson:
-        return fd(h0)
-    return (4 * fd(h0 / 2) - fd(h0)) / 3
+    def diff(step):
+        plus, minus = fn(L + step * direction), fn(L - step * direction)
+        return (np.asarray(plus) - np.asarray(minus)) / (2 * step)
+
+    return (4 * diff(h / 2) - diff(h)) / 3
+
+
+def signed_angles(L, eps):
+    """The ten signed dihedral angles of a length table, FACES5 order."""
+    mags = geometry.dihedral_angles_from_lengths(L)
+    return eps * np.array([mags[f] for f in geometry.FACES5])
+
+
+def fd_dtheta_dL(L, eps):
+    """(10, 10) oracle of the signed dihedral-angle derivatives by length."""
+    cols = []
+    for i, j in geometry.EDGES5:
+        direction = np.zeros((5, 5))
+        direction[i, j] = direction[j, i] = 1.0
+        cols.append(central_difference(lambda T: signed_angles(T, eps), L, direction))
+    return np.stack(cols, axis=1)
 
 
 def battery_opposite_edge_derivative(trials=100, seed=0, tol=DEFAULT_TOL):
     """Angle-by-opposite-length derivative against area over 24 volumes.
 
     For points A..E with only the squared length AE varying, the signed
-    dihedral angle at BCD satisfies 24 dtheta/dL = S_BCD / V_ABCDE.
+    dihedral angle at BCD satisfies 24 dtheta/dL = S_BCD / V_ABCDE.  The
+    oracle gives that entry; the whole closed-form block is checked against
+    the oracle as well, relative to its largest entry.
     """
     worst, failures = 0.0, 0
     for s in _trial_seeds(seed, trials):
@@ -87,28 +108,15 @@ def battery_opposite_edge_derivative(trials=100, seed=0, tol=DEFAULT_TOL):
         L = geometry.squared_length_table(pts)
         face, edge = (1, 2, 3), (0, 4)
         S = geometry.face_area(L, face)
-        d = _fd_signed_angle_derivative(L, face, edge, eps, geometry.FD_REL_STEP)
+        oracle = fd_dtheta_dL(L, eps)
+        d = oracle[geometry.FACE_INDEX5[face], geometry.EDGE_INDEX5[edge]]
         target = S / V
-        residual = abs(24.0 * d - target) / abs(target)
+        closed_form = abs(24.0 * d - target) / abs(target)
+        block = np.abs(dtheta_dL_simplex(L, eps) - oracle).max() / np.abs(oracle).max()
+        residual = max(closed_form, block)
         worst = max(worst, float(residual))
         failures += int(residual > tol)
     return BatteryResult("opposite_edge_derivative", trials, tol, worst, failures)
-
-
-def _directional_angle_differentials(L, direction, eps, h_rel, richardson=True):
-    h0 = h_rel * float(L.max())
-
-    def fd(h):
-        Lp = L + h * direction
-        Lm = L - h * direction
-        mp = geometry.dihedral_angles_from_lengths(Lp)
-        mm = geometry.dihedral_angles_from_lengths(Lm)
-        return {f: eps * (mp[f] - mm[f]) / (2 * h) for f in geometry.FACES5}
-
-    if not richardson:
-        return fd(h0)
-    a, b = fd(h0 / 2), fd(h0)
-    return {f: (4 * a[f] - b[f]) / 3 for f in geometry.FACES5}
 
 
 def _random_direction(rng):
@@ -126,8 +134,8 @@ def battery_schlafli(trials=100, seed=0, tol=DEFAULT_TOL):
         pts = random_simplex_points(s)
         L = geometry.squared_length_table(pts)
         direction = _random_direction(rng)
-        dtheta = _directional_angle_differentials(L, direction, +1, geometry.FD_REL_STEP)
-        terms = [geometry.face_area(L, f) * dtheta[f] for f in geometry.FACES5]
+        dtheta = central_difference(lambda T: signed_angles(T, +1), L, direction)
+        terms = [geometry.face_area(L, f) * d for f, d in zip(geometry.FACES5, dtheta)]
         residual = abs(sum(terms)) / sum(abs(t) for t in terms)
         worst = max(worst, float(residual))
         failures += int(residual > tol)
@@ -146,16 +154,10 @@ def battery_modified_schlafli(trials=100, seed=0, tol=DEFAULT_TOL):
         pts = random_simplex_points(s)
         L = geometry.squared_length_table(pts)
         direction = _random_direction(rng)
-        h0 = geometry.FD_REL_STEP * float(L.max())
-
-        def dthetas(h):
-            Tp = geometry.edge_angle_thetas(L + h * direction, +1)
-            Tm = geometry.edge_angle_thetas(L - h * direction, +1)
-            return {e: (Tp[e] - Tm[e]) / (2 * h) for e in geometry.EDGES5}
-
-        fine, coarse = dthetas(h0 / 2), dthetas(h0)
-        dTheta = {e: (4 * fine[e] - coarse[e]) / 3 for e in geometry.EDGES5}
-        terms = [L[e] * dTheta[e] for e in geometry.EDGES5]
+        dTheta = central_difference(
+            lambda T: list(geometry.edge_angle_thetas(T, +1).values()), L, direction
+        )
+        terms = [L[e] * d for e, d in zip(geometry.EDGES5, dTheta)]
         residual = abs(sum(terms)) / sum(abs(t) for t in terms)
         worst = max(worst, float(residual))
         failures += int(residual > tol)
@@ -208,12 +210,12 @@ def battery_cluster_closed_forms(trials=100, seed=0, tol=DEFAULT_TOL):
         V = {x: cluster.hat_volume(x) for x in range(6)}
         (c1, m1, _), (c2, m2, _) = cluster_complexes(cluster)
 
-        M1 = assemble_domega_dL(c1, m1, richardson=True)
+        M1 = assemble_domega_dL(c1, m1)
         got1 = M1[c1.face_index[2][(0, 1, 2)], c1.face_index[1][(0, 1)]]
         want1 = -(cluster.area((0, 1, 2)) / 24.0) * V[0] * V[1] / (V[3] * V[4] * V[5])
         r1 = abs(got1 - want1) / abs(want1)
 
-        M2 = assemble_domega_dL(c2, m2, richardson=True)
+        M2 = assemble_domega_dL(c2, m2)
         got2 = M2[c2.face_index[2][(3, 4, 5)], c2.face_index[1][(3, 4)]]
         want2 = -(cluster.area((3, 4, 5)) / 24.0) * V[3] * V[4] / (V[0] * V[1] * V[2])
         r2 = abs(got2 - want2) / abs(want2)

@@ -36,9 +36,12 @@ from .flatmetric import realize
 from .jacobians import (
     PIVOT_TOL,
     assemble_domega_dL,
-    dtheta_dL_simplex,
+    dtheta_dL_blocks,
     kernel_basis,
+    length_tables,
+    log_product,
     rank_and_submatrix,
+    scatter_indices,
 )
 
 A, B, C, D, E, F = range(6)
@@ -46,6 +49,7 @@ A, B, C, D, E, F = range(6)
 BEFORE_CELLS = ((A, B, C, E, F), (A, B, C, F, D), (A, B, C, D, E))
 AFTER_CELLS = ((B, C, D, E, F), (C, A, D, E, F), (A, B, D, E, F))
 CLUSTER_EDGES = tuple(itertools.combinations(range(6), 2))
+CLUSTER_EDGE_INDEX = {e: n for n, e in enumerate(CLUSTER_EDGES)}
 
 
 def _hat(x):
@@ -104,47 +108,40 @@ class ClusterSix:
             signs[cell] = 1 if vol > 0 else -1
         return signs
 
-    def _omega_from_lengths(self, side, L6, signs):
-        face = self._face(side)
-        total = 0.0
-        for cell in self._cells(side):
-            idx = list(cell)
-            L5 = L6[np.ix_(idx, idx)]
-            local = tuple(sorted(cell.index(v) for v in face))
-            total += signs[cell] * geometry.dihedral_angle(geometry.gram_embed(L5), local)
-        return -total
-
     def omega_value(self, side):
         """Deficit at the central triangle, reduced to (-pi, pi]."""
-        raw = self._omega_from_lengths(side, self.lengths(), self._cell_signs(side))
-        return geometry.reduce_angle(raw)
-
-    def omega_gradient(self, side, h_rel=geometry.FD_REL_STEP, richardson=True):
-        """Gradient of the deficit over the fifteen squared lengths."""
-        L6 = self.lengths()
+        face = self._face(side)
         signs = self._cell_signs(side)
-        h0 = h_rel * float(L6.max())
+        L6 = self.lengths()
+        total = 0.0
+        for cell in self._cells(side):
+            L5 = L6[np.ix_(cell, cell)]
+            local = tuple(sorted(cell.index(v) for v in face))
+            total += signs[cell] * geometry.dihedral_angle(geometry.gram_embed(L5), local)
+        return geometry.reduce_angle(-total)
 
-        def deriv(edge, h):
-            i, j = edge
-            Lp = L6.copy()
-            Lp[i, j] += h
-            Lp[j, i] += h
-            Lm = L6.copy()
-            Lm[i, j] -= h
-            Lm[j, i] -= h
-            return (
-                self._omega_from_lengths(side, Lp, signs)
-                - self._omega_from_lengths(side, Lm, signs)
-            ) / (2 * h)
+    def omega_gradient(self, side):
+        """Gradient of the deficit over the fifteen squared lengths.
 
-        grad = {}
-        for edge in CLUSTER_EDGES:
-            if richardson:
-                grad[edge] = (4 * deriv(edge, h0 / 2) - deriv(edge, h0)) / 3
-            else:
-                grad[edge] = deriv(edge, h0)
-        return grad
+        The sum of the central-face rows of the three cells' angle blocks.
+        """
+        face = self._face(side)
+        cells = self._cells(side)
+        signs = self._cell_signs(side)
+        L6 = self.lengths()
+        blocks = dtheta_dL_blocks(
+            np.stack([L6[np.ix_(cell, cell)] for cell in cells]),
+            [signs[cell] for cell in cells],
+        )
+        grad = np.zeros(len(CLUSTER_EDGES))
+        for cell, block in zip(cells, blocks):
+            local = tuple(sorted(cell.index(v) for v in face))
+            cols = [
+                CLUSTER_EDGE_INDEX[tuple(sorted((cell[p], cell[q])))]
+                for p, q in geometry.EDGES5
+            ]
+            grad[cols] -= block[geometry.FACE_INDEX5[local]]
+        return dict(zip(CLUSTER_EDGES, grad.tolist()))
 
 
 def random_cluster(seed, quality=2e-3):
@@ -175,7 +172,7 @@ class TwoEdgeCheck:
     residual: float
 
 
-def check_basic2(cluster, h_rel=geometry.FD_REL_STEP):
+def check_basic2(cluster):
     """Move A and E only, keeping every squared length but AB and DE fixed.
 
     The placements stay flat by construction, so the measured dL_DE/dL_AB
@@ -200,7 +197,7 @@ def check_basic2(cluster, h_rel=geometry.FD_REL_STEP):
         raise DegenerateSimplexError("constraint Jacobian is rank deficient")
     v = Vh[-1]
     scale = float(np.abs(pts).max())
-    s = h_rel * scale
+    s = geometry.FD_REL_STEP * scale
 
     def lengths_at(t):
         q = pts.copy()
@@ -233,9 +230,9 @@ class SixTermCheck:
     ratio_residual: float  # gradient-component ratio vs volume products
 
 
-def check_6term(cluster, h_rel=geometry.FD_REL_STEP, richardson=True):
-    gA = cluster.omega_gradient("abc", h_rel=h_rel, richardson=richardson)
-    gD = cluster.omega_gradient("def", h_rel=h_rel, richardson=richardson)
+def check_6term(cluster):
+    gA = cluster.omega_gradient("abc")
+    gD = cluster.omega_gradient("def")
     va = np.array([gA[e] for e in CLUSTER_EDGES])
     vd = np.array([gD[e] for e in CLUSTER_EDGES])
 
@@ -277,15 +274,32 @@ def product_of_volumes(c, m):
     return prod
 
 
-def restricted_invariant(c, m, sel):
-    """det(B) * product of signed volumes / product of areas."""
-    if sel.rank < 1 or not math.isfinite(sel.det) or sel.det == 0.0:
+def _log_invariant(c, m, sel):
+    """(sign, log|det(B) * prod(V) / prod(S)|) of a selection.
+
+    Each factor is carried in the log domain: at a few hundred cells prod(V)
+    underflows a double while the invariant itself does not.
+    """
+    det_sign, log_det = sel.slogdet()
+    if sel.rank < 1 or det_sign == 0 or not math.isfinite(log_det):
         raise SelectionError("selection is degenerate (zero or non-finite det)")
     if max(sel.rows, default=0) >= len(c.faces[2]) or max(sel.cols, default=0) >= len(
         c.faces[1]
     ):
         raise SelectionError("selection does not fit the complex")
-    return sel.det * product_of_volumes(c, m) / product_of_areas(c, m)
+    return _log_value(det_sign, log_det, m.V.values(), m.S.values())
+
+
+def _log_value(det_sign, log_det, volumes, areas):
+    vol_sign, log_V = log_product(list(volumes))
+    _, log_S = log_product(list(areas))
+    return int(det_sign) * vol_sign, log_det + log_V - log_S
+
+
+def restricted_invariant(c, m, sel):
+    """det(B) * product of signed volumes / product of areas."""
+    sign, log_abs = _log_invariant(c, m, sel)
+    return sign * math.exp(log_abs)
 
 
 @dataclass(frozen=True)
@@ -295,6 +309,8 @@ class MoveComparison:
     six_vertices: tuple
     value_before: float
     value_after: float
+    log_abs_before: float
+    log_abs_after: float
     ratio: float
     deviation: float  # | |ratio| - 1 |
     materialized: bool
@@ -303,39 +319,45 @@ class MoveComparison:
 
 @dataclass(frozen=True)
 class InvariantReport:
-    """Scalar invariant with the selection that produced it."""
+    """Scalar invariant with the selection that produced it.
+
+    value = sign * exp(log_abs_value); prod_S and prod_V are plain products
+    and may under- or overflow where the value does not.
+    """
 
     value: float
+    log_abs_value: float
+    sign: int
     selection: object
     prod_S: float
     prod_V: float
     move_context: MoveComparison = None
 
 
-def full_invariant(c, m, pivot_tol=PIVOT_TOL, h_rel=geometry.FD_REL_STEP,
-                   richardson=False):
+def full_invariant(c, m, pivot_tol=PIVOT_TOL):
     """prod(S) / (det(B) * prod(V)) with a complete-pivoting selection.
 
     The complementary face/edge index sets ride along in the selection; they
     label the symbolic differential-form part, of which only transition
     factors (see basis_change_factor) are numerically meaningful.
     """
-    M = assemble_domega_dL(c, m, h_rel=h_rel, richardson=richardson)
+    M = assemble_domega_dL(c, m)
     sel = rank_and_submatrix(M, tol=pivot_tol).with_keys(c.faces[2], c.faces[1])
     if sel.rank < 1:
         raise SelectionError("deficit/length matrix has rank zero")
-    prod_S = product_of_areas(c, m)
-    prod_V = product_of_volumes(c, m)
+    sign, log_abs = _log_invariant(c, m, sel)
     return InvariantReport(
-        value=prod_S / (sel.det * prod_V),
+        value=sign * math.exp(-log_abs),
+        log_abs_value=-log_abs,
+        sign=sign,
         selection=sel,
-        prod_S=prod_S,
-        prod_V=prod_V,
+        prod_S=product_of_areas(c, m),
+        prod_V=product_of_volumes(c, m),
     )
 
 
 def _new_cell_data(c, m, coords, new_cells):
-    """Signed volumes, eps and length tables of the replacement cells."""
+    """Sorted vertices, stored sign and signed volume of the replacement cells."""
     data = []
     for verts, sign in new_cells:
         pts = np.stack([np.asarray(coords[v], float) for v in oriented_tuple(verts, sign)])
@@ -343,61 +365,55 @@ def _new_cell_data(c, m, coords, new_cells):
         Ltab = geometry.squared_length_table(pts)
         if abs(vol) < geometry.degeneracy_threshold(Ltab):
             raise DegenerateSimplexError(f"replacement simplex {verts} is degenerate")
-        data.append((verts, sign, vol, m.simplex_lengths(verts)))
+        data.append((verts, sign, vol))
     return data
 
 
-def virtual_rebuild(c, m, coords, M, star, def_, new_cells,
-                    h_rel=geometry.FD_REL_STEP, richardson=True):
+def virtual_rebuild(c, m, coords, M, star, def_, new_cells):
     """Deficit/length matrix after the move, without materializing it.
 
-    Subtracts the removed cluster's angle derivatives from the assembled
-    matrix and adds the replacement cluster's; the appearing triangle is a
-    cell of its own, so its row is returned separately (in the self-dual
-    situation an older face with the same vertices may survive alongside).
+    Subtracts the removed cluster's angle blocks from the assembled matrix
+    and adds the replacement cluster's; the appearing triangle is a cell of
+    its own, so its row is returned separately (in the self-dual situation
+    an older face with the same vertices may survive alongside).
     """
     new_data = _new_cell_data(c, m, coords, new_cells)
-    M_after = M.copy()
-    def_row = np.zeros(M.shape[1])
-    for sid in star:
-        verts, _ = c.simplices[sid]
-        Dth = dtheta_dL_simplex(
-            m.simplex_lengths(verts), m.eps[sid], h_rel=h_rel, richardson=richardson
-        )
-        rows = [c.face_index[2][tuple(verts[i] for i in f)] for f in geometry.FACES5]
-        cols = [c.face_index[1][tuple(verts[i] for i in e)] for e in geometry.EDGES5]
-        M_after[np.ix_(rows, cols)] += Dth
-    for verts, sign, vol, L5 in new_data:
-        eps_new = 1 if vol > 0 else -1
-        Dth = dtheta_dL_simplex(L5, eps_new, h_rel=h_rel, richardson=richardson)
-        cols = [c.face_index[1][tuple(verts[i] for i in e)] for e in geometry.EDGES5]
-        for fi, f in enumerate(geometry.FACES5):
-            key = tuple(verts[i] for i in f)
-            if key == def_:
-                def_row[cols] -= Dth[fi]
-            else:
-                M_after[c.face_index[2][key], cols] -= Dth[fi]
-    return M_after, def_row, new_data
+    F = M.shape[0]
+    # one extra row collects the appearing triangle
+    M_after = np.vstack([M, np.zeros((1, M.shape[1]))])
+
+    old = [c.simplices[sid][0] for sid in star]
+    rows, cols = scatter_indices(old, c.face_index[2], c.face_index[1])
+    blocks = dtheta_dL_blocks(length_tables(m, old), [m.eps[sid] for sid in star])
+    np.add.at(M_after, (rows[:, :, None], cols[:, None, :]), blocks)
+
+    new = [verts for verts, _, _ in new_data]
+    rows, cols = scatter_indices(new, {**c.face_index[2], def_: F}, c.face_index[1])
+    blocks = dtheta_dL_blocks(
+        length_tables(m, new), [1 if vol > 0 else -1 for _, _, vol in new_data]
+    )
+    np.add.at(M_after, (rows[:, :, None], cols[:, None, :]), -blocks)
+    return M_after[:F], M_after[F], new_data
 
 
-def compare_under_move(c, coords, t, pivot_tol=PIVOT_TOL,
-                       h_rel=geometry.FD_REL_STEP, richardson=True,
-                       force_virtual=False):
+def compare_under_move(c, coords, t, pivot_tol=PIVOT_TOL, force_virtual=False):
     """Invariant before and after the 3->3 move at triangle t.
 
     The before-selection forces the row of t into the submatrix; the
     after-selection keeps the same rows and columns except that the row of t
     is replaced by the row of the opposite triangle.  The placement is reused
-    for the rebuilt cluster, so flatness persists.
+    for the rebuilt cluster, so flatness persists.  Both values are carried
+    as (sign, log|value|): det(B) from the pivots before the move and from
+    slogdet after it.
     """
     m = realize(c, coords)
-    M = assemble_domega_dL(c, m, h_rel=h_rel, richardson=richardson)
+    M = assemble_domega_dL(c, m)
     abc = tuple(sorted(int(v) for v in t))
     row_abc = c.face_index[2][abc]
     sel = rank_and_submatrix(M, must_include_row=row_abc, tol=pivot_tol).with_keys(
         c.faces[2], c.faces[1]
     )
-    value_before = restricted_invariant(c, m, sel)
+    sign_before, log_before = _log_invariant(c, m, sel)
 
     abc2, def_, star, new_cells = move_cluster(c, t)
     materializable = def_ not in c.face_index[2]
@@ -405,58 +421,56 @@ def compare_under_move(c, coords, t, pivot_tol=PIVOT_TOL,
     if materializable and not force_virtual:
         c2, record = pachner_33(c, t)
         m2 = realize(c2, coords)
-        M2 = assemble_domega_dL(c2, m2, h_rel=h_rel, richardson=richardson)
+        M2 = assemble_domega_dL(c2, m2)
         rows2 = [
             c2.face_index[2][def_ if key == abc else key] for key in sel.row_keys
         ]
         cols2 = [c2.face_index[1][key] for key in sel.col_keys]
-        detB_after = float(np.linalg.det(M2[np.ix_(rows2, cols2)]))
-        if detB_after == 0.0 or not math.isfinite(detB_after):
-            raise SelectionError("matched after-selection is degenerate")
-        value_after = detB_after * product_of_volumes(c2, m2) / product_of_areas(c2, m2)
+        B_after = M2[np.ix_(rows2, cols2)]
+        volumes, areas = m2.V.values(), m2.S.values()
         materialized = True
     else:
         M_after, def_row, new_data = virtual_rebuild(
-            c, m, coords, M, star, def_, new_cells, h_rel=h_rel, richardson=richardson
+            c, m, coords, M, star, def_, new_cells
         )
-        B_after = np.empty((sel.rank, sel.rank))
-        for s, j in enumerate(sel.rows):
-            source = def_row if j == row_abc else M_after[j]
-            B_after[s] = source[list(sel.cols)]
-        detB_after = float(np.linalg.det(B_after))
-        if detB_after == 0.0 or not math.isfinite(detB_after):
-            raise SelectionError("matched after-selection is degenerate")
-
-        prod_V_after = product_of_volumes(c, m)
-        for sid in star:
-            prod_V_after /= m.V[sid]
-        for _, _, vol, _ in new_data:
-            prod_V_after *= vol
-        S_abc = m.S[abc]
+        B_after = M_after[np.ix_(sel.rows, sel.cols)]
+        B_after[sel.rows.index(row_abc)] = def_row[list(sel.cols)]
+        removed = set(star)
+        volumes = [v for sid, v in m.V.items() if sid not in removed]
+        volumes += [vol for _, _, vol in new_data]
         T = np.zeros((3, 3))
         for (i, j) in ((0, 1), (0, 2), (1, 2)):
             key = (def_[i], def_[j])
             T[i, j] = T[j, i] = m.L[key]
-        S_def = math.sqrt(geometry.cm_squared_volume(2, T))
-        prod_S_after = product_of_areas(c, m) / S_abc * S_def
-        value_after = detB_after * prod_V_after / prod_S_after
+        areas = [S for tri, S in m.S.items() if tri != abc]
+        areas.append(math.sqrt(geometry.cm_squared_volume(2, T)))
         record = None
         materialized = False
 
-    ratio = value_before / value_after
+    det_sign, log_det = np.linalg.slogdet(B_after)
+    if det_sign == 0 or not math.isfinite(log_det):
+        raise SelectionError("matched after-selection is degenerate")
+    sign_after, log_after = _log_value(det_sign, float(log_det), volumes, areas)
+
+    value_before = sign_before * math.exp(log_before)
+    log_ratio = log_before - log_after
     comparison = MoveComparison(
         old_face=abc,
         new_face=def_,
         six_vertices=abc2 + def_,
         value_before=value_before,
-        value_after=value_after,
-        ratio=ratio,
-        deviation=abs(abs(ratio) - 1.0),
+        value_after=sign_after * math.exp(log_after),
+        log_abs_before=log_before,
+        log_abs_after=log_after,
+        ratio=sign_before * sign_after * math.exp(log_ratio),
+        deviation=abs(math.expm1(log_ratio)),
         materialized=materialized,
         record=record,
     )
     return InvariantReport(
         value=value_before,
+        log_abs_value=log_before,
+        sign=sign_before,
         selection=sel,
         prod_S=product_of_areas(c, m),
         prod_V=product_of_volumes(c, m),

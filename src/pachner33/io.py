@@ -25,10 +25,11 @@ from .complexes import build_complex
 from .errors import SchemaError
 
 FORMAT_VERSION = "1"
+_FORMAT17 = "{:.17g}".format
 
 
 def format_float(x):
-    return format(float(x), ".17g")
+    return _FORMAT17(float(x))
 
 
 def _dump(obj, pieces):
@@ -43,6 +44,9 @@ def _dump(obj, pieces):
             pieces.append(": ")
             _dump(val, pieces)
         pieces.append("}")
+    elif isinstance(obj, (list, tuple)) and all(type(v) is float for v in obj):
+        # matrix rows from ndarray.tolist(): one join, same text as below
+        pieces.append("[" + ", ".join(map(_FORMAT17, obj)) + "]")
     elif isinstance(obj, (list, tuple)):
         pieces.append("[")
         for n, val in enumerate(obj):

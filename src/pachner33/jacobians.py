@@ -1,9 +1,23 @@
 """Derivative matrices of the deficit angles and submatrix selection.
 
-Per simplex, dS/dL is analytic (a sparse 10x10 with three entries per row)
-and dtheta/dL comes from central finite differences of the signed dihedral
-angles through the length embedding.  Global matrices are assembled by
-scattering per-simplex blocks:
+Every per-simplex block is closed-form and computed for a stack of N
+simplices at once; rows follow geometry.FACES5 and columns geometry.EDGES5
+of each simplex's sorted vertex tuple.
+
+- dS/dL: face areas by squared edge lengths, (L_ac + L_bc - L_ab) / (16 S)
+  for the edge ab of the face abc and zero off the face.
+- dtheta/dL: signed dihedral angles by squared edge lengths, from the
+  bordered Cayley-Menger matrix Q = [[0, 1^T], [1, -L/2]].  The lower-right
+  5x5 block P of Q^-1 is the Gram matrix of the facet normals, so the angle
+  at the face opposite the vertices x, y has cos = -P_xy / sqrt(P_xx P_yy),
+  and dQ^-1 = -Q^-1 dQ Q^-1 gives dP_xy/dL_ij = (P_xi P_jy + P_xj P_iy) / 2.
+  These are the derivatives of linearised Regge calculus
+  (Dittrich-Freidel-Speziale, PRD 76 104020, 2007); the opposite-edge entry
+  is the paper's S / (24 V).
+- dtheta/dS = (dtheta/dL) (dS/dL)^-1, the areas being local coordinates.
+
+Global matrices are assembled by scattering the blocks through (N, 10)
+face-row and edge-column index arrays:
 
 - dOmega_dL:    rows = triangles, cols = edges,       entries d(omega_i)/d(L_a)
 - dOmega_dS:    rows = cols = triangles,              entries d(omega_i)/d(S_j)
@@ -24,118 +38,187 @@ from .errors import DegenerateSimplexError, SelectionError
 
 PIVOT_TOL = 1e-9
 
+_EDGE_I, _EDGE_J = (np.array(ends) for ends in zip(*geometry.EDGES5))
+_OPP_X, _OPP_Y = (np.array(ends) for ends in zip(*geometry.OPPOSITE5))
 
-def dS_dL_simplex(L):
-    """(10, 10) matrix of face-area derivatives by squared edge length.
 
-    Rows follow geometry.FACES5, columns geometry.EDGES5; the (i, a) entry
-    vanishes unless edge a lies in face i.
-    """
-    L = geometry.validate_length_table(L, size=5)
-    M = np.zeros((10, 10))
+def _area_terms():
+    """Face row, edge ab and the other two edges ac, bc of every (face, edge) pair."""
+    terms = []
     for fi, face in enumerate(geometry.FACES5):
         for a, b in ((face[0], face[1]), (face[0], face[2]), (face[1], face[2])):
-            M[fi, geometry.EDGE_INDEX5[(a, b)]] = geometry.area_length_derivative(
-                L, face, (a, b)
-            )
-    return M
+            (c,) = [v for v in face if v != a and v != b]
+            terms.append((
+                fi,
+                geometry.EDGE_INDEX5[(a, b)],
+                geometry.EDGE_INDEX5[tuple(sorted((a, c)))],
+                geometry.EDGE_INDEX5[tuple(sorted((b, c)))],
+            ))
+    return tuple(np.array(col) for col in zip(*terms))
 
 
-def _all_signed_angles(L, eps):
-    mags = geometry.dihedral_angles_from_lengths(L)
-    return eps * np.array([mags[f] for f in geometry.FACES5])
+_AREA_ROW, _AREA_AB, _AREA_AC, _AREA_BC = _area_terms()
 
 
-def dtheta_dL_simplex(L, eps, h_rel=geometry.FD_REL_STEP, richardson=False):
-    """(10, 10) finite-difference matrix of signed dihedral angles by length.
+def dS_dL_blocks(L):
+    """(N, 10, 10) face-area derivatives by squared edge length.
 
-    Central differences with relative step h_rel * max(L); one Richardson
-    extrapolation level behind the flag.  If an evaluation leaves the
-    realizable region the step is shrunk once before giving up.
+    L is an (N, 5, 5) stack of squared-length tables.  From
+    16 S^2 = 2 L1 L2 + 2 L2 L3 + 2 L3 L1 - L1^2 - L2^2 - L3^2.
     """
-    L = geometry.validate_length_table(L, size=5)
-    h0 = h_rel * float(L.max())
-
-    def column(edge, h):
-        i, j = edge
-        Lp = L.copy()
-        Lp[i, j] += h
-        Lp[j, i] += h
-        Lm = L.copy()
-        Lm[i, j] -= h
-        Lm[j, i] -= h
-        return (_all_signed_angles(Lp, eps) - _all_signed_angles(Lm, eps)) / (2 * h)
-
-    def matrix(h):
-        cols = []
-        for edge in geometry.EDGES5:
-            try:
-                cols.append(column(edge, h))
-            except geometry.NonRealizableLengthsError:
-                try:
-                    cols.append(column(edge, h / 16.0))
-                except geometry.NonRealizableLengthsError as exc:
-                    raise DegenerateSimplexError(
-                        f"finite-difference stencil at edge {edge} left the "
-                        "realizable region"
-                    ) from exc
-        return np.stack(cols, axis=1)
-
-    if not richardson:
-        return matrix(h0)
-    return (4.0 * matrix(h0 / 2) - matrix(h0)) / 3.0
+    Lv = np.asarray(L, dtype=float)[:, _EDGE_I, _EDGE_J]
+    ab, ac, bc = Lv[:, _AREA_AB], Lv[:, _AREA_AC], Lv[:, _AREA_BC]
+    sq16 = 2.0 * (ab * ac + ac * bc + bc * ab) - ab * ab - ac * ac - bc * bc
+    if not np.all(sq16 > 0.0):
+        raise DegenerateSimplexError("a face has nonpositive squared area")
+    out = np.zeros((Lv.shape[0], 10, 10))
+    out[:, _AREA_ROW, _AREA_AB] = (ac + bc - ab) / (4.0 * np.sqrt(sq16))
+    return out
 
 
-def _local_face_keys(verts):
-    return [tuple(verts[i] for i in f) for f in geometry.FACES5]
+def _normal_gram(L):
+    """Gram matrix P of the facet normals (barycentric-coordinate gradients).
+
+    P is the lower-right 5x5 block of the inverse bordered Cayley-Menger
+    matrix.  It is obtained as the inverse of the edge-vector Gram matrix at
+    vertex 0, G_pq = (L_0p + L_0q - L_pq) / 2 with det G = 576 V^2, whose
+    row sums give the normal at vertex 0.  Gauss-Jordan elimination runs in
+    extended precision (np.longdouble where the platform has it): on thin
+    simplices a float64 inverse loses about ten times more than the rounding
+    of the lengths themselves, enough to add a spurious rank to dOmega_dL.
+    A table whose G is not positive definite, or whose |V| falls below the
+    degeneracy threshold of geometry.degeneracy_threshold, is rejected.
+    """
+    L = np.asarray(L, dtype=np.longdouble)
+    A = 0.5 * (L[:, 0, 1:, None] + L[:, 0, None, 1:] - L[:, 1:, 1:])
+    inv = np.broadcast_to(np.eye(4, dtype=np.longdouble), A.shape).copy()
+    det = np.ones(len(L), dtype=np.longdouble)
+    for k in range(4):
+        piv = A[:, k, k].copy()
+        if not np.all(piv > 0.0):
+            bad = int(np.flatnonzero(~(piv > 0.0))[0])
+            raise DegenerateSimplexError(
+                f"simplex {bad} of the batch has no nondegenerate Euclidean realization"
+            )
+        det *= piv
+        A[:, k] /= piv[:, None]
+        inv[:, k] /= piv[:, None]
+        for r in range(4):
+            if r != k:
+                f = A[:, r, k, None].copy()
+                A[:, r] -= f * A[:, k]
+                inv[:, r] -= f * inv[:, k]
+    mean_edge = np.sqrt(np.maximum(L[:, _EDGE_I, _EDGE_J], 0.0)).mean(axis=1)
+    floor = geometry.DEGENERACY_REL * mean_edge**4
+    bad = np.flatnonzero(~(det / 576.0 > floor * floor))
+    if bad.size:
+        raise DegenerateSimplexError(
+            f"simplex {int(bad[0])} of the batch is degenerate "
+            f"(|V| below {geometry.DEGENERACY_REL:g} mean_edge^4)"
+        )
+    P = np.empty((len(L), 5, 5), dtype=np.longdouble)
+    P[:, 1:, 1:] = inv
+    P[:, 0, 1:] = P[:, 1:, 0] = -inv.sum(axis=1)
+    P[:, 0, 0] = inv.sum(axis=(1, 2))
+    return P
 
 
-def _local_edge_keys(verts):
-    return [tuple(verts[i] for i in e) for e in geometry.EDGES5]
+def dtheta_dL_blocks(L, eps):
+    """(N, 10, 10) signed dihedral-angle derivatives by squared edge length.
+
+    L is an (N, 5, 5) stack of squared-length tables and eps the N simplex
+    signs.  Raises DegenerateSimplexError on a degenerate table.
+    """
+    P = _normal_gram(L)
+    x, y = _OPP_X[:, None], _OPP_Y[:, None]
+    i, j = _EDGE_I[None, :], _EDGE_J[None, :]
+    Pxx = P[:, _OPP_X, _OPP_X][:, :, None]
+    Pyy = P[:, _OPP_Y, _OPP_Y][:, :, None]
+    norm = np.sqrt(Pxx * Pyy)
+    cos = -P[:, _OPP_X, _OPP_Y][:, :, None] / norm
+    dPxy = 0.5 * (P[:, x, i] * P[:, j, y] + P[:, x, j] * P[:, i, y])
+    dcos = -dPxy / norm - 0.5 * cos * (
+        P[:, x, i] * P[:, x, j] / Pxx + P[:, y, i] * P[:, y, j] / Pyy
+    )
+    D = -np.asarray(eps, dtype=float)[:, None, None] * dcos / np.sqrt(1.0 - cos * cos)
+    if not np.all(np.isfinite(D)):
+        raise DegenerateSimplexError("dihedral-angle derivatives are not finite")
+    return D.astype(float)
 
 
-def assemble_domega_dL(c, m, h_rel=geometry.FD_REL_STEP, richardson=False):
-    """Global matrix of face-deficit derivatives by squared edge lengths."""
-    F = len(c.faces[2])
-    E = len(c.faces[1])
-    M = np.zeros((F, E))
-    for sid in range(len(c.simplices)):
-        verts, _ = c.simplices[sid]
-        L5 = m.simplex_lengths(verts)
-        D = dtheta_dL_simplex(L5, m.eps[sid], h_rel=h_rel, richardson=richardson)
-        rows = [c.face_index[2][k] for k in _local_face_keys(verts)]
-        cols = [c.face_index[1][k] for k in _local_edge_keys(verts)]
-        M[np.ix_(rows, cols)] -= D
-    return M
+def domega_dS_blocks(L, eps):
+    """(N, 10, 10) signed-angle derivatives by face areas.
 
-
-def domega_dS_simplex(L, eps, h_rel=geometry.FD_REL_STEP, richardson=False):
-    """Per-simplex (10, 10) signed-angle derivatives by face areas.
-
-    Areas determine all metric variations within one simplex, so the matrix
+    Areas determine all metric variations within one simplex, so each block
     is (dtheta/dL) (dS/dL)^-1.  A singular area map means the realization is
     non-generic.
     """
-    D = dtheta_dL_simplex(L, eps, h_rel=h_rel, richardson=richardson)
-    A = dS_dL_simplex(L)
+    D = dtheta_dL_blocks(L, eps)
+    A = dS_dL_blocks(L)
     try:
-        return np.linalg.solve(A.T, D.T).T
+        X = np.linalg.solve(np.swapaxes(A, 1, 2), np.swapaxes(D, 1, 2))
     except np.linalg.LinAlgError as exc:
         raise DegenerateSimplexError(
             "per-simplex area map is singular (non-generic realization)"
         ) from exc
+    return np.swapaxes(X, 1, 2)
 
 
-def assemble_domega_dS(c, m, h_rel=geometry.FD_REL_STEP, richardson=False):
+def dS_dL_simplex(L):
+    """(10, 10) face-area derivatives of one squared-length table."""
+    return dS_dL_blocks(geometry.validate_length_table(L, size=5)[None])[0]
+
+
+def dtheta_dL_simplex(L, eps):
+    """(10, 10) signed dihedral-angle derivatives of one squared-length table."""
+    return dtheta_dL_blocks(geometry.validate_length_table(L, size=5)[None], [eps])[0]
+
+
+def domega_dS_simplex(L, eps):
+    """(10, 10) signed-angle derivatives by face areas of one table."""
+    return domega_dS_blocks(geometry.validate_length_table(L, size=5)[None], [eps])[0]
+
+
+def scatter_indices(cells, face_index, edge_index):
+    """(N, 10) global face rows and edge columns of sorted 5-tuples.
+
+    Entry [n, k] is the position of the k-th local face (geometry.FACES5)
+    or edge (geometry.EDGES5) of cells[n] in face_index or edge_index.
+    """
+    rows = [face_index[(v[p], v[q], v[r])] for v in cells for p, q, r in geometry.FACES5]
+    cols = [edge_index[(v[p], v[q])] for v in cells for p, q in geometry.EDGES5]
+    return (
+        np.array(rows, dtype=np.intp).reshape(len(cells), 10),
+        np.array(cols, dtype=np.intp).reshape(len(cells), 10),
+    )
+
+
+def length_tables(m, cells):
+    """(N, 5, 5) squared-length tables of sorted 5-tuples."""
+    return np.array([m.simplex_lengths(v) for v in cells]).reshape(len(cells), 5, 5)
+
+
+def _simplex_stack(c, m):
+    cells = [verts for verts, _ in c.simplices]
+    rows, cols = scatter_indices(cells, c.face_index[2], c.face_index[1])
+    eps = [m.eps[sid] for sid in range(len(cells))]
+    return rows, cols, length_tables(m, cells), eps
+
+
+def assemble_domega_dL(c, m):
+    """Global matrix of face-deficit derivatives by squared edge lengths."""
+    rows, cols, L, eps = _simplex_stack(c, m)
+    M = np.zeros((len(c.faces[2]), len(c.faces[1])))
+    np.add.at(M, (rows[:, :, None], cols[:, None, :]), -dtheta_dL_blocks(L, eps))
+    return M
+
+
+def assemble_domega_dS(c, m):
     """Global matrix of face-deficit derivatives by independent area variations."""
+    rows, _, L, eps = _simplex_stack(c, m)
     F = len(c.faces[2])
     M = np.zeros((F, F))
-    for sid in range(len(c.simplices)):
-        verts, _ = c.simplices[sid]
-        L5 = m.simplex_lengths(verts)
-        X = domega_dS_simplex(L5, m.eps[sid], h_rel=h_rel, richardson=richardson)
-        idx = [c.face_index[2][k] for k in _local_face_keys(verts)]
-        M[np.ix_(idx, idx)] -= X
+    np.add.at(M, (rows[:, :, None], rows[:, None, :]), -domega_dS_blocks(L, eps))
     return M
 
 
@@ -143,31 +226,22 @@ def area_length_weights(c, m):
     """Global (edges x triangles) matrix of dS_j/dL_a.
 
     Each triangle's area depends only on its own three edge lengths, so the
-    entries are shared by every simplex containing the face.
+    simplices sharing a face write equal entries.
     """
-    E = len(c.faces[1])
-    F = len(c.faces[2])
-    P = np.zeros((E, F))
-    for tri in c.faces[2]:
-        fi = c.face_index[2][tri]
-        for a, b in ((tri[0], tri[1]), (tri[0], tri[2]), (tri[1], tri[2])):
-            (cv,) = [v for v in tri if v != a and v != b]
-            ka = (a, cv) if a < cv else (cv, a)
-            kb = (b, cv) if b < cv else (cv, b)
-            w = (m.L[ka] + m.L[kb] - m.L[(a, b)]) / (16.0 * m.S[tri])
-            P[c.face_index[1][(a, b)], fi] = w
+    rows, cols, L, _ = _simplex_stack(c, m)
+    P = np.zeros((len(c.faces[1]), len(c.faces[2])))
+    P[cols[:, None, :], rows[:, :, None]] = dS_dL_blocks(L)
     return P
 
 
-def assemble_dBigOmega_dS(c, m, domega_dS=None, h_rel=geometry.FD_REL_STEP,
-                          richardson=False):
+def assemble_dBigOmega_dS(c, m, domega_dS=None):
     """Global matrix of edge-deficit derivatives by area variations.
 
     At a flat point the area-derivative weights are stationary against the
     vanishing face deficits, leaving the weighted sum of dOmega_dS rows.
     """
     if domega_dS is None:
-        domega_dS = assemble_domega_dS(c, m, h_rel=h_rel, richardson=richardson)
+        domega_dS = assemble_domega_dS(c, m)
     return area_length_weights(c, m) @ domega_dS
 
 
@@ -201,9 +275,9 @@ class JacobianSet:
         return float(np.abs(A - B).max() / scale) if scale else 0.0
 
 
-def build_jacobians(c, m, h_rel=geometry.FD_REL_STEP, richardson=False):
-    dL = assemble_domega_dL(c, m, h_rel=h_rel, richardson=richardson)
-    dS = assemble_domega_dS(c, m, h_rel=h_rel, richardson=richardson)
+def build_jacobians(c, m):
+    dL = assemble_domega_dL(c, m)
+    dS = assemble_domega_dS(c, m)
     dBig = assemble_dBigOmega_dS(c, m, domega_dS=dS)
     return JacobianSet(
         face_keys=tuple(c.faces[2]),
@@ -214,13 +288,26 @@ def build_jacobians(c, m, h_rel=geometry.FD_REL_STEP, richardson=False):
     )
 
 
+def log_product(values):
+    """(sign, log|product|) of a sequence of reals, free of under- and overflow.
+
+    A zero factor gives (0, -inf), a NaN factor (0, nan) and an empty
+    sequence (1, 0.0).
+    """
+    a = np.asarray(values, dtype=float)
+    sign = np.prod(np.sign(a))
+    with np.errstate(divide="ignore"):
+        return (int(sign) if np.isfinite(sign) else 0), float(np.sum(np.log(np.abs(a))))
+
+
 @dataclass(frozen=True)
 class SubmatrixSelection:
     """A maximal nondegenerate square submatrix in pivot order.
 
     rows/cols are matrix indices in pivot order; det is the determinant of
-    the submatrix taken in exactly that ordering (the product of pivots).
-    Complements are in ascending ambient order.
+    the submatrix taken in exactly that ordering (the product of pivots,
+    which may under- or overflow; slogdet does not).  Complements are in
+    ascending ambient order.
     """
 
     rows: tuple
@@ -233,6 +320,7 @@ class SubmatrixSelection:
     col_keys: tuple = None
     row_comp_keys: tuple = None
     col_comp_keys: tuple = None
+    pivots: tuple = None
 
     def with_keys(self, face_keys, edge_keys):
         return replace(
@@ -243,6 +331,12 @@ class SubmatrixSelection:
             col_comp_keys=tuple(edge_keys[i] for i in self.cols_comp),
         )
 
+    def slogdet(self):
+        """(sign, log|det|) from the pivots, or from det when none are kept."""
+        if self.pivots is None:
+            return log_product([self.det] if self.rank else [])
+        return log_product(self.pivots)
+
 
 def rank_and_submatrix(matrix, must_include_row=None, tol=PIVOT_TOL):
     """Complete-pivoting elimination: rank, pivot rows/cols and det.
@@ -252,41 +346,39 @@ def rank_and_submatrix(matrix, must_include_row=None, tol=PIVOT_TOL):
     when a (possibly weaker) first pivot row is forced.  If must_include_row
     is given, that row is forced as the first pivot row (its largest entry
     becomes the first pivot); a numerically zero forced row is an error.
-    """
-    M = np.array(matrix, dtype=float)
-    if M.ndim != 2:
-        raise SelectionError("selection needs a 2-d matrix")
-    if not np.all(np.isfinite(M)):
-        raise SelectionError("matrix has non-finite entries")
-    n_rows, n_cols = M.shape
-    global_max = float(np.abs(M).max()) if M.size else 0.0
 
-    work = M.copy()
-    row_free = list(range(n_rows))
-    col_free = list(range(n_cols))
-    pivots = []
-    pivot_rows = []
-    pivot_cols = []
+    Elimination runs in place on the full array: after each step the pivot
+    row and column are zeroed, so the next pivot is the argmax of |work|
+    over all entries, and ties resolve in row-major order.
+    """
+    work = np.array(matrix, dtype=float)
+    if work.ndim != 2:
+        raise SelectionError("selection needs a 2-d matrix")
+    if not np.all(np.isfinite(work)):
+        raise SelectionError("matrix has non-finite entries")
+    n_rows, n_cols = work.shape
+    global_max = float(np.abs(work).max()) if work.size else 0.0
 
     forced = None
     if must_include_row is not None:
         forced = int(must_include_row)
-        row_max = float(np.abs(M[forced]).max()) if n_cols else 0.0
+        row_max = float(np.abs(work[forced]).max()) if n_cols else 0.0
         if row_max == 0.0 or (global_max and row_max <= tol * global_max):
             raise SelectionError(
                 f"forced row {forced} is numerically zero; it cannot pivot"
             )
 
-    while row_free and col_free:
+    magnitude = np.empty_like(work)
+    pivots = []
+    pivot_rows = []
+    pivot_cols = []
+    for _ in range(min(n_rows, n_cols)):
         if forced is not None and not pivots:
             r = forced
-            sub = np.abs(work[r, col_free])
-            c = col_free[int(np.argmax(sub))]
+            c = int(np.argmax(np.abs(work[r])))
         else:
-            sub = np.abs(work[np.ix_(row_free, col_free)])
-            flat = int(np.argmax(sub))
-            r = row_free[flat // len(col_free)]
-            c = col_free[flat % len(col_free)]
+            np.abs(work, out=magnitude)
+            r, c = divmod(int(np.argmax(magnitude)), n_cols)
         piv = work[r, c]
         if pivots and abs(piv) <= tol * global_max:
             break
@@ -295,23 +387,21 @@ def rank_and_submatrix(matrix, must_include_row=None, tol=PIVOT_TOL):
         pivots.append(float(piv))
         pivot_rows.append(r)
         pivot_cols.append(c)
-        row_free.remove(r)
-        col_free.remove(c)
-        if row_free and col_free:
-            factors = work[np.ix_(row_free, [c])] / piv
-            work[np.ix_(row_free, col_free)] -= factors @ work[np.ix_([r], col_free)]
+        work -= np.outer(work[:, c] / piv, work[r])
+        work[r] = 0.0
+        work[:, c] = 0.0
 
     rank = len(pivots)
     det = float(np.prod(pivots)) if pivots else 0.0
-    rows_comp = tuple(i for i in range(n_rows) if i not in pivot_rows)
-    cols_comp = tuple(j for j in range(n_cols) if j not in pivot_cols)
+    kept_rows, kept_cols = set(pivot_rows), set(pivot_cols)
     return SubmatrixSelection(
         rows=tuple(pivot_rows),
         cols=tuple(pivot_cols),
-        rows_comp=rows_comp,
-        cols_comp=cols_comp,
+        rows_comp=tuple(i for i in range(n_rows) if i not in kept_rows),
+        cols_comp=tuple(j for j in range(n_cols) if j not in kept_cols),
         det=det,
         rank=rank,
+        pivots=tuple(pivots),
     )
 
 

@@ -3,6 +3,9 @@ import pytest
 
 from pachner33 import complexes as cx
 from pachner33 import flatmetric as fm
+from pachner33 import geometry as g
+
+LADDER_RUNGS = (26, 86, 166)
 
 
 @pytest.fixture(scope="session")
@@ -44,3 +47,26 @@ def ball_points(rng, n):
     raw = rng.standard_normal((n, 4))
     radii = rng.uniform(size=(n, 1)) ** 0.25
     return raw / np.linalg.norm(raw, axis=1, keepdims=True) * radii
+
+
+@pytest.fixture(scope="session")
+def stellar_ladder():
+    """Nested stellar subdivisions of the 5-simplex boundary, with placements.
+
+    Each step splits a cell chosen with probability proportional to its
+    volume at a point with Dirichlet(20) barycentric weights, so new cells
+    stay well inside the old.  Returns {cell count: (complex, coords)}.
+    """
+    rng = np.random.default_rng(2026)
+    c = cx.boundary_delta5()
+    coords = fm.random_realization(c, seed=int(rng.integers(2**31)))
+    rungs = {}
+    while len(c.simplices) < max(LADDER_RUNGS):
+        cells = [np.stack([coords[v] for v in verts]) for verts, _ in c.simplices]
+        volumes = np.array([abs(g.signed_volume4(pts)) for pts in cells])
+        sid = int(rng.choice(len(cells), p=volumes / volumes.sum()))
+        coords[c.vertices[-1] + 1] = rng.dirichlet(np.full(5, 20.0)) @ cells[sid]
+        c = cx.stellar_subdivide(c, sid)
+        if len(c.simplices) in LADDER_RUNGS:
+            rungs[len(c.simplices)] = (c, dict(coords))
+    return rungs

@@ -1,8 +1,9 @@
 """Acceptance criteria, one test per criterion, at the stated tolerances.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see one line per
-criterion.  Finite-difference checks use one Richardson extrapolation level;
-random configurations are seed-deterministic.
+criterion.  The finite-difference oracle (identities.central_difference)
+uses one Richardson extrapolation level; random configurations are
+seed-deterministic.
 """
 import json
 import time
@@ -99,7 +100,7 @@ def test_criterion_06_symmetry_and_conjugacy():
 
     worst_sym = worst_conj = 0.0
     for _, c, coords in cases:
-        jac = jb.build_jacobians(c, fm.realize(c, coords), richardson=True)
+        jac = jb.build_jacobians(c, fm.realize(c, coords))
         worst_sym = max(worst_sym, jac.symmetry_residual())
         worst_conj = max(worst_conj, jac.conjugacy_residual())
     report(
@@ -114,7 +115,7 @@ def test_criterion_07_rank_and_kernel():
     c = cx.boundary_delta5()
     coords = fm.random_realization(c, seed=707)
     m = fm.realize(c, coords)
-    M = jb.assemble_domega_dL(c, m, richardson=True)
+    M = jb.assemble_domega_dL(c, m)
     rank = jb.rank_and_submatrix(M).rank
 
     rng = np.random.default_rng(7070)
@@ -153,7 +154,7 @@ def test_criterion_08_move_invariance_all_triangles():
 def test_criterion_09_selection_independence():
     c = cx.tetra_circle_join()
     m = fm.realize(c, fm.random_realization(c, seed=909))
-    jac = jb.build_jacobians(c, m, richardson=True)
+    jac = jb.build_jacobians(c, m)
     M = jac.dOmega_dL
     sel = jb.rank_and_submatrix(M)
     assert sel.rank >= 2

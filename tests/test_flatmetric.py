@@ -112,7 +112,7 @@ def test_one_simplex_diagnostics():
 def test_perturbed_length_matches_first_order_prediction(delta5, delta5_metric):
     from pachner33.jacobians import assemble_domega_dL
 
-    M = assemble_domega_dL(delta5, delta5_metric, richardson=True)
+    M = assemble_domega_dL(delta5, delta5_metric)
     edge = delta5.faces[1][0]
     col = delta5.face_index[1][edge]
 

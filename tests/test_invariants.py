@@ -93,7 +93,7 @@ def test_six_term_identity_random_clusters():
 
 def test_restricted_invariant_isometry_invariance(delta5, delta5_coords):
     m = fm.realize(delta5, delta5_coords)
-    M = jb.assemble_domega_dL(delta5, m, richardson=True)
+    M = jb.assemble_domega_dL(delta5, m)
     row = delta5.face_index[2][(0, 1, 2)]
     sel = jb.rank_and_submatrix(M, must_include_row=row).with_keys(
         delta5.faces[2], delta5.faces[1]
@@ -108,7 +108,7 @@ def test_restricted_invariant_isometry_invariance(delta5, delta5_coords):
     shift = rng.standard_normal(4)
     moved = {v: Q @ p + shift for v, p in delta5_coords.items()}
     m2 = fm.realize(delta5, moved)
-    M2 = jb.assemble_domega_dL(delta5, m2, richardson=True)
+    M2 = jb.assemble_domega_dL(delta5, m2)
     sel2_det = M2[sel.rows[0], sel.cols[0]]
     sel2 = jb.SubmatrixSelection(
         rows=sel.rows, cols=sel.cols, rows_comp=sel.rows_comp,
@@ -121,13 +121,13 @@ def test_restricted_invariant_isometry_invariance(delta5, delta5_coords):
 def test_restricted_invariant_orientation_reversal(delta5, delta5_coords):
     # all eps flip, the matrix flips sign: value changes by (-1)^(cells + rank)
     m = fm.realize(delta5, delta5_coords)
-    M = jb.assemble_domega_dL(delta5, m, richardson=True)
+    M = jb.assemble_domega_dL(delta5, m)
     sel = jb.rank_and_submatrix(M)
     value = iv.restricted_invariant(delta5, m, sel)
 
     reflected = {v: p * np.array([-1.0, 1, 1, 1]) for v, p in delta5_coords.items()}
     m2 = fm.realize(delta5, reflected)
-    M2 = jb.assemble_domega_dL(delta5, m2, richardson=True)
+    M2 = jb.assemble_domega_dL(delta5, m2)
     det2 = float(np.linalg.det(M2[np.ix_(sel.rows, sel.cols)]))
     sel2 = jb.SubmatrixSelection(
         rows=sel.rows, cols=sel.cols, rows_comp=sel.rows_comp,
@@ -148,7 +148,7 @@ def test_restricted_invariant_rejects_degenerate_selection(delta5, delta5_metric
 
 
 def test_full_invariant_is_reciprocal_of_restricted(delta5, delta5_metric):
-    rep = iv.full_invariant(delta5, delta5_metric, richardson=True)
+    rep = iv.full_invariant(delta5, delta5_metric)
     restricted = iv.restricted_invariant(delta5, delta5_metric, rep.selection)
     assert rep.value == pytest.approx(1.0 / restricted, rel=1e-12)
     assert rep.value == pytest.approx(
@@ -157,14 +157,14 @@ def test_full_invariant_is_reciprocal_of_restricted(delta5, delta5_metric):
 
 
 def test_full_invariant_euclidean_motion_invariance(delta5, delta5_coords, delta5_metric):
-    rep = iv.full_invariant(delta5, delta5_metric, richardson=True)
+    rep = iv.full_invariant(delta5, delta5_metric)
     rng = np.random.default_rng(17)
     Q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
     if np.linalg.det(Q) < 0:
         Q[:, 0] = -Q[:, 0]
     shift = rng.standard_normal(4)
     m2 = fm.realize(delta5, {v: Q @ p + shift for v, p in delta5_coords.items()})
-    rep2 = iv.full_invariant(delta5, m2, richardson=True)
+    rep2 = iv.full_invariant(delta5, m2)
     assert rep2.value == pytest.approx(rep.value, rel=1e-9)
 
 
@@ -174,7 +174,7 @@ def test_full_invariant_depends_on_realization(delta5):
     values = set()
     for seed in (1, 2):
         m = fm.realize(delta5, fm.random_realization(delta5, seed=seed))
-        values.add(abs(iv.full_invariant(delta5, m, richardson=True).value))
+        values.add(abs(iv.full_invariant(delta5, m).value))
     assert len(values) == 2
 
 
@@ -230,7 +230,7 @@ def test_row_swap_ratio_matches_gradient_ratio(delta5, delta5_coords):
     # the det ratio across the move equals the ratio of the two deficit
     # gradients (which are parallel forms on the shared kernel complement)
     m = fm.realize(delta5, delta5_coords)
-    M = jb.assemble_domega_dL(delta5, m, richardson=True)
+    M = jb.assemble_domega_dL(delta5, m)
     abc = (0, 1, 2)
     row_abc = delta5.face_index[2][abc]
     sel = jb.rank_and_submatrix(M, must_include_row=row_abc)
@@ -268,7 +268,7 @@ def _selection_with_keys(c, M, **kw):
 
 
 def test_edge_swap_factor_contract(join_complex, join_metric):
-    M = jb.assemble_domega_dL(join_complex, join_metric, richardson=True)
+    M = jb.assemble_domega_dL(join_complex, join_metric)
     sel = jb.rank_and_submatrix(M)
     b = sel.cols_comp[0]
     c_col = sel.cols[-1]
@@ -277,7 +277,7 @@ def test_edge_swap_factor_contract(join_complex, join_metric):
 
 
 def test_face_swap_factor_contract(join_complex, join_metric):
-    jac = jb.build_jacobians(join_complex, join_metric, richardson=True)
+    jac = jb.build_jacobians(join_complex, join_metric)
     M = jac.dOmega_dL
     sel = jb.rank_and_submatrix(M)
     new_row = next(
@@ -293,7 +293,7 @@ def test_face_swap_factor_contract(join_complex, join_metric):
 
 
 def test_face_swap_on_rank_one_delta5(delta5, delta5_metric):
-    jac = jb.build_jacobians(delta5, delta5_metric, richardson=True)
+    jac = jb.build_jacobians(delta5, delta5_metric)
     M = jac.dOmega_dL
     sel = jb.rank_and_submatrix(M)
     assert sel.rank == 1
@@ -310,7 +310,7 @@ def test_face_swap_on_rank_one_delta5(delta5, delta5_metric):
 
 
 def test_swap_chain_preserves_composite_quantity(join_complex, join_metric):
-    jac = jb.build_jacobians(join_complex, join_metric, richardson=True)
+    jac = jb.build_jacobians(join_complex, join_metric)
     M = jac.dOmega_dL
     sel = jb.rank_and_submatrix(M)
     quantity = 1.0 / sel.det
@@ -338,9 +338,35 @@ def test_swap_chain_preserves_composite_quantity(join_complex, join_metric):
 
 
 def test_basis_change_rejects_bad_swaps(join_complex, join_metric):
-    M = jb.assemble_domega_dL(join_complex, join_metric, richardson=True)
+    M = jb.assemble_domega_dL(join_complex, join_metric)
     sel = jb.rank_and_submatrix(M)
     with pytest.raises(SelectionError):
         iv.basis_change_factor(M, sel, ("edge", sel.cols[0], sel.cols[1]))
     with pytest.raises(SelectionError):
         iv.basis_change_factor(M, sel, ("face", sel.rows_comp[0], sel.rows[0]))
+
+
+# ---------------------------------------------------------- stellar ladder
+
+def test_stellar_ladder_rank_and_move_invariance(stellar_ladder):
+    for cells, (c, coords) in sorted(stellar_ladder.items()):
+        assert c.is_closed and c.orientation_consistent
+        assert c.euler_characteristic() == 2
+        M = jb.assemble_domega_dL(c, fm.realize(c, coords))
+        expected = len(c.faces[1]) - 4 * len(c.vertices) + 10
+        assert jb.rank_and_submatrix(M).rank == expected, cells
+
+    c, coords = stellar_ladder[166]
+    triangles = [t for t in c.faces[2] if len(c.cofaces[2][t]) == 3][:3]
+    assert len(triangles) == 3
+    for tri in triangles:
+        assert iv.compare_under_move(c, coords, tri).move_context.deviation <= 1e-8
+
+
+def test_invariant_survives_volume_product_underflow(stellar_ladder):
+    c, coords = stellar_ladder[166]
+    rep = iv.full_invariant(c, fm.realize(c, coords))
+    assert rep.prod_V == 0.0  # the plain product of 166 volumes underflows
+    assert math.isfinite(rep.value) and rep.value != 0.0
+    assert rep.sign == (1 if rep.value > 0 else -1)
+    assert math.log(abs(rep.value)) == pytest.approx(rep.log_abs_value, rel=1e-12)

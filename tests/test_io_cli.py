@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from pachner33 import io as pio
@@ -218,3 +219,14 @@ def test_cli_determinism_with_seed():
         rep.pop("timing_s")
         outs.append(json.dumps(rep, sort_keys=True))
     assert outs[0] == outs[1]
+
+
+def test_dumps_pins_float_text():
+    special = [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 0.1]
+    assert pio.dumps(special) == (
+        "[nan, inf, -inf, -0, 4.9406564584124654e-324, 0.10000000000000001]"
+    )
+    assert pio.dumps([1, 2.0, True, None]) == "[1, 2, true, null]"
+    assert pio.dumps({"m": [[1.5, 2.0], (0.25,), [], [np.float64(0.5), 1.0]]}) == (
+        '{"m": [[1.5, 2], [0.25], [], [0.5, 1]]}'
+    )

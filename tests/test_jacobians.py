@@ -1,5 +1,7 @@
 """Derivative matrices, their symmetry properties and the submatrix selection."""
+import decimal
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from pachner33 import complexes as cx
 from pachner33 import flatmetric as fm
 from pachner33 import geometry as g
+from pachner33 import identities as idn
 from pachner33 import jacobians as jb
 from pachner33.errors import SelectionError
 
@@ -51,7 +54,7 @@ def test_dtheta_dL_opposite_pairs_match_closed_form():
     V = g.signed_volume4(pts)
     eps = 1 if V > 0 else -1
     L = g.squared_length_table(pts)
-    D = jb.dtheta_dL_simplex(L, eps, richardson=True)
+    D = jb.dtheta_dL_simplex(L, eps)
     for fi, face in enumerate(g.FACES5):
         x, y = [v for v in range(5) if v not in face]
         ei = g.EDGE_INDEX5[(x, y)]
@@ -62,7 +65,7 @@ def test_dtheta_dL_opposite_pairs_match_closed_form():
 def test_dtheta_dL_columns_satisfy_area_weighted_identity():
     pts = random_simplex(6)
     L = g.squared_length_table(pts)
-    D = jb.dtheta_dL_simplex(L, +1, richardson=True)
+    D = jb.dtheta_dL_simplex(L, +1)
     areas = np.array([g.face_area(L, f) for f in g.FACES5])
     col_residual = np.abs(areas @ D)
     scale = np.abs(D).max() * areas.max()
@@ -78,8 +81,8 @@ def test_dtheta_dL_sign_flip():
 
 
 def test_dtheta_dL_degenerate_stencil_raises():
-    # nearly flat simplex: the stencil leaves the realizable region even
-    # after the one-shot step shrink
+    # nearly flat simplex: |V| is below the degeneracy threshold, so the
+    # closed form refuses it instead of returning huge or NaN entries
     pts = np.vstack([np.zeros(4), np.eye(4)])
     pts[4] = 0.25 * (pts[0] + pts[1] + pts[2] + pts[3])
     pts[4][3] += 1e-12
@@ -93,25 +96,86 @@ def test_dtheta_dL_degenerate_stencil_raises():
     )
 
 
-def test_dtheta_dL_fd_step_halving_is_second_order():
-    pts = random_simplex(8)
-    L = g.squared_length_table(pts)
-    D1 = jb.dtheta_dL_simplex(L, +1, h_rel=1e-5)
-    D2 = jb.dtheta_dL_simplex(L, +1, h_rel=0.5e-5)
-    assert np.abs(D1 - D2).max() <= 4e-6 * np.abs(D1).max()
+def test_dtheta_dL_closed_form_matches_fd_oracle():
+    for seed in range(50):
+        pts = random_simplex(100 + seed)
+        eps = 1 if g.signed_volume4(pts) > 0 else -1
+        L = g.squared_length_table(pts)
+        D = jb.dtheta_dL_simplex(L, eps)
+        oracle = idn.fd_dtheta_dL(L, eps)
+        assert np.abs(D - oracle).max() <= 1e-8 * np.abs(oracle).max()
+
+
+def exact_precision_dtheta_dL(L, eps):
+    """The closed form from an exact rational inverse and 40-digit decimals."""
+    G = [
+        [(Fraction(L[0, p]) + Fraction(L[0, q]) - Fraction(L[p, q])) / 2 for q in range(1, 5)]
+        for p in range(1, 5)
+    ]
+    A = [row + [Fraction(int(i == j)) for j in range(4)] for i, row in enumerate(G)]
+    for k in range(4):
+        A[k] = [a / A[k][k] for a in A[k]]
+        for r in range(4):
+            if r != k:
+                A[r] = [a - A[r][k] * b for a, b in zip(A[r], A[k])]
+    inv = [row[4:] for row in A]
+    col = [-sum(inv[p][q] for p in range(4)) for q in range(4)]
+    P = [[-sum(col)] + col] + [[col[p]] + inv[p] for p in range(4)]
+    out = np.zeros((10, 10))
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        P = [[decimal.Decimal(x.numerator) / x.denominator for x in row] for row in P]
+        for f, (x, y) in enumerate(g.OPPOSITE5):
+            norm = (P[x][x] * P[y][y]).sqrt()
+            cos = -P[x][y] / norm
+            for e, (i, j) in enumerate(g.EDGES5):
+                dcos = -(P[x][i] * P[j][y] + P[x][j] * P[i][y]) / (2 * norm) - cos / 2 * (
+                    P[x][i] * P[x][j] / P[x][x] + P[y][i] * P[y][j] / P[y][y]
+                )
+                out[f, e] = float(-eps * dcos / (1 - cos * cos).sqrt())
+    return out
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+    reason="no extended precision on this platform",
+)
+def test_dtheta_dL_thin_simplices_lose_no_more_than_rounding():
+    # one vertex close to the opposite facet: |V| / mean_edge^4 ~ 1e-6..1e-5,
+    # where a float64 inverse of the Cayley-Menger matrix loses ~1e-10
+    rng = np.random.default_rng(5)
+    for _ in range(6):
+        pts = rng.standard_normal((5, 4))
+        normal = np.linalg.svd(pts[1:4] - pts[0])[2][-1]
+        pts[4] = rng.dirichlet(np.full(4, 3.0)) @ pts[:4] + 1e-3 * normal
+        L = g.squared_length_table(pts)
+        eps = 1 if g.signed_volume4(pts) > 0 else -1
+        ref = exact_precision_dtheta_dL(L, eps)
+        assert np.abs(jb.dtheta_dL_simplex(L, eps) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_dtheta_dL_blocks_stack_single_simplex_blocks():
+    tables, signs = [], []
+    for seed in range(4):
+        pts = random_simplex(200 + seed)
+        tables.append(g.squared_length_table(pts))
+        signs.append(1 if g.signed_volume4(pts) > 0 else -1)
+    batch = jb.dtheta_dL_blocks(np.stack(tables), signs)
+    for D, L, eps in zip(batch, tables, signs):
+        assert np.array_equal(D, jb.dtheta_dL_simplex(L, eps))
 
 
 # ------------------------------------------------------ global assemblies
 
 def test_domega_dL_rank_one_on_delta5(delta5, delta5_metric):
-    M = jb.assemble_domega_dL(delta5, delta5_metric, richardson=True)
+    M = jb.assemble_domega_dL(delta5, delta5_metric)
     assert M.shape == (20, 15)
     sel = jb.rank_and_submatrix(M)
     assert sel.rank == 1
 
 
 def test_domega_dL_kernel_contains_vertex_motions(delta5, delta5_coords, delta5_metric):
-    M = jb.assemble_domega_dL(delta5, delta5_metric, richardson=True)
+    M = jb.assemble_domega_dL(delta5, delta5_metric)
     rng = np.random.default_rng(9)
     for _ in range(5):
         delta = {v: rng.standard_normal(4) for v in delta5.vertices}
@@ -121,24 +185,24 @@ def test_domega_dL_kernel_contains_vertex_motions(delta5, delta5_coords, delta5_
 
 
 def test_domega_dL_rank_stability(delta5, delta5_coords, delta5_metric):
-    M = jb.assemble_domega_dL(delta5, delta5_metric, richardson=True)
+    M = jb.assemble_domega_dL(delta5, delta5_metric)
     rng = np.random.default_rng(3)
     perm_r = rng.permutation(M.shape[0])
     perm_c = rng.permutation(M.shape[1])
     assert jb.rank_and_submatrix(M[np.ix_(perm_r, perm_c)]).rank == 1
     scaled = fm.realize(delta5, {v: 2.0 * p for v, p in delta5_coords.items()})
-    M2 = jb.assemble_domega_dL(delta5, scaled, richardson=True)
+    M2 = jb.assemble_domega_dL(delta5, scaled)
     assert jb.rank_and_submatrix(M2).rank == 1
 
 
 def test_domega_dS_symmetric_on_fixtures(delta5, delta5_metric, join_complex, join_metric):
     for c, m in ((delta5, delta5_metric), (join_complex, join_metric)):
-        M = jb.assemble_domega_dS(c, m, richardson=True)
+        M = jb.assemble_domega_dS(c, m)
         assert np.abs(M - M.T).max() <= 1e-6 * np.abs(M).max()
 
 
 def test_domega_dS_zero_without_common_simplex(join_complex, join_metric):
-    M = jb.assemble_domega_dS(join_complex, join_metric, richardson=True)
+    M = jb.assemble_domega_dS(join_complex, join_metric)
     fi = join_complex.face_index[2]
     cof = join_complex.cofaces[2]
     f1, f2 = (0, 1, 2), (0, 1, 3)
@@ -158,18 +222,18 @@ def test_single_simplex_angle_area_matrix_symmetric():
     pts = random_simplex(11)
     L = g.squared_length_table(pts)
     eps = 1 if g.signed_volume4(pts) > 0 else -1
-    X = jb.domega_dS_simplex(L, eps, richardson=True)
+    X = jb.domega_dS_simplex(L, eps)
     assert np.abs(X - X.T).max() <= 1e-6 * np.abs(X).max()
 
 
 def test_conjugacy_on_fixtures(delta5, delta5_metric, join_complex, join_metric):
     for c, m in ((delta5, delta5_metric), (join_complex, join_metric)):
-        jac = jb.build_jacobians(c, m, richardson=True)
+        jac = jb.build_jacobians(c, m)
         assert jac.conjugacy_residual() <= 1e-6
 
 
 def test_dBigOmega_structural_zeros(join_complex, join_metric):
-    T = jb.assemble_dBigOmega_dS(join_complex, join_metric, richardson=True)
+    T = jb.assemble_dBigOmega_dS(join_complex, join_metric)
     ei = join_complex.face_index[1]
     fi = join_complex.face_index[2]
     cof_e = join_complex.cofaces[1]
@@ -189,7 +253,7 @@ def test_dBigOmega_structural_zeros(join_complex, join_metric):
 def test_conjugacy_on_moved_join(join_complex, join_coords):
     moved, _ = cx.pachner_33(join_complex, (0, 1, 2))
     m2 = fm.realize(moved, join_coords)
-    jac = jb.build_jacobians(moved, m2, richardson=True)
+    jac = jb.build_jacobians(moved, m2)
     assert jac.symmetry_residual() <= 1e-6
     assert jac.conjugacy_residual() <= 1e-6
 
@@ -197,7 +261,7 @@ def test_conjugacy_on_moved_join(join_complex, join_coords):
 # --------------------------------------------------------- rank/selection
 
 def test_selection_on_delta5_forcing_each_triangle(delta5, delta5_metric):
-    M = jb.assemble_domega_dL(delta5, delta5_metric, richardson=True)
+    M = jb.assemble_domega_dL(delta5, delta5_metric)
     for tri in ((0, 1, 2), (1, 3, 5), (2, 4, 5)):
         row = delta5.face_index[2][tri]
         sel = jb.rank_and_submatrix(M, must_include_row=row)
@@ -227,14 +291,14 @@ def test_selection_zero_forced_row_raises():
 
 
 def test_selection_det_matches_numpy_det(join_complex, join_metric):
-    M = jb.assemble_domega_dL(join_complex, join_metric, richardson=True)
+    M = jb.assemble_domega_dL(join_complex, join_metric)
     sel = jb.rank_and_submatrix(M)
     block = M[np.ix_(sel.rows, sel.cols)]
     assert sel.det == pytest.approx(np.linalg.det(block), rel=1e-9)
 
 
 def test_selection_complements_partition(join_complex, join_metric):
-    M = jb.assemble_domega_dL(join_complex, join_metric, richardson=True)
+    M = jb.assemble_domega_dL(join_complex, join_metric)
     sel = jb.rank_and_submatrix(M).with_keys(join_complex.faces[2], join_complex.faces[1])
     assert sorted(sel.rows + sel.rows_comp) == list(range(M.shape[0]))
     assert sorted(sel.cols + sel.cols_comp) == list(range(M.shape[1]))
@@ -244,8 +308,8 @@ def test_selection_complements_partition(join_complex, join_metric):
 
 def test_join_and_bipyramid_ranks(join_complex, join_metric, bipyramid):
     # edges minus motion-quotient placement freedoms: 21 - 18 and 20 - 18
-    Mj = jb.assemble_domega_dL(join_complex, join_metric, richardson=True)
+    Mj = jb.assemble_domega_dL(join_complex, join_metric)
     assert jb.rank_and_submatrix(Mj).rank == 3
     mb = fm.realize(bipyramid, fm.random_realization(bipyramid, seed=3))
-    Mb = jb.assemble_domega_dL(bipyramid, mb, richardson=True)
+    Mb = jb.assemble_domega_dL(bipyramid, mb)
     assert jb.rank_and_submatrix(Mb).rank == 2
