@@ -32,7 +32,6 @@ from .flatmetric import (
 from .geometry import (
     cm_squared_volume,
     dihedral_angle,
-    edge_angle_theta,
     gram_embed,
     signed_dihedral,
     signed_volume4,

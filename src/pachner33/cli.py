@@ -102,10 +102,10 @@ def cmd_check_flat(args, t0):
     if args.perturb:
         u, v, amount = args.perturb.split(",")
         key = tuple(sorted((int(u), int(v))))
-        L = dict(m.L)
-        if key not in L:
+        if key not in c.face_index[1]:
             raise Pachner33Error(f"{key} is not an edge of the complex")
-        L[key] += float(amount)
+        L = m.L.copy()
+        L[c.face_index[1][key]] += float(amount)
         m = m.with_lengths(L, c)
     flat = check_flat(c, m, tol=args.tol)
     rep = _report(
@@ -219,8 +219,9 @@ def cmd_invariant(args, t0):
         log_abs_value=report.log_abs_value,
         sign=report.sign,
         abs_value=abs(report.value),
-        prod_S=report.prod_S,
-        prod_V=report.prod_V,
+        log_abs_prod_S=report.log_abs_prod_S,
+        log_abs_prod_V=report.log_abs_prod_V,
+        sign_prod_V=report.sign_prod_V,
         selection=_selection_fields(report.selection),
     )
     _emit(rep, t0)

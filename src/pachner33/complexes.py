@@ -8,9 +8,12 @@ no stored orientation; induced orientations are computed on demand.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import ComplexStructureError, MovePreconditionError
+from .geometry import EDGES5, FACES5
 
 
 def canonical_oriented(verts):
@@ -66,6 +69,14 @@ class Complex4:
     cofaces: dict  # dim -> {face tuple: tuple of simplex ids}
     is_closed: bool
     orientation_consistent: bool
+    # Index arrays aligned with the face tables, for batched metric and
+    # assembly code.  Vertex entries are positions in `vertices`; edge and
+    # triangle entries are positions in faces[1] and faces[2].
+    edge_ends: np.ndarray = field(compare=False, repr=False)  # (E, 2)
+    triangle_edges: np.ndarray = field(compare=False, repr=False)  # (F, 3): ab, ac, bc
+    simplex_vertices: np.ndarray = field(compare=False, repr=False)  # (N, 5), oriented
+    simplex_faces: np.ndarray = field(compare=False, repr=False)  # (N, 10), FACES5 order
+    simplex_edges: np.ndarray = field(compare=False, repr=False)  # (N, 10), EDGES5 order
 
     @property
     def edges(self):
@@ -138,10 +149,7 @@ def build_complex(simplex_list, allow_boundary=False):
             is_closed = False
     if not simplices:
         is_closed = True
-    if not is_closed and not allow_boundary:
-        raise ComplexStructureError(
-            "complex has boundary tetrahedra; pass allow_boundary=True to accept"
-        )
+    check_boundary(is_closed, allow_boundary)
 
     consistent = True
     for tet, ids in cofaces.get(3, {}).items():
@@ -154,6 +162,11 @@ def build_complex(simplex_list, allow_boundary=False):
             break
 
     vertices = tuple(sorted({v for verts, _ in simplices for v in verts}))
+    position = {v: n for n, v in enumerate(vertices)}
+    edge_of = face_index[1]
+    simplex_faces, simplex_edges = scatter_indices(
+        [verts for verts, _ in simplices], face_index[2], edge_of
+    )
     return Complex4(
         simplices=tuple(simplices),
         vertices=vertices,
@@ -162,7 +175,39 @@ def build_complex(simplex_list, allow_boundary=False):
         cofaces=cofaces,
         is_closed=is_closed,
         orientation_consistent=consistent,
+        edge_ends=_index_array([[position[u], position[w]] for u, w in faces[1]], 2),
+        triangle_edges=_index_array(
+            [[edge_of[(a, b)], edge_of[(a, c)], edge_of[(b, c)]] for a, b, c in faces[2]], 3
+        ),
+        simplex_vertices=_index_array(
+            [[position[v] for v in oriented_tuple(*s)] for s in simplices], 5
+        ),
+        simplex_faces=simplex_faces,
+        simplex_edges=simplex_edges,
     )
+
+
+def _index_array(rows, width):
+    return np.array(rows, dtype=np.intp).reshape(len(rows), width)
+
+
+def scatter_indices(cells, face_index, edge_index):
+    """(N, 10) global face rows and edge columns of sorted 5-tuples.
+
+    Entry [n, k] is the position of the k-th local face (geometry.FACES5)
+    or edge (geometry.EDGES5) of cells[n] in face_index or edge_index.
+    """
+    rows = [[face_index[(v[p], v[q], v[r])] for p, q, r in FACES5] for v in cells]
+    cols = [[edge_index[(v[p], v[q])] for p, q in EDGES5] for v in cells]
+    return _index_array(rows, 10), _index_array(cols, 10)
+
+
+def check_boundary(is_closed, allow_boundary):
+    """Reject a complex with boundary tetrahedra unless allow_boundary."""
+    if not is_closed and not allow_boundary:
+        raise ComplexStructureError(
+            "complex has boundary tetrahedra; pass allow_boundary=True to accept"
+        )
 
 
 def require_closed_oriented(c):

@@ -2,10 +2,14 @@
 
 A realization maps vertex ids to points; it induces squared edge lengths L,
 triangle areas S, per-simplex signs eps (whether the stored orientation
-agrees with the ambient one) and signed volumes V.  Deficit angles come in
-two flavours: omega around 2-faces (minus the algebraic sum of dihedral
-angles, reduced to (-pi, pi]) and Omega around edges (area-derivative
-weighted sums of the per-face deficits).
+agrees with the ambient one) and signed volumes V.  FlatMetric holds them as
+arrays aligned with the complex's face tables, and realize and
+metric_from_lengths compute each of them in one batch through the complex's
+index arrays (edge ends, triangle edges, simplex vertices and edges).
+
+Deficit angles come in two flavours: omega around 2-faces (minus the
+algebraic sum of dihedral angles, reduced to (-pi, pi]) and Omega around
+edges (area-derivative weighted sums of the per-face deficits).
 
 Around a face of a generic flat placement the raw algebraic angle sum is an
 exact multiple of 2*pi but not always zero (folded placements wind), so
@@ -15,12 +19,11 @@ both vanish identically on flat realizations.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import geometry
+from . import geometry, jacobians
 from .complexes import require_closed_oriented
 from .errors import DegenerateSimplexError, Pachner33Error
 
@@ -34,31 +37,42 @@ DEFAULT_QUALITY = 2e-3
 _MAX_RESAMPLE = 500
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FlatMetric:
-    """Per-edge, per-face and per-simplex metric data of a realization."""
+    """Metric data of a realization, as arrays aligned with the face tables.
 
-    L: dict  # edge tuple -> squared length
-    S: dict  # triangle tuple -> area
-    eps: dict  # simplex id -> +-1
-    V: dict  # simplex id -> signed 4-volume
+    L[e] is the squared length of edge c.faces[1][e], S[t] the area of
+    triangle c.faces[2][t], V[n] the signed 4-volume of simplex n of
+    c.simplices and eps[n] = +-1 its sign.  Metrics compare by identity.
+    """
 
-    def simplex_lengths(self, verts):
-        """Local (5, 5) squared-length table of one simplex."""
-        table = np.zeros((5, 5))
-        for i in range(5):
-            for j in range(i + 1, 5):
-                key = (verts[i], verts[j]) if verts[i] < verts[j] else (verts[j], verts[i])
-                table[i, j] = table[j, i] = self.L[key]
-        return table
+    L: np.ndarray  # (E,)
+    S: np.ndarray  # (F,)
+    eps: np.ndarray  # (N,) of int
+    V: np.ndarray  # (N,)
 
     def with_lengths(self, new_L, c):
-        """Same assigned signs, metric recomputed from a new length table."""
+        """Same assigned signs, metric recomputed from a new (E,) length array."""
         return metric_from_lengths(c, new_L, self.eps)
 
 
 def _simplex_points(coords, verts):
     return np.stack([coords[v] for v in verts])
+
+
+def triangle_areas(L, triangle_edges, triangles):
+    """Areas of triangles from squared lengths L and their (F, 3) edge columns.
+
+    One stacked Cayley-Menger determinant; raises DegenerateSimplexError
+    naming the first triangle of `triangles` with nonpositive squared area.
+    """
+    sq = geometry.cm_squared_volumes(2, L[triangle_edges])
+    bad = np.flatnonzero(sq <= 0.0)
+    if bad.size:
+        raise DegenerateSimplexError(
+            f"triangle {triangles[bad[0]]} has nonpositive squared area"
+        )
+    return np.sqrt(sq)
 
 
 def realize(c, coords, allow_boundary=False):
@@ -76,60 +90,38 @@ def realize(c, coords, allow_boundary=False):
     if missing:
         raise Pachner33Error(f"realization lacks coordinates for vertices {missing}")
 
-    L = {}
-    for edge in c.faces[1]:
-        d = np.asarray(coords[edge[0]], dtype=float) - np.asarray(coords[edge[1]], dtype=float)
-        L[edge] = float(d @ d)
+    X = np.array([coords[v] for v in c.vertices], dtype=float).reshape(len(c.vertices), 4)
+    d = X[c.edge_ends[:, 0]] - X[c.edge_ends[:, 1]]
+    # a stack of 1x4 by 4x1 products rounds exactly like d @ d per edge
+    L = np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0]
 
-    eps = {}
-    V = {}
-    for sid in range(len(c.simplices)):
-        verts, sign = c.simplices[sid]
-        pts = _simplex_points(coords, c.oriented_simplex(sid))
-        vol = geometry.signed_volume4(pts)
-        Ltab = geometry.squared_length_table(pts)
-        if abs(vol) < geometry.degeneracy_threshold(Ltab):
-            raise DegenerateSimplexError(f"simplex {verts} (id {sid}) is degenerate")
-        V[sid] = vol
-        eps[sid] = 1 if vol > 0 else -1
-
-    S = {}
-    for tri in c.faces[2]:
-        sq = geometry.cm_squared_volume(
-            2, _pair_table(L, tri)
+    pts = X[c.simplex_vertices]
+    V = np.linalg.det(pts[:, 1:] - pts[:, :1]) / 24.0
+    mean_edge = np.sqrt(np.maximum(L[c.simplex_edges], 0.0)).mean(axis=1)
+    bad = np.flatnonzero(np.abs(V) < geometry.DEGENERACY_REL * mean_edge**4)
+    if bad.size:
+        sid = int(bad[0])
+        raise DegenerateSimplexError(
+            f"simplex {c.simplices[sid][0]} (id {sid}) is degenerate"
         )
-        if sq <= 0.0:
-            raise DegenerateSimplexError(f"triangle {tri} has nonpositive squared area")
-        S[tri] = math.sqrt(sq)
+    eps = np.where(V > 0, 1, -1)
+
+    S = triangle_areas(L, c.triangle_edges, c.faces[2])
     return FlatMetric(L=L, S=S, eps=eps, V=V)
 
 
-def _pair_table(L, verts):
-    n = len(verts)
-    T = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            key = (verts[i], verts[j]) if verts[i] < verts[j] else (verts[j], verts[i])
-            T[i, j] = T[j, i] = L[key]
-    return T
-
-
 def metric_from_lengths(c, L, eps):
-    """Metric data from an edge-length assignment with fixed simplex signs."""
-    S = {}
-    for tri in c.faces[2]:
-        sq = geometry.cm_squared_volume(2, _pair_table(L, tri))
-        if sq <= 0.0:
-            raise DegenerateSimplexError(f"triangle {tri} has nonpositive squared area")
-        S[tri] = math.sqrt(sq)
-    V = {}
-    for sid in range(len(c.simplices)):
-        verts, _ = c.simplices[sid]
-        sq = geometry.cm_squared_volume(4, _pair_table(L, verts))
-        if sq <= 0.0:
-            raise DegenerateSimplexError(f"simplex {verts} is not realizable")
-        V[sid] = eps[sid] * math.sqrt(sq)
-    return FlatMetric(L=dict(L), S=S, eps=dict(eps), V=V)
+    """Metric data from an (E,) length array with fixed (N,) simplex signs."""
+    L = np.array(L, dtype=float)
+    eps = np.array(eps, dtype=int)
+    S = triangle_areas(L, c.triangle_edges, c.faces[2])
+    sq = geometry.cm_squared_volumes(4, L[c.simplex_edges])
+    bad = np.flatnonzero(sq <= 0.0)
+    if bad.size:
+        raise DegenerateSimplexError(
+            f"simplex {c.simplices[int(bad[0])][0]} is not realizable"
+        )
+    return FlatMetric(L=L, S=S, eps=eps, V=eps * np.sqrt(sq))
 
 
 def random_realization(c, seed, quality=DEFAULT_QUALITY):
@@ -158,9 +150,9 @@ def random_realization(c, seed, quality=DEFAULT_QUALITY):
 def simplex_angle_tables(c, m):
     """Signed dihedral-angle tables of every simplex, keyed by global faces."""
     tables = {}
-    for sid in range(len(c.simplices)):
-        verts, _ = c.simplices[sid]
-        at = geometry.angle_table(m.simplex_lengths(verts), m.eps[sid])
+    lengths = jacobians.length_tables(m.L, c.simplex_edges)
+    for sid, (verts, _) in enumerate(c.simplices):
+        at = geometry.angle_table(lengths[sid], int(m.eps[sid]))
         tables[sid] = {
             tuple(verts[i] for i in local): signed
             for local, signed in at.signed_all().items()
@@ -169,38 +161,32 @@ def simplex_angle_tables(c, m):
 
 
 def deficit_omega(c, m):
-    """Per-face deficit: minus the algebraic dihedral-angle sum, in (-pi, pi]."""
-    tables = simplex_angle_tables(c, m)
-    omega = {tri: 0.0 for tri in c.faces[2]}
-    for sid, table in sorted(tables.items()):
-        for tri, signed in table.items():
-            omega[tri] -= signed
-    return {tri: geometry.reduce_angle(val) for tri, val in omega.items()}
+    """Per-face deficit: minus the algebraic dihedral-angle sum, in (-pi, pi].
+
+    The dihedral angles of all simplices come from one batch
+    (jacobians.dihedral_angles_batch) and are summed into the faces through
+    the complex's (N, 10) face rows.
+    """
+    theta = jacobians.dihedral_angles_batch(jacobians.length_tables(m.L, c.simplex_edges))
+    raw = np.zeros(len(c.faces[2]))
+    np.add.at(raw, c.simplex_faces, -m.eps[:, None] * theta)
+    return {tri: geometry.reduce_angle(val) for tri, val in zip(c.faces[2], raw.tolist())}
 
 
 def deficit_Omega(c, m, omega=None):
     """Per-edge deficit: area-derivative weighted sum of the face deficits.
 
+    Omega = (dS/dL) omega with the weights of jacobians.area_length_weights.
     Equals minus the sum of per-simplex edge angles up to the 2*pi-multiple
     shifts that vanish on the branch chosen for omega; the weights depend
     only on each face's own edge lengths, so they are well defined globally.
     """
     if omega is None:
         omega = deficit_omega(c, m)
-    Omega = {edge: 0.0 for edge in c.faces[1]}
-    for tri in c.faces[2]:
-        for a, b in ((tri[0], tri[1]), (tri[0], tri[2]), (tri[1], tri[2])):
-            (cv,) = [v for v in tri if v != a and v != b]
-            key_ab = (a, b)
-            w = (m.L[_ordered(a, cv)] + m.L[_ordered(b, cv)] - m.L[key_ab]) / (
-                16.0 * m.S[tri]
-            )
-            Omega[key_ab] += w * omega[tri]
-    return Omega
-
-
-def _ordered(u, v):
-    return (u, v) if u < v else (v, u)
+    values = jacobians.area_length_weights(c, m) @ np.array(
+        [omega[tri] for tri in c.faces[2]], dtype=float
+    )
+    return dict(zip(c.faces[1], values.tolist()))
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,25 @@ EDGE_INDEX5 = {e: n for n, e in enumerate(EDGES5)}
 FACE_INDEX5 = {f: n for n, f in enumerate(FACES5)}
 # the two vertices opposite each face, aligned with FACES5
 OPPOSITE5 = tuple(tuple(v for v in range(5) if v not in face) for face in FACES5)
+EDGE_I, EDGE_J = (np.array(ends) for ends in zip(*EDGES5))
+
+
+def _area_terms():
+    """Face row, edge ab and the other two edges ac, bc of every (face, edge) pair."""
+    terms = []
+    for fi, face in enumerate(FACES5):
+        for a, b in ((face[0], face[1]), (face[0], face[2]), (face[1], face[2])):
+            (c,) = [v for v in face if v != a and v != b]
+            terms.append((
+                fi,
+                EDGE_INDEX5[(a, b)],
+                EDGE_INDEX5[tuple(sorted((a, c)))],
+                EDGE_INDEX5[tuple(sorted((b, c)))],
+            ))
+    return tuple(np.array(col) for col in zip(*terms))
+
+
+_AREA_ROW, _AREA_AB, _AREA_AC, _AREA_BC = _area_terms()
 
 
 def squared_length_table(points):
@@ -65,12 +84,23 @@ def cm_squared_volume(k, L):
     returned so callers can detect degeneracy.
     """
     L = validate_length_table(L, size=k + 1)
+    return float(cm_squared_volumes(k, L[np.triu_indices(k + 1, 1)][None])[0])
+
+
+def cm_squared_volumes(k, Lv):
+    """Squared k-volumes of a stack of (k+1)-point length lists, one det call.
+
+    Lv is (M, (k+1)k/2): the squared lengths of each point set in
+    lexicographic pair order ((0, 1), (0, 2), ...).  Unvalidated; values may
+    be <= 0 as for cm_squared_volume.
+    """
+    Lv = np.asarray(Lv, dtype=float)
     n = k + 1
-    bordered = np.ones((n + 1, n + 1))
-    bordered[0, 0] = 0.0
-    bordered[1:, 1:] = L
-    det = np.linalg.det(bordered)
-    return float((-1) ** (k + 1) * det / (2**k * math.factorial(k) ** 2))
+    i, j = np.triu_indices(n, 1)
+    bordered = np.ones((len(Lv), n + 1, n + 1))
+    bordered[:, range(n + 1), range(n + 1)] = 0.0
+    bordered[:, i + 1, j + 1] = bordered[:, j + 1, i + 1] = Lv
+    return (-1) ** (k + 1) * np.linalg.det(bordered) / (2**k * math.factorial(k) ** 2)
 
 
 def signed_volume4(points):
@@ -96,11 +126,7 @@ def degeneracy_threshold(L):
 def gram_matrix(L):
     """Gram matrix G_pq = (L_0p + L_0q - L_pq) / 2 anchored at vertex 0."""
     L = validate_length_table(L, size=5)
-    G = np.empty((4, 4))
-    for p in range(4):
-        for q in range(4):
-            G[p, q] = 0.5 * (L[0, p + 1] + L[0, q + 1] - L[p + 1, q + 1])
-    return G
+    return 0.5 * (L[0, 1:, None] + L[0, None, 1:] - L[1:, 1:])
 
 
 def gram_embed(L):
@@ -141,14 +167,28 @@ def face_area(L, face):
 def area_length_derivative(L, face, edge):
     """d(area of face)/d(squared length of edge); zero if edge not in face.
 
-    From 16 S^2 = 2 L1 L2 + 2 L2 L3 + 2 L3 L1 - L1^2 - L2^2 - L3^2.
+    Face and edge are sorted tuples of local vertices of a (5, 5) table.
     """
-    a, b = edge
-    if a not in face or b not in face:
-        return 0.0
-    (c,) = [v for v in face if v not in edge]
-    S = face_area(L, face)
-    return (L[a, c] + L[b, c] - L[a, b]) / (16.0 * S)
+    L = validate_length_table(L, size=5)
+    return float(dS_dL_blocks(L[None])[0, FACE_INDEX5[face], EDGE_INDEX5[edge]])
+
+
+def dS_dL_blocks(L):
+    """(N, 10, 10) face-area derivatives by squared edge length.
+
+    L is an (N, 5, 5) stack of squared-length tables; rows follow FACES5 and
+    columns EDGES5.  From 16 S^2 = 2 L1 L2 + 2 L2 L3 + 2 L3 L1 - L1^2 - L2^2
+    - L3^2.  Raises DegenerateSimplexError when a face has nonpositive
+    squared area.
+    """
+    Lv = np.asarray(L, dtype=float)[:, EDGE_I, EDGE_J]
+    ab, ac, bc = Lv[:, _AREA_AB], Lv[:, _AREA_AC], Lv[:, _AREA_BC]
+    sq16 = 2.0 * (ab * ac + ac * bc + bc * ab) - ab * ab - ac * ac - bc * bc
+    if not np.all(sq16 > 0.0):
+        raise DegenerateSimplexError("a face has nonpositive squared area")
+    out = np.zeros((Lv.shape[0], 10, 10))
+    out[:, _AREA_ROW, _AREA_AB] = (ac + bc - ab) / (4.0 * np.sqrt(sq16))
+    return out
 
 
 def dihedral_angle(points, face):
@@ -237,31 +277,16 @@ def angle_table(L, eps):
     return AngleTable(dihedral_angles_from_lengths(L), eps)
 
 
-def edge_angle_theta(L, edge, eps):
-    """Angle at an edge: sum of area-derivative-weighted signed dihedrals.
-
-    Only the three faces containing the edge contribute (the area of any
-    other face does not depend on this edge).
-    """
-    angles = dihedral_angles_from_lengths(L)
-    total = 0.0
-    for face in FACES5:
-        if edge[0] in face and edge[1] in face:
-            total += area_length_derivative(L, face, edge) * (eps * angles[face])
-    return total
-
-
 def edge_angle_thetas(L, eps):
-    """Angles at all ten edges, sharing a single embedding."""
+    """Angles at all ten edges: area-derivative-weighted signed dihedrals.
+
+    Theta_e = sum over faces f of dS_f/dL_e * eps * theta_f; only the three
+    faces containing e contribute.  One embedding serves all ten edges.
+    """
+    L = validate_length_table(L, size=5)
     angles = dihedral_angles_from_lengths(L)
-    out = {}
-    for edge in EDGES5:
-        total = 0.0
-        for face in FACES5:
-            if edge[0] in face and edge[1] in face:
-                total += area_length_derivative(L, face, edge) * (eps * angles[face])
-        out[edge] = total
-    return out
+    signed = eps * np.array([angles[face] for face in FACES5])
+    return dict(zip(EDGES5, (dS_dL_blocks(L[None])[0].T @ signed).tolist()))
 
 
 def reduce_angle(x):

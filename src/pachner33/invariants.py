@@ -30,9 +30,10 @@ from .complexes import (
     move_cluster,
     oriented_tuple,
     pachner_33,
+    scatter_indices,
 )
 from .errors import DegenerateSimplexError, SelectionError
-from .flatmetric import realize
+from .flatmetric import realize, triangle_areas
 from .jacobians import (
     PIVOT_TOL,
     assemble_domega_dL,
@@ -41,7 +42,6 @@ from .jacobians import (
     length_tables,
     log_product,
     rank_and_submatrix,
-    scatter_indices,
 )
 
 A, B, C, D, E, F = range(6)
@@ -260,20 +260,6 @@ def cluster_complexes(cluster):
     return out
 
 
-def product_of_areas(c, m):
-    prod = 1.0
-    for tri in c.faces[2]:
-        prod *= m.S[tri]
-    return prod
-
-
-def product_of_volumes(c, m):
-    prod = 1.0
-    for sid in range(len(c.simplices)):
-        prod *= m.V[sid]
-    return prod
-
-
 def _log_invariant(c, m, sel):
     """(sign, log|det(B) * prod(V) / prod(S)|) of a selection.
 
@@ -287,13 +273,20 @@ def _log_invariant(c, m, sel):
         c.faces[1]
     ):
         raise SelectionError("selection does not fit the complex")
-    return _log_value(det_sign, log_det, m.V.values(), m.S.values())
+    return _log_value(det_sign, log_det, m.V, m.S)
 
 
 def _log_value(det_sign, log_det, volumes, areas):
-    vol_sign, log_V = log_product(list(volumes))
-    _, log_S = log_product(list(areas))
+    vol_sign, log_V = log_product(volumes)
+    _, log_S = log_product(areas)
     return int(det_sign) * vol_sign, log_det + log_V - log_S
+
+
+def _product_fields(m):
+    """Report fields of prod(S) and prod(V) in the log domain."""
+    sign_V, log_V = log_product(m.V)
+    _, log_S = log_product(m.S)
+    return {"log_abs_prod_S": log_S, "log_abs_prod_V": log_V, "sign_prod_V": sign_V}
 
 
 def restricted_invariant(c, m, sel):
@@ -321,16 +314,18 @@ class MoveComparison:
 class InvariantReport:
     """Scalar invariant with the selection that produced it.
 
-    value = sign * exp(log_abs_value); prod_S and prod_V are plain products
-    and may under- or overflow where the value does not.
+    value = sign * exp(log_abs_value); the products of areas and volumes are
+    given as log|prod S|, log|prod V| and the sign of prod V, because the
+    plain products under- or overflow at a few hundred cells.
     """
 
     value: float
     log_abs_value: float
     sign: int
     selection: object
-    prod_S: float
-    prod_V: float
+    log_abs_prod_S: float
+    log_abs_prod_V: float
+    sign_prod_V: int
     move_context: MoveComparison = None
 
 
@@ -351,8 +346,7 @@ def full_invariant(c, m, pivot_tol=PIVOT_TOL):
         log_abs_value=-log_abs,
         sign=sign,
         selection=sel,
-        prod_S=product_of_areas(c, m),
-        prod_V=product_of_volumes(c, m),
+        **_product_fields(m),
     )
 
 
@@ -382,15 +376,14 @@ def virtual_rebuild(c, m, coords, M, star, def_, new_cells):
     # one extra row collects the appearing triangle
     M_after = np.vstack([M, np.zeros((1, M.shape[1]))])
 
-    old = [c.simplices[sid][0] for sid in star]
-    rows, cols = scatter_indices(old, c.face_index[2], c.face_index[1])
-    blocks = dtheta_dL_blocks(length_tables(m, old), [m.eps[sid] for sid in star])
+    rows, cols = c.simplex_faces[star], c.simplex_edges[star]
+    blocks = dtheta_dL_blocks(length_tables(m.L, cols), m.eps[star])
     np.add.at(M_after, (rows[:, :, None], cols[:, None, :]), blocks)
 
     new = [verts for verts, _, _ in new_data]
     rows, cols = scatter_indices(new, {**c.face_index[2], def_: F}, c.face_index[1])
     blocks = dtheta_dL_blocks(
-        length_tables(m, new), [1 if vol > 0 else -1 for _, _, vol in new_data]
+        length_tables(m.L, cols), [1 if vol > 0 else -1 for _, _, vol in new_data]
     )
     np.add.at(M_after, (rows[:, :, None], cols[:, None, :]), -blocks)
     return M_after[:F], M_after[F], new_data
@@ -427,7 +420,7 @@ def compare_under_move(c, coords, t, pivot_tol=PIVOT_TOL, force_virtual=False):
         ]
         cols2 = [c2.face_index[1][key] for key in sel.col_keys]
         B_after = M2[np.ix_(rows2, cols2)]
-        volumes, areas = m2.V.values(), m2.S.values()
+        volumes, areas = m2.V, m2.S
         materialized = True
     else:
         M_after, def_row, new_data = virtual_rebuild(
@@ -435,15 +428,10 @@ def compare_under_move(c, coords, t, pivot_tol=PIVOT_TOL, force_virtual=False):
         )
         B_after = M_after[np.ix_(sel.rows, sel.cols)]
         B_after[sel.rows.index(row_abc)] = def_row[list(sel.cols)]
-        removed = set(star)
-        volumes = [v for sid, v in m.V.items() if sid not in removed]
-        volumes += [vol for _, _, vol in new_data]
-        T = np.zeros((3, 3))
-        for (i, j) in ((0, 1), (0, 2), (1, 2)):
-            key = (def_[i], def_[j])
-            T[i, j] = T[j, i] = m.L[key]
-        areas = [S for tri, S in m.S.items() if tri != abc]
-        areas.append(math.sqrt(geometry.cm_squared_volume(2, T)))
+        volumes = np.append(np.delete(m.V, star), [vol for _, _, vol in new_data])
+        d, e, f = def_
+        def_edges = [[c.face_index[1][pair] for pair in ((d, e), (d, f), (e, f))]]
+        areas = np.append(np.delete(m.S, row_abc), triangle_areas(m.L, def_edges, [def_]))
         record = None
         materialized = False
 
@@ -472,8 +460,7 @@ def compare_under_move(c, coords, t, pivot_tol=PIVOT_TOL, force_virtual=False):
         log_abs_value=log_before,
         sign=sign_before,
         selection=sel,
-        prod_S=product_of_areas(c, m),
-        prod_V=product_of_volumes(c, m),
+        **_product_fields(m),
         move_context=comparison,
     )
 

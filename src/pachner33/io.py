@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from importlib import resources
 
 import numpy as np
 
-from .complexes import build_complex
+from .complexes import build_complex, check_boundary
 from .errors import SchemaError
 
 FORMAT_VERSION = "1"
@@ -73,15 +74,30 @@ def dumps(obj):
     return "".join(pieces)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ComplexDocument:
-    simplices: list
+    """A complex document.
+
+    Immutable, so the complex built from `simplices` the first time it is
+    needed (by parse_complex, to validate the document) stays the one that
+    every later to_complex call returns.
+    """
+
+    simplices: tuple  # of vertex-id tuples, orientation = order
     coords: dict = None  # vertex id -> np.ndarray(4), or None
     metadata: dict = field(default_factory=dict)
     format_version: str = FORMAT_VERSION
 
+    def __post_init__(self):
+        object.__setattr__(self, "simplices", tuple(tuple(s) for s in self.simplices))
+
+    @cached_property
+    def _complex(self):
+        return build_complex(self.simplices, allow_boundary=True)
+
     def to_complex(self, allow_boundary=False):
-        return build_complex(self.simplices, allow_boundary=allow_boundary)
+        check_boundary(self._complex.is_closed, allow_boundary)
+        return self._complex
 
     def realization(self):
         if self.coords is None:
@@ -90,7 +106,7 @@ class ComplexDocument:
 
     def with_coords(self, coords):
         return ComplexDocument(
-            simplices=[list(s) for s in self.simplices],
+            simplices=self.simplices,
             coords={int(v): [float(x) for x in p] for v, p in coords.items()},
             metadata=dict(self.metadata),
             format_version=self.format_version,
@@ -101,7 +117,8 @@ def parse_complex(text, allow_boundary=False):
     """Parse and validate a document; errors name the offending field.
 
     The simplex list is additionally run through complex construction so a
-    schema-valid but structurally broken document is rejected here.
+    schema-valid but structurally broken document is rejected here; the
+    document keeps that complex for to_complex.
     """
     try:
         raw = json.loads(text)
@@ -159,7 +176,7 @@ def parse_complex(text, allow_boundary=False):
     doc = ComplexDocument(
         simplices=clean, coords=coords, metadata=metadata, format_version=version
     )
-    doc.to_complex(allow_boundary=allow_boundary)  # structural validation
+    doc.to_complex(allow_boundary=allow_boundary)  # structural validation, kept on doc
     return doc
 
 

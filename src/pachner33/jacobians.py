@@ -5,7 +5,8 @@ simplices at once; rows follow geometry.FACES5 and columns geometry.EDGES5
 of each simplex's sorted vertex tuple.
 
 - dS/dL: face areas by squared edge lengths, (L_ac + L_bc - L_ab) / (16 S)
-  for the edge ab of the face abc and zero off the face.
+  for the edge ab of the face abc and zero off the face
+  (geometry.dS_dL_blocks).
 - dtheta/dL: signed dihedral angles by squared edge lengths, from the
   bordered Cayley-Menger matrix Q = [[0, 1^T], [1, -L/2]].  The lower-right
   5x5 block P of Q^-1 is the Gram matrix of the facet normals, so the angle
@@ -16,8 +17,10 @@ of each simplex's sorted vertex tuple.
   is the paper's S / (24 V).
 - dtheta/dS = (dtheta/dL) (dS/dL)^-1, the areas being local coordinates.
 
-Global matrices are assembled by scattering the blocks through (N, 10)
-face-row and edge-column index arrays:
+Global matrices are assembled by scattering the blocks through the
+complex's (N, 10) face-row and edge-column index arrays (simplex_faces,
+simplex_edges); the length tables are gathered through the latter from the
+metric's edge-aligned L:
 
 - dOmega_dL:    rows = triangles, cols = edges,       entries d(omega_i)/d(L_a)
 - dOmega_dS:    rows = cols = triangles,              entries d(omega_i)/d(S_j)
@@ -38,42 +41,7 @@ from .errors import DegenerateSimplexError, SelectionError
 
 PIVOT_TOL = 1e-9
 
-_EDGE_I, _EDGE_J = (np.array(ends) for ends in zip(*geometry.EDGES5))
 _OPP_X, _OPP_Y = (np.array(ends) for ends in zip(*geometry.OPPOSITE5))
-
-
-def _area_terms():
-    """Face row, edge ab and the other two edges ac, bc of every (face, edge) pair."""
-    terms = []
-    for fi, face in enumerate(geometry.FACES5):
-        for a, b in ((face[0], face[1]), (face[0], face[2]), (face[1], face[2])):
-            (c,) = [v for v in face if v != a and v != b]
-            terms.append((
-                fi,
-                geometry.EDGE_INDEX5[(a, b)],
-                geometry.EDGE_INDEX5[tuple(sorted((a, c)))],
-                geometry.EDGE_INDEX5[tuple(sorted((b, c)))],
-            ))
-    return tuple(np.array(col) for col in zip(*terms))
-
-
-_AREA_ROW, _AREA_AB, _AREA_AC, _AREA_BC = _area_terms()
-
-
-def dS_dL_blocks(L):
-    """(N, 10, 10) face-area derivatives by squared edge length.
-
-    L is an (N, 5, 5) stack of squared-length tables.  From
-    16 S^2 = 2 L1 L2 + 2 L2 L3 + 2 L3 L1 - L1^2 - L2^2 - L3^2.
-    """
-    Lv = np.asarray(L, dtype=float)[:, _EDGE_I, _EDGE_J]
-    ab, ac, bc = Lv[:, _AREA_AB], Lv[:, _AREA_AC], Lv[:, _AREA_BC]
-    sq16 = 2.0 * (ab * ac + ac * bc + bc * ab) - ab * ab - ac * ac - bc * bc
-    if not np.all(sq16 > 0.0):
-        raise DegenerateSimplexError("a face has nonpositive squared area")
-    out = np.zeros((Lv.shape[0], 10, 10))
-    out[:, _AREA_ROW, _AREA_AB] = (ac + bc - ab) / (4.0 * np.sqrt(sq16))
-    return out
 
 
 def _normal_gram(L):
@@ -108,7 +76,7 @@ def _normal_gram(L):
                 f = A[:, r, k, None].copy()
                 A[:, r] -= f * A[:, k]
                 inv[:, r] -= f * inv[:, k]
-    mean_edge = np.sqrt(np.maximum(L[:, _EDGE_I, _EDGE_J], 0.0)).mean(axis=1)
+    mean_edge = np.sqrt(np.maximum(L[:, geometry.EDGE_I, geometry.EDGE_J], 0.0)).mean(axis=1)
     floor = geometry.DEGENERACY_REL * mean_edge**4
     bad = np.flatnonzero(~(det / 576.0 > floor * floor))
     if bad.size:
@@ -123,6 +91,18 @@ def _normal_gram(L):
     return P
 
 
+def dihedral_angles_batch(L):
+    """(N, 10) dihedral-angle magnitudes of an (N, 5, 5) stack, FACES5 order.
+
+    theta = atan2(sqrt(P_xx P_yy - P_xy^2), -P_xy) at the face opposite the
+    vertices x, y, for the facet-normal Gram matrix P of _normal_gram.
+    """
+    P = _normal_gram(L)
+    Pxy = P[:, _OPP_X, _OPP_Y]
+    wedge = np.sqrt(np.maximum(P[:, _OPP_X, _OPP_X] * P[:, _OPP_Y, _OPP_Y] - Pxy * Pxy, 0.0))
+    return np.arctan2(wedge, -Pxy).astype(float)
+
+
 def dtheta_dL_blocks(L, eps):
     """(N, 10, 10) signed dihedral-angle derivatives by squared edge length.
 
@@ -131,7 +111,7 @@ def dtheta_dL_blocks(L, eps):
     """
     P = _normal_gram(L)
     x, y = _OPP_X[:, None], _OPP_Y[:, None]
-    i, j = _EDGE_I[None, :], _EDGE_J[None, :]
+    i, j = geometry.EDGE_I[None, :], geometry.EDGE_J[None, :]
     Pxx = P[:, _OPP_X, _OPP_X][:, :, None]
     Pyy = P[:, _OPP_Y, _OPP_Y][:, :, None]
     norm = np.sqrt(Pxx * Pyy)
@@ -154,7 +134,7 @@ def domega_dS_blocks(L, eps):
     non-generic.
     """
     D = dtheta_dL_blocks(L, eps)
-    A = dS_dL_blocks(L)
+    A = geometry.dS_dL_blocks(L)
     try:
         X = np.linalg.solve(np.swapaxes(A, 1, 2), np.swapaxes(D, 1, 2))
     except np.linalg.LinAlgError as exc:
@@ -166,7 +146,7 @@ def domega_dS_blocks(L, eps):
 
 def dS_dL_simplex(L):
     """(10, 10) face-area derivatives of one squared-length table."""
-    return dS_dL_blocks(geometry.validate_length_table(L, size=5)[None])[0]
+    return geometry.dS_dL_blocks(geometry.validate_length_table(L, size=5)[None])[0]
 
 
 def dtheta_dL_simplex(L, eps):
@@ -179,46 +159,30 @@ def domega_dS_simplex(L, eps):
     return domega_dS_blocks(geometry.validate_length_table(L, size=5)[None], [eps])[0]
 
 
-def scatter_indices(cells, face_index, edge_index):
-    """(N, 10) global face rows and edge columns of sorted 5-tuples.
-
-    Entry [n, k] is the position of the k-th local face (geometry.FACES5)
-    or edge (geometry.EDGES5) of cells[n] in face_index or edge_index.
-    """
-    rows = [face_index[(v[p], v[q], v[r])] for v in cells for p, q, r in geometry.FACES5]
-    cols = [edge_index[(v[p], v[q])] for v in cells for p, q in geometry.EDGES5]
-    return (
-        np.array(rows, dtype=np.intp).reshape(len(cells), 10),
-        np.array(cols, dtype=np.intp).reshape(len(cells), 10),
-    )
-
-
-def length_tables(m, cells):
-    """(N, 5, 5) squared-length tables of sorted 5-tuples."""
-    return np.array([m.simplex_lengths(v) for v in cells]).reshape(len(cells), 5, 5)
-
-
-def _simplex_stack(c, m):
-    cells = [verts for verts, _ in c.simplices]
-    rows, cols = scatter_indices(cells, c.face_index[2], c.face_index[1])
-    eps = [m.eps[sid] for sid in range(len(cells))]
-    return rows, cols, length_tables(m, cells), eps
+def length_tables(L, simplex_edges):
+    """(N, 5, 5) squared-length tables from edge lengths and (N, 10) edge columns."""
+    i, j = geometry.EDGE_I, geometry.EDGE_J
+    tables = np.zeros((len(simplex_edges), 5, 5))
+    tables[:, i, j] = tables[:, j, i] = L[simplex_edges]
+    return tables
 
 
 def assemble_domega_dL(c, m):
     """Global matrix of face-deficit derivatives by squared edge lengths."""
-    rows, cols, L, eps = _simplex_stack(c, m)
+    rows, cols = c.simplex_faces, c.simplex_edges
+    blocks = dtheta_dL_blocks(length_tables(m.L, cols), m.eps)
     M = np.zeros((len(c.faces[2]), len(c.faces[1])))
-    np.add.at(M, (rows[:, :, None], cols[:, None, :]), -dtheta_dL_blocks(L, eps))
+    np.add.at(M, (rows[:, :, None], cols[:, None, :]), -blocks)
     return M
 
 
 def assemble_domega_dS(c, m):
     """Global matrix of face-deficit derivatives by independent area variations."""
-    rows, _, L, eps = _simplex_stack(c, m)
+    rows = c.simplex_faces
+    blocks = domega_dS_blocks(length_tables(m.L, c.simplex_edges), m.eps)
     F = len(c.faces[2])
     M = np.zeros((F, F))
-    np.add.at(M, (rows[:, :, None], rows[:, None, :]), -domega_dS_blocks(L, eps))
+    np.add.at(M, (rows[:, :, None], rows[:, None, :]), -blocks)
     return M
 
 
@@ -228,9 +192,9 @@ def area_length_weights(c, m):
     Each triangle's area depends only on its own three edge lengths, so the
     simplices sharing a face write equal entries.
     """
-    rows, cols, L, _ = _simplex_stack(c, m)
+    rows, cols = c.simplex_faces, c.simplex_edges
     P = np.zeros((len(c.faces[1]), len(c.faces[2])))
-    P[cols[:, None, :], rows[:, :, None]] = dS_dL_blocks(L)
+    P[cols[:, None, :], rows[:, :, None]] = geometry.dS_dL_blocks(length_tables(m.L, cols))
     return P
 
 

@@ -1,4 +1,6 @@
 """Realizations, induced metric data and deficit angles."""
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,17 +9,107 @@ from hypothesis import strategies as st
 from pachner33 import complexes as cx
 from pachner33 import flatmetric as fm
 from pachner33 import geometry as g
+from pachner33 import jacobians as jb
 from pachner33.errors import DegenerateSimplexError, Pachner33Error
+from pachner33.io import load_fixture
 
 
 def test_realize_delta5_signed_volumes_cancel(delta5, delta5_metric):
     # the closed oriented complex is folded into R^4: total signed volume 0
-    total = sum(delta5_metric.V.values())
+    total = sum(delta5_metric.V.tolist())
     assert abs(total) <= 1e-12
-    assert all(v != 0 for v in delta5_metric.V.values())
-    assert set(delta5_metric.eps.values()) <= {-1, 1}
-    for sid, vol in delta5_metric.V.items():
-        assert delta5_metric.eps[sid] == (1 if vol > 0 else -1)
+    assert np.all(delta5_metric.V != 0)
+    assert set(delta5_metric.eps.tolist()) <= {-1, 1}
+    assert np.array_equal(delta5_metric.eps, np.where(delta5_metric.V > 0, 1, -1))
+
+
+# ------------------------------------------- per-simplex reference versions
+
+def _cm_squared_volume_loop(k, T):
+    bordered = np.ones((k + 2, k + 2))
+    bordered[0, 0] = 0.0
+    bordered[1:, 1:] = T
+    return float((-1) ** (k + 1) * np.linalg.det(bordered) / (2**k * math.factorial(k) ** 2))
+
+
+def _pair_table_loop(c, L, verts):
+    T = np.zeros((len(verts), len(verts)))
+    for i in range(len(verts)):
+        for j in range(i + 1, len(verts)):
+            T[i, j] = T[j, i] = L[c.face_index[1][(verts[i], verts[j])]]
+    return T
+
+
+def _areas_loop(c, L):
+    return np.array(
+        [math.sqrt(_cm_squared_volume_loop(2, _pair_table_loop(c, L, t))) for t in c.faces[2]]
+    )
+
+
+def realize_loop(c, coords):
+    """(L, S, eps, V) one edge, simplex and triangle at a time."""
+    L = []
+    for u, w in c.faces[1]:
+        d = np.asarray(coords[u], dtype=float) - np.asarray(coords[w], dtype=float)
+        L.append(float(d @ d))
+    L = np.array(L)
+    V = []
+    for sid in range(len(c.simplices)):
+        pts = np.stack([np.asarray(coords[v], dtype=float) for v in c.oriented_simplex(sid)])
+        V.append(float(np.linalg.det(pts[1:] - pts[0]) / 24.0))
+    V = np.array(V)
+    return L, _areas_loop(c, L), np.where(V > 0, 1, -1), V
+
+
+def metric_from_lengths_loop(c, L, eps):
+    V = [
+        e * math.sqrt(_cm_squared_volume_loop(4, _pair_table_loop(c, L, verts)))
+        for (verts, _), e in zip(c.simplices, eps)
+    ]
+    return L, _areas_loop(c, L), eps, np.array(V)
+
+
+def _placed_complexes(delta5, join_complex, bipyramid, stellar_ladder):
+    out = [
+        (delta5, fm.random_realization(delta5, seed=1)),
+        (join_complex, fm.random_realization(join_complex, seed=5)),
+        (bipyramid, fm.random_realization(bipyramid, seed=3)),
+    ]
+    for name in ("boundary_delta5.json", "join_tetra_triangle.json", "bipyramid_10cell.json"):
+        doc = load_fixture(name)
+        out.append((doc.to_complex(), doc.realization()))
+    return out + [stellar_ladder[n] for n in sorted(stellar_ladder)]
+
+
+def _assert_bitwise(m, reference):
+    for got, want in zip((m.L, m.S, m.eps, m.V), reference):
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+def test_batched_metric_is_bitwise_the_loop_version(
+    delta5, join_complex, bipyramid, stellar_ladder
+):
+    for c, coords in _placed_complexes(delta5, join_complex, bipyramid, stellar_ladder):
+        m = fm.realize(c, coords)
+        _assert_bitwise(m, realize_loop(c, coords))
+        L = m.L.copy()
+        L[0] *= 1.0 + 1e-6  # as check-flat --perturb does
+        _assert_bitwise(fm.metric_from_lengths(c, L, m.eps), metric_from_lengths_loop(c, L, m.eps))
+
+
+def test_realize_names_the_first_degenerate_simplex(delta5, delta5_coords):
+    coords = dict(delta5_coords)
+    coords[5] = coords[0]  # every cell on both 0 and 5 collapses; ids 1..4
+    with pytest.raises(DegenerateSimplexError, match=r"\(0, 2, 3, 4, 5\) \(id 1\)"):
+        fm.realize(delta5, coords)
+
+
+def test_metric_from_lengths_names_the_first_bad_triangle(delta5, delta5_metric):
+    L = delta5_metric.L.copy()
+    L[delta5.face_index[1][(1, 2)]] = 100.0 * L.max()  # breaks every triangle on edge 12
+    with pytest.raises(DegenerateSimplexError, match=r"triangle \(0, 1, 2\) "):
+        delta5_metric.with_lengths(L, delta5)
 
 
 def test_realize_rejects_repeated_points(delta5, delta5_coords):
@@ -41,13 +133,10 @@ def test_scaling_coords_scales_metric(c):
     coords = fm.random_realization(complex_, seed=11)
     base = fm.realize(complex_, coords)
     scaled = fm.realize(complex_, {v: c * p for v, p in coords.items()})
-    for e in complex_.faces[1]:
-        assert scaled.L[e] == pytest.approx(c**2 * base.L[e], rel=1e-10)
-    for t in complex_.faces[2]:
-        assert scaled.S[t] == pytest.approx(c**2 * base.S[t], rel=1e-10)
-    for sid in base.V:
-        assert scaled.V[sid] == pytest.approx(c**4 * base.V[sid], rel=1e-10)
-        assert scaled.eps[sid] == base.eps[sid]
+    assert scaled.L == pytest.approx(c**2 * base.L, rel=1e-10)
+    assert scaled.S == pytest.approx(c**2 * base.S, rel=1e-10)
+    assert scaled.V == pytest.approx(c**4 * base.V, rel=1e-10)
+    assert np.array_equal(scaled.eps, base.eps)
 
 
 def test_random_realization_is_deterministic(delta5):
@@ -97,42 +186,35 @@ def test_one_simplex_diagnostics():
     coords = fm.random_realization(c, seed=7)
     m = fm.realize(c, coords, allow_boundary=True)
     eps = m.eps[0]
-    L = m.simplex_lengths((0, 1, 2, 3, 4))
+    L = jb.length_tables(m.L, c.simplex_edges)[0]
     omega = fm.deficit_omega(c, m)
     for face in g.FACES5:
         expected = -eps * g.dihedral_angle(g.gram_embed(L), face)
         assert omega[face] == pytest.approx(expected, abs=1e-12)
     Omega = fm.deficit_Omega(c, m)
+    Theta = g.edge_angle_thetas(L, eps)
     for edge in g.EDGES5:
-        assert Omega[edge] == pytest.approx(
-            -g.edge_angle_theta(L, edge, eps), abs=1e-12
-        )
+        assert Omega[edge] == pytest.approx(-Theta[edge], abs=1e-12)
 
 
 def test_perturbed_length_matches_first_order_prediction(delta5, delta5_metric):
-    from pachner33.jacobians import assemble_domega_dL
-
-    M = assemble_domega_dL(delta5, delta5_metric)
-    edge = delta5.faces[1][0]
-    col = delta5.face_index[1][edge]
+    M = jb.assemble_domega_dL(delta5, delta5_metric)
+    col = 0
 
     def residual(step):
-        L = dict(delta5_metric.L)
-        L[edge] += step
+        L = delta5_metric.L.copy()
+        L[col] += step
         perturbed = delta5_metric.with_lengths(L, delta5)
         omega = fm.deficit_omega(delta5, perturbed)
         vec = np.array([omega[t] for t in delta5.faces[2]])
         return np.abs(vec - M[:, col] * step).max()
 
-    step = 1e-3 * max(delta5_metric.L.values())
+    step = 1e-3 * delta5_metric.L.max()
     r1, r2 = residual(step), residual(step / 2)
     assert r1 > 0.0
-    omega = fm.deficit_omega(
-        delta5,
-        delta5_metric.with_lengths(
-            {**delta5_metric.L, edge: delta5_metric.L[edge] + step}, delta5
-        ),
-    )
+    L = delta5_metric.L.copy()
+    L[col] += step
+    omega = fm.deficit_omega(delta5, delta5_metric.with_lengths(L, delta5))
     assert max(abs(v) for v in omega.values()) > 1e-6  # curvature switched on
     # quadratic remainder: halving the step cuts the residual ~4x
     assert r2 <= 0.35 * r1
@@ -146,19 +228,16 @@ def test_euclidean_motion_invariance(delta5, delta5_coords, delta5_metric):
     shift = rng.standard_normal(4)
     moved = {v: Q @ p + shift for v, p in delta5_coords.items()}
     m2 = fm.realize(delta5, moved)
-    for e in delta5.faces[1]:
-        assert m2.L[e] == pytest.approx(delta5_metric.L[e], rel=1e-9)
-    for sid in m2.V:
-        assert m2.V[sid] == pytest.approx(delta5_metric.V[sid], rel=1e-9)
-        assert m2.eps[sid] == delta5_metric.eps[sid]
+    assert m2.L == pytest.approx(delta5_metric.L, rel=1e-9)
+    assert m2.V == pytest.approx(delta5_metric.V, rel=1e-9)
+    assert np.array_equal(m2.eps, delta5_metric.eps)
 
 
 def test_reflection_flips_signs_keeps_deficits(delta5, delta5_coords, delta5_metric):
     reflected = {v: p * np.array([-1.0, 1.0, 1.0, 1.0]) for v, p in delta5_coords.items()}
     m2 = fm.realize(delta5, reflected)
-    for sid in m2.eps:
-        assert m2.eps[sid] == -delta5_metric.eps[sid]
-        assert abs(m2.V[sid]) == pytest.approx(abs(delta5_metric.V[sid]), rel=1e-12)
+    assert np.array_equal(m2.eps, -delta5_metric.eps)
+    assert np.abs(m2.V) == pytest.approx(np.abs(delta5_metric.V), rel=1e-12)
     omega = fm.deficit_omega(delta5, m2)
     assert max(abs(v) for v in omega.values()) < 1e-10
 
@@ -172,8 +251,8 @@ def test_check_flat_passes_on_flat_input(delta5, delta5_metric):
 
 
 def test_check_flat_names_offenders_after_perturbation(delta5, delta5_metric):
-    L = dict(delta5_metric.L)
-    L[(0, 1)] += 1e-3
+    L = delta5_metric.L.copy()
+    L[delta5.face_index[1][(0, 1)]] += 1e-3
     rep = fm.check_flat(delta5, delta5_metric.with_lengths(L, delta5), tol=1e-8)
     assert not rep.passed
     assert rep.bad_faces
@@ -183,7 +262,7 @@ def test_check_flat_names_offenders_after_perturbation(delta5, delta5_metric):
 
 def test_check_flat_vacuous_on_empty_complex():
     c = cx.build_complex([])
-    m = fm.FlatMetric(L={}, S={}, eps={}, V={})
+    m = fm.FlatMetric(L=np.zeros(0), S=np.zeros(0), eps=np.zeros(0, dtype=int), V=np.zeros(0))
     rep = fm.check_flat(c, m)
     assert rep.passed
     assert rep.max_omega == 0.0 and rep.max_Omega == 0.0

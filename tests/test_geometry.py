@@ -216,12 +216,25 @@ def test_edge_angle_regular_simplex_matches_oracle():
     # three faces contain any edge; each contributes (dS/dL) * arccos(1/4)
     oracle = 3.0 * area_derivative_oracle(1.0, 1.0, 1.0) * regular_simplex_dihedral_oracle(4)
     assert oracle == pytest.approx(0.5707610015939449, rel=1e-8)
-    assert g.edge_angle_theta(UNIT_L, (0, 1), +1) == pytest.approx(oracle, rel=1e-8)
+    assert g.edge_angle_thetas(UNIT_L, +1)[(0, 1)] == pytest.approx(oracle, rel=1e-8)
 
 
 def test_edge_angle_sign_flip():
-    plus = g.edge_angle_theta(UNIT_L, (0, 1), +1)
-    assert g.edge_angle_theta(UNIT_L, (0, 1), -1) == pytest.approx(-plus, rel=1e-12)
+    plus = g.edge_angle_thetas(UNIT_L, +1)[(0, 1)]
+    assert g.edge_angle_thetas(UNIT_L, -1)[(0, 1)] == pytest.approx(-plus, rel=1e-12)
+
+
+def edge_angle_theta_loop(L, edge, eps):
+    """Per-edge reference: sum over the three faces containing the edge."""
+    angles = g.dihedral_angles_from_lengths(L)
+    a, b = edge
+    total = 0.0
+    for face in g.FACES5:
+        if a in face and b in face:
+            (c,) = [v for v in face if v not in edge]
+            dS = (L[a, c] + L[b, c] - L[a, b]) / (16.0 * g.face_area(L, face))
+            total += dS * (eps * angles[face])
+    return total
 
 
 def test_edge_angle_thetas_match_scalar_route():
@@ -229,7 +242,7 @@ def test_edge_angle_thetas_match_scalar_route():
     L = g.squared_length_table(pts)
     table = g.edge_angle_thetas(L, +1)
     for edge in g.EDGES5:
-        assert table[edge] == pytest.approx(g.edge_angle_theta(L, edge, +1), rel=1e-12)
+        assert table[edge] == pytest.approx(edge_angle_theta_loop(L, edge, +1), rel=1e-12)
 
 
 # ----------------------------------------------------- differential identities

@@ -151,8 +151,10 @@ def test_full_invariant_is_reciprocal_of_restricted(delta5, delta5_metric):
     rep = iv.full_invariant(delta5, delta5_metric)
     restricted = iv.restricted_invariant(delta5, delta5_metric, rep.selection)
     assert rep.value == pytest.approx(1.0 / restricted, rel=1e-12)
-    assert rep.value == pytest.approx(
-        rep.prod_S / (rep.selection.det * rep.prod_V), rel=1e-12
+    det_sign, log_det = rep.selection.slogdet()
+    assert rep.sign == det_sign * rep.sign_prod_V
+    assert rep.log_abs_value == pytest.approx(
+        rep.log_abs_prod_S - (log_det + rep.log_abs_prod_V), rel=1e-12
     )
 
 
@@ -366,7 +368,8 @@ def test_stellar_ladder_rank_and_move_invariance(stellar_ladder):
 def test_invariant_survives_volume_product_underflow(stellar_ladder):
     c, coords = stellar_ladder[166]
     rep = iv.full_invariant(c, fm.realize(c, coords))
-    assert rep.prod_V == 0.0  # the plain product of 166 volumes underflows
+    # the plain product of 166 volumes underflows to 0; its log does not
+    assert math.isfinite(rep.log_abs_prod_V) and rep.log_abs_prod_V < math.log(5e-324)
     assert math.isfinite(rep.value) and rep.value != 0.0
     assert rep.sign == (1 if rep.value > 0 else -1)
     assert math.log(abs(rep.value)) == pytest.approx(rep.log_abs_value, rel=1e-12)

@@ -1,5 +1,7 @@
 """Document parsing, serialization round-trips and the CLI surface."""
+import dataclasses
 import json
+import math
 import subprocess
 import sys
 
@@ -8,7 +10,8 @@ import pytest
 
 from pachner33 import io as pio
 from pachner33.cli import main
-from pachner33.errors import SchemaError
+from pachner33.complexes import build_complex
+from pachner33.errors import ComplexStructureError, SchemaError
 
 
 def fixture_path(name):
@@ -175,6 +178,39 @@ def test_cli_invariant_reports_value_and_selection():
     assert rep["value"] != 0.0
     assert rep["selection"]["rank"] == 1
     assert len(rep["selection"]["rows"]) == 1
+    # products in the log domain: value = prod S / (det B * prod V)
+    assert "prod_S" not in rep and "prod_V" not in rep
+    assert rep["log_abs_value"] == pytest.approx(
+        rep["log_abs_prod_S"] - rep["log_abs_prod_V"] - math.log(abs(rep["selection"]["det"])),
+        rel=1e-12,
+    )
+    assert rep["sign_prod_V"] * (1 if rep["selection"]["det"] > 0 else -1) == rep["sign"]
+
+
+def test_cli_builds_the_face_lattice_once(monkeypatch):
+    calls = []
+
+    def counting_build(*args, **kwargs):
+        calls.append(args)
+        return build_complex(*args, **kwargs)
+
+    monkeypatch.setattr(pio, "build_complex", counting_build)
+    code, _ = run_cli("invariant", fixture_path("join_tetra_triangle.json"))
+    assert code == 0
+    assert len(calls) == 1
+
+
+def test_document_is_immutable_and_keeps_its_complex():
+    doc = pio.load_fixture("boundary_delta5.json")
+    assert doc.to_complex() is doc.to_complex()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        doc.simplices = ()
+    one = pio.parse_complex(
+        '{"format_version": "1", "simplices": [[0, 1, 2, 3, 4]]}', allow_boundary=True
+    )
+    assert one.to_complex(allow_boundary=True).f_vector()[-1] == 1
+    with pytest.raises(ComplexStructureError, match="boundary"):
+        one.to_complex()
 
 
 def test_cli_realize_emits_coords(tmp_path):
