@@ -43,8 +43,7 @@ def main():
             mc = rep.move_context
             moved += 1
             worst = max(worst, mc.deviation)
-            kind = "rebuilt" if mc.materialized else "virtual"
-            print(f"  {str(tri):12s} -> {str(mc.new_face):12s} {kind:8s}"
+            print(f"  {str(tri):12s} -> {str(mc.new_face):12s}"
                   f" before {mc.value_before:+.6e} after {mc.value_after:+.6e}"
                   f" | |ratio|-1 | = {mc.deviation:.2e}")
         if moved == 0:

@@ -31,9 +31,7 @@ from .flatmetric import (
 )
 from .geometry import (
     cm_squared_volume,
-    dihedral_angle,
     gram_embed,
-    signed_dihedral,
     signed_volume4,
     squared_length_table,
 )

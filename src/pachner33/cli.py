@@ -100,12 +100,12 @@ def cmd_check_flat(args, t0):
     coords = _coords_for(doc, args, c)
     m = realize(c, coords)
     if args.perturb:
-        u, v, amount = args.perturb.split(",")
-        key = tuple(sorted((int(u), int(v))))
+        u, v, amount = args.perturb
+        key = tuple(sorted((u, v)))
         if key not in c.face_index[1]:
             raise Pachner33Error(f"{key} is not an edge of the complex")
         L = m.L.copy()
-        L[c.face_index[1][key]] += float(amount)
+        L[c.face_index[1][key]] += amount
         m = m.with_lengths(L, c)
     flat = check_flat(c, m, tol=args.tol)
     rep = _report(
@@ -117,7 +117,7 @@ def cmd_check_flat(args, t0):
         max_Omega=flat.max_Omega,
         bad_faces=[list(f) for f in flat.bad_faces],
         bad_edges=[list(e) for e in flat.bad_edges],
-        perturb=args.perturb,
+        perturb=args.perturb and list(args.perturb),
     )
     _emit(rep, t0)
     return 0 if flat.passed else 1
@@ -179,8 +179,7 @@ def cmd_jacobian(args, t0):
 def cmd_move(args, t0):
     doc = load_document(args.file)
     c = doc.to_complex()
-    t = tuple(int(v) for v in args.face.split(","))
-    moved, record = pachner_33(c, t)
+    moved, record = pachner_33(c, args.face)
     out_doc = ComplexDocument(
         simplices=[list(moved.oriented_simplex(i)) for i in range(len(moved.simplices))],
         metadata=dict(doc.metadata),
@@ -232,8 +231,7 @@ def cmd_compare(args, t0):
     doc = load_document(args.file)
     c = doc.to_complex()
     coords = _coords_for(doc, args, c)
-    t = tuple(int(v) for v in args.face.split(","))
-    report = invariants.compare_under_move(c, coords, t, pivot_tol=args.pivot_tol)
+    report = invariants.compare_under_move(c, coords, args.face, pivot_tol=args.pivot_tol)
     mc = report.move_context
     passed = mc.deviation <= args.tol
     rep = _report(
@@ -248,12 +246,33 @@ def cmd_compare(args, t0):
         log_abs_value_after=mc.log_abs_after,
         ratio=mc.ratio,
         deviation=mc.deviation,
-        materialized=mc.materialized,
         passed=passed,
         selection=_selection_fields(report.selection),
     )
     _emit(rep, t0)
     return 0 if passed else 1
+
+
+def _face_arg(text):
+    """'A,B,C' as a tuple of three integer vertex ids."""
+    try:
+        a, b, c = text.split(",")
+        return int(a), int(b), int(c)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected A,B,C with three integer vertex ids, got {text!r}"
+        ) from None
+
+
+def _perturb_arg(text):
+    """'U,V,AMOUNT' as (U, V, AMOUNT): two integer vertex ids and a float."""
+    try:
+        u, v, amount = text.split(",")
+        return int(u), int(v), float(amount)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected U,V,AMOUNT with integer vertex ids, got {text!r}"
+        ) from None
 
 
 def build_parser():
@@ -279,7 +298,7 @@ def build_parser():
     p = add("check-flat", cmd_check_flat)
     p.add_argument("--tol", type=float, default=FLATNESS_TOL)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--perturb", default=None, metavar="U,V,AMOUNT",
+    p.add_argument("--perturb", type=_perturb_arg, default=None, metavar="U,V,AMOUNT",
                    help="add AMOUNT to the squared length of edge (U, V) first")
 
     p = add("verify-identities", cmd_verify_identities, needs_file=False)
@@ -293,7 +312,7 @@ def build_parser():
     p.add_argument("--pivot-tol", type=float, default=PIVOT_TOL)
 
     p = add("move", cmd_move)
-    p.add_argument("--face", required=True, metavar="A,B,C")
+    p.add_argument("--face", type=_face_arg, required=True, metavar="A,B,C")
     p.add_argument("--output", "-o", default=None)
 
     p = add("invariant", cmd_invariant)
@@ -301,7 +320,7 @@ def build_parser():
     p.add_argument("--pivot-tol", type=float, default=PIVOT_TOL)
 
     p = add("compare", cmd_compare)
-    p.add_argument("--face", required=True, metavar="A,B,C")
+    p.add_argument("--face", type=_face_arg, required=True, metavar="A,B,C")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--tol", type=float, default=identities.DEFAULT_TOL)
     p.add_argument("--pivot-tol", type=float, default=PIVOT_TOL)

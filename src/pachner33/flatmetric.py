@@ -29,13 +29,6 @@ from .errors import DegenerateSimplexError, Pachner33Error
 
 FLATNESS_TOL = 1e-8
 
-# random_realization resamples until every simplex clears this relative
-# volume floor; well above the hard degeneracy threshold so that angle sums
-# and angle derivatives keep comfortable accuracy margins.
-DEFAULT_QUALITY = 2e-3
-
-_MAX_RESAMPLE = 500
-
 
 @dataclass(frozen=True, eq=False)
 class FlatMetric:
@@ -54,10 +47,6 @@ class FlatMetric:
     def with_lengths(self, new_L, c):
         """Same assigned signs, metric recomputed from a new (E,) length array."""
         return metric_from_lengths(c, new_L, self.eps)
-
-
-def _simplex_points(coords, verts):
-    return np.stack([coords[v] for v in verts])
 
 
 def triangle_areas(L, triangle_edges, triangles):
@@ -124,40 +113,23 @@ def metric_from_lengths(c, L, eps):
     return FlatMetric(L=L, S=S, eps=eps, V=eps * np.sqrt(sq))
 
 
-def random_realization(c, seed, quality=DEFAULT_QUALITY):
+def random_realization(c, seed, quality=geometry.DEFAULT_QUALITY):
     """Seed-deterministic unit-ball placement with all simplices nondegenerate."""
-    rng = np.random.default_rng(seed)
-    vids = c.vertices
-    for _ in range(_MAX_RESAMPLE):
-        raw = rng.standard_normal((len(vids), 4))
-        radii = rng.uniform(size=(len(vids), 1)) ** 0.25
-        pts = raw / np.linalg.norm(raw, axis=1, keepdims=True) * radii
-        coords = {v: pts[n] for n, v in enumerate(vids)}
-        ok = True
-        for sid in range(len(c.simplices)):
-            p = _simplex_points(coords, c.oriented_simplex(sid))
-            Ltab = geometry.squared_length_table(p)
-            if abs(geometry.signed_volume4(p)) < quality * geometry.mean_edge_length(Ltab) ** 4:
-                ok = False
-                break
-        if ok:
-            return coords
-    raise DegenerateSimplexError(
-        f"could not find a quality-{quality} realization in {_MAX_RESAMPLE} attempts"
-    )
+    pts = geometry.unit_ball_placement(seed, len(c.vertices), c.simplex_vertices, quality)
+    return {v: pts[n] for n, v in enumerate(c.vertices)}
 
 
 def simplex_angle_tables(c, m):
     """Signed dihedral-angle tables of every simplex, keyed by global faces."""
-    tables = {}
-    lengths = jacobians.length_tables(m.L, c.simplex_edges)
-    for sid, (verts, _) in enumerate(c.simplices):
-        at = geometry.angle_table(lengths[sid], int(m.eps[sid]))
-        tables[sid] = {
-            tuple(verts[i] for i in local): signed
-            for local, signed in at.signed_all().items()
+    theta = jacobians.dihedral_angles_batch(jacobians.length_tables(m.L, c.simplex_edges))
+    signed = (m.eps[:, None] * theta).tolist()
+    return {
+        sid: {
+            tuple(verts[i] for i in local): angle
+            for local, angle in zip(geometry.FACES5, signed[sid])
         }
-    return tables
+        for sid, (verts, _) in enumerate(c.simplices)
+    }
 
 
 def deficit_omega(c, m):

@@ -1,19 +1,26 @@
-"""Metric geometry of a single Euclidean 4-simplex.
+"""Metric geometry of a single Euclidean 4-simplex, and the unit-ball sampler.
 
 A simplex is described either by coordinates (5 points in R^4) or by a
 squared-length table: a symmetric (5, 5) ndarray with zero diagonal whose
 (p, q) entry is the squared distance between local vertices p and q.
 Faces and edges are sorted tuples of local vertex labels 0..4.
 
-Dihedral angles are computed by embedding the length table (Cholesky of the
-Gram matrix anchored at vertex 0) and projecting the two opposite vertices
-onto the 2-plane orthogonal to the face.  Magnitudes lie in (0, pi); the
-signed angle attaches the simplex sign eps.
+The library's dihedral angles and their derivatives come from one batched
+route, the facet-normal Gram matrix of jacobians.  The coordinate route
+here is independent of it: dihedral_angles_from_points takes the facet
+normals of an embedded simplex from the inverse of its bordered coordinate
+matrix, and dihedral_angles_from_lengths embeds a length table first
+(Cholesky of the Gram matrix anchored at vertex 0).  It serves the identity
+batteries and the tests as their oracle.  Magnitudes lie in (0, pi); a
+signed angle is the magnitude times the simplex sign eps.
+
+unit_ball_placement draws every seeded placement of the package: points
+uniform in the unit ball, redrawn together until each listed cell clears a
+relative volume floor.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -123,6 +130,43 @@ def degeneracy_threshold(L):
     return DEGENERACY_REL * mean_edge_length(L) ** 4
 
 
+# Samplers redraw a placement until every cell has |V| >= quality * (mean
+# edge length)^4; the default sits well above the hard degeneracy threshold
+# so that angle sums and angle derivatives keep comfortable accuracy margins.
+DEFAULT_QUALITY = 2e-3
+MAX_DRAWS = 500
+
+
+def unit_ball_points(rng, n):
+    """n points uniform in the unit 4-ball: Gaussian directions, radii U^(1/4)."""
+    raw = rng.standard_normal((n, 4))
+    radii = rng.uniform(size=(n, 1)) ** 0.25
+    return raw / np.linalg.norm(raw, axis=1, keepdims=True) * radii
+
+
+def below_quality(points, quality):
+    """Whether 5 points span |V| < quality * (mean edge length)^4."""
+    L = squared_length_table(points)
+    return abs(signed_volume4(points)) < quality * mean_edge_length(L) ** 4
+
+
+def unit_ball_placement(seed, n, cells, quality=DEFAULT_QUALITY):
+    """Seed-deterministic (n, 4) unit-ball points with no cell below quality.
+
+    cells lists 5-tuples of point indices, each in the vertex order whose
+    volume is tested.  The whole placement is redrawn until every cell
+    clears the floor; DegenerateSimplexError after MAX_DRAWS draws.
+    """
+    rng = np.random.default_rng(seed)
+    for _ in range(MAX_DRAWS):
+        pts = unit_ball_points(rng, n)
+        if not any(below_quality(pts[list(cell)], quality) for cell in cells):
+            return pts
+    raise DegenerateSimplexError(
+        f"could not find a quality-{quality} placement in {MAX_DRAWS} draws"
+    )
+
+
 def gram_matrix(L):
     """Gram matrix G_pq = (L_0p + L_0q - L_pq) / 2 anchored at vertex 0."""
     L = validate_length_table(L, size=5)
@@ -191,43 +235,12 @@ def dS_dL_blocks(L):
     return out
 
 
-def dihedral_angle(points, face):
-    """Dihedral angle magnitude in (0, pi) at a 2-face of a 4-simplex.
-
-    The two vertices opposite the face are projected onto the orthogonal
-    complement of the face plane; the angle between the projections is
-    returned via atan2(rejection norm, dot product) for stability near the
-    endpoints.
-    """
-    pts = np.asarray(points, dtype=float)
-    p, q, r = face
-    x, y = [v for v in range(5) if v not in face]
-    basis = np.stack([pts[q] - pts[p], pts[r] - pts[p]], axis=1)
-    G2 = basis.T @ basis
-    det = G2[0, 0] * G2[1, 1] - G2[0, 1] * G2[1, 0]
-    if det <= 0.0:
-        raise DegenerateSimplexError("face spans less than two dimensions")
-    inv = np.array([[G2[1, 1], -G2[0, 1]], [-G2[1, 0], G2[0, 0]]]) / det
-    u = pts[x] - pts[p]
-    v = pts[y] - pts[p]
-    u = u - basis @ (inv @ (basis.T @ u))
-    v = v - basis @ (inv @ (basis.T @ v))
-    dot = float(u @ v)
-    wedge_sq = float(u @ u) * float(v @ v) - dot * dot
-    wedge = math.sqrt(max(wedge_sq, 0.0))
-    angle = math.atan2(wedge, dot)
-    if angle <= 0.0 or angle >= math.pi:
-        raise DegenerateSimplexError(f"dihedral angle at face {face} is degenerate")
-    return angle
-
-
 def dihedral_angles_from_points(points):
     """All ten dihedral angle magnitudes of an embedded simplex at once.
 
     Facet normals are the barycentric-coordinate gradients (rows of the
     inverse of the bordered coordinate matrix); the inner angle at the face
-    opposite vertices {x, y} has cosine -n_x.n_y / (|n_x| |n_y|).  Agrees
-    with the projection route for nondegenerate simplices.
+    opposite vertices {x, y} has cosine -n_x.n_y / (|n_x| |n_y|).
     """
     pts = np.asarray(points, dtype=float)
     X = np.empty((5, 5))
@@ -251,30 +264,6 @@ def dihedral_angles_from_points(points):
 def dihedral_angles_from_lengths(L):
     """All ten dihedral angle magnitudes of a length table (one embedding)."""
     return dihedral_angles_from_points(gram_embed(L))
-
-
-def signed_dihedral(L, face, eps):
-    """Dihedral angle magnitude times the simplex sign eps."""
-    pts = gram_embed(L)
-    return eps * dihedral_angle(pts, face)
-
-
-@dataclass(frozen=True)
-class AngleTable:
-    """Dihedral angle magnitudes of one simplex plus its sign."""
-
-    magnitudes: dict
-    eps: int
-
-    def signed(self, face):
-        return self.eps * self.magnitudes[face]
-
-    def signed_all(self):
-        return {face: self.eps * theta for face, theta in self.magnitudes.items()}
-
-
-def angle_table(L, eps):
-    return AngleTable(dihedral_angles_from_lengths(L), eps)
 
 
 def edge_angle_thetas(L, eps):

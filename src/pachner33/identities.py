@@ -42,17 +42,9 @@ class BatteryResult:
         return self.failures == 0
 
 
-def random_simplex_points(seed, quality=2e-3):
+def random_simplex_points(seed, quality=geometry.DEFAULT_QUALITY):
     """Five unit-ball points forming a quality-nondegenerate 4-simplex."""
-    rng = np.random.default_rng(seed)
-    for _ in range(500):
-        raw = rng.standard_normal((5, 4))
-        pts = raw / np.linalg.norm(raw, axis=1, keepdims=True)
-        pts = pts * rng.uniform(size=(5, 1)) ** 0.25
-        L = geometry.squared_length_table(pts)
-        if abs(geometry.signed_volume4(pts)) >= quality * geometry.mean_edge_length(L) ** 4:
-            return pts
-    raise geometry.DegenerateSimplexError("could not sample a generic simplex")
+    return geometry.unit_ball_placement(seed, 5, [range(5)], quality)
 
 
 def _trial_seeds(seed, trials):

@@ -10,11 +10,14 @@ The global invariant of a closed flat complex is det(B) * prod(V) / prod(S)
 for a maximal nondegenerate submatrix B of the face-deficit/length matrix
 (its reciprocal carries the complementary index sets).  Moves are compared
 with matched selections: the row of the disappearing triangle is replaced by
-the row of the appearing one.  When the opposite triangle is already a face
-(the boundary-of-the-5-simplex situation) the rebuilt complex is no longer
-simplicial, so the after-quantities are computed by a cluster-local virtual
-rebuild instead of materializing the moved complex; the two paths agree
-whenever both are available.
+the row of the appearing one.  The move only swaps three simplices, so the
+after-quantities are a local update of the before-quantities:
+virtual_rebuild subtracts the removed cluster's angle blocks from the
+assembled matrix and adds the replacement cluster's, and the products drop
+three volumes and one area and gain their replacements.  The moved complex
+is never built, which also covers the boundary-of-the-5-simplex situation
+where the opposite triangle is already a face and the moved complex would
+not be simplicial.
 """
 from __future__ import annotations
 
@@ -25,18 +28,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .complexes import (
-    build_complex,
-    move_cluster,
-    oriented_tuple,
-    pachner_33,
-    scatter_indices,
-)
+from .complexes import build_complex, move_cluster, oriented_tuple, scatter_indices
 from .errors import DegenerateSimplexError, SelectionError
 from .flatmetric import realize, triangle_areas
 from .jacobians import (
     PIVOT_TOL,
     assemble_domega_dL,
+    dihedral_angles_batch,
     dtheta_dL_blocks,
     kernel_basis,
     length_tables,
@@ -95,29 +93,23 @@ class ClusterSix:
     def lengths(self):
         return geometry.squared_length_table(self.points)
 
-    def _cells(self, side):
-        return BEFORE_CELLS if side == "abc" else AFTER_CELLS
-
-    def _face(self, side):
-        return (A, B, C) if side == "abc" else (D, E, F)
-
-    def _cell_signs(self, side):
-        signs = {}
-        for cell in self._cells(side):
-            vol = geometry.signed_volume4(self.points[list(cell)])
-            signs[cell] = 1 if vol > 0 else -1
-        return signs
+    def _cluster(self, side):
+        """Cells, signs, stacked length tables and central-face rows of one side."""
+        cells = BEFORE_CELLS if side == "abc" else AFTER_CELLS
+        face = (A, B, C) if side == "abc" else (D, E, F)
+        signs = [1 if geometry.signed_volume4(self.points[list(cell)]) > 0 else -1
+                 for cell in cells]
+        L6 = self.lengths()
+        tables = np.stack([L6[np.ix_(cell, cell)] for cell in cells])
+        rows = [geometry.FACE_INDEX5[tuple(sorted(cell.index(v) for v in face))]
+                for cell in cells]
+        return cells, signs, tables, rows
 
     def omega_value(self, side):
         """Deficit at the central triangle, reduced to (-pi, pi]."""
-        face = self._face(side)
-        signs = self._cell_signs(side)
-        L6 = self.lengths()
-        total = 0.0
-        for cell in self._cells(side):
-            L5 = L6[np.ix_(cell, cell)]
-            local = tuple(sorted(cell.index(v) for v in face))
-            total += signs[cell] * geometry.dihedral_angle(geometry.gram_embed(L5), local)
+        _, signs, tables, rows = self._cluster(side)
+        theta = dihedral_angles_batch(tables)
+        total = sum(sign * theta[n, row] for n, (sign, row) in enumerate(zip(signs, rows)))
         return geometry.reduce_angle(-total)
 
     def omega_gradient(self, side):
@@ -125,42 +117,22 @@ class ClusterSix:
 
         The sum of the central-face rows of the three cells' angle blocks.
         """
-        face = self._face(side)
-        cells = self._cells(side)
-        signs = self._cell_signs(side)
-        L6 = self.lengths()
-        blocks = dtheta_dL_blocks(
-            np.stack([L6[np.ix_(cell, cell)] for cell in cells]),
-            [signs[cell] for cell in cells],
-        )
+        cells, signs, tables, rows = self._cluster(side)
+        blocks = dtheta_dL_blocks(tables, signs)
         grad = np.zeros(len(CLUSTER_EDGES))
-        for cell, block in zip(cells, blocks):
-            local = tuple(sorted(cell.index(v) for v in face))
+        for cell, block, row in zip(cells, blocks, rows):
             cols = [
                 CLUSTER_EDGE_INDEX[tuple(sorted((cell[p], cell[q])))]
                 for p, q in geometry.EDGES5
             ]
-            grad[cols] -= block[geometry.FACE_INDEX5[local]]
+            grad[cols] -= block[row]
         return dict(zip(CLUSTER_EDGES, grad.tolist()))
 
 
-def random_cluster(seed, quality=2e-3):
+def random_cluster(seed, quality=geometry.DEFAULT_QUALITY):
     """Seed-deterministic six unit-ball points, every 5-subset nondegenerate."""
-    rng = np.random.default_rng(seed)
-    for _ in range(500):
-        raw = rng.standard_normal((6, 4))
-        pts = raw / np.linalg.norm(raw, axis=1, keepdims=True)
-        pts = pts * rng.uniform(size=(6, 1)) ** 0.25
-        ok = True
-        for x in range(6):
-            sub = pts[list(_hat(x))]
-            L = geometry.squared_length_table(sub)
-            if abs(geometry.signed_volume4(sub)) < quality * geometry.mean_edge_length(L) ** 4:
-                ok = False
-                break
-        if ok:
-            return ClusterSix(pts)
-    raise DegenerateSimplexError("could not sample a generic cluster")
+    cells = [_hat(x) for x in range(6)]
+    return ClusterSix(geometry.unit_ball_placement(seed, 6, cells, quality))
 
 
 @dataclass(frozen=True)
@@ -306,8 +278,6 @@ class MoveComparison:
     log_abs_after: float
     ratio: float
     deviation: float  # | |ratio| - 1 |
-    materialized: bool
-    record: object = None
 
 
 @dataclass(frozen=True)
@@ -350,7 +320,7 @@ def full_invariant(c, m, pivot_tol=PIVOT_TOL):
     )
 
 
-def _new_cell_data(c, m, coords, new_cells):
+def _new_cell_data(coords, new_cells):
     """Sorted vertices, stored sign and signed volume of the replacement cells."""
     data = []
     for verts, sign in new_cells:
@@ -371,7 +341,7 @@ def virtual_rebuild(c, m, coords, M, star, def_, new_cells):
     its own, so its row is returned separately (in the self-dual situation
     an older face with the same vertices may survive alongside).
     """
-    new_data = _new_cell_data(c, m, coords, new_cells)
+    new_data = _new_cell_data(coords, new_cells)
     F = M.shape[0]
     # one extra row collects the appearing triangle
     M_after = np.vstack([M, np.zeros((1, M.shape[1]))])
@@ -389,51 +359,33 @@ def virtual_rebuild(c, m, coords, M, star, def_, new_cells):
     return M_after[:F], M_after[F], new_data
 
 
-def compare_under_move(c, coords, t, pivot_tol=PIVOT_TOL, force_virtual=False):
+def compare_under_move(c, coords, t, pivot_tol=PIVOT_TOL):
     """Invariant before and after the 3->3 move at triangle t.
 
     The before-selection forces the row of t into the submatrix; the
     after-selection keeps the same rows and columns except that the row of t
     is replaced by the row of the opposite triangle.  The placement is reused
-    for the rebuilt cluster, so flatness persists.  Both values are carried
-    as (sign, log|value|): det(B) from the pivots before the move and from
-    slogdet after it.
+    for the rebuilt cluster, so flatness persists.  The after-quantities come
+    from virtual_rebuild and the products are updated in place of the three
+    swapped cells.  Both values are carried as (sign, log|value|): det(B)
+    from the pivots before the move and from slogdet after it.
     """
+    abc, def_, star, new_cells = move_cluster(c, t)
     m = realize(c, coords)
     M = assemble_domega_dL(c, m)
-    abc = tuple(sorted(int(v) for v in t))
     row_abc = c.face_index[2][abc]
     sel = rank_and_submatrix(M, must_include_row=row_abc, tol=pivot_tol).with_keys(
         c.faces[2], c.faces[1]
     )
     sign_before, log_before = _log_invariant(c, m, sel)
 
-    abc2, def_, star, new_cells = move_cluster(c, t)
-    materializable = def_ not in c.face_index[2]
-
-    if materializable and not force_virtual:
-        c2, record = pachner_33(c, t)
-        m2 = realize(c2, coords)
-        M2 = assemble_domega_dL(c2, m2)
-        rows2 = [
-            c2.face_index[2][def_ if key == abc else key] for key in sel.row_keys
-        ]
-        cols2 = [c2.face_index[1][key] for key in sel.col_keys]
-        B_after = M2[np.ix_(rows2, cols2)]
-        volumes, areas = m2.V, m2.S
-        materialized = True
-    else:
-        M_after, def_row, new_data = virtual_rebuild(
-            c, m, coords, M, star, def_, new_cells
-        )
-        B_after = M_after[np.ix_(sel.rows, sel.cols)]
-        B_after[sel.rows.index(row_abc)] = def_row[list(sel.cols)]
-        volumes = np.append(np.delete(m.V, star), [vol for _, _, vol in new_data])
-        d, e, f = def_
-        def_edges = [[c.face_index[1][pair] for pair in ((d, e), (d, f), (e, f))]]
-        areas = np.append(np.delete(m.S, row_abc), triangle_areas(m.L, def_edges, [def_]))
-        record = None
-        materialized = False
+    M_after, def_row, new_data = virtual_rebuild(c, m, coords, M, star, def_, new_cells)
+    B_after = M_after[np.ix_(sel.rows, sel.cols)]
+    B_after[sel.rows.index(row_abc)] = def_row[list(sel.cols)]
+    volumes = np.append(np.delete(m.V, star), [vol for _, _, vol in new_data])
+    d, e, f = def_
+    def_edges = [[c.face_index[1][pair] for pair in ((d, e), (d, f), (e, f))]]
+    areas = np.append(np.delete(m.S, row_abc), triangle_areas(m.L, def_edges, [def_]))
 
     det_sign, log_det = np.linalg.slogdet(B_after)
     if det_sign == 0 or not math.isfinite(log_det):
@@ -445,15 +397,13 @@ def compare_under_move(c, coords, t, pivot_tol=PIVOT_TOL, force_virtual=False):
     comparison = MoveComparison(
         old_face=abc,
         new_face=def_,
-        six_vertices=abc2 + def_,
+        six_vertices=abc + def_,
         value_before=value_before,
         value_after=sign_after * math.exp(log_after),
         log_abs_before=log_before,
         log_abs_after=log_after,
         ratio=sign_before * sign_after * math.exp(log_ratio),
         deviation=abs(math.expm1(log_ratio)),
-        materialized=materialized,
-        record=record,
     )
     return InvariantReport(
         value=value_before,

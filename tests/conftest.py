@@ -43,12 +43,6 @@ def bipyramid():
     return cx.bipyramid_sphere()
 
 
-def ball_points(rng, n):
-    raw = rng.standard_normal((n, 4))
-    radii = rng.uniform(size=(n, 1)) ** 0.25
-    return raw / np.linalg.norm(raw, axis=1, keepdims=True) * radii
-
-
 @pytest.fixture(scope="session")
 def stellar_ladder():
     """Nested stellar subdivisions of the 5-simplex boundary, with placements.

@@ -11,6 +11,7 @@ from pachner33 import flatmetric as fm
 from pachner33 import geometry as g
 from pachner33 import jacobians as jb
 from pachner33.errors import DegenerateSimplexError, Pachner33Error
+from pachner33.identities import signed_angles
 from pachner33.io import load_fixture
 
 
@@ -147,6 +148,18 @@ def test_random_realization_is_deterministic(delta5):
         assert np.array_equal(a[v], b[v])
 
 
+@pytest.mark.parametrize(
+    "name", ["boundary_delta5.json", "join_tetra_triangle.json", "bipyramid_10cell.json"]
+)
+def test_random_realization_reproduces_the_bundled_coords(name):
+    # scripts/make_fixtures.py drew each fixture's coords at its coords_seed
+    doc = load_fixture(name)
+    coords = fm.random_realization(doc.to_complex(), seed=int(doc.metadata["coords_seed"]))
+    assert sorted(coords) == sorted(doc.coords)
+    for v, p in doc.realization().items():
+        assert np.array_equal(coords[v], p)
+
+
 def test_random_realization_single_simplex():
     c = cx.build_complex([(0, 1, 2, 3, 4)], allow_boundary=True)
     coords = fm.random_realization(c, seed=0)
@@ -188,9 +201,8 @@ def test_one_simplex_diagnostics():
     eps = m.eps[0]
     L = jb.length_tables(m.L, c.simplex_edges)[0]
     omega = fm.deficit_omega(c, m)
-    for face in g.FACES5:
-        expected = -eps * g.dihedral_angle(g.gram_embed(L), face)
-        assert omega[face] == pytest.approx(expected, abs=1e-12)
+    for face, signed in zip(g.FACES5, signed_angles(L, eps)):
+        assert omega[face] == pytest.approx(-signed, abs=1e-12)
     Omega = fm.deficit_Omega(c, m)
     Theta = g.edge_angle_thetas(L, eps)
     for edge in g.EDGES5:

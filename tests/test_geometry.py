@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pachner33 import geometry as g
+from pachner33 import jacobians as jb
 from pachner33.errors import DegenerateSimplexError, NonRealizableLengthsError
+from pachner33.identities import signed_angles
 
 
 # ---------------------------------------------------------------- oracles
@@ -144,40 +146,44 @@ def test_dihedral_regular_simplex_matches_gram_oracle():
     pts = g.gram_embed(UNIT_L)
     expected = regular_simplex_dihedral_oracle(4)
     assert expected == pytest.approx(1.3181160716528177, rel=1e-12)
-    for face in g.FACES5:
-        assert g.dihedral_angle(pts, face) == pytest.approx(expected, rel=1e-12)
+    for angle in g.dihedral_angles_from_points(pts).values():
+        assert angle == pytest.approx(expected, rel=1e-12)
 
 
 def test_dihedral_orthoscheme_right_angle():
     pts = np.vstack([np.zeros(4), np.eye(4)])
-    assert g.dihedral_angle(pts, (0, 1, 2)) == pytest.approx(math.pi / 2, rel=1e-12)
+    angles = g.dihedral_angles_from_points(pts)
+    assert angles[(0, 1, 2)] == pytest.approx(math.pi / 2, rel=1e-12)
 
 
 def test_dihedral_degenerate_face_raises():
     pts = np.vstack([np.zeros(4), np.eye(4)])
     pts[2] = 2.0 * pts[1]  # face (0, 1, 2) collapses to a segment
     with pytest.raises(DegenerateSimplexError):
-        g.dihedral_angle(pts, (0, 1, 2))
+        g.dihedral_angles_from_points(pts)
 
 
 def test_batched_angles_agree_with_projection_route():
     for seed in range(8):
         pts = random_simplex(seed)
-        batch = g.dihedral_angles_from_points(pts)
-        for face in g.FACES5:
-            assert batch[face] == pytest.approx(g.dihedral_angle(pts, face), abs=1e-12)
+        coordinate = g.dihedral_angles_from_points(pts)
+        batch = jb.dihedral_angles_batch(g.squared_length_table(pts)[None])[0]
+        for face, angle in zip(g.FACES5, batch):
+            assert angle == pytest.approx(coordinate[face], abs=1e-12)
 
 
 def test_signed_dihedral_attaches_the_simplex_sign():
     expected = math.acos(0.25)
-    assert g.signed_dihedral(UNIT_L, (0, 1, 2), +1) == pytest.approx(expected, rel=1e-12)
-    assert g.signed_dihedral(UNIT_L, (0, 1, 2), -1) == pytest.approx(-expected, rel=1e-12)
+    n = g.FACE_INDEX5[(0, 1, 2)]
+    assert signed_angles(UNIT_L, +1)[n] == pytest.approx(expected, rel=1e-12)
+    assert signed_angles(UNIT_L, -1)[n] == pytest.approx(-expected, rel=1e-12)
 
 
 def test_signed_dihedral_orthoscheme():
     pts = np.vstack([np.zeros(4), np.eye(4)])
     L = g.squared_length_table(pts)
-    assert g.signed_dihedral(L, (0, 1, 2), +1) == pytest.approx(math.pi / 2, rel=1e-12)
+    angles = g.dihedral_angles_from_lengths(L)
+    assert angles[(0, 1, 2)] == pytest.approx(math.pi / 2, rel=1e-12)
 
 
 # ------------------------------------------------------- opposite-edge rule
@@ -190,11 +196,12 @@ def test_opposite_edge_derivative_matches_area_volume_ratio():
         eps = 1 if V > 0 else -1
         L = g.squared_length_table(pts)
         face, edge = (1, 2, 3), (0, 4)
+        n = g.FACE_INDEX5[face]
         S = g.face_area(L, face)
         h = 1e-5 * L.max()
         Lp = L.copy(); Lp[edge] += h; Lp[edge[::-1]] += h
         Lm = L.copy(); Lm[edge] -= h; Lm[edge[::-1]] -= h
-        fd = (g.signed_dihedral(Lp, face, eps) - g.signed_dihedral(Lm, face, eps)) / (2 * h)
+        fd = (signed_angles(Lp, eps)[n] - signed_angles(Lm, eps)[n]) / (2 * h)
         assert fd == pytest.approx(S / (24.0 * V), rel=1e-6)
 
 

@@ -1,4 +1,5 @@
 """Cluster identities, the restricted invariant and move comparisons."""
+import itertools
 import math
 
 import numpy as np
@@ -186,26 +187,40 @@ def test_compare_under_move_delta5_all_triangles_sample(delta5, delta5_coords):
     for tri in ((0, 1, 2), (0, 3, 5), (1, 2, 4)):
         rep = iv.compare_under_move(delta5, delta5_coords, tri)
         mc = rep.move_context
-        assert not mc.materialized  # opposite triangle already present
         assert mc.deviation <= 1e-6
         assert mc.new_face == tuple(sorted(set(range(6)) - set(tri)))
 
 
 def test_compare_under_move_join_materializes(join_complex, join_coords):
     rep = iv.compare_under_move(join_complex, join_coords, (0, 1, 2))
-    mc = rep.move_context
-    assert mc.materialized
-    assert mc.record is not None
-    assert mc.deviation <= 1e-6
+    assert rep.move_context.deviation <= 1e-6
+
+
+def materialized_value_after(c, coords, t, sel):
+    """det(B) * prod(V) / prod(S) of the matched selection on the moved complex.
+
+    The reference route: build the moved complex with pachner_33, realize
+    and assemble it, and select the same rows and columns with the row of t
+    replaced by the row of the opposite triangle.
+    """
+    moved, record = cx.pachner_33(c, t)
+    m = fm.realize(moved, coords)
+    M = jb.assemble_domega_dL(moved, m)
+    rows = [
+        moved.face_index[2][record.new_face if key == record.old_face else key]
+        for key in sel.row_keys
+    ]
+    cols = [moved.face_index[1][key] for key in sel.col_keys]
+    return np.linalg.det(M[np.ix_(rows, cols)]) * np.prod(m.V) / np.prod(m.S)
 
 
 def test_compare_paths_agree_when_both_available(join_complex, join_coords):
-    honest = iv.compare_under_move(join_complex, join_coords, (0, 1, 3))
-    virtual = iv.compare_under_move(join_complex, join_coords, (0, 1, 3), force_virtual=True)
-    assert honest.move_context.value_after == pytest.approx(
-        virtual.move_context.value_after, rel=1e-9
-    )
-    assert honest.move_context.value_before == virtual.move_context.value_before
+    # the local rebuild against the materialized move at every sphere triangle
+    for tri in itertools.combinations(range(4), 3):
+        rep = iv.compare_under_move(join_complex, join_coords, tri)
+        assert rep.move_context.value_after == pytest.approx(
+            materialized_value_after(join_complex, join_coords, tri, rep.selection), rel=1e-9
+        )
 
 
 def test_compare_double_move_returns_to_start(join_complex, join_coords):
@@ -259,8 +274,6 @@ def test_compare_rejects_degenerate_replacement(join_complex, join_coords):
     fm.realize(join_complex, coords)  # the base complex itself is fine
     with pytest.raises(DegenerateSimplexError):
         iv.compare_under_move(join_complex, coords, (0, 1, 2))
-    with pytest.raises(DegenerateSimplexError):
-        iv.compare_under_move(join_complex, coords, (0, 1, 2), force_virtual=True)
 
 
 # ------------------------------------------------------------ basis change

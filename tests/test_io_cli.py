@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from pachner33 import complexes as cx
 from pachner33 import io as pio
 from pachner33.cli import main
 from pachner33.complexes import build_complex
@@ -115,7 +116,37 @@ def test_cli_compare_join_materializes():
         "compare", fixture_path("join_tetra_triangle.json"), "--face", "0,1,2"
     )
     rep = json.loads(out)
-    assert code == 0 and rep["materialized"] and rep["passed"]
+    assert code == 0 and rep["passed"]
+    assert "materialized" not in rep
+
+
+@pytest.mark.parametrize("face", ["0,1,99", "0,0,1"])
+def test_cli_compare_rejects_a_non_face_triangle(face):
+    code, out = run_cli("compare", fixture_path("join_tetra_triangle.json"), "--face", face)
+    rep = json.loads(out)
+    assert code == 1
+    assert rep["error"]["type"] == "ComplexStructureError"
+    assert "not a face" in rep["error"]["message"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("move", "--face", "0,1,x"),
+        ("compare", "--face", "0,1,x"),
+        ("compare", "--face", "0,1"),
+        ("compare", "--face", "0,1,2,3"),
+        ("check-flat", "--perturb", "0,1"),
+        ("check-flat", "--perturb", "0,y,1e-3"),
+    ],
+)
+def test_cli_malformed_face_or_perturb_is_a_usage_error(argv, capsys):
+    command, *options = argv
+    with pytest.raises(SystemExit) as exc:
+        main([command, fixture_path("join_tetra_triangle.json"), *options])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and options[0] in err
 
 
 def test_cli_verify_identities_small():
@@ -195,9 +226,12 @@ def test_cli_builds_the_face_lattice_once(monkeypatch):
         return build_complex(*args, **kwargs)
 
     monkeypatch.setattr(pio, "build_complex", counting_build)
-    code, _ = run_cli("invariant", fixture_path("join_tetra_triangle.json"))
-    assert code == 0
-    assert len(calls) == 1
+    monkeypatch.setattr(cx, "build_complex", counting_build)
+    for argv in (("invariant",), ("compare", "--face", "0,1,2")):
+        calls.clear()
+        code, _ = run_cli(argv[0], fixture_path("join_tetra_triangle.json"), *argv[1:])
+        assert code == 0
+        assert len(calls) == 1, argv[0]
 
 
 def test_document_is_immutable_and_keeps_its_complex():
