@@ -9,6 +9,7 @@ timing field they are byte-identical across runs with equal inputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 
@@ -167,9 +168,9 @@ def cmd_jacobian(args, t0):
         matrices={
             "face_keys": [list(k) for k in jac.face_keys],
             "edge_keys": [list(k) for k in jac.edge_keys],
-            "dOmega_dL": jac.dOmega_dL.tolist(),
-            "dOmega_dS": jac.dOmega_dS.tolist(),
-            "dBigOmega_dS": jac.dBigOmega_dS.tolist(),
+            "dOmega_dL": jac.dOmega_dL,
+            "dOmega_dS": jac.dOmega_dS,
+            "dBigOmega_dS": jac.dBigOmega_dS,
         },
     )
     _emit(rep, t0)
@@ -275,7 +276,9 @@ def _perturb_arg(text):
         ) from None
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process (parse_args leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="pachner33",
         description="Geometric invariants of 3->3 moves on triangulated 4-manifolds",

@@ -45,16 +45,24 @@ def _dump(obj, pieces):
             pieces.append(": ")
             _dump(val, pieces)
         pieces.append("}")
-    elif isinstance(obj, (list, tuple)) and all(type(v) is float for v in obj):
-        # matrix rows from ndarray.tolist(): one join, same text as below
-        pieces.append("[" + ", ".join(map(_FORMAT17, obj)) + "]")
+    elif isinstance(obj, np.ndarray) and obj.ndim == 2 and obj.dtype == np.float64:
+        # a matrix: one "%.17g" format per row, the same text as its .tolist()
+        row = "[" + ", ".join(["%.17g"] * obj.shape[1]) + "]"
+        pieces.append("[" + ", ".join([row % tuple(r) for r in obj.tolist()]) + "]")
     elif isinstance(obj, (list, tuple)):
-        pieces.append("[")
-        for n, val in enumerate(obj):
-            if n:
-                pieces.append(", ")
-            _dump(val, pieces)
-        pieces.append("]")
+        item_types = set(map(type, obj))
+        if item_types <= {float}:
+            # all items exactly float (or none): one join, the same text as item by item
+            pieces.append("[" + ", ".join(map(_FORMAT17, obj)) + "]")
+        elif item_types == {int}:
+            pieces.append("[" + ", ".join(map(str, obj)) + "]")
+        else:
+            pieces.append("[")
+            for n, val in enumerate(obj):
+                if n:
+                    pieces.append(", ")
+                _dump(val, pieces)
+            pieces.append("]")
     elif isinstance(obj, (bool, np.bool_)):
         pieces.append("true" if obj else "false")
     elif isinstance(obj, (int, np.integer)):

@@ -28,7 +28,10 @@ metric's edge-aligned L:
 
 Row/column order follows the complex's lexicographic face tables.  The
 maximal nondegenerate submatrix is found by complete-pivoting Gaussian
-elimination with a relative pivot threshold.
+elimination with a relative pivot threshold.  Each step updates only the
+rows its pivot column reaches and finds the next pivot through the row
+maxima, so on the sparse dOmega_dL (a few percent nonzero) a step costs
+the rows it changes rather than the whole matrix.
 """
 from __future__ import annotations
 
@@ -311,9 +314,16 @@ def rank_and_submatrix(matrix, must_include_row=None, tol=PIVOT_TOL):
     is given, that row is forced as the first pivot row (its largest entry
     becomes the first pivot); a numerically zero forced row is an error.
 
-    Elimination runs in place on the full array: after each step the pivot
-    row and column are zeroed, so the next pivot is the argmax of |work|
-    over all entries, and ties resolve in row-major order.
+    Elimination runs in place and keeps row_best, the largest |entry| of
+    each row.  The pivot row is the first argmax of row_best and the pivot
+    column the first argmax of |work[r]|: the first maximum of |work| in
+    row-major order.  A step updates only the rows with a nonzero entry in
+    the pivot column, then zeroes that column and the pivot row and
+    refreshes row_best on the touched rows.  Every other row would only have
+    a signed zero subtracted from it, which changes no |entry|, so the
+    pivots, the det and the complements are bitwise those of eliminating the
+    whole array at every step; on the sparse dOmega_dL a step costs the
+    touched rows, not the matrix.
     """
     work = np.array(matrix, dtype=float)
     if work.ndim != 2:
@@ -321,28 +331,24 @@ def rank_and_submatrix(matrix, must_include_row=None, tol=PIVOT_TOL):
     if not np.all(np.isfinite(work)):
         raise SelectionError("matrix has non-finite entries")
     n_rows, n_cols = work.shape
-    global_max = float(np.abs(work).max()) if work.size else 0.0
+    row_best = np.abs(work).max(axis=1) if n_cols else np.zeros(n_rows)
+    global_max = float(row_best.max()) if work.size else 0.0
 
     forced = None
     if must_include_row is not None:
         forced = int(must_include_row)
-        row_max = float(np.abs(work[forced]).max()) if n_cols else 0.0
+        row_max = float(row_best[forced]) if n_cols else 0.0
         if row_max == 0.0 or (global_max and row_max <= tol * global_max):
             raise SelectionError(
                 f"forced row {forced} is numerically zero; it cannot pivot"
             )
 
-    magnitude = np.empty_like(work)
     pivots = []
     pivot_rows = []
     pivot_cols = []
     for _ in range(min(n_rows, n_cols)):
-        if forced is not None and not pivots:
-            r = forced
-            c = int(np.argmax(np.abs(work[r])))
-        else:
-            np.abs(work, out=magnitude)
-            r, c = divmod(int(np.argmax(magnitude)), n_cols)
+        r = forced if forced is not None and not pivots else int(np.argmax(row_best))
+        c = int(np.argmax(np.abs(work[r])))
         piv = work[r, c]
         if pivots and abs(piv) <= tol * global_max:
             break
@@ -351,9 +357,14 @@ def rank_and_submatrix(matrix, must_include_row=None, tol=PIVOT_TOL):
         pivots.append(float(piv))
         pivot_rows.append(r)
         pivot_cols.append(c)
-        work -= np.outer(work[:, c] / piv, work[r])
+        rows = np.flatnonzero(work[:, c])
+        touched = work[rows]
+        touched -= np.outer(touched[:, c] / piv, work[r])
+        touched[:, c] = 0.0
+        work[rows] = touched
         work[r] = 0.0
-        work[:, c] = 0.0
+        row_best[rows] = np.abs(touched).max(axis=1)
+        row_best[r] = 0.0
 
     rank = len(pivots)
     det = float(np.prod(pivots)) if pivots else 0.0

@@ -10,7 +10,7 @@ import pytest
 
 from pachner33 import complexes as cx
 from pachner33 import io as pio
-from pachner33.cli import main
+from pachner33.cli import build_parser, main
 from pachner33.complexes import build_complex
 from pachner33.errors import ComplexStructureError, SchemaError
 
@@ -266,6 +266,25 @@ def test_cli_unknown_command_exits_2():
     assert proc.returncode == 2
 
 
+def test_cli_parser_survives_a_usage_error():
+    # the parser is built once per process; a rejected call must not change it
+    def compare_report():
+        code, out = run_cli("compare", fixture_path("join_tetra_triangle.json"), "--face", "0,1,2")
+        assert code == 0
+        rep = json.loads(out)
+        rep.pop("timing_s")
+        return rep
+
+    build_parser.cache_clear()
+    alone = compare_report()
+    build_parser.cache_clear()
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", fixture_path("join_tetra_triangle.json"), "--face", "0,1,x"])
+    assert exc.value.code == 2
+    assert compare_report() == alone
+    assert build_parser() is build_parser()
+
+
 def test_cli_determinism_modulo_timing():
     reports = []
     for _ in range(2):
@@ -300,3 +319,35 @@ def test_dumps_pins_float_text():
     assert pio.dumps({"m": [[1.5, 2.0], (0.25,), [], [np.float64(0.5), 1.0]]}) == (
         '{"m": [[1.5, 2], [0.25], [], [0.5, 1]]}'
     )
+    # a float64 matrix is written row by row with the text of its .tolist()
+    rng = np.random.default_rng(11)
+    M = rng.standard_normal((3, 6)) * 10.0 ** rng.integers(-300, 300, size=(3, 6))
+    M[1] = special
+    M[2, :2] = (1.0, 2.2250738585072009e-308)
+    assert pio.dumps(M) == pio.dumps(M.tolist())
+    assert pio.dumps({"m": M.T}) == pio.dumps({"m": M.T.tolist()})
+    assert pio.dumps(np.zeros((0, 4))) == pio.dumps([]) == "[]"
+    assert pio.dumps(np.zeros((2, 0))) == pio.dumps([[], []]) == "[[], []]"
+    assert pio.dumps([3, -1, 0, 10**20]) == "[3, -1, 0, 100000000000000000000]"
+    # bool and numpy integers are not exactly int: the general path writes them
+    assert pio.dumps([1, True]) == "[1, true]"
+    assert pio.dumps([np.int64(1), 2]) == "[1, 2]"
+
+
+def test_dumps_takes_the_general_path_unless_items_are_exactly_int(monkeypatch):
+    calls = []
+    dump = pio._dump
+
+    def counting_dump(obj, pieces):
+        calls.append(obj)
+        dump(obj, pieces)
+
+    monkeypatch.setattr(pio, "_dump", counting_dump)
+    for obj, text, n_calls in (
+        ([1, 2], "[1, 2]", 1),
+        ([1, True], "[1, true]", 3),
+        ([np.int64(1)], "[1]", 2),
+    ):
+        calls.clear()
+        assert pio.dumps(obj) == text
+        assert len(calls) == n_calls, obj

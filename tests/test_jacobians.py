@@ -313,3 +313,107 @@ def test_join_and_bipyramid_ranks(join_complex, join_metric, bipyramid):
     mb = fm.realize(bipyramid, fm.random_realization(bipyramid, seed=3))
     Mb = jb.assemble_domega_dL(bipyramid, mb)
     assert jb.rank_and_submatrix(Mb).rank == 2
+
+
+# ------------------------------------------- selection against the dense loop
+
+def rank_and_submatrix_dense(matrix, must_include_row=None, tol=jb.PIVOT_TOL):
+    """The whole-array elimination: every step updates and searches all of |work|."""
+    work = np.array(matrix, dtype=float)
+    n_rows, n_cols = work.shape
+    global_max = float(np.abs(work).max()) if work.size else 0.0
+    forced = None
+    if must_include_row is not None:
+        forced = int(must_include_row)
+        row_max = float(np.abs(work[forced]).max()) if n_cols else 0.0
+        if row_max == 0.0 or (global_max and row_max <= tol * global_max):
+            raise SelectionError(f"forced row {forced} is numerically zero; it cannot pivot")
+    pivots, pivot_rows, pivot_cols = [], [], []
+    for _ in range(min(n_rows, n_cols)):
+        if forced is not None and not pivots:
+            r = forced
+            c = int(np.argmax(np.abs(work[r])))
+        else:
+            r, c = divmod(int(np.argmax(np.abs(work))), n_cols)
+        piv = work[r, c]
+        if pivots and abs(piv) <= tol * global_max:
+            break
+        if not pivots and piv == 0.0:
+            break
+        pivots.append(float(piv))
+        pivot_rows.append(r)
+        pivot_cols.append(c)
+        work -= np.outer(work[:, c] / piv, work[r])
+        work[r] = 0.0
+        work[:, c] = 0.0
+    return {
+        "rows": tuple(pivot_rows),
+        "cols": tuple(pivot_cols),
+        "rows_comp": tuple(i for i in range(n_rows) if i not in pivot_rows),
+        "cols_comp": tuple(j for j in range(n_cols) if j not in pivot_cols),
+        "det": np.float64(np.prod(pivots) if pivots else 0.0).tobytes(),
+        "pivots": np.array(pivots, dtype=float).tobytes(),
+    }
+
+
+def _selection_bits(sel):
+    return {
+        "rows": sel.rows,
+        "cols": sel.cols,
+        "rows_comp": sel.rows_comp,
+        "cols_comp": sel.cols_comp,
+        "det": np.float64(sel.det).tobytes(),
+        "pivots": np.array(sel.pivots, dtype=float).tobytes(),
+    }
+
+
+def _assert_same_selection(M, must_include_row=None):
+    try:
+        expected = rank_and_submatrix_dense(M, must_include_row)
+    except SelectionError:
+        with pytest.raises(SelectionError, match="numerically zero"):
+            jb.rank_and_submatrix(M, must_include_row)
+        return
+    assert _selection_bits(jb.rank_and_submatrix(M, must_include_row)) == expected
+
+
+def test_selection_matches_dense_loop_on_the_stellar_ladder(stellar_ladder):
+    for cells, (c, coords) in sorted(stellar_ladder.items()):
+        M = jb.assemble_domega_dL(c, fm.realize(c, coords))
+        _assert_same_selection(M)
+        for row in (0, len(M) // 2, len(M) - 1):
+            assert np.any(M[row]), cells
+            _assert_same_selection(M, must_include_row=row)
+
+
+def test_selection_matches_dense_loop_on_fixtures(delta5, delta5_metric, join_complex, join_metric):
+    for c, m in ((delta5, delta5_metric), (join_complex, join_metric)):
+        M = jb.assemble_domega_dL(c, m)
+        _assert_same_selection(M)
+        for row in (0, len(M) // 2, len(M) - 1):
+            _assert_same_selection(M, must_include_row=row)
+
+
+@pytest.mark.parametrize("shape", [(4, 6), (5, 0), (0, 7)])
+def test_selection_matches_dense_loop_on_empty_and_zero(shape):
+    _assert_same_selection(np.zeros(shape))
+
+
+def test_selection_matches_dense_loop_on_small_integer_matrices():
+    # Entries in -2..2 give exact ties among |entries| and exact cancellations;
+    # masked and low-rank products give sparse and rank-deficient matrices.
+    rng = np.random.default_rng(73)
+    for trial in range(400):
+        n_rows, n_cols = (int(k) for k in rng.integers(1, 8, size=2))
+        M = rng.integers(-2, 3, size=(n_rows, n_cols)).astype(float)
+        if trial % 4 == 1:
+            M *= rng.random((n_rows, n_cols)) < 0.3
+        elif trial % 4 == 2:
+            k = int(rng.integers(1, min(n_rows, n_cols) + 1))
+            M = rng.integers(-2, 3, size=(n_rows, k)) @ rng.integers(-2, 3, size=(k, n_cols))
+            M = M.astype(float)
+        elif trial % 4 == 3:
+            M[rng.integers(n_rows)] = M[rng.integers(n_rows)]
+        _assert_same_selection(M)
+        for row in range(n_rows):
+            _assert_same_selection(M, must_include_row=row)
