@@ -47,9 +47,12 @@ def _coords_for(doc, args, c):
 
 
 def _selection_fields(sel):
+    """The selection as report fields; det(B) as sign and log, which cannot overflow."""
+    det_sign, log_abs_det = sel.slogdet()
     return {
         "rank": sel.rank,
-        "det": sel.det,
+        "det_sign": det_sign,
+        "log_abs_det": log_abs_det,
         "rows": [list(k) for k in sel.row_keys],
         "cols": [list(k) for k in sel.col_keys],
         "rows_complement": [list(k) for k in sel.row_comp_keys],

@@ -4,16 +4,54 @@ Simplices are stored canonically as (sorted 5-tuple, sign): the sign marks
 whether the intended orientation is an even (+1) or odd (-1) permutation of
 the ascending tuple.  Lower faces are keyed by sorted vertex tuples and carry
 no stored orientation; induced orientations are computed on demand.
+
+build_complex derives the face lattice in one array pass.  The cells are
+stacked as an (N, 5) array, sorted row-wise, with the orientation sign from
+the parity of the 10 pairwise comparisons, and relabelled by vertex
+position.  A face of dimension k is packed into one integer key, the id of
+its first-k-vertex face times V plus the position of its last vertex, so
+one np.unique per dimension gives the lexicographic face table and, through
+its inverse, the per-simplex index arrays.  Closedness, non-manifold
+tetrahedra and orientation consistency are counts over the (N, 5)
+tetrahedron ids.  The tuple-keyed face_index and cofaces dicts are built on
+first use only.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ComplexStructureError, MovePreconditionError
-from .geometry import EDGES5, FACES5
+from .geometry import EDGE_INDEX5, EDGES5, FACE_INDEX5, FACES5
+
+# Local tetrahedra of a sorted 5-tuple, lexicographic: column k omits vertex 4 - k.
+TETS5 = tuple(itertools.combinations(range(5), 4))
+# (-1)^j for the facet omitting local vertex j, aligned with TETS5
+_TET_SIGNS = np.array([(-1) ** (4 - k) for k in range(5)])
+# Each local face as (first-k-vertex face, last vertex): edges over vertices,
+# triangles over EDGES5, tetrahedra over FACES5.
+_EDGE_PREFIX, _EDGE_LAST = (list(col) for col in zip(*EDGES5))
+_FACE_PREFIX = [EDGE_INDEX5[f[:2]] for f in FACES5]
+_FACE_LAST = [f[2] for f in FACES5]
+_TET_PREFIX = [FACE_INDEX5[t[:3]] for t in TETS5]
+_TET_LAST = [t[3] for t in TETS5]
+# local edges ab, ac, bc of each local face abc
+_FACE_EDGES5 = [[EDGE_INDEX5[(a, b)], EDGE_INDEX5[(a, c)], EDGE_INDEX5[(b, c)]]
+                for a, b, c in FACES5]
+
+
+def _sort_with_parity(rows):
+    """Row-sorted copy of an (N, k) array and the sign of each row's sorting permutation.
+
+    The sign is (-1)^(number of inversions), counted over all k(k-1)/2
+    pairwise comparisons at once.
+    """
+    i, j = np.triu_indices(rows.shape[1], 1)
+    inversions = np.count_nonzero(rows[:, i] > rows[:, j], axis=1)
+    return np.sort(rows, axis=1), 1 - 2 * (inversions % 2)
 
 
 def canonical_oriented(verts):
@@ -21,21 +59,8 @@ def canonical_oriented(verts):
     verts = tuple(int(v) for v in verts)
     if len(set(verts)) != len(verts):
         raise ComplexStructureError(f"simplex {verts} has repeated vertices")
-    order = sorted(range(len(verts)), key=lambda i: verts[i])
-    # parity of the sorting permutation by cycle count
-    seen = [False] * len(order)
-    sign = 1
-    for i in range(len(order)):
-        if seen[i]:
-            continue
-        j, cycle = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = order[j]
-            cycle += 1
-        if cycle % 2 == 0:
-            sign = -sign
-    return tuple(sorted(verts)), sign
+    rows, signs = _sort_with_parity(np.array([verts]))
+    return tuple(rows[0].tolist()), int(signs[0])
 
 
 def oriented_tuple(verts, sign):
@@ -60,23 +85,27 @@ def induced_facet_sign(verts, sign, facet):
 
 @dataclass(frozen=True)
 class Complex4:
-    """Immutable oriented 4-dimensional simplicial complex."""
+    """Immutable oriented 4-dimensional simplicial complex.
+
+    face_index (dim -> {face tuple: position}) and cofaces (dim -> {face
+    tuple: ascending ids of the simplices containing it}) are derived from
+    the index arrays on first use.
+    """
 
     simplices: tuple  # of (sorted 5-tuple, sign)
     vertices: tuple
     faces: dict  # dim -> tuple of sorted vertex tuples, lexicographic
-    face_index: dict  # dim -> {face tuple: position}
-    cofaces: dict  # dim -> {face tuple: tuple of simplex ids}
     is_closed: bool
     orientation_consistent: bool
     # Index arrays aligned with the face tables, for batched metric and
-    # assembly code.  Vertex entries are positions in `vertices`; edge and
-    # triangle entries are positions in faces[1] and faces[2].
+    # assembly code.  Vertex entries are positions in `vertices`; edge,
+    # triangle and tetrahedron entries are positions in faces[1..3].
     edge_ends: np.ndarray = field(compare=False, repr=False)  # (E, 2)
     triangle_edges: np.ndarray = field(compare=False, repr=False)  # (F, 3): ab, ac, bc
     simplex_vertices: np.ndarray = field(compare=False, repr=False)  # (N, 5), oriented
     simplex_faces: np.ndarray = field(compare=False, repr=False)  # (N, 10), FACES5 order
     simplex_edges: np.ndarray = field(compare=False, repr=False)  # (N, 10), EDGES5 order
+    simplex_tetrahedra: np.ndarray = field(compare=False, repr=False)  # (N, 5), TETS5 order
 
     @property
     def edges(self):
@@ -89,6 +118,16 @@ class Complex4:
     @property
     def tetrahedra(self):
         return self.faces[3]
+
+    @cached_property
+    def face_index(self):
+        return {dim: {f: n for n, f in enumerate(keys)} for dim, keys in self.faces.items()}
+
+    @cached_property
+    def cofaces(self):
+        sorted_vertices = np.sort(self.simplex_vertices, axis=1)
+        ids = (sorted_vertices, self.simplex_edges, self.simplex_faces, self.simplex_tetrahedra)
+        return {dim: _cofaces(self.faces[dim], ids[dim]) for dim in range(4)}
 
     def oriented_simplex(self, i):
         verts, sign = self.simplices[i]
@@ -106,89 +145,119 @@ class Complex4:
         return frozenset(self.simplices)
 
 
+def _cofaces(keys, ids):
+    """{face: ascending ids of the simplices whose row of ids holds it}."""
+    owners = (np.argsort(ids, axis=None, kind="stable") // ids.shape[1]).tolist()
+    ends = np.cumsum(np.bincount(ids.ravel(), minlength=len(keys))).tolist()
+    return {key: tuple(owners[a:b]) for key, a, b in zip(keys, [0] + ends[:-1], ends)}
+
+
+def _face_ids(prefix, last, nv):
+    """Face table and (N, m) face ids from prefix-face ids and last-vertex positions.
+
+    Each face is keyed prefix * nv + last; prefix ids are lexicographic
+    positions already, so sorted keys are sorted faces.  Keys stay below
+    (number of prefix faces) * nv <= 10 N * 5 N.  Returns (prefix ids,
+    last positions) of the sorted distinct faces and the inverse.
+    """
+    keys, ids = np.unique(prefix * nv + last, return_inverse=True)
+    return np.divmod(keys, nv), ids.reshape(prefix.shape)
+
+
+def _tuples(vertices, positions):
+    return tuple(map(tuple, vertices[positions].tolist()))
+
+
 def build_complex(simplex_list, allow_boundary=False):
     """Validate a list of oriented 5-tuples and derive the face lattice.
 
-    Raises ComplexStructureError for repeated vertex sets, for tetrahedra
-    incident to more than two simplices, and for boundary tetrahedra unless
+    Raises ComplexStructureError for a cell without 5 vertices or with a
+    repeated vertex, for repeated vertex sets (each naming the first such
+    cell in list order), for tetrahedra incident to more than two simplices
+    (the first in lexicographic order), and for boundary tetrahedra unless
     allow_boundary is set.
     """
-    simplices = []
-    seen = {}
-    for n, raw in enumerate(simplex_list):
-        if len(raw) != 5:
-            raise ComplexStructureError(f"simplex #{n} does not have 5 vertices: {raw}")
-        verts, sign = canonical_oriented(raw)
-        if verts in seen:
-            raise ComplexStructureError(
-                f"duplicate simplex {verts} at positions {seen[verts]} and {n}"
-            )
-        seen[verts] = n
-        simplices.append((verts, sign))
+    cells = list(simplex_list)
+    short = next((n for n, cell in enumerate(cells) if len(cell) != 5), len(cells))
+    try:
+        raw = np.array(cells[:short], dtype=np.int64).reshape(short, 5)
+    except OverflowError:
+        raise ComplexStructureError("vertex ids must fit in a signed 64-bit integer") from None
+    rows, signs = _sort_with_parity(raw)
+    vertices, pos = np.unique(rows, return_inverse=True)
+    pos = pos.reshape(rows.shape)
+    nv = len(vertices)
 
-    faces = {}
-    face_index = {}
-    cofaces = {}
-    for dim in range(4):
-        incid = {}
-        for sid, (verts, _) in enumerate(simplices):
-            for face in itertools.combinations(verts, dim + 1):
-                incid.setdefault(face, []).append(sid)
-        keys = tuple(sorted(incid))
-        faces[dim] = keys
-        face_index[dim] = {f: n for n, f in enumerate(keys)}
-        cofaces[dim] = {f: tuple(incid[f]) for f in keys}
-
-    is_closed = bool(simplices)
-    for tet, ids in cofaces.get(3, {}).items():
-        if len(ids) > 2:
-            raise ComplexStructureError(
-                f"tetrahedron {tet} is incident to {len(ids)} simplices (non-manifold)"
-            )
-        if len(ids) == 1:
-            is_closed = False
-    if not simplices:
-        is_closed = True
-    check_boundary(is_closed, allow_boundary)
-
-    consistent = True
-    for tet, ids in cofaces.get(3, {}).items():
-        if len(ids) != 2:
-            continue
-        s0 = simplices[ids[0]]
-        s1 = simplices[ids[1]]
-        if induced_facet_sign(*s0, tet) != -induced_facet_sign(*s1, tet):
-            consistent = False
-            break
-
-    vertices = tuple(sorted({v for verts, _ in simplices for v in verts}))
-    position = {v: n for n, v in enumerate(vertices)}
-    edge_of = face_index[1]
-    simplex_faces, simplex_edges = scatter_indices(
-        [verts for verts, _ in simplices], face_index[2], edge_of
+    (edge_first, edge_last), simplex_edges = _face_ids(
+        pos[:, _EDGE_PREFIX], pos[:, _EDGE_LAST], nv
     )
+    (tri_edge, tri_last), simplex_faces = _face_ids(
+        simplex_edges[:, _FACE_PREFIX], pos[:, _FACE_LAST], nv
+    )
+    (tet_tri, tet_last), simplex_tets = _face_ids(
+        simplex_faces[:, _TET_PREFIX], pos[:, _TET_LAST], nv
+    )
+    _, first, cell_ids = np.unique(
+        simplex_tets[:, 0] * nv + pos[:, 4], return_index=True, return_inverse=True
+    )
+    earlier = first[cell_ids]
+    repeated = (rows[:, 1:] == rows[:, :-1]).any(axis=1)
+    bad = np.flatnonzero(repeated | (earlier != np.arange(short)))
+    if bad.size:
+        n = int(bad[0])
+        if repeated[n]:
+            raise ComplexStructureError(f"simplex {tuple(raw[n].tolist())} has repeated vertices")
+        raise ComplexStructureError(
+            f"duplicate simplex {tuple(rows[n].tolist())} at positions {int(earlier[n])} and {n}"
+        )
+    if short < len(cells):
+        raise ComplexStructureError(
+            f"simplex #{short} does not have 5 vertices: {cells[short]}"
+        )
+
+    edge_ends = np.stack([edge_first, edge_last], axis=1)
+    triangles = np.column_stack([edge_ends[tri_edge], tri_last])
+    tetrahedra = np.column_stack([triangles[tet_tri], tet_last])
+    incidence = np.bincount(simplex_tets.ravel(), minlength=len(tetrahedra))
+    crowded = np.flatnonzero(incidence > 2)
+    if crowded.size:
+        t = int(crowded[0])
+        raise ComplexStructureError(
+            f"tetrahedron {tuple(vertices[tetrahedra[t]].tolist())} is incident to "
+            f"{int(incidence[t])} simplices (non-manifold)"
+        )
+    is_closed = bool(np.all(incidence == 2))
+    check_boundary(is_closed, allow_boundary)
+    # the two cofaces of an interior tetrahedron must induce opposite signs
+    induced = np.bincount(
+        simplex_tets.ravel(), weights=(signs[:, None] * _TET_SIGNS).ravel(),
+        minlength=len(tetrahedra),
+    )
+    consistent = bool(np.all(induced[incidence == 2] == 0))
+
+    triangle_edges = np.empty((len(triangles), 3), dtype=np.intp)
+    triangle_edges[simplex_faces] = simplex_edges[:, _FACE_EDGES5]
+    oriented = pos.copy()
+    odd = signs < 0
+    oriented[odd, 3], oriented[odd, 4] = pos[odd, 4], pos[odd, 3]
     return Complex4(
-        simplices=tuple(simplices),
-        vertices=vertices,
-        faces=faces,
-        face_index=face_index,
-        cofaces=cofaces,
+        simplices=tuple(zip(map(tuple, rows.tolist()), signs.tolist())),
+        vertices=tuple(vertices.tolist()),
+        faces={
+            0: tuple((v,) for v in vertices.tolist()),
+            1: _tuples(vertices, edge_ends),
+            2: _tuples(vertices, triangles),
+            3: _tuples(vertices, tetrahedra),
+        },
         is_closed=is_closed,
         orientation_consistent=consistent,
-        edge_ends=_index_array([[position[u], position[w]] for u, w in faces[1]], 2),
-        triangle_edges=_index_array(
-            [[edge_of[(a, b)], edge_of[(a, c)], edge_of[(b, c)]] for a, b, c in faces[2]], 3
-        ),
-        simplex_vertices=_index_array(
-            [[position[v] for v in oriented_tuple(*s)] for s in simplices], 5
-        ),
+        edge_ends=edge_ends,
+        triangle_edges=triangle_edges,
+        simplex_vertices=oriented,
         simplex_faces=simplex_faces,
         simplex_edges=simplex_edges,
+        simplex_tetrahedra=simplex_tets,
     )
-
-
-def _index_array(rows, width):
-    return np.array(rows, dtype=np.intp).reshape(len(rows), width)
 
 
 def scatter_indices(cells, face_index, edge_index):
@@ -200,6 +269,10 @@ def scatter_indices(cells, face_index, edge_index):
     rows = [[face_index[(v[p], v[q], v[r])] for p, q, r in FACES5] for v in cells]
     cols = [[edge_index[(v[p], v[q])] for p, q in EDGES5] for v in cells]
     return _index_array(rows, 10), _index_array(cols, 10)
+
+
+def _index_array(rows, width):
+    return np.array(rows, dtype=np.intp).reshape(len(rows), width)
 
 
 def check_boundary(is_closed, allow_boundary):
@@ -218,12 +291,12 @@ def require_closed_oriented(c):
 
 
 def star_of_triangle(c, t):
-    """Ids of the 4-simplices containing triangle t, in stored order."""
+    """Ids of the 4-simplices containing triangle t, ascending."""
     key = tuple(sorted(int(v) for v in t))
-    try:
-        return list(c.cofaces[2][key])
-    except KeyError:
+    row = c.face_index[2].get(key)
+    if row is None:
         raise ComplexStructureError(f"triangle {key} is not a face of the complex")
+    return np.flatnonzero((c.simplex_faces == row).any(axis=1)).tolist()
 
 
 @dataclass(frozen=True)

@@ -119,19 +119,6 @@ def random_realization(c, seed, quality=geometry.DEFAULT_QUALITY):
     return {v: pts[n] for n, v in enumerate(c.vertices)}
 
 
-def simplex_angle_tables(c, m):
-    """Signed dihedral-angle tables of every simplex, keyed by global faces."""
-    theta = jacobians.dihedral_angles_batch(jacobians.length_tables(m.L, c.simplex_edges))
-    signed = (m.eps[:, None] * theta).tolist()
-    return {
-        sid: {
-            tuple(verts[i] for i in local): angle
-            for local, angle in zip(geometry.FACES5, signed[sid])
-        }
-        for sid, (verts, _) in enumerate(c.simplices)
-    }
-
-
 def deficit_omega(c, m):
     """Per-face deficit: minus the algebraic dihedral-angle sum, in (-pi, pi].
 

@@ -71,15 +71,31 @@ def squared_length_table(points):
     return np.einsum("ijk,ijk->ij", diff, diff)
 
 
+# np.allclose's default tolerances, which the length-table checks keep
+TABLE_RTOL, TABLE_ATOL = 1e-5, 1e-8
+
+
 def validate_length_table(L, size=None):
+    """L as a float array after the shape, symmetry and zero-diagonal checks.
+
+    Accepts exactly the tables np.allclose(L, L.T) and
+    np.allclose(diag(L), 0) accept: an entry pair passes when it is equal,
+    or when |L - L^T| <= atol + rtol |L^T| at a finite L^T entry.  The
+    tolerance is only evaluated for a table that is not exactly symmetric.
+    """
     L = np.asarray(L, dtype=float)
     if L.ndim != 2 or L.shape[0] != L.shape[1]:
         raise ValueError("length table must be square")
     if size is not None and L.shape[0] != size:
         raise ValueError(f"length table must be {size}x{size}")
-    if not np.allclose(L, L.T):
-        raise ValueError("length table must be symmetric")
-    if not np.allclose(np.diag(L), 0.0):
+    T = L.T
+    equal = L == T
+    if not equal.all():
+        with np.errstate(invalid="ignore"):  # inf - inf at equal infinite entries
+            near = np.abs(L - T) <= TABLE_ATOL + TABLE_RTOL * np.abs(T)
+        if not (equal | (near & np.isfinite(T))).all():
+            raise ValueError("length table must be symmetric")
+    if not (np.abs(np.diagonal(L)) <= TABLE_ATOL).all():
         raise ValueError("length table must have zero diagonal")
     return L
 
@@ -206,15 +222,6 @@ def face_area(L, face):
     if sq <= 0.0:
         raise DegenerateSimplexError(f"face {face} has nonpositive squared area")
     return math.sqrt(sq)
-
-
-def area_length_derivative(L, face, edge):
-    """d(area of face)/d(squared length of edge); zero if edge not in face.
-
-    Face and edge are sorted tuples of local vertices of a (5, 5) table.
-    """
-    L = validate_length_table(L, size=5)
-    return float(dS_dL_blocks(L[None])[0, FACE_INDEX5[face], EDGE_INDEX5[edge]])
 
 
 def dS_dL_blocks(L):

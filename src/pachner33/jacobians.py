@@ -157,11 +157,6 @@ def dtheta_dL_simplex(L, eps):
     return dtheta_dL_blocks(geometry.validate_length_table(L, size=5)[None], [eps])[0]
 
 
-def domega_dS_simplex(L, eps):
-    """(10, 10) signed-angle derivatives by face areas of one table."""
-    return domega_dS_blocks(geometry.validate_length_table(L, size=5)[None], [eps])[0]
-
-
 def length_tables(L, simplex_edges):
     """(N, 5, 5) squared-length tables from edge lengths and (N, 10) edge columns."""
     i, j = geometry.EDGE_I, geometry.EDGE_J

@@ -1,12 +1,18 @@
 """Combinatorics: construction, face lattice, stars, 3->3 moves."""
 import itertools
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pachner33 import complexes as cx
+from pachner33 import flatmetric as fm
+from pachner33 import invariants as iv
+from pachner33 import jacobians as jb
 from pachner33.errors import ComplexStructureError, MovePreconditionError
+from pachner33.io import load_fixture
 
 
 def test_boundary_delta5_counts(delta5):
@@ -158,3 +164,259 @@ def test_bipyramid_structure(bipyramid):
     assert bipyramid.f_vector() == (7, 20, 30, 25, 10)
     assert bipyramid.euler_characteristic() == 2
     assert (0, 6) not in bipyramid.face_index[1]
+
+
+# ------------------------------------------------ array-built face lattice
+
+def canonical_oriented_loop(verts):
+    """Sorted tuple and sorting-permutation parity by cycle count."""
+    verts = tuple(int(v) for v in verts)
+    if len(set(verts)) != len(verts):
+        raise ComplexStructureError(f"simplex {verts} has repeated vertices")
+    order = sorted(range(len(verts)), key=lambda i: verts[i])
+    seen = [False] * len(order)
+    sign = 1
+    for i in range(len(order)):
+        if seen[i]:
+            continue
+        j, cycle = i, 0
+        while not seen[j]:
+            seen[j] = True
+            j = order[j]
+            cycle += 1
+        if cycle % 2 == 0:
+            sign = -sign
+    return tuple(sorted(verts)), sign
+
+
+def _index_array(rows, width):
+    return np.array(rows, dtype=np.intp).reshape(len(rows), width)
+
+
+def build_complex_loop(simplex_list, allow_boundary=False):
+    """The per-cell loop that build_complex replaced, kept as its bitwise reference."""
+    simplices = []
+    seen = {}
+    for n, raw in enumerate(simplex_list):
+        if len(raw) != 5:
+            raise ComplexStructureError(f"simplex #{n} does not have 5 vertices: {raw}")
+        verts, sign = canonical_oriented_loop(raw)
+        if verts in seen:
+            raise ComplexStructureError(
+                f"duplicate simplex {verts} at positions {seen[verts]} and {n}"
+            )
+        seen[verts] = n
+        simplices.append((verts, sign))
+
+    faces = {}
+    face_index = {}
+    cofaces = {}
+    for dim in range(4):
+        incid = {}
+        for sid, (verts, _) in enumerate(simplices):
+            for face in itertools.combinations(verts, dim + 1):
+                incid.setdefault(face, []).append(sid)
+        keys = tuple(sorted(incid))
+        faces[dim] = keys
+        face_index[dim] = {f: n for n, f in enumerate(keys)}
+        cofaces[dim] = {f: tuple(incid[f]) for f in keys}
+
+    is_closed = bool(simplices)
+    for tet, ids in cofaces[3].items():
+        if len(ids) > 2:
+            raise ComplexStructureError(
+                f"tetrahedron {tet} is incident to {len(ids)} simplices (non-manifold)"
+            )
+        if len(ids) == 1:
+            is_closed = False
+    if not simplices:
+        is_closed = True
+    cx.check_boundary(is_closed, allow_boundary)
+
+    consistent = True
+    for tet, ids in cofaces[3].items():
+        if len(ids) == 2 and cx.induced_facet_sign(*simplices[ids[0]], tet) != (
+            -cx.induced_facet_sign(*simplices[ids[1]], tet)
+        ):
+            consistent = False
+            break
+
+    vertices = tuple(sorted({v for verts, _ in simplices for v in verts}))
+    position = {v: n for n, v in enumerate(vertices)}
+    edge_of = face_index[1]
+    simplex_faces, simplex_edges = cx.scatter_indices(
+        [verts for verts, _ in simplices], face_index[2], edge_of
+    )
+    return SimpleNamespace(
+        simplices=tuple(simplices),
+        vertices=vertices,
+        faces=faces,
+        face_index=face_index,
+        cofaces=cofaces,
+        is_closed=is_closed,
+        orientation_consistent=consistent,
+        edge_ends=_index_array([[position[u], position[w]] for u, w in faces[1]], 2),
+        triangle_edges=_index_array(
+            [[edge_of[(a, b)], edge_of[(a, c)], edge_of[(b, c)]] for a, b, c in faces[2]], 3
+        ),
+        simplex_vertices=_index_array(
+            [[position[v] for v in cx.oriented_tuple(*s)] for s in simplices], 5
+        ),
+        simplex_faces=simplex_faces,
+        simplex_edges=simplex_edges,
+        simplex_tetrahedra=_index_array(
+            [[face_index[3][t] for t in itertools.combinations(v, 4)] for v, _ in simplices], 5
+        ),
+    )
+
+
+LATTICE_FIELDS = ("simplices", "vertices", "faces", "face_index", "cofaces",
+                  "is_closed", "orientation_consistent")
+INDEX_ARRAYS = ("edge_ends", "triangle_edges", "simplex_vertices", "simplex_faces",
+                "simplex_edges", "simplex_tetrahedra")
+
+
+def _outcome(build, cells, allow_boundary):
+    try:
+        return build(cells, allow_boundary=allow_boundary)
+    except ComplexStructureError as exc:
+        return str(exc)
+
+
+def assert_builds_like_the_loop(cells, allow_boundary=False):
+    """Same error message, or every field equal (repr, so int types count too)."""
+    got = _outcome(cx.build_complex, cells, allow_boundary)
+    want = _outcome(build_complex_loop, cells, allow_boundary)
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want
+        return want
+    for name in LATTICE_FIELDS:
+        assert repr(getattr(got, name)) == repr(getattr(want, name)), name
+    for name in INDEX_ARRAYS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+        assert a.tobytes() == b.tobytes(), name
+    return got
+
+
+def oriented_cells(c):
+    return [c.oriented_simplex(i) for i in range(len(c.simplices))]
+
+
+def stellar_cells(n_cells, seed):
+    """Oriented cells of seeded stellar 1->5 subdivisions of the 5-simplex boundary.
+
+    Each cone cell is its cell with one vertex replaced by the apex, so the
+    list stays consistently oriented; nothing is built until the caller does.
+    """
+    rng = np.random.default_rng(seed)
+    cells = oriented_cells(cx.boundary_delta5())
+    apex = 6
+    while len(cells) < n_cells:
+        cell = cells.pop(int(rng.integers(len(cells))))
+        cells += [tuple(apex if u == x else u for u in cell) for x in cell]
+        apex += 1
+    return cells
+
+
+def test_build_matches_the_loop_on_the_fixture_complexes(delta5, join_complex, bipyramid):
+    for c in (delta5, join_complex, bipyramid):
+        assert_builds_like_the_loop(oriented_cells(c))
+    for name in ("boundary_delta5.json", "join_tetra_triangle.json", "bipyramid_10cell.json"):
+        assert_builds_like_the_loop(load_fixture(name).simplices)
+    assert_builds_like_the_loop([])
+
+
+def test_build_matches_the_loop_on_the_stellar_rungs(stellar_ladder):
+    for c, _ in stellar_ladder.values():
+        assert_builds_like_the_loop(oriented_cells(c))
+    c = assert_builds_like_the_loop(stellar_cells(1006, seed=5))
+    assert len(c.simplices) == 1006
+    assert c.is_closed and c.orientation_consistent and c.euler_characteristic() == 2
+
+
+def test_build_matches_the_loop_under_relabelling_and_reordering(join_complex):
+    rng = np.random.default_rng(31)
+    for base in (oriented_cells(join_complex), stellar_cells(86, seed=2)):
+        ids = sorted({v for cell in base for v in cell})
+        for labels in (
+            rng.permutation(len(ids)),  # relabelled
+            np.sort(rng.choice(10**4, len(ids), replace=False)) * 7 + 3,  # non-contiguous
+            rng.choice(10**12, len(ids), replace=False) + 10**9,  # large
+            rng.choice(10**12, len(ids), replace=False) - 10**15,  # negative
+        ):
+            relabel = dict(zip(ids, labels.tolist()))
+            cells = [tuple(relabel[v] for v in cell) for cell in base]
+            assert_builds_like_the_loop(cells)
+            # cell order and the vertex order inside cells (any parity)
+            shuffled = [tuple(rng.permutation(cell).tolist()) for cell in cells]
+            rng.shuffle(shuffled)
+            assert_builds_like_the_loop(shuffled)
+
+
+def test_build_matches_the_loop_with_boundary(delta5):
+    cells = oriented_cells(delta5)
+    for boundary in (
+        [(0, 1, 2, 3, 4)],
+        [(0, 1, 2, 4, 5), (0, 1, 2, 5, 3), (0, 1, 2, 3, 4)],
+        cells[1:],
+        stellar_cells(166, seed=3)[3:],
+    ):
+        c = assert_builds_like_the_loop(boundary, allow_boundary=True)
+        assert not c.is_closed
+        assert "boundary" in assert_builds_like_the_loop(boundary)
+
+
+def test_bad_lists_raise_the_loop_error():
+    rng = np.random.default_rng(47)
+    bases = [oriented_cells(cx.boundary_delta5()), oriented_cells(cx.tetra_circle_join()),
+             oriented_cells(cx.bipyramid_sphere()), stellar_cells(26, seed=4)]
+    seen = set()
+    for _ in range(400):
+        base = bases[int(rng.integers(len(bases)))]
+        cells = list(base)
+        fresh = max(v for cell in base for v in cell) + 1
+        for _ in range(int(rng.integers(1, 4))):
+            cell = base[int(rng.integers(len(base)))]
+            kind = int(rng.integers(6))
+            if kind == 0:  # wrong length
+                bad = [cell[:4], cell + (fresh,), ()][int(rng.integers(3))]
+            elif kind == 1:  # repeated vertex
+                bad = (cell[0],) + cell[:4]
+            elif kind == 2:  # duplicate vertex set, any orientation
+                bad = tuple(rng.permutation(cell).tolist())
+            elif kind == 3:  # a third cell on one of its tetrahedra
+                bad = cell[:4] + (fresh,)
+            elif kind == 4:  # boundary: drop a cell
+                if cell in cells:
+                    cells.remove(cell)
+                continue
+            else:  # inconsistent orientation: flip a cell
+                if cell in cells:
+                    cells.remove(cell)
+                bad = (cell[1], cell[0]) + cell[2:]
+            cells.insert(int(rng.integers(len(cells) + 1)), bad)
+        result = assert_builds_like_the_loop(cells, allow_boundary=bool(rng.integers(2)))
+        if isinstance(result, str):
+            seen.add(result.split(" ")[-1] if "non-manifold" in result else result[:9])
+        else:
+            seen.add("inconsistent" if not result.orientation_consistent else "built")
+    assert {"simplex #", "simplex (", "duplicate", "(non-manifold)", "complex h",
+            "inconsistent", "built"} <= seen
+
+
+def test_vertex_ids_beyond_int64_are_a_structure_error():
+    with pytest.raises(ComplexStructureError, match="64-bit"):
+        cx.build_complex([(0, 1, 2, 3, 2**63)], allow_boundary=True)
+
+
+def test_metric_paths_leave_the_lookup_dicts_unbuilt(stellar_ladder):
+    c86, coords = stellar_ladder[86]
+    c = cx.build_complex(oriented_cells(c86))
+    m = fm.realize(c, coords)
+    iv.full_invariant(c, m)
+    jb.build_jacobians(c, m)
+    assert fm.check_flat(c, m).passed
+    assert "face_index" not in vars(c) and "cofaces" not in vars(c)
+    # built on first use, then kept
+    assert c.cofaces is c.cofaces and c.face_index is c.face_index

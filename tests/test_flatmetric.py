@@ -280,6 +280,19 @@ def test_check_flat_vacuous_on_empty_complex():
     assert rep.max_omega == 0.0 and rep.max_Omega == 0.0
 
 
+def simplex_angle_tables(c, m):
+    """Signed dihedral-angle tables of every simplex, keyed by global faces."""
+    theta = jb.dihedral_angles_batch(jb.length_tables(m.L, c.simplex_edges))
+    signed = (m.eps[:, None] * theta).tolist()
+    return {
+        sid: {
+            tuple(verts[i] for i in local): angle
+            for local, angle in zip(g.FACES5, signed[sid])
+        }
+        for sid, (verts, _) in enumerate(c.simplices)
+    }
+
+
 def test_folded_realizations_still_flat():
     # hunt for realizations whose raw angle sums wind by 2*pi: the reduced
     # deficits must vanish regardless
@@ -288,7 +301,7 @@ def test_folded_realizations_still_flat():
     for seed in range(30):
         coords = fm.random_realization(complex_, seed=seed)
         m = fm.realize(complex_, coords)
-        tables = fm.simplex_angle_tables(complex_, m)
+        tables = simplex_angle_tables(complex_, m)
         for tri in complex_.faces[2]:
             raw = -sum(tables[sid].get(tri, 0.0) for sid in tables)
             if abs(raw) > 1.0:  # a full winding, not noise

@@ -1,5 +1,6 @@
 """Single-simplex geometry: volumes, embeddings, angles, edge angles."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -50,6 +51,85 @@ def random_simplex(seed, quality=1e-3):
 
 
 UNIT_L = np.ones((5, 5)) - np.eye(5)
+
+
+# ------------------------------------------------------ length-table checks
+
+def validate_length_table_allclose(L, size=None):
+    """The two-np.allclose check whose decisions validate_length_table keeps."""
+    L = np.asarray(L, dtype=float)
+    if L.ndim != 2 or L.shape[0] != L.shape[1]:
+        raise ValueError("length table must be square")
+    if size is not None and L.shape[0] != size:
+        raise ValueError(f"length table must be {size}x{size}")
+    if not np.allclose(L, L.T):
+        raise ValueError("length table must be symmetric")
+    if not np.allclose(np.diag(L), 0.0):
+        raise ValueError("length table must have zero diagonal")
+    return L
+
+
+def _decision(check, L, size):
+    try:
+        check(L, size)
+    except ValueError as exc:
+        return str(exc)
+    return "accepted"
+
+
+def _edge_tables(rng, count):
+    """Seeded tables around the tolerance edge, with nan, +-inf and -0.0 entries."""
+    special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1e-9, 5e-324, 1e300]
+    diagonal = [0.0, -0.0, 0.5e-8, 1e-8, 1.0000001e-8, 2e-8, -1e-8, -1.1e-8,
+                np.nan, np.inf, -np.inf, 5e-324]
+    for _ in range(count):
+        n = int(rng.choice([3, 5]))
+        L = rng.uniform(0.0, 3.0, (n, n)) * 10.0 ** rng.integers(-12, 12)
+        L = np.triu(L, 1)
+        L = L + L.T
+        for _ in range(int(rng.integers(1, 4))):
+            i, j = (int(v) for v in rng.choice(n, 2, replace=False))
+            kind = int(rng.integers(4))
+            if kind == 0:  # just inside or outside |x - y| <= atol + rtol |y|
+                y = L[j, i]
+                factor = rng.choice([0.5, 0.999999, 1.0, 1.000001, 1.5])
+                with np.errstate(invalid="ignore"):
+                    L[i, j] = y + rng.choice([-1, 1]) * factor * (1e-8 + 1e-5 * abs(y))
+            elif kind == 1:
+                L[i, j] = rng.choice(special)
+            elif kind == 2:
+                L[i, j] = L[j, i] = rng.choice(special)
+            else:
+                L[i, i] = rng.choice(diagonal)
+        yield L
+
+
+def test_validate_length_table_keeps_the_allclose_decisions():
+    rng = np.random.default_rng(20)
+    tables = list(_edge_tables(rng, 3000))
+    tables += [
+        np.array([[0.0, np.inf], [np.inf, 0.0]]),
+        np.array([[0.0, np.inf], [-np.inf, 0.0]]),
+        np.array([[0.0, 1.0], [np.inf, 0.0]]),
+        np.array([[0.0, np.nan], [np.nan, 0.0]]),
+        np.array([[-0.0, 1.0], [1.0, -0.0]]),
+        np.zeros((0, 0)),
+        np.zeros((3, 4)),
+        np.zeros((4, 4)),
+    ]
+    decisions = {}
+    for L in tables:
+        size = L.shape[0] if L.shape[0] in (2, 3) else 5
+        want = _decision(validate_length_table_allclose, L, size)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _decision(g.validate_length_table, L, size)
+        assert got == want, L
+        decisions[want] = decisions.get(want, 0) + 1
+    # the battery reaches every decision, not only the easy ones
+    assert decisions["accepted"] > 100
+    assert decisions["length table must be symmetric"] > 100
+    assert decisions["length table must have zero diagonal"] > 100
 
 
 # ------------------------------------------------- Cayley-Menger volumes
@@ -207,16 +287,22 @@ def test_opposite_edge_derivative_matches_area_volume_ratio():
 
 # ------------------------------------------------------------- edge angles
 
+def area_length_derivative(L, face, edge):
+    """d(area of face)/d(squared length of edge) of one (5, 5) table, from dS_dL_blocks."""
+    L = g.validate_length_table(L, size=5)
+    return float(g.dS_dL_blocks(L[None])[0, g.FACE_INDEX5[face], g.EDGE_INDEX5[edge]])
+
+
 def test_area_length_derivative_regular_matches_oracle():
     oracle = area_derivative_oracle(1.0, 1.0, 1.0)
     assert oracle == pytest.approx(1.0 / (4.0 * math.sqrt(3.0)), rel=1e-8)
-    assert g.area_length_derivative(UNIT_L, (0, 1, 2), (0, 1)) == pytest.approx(
+    assert area_length_derivative(UNIT_L, (0, 1, 2), (0, 1)) == pytest.approx(
         oracle, rel=1e-8
     )
 
 
 def test_area_length_derivative_zero_off_face():
-    assert g.area_length_derivative(UNIT_L, (0, 1, 2), (3, 4)) == 0.0
+    assert area_length_derivative(UNIT_L, (0, 1, 2), (3, 4)) == 0.0
 
 
 def test_edge_angle_regular_simplex_matches_oracle():
@@ -299,7 +385,7 @@ def test_areas_homogeneous_of_degree_one():
         S = g.face_area(L, face)
         assert g.face_area(2.0 * L, face) == pytest.approx(2.0 * S, rel=1e-12)
         euler = sum(
-            L[e] * g.area_length_derivative(L, face, e) for e in g.EDGES5
+            L[e] * area_length_derivative(L, face, e) for e in g.EDGES5
         )
         assert euler == pytest.approx(S, rel=1e-10)
 

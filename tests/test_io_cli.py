@@ -10,9 +10,10 @@ import pytest
 
 from pachner33 import complexes as cx
 from pachner33 import io as pio
-from pachner33.cli import build_parser, main
+from pachner33.cli import _selection_fields, build_parser, main
 from pachner33.complexes import build_complex
 from pachner33.errors import ComplexStructureError, SchemaError
+from pachner33.jacobians import rank_and_submatrix
 
 
 def fixture_path(name):
@@ -212,10 +213,27 @@ def test_cli_invariant_reports_value_and_selection():
     # products in the log domain: value = prod S / (det B * prod V)
     assert "prod_S" not in rep and "prod_V" not in rep
     assert rep["log_abs_value"] == pytest.approx(
-        rep["log_abs_prod_S"] - rep["log_abs_prod_V"] - math.log(abs(rep["selection"]["det"])),
+        rep["log_abs_prod_S"] - rep["log_abs_prod_V"] - rep["selection"]["log_abs_det"],
         rel=1e-12,
     )
-    assert rep["sign_prod_V"] * (1 if rep["selection"]["det"] > 0 else -1) == rep["sign"]
+    assert rep["sign_prod_V"] * rep["selection"]["det_sign"] == rep["sign"]
+
+
+def _reject_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
+def test_selection_fields_stay_strict_json_when_det_overflows():
+    with np.errstate(over="ignore"):  # SubmatrixSelection.det is the plain product
+        sel = rank_and_submatrix(np.diag([1e200] * 3)).with_keys(
+            [(0, 1, 2), (0, 1, 3), (0, 2, 3)], [(0, 1), (0, 2), (0, 3)]
+        )
+    assert sel.det == math.inf
+    rep = json.loads(pio.dumps(_selection_fields(sel)), parse_constant=_reject_constant)
+    assert "det" not in rep
+    assert rep["det_sign"] == 1
+    assert rep["log_abs_det"] == pytest.approx(600.0 * math.log(10.0), rel=1e-12)
+    assert rep["rank"] == 3
 
 
 def test_cli_builds_the_face_lattice_once(monkeypatch):

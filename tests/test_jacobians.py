@@ -222,7 +222,7 @@ def test_single_simplex_angle_area_matrix_symmetric():
     pts = random_simplex(11)
     L = g.squared_length_table(pts)
     eps = 1 if g.signed_volume4(pts) > 0 else -1
-    X = jb.domega_dS_simplex(L, eps)
+    X = jb.domega_dS_blocks(g.validate_length_table(L, size=5)[None], [eps])[0]
     assert np.abs(X - X.T).max() <= 1e-6 * np.abs(X).max()
 
 
