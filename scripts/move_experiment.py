@@ -1,8 +1,8 @@
 """Invariant comparison across every admissible 3->3 move of the fixtures.
 
 For each bundled complex, every triangle whose star is a three-simplex
-cluster is tried; the table lists the invariant before and after the move
-and the relative deviation of |before/after| from one.
+cluster is tried; the table lists the invariant before and after the move,
+as its sign and log|I|, and the deviation of |after/before| from one.
 """
 import argparse
 import pathlib
@@ -37,14 +37,14 @@ def main():
         moved = 0
         for tri in c.faces[2]:
             try:
-                rep = iv.compare_under_move(c, coords, tri)
+                mc = iv.compare_under_move(c, coords, tri)
             except (MovePreconditionError, Pachner33Error):
                 continue
-            mc = rep.move_context
             moved += 1
             worst = max(worst, mc.deviation)
             print(f"  {str(tri):12s} -> {str(mc.new_face):12s}"
-                  f" before {mc.value_before:+.6e} after {mc.value_after:+.6e}"
+                  f" before {mc.sign_before:+d} exp({mc.log_abs_before:.6f})"
+                  f" after {mc.sign_after:+d} exp({mc.log_abs_after:.6f})"
                   f" | |ratio|-1 | = {mc.deviation:.2e}")
         if moved == 0:
             print("  (no admissible moves)")

@@ -38,6 +38,7 @@ from .geometry import (
 from .invariants import (
     ClusterSix,
     InvariantReport,
+    MoveComparison,
     basis_change_factor,
     check_6term,
     check_basic2,

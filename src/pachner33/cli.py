@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 import time
 
@@ -58,6 +59,15 @@ def _selection_fields(sel):
         "rows_complement": [list(k) for k in sel.row_comp_keys],
         "cols_complement": [list(k) for k in sel.col_comp_keys],
     }
+
+
+def _value_field(sign, log_abs):
+    """sign * exp(log_abs) as a report value; None when that is no finite nonzero double."""
+    try:
+        value = sign * math.exp(log_abs)
+    except OverflowError:
+        return None
+    return value if value != 0.0 and math.isfinite(value) else None
 
 
 def cmd_inspect(args, t0):
@@ -218,10 +228,9 @@ def cmd_invariant(args, t0):
         "invariant",
         args,
         tolerances={"pivot": args.pivot_tol},
-        value=report.value,
+        value=_value_field(report.sign, report.log_abs_value),
         log_abs_value=report.log_abs_value,
         sign=report.sign,
-        abs_value=abs(report.value),
         log_abs_prod_S=report.log_abs_prod_S,
         log_abs_prod_V=report.log_abs_prod_V,
         sign_prod_V=report.sign_prod_V,
@@ -235,8 +244,7 @@ def cmd_compare(args, t0):
     doc = load_document(args.file)
     c = doc.to_complex()
     coords = _coords_for(doc, args, c)
-    report = invariants.compare_under_move(c, coords, args.face, pivot_tol=args.pivot_tol)
-    mc = report.move_context
+    mc = invariants.compare_under_move(c, coords, args.face, pivot_tol=args.pivot_tol)
     passed = mc.deviation <= args.tol
     rep = _report(
         "compare",
@@ -244,14 +252,14 @@ def cmd_compare(args, t0):
         tolerances={"ratio": args.tol, "pivot": args.pivot_tol},
         face=list(mc.old_face),
         new_face=list(mc.new_face),
-        value_before=mc.value_before,
-        value_after=mc.value_after,
+        sign_before=mc.sign_before,
+        sign_after=mc.sign_after,
         log_abs_value_before=mc.log_abs_before,
         log_abs_value_after=mc.log_abs_after,
         ratio=mc.ratio,
         deviation=mc.deviation,
         passed=passed,
-        selection=_selection_fields(report.selection),
+        selection=_selection_fields(mc.selection),
     )
     _emit(rep, t0)
     return 0 if passed else 1

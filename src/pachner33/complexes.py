@@ -13,8 +13,8 @@ its first-k-vertex face times V plus the position of its last vertex, so
 one np.unique per dimension gives the lexicographic face table and, through
 its inverse, the per-simplex index arrays.  Closedness, non-manifold
 tetrahedra and orientation consistency are counts over the (N, 5)
-tetrahedron ids.  The tuple-keyed face_index and cofaces dicts are built on
-first use only.
+tetrahedron ids.  The tuple-keyed face_index dict is built on first use
+only.
 """
 from __future__ import annotations
 
@@ -87,9 +87,8 @@ def induced_facet_sign(verts, sign, facet):
 class Complex4:
     """Immutable oriented 4-dimensional simplicial complex.
 
-    face_index (dim -> {face tuple: position}) and cofaces (dim -> {face
-    tuple: ascending ids of the simplices containing it}) are derived from
-    the index arrays on first use.
+    face_index (dim -> {face tuple: position}) is derived from the face
+    tables on first use.
     """
 
     simplices: tuple  # of (sorted 5-tuple, sign)
@@ -123,12 +122,6 @@ class Complex4:
     def face_index(self):
         return {dim: {f: n for n, f in enumerate(keys)} for dim, keys in self.faces.items()}
 
-    @cached_property
-    def cofaces(self):
-        sorted_vertices = np.sort(self.simplex_vertices, axis=1)
-        ids = (sorted_vertices, self.simplex_edges, self.simplex_faces, self.simplex_tetrahedra)
-        return {dim: _cofaces(self.faces[dim], ids[dim]) for dim in range(4)}
-
     def oriented_simplex(self, i):
         verts, sign = self.simplices[i]
         return oriented_tuple(verts, sign)
@@ -143,13 +136,6 @@ class Complex4:
     def simplex_set(self):
         """Unordered view of the oriented simplices (for move comparisons)."""
         return frozenset(self.simplices)
-
-
-def _cofaces(keys, ids):
-    """{face: ascending ids of the simplices whose row of ids holds it}."""
-    owners = (np.argsort(ids, axis=None, kind="stable") // ids.shape[1]).tolist()
-    ends = np.cumsum(np.bincount(ids.ravel(), minlength=len(keys))).tolist()
-    return {key: tuple(owners[a:b]) for key, a, b in zip(keys, [0] + ends[:-1], ends)}
 
 
 def _face_ids(prefix, last, nv):

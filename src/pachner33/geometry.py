@@ -20,6 +20,7 @@ relative volume floor.
 """
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -71,6 +72,18 @@ def squared_length_table(points):
     return np.einsum("ijk,ijk->ij", diff, diff)
 
 
+@functools.cache
+def _upper_pairs(n):
+    """np.triu_indices(n, 1), the (i < j) pairs in lexicographic order.
+
+    Built once per size and shared by every caller, hence read-only.
+    """
+    pairs = np.triu_indices(n, 1)
+    for index in pairs:
+        index.flags.writeable = False
+    return pairs
+
+
 # np.allclose's default tolerances, which the length-table checks keep
 TABLE_RTOL, TABLE_ATOL = 1e-5, 1e-8
 
@@ -107,7 +120,7 @@ def cm_squared_volume(k, L):
     returned so callers can detect degeneracy.
     """
     L = validate_length_table(L, size=k + 1)
-    return float(cm_squared_volumes(k, L[np.triu_indices(k + 1, 1)][None])[0])
+    return float(cm_squared_volumes(k, L[_upper_pairs(k + 1)][None])[0])
 
 
 def cm_squared_volumes(k, Lv):
@@ -119,7 +132,7 @@ def cm_squared_volumes(k, Lv):
     """
     Lv = np.asarray(Lv, dtype=float)
     n = k + 1
-    i, j = np.triu_indices(n, 1)
+    i, j = _upper_pairs(n)
     bordered = np.ones((len(Lv), n + 1, n + 1))
     bordered[:, range(n + 1), range(n + 1)] = 0.0
     bordered[:, i + 1, j + 1] = bordered[:, j + 1, i + 1] = Lv
@@ -137,9 +150,7 @@ def signed_volume4(points):
 def mean_edge_length(L):
     """Mean Euclidean edge length of a squared-length table."""
     L = np.asarray(L, dtype=float)
-    n = L.shape[0]
-    iu = np.triu_indices(n, k=1)
-    return float(np.mean(np.sqrt(np.maximum(L[iu], 0.0))))
+    return float(np.mean(np.sqrt(np.maximum(L[_upper_pairs(L.shape[0])], 0.0))))
 
 
 def degeneracy_threshold(L):

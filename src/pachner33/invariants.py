@@ -6,18 +6,21 @@ DEF sit BCDEF, CADEF, ABDEF.  Both triples are consistently oriented, and
 the deficit at the central triangle is minus the algebraic sum of the three
 signed dihedral angles, viewed as a function of the fifteen squared lengths.
 
-The global invariant of a closed flat complex is det(B) * prod(V) / prod(S)
-for a maximal nondegenerate submatrix B of the face-deficit/length matrix
-(its reciprocal carries the complementary index sets).  Moves are compared
-with matched selections: the row of the disappearing triangle is replaced by
-the row of the appearing one.  The move only swaps three simplices, so the
-after-quantities are a local update of the before-quantities:
-virtual_rebuild subtracts the removed cluster's angle blocks from the
-assembled matrix and adds the replacement cluster's, and the products drop
-three volumes and one area and gain their replacements.  The moved complex
-is never built, which also covers the boundary-of-the-5-simplex situation
-where the opposite triangle is already a face and the moved complex would
-not be simplicial.
+The global invariant of a closed flat complex is I = prod(S) / (det(B) *
+prod(V)) for a maximal nondegenerate submatrix B of the face-deficit/length
+matrix, det(B)^-1 multiplying the differential form on the complementary
+index sets (see BasisChangeFactors).  I, det(B) and the products are held
+as (sign, log|.|) only, which neither under- nor overflows at a thousand
+cells; basis_change_factor takes det ratios as differences of slogdets.
+Moves are compared with matched selections: the row of the disappearing
+triangle is replaced by the row of the appearing one.  The move only swaps
+three simplices, so the after-quantities are a local update of the
+before-quantities: virtual_rebuild subtracts the removed cluster's angle
+blocks from the assembled matrix and adds the replacement cluster's, and
+the products drop three volumes and one area and gain their replacements.
+The moved complex is never built, which also covers the
+boundary-of-the-5-simplex situation where the opposite triangle is already
+a face and the moved complex would not be simplicial.
 """
 from __future__ import annotations
 
@@ -232,11 +235,11 @@ def cluster_complexes(cluster):
     return out
 
 
-def _log_invariant(c, m, sel):
-    """(sign, log|det(B) * prod(V) / prod(S)|) of a selection.
+def restricted_invariant(c, m, sel):
+    """(sign, log|prod(S) / (det(B) * prod(V))|) of a selection.
 
-    Each factor is carried in the log domain: at a few hundred cells prod(V)
-    underflows a double while the invariant itself does not.
+    Each factor is carried in the log domain: prod(V) underflows a double
+    at a few hundred cells, and I itself overflows one at about a thousand.
     """
     det_sign, log_det = sel.slogdet()
     if sel.rank < 1 or det_sign == 0 or not math.isfinite(log_det):
@@ -249,54 +252,27 @@ def _log_invariant(c, m, sel):
 
 
 def _log_value(det_sign, log_det, volumes, areas):
+    """(sign, log|prod(areas) / (det * prod(volumes))|) for det = det_sign * exp(log_det)."""
     vol_sign, log_V = log_product(volumes)
     _, log_S = log_product(areas)
-    return int(det_sign) * vol_sign, log_det + log_V - log_S
-
-
-def _product_fields(m):
-    """Report fields of prod(S) and prod(V) in the log domain."""
-    sign_V, log_V = log_product(m.V)
-    _, log_S = log_product(m.S)
-    return {"log_abs_prod_S": log_S, "log_abs_prod_V": log_V, "sign_prod_V": sign_V}
-
-
-def restricted_invariant(c, m, sel):
-    """det(B) * product of signed volumes / product of areas."""
-    sign, log_abs = _log_invariant(c, m, sel)
-    return sign * math.exp(log_abs)
-
-
-@dataclass(frozen=True)
-class MoveComparison:
-    old_face: tuple
-    new_face: tuple
-    six_vertices: tuple
-    value_before: float
-    value_after: float
-    log_abs_before: float
-    log_abs_after: float
-    ratio: float
-    deviation: float  # | |ratio| - 1 |
+    return int(det_sign) * vol_sign, log_S - (log_det + log_V)
 
 
 @dataclass(frozen=True)
 class InvariantReport:
-    """Scalar invariant with the selection that produced it.
+    """The invariant I = prod(S) / (det(B) * prod(V)) with its selection.
 
-    value = sign * exp(log_abs_value); the products of areas and volumes are
-    given as log|prod S|, log|prod V| and the sign of prod V, because the
-    plain products under- or overflow at a few hundred cells.
+    I is sign * exp(log_abs_value); the products of areas and volumes are
+    given as log|prod S|, log|prod V| and the sign of prod V.  Neither I nor
+    the products are held as plain floats (see restricted_invariant).
     """
 
-    value: float
     log_abs_value: float
     sign: int
     selection: object
     log_abs_prod_S: float
     log_abs_prod_V: float
     sign_prod_V: int
-    move_context: MoveComparison = None
 
 
 def full_invariant(c, m, pivot_tol=PIVOT_TOL):
@@ -310,13 +286,16 @@ def full_invariant(c, m, pivot_tol=PIVOT_TOL):
     sel = rank_and_submatrix(M, tol=pivot_tol).with_keys(c.faces[2], c.faces[1])
     if sel.rank < 1:
         raise SelectionError("deficit/length matrix has rank zero")
-    sign, log_abs = _log_invariant(c, m, sel)
+    sign, log_abs = restricted_invariant(c, m, sel)
+    sign_V, log_V = log_product(m.V)
+    _, log_S = log_product(m.S)
     return InvariantReport(
-        value=sign * math.exp(-log_abs),
-        log_abs_value=-log_abs,
+        log_abs_value=log_abs,
         sign=sign,
         selection=sel,
-        **_product_fields(m),
+        log_abs_prod_S=log_S,
+        log_abs_prod_V=log_V,
+        sign_prod_V=sign_V,
     )
 
 
@@ -359,6 +338,27 @@ def virtual_rebuild(c, m, coords, M, star, def_, new_cells):
     return M_after[:F], M_after[F], new_data
 
 
+@dataclass(frozen=True)
+class MoveComparison:
+    """The invariant before and after a 3->3 move, each as (sign, log|I|).
+
+    selection is the before-selection; the after-selection has the same rows
+    and columns with the row of old_face replaced by that of new_face.
+    ratio is I_after / I_before and deviation is | |ratio| - 1 |.
+    """
+
+    old_face: tuple
+    new_face: tuple
+    six_vertices: tuple
+    selection: object
+    sign_before: int
+    log_abs_before: float
+    sign_after: int
+    log_abs_after: float
+    ratio: float
+    deviation: float
+
+
 def compare_under_move(c, coords, t, pivot_tol=PIVOT_TOL):
     """Invariant before and after the 3->3 move at triangle t.
 
@@ -367,8 +367,8 @@ def compare_under_move(c, coords, t, pivot_tol=PIVOT_TOL):
     is replaced by the row of the opposite triangle.  The placement is reused
     for the rebuilt cluster, so flatness persists.  The after-quantities come
     from virtual_rebuild and the products are updated in place of the three
-    swapped cells.  Both values are carried as (sign, log|value|): det(B)
-    from the pivots before the move and from slogdet after it.
+    swapped cells.  det(B) is taken from the pivots before the move and from
+    slogdet after it, so both invariants stay in the log domain.
     """
     abc, def_, star, new_cells = move_cluster(c, t)
     m = realize(c, coords)
@@ -377,7 +377,7 @@ def compare_under_move(c, coords, t, pivot_tol=PIVOT_TOL):
     sel = rank_and_submatrix(M, must_include_row=row_abc, tol=pivot_tol).with_keys(
         c.faces[2], c.faces[1]
     )
-    sign_before, log_before = _log_invariant(c, m, sel)
+    sign_before, log_before = restricted_invariant(c, m, sel)
 
     M_after, def_row, new_data = virtual_rebuild(c, m, coords, M, star, def_, new_cells)
     B_after = M_after[np.ix_(sel.rows, sel.cols)]
@@ -392,26 +392,18 @@ def compare_under_move(c, coords, t, pivot_tol=PIVOT_TOL):
         raise SelectionError("matched after-selection is degenerate")
     sign_after, log_after = _log_value(det_sign, float(log_det), volumes, areas)
 
-    value_before = sign_before * math.exp(log_before)
-    log_ratio = log_before - log_after
-    comparison = MoveComparison(
+    log_ratio = log_after - log_before
+    return MoveComparison(
         old_face=abc,
         new_face=def_,
         six_vertices=abc + def_,
-        value_before=value_before,
-        value_after=sign_after * math.exp(log_after),
+        selection=sel,
+        sign_before=sign_before,
         log_abs_before=log_before,
+        sign_after=sign_after,
         log_abs_after=log_after,
         ratio=sign_before * sign_after * math.exp(log_ratio),
         deviation=abs(math.expm1(log_ratio)),
-    )
-    return InvariantReport(
-        value=value_before,
-        log_abs_value=log_before,
-        sign=sign_before,
-        selection=sel,
-        **_product_fields(m),
-        move_context=comparison,
     )
 
 
@@ -419,18 +411,20 @@ def compare_under_move(c, coords, t, pivot_tol=PIVOT_TOL):
 class BasisChangeFactors:
     """Transition factors when one element of a selection is exchanged.
 
-    factor_det is det(B_new)/det(B_old).  factor_form is the multiplier the
-    complementary differential form picks up, computed from a kernel basis
-    (of the face/length matrix for edge swaps, of the conjugate edge/area
-    matrix for face swaps).  The contracts are factor_det = -factor_form for
-    edge swaps and factor_det = coefficient = -factor_form for face swaps,
-    making det(B)^-1 times the form invariant up to sign.
+    factor_det is det(B_new)/det(B_old).  coefficient is the weight of the
+    outgoing element when the incoming one (a column of M for edge swaps, a
+    row for face swaps) is expanded over the selected ones; by Cramer's rule
+    it equals factor_det.  factor_form is the multiplier the complementary
+    differential form picks up, computed from a kernel basis (of the
+    face/length matrix for edge swaps, of the conjugate edge/area matrix for
+    face swaps).  The contract factor_det = coefficient = -factor_form makes
+    det(B)^-1 times the form invariant up to sign.
     """
 
     kind: str
     factor_det: float
     factor_form: float
-    coefficient: float = None
+    coefficient: float
 
 
 def basis_change_factor(M, sel, swap, conjugate=None):
@@ -438,64 +432,47 @@ def basis_change_factor(M, sel, swap, conjugate=None):
 
     swap is ("edge", b, c) with column b outside the selection replacing
     column c inside it, or ("face", new_row, old_row) with row new_row
-    outside the selection replacing old_row inside it.  Face swaps need the
-    independently assembled conjugate (edge x face) matrix for the form
-    factor.
+    outside the selection replacing old_row inside it.  A face swap is the
+    edge swap of M^T, with the kernel taken from the independently assembled
+    conjugate (edge x face) matrix, which face swaps therefore need.  Both
+    determinants come from slogdet, so the factors do not depend on the scale
+    of M.
     """
-    M = np.asarray(M, dtype=float)
-    kind = swap[0]
+    kind, new, old = swap[0], int(swap[1]), int(swap[2])
+    A = np.asarray(M, dtype=float)
     if kind == "edge":
-        b, c_col = int(swap[1]), int(swap[2])
-        if b not in sel.cols_comp or c_col not in sel.cols:
-            raise SelectionError("edge swap must exchange an outside and an inside column")
-        cols_new = [b if j == c_col else j for j in sel.cols]
-        detB_new = float(np.linalg.det(M[np.ix_(list(sel.rows), cols_new)]))
-        factor_det = detB_new / sel.det
-        if not math.isfinite(factor_det) or abs(factor_det) <= PIVOT_TOL:
-            raise SelectionError("edge swap produces a singular submatrix")
+        keep, inside, outside, kernel_of = sel.rows, sel.cols, sel.cols_comp, A
+    elif kind == "face":
+        A = A.T
+        keep, inside, outside, kernel_of = sel.cols, sel.rows, sel.rows_comp, conjugate
+    else:
+        raise SelectionError(f"unknown swap kind {kind!r}")
+    if new not in outside or old not in inside:
+        raise SelectionError(f"{kind} swap must exchange an outside and an inside {kind}")
+    if kernel_of is None:
+        raise SelectionError("face swaps need the conjugate edge/area matrix")
 
-        N = kernel_basis(M, sel.rank)
-        K = N[list(sel.cols_comp)]
-        rhs = np.zeros(len(sel.cols_comp))
-        rhs[sel.cols_comp.index(b)] = 1.0
-        try:
-            x = np.linalg.solve(K, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise SelectionError("outside columns do not parametrize the kernel") from exc
-        factor_form = float((N @ x)[c_col])
-        return BasisChangeFactors(kind="edge", factor_det=factor_det, factor_form=factor_form)
+    k = inside.index(old)
+    B = A[np.ix_(keep, inside)]
+    B_new = B.copy()
+    B_new[:, k] = A[list(keep), new]
+    (sign_old, log_old), (sign_new, log_new) = np.linalg.slogdet(B), np.linalg.slogdet(B_new)
+    with np.errstate(over="ignore", invalid="ignore"):
+        factor_det = float(sign_old * sign_new * np.exp(log_new - log_old))
+    if not math.isfinite(factor_det) or abs(factor_det) <= PIVOT_TOL:
+        raise SelectionError(f"{kind} swap produces a singular submatrix")
+    coeffs, *_ = np.linalg.lstsq(A[:, list(inside)], A[:, new], rcond=None)
 
-    if kind == "face":
-        new_row, old_row = int(swap[1]), int(swap[2])
-        if new_row not in sel.rows_comp or old_row not in sel.rows:
-            raise SelectionError("face swap must exchange an outside and an inside row")
-        if conjugate is None:
-            raise SelectionError("face swaps need the conjugate edge/area matrix")
-        rows_new = [new_row if i == old_row else i for i in sel.rows]
-        detB_new = float(np.linalg.det(M[np.ix_(rows_new, list(sel.cols))]))
-        factor_det = detB_new / sel.det
-        if not math.isfinite(factor_det) or abs(factor_det) <= PIVOT_TOL:
-            raise SelectionError("face swap produces a singular submatrix")
-
-        coeffs, *_ = np.linalg.lstsq(M[list(sel.rows)].T, M[new_row], rcond=None)
-        coefficient = float(coeffs[sel.rows.index(old_row)])
-
-        T = np.asarray(conjugate, dtype=float)
-        K_T = kernel_basis(T, sel.rank)
-        rows_comp = list(sel.rows_comp)
-        Kc = K_T[rows_comp]
-        rhs = np.zeros(len(rows_comp))
-        rhs[rows_comp.index(new_row)] = 1.0
-        try:
-            x = np.linalg.solve(Kc, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise SelectionError("outside rows do not parametrize the area kernel") from exc
-        factor_form = float((K_T @ x)[old_row])
-        return BasisChangeFactors(
-            kind="face",
-            factor_det=factor_det,
-            factor_form=factor_form,
-            coefficient=coefficient,
-        )
-
-    raise SelectionError(f"unknown swap kind {kind!r}")
+    kernel = kernel_basis(kernel_of, sel.rank)
+    rhs = np.zeros(len(outside))
+    rhs[outside.index(new)] = 1.0
+    try:
+        x = np.linalg.solve(kernel[list(outside)], rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SelectionError(f"outside {kind}s do not parametrize the kernel") from exc
+    return BasisChangeFactors(
+        kind=kind,
+        factor_det=factor_det,
+        factor_form=float((kernel @ x)[old]),
+        coefficient=float(coeffs[k]),
+    )

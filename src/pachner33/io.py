@@ -16,6 +16,7 @@ keys are sorted numerically.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from importlib import resources
@@ -121,6 +122,13 @@ class ComplexDocument:
         )
 
 
+def _finite_real(x):
+    """x as a float; TypeError unless it is a JSON number (not a bool) of finite value."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)) or not math.isfinite(x):
+        raise TypeError(x)
+    return float(x)
+
+
 def parse_complex(text, allow_boundary=False):
     """Parse and validate a document; errors name the offending field.
 
@@ -166,9 +174,9 @@ def parse_complex(text, allow_boundary=False):
             if not isinstance(val, list) or len(val) != 4:
                 raise SchemaError(f"coords[{key}] must be an array of 4 reals")
             try:
-                coords[vid] = [float(x) for x in val]
-            except (TypeError, ValueError):
-                raise SchemaError(f"coords[{key}] must contain numbers")
+                coords[vid] = [_finite_real(x) for x in val]
+            except (TypeError, OverflowError):
+                raise SchemaError(f"coords[{key}] must contain finite numbers") from None
         for v in vertices:
             if v not in coords:
                 raise SchemaError(f"coords is missing vertex {v}")

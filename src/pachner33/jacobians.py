@@ -266,23 +266,26 @@ def log_product(values):
 class SubmatrixSelection:
     """A maximal nondegenerate square submatrix in pivot order.
 
-    rows/cols are matrix indices in pivot order; det is the determinant of
-    the submatrix taken in exactly that ordering (the product of pivots,
-    which may under- or overflow; slogdet does not).  Complements are in
-    ascending ambient order.
+    rows/cols are matrix indices in pivot order and pivots the elimination
+    pivots; their product is the determinant of the submatrix taken in
+    exactly that ordering, which slogdet gives as (sign, log|det|) so that
+    it cannot under- or overflow.  The rank is the number of pivots.
+    Complements are in ascending ambient order.
     """
 
     rows: tuple
     cols: tuple
     rows_comp: tuple
     cols_comp: tuple
-    det: float
-    rank: int
+    pivots: tuple
     row_keys: tuple = None
     col_keys: tuple = None
     row_comp_keys: tuple = None
     col_comp_keys: tuple = None
-    pivots: tuple = None
+
+    @property
+    def rank(self):
+        return len(self.pivots)
 
     def with_keys(self, face_keys, edge_keys):
         return replace(
@@ -294,14 +297,12 @@ class SubmatrixSelection:
         )
 
     def slogdet(self):
-        """(sign, log|det|) from the pivots, or from det when none are kept."""
-        if self.pivots is None:
-            return log_product([self.det] if self.rank else [])
+        """(sign, log|det|) from the pivots; (1, 0.0) for a rank-0 selection."""
         return log_product(self.pivots)
 
 
 def rank_and_submatrix(matrix, must_include_row=None, tol=PIVOT_TOL):
-    """Complete-pivoting elimination: rank, pivot rows/cols and det.
+    """Complete-pivoting elimination: pivot rows/cols and pivots.
 
     Pivoting stops when |pivot| <= tol * max|entry|; under complete pivoting
     the largest entry is exactly the first pivot, and it stays the reference
@@ -316,8 +317,8 @@ def rank_and_submatrix(matrix, must_include_row=None, tol=PIVOT_TOL):
     the pivot column, then zeroes that column and the pivot row and
     refreshes row_best on the touched rows.  Every other row would only have
     a signed zero subtracted from it, which changes no |entry|, so the
-    pivots, the det and the complements are bitwise those of eliminating the
-    whole array at every step; on the sparse dOmega_dL a step costs the
+    pivots and the complements are bitwise those of eliminating the whole
+    array at every step; on the sparse dOmega_dL a step costs the
     touched rows, not the matrix.
     """
     work = np.array(matrix, dtype=float)
@@ -361,16 +362,12 @@ def rank_and_submatrix(matrix, must_include_row=None, tol=PIVOT_TOL):
         row_best[rows] = np.abs(touched).max(axis=1)
         row_best[r] = 0.0
 
-    rank = len(pivots)
-    det = float(np.prod(pivots)) if pivots else 0.0
     kept_rows, kept_cols = set(pivot_rows), set(pivot_cols)
     return SubmatrixSelection(
         rows=tuple(pivot_rows),
         cols=tuple(pivot_cols),
         rows_comp=tuple(i for i in range(n_rows) if i not in kept_rows),
         cols_comp=tuple(j for j in range(n_cols) if j not in kept_cols),
-        det=det,
-        rank=rank,
         pivots=tuple(pivots),
     )
 

@@ -26,7 +26,8 @@ def test_boundary_delta5_counts(delta5):
 def test_single_simplex_has_boundary():
     c = cx.build_complex([(0, 1, 2, 3, 4)], allow_boundary=True)
     assert not c.is_closed
-    assert all(len(ids) == 1 for ids in c.cofaces[3].values())
+    # each of the five tetrahedra bounds the one simplex only
+    assert np.bincount(c.simplex_tetrahedra.ravel()).tolist() == [1] * 5
     with pytest.raises(ComplexStructureError):
         cx.build_complex([(0, 1, 2, 3, 4)])
 
@@ -86,7 +87,9 @@ def test_star_of_missing_triangle_raises(delta5):
 
 def test_total_boundary_of_delta5_vanishes(delta5):
     # every tetrahedron receives opposite induced orientations
-    for tet, ids in delta5.cofaces[3].items():
+    assert np.bincount(delta5.simplex_tetrahedra.ravel()).tolist() == [2] * 15
+    for k, tet in enumerate(delta5.faces[3]):
+        ids = np.flatnonzero((delta5.simplex_tetrahedra == k).any(axis=1))
         signs = [cx.induced_facet_sign(*delta5.simplices[i], tet) for i in ids]
         assert signs[0] == -signs[1]
 
@@ -252,7 +255,6 @@ def build_complex_loop(simplex_list, allow_boundary=False):
         vertices=vertices,
         faces=faces,
         face_index=face_index,
-        cofaces=cofaces,
         is_closed=is_closed,
         orientation_consistent=consistent,
         edge_ends=_index_array([[position[u], position[w]] for u, w in faces[1]], 2),
@@ -270,8 +272,8 @@ def build_complex_loop(simplex_list, allow_boundary=False):
     )
 
 
-LATTICE_FIELDS = ("simplices", "vertices", "faces", "face_index", "cofaces",
-                  "is_closed", "orientation_consistent")
+LATTICE_FIELDS = ("simplices", "vertices", "faces", "face_index", "is_closed",
+                  "orientation_consistent")
 INDEX_ARRAYS = ("edge_ends", "triangle_edges", "simplex_vertices", "simplex_faces",
                 "simplex_edges", "simplex_tetrahedra")
 
@@ -417,6 +419,6 @@ def test_metric_paths_leave_the_lookup_dicts_unbuilt(stellar_ladder):
     iv.full_invariant(c, m)
     jb.build_jacobians(c, m)
     assert fm.check_flat(c, m).passed
-    assert "face_index" not in vars(c) and "cofaces" not in vars(c)
+    assert "face_index" not in vars(c)
     # built on first use, then kept
-    assert c.cofaces is c.cofaces and c.face_index is c.face_index
+    assert c.face_index is c.face_index

@@ -99,8 +99,8 @@ def test_restricted_invariant_isometry_invariance(delta5, delta5_coords):
     sel = jb.rank_and_submatrix(M, must_include_row=row).with_keys(
         delta5.faces[2], delta5.faces[1]
     )
-    value = iv.restricted_invariant(delta5, m, sel)
-    assert value != 0.0 and math.isfinite(value)
+    sign, log_abs = iv.restricted_invariant(delta5, m, sel)
+    assert sign != 0 and math.isfinite(log_abs)
 
     rng = np.random.default_rng(8)
     Q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
@@ -113,10 +113,12 @@ def test_restricted_invariant_isometry_invariance(delta5, delta5_coords):
     sel2_det = M2[sel.rows[0], sel.cols[0]]
     sel2 = jb.SubmatrixSelection(
         rows=sel.rows, cols=sel.cols, rows_comp=sel.rows_comp,
-        cols_comp=sel.cols_comp, det=float(sel2_det), rank=1,
+        cols_comp=sel.cols_comp, pivots=(float(sel2_det),),
     )
-    value2 = iv.restricted_invariant(delta5, m2, sel2)
-    assert value2 == pytest.approx(value, rel=1e-9)
+    sign2, log_abs2 = iv.restricted_invariant(delta5, m2, sel2)
+    # rel 1e-9 on the value is the sign plus abs 1e-9 on its log
+    assert sign2 == sign
+    assert log_abs2 == pytest.approx(log_abs, abs=1e-9)
 
 
 def test_restricted_invariant_orientation_reversal(delta5, delta5_coords):
@@ -124,7 +126,8 @@ def test_restricted_invariant_orientation_reversal(delta5, delta5_coords):
     m = fm.realize(delta5, delta5_coords)
     M = jb.assemble_domega_dL(delta5, m)
     sel = jb.rank_and_submatrix(M)
-    value = iv.restricted_invariant(delta5, m, sel)
+    assert sel.rank == 1  # so the one pivot of sel2 below is its determinant
+    sign, log_abs = iv.restricted_invariant(delta5, m, sel)
 
     reflected = {v: p * np.array([-1.0, 1, 1, 1]) for v, p in delta5_coords.items()}
     m2 = fm.realize(delta5, reflected)
@@ -132,26 +135,24 @@ def test_restricted_invariant_orientation_reversal(delta5, delta5_coords):
     det2 = float(np.linalg.det(M2[np.ix_(sel.rows, sel.cols)]))
     sel2 = jb.SubmatrixSelection(
         rows=sel.rows, cols=sel.cols, rows_comp=sel.rows_comp,
-        cols_comp=sel.cols_comp, det=det2, rank=sel.rank,
+        cols_comp=sel.cols_comp, pivots=(det2,),
     )
-    value2 = iv.restricted_invariant(delta5, m2, sel2)
-    assert abs(value2) == pytest.approx(abs(value), rel=1e-9)
+    sign2, log_abs2 = iv.restricted_invariant(delta5, m2, sel2)
+    assert log_abs2 == pytest.approx(log_abs, abs=1e-9)
     expected_sign = (-1) ** (len(delta5.simplices) + sel.rank)
-    assert value2 / value == pytest.approx(expected_sign, rel=1e-9)
+    assert sign2 * sign == expected_sign
 
 
 def test_restricted_invariant_rejects_degenerate_selection(delta5, delta5_metric):
-    sel = jb.SubmatrixSelection(
-        rows=(0,), cols=(0,), rows_comp=(), cols_comp=(), det=0.0, rank=1
-    )
+    sel = jb.SubmatrixSelection(rows=(0,), cols=(0,), rows_comp=(), cols_comp=(), pivots=(0.0,))
     with pytest.raises(SelectionError):
         iv.restricted_invariant(delta5, delta5_metric, sel)
 
 
-def test_full_invariant_is_reciprocal_of_restricted(delta5, delta5_metric):
+def test_full_invariant_is_the_restricted_invariant(delta5, delta5_metric):
     rep = iv.full_invariant(delta5, delta5_metric)
     restricted = iv.restricted_invariant(delta5, delta5_metric, rep.selection)
-    assert rep.value == pytest.approx(1.0 / restricted, rel=1e-12)
+    assert restricted == (rep.sign, rep.log_abs_value)
     det_sign, log_det = rep.selection.slogdet()
     assert rep.sign == det_sign * rep.sign_prod_V
     assert rep.log_abs_value == pytest.approx(
@@ -168,7 +169,8 @@ def test_full_invariant_euclidean_motion_invariance(delta5, delta5_coords, delta
     shift = rng.standard_normal(4)
     m2 = fm.realize(delta5, {v: Q @ p + shift for v, p in delta5_coords.items()})
     rep2 = iv.full_invariant(delta5, m2)
-    assert rep2.value == pytest.approx(rep.value, rel=1e-9)
+    assert rep2.sign == rep.sign
+    assert rep2.log_abs_value == pytest.approx(rep.log_abs_value, abs=1e-9)
 
 
 def test_full_invariant_depends_on_realization(delta5):
@@ -177,7 +179,7 @@ def test_full_invariant_depends_on_realization(delta5):
     values = set()
     for seed in (1, 2):
         m = fm.realize(delta5, fm.random_realization(delta5, seed=seed))
-        values.add(abs(iv.full_invariant(delta5, m).value))
+        values.add(iv.full_invariant(delta5, m).log_abs_value)
     assert len(values) == 2
 
 
@@ -185,19 +187,17 @@ def test_full_invariant_depends_on_realization(delta5):
 
 def test_compare_under_move_delta5_all_triangles_sample(delta5, delta5_coords):
     for tri in ((0, 1, 2), (0, 3, 5), (1, 2, 4)):
-        rep = iv.compare_under_move(delta5, delta5_coords, tri)
-        mc = rep.move_context
+        mc = iv.compare_under_move(delta5, delta5_coords, tri)
         assert mc.deviation <= 1e-6
         assert mc.new_face == tuple(sorted(set(range(6)) - set(tri)))
 
 
 def test_compare_under_move_join_materializes(join_complex, join_coords):
-    rep = iv.compare_under_move(join_complex, join_coords, (0, 1, 2))
-    assert rep.move_context.deviation <= 1e-6
+    assert iv.compare_under_move(join_complex, join_coords, (0, 1, 2)).deviation <= 1e-6
 
 
 def materialized_value_after(c, coords, t, sel):
-    """det(B) * prod(V) / prod(S) of the matched selection on the moved complex.
+    """(sign, log|prod(S) / (det(B) * prod(V))|) of the matched selection on the moved complex.
 
     The reference route: build the moved complex with pachner_33, realize
     and assemble it, and select the same rows and columns with the row of t
@@ -211,27 +211,28 @@ def materialized_value_after(c, coords, t, sel):
         for key in sel.row_keys
     ]
     cols = [moved.face_index[1][key] for key in sel.col_keys]
-    return np.linalg.det(M[np.ix_(rows, cols)]) * np.prod(m.V) / np.prod(m.S)
+    det_sign, log_det = np.linalg.slogdet(M[np.ix_(rows, cols)])
+    sign = det_sign * np.prod(np.sign(m.V))
+    return sign, np.log(m.S).sum() - log_det - np.log(np.abs(m.V)).sum()
 
 
 def test_compare_paths_agree_when_both_available(join_complex, join_coords):
     # the local rebuild against the materialized move at every sphere triangle
     for tri in itertools.combinations(range(4), 3):
-        rep = iv.compare_under_move(join_complex, join_coords, tri)
-        assert rep.move_context.value_after == pytest.approx(
-            materialized_value_after(join_complex, join_coords, tri, rep.selection), rel=1e-9
-        )
+        mc = iv.compare_under_move(join_complex, join_coords, tri)
+        sign, log_abs = materialized_value_after(join_complex, join_coords, tri, mc.selection)
+        assert mc.sign_after == sign
+        assert mc.log_abs_after == pytest.approx(log_abs, abs=1e-9)
 
 
 def test_compare_double_move_returns_to_start(join_complex, join_coords):
-    rep = iv.compare_under_move(join_complex, join_coords, (1, 2, 3))
+    mc = iv.compare_under_move(join_complex, join_coords, (1, 2, 3))
     moved, rec = cx.pachner_33(join_complex, (1, 2, 3))
-    back_rep = iv.compare_under_move(moved, join_coords, rec.new_face)
-    assert back_rep.move_context.deviation <= 1e-6
+    back = iv.compare_under_move(moved, join_coords, rec.new_face)
+    assert back.deviation <= 1e-6
     # the round trip reproduces the original invariant value
-    assert back_rep.move_context.value_after == pytest.approx(
-        rep.move_context.value_before, rel=1e-9
-    )
+    assert back.sign_after == mc.sign_before
+    assert back.log_abs_after == pytest.approx(mc.log_abs_before, abs=1e-9)
     back, _ = cx.pachner_33(moved, rec.new_face)
     assert back.simplex_set() == join_complex.simplex_set()
 
@@ -239,8 +240,7 @@ def test_compare_double_move_returns_to_start(join_complex, join_coords):
 def test_compare_on_moved_join_fixture(join_complex, join_coords):
     # a one-move descendant is a closed fixture in its own right
     moved, rec = cx.pachner_33(join_complex, (0, 2, 3))
-    rep = iv.compare_under_move(moved, join_coords, rec.new_face)
-    assert rep.move_context.deviation <= 1e-6
+    assert iv.compare_under_move(moved, join_coords, rec.new_face).deviation <= 1e-6
 
 
 def test_row_swap_ratio_matches_gradient_ratio(delta5, delta5_coords):
@@ -289,6 +289,8 @@ def test_edge_swap_factor_contract(join_complex, join_metric):
     c_col = sel.cols[-1]
     factors = iv.basis_change_factor(M, sel, ("edge", b, c_col))
     assert factors.factor_det == pytest.approx(-factors.factor_form, rel=1e-6)
+    # Cramer's rule: the expansion weight of the outgoing column is the det ratio
+    assert factors.coefficient == pytest.approx(factors.factor_det, rel=1e-6)
 
 
 def test_face_swap_factor_contract(join_complex, join_metric):
@@ -318,23 +320,22 @@ def test_face_swap_on_rank_one_delta5(delta5, delta5_metric):
     factors = iv.basis_change_factor(
         M, sel, ("face", new_row, sel.rows[0]), conjugate=jac.dBigOmega_dS
     )
-    # det(B)^-1 times the accumulated form factor is preserved up to sign
-    before = 1.0 / sel.det
-    after = (1.0 / (sel.det * factors.factor_det)) * factors.factor_form
-    assert abs(after) == pytest.approx(abs(before), rel=1e-6)
+    # det(B)^-1 times the accumulated form factor is preserved up to sign:
+    # |1 / (det(B) * factor_det) * factor_form| = |1 / det(B)|
+    assert abs(factors.factor_form / factors.factor_det) == pytest.approx(1.0, rel=1e-6)
 
 
 def test_swap_chain_preserves_composite_quantity(join_complex, join_metric):
     jac = jb.build_jacobians(join_complex, join_metric)
     M = jac.dOmega_dL
     sel = jb.rank_and_submatrix(M)
-    quantity = 1.0 / sel.det
+    # the quantity 1 / det(B) changes by factor_form / factor_det per swap
 
     edge_factors = iv.basis_change_factor(
         M, sel, ("edge", sel.cols_comp[1], sel.cols[0])
     )
-    q_after_edge = (1.0 / (sel.det * edge_factors.factor_det)) * edge_factors.factor_form
-    assert abs(q_after_edge) == pytest.approx(abs(quantity), rel=1e-6)
+    q_edge = edge_factors.factor_form / edge_factors.factor_det
+    assert abs(q_edge) == pytest.approx(1.0, rel=1e-6)
 
     strong_row = next(
         r for r in sel.rows_comp if np.abs(M[r]).max() > 0.1 * np.abs(M).max()
@@ -348,8 +349,28 @@ def test_swap_chain_preserves_composite_quantity(join_complex, join_metric):
         ("face", strong_row, old_row),
         conjugate=jac.dBigOmega_dS,
     )
-    q_after_face = (1.0 / (sel.det * face_factors.factor_det)) * face_factors.factor_form
-    assert abs(q_after_face) == pytest.approx(abs(quantity), rel=1e-6)
+    q_face = face_factors.factor_form / face_factors.factor_det
+    assert abs(q_face) == pytest.approx(1.0, rel=1e-6)
+
+
+def test_basis_change_factors_do_not_depend_on_the_scale_of_M(join_complex, join_metric):
+    jac = jb.build_jacobians(join_complex, join_metric)
+    M = jac.dOmega_dL
+    sel = jb.rank_and_submatrix(M)
+    big = jb.rank_and_submatrix(M * 1e120)
+    assert (big.rows, big.cols) == (sel.rows, sel.cols)
+    assert math.prod(big.pivots) == math.inf  # det(B) as a plain double overflows
+    coeffs, *_ = np.linalg.lstsq(M[list(sel.rows)].T, M[sel.rows_comp[0]], rcond=None)
+    old_row = sel.rows[int(np.argmax(np.abs(coeffs)))]
+    swaps = (
+        (("edge", sel.cols_comp[0], sel.cols[-1]), None),
+        (("face", sel.rows_comp[0], old_row), jac.dBigOmega_dS),
+    )
+    for swap, conjugate in swaps:
+        want = iv.basis_change_factor(M, sel, swap, conjugate=conjugate)
+        got = iv.basis_change_factor(M * 1e120, big, swap, conjugate=conjugate)
+        for name in ("factor_det", "factor_form", "coefficient"):
+            assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-12), name
 
 
 def test_basis_change_rejects_bad_swaps(join_complex, join_metric):
@@ -372,10 +393,12 @@ def test_stellar_ladder_rank_and_move_invariance(stellar_ladder):
         assert jb.rank_and_submatrix(M).rank == expected, cells
 
     c, coords = stellar_ladder[166]
-    triangles = [t for t in c.faces[2] if len(c.cofaces[2][t]) == 3][:3]
+    # triangles in exactly three simplices
+    counts = np.bincount(c.simplex_faces.ravel(), minlength=len(c.faces[2]))
+    triangles = [t for t, n in zip(c.faces[2], counts) if n == 3][:3]
     assert len(triangles) == 3
     for tri in triangles:
-        assert iv.compare_under_move(c, coords, tri).move_context.deviation <= 1e-8
+        assert iv.compare_under_move(c, coords, tri).deviation <= 1e-8
 
 
 def test_invariant_survives_volume_product_underflow(stellar_ladder):
@@ -383,6 +406,9 @@ def test_invariant_survives_volume_product_underflow(stellar_ladder):
     rep = iv.full_invariant(c, fm.realize(c, coords))
     # the plain product of 166 volumes underflows to 0; its log does not
     assert math.isfinite(rep.log_abs_prod_V) and rep.log_abs_prod_V < math.log(5e-324)
-    assert math.isfinite(rep.value) and rep.value != 0.0
-    assert rep.sign == (1 if rep.value > 0 else -1)
-    assert math.log(abs(rep.value)) == pytest.approx(rep.log_abs_value, rel=1e-12)
+    assert math.isfinite(rep.log_abs_value) and rep.sign in (-1, 1)
+    det_sign, log_det = rep.selection.slogdet()
+    assert rep.sign == det_sign * rep.sign_prod_V
+    assert rep.log_abs_value == pytest.approx(
+        rep.log_abs_prod_S - log_det - rep.log_abs_prod_V, rel=1e-12
+    )

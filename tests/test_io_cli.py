@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 
 from pachner33 import complexes as cx
+from pachner33 import flatmetric as fm
+from pachner33 import geometry as g
 from pachner33 import io as pio
-from pachner33.cli import _selection_fields, build_parser, main
+from pachner33.cli import _selection_fields, _value_field, build_parser, main
 from pachner33.complexes import build_complex
-from pachner33.errors import ComplexStructureError, SchemaError
+from pachner33.errors import ComplexStructureError, MovePreconditionError, SchemaError
 from pachner33.jacobians import rank_and_submatrix
 
 
@@ -39,6 +41,15 @@ def test_parse_rejects_missing_coord_vertex():
     del raw["coords"]["3"]
     with pytest.raises(SchemaError, match="vertex 3"):
         pio.parse_complex(json.dumps(raw))
+
+
+@pytest.mark.parametrize("token", ['"0.25"', "true", "NaN", "Infinity"])
+def test_parse_rejects_a_coordinate_that_is_no_finite_number(token):
+    raw = json.loads(pio.serialize_complex(pio.load_fixture("boundary_delta5.json")))
+    raw["coords"]["3"][1] = "TOKEN"
+    text = json.dumps(raw).replace('"TOKEN"', token)
+    with pytest.raises(SchemaError, match=r"coords\[3\] must contain finite numbers"):
+        pio.parse_complex(text)
 
 
 def test_parse_rejects_short_simplex():
@@ -119,6 +130,24 @@ def test_cli_compare_join_materializes():
     rep = json.loads(out)
     assert code == 0 and rep["passed"]
     assert "materialized" not in rep
+
+
+def test_cli_compare_reports_the_invariant_in_the_orientation_of_invariant():
+    code, out = run_cli("compare", fixture_path("join_tetra_triangle.json"), "--face", "0,1,2")
+    rep = json.loads(out)
+    assert code == 0
+    assert not {"value_before", "value_after"} & rep.keys()
+    # I = prod S / (det B * prod V), with the products taken from realize
+    doc = pio.load_fixture("join_tetra_triangle.json")
+    m = fm.realize(doc.to_complex(), doc.realization())
+    log_S, log_V = np.log(m.S).sum(), np.log(np.abs(m.V)).sum()
+    sel = rep["selection"]
+    assert rep["log_abs_value_before"] == pytest.approx(
+        log_S - log_V - sel["log_abs_det"], rel=1e-12
+    )
+    assert rep["sign_before"] == sel["det_sign"] * int(np.prod(np.sign(m.V)))
+    assert rep["sign_after"] == rep["sign_before"]
+    assert rep["log_abs_value_after"] == pytest.approx(rep["log_abs_value_before"], abs=1e-9)
 
 
 @pytest.mark.parametrize("face", ["0,1,99", "0,0,1"])
@@ -224,16 +253,81 @@ def _reject_constant(name):
 
 
 def test_selection_fields_stay_strict_json_when_det_overflows():
-    with np.errstate(over="ignore"):  # SubmatrixSelection.det is the plain product
-        sel = rank_and_submatrix(np.diag([1e200] * 3)).with_keys(
-            [(0, 1, 2), (0, 1, 3), (0, 2, 3)], [(0, 1), (0, 2), (0, 3)]
-        )
-    assert sel.det == math.inf
+    sel = rank_and_submatrix(np.diag([1e200] * 3)).with_keys(
+        [(0, 1, 2), (0, 1, 3), (0, 2, 3)], [(0, 1), (0, 2), (0, 3)]
+    )
+    assert math.prod(sel.pivots) == math.inf  # det(B) as a plain double overflows
     rep = json.loads(pio.dumps(_selection_fields(sel)), parse_constant=_reject_constant)
     assert "det" not in rep
     assert rep["det_sign"] == 1
     assert rep["log_abs_det"] == pytest.approx(600.0 * math.log(10.0), rel=1e-12)
     assert rep["rank"] == 3
+
+
+def stellar_rung(n_cells, seed):
+    """Oriented cells and points of a seeded stellar subdivision of the 5-simplex boundary.
+
+    Each step splits a cell, chosen with probability proportional to its
+    volume, at a point with Dirichlet(20) barycentric weights.  A cone cell
+    is the split cell with one vertex replaced by the apex, so the list stays
+    consistently oriented and one build_complex call builds it.
+    """
+    rng = np.random.default_rng(seed)
+    delta5 = cx.boundary_delta5()
+    base = fm.random_realization(delta5, seed=int(rng.integers(2**31)))
+    points = [base[v] for v in range(6)]
+    cells = [delta5.oriented_simplex(i) for i in range(6)]
+    volumes = [abs(g.signed_volume4(np.array([points[v] for v in cell]))) for cell in cells]
+    while len(cells) < n_cells:
+        k = int(rng.choice(len(cells), p=np.array(volumes) / sum(volumes)))
+        cell, volume = cells.pop(k), volumes.pop(k)
+        weights = rng.dirichlet(np.full(5, 20.0))
+        apex = len(points)
+        points.append(weights @ np.array([points[v] for v in cell]))
+        for x, w in zip(cell, weights):
+            cells.append(tuple(apex if u == x else u for u in cell))
+            volumes.append(volume * w)
+    return cells, points
+
+
+def test_cli_invariant_and_compare_on_a_1006_cell_sphere(tmp_path):
+    cells, points = stellar_rung(1006, seed=7)
+    c = build_complex(cells)
+    assert c.is_closed and c.orientation_consistent and len(c.simplices) == 1006
+    path = tmp_path / "stellar_n1006.json"
+    doc = pio.ComplexDocument(simplices=cells).with_coords(dict(enumerate(points)))
+    path.write_text(pio.serialize_complex(doc))
+
+    code, out = run_cli("invariant", str(path))
+    rep = json.loads(out, parse_constant=_reject_constant)
+    assert code == 0
+    assert rep["selection"]["rank"] == len(c.faces[1]) - 4 * len(c.vertices) + 10
+    # |log I| is past what a double holds, so the plain value is null
+    assert math.isfinite(rep["log_abs_value"]) and abs(rep["log_abs_value"]) > 710
+    assert rep["value"] is None
+
+    admissible = []
+    for tri in c.faces[2]:
+        try:
+            cx.move_cluster(c, tri)
+        except MovePreconditionError:
+            continue
+        admissible.append(tri)
+        if len(admissible) == 3:
+            break
+    assert len(admissible) == 3
+    for tri in admissible:
+        code, out = run_cli("compare", str(path), "--face", ",".join(map(str, tri)))
+        rep = json.loads(out, parse_constant=_reject_constant)
+        assert code == 0, rep
+        assert rep["deviation"] <= 1e-10
+
+
+def test_value_field_is_null_unless_a_finite_nonzero_double():
+    assert _value_field(-1, 2.0) == -math.exp(2.0)
+    assert _value_field(1, 709.0) == math.exp(709.0)
+    for sign, log_abs in ((1, 710.0), (1, -746.0), (1, math.inf), (1, math.nan), (0, 1.0)):
+        assert _value_field(sign, log_abs) is None, (sign, log_abs)
 
 
 def test_cli_builds_the_face_lattice_once(monkeypatch):

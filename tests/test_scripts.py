@@ -1,0 +1,20 @@
+"""The scripts under scripts/ run to completion on the bundled fixtures."""
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
+
+
+@pytest.mark.parametrize(
+    "argv", [("move_experiment.py",), ("identity_battery.py", "--trials", "2")]
+)
+def test_script_exits_0(argv):
+    # each script puts the checkout's src on sys.path itself
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / argv[0]), *argv[1:]],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
