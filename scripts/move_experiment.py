@@ -2,7 +2,9 @@
 
 For each bundled complex, every triangle whose star is a three-simplex
 cluster is tried; the table lists the invariant before and after the move,
-as its sign and log|I|, and the deviation of |after/before| from one.
+as its sign and log|I|, and the deviation of |after/before| from one.  A
+triangle that admits no move is skipped; any other library error is printed
+and ends the run with exit status 1.
 """
 import argparse
 import pathlib
@@ -12,6 +14,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from pachner33 import invariants as iv
 from pachner33.errors import MovePreconditionError, Pachner33Error
+from pachner33.flatmetric import random_realization
 from pachner33.io import load_fixture
 
 FIXTURES = ("boundary_delta5.json", "join_tetra_triangle.json", "bipyramid_10cell.json")
@@ -29,8 +32,6 @@ def main():
         c = doc.to_complex()
         coords = doc.realization()
         if args.seed is not None:
-            from pachner33.flatmetric import random_realization
-
             coords = random_realization(c, seed=args.seed)
         print(f"\n== {name}: {len(c.simplices)} simplices, "
               f"{len(c.faces[2])} triangles ==")
@@ -38,8 +39,11 @@ def main():
         for tri in c.faces[2]:
             try:
                 mc = iv.compare_under_move(c, coords, tri)
-            except (MovePreconditionError, Pachner33Error):
+            except MovePreconditionError:
                 continue
+            except Pachner33Error as exc:
+                print(f"  {str(tri):12s} failed: {type(exc).__name__}: {exc}")
+                return 1
             moved += 1
             worst = max(worst, mc.deviation)
             print(f"  {str(tri):12s} -> {str(mc.new_face):12s}"

@@ -3,7 +3,11 @@
 Simplices are stored canonically as (sorted 5-tuple, sign): the sign marks
 whether the intended orientation is an even (+1) or odd (-1) permutation of
 the ascending tuple.  Lower faces are keyed by sorted vertex tuples and carry
-no stored orientation; induced orientations are computed on demand.
+no stored orientation.  There is one orientation rule: the sign is the
+parity of the sorting permutation, and a cell of sign s induces s *
+_TET_SIGNS[k] on its k-th tetrahedron (TETS5 order).  orient_consistently
+spreads signs by that rule; stellar_subdivide and move_cluster orient a new
+cell as an oriented old cell with one vertex substituted.
 
 build_complex derives the face lattice in one array pass.  The cells are
 stacked as an (N, 5) array, sorted row-wise, with the orientation sign from
@@ -25,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ComplexStructureError, MovePreconditionError
-from .geometry import EDGE_INDEX5, EDGES5, FACE_INDEX5, FACES5
+from .geometry import EDGE_I, EDGE_INDEX5, EDGE_J, EDGES5, FACE_INDEX5, FACES5
 
 # Local tetrahedra of a sorted 5-tuple, lexicographic: column k omits vertex 4 - k.
 TETS5 = tuple(itertools.combinations(range(5), 4))
@@ -44,23 +48,13 @@ _FACE_EDGES5 = [[EDGE_INDEX5[(a, b)], EDGE_INDEX5[(a, c)], EDGE_INDEX5[(b, c)]]
 
 
 def _sort_with_parity(rows):
-    """Row-sorted copy of an (N, k) array and the sign of each row's sorting permutation.
+    """Row-sorted copy of an (N, 5) array and the sign of each row's sorting permutation.
 
-    The sign is (-1)^(number of inversions), counted over all k(k-1)/2
-    pairwise comparisons at once.
+    The sign is (-1)^(number of inversions), counted over the 10 vertex
+    pairs of EDGES5 at once.
     """
-    i, j = np.triu_indices(rows.shape[1], 1)
-    inversions = np.count_nonzero(rows[:, i] > rows[:, j], axis=1)
+    inversions = (rows[:, EDGE_I] > rows[:, EDGE_J]).sum(axis=1)
     return np.sort(rows, axis=1), 1 - 2 * (inversions % 2)
-
-
-def canonical_oriented(verts):
-    """Canonical (ascending tuple, parity sign) form of an oriented tuple."""
-    verts = tuple(int(v) for v in verts)
-    if len(set(verts)) != len(verts):
-        raise ComplexStructureError(f"simplex {verts} has repeated vertices")
-    rows, signs = _sort_with_parity(np.array([verts]))
-    return tuple(rows[0].tolist()), int(signs[0])
 
 
 def oriented_tuple(verts, sign):
@@ -68,19 +62,6 @@ def oriented_tuple(verts, sign):
     if sign > 0:
         return verts
     return verts[:-2] + (verts[-1], verts[-2])
-
-
-def induced_facet_sign(verts, sign, facet):
-    """Sign induced on a sorted facet by an oriented simplex.
-
-    The facet obtained by dropping position j of an ascending tuple inherits
-    (-1)^j times the simplex sign.
-    """
-    omitted = [v for v in verts if v not in facet]
-    if len(omitted) != 1:
-        raise ValueError(f"{facet} is not a facet of {verts}")
-    j = verts.index(omitted[0])
-    return sign * (-1) ** j
 
 
 @dataclass(frozen=True)
@@ -328,17 +309,14 @@ def move_cluster(c, t):
             raise MovePreconditionError("star simplices do not form a 3->3 cluster")
         by_missing[missing[0]] = sid
 
+    # The cell replacing x is the removed cell missing D with D in place of
+    # x: it bounds their shared tetrahedron as that cell did.
     d_vertex = def_[0]
-    new_cells = []
-    for x in abc:
-        new_verts = tuple(sorted(union - {x}))
-        # match the induced orientation on a boundary tetrahedron shared with
-        # the removed cell missing vertex D
-        tau = tuple(v for v in new_verts if v != d_vertex)
-        donor = c.simplices[by_missing[d_vertex]]
-        target = induced_facet_sign(*donor, tau)
-        candidate = induced_facet_sign(new_verts, 1, tau)
-        new_cells.append((new_verts, 1 if candidate == target else -1))
+    donor = c.oriented_simplex(by_missing[d_vertex])
+    rows, signs = _sort_with_parity(
+        np.array([[d_vertex if u == x else u for u in donor] for x in abc])
+    )
+    new_cells = list(zip(map(tuple, rows.tolist()), signs.tolist()))
     return abc, def_, star, new_cells
 
 
@@ -379,38 +357,34 @@ def pachner_33(c, t):
 def orient_consistently(simplex_sets):
     """Assign signs making the listed vertex sets a consistently oriented complex.
 
-    Breadth-first propagation across shared tetrahedra; raises if the complex
-    is non-orientable or the propagation conflicts.
+    The complex of the ascending sets gives, for each interior tetrahedron,
+    its two cells and their TETS5 columns k1, k2; the cells are consistent
+    when s1 * _TET_SIGNS[k1] = -s2 * _TET_SIGNS[k2].  Signs spread from the
+    lowest unsigned cell across those pairs, one frontier at a time, so each
+    connected part keeps its first cell ascending.  Raises
+    ComplexStructureError if the sets are not a pseudomanifold or admit no
+    consistent orientation.
     """
-    sets = [tuple(sorted(s)) for s in simplex_sets]
-    incid = {}
-    for sid, verts in enumerate(sets):
-        for tet in itertools.combinations(verts, 4):
-            incid.setdefault(tet, []).append(sid)
-    signs = {}
-    for root in range(len(sets)):
-        if root in signs:
-            continue
-        signs[root] = 1
-        queue = [root]
-        while queue:
-            cur = queue.pop()
-            for tet in itertools.combinations(sets[cur], 4):
-                for other in incid[tet]:
-                    if other == cur:
-                        continue
-                    needed = -induced_facet_sign(sets[cur], signs[cur], tet)
-                    have = induced_facet_sign(sets[other], 1, tet)
-                    required = 1 if have == needed else -1
-                    if other in signs:
-                        if signs[other] != required:
-                            raise ComplexStructureError(
-                                "simplex list admits no consistent orientation"
-                            )
-                    else:
-                        signs[other] = required
-                        queue.append(other)
-    return [oriented_tuple(sets[i], signs[i]) for i in range(len(sets))]
+    c = build_complex([sorted(s) for s in simplex_sets], allow_boundary=True)
+    tets = c.simplex_tetrahedra.ravel()
+    order = np.argsort(tets, kind="stable")
+    # the two (cell * 5 + column) incidences of each interior tetrahedron
+    pairs = order[np.bincount(tets)[tets[order]] == 2].reshape(-1, 2)
+    cell_a, cell_b = pairs.T // 5
+    flip = -_TET_SIGNS[pairs[:, 0] % 5] * _TET_SIGNS[pairs[:, 1] % 5]
+    signs = np.zeros(len(c.simplices), dtype=int)
+    while not signs.all():
+        signs[np.argmin(signs != 0)] = 1
+        while True:
+            forward = (signs[cell_a] != 0) & (signs[cell_b] == 0)
+            backward = (signs[cell_b] != 0) & (signs[cell_a] == 0)
+            if not (forward.any() or backward.any()):
+                break
+            signs[cell_b[forward]] = signs[cell_a[forward]] * flip[forward]
+            signs[cell_a[backward]] = signs[cell_b[backward]] * flip[backward]
+    if np.any(signs[cell_b] != signs[cell_a] * flip):
+        raise ComplexStructureError("simplex list admits no consistent orientation")
+    return [oriented_tuple(verts, s) for (verts, _), s in zip(c.simplices, signs.tolist())]
 
 
 def stellar_subdivide(c, sid):
@@ -453,8 +427,10 @@ def tetra_circle_join():
 def bipyramid_sphere():
     """Two boundary-5-simplices glued along a facet: a 10-cell 4-sphere on 0..6.
 
-    Vertices 0 and 6 are the apexes; no triangle admits a 3->3 move, which
-    makes this a pure symmetry/conjugacy fixture.
+    Vertices 0 and 6 are the apexes.  Its 20 triangles through an apex lie
+    in three cells each, but every opposite triangle is already a face, so
+    pachner_33 rejects all of them while compare_under_move (which never
+    builds the moved complex) runs at each.
     """
     inner = range(1, 6)
     sets = [(0,) + q for q in itertools.combinations(inner, 4)]

@@ -7,9 +7,10 @@ arrays aligned with the complex's face tables, and realize and
 metric_from_lengths compute each of them in one batch through the complex's
 index arrays (edge ends, triangle edges, simplex vertices and edges).
 
-Deficit angles come in two flavours: omega around 2-faces (minus the
-algebraic sum of dihedral angles, reduced to (-pi, pi]) and Omega around
-edges (area-derivative weighted sums of the per-face deficits).
+Deficit angles come in two flavours, each an array aligned with its face
+table: omega around 2-faces (minus the algebraic sum of dihedral angles,
+reduced to (-pi, pi]) and Omega around edges (area-derivative weighted sums
+of the per-face deficits).
 
 Around a face of a generic flat placement the raw algebraic angle sum is an
 exact multiple of 2*pi but not always zero (folded placements wind), so
@@ -84,10 +85,8 @@ def realize(c, coords, allow_boundary=False):
     # a stack of 1x4 by 4x1 products rounds exactly like d @ d per edge
     L = np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0]
 
-    pts = X[c.simplex_vertices]
-    V = np.linalg.det(pts[:, 1:] - pts[:, :1]) / 24.0
-    mean_edge = np.sqrt(np.maximum(L[c.simplex_edges], 0.0)).mean(axis=1)
-    bad = np.flatnonzero(np.abs(V) < geometry.DEGENERACY_REL * mean_edge**4)
+    V, below = geometry.cell_volumes(X[c.simplex_vertices], geometry.DEGENERACY_REL)
+    bad = np.flatnonzero(below)
     if bad.size:
         sid = int(bad[0])
         raise DegenerateSimplexError(
@@ -120,20 +119,25 @@ def random_realization(c, seed, quality=geometry.DEFAULT_QUALITY):
 
 
 def deficit_omega(c, m):
-    """Per-face deficit: minus the algebraic dihedral-angle sum, in (-pi, pi].
+    """(F,) per-face deficits, aligned with c.faces[2]: minus the algebraic
+    dihedral-angle sum, in (-pi, pi].
 
     The dihedral angles of all simplices come from one batch
     (jacobians.dihedral_angles_batch) and are summed into the faces through
     the complex's (N, 10) face rows.
     """
     theta = jacobians.dihedral_angles_batch(jacobians.length_tables(m.L, c.simplex_edges))
-    raw = np.zeros(len(c.faces[2]))
-    np.add.at(raw, c.simplex_faces, -m.eps[:, None] * theta)
-    return {tri: geometry.reduce_angle(val) for tri, val in zip(c.faces[2], raw.tolist())}
+    omega = np.zeros(len(c.faces[2]))
+    np.add.at(omega, c.simplex_faces, -m.eps[:, None] * theta)
+    # reduce_angle is the identity on (-pi, pi)
+    wound = np.flatnonzero(np.abs(omega) >= np.pi)
+    omega[wound] = [geometry.reduce_angle(x) for x in omega[wound].tolist()]
+    return omega
 
 
 def deficit_Omega(c, m, omega=None):
-    """Per-edge deficit: area-derivative weighted sum of the face deficits.
+    """(E,) per-edge deficits, aligned with c.faces[1]: the area-derivative
+    weighted sum of the face deficits.
 
     Omega = (dS/dL) omega with the weights of jacobians.area_length_weights.
     Equals minus the sum of per-simplex edge angles up to the 2*pi-multiple
@@ -142,10 +146,7 @@ def deficit_Omega(c, m, omega=None):
     """
     if omega is None:
         omega = deficit_omega(c, m)
-    values = jacobians.area_length_weights(c, m) @ np.array(
-        [omega[tri] for tri in c.faces[2]], dtype=float
-    )
-    return dict(zip(c.faces[1], values.tolist()))
+    return jacobians.area_length_weights(c, m) @ omega
 
 
 @dataclass(frozen=True)
@@ -161,11 +162,10 @@ class FlatnessReport:
 def check_flat(c, m, tol=FLATNESS_TOL):
     """Max deficit magnitudes against a tolerance, listing offending cells."""
     omega = deficit_omega(c, m)
-    Omega = deficit_Omega(c, m, omega)
-    max_o = max((abs(v) for v in omega.values()), default=0.0)
-    max_O = max((abs(v) for v in Omega.values()), default=0.0)
-    bad_faces = tuple(t for t in c.faces[2] if abs(omega[t]) > tol)
-    bad_edges = tuple(e for e in c.faces[1] if abs(Omega[e]) > tol)
+    abs_o, abs_O = np.abs(omega), np.abs(deficit_Omega(c, m, omega))
+    max_o, max_O = float(abs_o.max(initial=0.0)), float(abs_O.max(initial=0.0))
+    bad_faces = tuple(c.faces[2][i] for i in np.flatnonzero(abs_o > tol))
+    bad_edges = tuple(c.faces[1][i] for i in np.flatnonzero(abs_O > tol))
     return FlatnessReport(
         passed=max_o <= tol and max_O <= tol,
         max_omega=max_o,

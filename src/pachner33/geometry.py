@@ -14,9 +14,13 @@ matrix, and dihedral_angles_from_lengths embeds a length table first
 batteries and the tests as their oracle.  Magnitudes lie in (0, pi); a
 signed angle is the magnitude times the simplex sign eps.
 
-unit_ball_placement draws every seeded placement of the package: points
-uniform in the unit ball, redrawn together until each listed cell clears a
-relative volume floor.
+cell_volumes is the package's one volume floor: for a stack of cells given
+by their points it returns the signed volumes and whether each falls below
+a fraction of its mean edge length to the fourth.  realize, the
+replacement cells of a move, the six-point clusters and the sampler all
+call it.  unit_ball_placement draws every seeded placement of the package:
+points uniform in the unit ball, redrawn together until no listed cell is
+below the floor.
 """
 from __future__ import annotations
 
@@ -153,13 +157,23 @@ def mean_edge_length(L):
     return float(np.mean(np.sqrt(np.maximum(L[_upper_pairs(L.shape[0])], 0.0))))
 
 
-def degeneracy_threshold(L):
-    return DEGENERACY_REL * mean_edge_length(L) ** 4
+def cell_volumes(points, rel):
+    """Signed volumes of an (M, 5, 4) stack of cells and the floor test.
+
+    Returns (V, below): V[m] = det[p1-p0, ..., p4-p0] / 4! of cell m, and
+    below[m] whether |V[m]| < rel * (mean edge length of cell m)^4.
+    """
+    pts = np.asarray(points, dtype=float).reshape(-1, 5, 4)
+    V = np.linalg.det(pts[:, 1:] - pts[:, :1]) / 24.0
+    d = pts[:, EDGE_I] - pts[:, EDGE_J]
+    # a C-ordered (M, 10) table sums each row as np.mean sums one cell's edges
+    mean_edge = np.sqrt(np.einsum("mek,mek->me", d, d, order="C")).mean(axis=1)
+    return V, np.abs(V) < rel * mean_edge**4
 
 
-# Samplers redraw a placement until every cell has |V| >= quality * (mean
-# edge length)^4; the default sits well above the hard degeneracy threshold
-# so that angle sums and angle derivatives keep comfortable accuracy margins.
+# Samplers redraw a placement until no cell is below the cell_volumes floor
+# at `quality`; the default sits well above DEGENERACY_REL so that angle
+# sums and angle derivatives keep comfortable accuracy margins.
 DEFAULT_QUALITY = 2e-3
 MAX_DRAWS = 500
 
@@ -171,23 +185,18 @@ def unit_ball_points(rng, n):
     return raw / np.linalg.norm(raw, axis=1, keepdims=True) * radii
 
 
-def below_quality(points, quality):
-    """Whether 5 points span |V| < quality * (mean edge length)^4."""
-    L = squared_length_table(points)
-    return abs(signed_volume4(points)) < quality * mean_edge_length(L) ** 4
-
-
 def unit_ball_placement(seed, n, cells, quality=DEFAULT_QUALITY):
     """Seed-deterministic (n, 4) unit-ball points with no cell below quality.
 
-    cells lists 5-tuples of point indices, each in the vertex order whose
-    volume is tested.  The whole placement is redrawn until every cell
-    clears the floor; DegenerateSimplexError after MAX_DRAWS draws.
+    cells lists 5-tuples of point indices.  The whole placement is redrawn
+    until no cell is below the floor of cell_volumes;
+    DegenerateSimplexError after MAX_DRAWS draws.
     """
+    cells = np.asarray(cells, dtype=np.intp).reshape(-1, 5)
     rng = np.random.default_rng(seed)
     for _ in range(MAX_DRAWS):
         pts = unit_ball_points(rng, n)
-        if not any(below_quality(pts[list(cell)], quality) for cell in cells):
+        if not cell_volumes(pts[cells], quality)[1].any():
             return pts
     raise DegenerateSimplexError(
         f"could not find a quality-{quality} placement in {MAX_DRAWS} draws"

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -57,24 +57,30 @@ def _hat(x):
     return tuple(v for v in range(6) if v != x)
 
 
+# the six ascending hats, then the cells of both clusters in their listed order
+_VOLUME_CELLS = np.array([_hat(x) for x in range(6)] + list(BEFORE_CELLS + AFTER_CELLS))
+
+
 @dataclass(frozen=True)
 class ClusterSix:
-    """Six points with both three-simplex clusters nondegenerate."""
+    """Six points with both three-simplex clusters nondegenerate.
+
+    volumes holds the signed volumes of the cells of _VOLUME_CELLS.
+    """
 
     points: np.ndarray  # (6, 4)
+    volumes: np.ndarray = field(init=False, repr=False, compare=False)  # (12,)
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
         if pts.shape != (6, 4):
             raise ValueError("cluster needs 6 points in R^4")
         object.__setattr__(self, "points", pts)
-        for x in range(6):
-            sub = pts[list(_hat(x))]
-            L = geometry.squared_length_table(sub)
-            if abs(geometry.signed_volume4(sub)) < geometry.degeneracy_threshold(L):
-                raise DegenerateSimplexError(
-                    f"simplex omitting point {x} is degenerate"
-                )
+        volumes, below = geometry.cell_volumes(pts[_VOLUME_CELLS], geometry.DEGENERACY_REL)
+        object.__setattr__(self, "volumes", volumes)
+        thin = np.flatnonzero(below[:6])
+        if thin.size:
+            raise DegenerateSimplexError(f"simplex omitting point {int(thin[0])} is degenerate")
         for side in ("abc", "def"):
             if abs(self.omega_value(side)) > 1e-8:
                 raise DegenerateSimplexError(
@@ -83,7 +89,7 @@ class ClusterSix:
 
     def hat_volume(self, x):
         """Oriented volume of the five points excluding x, ascending order."""
-        return geometry.signed_volume4(self.points[list(_hat(x))])
+        return float(self.volumes[x])
 
     def area(self, face):
         pts = self.points[list(face)]
@@ -100,8 +106,8 @@ class ClusterSix:
         """Cells, signs, stacked length tables and central-face rows of one side."""
         cells = BEFORE_CELLS if side == "abc" else AFTER_CELLS
         face = (A, B, C) if side == "abc" else (D, E, F)
-        signs = [1 if geometry.signed_volume4(self.points[list(cell)]) > 0 else -1
-                 for cell in cells]
+        volumes = self.volumes[6:9] if side == "abc" else self.volumes[9:]
+        signs = [1 if vol > 0 else -1 for vol in volumes.tolist()]
         L6 = self.lengths()
         tables = np.stack([L6[np.ix_(cell, cell)] for cell in cells])
         rows = [geometry.FACE_INDEX5[tuple(sorted(cell.index(v) for v in face))]
@@ -299,28 +305,22 @@ def full_invariant(c, m, pivot_tol=PIVOT_TOL):
     )
 
 
-def _new_cell_data(coords, new_cells):
-    """Sorted vertices, stored sign and signed volume of the replacement cells."""
-    data = []
-    for verts, sign in new_cells:
-        pts = np.stack([np.asarray(coords[v], float) for v in oriented_tuple(verts, sign)])
-        vol = geometry.signed_volume4(pts)
-        Ltab = geometry.squared_length_table(pts)
-        if abs(vol) < geometry.degeneracy_threshold(Ltab):
-            raise DegenerateSimplexError(f"replacement simplex {verts} is degenerate")
-        data.append((verts, sign, vol))
-    return data
-
-
 def virtual_rebuild(c, m, coords, M, star, def_, new_cells):
     """Deficit/length matrix after the move, without materializing it.
 
     Subtracts the removed cluster's angle blocks from the assembled matrix
     and adds the replacement cluster's; the appearing triangle is a cell of
     its own, so its row is returned separately (in the self-dual situation
-    an older face with the same vertices may survive alongside).
+    an older face with the same vertices may survive alongside).  Also
+    returns the (3,) signed volumes of the replacement cells.
     """
-    new_data = _new_cell_data(coords, new_cells)
+    pts = [[coords[v] for v in oriented_tuple(*cell)] for cell in new_cells]
+    volumes, below = geometry.cell_volumes(pts, geometry.DEGENERACY_REL)
+    thin = np.flatnonzero(below)
+    if thin.size:
+        raise DegenerateSimplexError(
+            f"replacement simplex {new_cells[int(thin[0])][0]} is degenerate"
+        )
     F = M.shape[0]
     # one extra row collects the appearing triangle
     M_after = np.vstack([M, np.zeros((1, M.shape[1]))])
@@ -329,13 +329,11 @@ def virtual_rebuild(c, m, coords, M, star, def_, new_cells):
     blocks = dtheta_dL_blocks(length_tables(m.L, cols), m.eps[star])
     np.add.at(M_after, (rows[:, :, None], cols[:, None, :]), blocks)
 
-    new = [verts for verts, _, _ in new_data]
+    new = [verts for verts, _ in new_cells]
     rows, cols = scatter_indices(new, {**c.face_index[2], def_: F}, c.face_index[1])
-    blocks = dtheta_dL_blocks(
-        length_tables(m.L, cols), [1 if vol > 0 else -1 for _, _, vol in new_data]
-    )
+    blocks = dtheta_dL_blocks(length_tables(m.L, cols), np.where(volumes > 0, 1, -1))
     np.add.at(M_after, (rows[:, :, None], cols[:, None, :]), -blocks)
-    return M_after[:F], M_after[F], new_data
+    return M_after[:F], M_after[F], volumes
 
 
 @dataclass(frozen=True)
@@ -379,10 +377,10 @@ def compare_under_move(c, coords, t, pivot_tol=PIVOT_TOL):
     )
     sign_before, log_before = restricted_invariant(c, m, sel)
 
-    M_after, def_row, new_data = virtual_rebuild(c, m, coords, M, star, def_, new_cells)
+    M_after, def_row, new_volumes = virtual_rebuild(c, m, coords, M, star, def_, new_cells)
     B_after = M_after[np.ix_(sel.rows, sel.cols)]
     B_after[sel.rows.index(row_abc)] = def_row[list(sel.cols)]
-    volumes = np.append(np.delete(m.V, star), [vol for _, _, vol in new_data])
+    volumes = np.append(np.delete(m.V, star), new_volumes)
     d, e, f = def_
     def_edges = [[c.face_index[1][pair] for pair in ((d, e), (d, f), (e, f))]]
     areas = np.append(np.delete(m.S, row_abc), triangle_areas(m.L, def_edges, [def_]))

@@ -158,7 +158,7 @@ def parse_complex(text, allow_boundary=False):
             raise SchemaError(f"simplices[{n}] must contain integers")
         clean.append(list(s))
 
-    vertices = sorted({v for s in clean for v in s})
+    vertices = {v for s in clean for v in s}
 
     coords = None
     if raw.get("coords") is not None:
@@ -171,13 +171,17 @@ def parse_complex(text, allow_boundary=False):
                 vid = int(key)
             except ValueError:
                 raise SchemaError(f"coords key {key!r} is not a vertex id")
+            if vid not in vertices:
+                raise SchemaError(f"coords key {key!r} names no vertex of the simplices")
+            if vid in coords:
+                raise SchemaError(f"coords key {key!r} repeats vertex {vid}")
             if not isinstance(val, list) or len(val) != 4:
                 raise SchemaError(f"coords[{key}] must be an array of 4 reals")
             try:
                 coords[vid] = [_finite_real(x) for x in val]
             except (TypeError, OverflowError):
                 raise SchemaError(f"coords[{key}] must contain finite numbers") from None
-        for v in vertices:
+        for v in sorted(vertices):
             if v not in coords:
                 raise SchemaError(f"coords is missing vertex {v}")
 

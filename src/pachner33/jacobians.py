@@ -57,8 +57,9 @@ def _normal_gram(L):
     extended precision (np.longdouble where the platform has it): on thin
     simplices a float64 inverse loses about ten times more than the rounding
     of the lengths themselves, enough to add a spurious rank to dOmega_dL.
-    A table whose G is not positive definite, or whose |V| falls below the
-    degeneracy threshold of geometry.degeneracy_threshold, is rejected.
+    A table whose G is not positive definite, or whose |V| falls below
+    geometry.DEGENERACY_REL * (mean edge length)^4, is rejected: the floor
+    of geometry.cell_volumes, taken here from the lengths.
     """
     L = np.asarray(L, dtype=np.longdouble)
     A = 0.5 * (L[:, 0, 1:, None] + L[:, 0, None, 1:] - L[:, 1:, 1:])

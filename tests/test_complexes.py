@@ -15,6 +15,75 @@ from pachner33.errors import ComplexStructureError, MovePreconditionError
 from pachner33.io import load_fixture
 
 
+# --------------------------------------------------- orientation references
+
+def induced_facet_sign(verts, sign, facet):
+    """Sign induced on a sorted facet by an oriented simplex.
+
+    The facet obtained by dropping position j of an ascending tuple inherits
+    (-1)^j times the simplex sign.  The per-tuple rule that the TETS5 column
+    signs of build_complex replaced, kept as their reference.
+    """
+    omitted = [v for v in verts if v not in facet]
+    if len(omitted) != 1:
+        raise ValueError(f"{facet} is not a facet of {verts}")
+    j = verts.index(omitted[0])
+    return sign * (-1) ** j
+
+
+def orient_consistently_walk(simplex_sets):
+    """The breadth-first walk over tuple-keyed incidence that orient_consistently
+    replaced, kept as its reference."""
+    sets = [tuple(sorted(s)) for s in simplex_sets]
+    incid = {}
+    for sid, verts in enumerate(sets):
+        for tet in itertools.combinations(verts, 4):
+            incid.setdefault(tet, []).append(sid)
+    signs = {}
+    for root in range(len(sets)):
+        if root in signs:
+            continue
+        signs[root] = 1
+        queue = [root]
+        while queue:
+            cur = queue.pop()
+            for tet in itertools.combinations(sets[cur], 4):
+                for other in incid[tet]:
+                    if other == cur:
+                        continue
+                    needed = -induced_facet_sign(sets[cur], signs[cur], tet)
+                    have = induced_facet_sign(sets[other], 1, tet)
+                    required = 1 if have == needed else -1
+                    if other in signs:
+                        if signs[other] != required:
+                            raise ComplexStructureError(
+                                "simplex list admits no consistent orientation"
+                            )
+                    else:
+                        signs[other] = required
+                        queue.append(other)
+    return [cx.oriented_tuple(sets[i], signs[i]) for i in range(len(sets))]
+
+
+def new_cells_by_induced_sign(c, t):
+    """Replacement cells of the move at t by the induced-sign rule that the
+    vertex substitution of move_cluster replaced: each new cell induces on
+    the tetrahedron it shares with the removed cell missing D the sign that
+    cell induces."""
+    abc, def_, star, _ = cx.move_cluster(c, t)
+    union = set(abc + def_)
+    d_vertex = def_[0]
+    (donor,) = [c.simplices[sid] for sid in star if d_vertex not in c.simplices[sid][0]]
+    cells = []
+    for x in abc:
+        new_verts = tuple(sorted(union - {x}))
+        tau = tuple(v for v in new_verts if v != d_vertex)
+        target = induced_facet_sign(*donor, tau)
+        candidate = induced_facet_sign(new_verts, 1, tau)
+        cells.append((new_verts, 1 if candidate == target else -1))
+    return cells
+
+
 def test_boundary_delta5_counts(delta5):
     # binomial counts: C(6, k+1) faces in each dimension
     assert delta5.f_vector() == (6, 15, 20, 15, 6)
@@ -54,7 +123,7 @@ def test_orientation_consistency_flag():
 @given(st.permutations(list(range(5))))
 @settings(max_examples=40)
 def test_canonical_orientation_tracks_permutation_parity(perm):
-    verts, sign = cx.canonical_oriented(perm)
+    ((verts, sign),) = cx.build_complex([perm], allow_boundary=True).simplices
     assert verts == (0, 1, 2, 3, 4)
     inversions = sum(
         1 for i in range(5) for j in range(i + 1, 5) if perm[i] > perm[j]
@@ -90,7 +159,7 @@ def test_total_boundary_of_delta5_vanishes(delta5):
     assert np.bincount(delta5.simplex_tetrahedra.ravel()).tolist() == [2] * 15
     for k, tet in enumerate(delta5.faces[3]):
         ids = np.flatnonzero((delta5.simplex_tetrahedra == k).any(axis=1))
-        signs = [cx.induced_facet_sign(*delta5.simplices[i], tet) for i in ids]
+        signs = [induced_facet_sign(*delta5.simplices[i], tet) for i in ids]
         assert signs[0] == -signs[1]
 
 
@@ -148,7 +217,7 @@ def test_replacement_cells_cover_the_removed_boundary(join_complex):
         chain = {}
         for verts, sign in cells:
             for tet in itertools.combinations(verts, 4):
-                chain[tet] = chain.get(tet, 0) + cx.induced_facet_sign(verts, sign, tet)
+                chain[tet] = chain.get(tet, 0) + induced_facet_sign(verts, sign, tet)
         return {t: s for t, s in chain.items() if s != 0}
 
     removed = [join_complex.simplices[i] for i in star]
@@ -161,6 +230,81 @@ def test_orient_consistently_round_trips(join_complex):
     rebuilt = cx.build_complex(oriented)
     assert rebuilt.orientation_consistent
     assert rebuilt.is_closed
+
+
+def _shuffled_sets(cells, rng):
+    """Vertex sets of the cells in a random order, each in a random vertex order."""
+    sets = [tuple(rng.permutation(cell).tolist()) for cell in cells]
+    rng.shuffle(sets)
+    return sets
+
+
+def test_orient_consistently_matches_the_walk(delta5, join_complex, bipyramid, stellar_ladder):
+    rng = np.random.default_rng(53)
+    complexes = [delta5, join_complex, bipyramid] + [c for c, _ in stellar_ladder.values()]
+    for c in complexes:
+        sets = [verts for verts, _ in c.simplices]
+        for cells in (sets, _shuffled_sets(sets, rng), _shuffled_sets(sets, rng)):
+            oriented = cx.orient_consistently(cells)
+            assert oriented == orient_consistently_walk(cells)
+            rebuilt = cx.build_complex(oriented)
+            assert rebuilt.orientation_consistent and rebuilt.is_closed
+    # two separate spheres: each part keeps its first listed cell ascending
+    apart = [verts for verts, _ in delta5.simplices]
+    apart += [tuple(v + 10 for v in verts) for verts in _shuffled_sets(apart, rng)]
+    assert cx.orient_consistently(apart) == orient_consistently_walk(apart)
+    assert cx.orient_consistently([]) == orient_consistently_walk([]) == []
+
+
+def test_non_orientable_list_is_rejected():
+    # the 5-vertex Moebius band joined with the edge {5, 6}
+    mobius = [(i, (i + 1) % 5, (i + 2) % 5, 5, 6) for i in range(5)]
+    for orient in (cx.orient_consistently, orient_consistently_walk):
+        with pytest.raises(ComplexStructureError, match="admits no consistent orientation"):
+            orient(mobius)
+
+
+def test_move_cluster_orients_like_the_induced_sign_rule(
+    delta5, join_complex, bipyramid, stellar_ladder
+):
+    rng = np.random.default_rng(59)
+    complexes = [delta5, join_complex, bipyramid] + [c for c, _ in stellar_ladder.values()]
+    # the same complexes listed in another order, each cell rotated (an even permutation)
+    for c in list(complexes):
+        cells = oriented_cells(c)
+        rng.shuffle(cells)
+        turns = rng.integers(5, size=len(cells)).tolist()
+        complexes.append(cx.build_complex([cell[k:] + cell[:k] for cell, k in zip(cells, turns)]))
+    moved = 0
+    for c in complexes:
+        for tri in c.faces[2]:
+            try:
+                _, _, _, new_cells = cx.move_cluster(c, tri)
+            except MovePreconditionError:
+                continue
+            assert new_cells == new_cells_by_induced_sign(c, tri)
+            moved += 1
+    assert moved > 200
+
+
+def test_bipyramid_moves_are_all_self_dual(bipyramid):
+    # 20 triangles through an apex lie in three cells each; every opposite
+    # triangle is already a face, so pachner_33 rejects every one of them,
+    # while compare_under_move, which never builds the moved complex, runs
+    coords = fm.random_realization(bipyramid, seed=2)
+    admissible = []
+    for tri in bipyramid.faces[2]:
+        try:
+            _, def_, _, _ = cx.move_cluster(bipyramid, tri)
+        except MovePreconditionError:
+            continue
+        assert def_ in bipyramid.face_index[2]
+        with pytest.raises(MovePreconditionError, match="already a face"):
+            cx.pachner_33(bipyramid, tri)
+        assert iv.compare_under_move(bipyramid, coords, tri).deviation < 1e-10
+        admissible.append(tri)
+    assert len(admissible) == 20
+    assert all(0 in tri or 6 in tri for tri in admissible)
 
 
 def test_bipyramid_structure(bipyramid):
@@ -238,8 +382,8 @@ def build_complex_loop(simplex_list, allow_boundary=False):
 
     consistent = True
     for tet, ids in cofaces[3].items():
-        if len(ids) == 2 and cx.induced_facet_sign(*simplices[ids[0]], tet) != (
-            -cx.induced_facet_sign(*simplices[ids[1]], tet)
+        if len(ids) == 2 and induced_facet_sign(*simplices[ids[0]], tet) != (
+            -induced_facet_sign(*simplices[ids[1]], tet)
         ):
             consistent = False
             break

@@ -172,14 +172,14 @@ def test_random_realization_single_simplex():
 
 def test_flat_delta5_face_deficits_vanish(delta5, delta5_metric):
     omega = fm.deficit_omega(delta5, delta5_metric)
-    assert len(omega) == 20
-    assert max(abs(v) for v in omega.values()) < 1e-10
+    assert omega.shape == (20,)
+    assert np.abs(omega).max() < 1e-10
 
 
 def test_flat_delta5_edge_deficits_vanish(delta5, delta5_metric):
     Omega = fm.deficit_Omega(delta5, delta5_metric)
-    assert len(Omega) == 15
-    assert max(abs(v) for v in Omega.values()) < 1e-9
+    assert Omega.shape == (15,)
+    assert np.abs(Omega).max() < 1e-9
 
 
 def test_deficits_vanish_on_larger_fixtures(join_complex, join_metric, bipyramid):
@@ -191,7 +191,7 @@ def test_deficits_vanish_on_larger_fixtures(join_complex, join_metric, bipyramid
 def test_deficit_scale_invariance(delta5, delta5_coords):
     scaled = fm.realize(delta5, {v: 3.0 * p for v, p in delta5_coords.items()})
     Omega = fm.deficit_Omega(delta5, scaled)
-    assert max(abs(v) for v in Omega.values()) < 1e-9
+    assert np.abs(Omega).max() < 1e-9
 
 
 def test_one_simplex_diagnostics():
@@ -200,13 +200,13 @@ def test_one_simplex_diagnostics():
     m = fm.realize(c, coords, allow_boundary=True)
     eps = m.eps[0]
     L = jb.length_tables(m.L, c.simplex_edges)[0]
+    # the face tables of the one simplex are the local FACES5 and EDGES5
+    assert c.faces[2] == g.FACES5 and c.faces[1] == g.EDGES5
     omega = fm.deficit_omega(c, m)
-    for face, signed in zip(g.FACES5, signed_angles(L, eps)):
-        assert omega[face] == pytest.approx(-signed, abs=1e-12)
+    assert omega == pytest.approx(-np.asarray(signed_angles(L, eps)), abs=1e-12)
     Omega = fm.deficit_Omega(c, m)
     Theta = g.edge_angle_thetas(L, eps)
-    for edge in g.EDGES5:
-        assert Omega[edge] == pytest.approx(-Theta[edge], abs=1e-12)
+    assert Omega == pytest.approx([-Theta[edge] for edge in g.EDGES5], abs=1e-12)
 
 
 def test_perturbed_length_matches_first_order_prediction(delta5, delta5_metric):
@@ -218,8 +218,7 @@ def test_perturbed_length_matches_first_order_prediction(delta5, delta5_metric):
         L[col] += step
         perturbed = delta5_metric.with_lengths(L, delta5)
         omega = fm.deficit_omega(delta5, perturbed)
-        vec = np.array([omega[t] for t in delta5.faces[2]])
-        return np.abs(vec - M[:, col] * step).max()
+        return np.abs(omega - M[:, col] * step).max()
 
     step = 1e-3 * delta5_metric.L.max()
     r1, r2 = residual(step), residual(step / 2)
@@ -227,7 +226,7 @@ def test_perturbed_length_matches_first_order_prediction(delta5, delta5_metric):
     L = delta5_metric.L.copy()
     L[col] += step
     omega = fm.deficit_omega(delta5, delta5_metric.with_lengths(L, delta5))
-    assert max(abs(v) for v in omega.values()) > 1e-6  # curvature switched on
+    assert np.abs(omega).max() > 1e-6  # curvature switched on
     # quadratic remainder: halving the step cuts the residual ~4x
     assert r2 <= 0.35 * r1
 
@@ -251,7 +250,7 @@ def test_reflection_flips_signs_keeps_deficits(delta5, delta5_coords, delta5_met
     assert np.array_equal(m2.eps, -delta5_metric.eps)
     assert np.abs(m2.V) == pytest.approx(np.abs(delta5_metric.V), rel=1e-12)
     omega = fm.deficit_omega(delta5, m2)
-    assert max(abs(v) for v in omega.values()) < 1e-10
+    assert np.abs(omega).max() < 1e-10
 
 
 # ------------------------------------------------------------- check_flat
@@ -308,3 +307,24 @@ def test_folded_realizations_still_flat():
                 found_winding = True
         assert fm.check_flat(complex_, m).passed
     assert found_winding
+
+
+def test_deficits_equal_the_entrywise_reduction(stellar_ladder):
+    # deficit_omega reduces only entries with |x| >= pi; reduce_angle is the
+    # identity below, so every entry is bitwise the entrywise reduction
+    complex_ = cx.boundary_delta5()
+    cases = [(complex_, fm.realize(complex_, fm.random_realization(complex_, seed=s)))
+             for s in range(30)]
+    cases += [(c, fm.realize(c, coords)) for c, coords in stellar_ladder.values()]
+    wound = 0
+    for c, m in cases:
+        theta = jb.dihedral_angles_batch(jb.length_tables(m.L, c.simplex_edges))
+        raw = np.zeros(len(c.faces[2]))
+        np.add.at(raw, c.simplex_faces, -m.eps[:, None] * theta)
+        reduced = np.array([g.reduce_angle(x) for x in raw.tolist()])
+        omega = fm.deficit_omega(c, m)
+        assert omega.tobytes() == reduced.tobytes()
+        Omega = fm.deficit_Omega(c, m)
+        assert Omega.tobytes() == (jb.area_length_weights(c, m) @ reduced).tobytes()
+        wound += int(np.count_nonzero(np.abs(raw) >= np.pi))
+    assert wound  # the reduced branch was exercised

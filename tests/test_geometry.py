@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pachner33 import complexes as cx
 from pachner33 import geometry as g
 from pachner33 import jacobians as jb
 from pachner33.errors import DegenerateSimplexError, NonRealizableLengthsError
@@ -194,6 +195,51 @@ def test_signed_volume_zero_for_affinely_dependent_points():
     pts = np.vstack([np.zeros(4), np.eye(4)])
     pts[4] = 0.25 * (pts[0] + pts[1] + pts[2] + pts[3])
     assert g.signed_volume4(pts) == pytest.approx(0.0, abs=1e-15)
+
+
+# ------------------------------------------------------- the volume floor
+
+def below_quality_loop(points, quality):
+    """The per-cell floor test that cell_volumes batched, kept as its reference."""
+    L = g.squared_length_table(points)
+    return abs(g.signed_volume4(points)) < quality * g.mean_edge_length(L) ** 4
+
+
+def unit_ball_placement_loop(seed, n, cells, quality=g.DEFAULT_QUALITY):
+    """The sampler with the per-cell floor test, kept as its reference."""
+    rng = np.random.default_rng(seed)
+    for _ in range(g.MAX_DRAWS):
+        pts = g.unit_ball_points(rng, n)
+        if not any(below_quality_loop(pts[list(cell)], quality) for cell in cells):
+            return pts
+    raise DegenerateSimplexError(f"no quality-{quality} placement in {g.MAX_DRAWS} draws")
+
+
+def test_cell_volumes_match_the_per_cell_loop():
+    rng = np.random.default_rng(61)
+    pts = rng.standard_normal((3000, 5, 4)) * rng.uniform(1e-3, 1e3, (3000, 1, 1))
+    # pull the last point towards the others' centroid: thicknesses across the floors
+    t = 10.0 ** rng.uniform(-12, 0, (3000, 1))
+    pts[:, 4] = (1 - t) * pts[:, :4].mean(axis=1) + t * pts[:, 4]
+    for rel in (g.DEGENERACY_REL, 1e-3, g.DEFAULT_QUALITY):
+        V, below = g.cell_volumes(pts, rel)
+        assert V.tolist() == [g.signed_volume4(p) for p in pts]
+        assert below.tolist() == [below_quality_loop(p, rel) for p in pts]
+        assert 0 < below.sum() < len(pts)
+
+
+def test_placement_matches_the_per_cell_loop():
+    cell_lists = [
+        [(0, 1, 2, 3, 4)],
+        [tuple(v for v in range(6) if v != x) for x in range(6)],
+        cx.tetra_circle_join().simplex_vertices,
+        cx.bipyramid_sphere().simplex_vertices,
+    ]
+    for cells in cell_lists:
+        n = int(np.max(cells)) + 1
+        for seed in range(200):
+            want = unit_ball_placement_loop(seed, n, cells)
+            assert g.unit_ball_placement(seed, n, cells).tobytes() == want.tobytes()
 
 
 # ------------------------------------------------------------- embedding

@@ -43,6 +43,20 @@ def test_parse_rejects_missing_coord_vertex():
         pio.parse_complex(json.dumps(raw))
 
 
+def test_parse_rejects_two_keys_for_one_vertex():
+    raw = json.loads(pio.serialize_complex(pio.load_fixture("boundary_delta5.json")))
+    raw["coords"]["03"] = [0.5, 0.5, 0.5, 0.5]
+    with pytest.raises(SchemaError, match="coords key '03' repeats vertex 3"):
+        pio.parse_complex(json.dumps(raw))
+
+
+def test_parse_rejects_a_key_that_names_no_vertex():
+    raw = json.loads(pio.serialize_complex(pio.load_fixture("boundary_delta5.json")))
+    raw["coords"]["77"] = [0.5, 0.5, 0.5, 0.5]
+    with pytest.raises(SchemaError, match="coords key '77' names no vertex"):
+        pio.parse_complex(json.dumps(raw))
+
+
 @pytest.mark.parametrize("token", ['"0.25"', "true", "NaN", "Infinity"])
 def test_parse_rejects_a_coordinate_that_is_no_finite_number(token):
     raw = json.loads(pio.serialize_complex(pio.load_fixture("boundary_delta5.json")))
