@@ -7,11 +7,12 @@ import time
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from pachner33 import identities
+from pachner33.cli import positive_int
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--trials", type=int, default=100)
+    ap.add_argument("--trials", type=positive_int, default=100)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--tol", type=float, default=identities.DEFAULT_TOL)
     args = ap.parse_args()

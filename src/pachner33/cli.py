@@ -4,7 +4,9 @@ jacobian, move, invariant, compare.
 Every command prints one JSON report to stdout and exits 0 when all
 requested checks pass, 1 on a failed check or input error, 2 on usage
 errors.  Reports echo the effective tolerances and seeds; apart from the
-timing field they are byte-identical across runs with equal inputs.
+timing field they are byte-identical across runs with equal inputs.  A
+command that needs a placement draws a fresh one from --seed when a seed is
+given and otherwise uses the document's coords.
 """
 from __future__ import annotations
 
@@ -39,11 +41,12 @@ def _emit(rep, t0):
 
 
 def _coords_for(doc, args, c):
+    """The placement drawn from --seed if given, else the document's coords."""
+    if args.seed is not None:
+        return random_realization(c, seed=args.seed)
     coords = doc.realization()
     if coords is None:
-        if getattr(args, "seed", None) is None:
-            raise Pachner33Error("document has no coords; pass --seed to realize")
-        coords = random_realization(c, seed=args.seed)
+        raise Pachner33Error("document has no coords; pass --seed to realize")
     return coords
 
 
@@ -265,6 +268,16 @@ def cmd_compare(args, t0):
     return 0 if passed else 1
 
 
+def positive_int(text):
+    """An integer of at least 1, as a count of trials."""
+    try:
+        if int(text) >= 1:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+
+
 def _face_arg(text):
     """'A,B,C' as a tuple of three integer vertex ids."""
     try:
@@ -316,7 +329,7 @@ def build_parser():
                    help="add AMOUNT to the squared length of edge (U, V) first")
 
     p = add("verify-identities", cmd_verify_identities, needs_file=False)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=positive_int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=identities.DEFAULT_TOL)
 

@@ -10,9 +10,11 @@ route, the facet-normal Gram matrix of jacobians.  The coordinate route
 here is independent of it: dihedral_angles_from_points takes the facet
 normals of an embedded simplex from the inverse of its bordered coordinate
 matrix, and dihedral_angles_from_lengths embeds a length table first
-(Cholesky of the Gram matrix anchored at vertex 0).  It serves the identity
-batteries and the tests as their oracle.  Magnitudes lie in (0, pi); a
-signed angle is the magnitude times the simplex sign eps.
+(Cholesky of the Gram matrix anchored at vertex 0).  Both return (10,)
+arrays in FACES5 order, and edge_angle_thetas a (10,) array in EDGES5
+order.  They serve the identity batteries and the tests as their oracle.
+Magnitudes lie in (0, pi); a signed angle is the magnitude times the
+simplex sign eps.
 
 cell_volumes is the package's one volume floor: for a stack of cells given
 by their points it returns the signed volumes and whether each falls below
@@ -263,7 +265,7 @@ def dS_dL_blocks(L):
 
 
 def dihedral_angles_from_points(points):
-    """All ten dihedral angle magnitudes of an embedded simplex at once.
+    """(10,) dihedral angle magnitudes of an embedded simplex, FACES5 order.
 
     Facet normals are the barycentric-coordinate gradients (rows of the
     inverse of the bordered coordinate matrix); the inner angle at the face
@@ -281,28 +283,22 @@ def dihedral_angles_from_points(points):
     G = N.T @ N
     d = np.sqrt(np.diag(G))
     cosines = -G / np.outer(d, d)
-    out = {}
-    for face, (x, y) in zip(FACES5, OPPOSITE5):
-        c = min(1.0, max(-1.0, cosines[x, y]))
-        out[face] = math.acos(c)
-    return out
+    return np.array([math.acos(min(1.0, max(-1.0, cosines[x, y]))) for x, y in OPPOSITE5])
 
 
 def dihedral_angles_from_lengths(L):
-    """All ten dihedral angle magnitudes of a length table (one embedding)."""
+    """(10,) dihedral angle magnitudes of a length table (one embedding), FACES5 order."""
     return dihedral_angles_from_points(gram_embed(L))
 
 
 def edge_angle_thetas(L, eps):
-    """Angles at all ten edges: area-derivative-weighted signed dihedrals.
+    """(10,) angles at the edges, EDGES5 order: area-derivative-weighted signed dihedrals.
 
     Theta_e = sum over faces f of dS_f/dL_e * eps * theta_f; only the three
     faces containing e contribute.  One embedding serves all ten edges.
     """
     L = validate_length_table(L, size=5)
-    angles = dihedral_angles_from_lengths(L)
-    signed = eps * np.array([angles[face] for face in FACES5])
-    return dict(zip(EDGES5, (dS_dL_blocks(L[None])[0].T @ signed).tolist()))
+    return dS_dL_blocks(L[None])[0].T @ (eps * dihedral_angles_from_lengths(L))
 
 
 def reduce_angle(x):

@@ -4,10 +4,14 @@ Each battery draws seed-deterministic configurations, evaluates one identity
 and reports the worst relative residual.  The library computes every angle
 derivative in closed form (jacobians.dtheta_dL_blocks); the batteries check
 those blocks against closed-form identities and against one independent
-oracle, central_difference, which differentiates the dihedral angles
-themselves.  It runs with one Richardson extrapolation level so that
+oracle, central_difference, which differentiates the dihedral angles of
+the coordinate route (geometry.dihedral_angles_from_lengths, a (10,) array
+in FACES5 order).  It runs with one Richardson extrapolation level so that
 truncation stays far below the tolerances even for moderately thin
-simplices.
+simplices.  The cluster batteries (two_edge_ratio, six_term,
+cluster_closed_forms) draw an invariants.ClusterSix, whose deficits,
+gradients and areas are rows of the same global assembly the invariant
+runs.
 """
 from __future__ import annotations
 
@@ -16,13 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry
-from .invariants import (
-    check_6term,
-    check_basic2,
-    cluster_complexes,
-    random_cluster,
-)
-from .jacobians import assemble_domega_dL, dtheta_dL_simplex
+from .invariants import CLUSTER_EDGE_INDEX, check_6term, check_basic2, random_cluster
+from .jacobians import dtheta_dL_simplex
 
 DEFAULT_TOL = 1e-6
 PARALLEL_COS_TOL = 1e-10
@@ -70,8 +69,7 @@ def central_difference(fn, L, direction):
 
 def signed_angles(L, eps):
     """The ten signed dihedral angles of a length table, FACES5 order."""
-    mags = geometry.dihedral_angles_from_lengths(L)
-    return eps * np.array([mags[f] for f in geometry.FACES5])
+    return eps * geometry.dihedral_angles_from_lengths(L)
 
 
 def fd_dtheta_dL(L, eps):
@@ -146,9 +144,7 @@ def battery_modified_schlafli(trials=100, seed=0, tol=DEFAULT_TOL):
         pts = random_simplex_points(s)
         L = geometry.squared_length_table(pts)
         direction = _random_direction(rng)
-        dTheta = central_difference(
-            lambda T: list(geometry.edge_angle_thetas(T, +1).values()), L, direction
-        )
+        dTheta = central_difference(lambda T: geometry.edge_angle_thetas(T, +1), L, direction)
         terms = [L[e] * d for e, d in zip(geometry.EDGES5, dTheta)]
         residual = abs(sum(terms)) / sum(abs(t) for t in terms)
         worst = max(worst, float(residual))
@@ -194,22 +190,20 @@ def battery_cluster_closed_forms(trials=100, seed=0, tol=DEFAULT_TOL):
 
     On the cluster around ABC the (ABC, AB) entry must equal
     -(S_ABC/24) V_hatA V_hatB / (V_hatD V_hatE V_hatF); the mirrored statement
-    holds for (DEF, DE) on the replacement cluster.
+    holds for (DEF, DE) on the replacement cluster.  The entries are the
+    assembled rows that ClusterSix.omega_gradient reads.
     """
     worst, failures = 0.0, 0
     for s in _trial_seeds(seed, trials):
         cluster = random_cluster(s)
-        V = {x: cluster.hat_volume(x) for x in range(6)}
-        (c1, m1, _), (c2, m2, _) = cluster_complexes(cluster)
+        V = cluster.hat_volumes
 
-        M1 = assemble_domega_dL(c1, m1)
-        got1 = M1[c1.face_index[2][(0, 1, 2)], c1.face_index[1][(0, 1)]]
-        want1 = -(cluster.area((0, 1, 2)) / 24.0) * V[0] * V[1] / (V[3] * V[4] * V[5])
+        got1 = cluster.omega_gradient("abc")[CLUSTER_EDGE_INDEX[(0, 1)]]
+        want1 = -(cluster.area("abc") / 24.0) * V[0] * V[1] / (V[3] * V[4] * V[5])
         r1 = abs(got1 - want1) / abs(want1)
 
-        M2 = assemble_domega_dL(c2, m2)
-        got2 = M2[c2.face_index[2][(3, 4, 5)], c2.face_index[1][(3, 4)]]
-        want2 = -(cluster.area((3, 4, 5)) / 24.0) * V[3] * V[4] / (V[0] * V[1] * V[2])
+        got2 = cluster.omega_gradient("def")[CLUSTER_EDGE_INDEX[(3, 4)]]
+        want2 = -(cluster.area("def") / 24.0) * V[3] * V[4] / (V[0] * V[1] * V[2])
         r2 = abs(got2 - want2) / abs(want2)
 
         residual = max(r1, r2)

@@ -2,9 +2,12 @@
 
 The local checks work on six labelled points A..F in R^4 (indices 0..5).
 Around the triangle ABC sit the three simplices ABCEF, ABCFD, ABCDE; around
-DEF sit BCDEF, CADEF, ABDEF.  Both triples are consistently oriented, and
-the deficit at the central triangle is minus the algebraic sum of the three
-signed dihedral angles, viewed as a function of the fifteen squared lengths.
+DEF sit BCDEF, CADEF, ABDEF.  The six cells are the six 5-subsets of the
+points.  Each triple is a small consistently oriented complex with boundary
+(SIDES), whose edges are all fifteen pairs, and ClusterSix realizes both
+with the global route: the deficit at the central triangle, its gradient
+over the fifteen squared lengths and the triangle's area are the central
+row of deficit_omega, of assemble_domega_dL and of the metric's S.
 
 The global invariant of a closed flat complex is I = prod(S) / (det(B) *
 prod(V)) for a maximal nondegenerate submatrix B of the face-deficit/length
@@ -33,11 +36,10 @@ import numpy as np
 from . import geometry
 from .complexes import build_complex, move_cluster, oriented_tuple, scatter_indices
 from .errors import DegenerateSimplexError, SelectionError
-from .flatmetric import realize, triangle_areas
+from .flatmetric import FLATNESS_TOL, deficit_omega, realize, triangle_areas
 from .jacobians import (
     PIVOT_TOL,
     assemble_domega_dL,
-    dihedral_angles_batch,
     dtheta_dL_blocks,
     kernel_basis,
     length_tables,
@@ -52,96 +54,71 @@ AFTER_CELLS = ((B, C, D, E, F), (C, A, D, E, F), (A, B, D, E, F))
 CLUSTER_EDGES = tuple(itertools.combinations(range(6), 2))
 CLUSTER_EDGE_INDEX = {e: n for n, e in enumerate(CLUSTER_EDGES)}
 
+# the five points other than x, ascending; the six cluster cells are these hats
+_HATS = np.array([[v for v in range(6) if v != x] for x in range(6)])
 
-def _hat(x):
-    return tuple(v for v in range(6) if v != x)
+
+def _side(cells, face):
+    c = build_complex(cells, allow_boundary=True)
+    return c, c.face_index[2][face]
 
 
-# the six ascending hats, then the cells of both clusters in their listed order
-_VOLUME_CELLS = np.array([_hat(x) for x in range(6)] + list(BEFORE_CELLS + AFTER_CELLS))
+# each side's complex and the row of its central triangle; c.faces[1] is CLUSTER_EDGES
+SIDES = {"abc": _side(BEFORE_CELLS, (A, B, C)), "def": _side(AFTER_CELLS, (D, E, F))}
 
 
 @dataclass(frozen=True)
 class ClusterSix:
-    """Six points with both three-simplex clusters nondegenerate.
+    """Six points with both three-simplex clusters nondegenerate and flat.
 
-    volumes holds the signed volumes of the cells of _VOLUME_CELLS.
+    hat_volumes[x] is the signed volume of the five points other than x in
+    ascending order.  metrics holds the FlatMetric of each side's complex
+    (SIDES); the deficit, its gradient and the area at the central triangle
+    are read from the global route at that triangle's row.
     """
 
     points: np.ndarray  # (6, 4)
-    volumes: np.ndarray = field(init=False, repr=False, compare=False)  # (12,)
+    hat_volumes: np.ndarray = field(init=False, repr=False, compare=False)  # (6,)
+    metrics: dict = field(init=False, repr=False, compare=False)  # side -> FlatMetric
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
         if pts.shape != (6, 4):
             raise ValueError("cluster needs 6 points in R^4")
         object.__setattr__(self, "points", pts)
-        volumes, below = geometry.cell_volumes(pts[_VOLUME_CELLS], geometry.DEGENERACY_REL)
-        object.__setattr__(self, "volumes", volumes)
-        thin = np.flatnonzero(below[:6])
+        volumes, below = geometry.cell_volumes(pts[_HATS], geometry.DEGENERACY_REL)
+        object.__setattr__(self, "hat_volumes", volumes)
+        thin = np.flatnonzero(below)
         if thin.size:
             raise DegenerateSimplexError(f"simplex omitting point {int(thin[0])} is degenerate")
-        for side in ("abc", "def"):
-            if abs(self.omega_value(side)) > 1e-8:
+        coords = dict(enumerate(pts))
+        metrics = {side: realize(c, coords, allow_boundary=True) for side, (c, _) in SIDES.items()}
+        object.__setattr__(self, "metrics", metrics)
+        for side in SIDES:
+            if abs(self.omega_value(side)) > FLATNESS_TOL:
                 raise DegenerateSimplexError(
                     "cluster angle sum does not close up; placement is not flat"
                 )
 
-    def hat_volume(self, x):
-        """Oriented volume of the five points excluding x, ascending order."""
-        return float(self.volumes[x])
-
-    def area(self, face):
-        pts = self.points[list(face)]
-        L = geometry.squared_length_table(pts)
-        sq = geometry.cm_squared_volume(2, L)
-        if sq <= 0.0:
-            raise DegenerateSimplexError(f"triangle {face} is degenerate")
-        return math.sqrt(sq)
-
-    def lengths(self):
-        return geometry.squared_length_table(self.points)
-
-    def _cluster(self, side):
-        """Cells, signs, stacked length tables and central-face rows of one side."""
-        cells = BEFORE_CELLS if side == "abc" else AFTER_CELLS
-        face = (A, B, C) if side == "abc" else (D, E, F)
-        volumes = self.volumes[6:9] if side == "abc" else self.volumes[9:]
-        signs = [1 if vol > 0 else -1 for vol in volumes.tolist()]
-        L6 = self.lengths()
-        tables = np.stack([L6[np.ix_(cell, cell)] for cell in cells])
-        rows = [geometry.FACE_INDEX5[tuple(sorted(cell.index(v) for v in face))]
-                for cell in cells]
-        return cells, signs, tables, rows
-
     def omega_value(self, side):
-        """Deficit at the central triangle, reduced to (-pi, pi]."""
-        _, signs, tables, rows = self._cluster(side)
-        theta = dihedral_angles_batch(tables)
-        total = sum(sign * theta[n, row] for n, (sign, row) in enumerate(zip(signs, rows)))
-        return geometry.reduce_angle(-total)
+        """Deficit at the central triangle of side "abc" or "def", in (-pi, pi]."""
+        c, row = SIDES[side]
+        return float(deficit_omega(c, self.metrics[side])[row])
 
     def omega_gradient(self, side):
-        """Gradient of the deficit over the fifteen squared lengths.
+        """(15,) gradient of that deficit over the squared lengths, CLUSTER_EDGES order."""
+        c, row = SIDES[side]
+        return assemble_domega_dL(c, self.metrics[side])[row]
 
-        The sum of the central-face rows of the three cells' angle blocks.
-        """
-        cells, signs, tables, rows = self._cluster(side)
-        blocks = dtheta_dL_blocks(tables, signs)
-        grad = np.zeros(len(CLUSTER_EDGES))
-        for cell, block, row in zip(cells, blocks, rows):
-            cols = [
-                CLUSTER_EDGE_INDEX[tuple(sorted((cell[p], cell[q])))]
-                for p, q in geometry.EDGES5
-            ]
-            grad[cols] -= block[row]
-        return dict(zip(CLUSTER_EDGES, grad.tolist()))
+    def area(self, side):
+        """Area of the central triangle of side "abc" or "def"."""
+        _, row = SIDES[side]
+        return float(self.metrics[side].S[row])
 
 
 def random_cluster(seed, quality=geometry.DEFAULT_QUALITY):
     """Seed-deterministic six unit-ball points, every 5-subset nondegenerate."""
-    cells = [_hat(x) for x in range(6)]
-    return ClusterSix(geometry.unit_ball_placement(seed, 6, cells, quality))
+    return ClusterSix(geometry.unit_ball_placement(seed, 6, _HATS, quality))
 
 
 @dataclass(frozen=True)
@@ -192,9 +169,8 @@ def check_basic2(cluster):
     if abs(dAB) < 1e-14 * max(abs(dDE), 1.0):
         raise DegenerateSimplexError("flat family does not move the AB length")
     ratio = dDE / dAB
-    predicted = -cluster.hat_volume(A) * cluster.hat_volume(B) / (
-        cluster.hat_volume(D) * cluster.hat_volume(E)
-    )
+    V = cluster.hat_volumes
+    predicted = -V[A] * V[B] / (V[D] * V[E])
     return TwoEdgeCheck(
         ratio=ratio,
         predicted=predicted,
@@ -214,31 +190,19 @@ class SixTermCheck:
 def check_6term(cluster):
     gA = cluster.omega_gradient("abc")
     gD = cluster.omega_gradient("def")
-    va = np.array([gA[e] for e in CLUSTER_EDGES])
-    vd = np.array([gD[e] for e in CLUSTER_EDGES])
 
-    V = {x: cluster.hat_volume(x) for x in range(6)}
-    lhs = V[D] * (-V[E]) * V[F] / cluster.area((A, B, C)) * va
-    rhs = V[A] * (-V[B]) * V[C] / cluster.area((D, E, F)) * vd
+    V = cluster.hat_volumes
+    lhs = V[D] * (-V[E]) * V[F] / cluster.area("abc") * gA
+    rhs = V[A] * (-V[B]) * V[C] / cluster.area("def") * gD
     scale = max(np.abs(lhs).max(), np.abs(rhs).max())
     residual = float(np.abs(lhs - rhs).max() / scale)
 
-    cosine = abs(float(va @ vd / (np.linalg.norm(va) * np.linalg.norm(vd))))
+    cosine = abs(float(gA @ gD / (np.linalg.norm(gA) * np.linalg.norm(gD))))
 
-    ratio = gA[(A, B)] / gA[(D, E)]
+    ratio = gA[CLUSTER_EDGE_INDEX[(A, B)]] / gA[CLUSTER_EDGE_INDEX[(D, E)]]
     predicted = V[A] * V[B] / (V[D] * V[E])
-    ratio_residual = abs(ratio - predicted) / abs(predicted)
+    ratio_residual = float(abs(ratio - predicted) / abs(predicted))
     return SixTermCheck(residual=residual, cosine=cosine, ratio_residual=ratio_residual)
-
-
-def cluster_complexes(cluster):
-    """(complex, metric, coords) for the before and after clusters."""
-    out = []
-    for cells in (BEFORE_CELLS, AFTER_CELLS):
-        c = build_complex(cells, allow_boundary=True)
-        coords = {i: cluster.points[i] for i in range(6)}
-        out.append((c, realize(c, coords, allow_boundary=True), coords))
-    return out
 
 
 def restricted_invariant(c, m, sel):

@@ -210,21 +210,13 @@ def assemble_dBigOmega_dS(c, m, domega_dS=None):
 
 @dataclass(frozen=True)
 class JacobianSet:
-    """The three global derivative matrices with their index maps."""
+    """The three global derivative matrices with their face and edge keys."""
 
     face_keys: tuple
     edge_keys: tuple
     dOmega_dL: np.ndarray
     dOmega_dS: np.ndarray
     dBigOmega_dS: np.ndarray
-
-    @property
-    def face_index(self):
-        return {k: i for i, k in enumerate(self.face_keys)}
-
-    @property
-    def edge_index(self):
-        return {k: i for i, k in enumerate(self.edge_keys)}
 
     def symmetry_residual(self):
         M = self.dOmega_dS

@@ -206,7 +206,7 @@ def test_one_simplex_diagnostics():
     assert omega == pytest.approx(-np.asarray(signed_angles(L, eps)), abs=1e-12)
     Omega = fm.deficit_Omega(c, m)
     Theta = g.edge_angle_thetas(L, eps)
-    assert Omega == pytest.approx([-Theta[edge] for edge in g.EDGES5], abs=1e-12)
+    assert Omega == pytest.approx([-Theta[g.EDGE_INDEX5[edge]] for edge in g.EDGES5], abs=1e-12)
 
 
 def test_perturbed_length_matches_first_order_prediction(delta5, delta5_metric):

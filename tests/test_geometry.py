@@ -272,14 +272,14 @@ def test_dihedral_regular_simplex_matches_gram_oracle():
     pts = g.gram_embed(UNIT_L)
     expected = regular_simplex_dihedral_oracle(4)
     assert expected == pytest.approx(1.3181160716528177, rel=1e-12)
-    for angle in g.dihedral_angles_from_points(pts).values():
+    for angle in g.dihedral_angles_from_points(pts):
         assert angle == pytest.approx(expected, rel=1e-12)
 
 
 def test_dihedral_orthoscheme_right_angle():
     pts = np.vstack([np.zeros(4), np.eye(4)])
     angles = g.dihedral_angles_from_points(pts)
-    assert angles[(0, 1, 2)] == pytest.approx(math.pi / 2, rel=1e-12)
+    assert angles[g.FACE_INDEX5[(0, 1, 2)]] == pytest.approx(math.pi / 2, rel=1e-12)
 
 
 def test_dihedral_degenerate_face_raises():
@@ -295,7 +295,7 @@ def test_batched_angles_agree_with_projection_route():
         coordinate = g.dihedral_angles_from_points(pts)
         batch = jb.dihedral_angles_batch(g.squared_length_table(pts)[None])[0]
         for face, angle in zip(g.FACES5, batch):
-            assert angle == pytest.approx(coordinate[face], abs=1e-12)
+            assert angle == pytest.approx(coordinate[g.FACE_INDEX5[face]], abs=1e-12)
 
 
 def test_signed_dihedral_attaches_the_simplex_sign():
@@ -309,7 +309,7 @@ def test_signed_dihedral_orthoscheme():
     pts = np.vstack([np.zeros(4), np.eye(4)])
     L = g.squared_length_table(pts)
     angles = g.dihedral_angles_from_lengths(L)
-    assert angles[(0, 1, 2)] == pytest.approx(math.pi / 2, rel=1e-12)
+    assert angles[g.FACE_INDEX5[(0, 1, 2)]] == pytest.approx(math.pi / 2, rel=1e-12)
 
 
 # ------------------------------------------------------- opposite-edge rule
@@ -355,12 +355,13 @@ def test_edge_angle_regular_simplex_matches_oracle():
     # three faces contain any edge; each contributes (dS/dL) * arccos(1/4)
     oracle = 3.0 * area_derivative_oracle(1.0, 1.0, 1.0) * regular_simplex_dihedral_oracle(4)
     assert oracle == pytest.approx(0.5707610015939449, rel=1e-8)
-    assert g.edge_angle_thetas(UNIT_L, +1)[(0, 1)] == pytest.approx(oracle, rel=1e-8)
+    assert g.edge_angle_thetas(UNIT_L, +1)[g.EDGE_INDEX5[(0, 1)]] == pytest.approx(oracle, rel=1e-8)
 
 
 def test_edge_angle_sign_flip():
-    plus = g.edge_angle_thetas(UNIT_L, +1)[(0, 1)]
-    assert g.edge_angle_thetas(UNIT_L, -1)[(0, 1)] == pytest.approx(-plus, rel=1e-12)
+    n = g.EDGE_INDEX5[(0, 1)]
+    plus = g.edge_angle_thetas(UNIT_L, +1)[n]
+    assert g.edge_angle_thetas(UNIT_L, -1)[n] == pytest.approx(-plus, rel=1e-12)
 
 
 def edge_angle_theta_loop(L, edge, eps):
@@ -372,7 +373,7 @@ def edge_angle_theta_loop(L, edge, eps):
         if a in face and b in face:
             (c,) = [v for v in face if v not in edge]
             dS = (L[a, c] + L[b, c] - L[a, b]) / (16.0 * g.face_area(L, face))
-            total += dS * (eps * angles[face])
+            total += dS * (eps * angles[g.FACE_INDEX5[face]])
     return total
 
 
@@ -381,7 +382,9 @@ def test_edge_angle_thetas_match_scalar_route():
     L = g.squared_length_table(pts)
     table = g.edge_angle_thetas(L, +1)
     for edge in g.EDGES5:
-        assert table[edge] == pytest.approx(edge_angle_theta_loop(L, edge, +1), rel=1e-12)
+        assert table[g.EDGE_INDEX5[edge]] == pytest.approx(
+            edge_angle_theta_loop(L, edge, +1), rel=1e-12
+        )
 
 
 # ----------------------------------------------------- differential identities
@@ -389,7 +392,7 @@ def test_edge_angle_thetas_match_scalar_route():
 def directional_angle_differentials(L, direction, h):
     mp = g.dihedral_angles_from_lengths(L + h * direction)
     mm = g.dihedral_angles_from_lengths(L - h * direction)
-    return {f: (mp[f] - mm[f]) / (2 * h) for f in g.FACES5}
+    return {f: (mp[g.FACE_INDEX5[f]] - mm[g.FACE_INDEX5[f]]) / (2 * h) for f in g.FACES5}
 
 
 def random_direction(seed):
@@ -420,7 +423,7 @@ def test_length_weighted_edge_angle_differentials_vanish(seed):
     h = 1e-5 * L.max()
     Tp = g.edge_angle_thetas(L + h * direction, +1)
     Tm = g.edge_angle_thetas(L - h * direction, +1)
-    terms = [L[e] * (Tp[e] - Tm[e]) / (2 * h) for e in g.EDGES5]
+    terms = [L[e] * (Tp[g.EDGE_INDEX5[e]] - Tm[g.EDGE_INDEX5[e]]) / (2 * h) for e in g.EDGES5]
     assert abs(sum(terms)) <= 1e-6 * sum(abs(t) for t in terms)
 
 

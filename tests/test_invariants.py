@@ -58,6 +58,59 @@ def test_random_cluster_deterministic():
     assert np.array_equal(a, b)
 
 
+def cluster_reference(points):
+    """The per-cell cluster route that ClusterSix replaced, kept as a reference.
+
+    Returns the six hat volumes, taken from one 12-row stack of the hats and
+    the listed cluster cells, and per side the deficit, the (15,) gradient
+    and the area at the central triangle.  Each cell's length table is in
+    its listed vertex order, the gradient is scattered cell by cell and the
+    area is its own Cayley-Menger determinant.
+    """
+    hats = [[v for v in range(6) if v != x] for x in range(6)]
+    stack = np.array(hats + list(iv.BEFORE_CELLS + iv.AFTER_CELLS))
+    volumes, _ = g.cell_volumes(points[stack], g.DEGENERACY_REL)
+    L6 = g.squared_length_table(points)
+    sides = {}
+    for side, cells, face, cell_volumes in (
+        ("abc", iv.BEFORE_CELLS, (0, 1, 2), volumes[6:9]),
+        ("def", iv.AFTER_CELLS, (3, 4, 5), volumes[9:]),
+    ):
+        signs = [1 if vol > 0 else -1 for vol in cell_volumes.tolist()]
+        tables = np.stack([L6[np.ix_(cell, cell)] for cell in cells])
+        rows = [g.FACE_INDEX5[tuple(sorted(cell.index(v) for v in face))] for cell in cells]
+        theta = jb.dihedral_angles_batch(tables)
+        total = sum(sign * theta[n, row] for n, (sign, row) in enumerate(zip(signs, rows)))
+        grad = np.zeros(len(iv.CLUSTER_EDGES))
+        for cell, block, row in zip(cells, jb.dtheta_dL_blocks(tables, signs), rows):
+            cols = [iv.CLUSTER_EDGE_INDEX[tuple(sorted((cell[p], cell[q])))] for p, q in g.EDGES5]
+            grad[cols] -= block[row]
+        area = math.sqrt(g.cm_squared_volume(2, g.squared_length_table(points[list(face)])))
+        sides[side] = (g.reduce_angle(-total), grad, area)
+    return volumes[:6], sides
+
+
+def test_cluster_sides_are_complexes_on_all_fifteen_edges():
+    for side, face in (("abc", (0, 1, 2)), ("def", (3, 4, 5))):
+        c, row = iv.SIDES[side]
+        assert iv.CLUSTER_EDGES == c.faces[1]
+        assert c.faces[2][row] == face
+        assert len(c.simplices) == 3 and c.orientation_consistent and not c.is_closed
+
+
+def test_cluster_global_route_matches_the_hand_rolled_route():
+    clusters = [iv.random_cluster(seed) for seed in range(100)] + [symmetric_cluster()]
+    for cluster in clusters:
+        hat_volumes, sides = cluster_reference(cluster.points)
+        assert np.array_equal(cluster.hat_volumes, hat_volumes)
+        for side, (omega, grad, area) in sides.items():
+            got = cluster.omega_gradient(side)
+            assert got.shape == (15,)
+            assert np.abs(got - grad).max() <= 1e-12 * np.abs(grad).max()
+            assert cluster.omega_value(side) == pytest.approx(omega, rel=0, abs=1e-12)
+            assert cluster.area(side) == pytest.approx(area, rel=1e-12)
+
+
 # ---------------------------------------------------------- two-edge ratio
 
 def test_two_edge_ratio_random_clusters():

@@ -201,6 +201,37 @@ def test_cli_verify_identities_small():
     assert all(chk["passed"] for chk in rep["checks"])
 
 
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_cli_verify_identities_rejects_a_trial_count_below_one(trials, capsys):
+    # zero trials would report every battery as passed without checking any
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-identities", "--trials", trials])
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv", [("invariant",), ("compare", "--face", "1,2,3"), ("check-flat",), ("jacobian",)]
+)
+def test_cli_seed_draws_a_fresh_placement_over_bundled_coords(argv, tmp_path):
+    bundled = fixture_path("boundary_delta5.json")
+    realized = tmp_path / "delta5_seed5.json"
+    code, _ = run_cli("realize", bundled, "--seed", "5", "-o", str(realized))
+    assert code == 0
+
+    def numbers(path, *seed):
+        code, out = run_cli(argv[0], path, *argv[1:], *seed)
+        assert code == 0
+        rep = json.loads(out)
+        for key in ("timing_s", "inputs", "seed"):
+            rep.pop(key)
+        return rep
+
+    seeded = numbers(bundled, "--seed", "5")
+    assert seeded == numbers(str(realized))
+    assert seeded != numbers(bundled)
+
+
 def test_cli_check_flat_pass_and_perturbed_fail():
     code, out = run_cli("check-flat", fixture_path("boundary_delta5.json"))
     assert code == 0 and json.loads(out)["passed"]

@@ -18,3 +18,13 @@ def test_script_exits_0(argv):
         capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stdout + done.stderr
+
+
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_identity_battery_rejects_a_trial_count_below_one(trials):
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / "identity_battery.py"), "--trials", trials],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 2
+    assert "usage:" in done.stderr
