@@ -1,4 +1,9 @@
-"""Run the randomized identity batteries and print a summary table."""
+"""Run the randomized identity batteries and print a summary table.
+
+The batteries read one identities.TrialDraws, as run_all_batteries does.
+Its simplices and clusters are drawn first, on the "shared draws" row, so
+each battery's time is its own checks without the draws.
+"""
 import argparse
 import pathlib
 import sys
@@ -7,21 +12,25 @@ import time
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from pachner33 import identities
-from pachner33.cli import positive_int
+from pachner33.cli import positive_float, positive_int
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--trials", type=positive_int, default=100)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--tol", type=float, default=identities.DEFAULT_TOL)
+    ap.add_argument("--tol", type=positive_float, default=identities.DEFAULT_TOL)
     args = ap.parse_args()
 
     print(f"{'battery':30s} {'worst residual':>14s} {'failures':>9s} {'time':>7s}")
+    t0 = time.perf_counter()
+    draws = identities.TrialDraws(args.trials, args.seed)
+    draws.simplices, draws.clusters  # both lists are drawn here, once
+    print(f"{'shared draws':30s} {'':14s} {'':9s} {time.perf_counter() - t0:6.2f}s")
     overall = True
     for battery in identities.ALL_BATTERIES:
         t0 = time.perf_counter()
-        res = battery(trials=args.trials, seed=args.seed, tol=args.tol)
+        res = battery(trials=args.trials, seed=args.seed, tol=args.tol, draws=draws)
         dt = time.perf_counter() - t0
         overall &= res.passed
         extra = " ".join(f"{k}={v:.3e}" for k, v in res.extras.items())

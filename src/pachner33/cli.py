@@ -278,6 +278,16 @@ def positive_int(text):
     raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
 
 
+def positive_float(text):
+    """A finite float above 0, as a tolerance (nan, inf and 0 are refused)."""
+    try:
+        if math.isfinite(float(text)) and float(text) > 0.0:
+            return float(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a finite number above 0, got {text!r}")
+
+
 def _face_arg(text):
     """'A,B,C' as a tuple of three integer vertex ids."""
     try:
@@ -323,7 +333,7 @@ def build_parser():
     p.add_argument("--output", "-o", default=None)
 
     p = add("check-flat", cmd_check_flat)
-    p.add_argument("--tol", type=float, default=FLATNESS_TOL)
+    p.add_argument("--tol", type=positive_float, default=FLATNESS_TOL)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--perturb", type=_perturb_arg, default=None, metavar="U,V,AMOUNT",
                    help="add AMOUNT to the squared length of edge (U, V) first")
@@ -331,12 +341,12 @@ def build_parser():
     p = add("verify-identities", cmd_verify_identities, needs_file=False)
     p.add_argument("--trials", type=positive_int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=identities.DEFAULT_TOL)
+    p.add_argument("--tol", type=positive_float, default=identities.DEFAULT_TOL)
 
     p = add("jacobian", cmd_jacobian)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--tol", type=float, default=identities.DEFAULT_TOL)
-    p.add_argument("--pivot-tol", type=float, default=PIVOT_TOL)
+    p.add_argument("--tol", type=positive_float, default=identities.DEFAULT_TOL)
+    p.add_argument("--pivot-tol", type=positive_float, default=PIVOT_TOL)
 
     p = add("move", cmd_move)
     p.add_argument("--face", type=_face_arg, required=True, metavar="A,B,C")
@@ -344,13 +354,13 @@ def build_parser():
 
     p = add("invariant", cmd_invariant)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--pivot-tol", type=float, default=PIVOT_TOL)
+    p.add_argument("--pivot-tol", type=positive_float, default=PIVOT_TOL)
 
     p = add("compare", cmd_compare)
     p.add_argument("--face", type=_face_arg, required=True, metavar="A,B,C")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--tol", type=float, default=identities.DEFAULT_TOL)
-    p.add_argument("--pivot-tol", type=float, default=PIVOT_TOL)
+    p.add_argument("--tol", type=positive_float, default=identities.DEFAULT_TOL)
+    p.add_argument("--pivot-tol", type=positive_float, default=PIVOT_TOL)
 
     return parser
 

@@ -29,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ComplexStructureError, MovePreconditionError
-from .geometry import EDGE_I, EDGE_INDEX5, EDGE_J, EDGES5, FACE_INDEX5, FACES5
+from .geometry import EDGE_I, EDGE_INDEX5, EDGE_J, EDGES5, FACE_EDGES5, FACE_INDEX5, FACES5
 
 # Local tetrahedra of a sorted 5-tuple, lexicographic: column k omits vertex 4 - k.
 TETS5 = tuple(itertools.combinations(range(5), 4))
@@ -42,9 +42,6 @@ _FACE_PREFIX = [EDGE_INDEX5[f[:2]] for f in FACES5]
 _FACE_LAST = [f[2] for f in FACES5]
 _TET_PREFIX = [FACE_INDEX5[t[:3]] for t in TETS5]
 _TET_LAST = [t[3] for t in TETS5]
-# local edges ab, ac, bc of each local face abc
-_FACE_EDGES5 = [[EDGE_INDEX5[(a, b)], EDGE_INDEX5[(a, c)], EDGE_INDEX5[(b, c)]]
-                for a, b, c in FACES5]
 
 
 def _sort_with_parity(rows):
@@ -203,7 +200,7 @@ def build_complex(simplex_list, allow_boundary=False):
     consistent = bool(np.all(induced[incidence == 2] == 0))
 
     triangle_edges = np.empty((len(triangles), 3), dtype=np.intp)
-    triangle_edges[simplex_faces] = simplex_edges[:, _FACE_EDGES5]
+    triangle_edges[simplex_faces] = simplex_edges[:, FACE_EDGES5]
     oriented = pos.copy()
     odd = signs < 0
     oriented[odd, 3], oriented[odd, 4] = pos[odd, 4], pos[odd, 3]

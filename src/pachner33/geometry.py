@@ -10,11 +10,15 @@ route, the facet-normal Gram matrix of jacobians.  The coordinate route
 here is independent of it: dihedral_angles_from_points takes the facet
 normals of an embedded simplex from the inverse of its bordered coordinate
 matrix, and dihedral_angles_from_lengths embeds a length table first
-(Cholesky of the Gram matrix anchored at vertex 0).  Both return (10,)
-arrays in FACES5 order, and edge_angle_thetas a (10,) array in EDGES5
-order.  They serve the identity batteries and the tests as their oracle.
-Magnitudes lie in (0, pi); a signed angle is the magnitude times the
-simplex sign eps.
+(Cholesky of the Gram matrix anchored at vertex 0).  Every function of
+that route (validate_length_table, gram_matrix, gram_embed, the two angle
+functions and edge_angle_thetas) takes a (..., 5, 5) stack of tables, or
+a (..., 5, 4) stack of points, and one table is the stack of none; the
+angles come back as (..., 10) arrays in FACES5 order, the edge angles in
+EDGES5 order.  A stack holding one bad table raises the error that
+table raises alone.  The route serves the identity batteries and the
+tests as their oracle.  Magnitudes lie in (0, pi); a signed angle is the
+magnitude times the simplex sign eps.
 
 cell_volumes is the package's one volume floor: for a stack of cells given
 by their points it returns the signed volumes and whether each falls below
@@ -51,6 +55,11 @@ FACE_INDEX5 = {f: n for n, f in enumerate(FACES5)}
 # the two vertices opposite each face, aligned with FACES5
 OPPOSITE5 = tuple(tuple(v for v in range(5) if v not in face) for face in FACES5)
 EDGE_I, EDGE_J = (np.array(ends) for ends in zip(*EDGES5))
+# local edges ab, ac, bc of each local face abc, aligned with FACES5
+FACE_EDGES5 = np.array([[EDGE_INDEX5[(a, b)], EDGE_INDEX5[(a, c)], EDGE_INDEX5[(b, c)]]
+                        for a, b, c in FACES5])
+FACE_EDGES5.flags.writeable = False
+_OPP_X, _OPP_Y = (np.array(ends) for ends in zip(*OPPOSITE5))
 
 
 def _area_terms():
@@ -97,24 +106,25 @@ TABLE_RTOL, TABLE_ATOL = 1e-5, 1e-8
 def validate_length_table(L, size=None):
     """L as a float array after the shape, symmetry and zero-diagonal checks.
 
-    Accepts exactly the tables np.allclose(L, L.T) and
-    np.allclose(diag(L), 0) accept: an entry pair passes when it is equal,
-    or when |L - L^T| <= atol + rtol |L^T| at a finite L^T entry.  The
-    tolerance is only evaluated for a table that is not exactly symmetric.
+    L is one (n, n) table or a (..., n, n) stack of them.  Each table is
+    accepted exactly when np.allclose(L, L.T) and np.allclose(diag(L), 0)
+    accept it: an entry pair passes when it is equal, or when
+    |L - L^T| <= atol + rtol |L^T| at a finite L^T entry.  The tolerance is
+    only evaluated for a stack that is not exactly symmetric.
     """
     L = np.asarray(L, dtype=float)
-    if L.ndim != 2 or L.shape[0] != L.shape[1]:
+    if L.ndim < 2 or L.shape[-1] != L.shape[-2]:
         raise ValueError("length table must be square")
-    if size is not None and L.shape[0] != size:
+    if size is not None and L.shape[-1] != size:
         raise ValueError(f"length table must be {size}x{size}")
-    T = L.T
+    T = L.swapaxes(-1, -2)
     equal = L == T
     if not equal.all():
         with np.errstate(invalid="ignore"):  # inf - inf at equal infinite entries
             near = np.abs(L - T) <= TABLE_ATOL + TABLE_RTOL * np.abs(T)
         if not (equal | (near & np.isfinite(T))).all():
             raise ValueError("length table must be symmetric")
-    if not (np.abs(np.diagonal(L)) <= TABLE_ATOL).all():
+    if not (np.abs(np.diagonal(L, axis1=-2, axis2=-1)) <= TABLE_ATOL).all():
         raise ValueError("length table must have zero diagonal")
     return L
 
@@ -126,6 +136,8 @@ def cm_squared_volume(k, L):
     returned so callers can detect degeneracy.
     """
     L = validate_length_table(L, size=k + 1)
+    if L.ndim != 2:
+        raise ValueError("cm_squared_volume takes one table; stacks go to cm_squared_volumes")
     return float(cm_squared_volumes(k, L[_upper_pairs(k + 1)][None])[0])
 
 
@@ -206,17 +218,17 @@ def unit_ball_placement(seed, n, cells, quality=DEFAULT_QUALITY):
 
 
 def gram_matrix(L):
-    """Gram matrix G_pq = (L_0p + L_0q - L_pq) / 2 anchored at vertex 0."""
+    """(..., 4, 4) Gram matrices G_pq = (L_0p + L_0q - L_pq) / 2 anchored at vertex 0."""
     L = validate_length_table(L, size=5)
-    return 0.5 * (L[0, 1:, None] + L[0, None, 1:] - L[1:, 1:])
+    return 0.5 * (L[..., 0, 1:, None] + L[..., 0, None, 1:] - L[..., 1:, 1:])
 
 
 def gram_embed(L):
-    """Coordinates of 5 points in R^4 reproducing a squared-length table.
+    """(..., 5, 4) coordinates reproducing a stack of squared-length tables.
 
-    Vertex 0 sits at the origin and the output has positive oriented volume
-    (Cholesky factors have positive diagonal).  Raises
-    NonRealizableLengthsError when the Gram matrix is not positive definite.
+    Vertex 0 sits at the origin and each simplex has positive oriented
+    volume (Cholesky factors have positive diagonal).  Raises
+    NonRealizableLengthsError when a Gram matrix is not positive definite.
     """
     G = gram_matrix(L)
     try:
@@ -225,8 +237,8 @@ def gram_embed(L):
         raise NonRealizableLengthsError(
             "length table has no nondegenerate Euclidean realization"
         ) from exc
-    pts = np.zeros((5, 4))
-    pts[1:] = C
+    pts = np.zeros(G.shape[:-2] + (5, 4))
+    pts[..., 1:, :] = C
     return pts
 
 
@@ -247,58 +259,61 @@ def face_area(L, face):
 
 
 def dS_dL_blocks(L):
-    """(N, 10, 10) face-area derivatives by squared edge length.
+    """(..., 10, 10) face-area derivatives by squared edge length.
 
-    L is an (N, 5, 5) stack of squared-length tables; rows follow FACES5 and
+    L is a (..., 5, 5) stack of squared-length tables; rows follow FACES5 and
     columns EDGES5.  From 16 S^2 = 2 L1 L2 + 2 L2 L3 + 2 L3 L1 - L1^2 - L2^2
     - L3^2.  Raises DegenerateSimplexError when a face has nonpositive
     squared area.
     """
-    Lv = np.asarray(L, dtype=float)[:, EDGE_I, EDGE_J]
-    ab, ac, bc = Lv[:, _AREA_AB], Lv[:, _AREA_AC], Lv[:, _AREA_BC]
+    Lv = np.asarray(L, dtype=float)[..., EDGE_I, EDGE_J]
+    ab, ac, bc = Lv[..., _AREA_AB], Lv[..., _AREA_AC], Lv[..., _AREA_BC]
     sq16 = 2.0 * (ab * ac + ac * bc + bc * ab) - ab * ab - ac * ac - bc * bc
     if not np.all(sq16 > 0.0):
         raise DegenerateSimplexError("a face has nonpositive squared area")
-    out = np.zeros((Lv.shape[0], 10, 10))
-    out[:, _AREA_ROW, _AREA_AB] = (ac + bc - ab) / (4.0 * np.sqrt(sq16))
+    out = np.zeros(Lv.shape[:-1] + (10, 10))
+    out[..., _AREA_ROW, _AREA_AB] = (ac + bc - ab) / (4.0 * np.sqrt(sq16))
     return out
 
 
 def dihedral_angles_from_points(points):
-    """(10,) dihedral angle magnitudes of an embedded simplex, FACES5 order.
+    """(..., 10) dihedral angle magnitudes of embedded simplices, FACES5 order.
 
-    Facet normals are the barycentric-coordinate gradients (rows of the
-    inverse of the bordered coordinate matrix); the inner angle at the face
-    opposite vertices {x, y} has cosine -n_x.n_y / (|n_x| |n_y|).
+    points is a (..., 5, 4) stack.  Facet normals are the
+    barycentric-coordinate gradients (rows of the inverse of the bordered
+    coordinate matrix); the inner angle at the face opposite vertices
+    {x, y} has cosine -n_x.n_y / (|n_x| |n_y|).
     """
     pts = np.asarray(points, dtype=float)
-    X = np.empty((5, 5))
-    X[:, 0] = 1.0
-    X[:, 1:] = pts
+    X = np.empty(pts.shape[:-1] + (5,))
+    X[..., 0] = 1.0
+    X[..., 1:] = pts
     try:
         Ainv = np.linalg.inv(X)
     except np.linalg.LinAlgError as exc:
         raise DegenerateSimplexError("simplex is degenerate") from exc
-    N = Ainv[1:, :]  # column i is the gradient of barycentric coordinate i
-    G = N.T @ N
-    d = np.sqrt(np.diag(G))
-    cosines = -G / np.outer(d, d)
-    return np.array([math.acos(min(1.0, max(-1.0, cosines[x, y]))) for x, y in OPPOSITE5])
+    N = Ainv[..., 1:, :]  # column i is the gradient of barycentric coordinate i
+    G = N.swapaxes(-1, -2) @ N
+    d = np.sqrt(np.diagonal(G, axis1=-2, axis2=-1))
+    cosines = -G[..., _OPP_X, _OPP_Y] / (d[..., _OPP_X] * d[..., _OPP_Y])
+    return np.arccos(np.clip(cosines, -1.0, 1.0))
 
 
 def dihedral_angles_from_lengths(L):
-    """(10,) dihedral angle magnitudes of a length table (one embedding), FACES5 order."""
+    """(..., 10) dihedral angle magnitudes of length tables (one embedding each), FACES5 order."""
     return dihedral_angles_from_points(gram_embed(L))
 
 
 def edge_angle_thetas(L, eps):
-    """(10,) angles at the edges, EDGES5 order: area-derivative-weighted signed dihedrals.
+    """(..., 10) angles at the edges, EDGES5 order: area-derivative-weighted signed dihedrals.
 
     Theta_e = sum over faces f of dS_f/dL_e * eps * theta_f; only the three
-    faces containing e contribute.  One embedding serves all ten edges.
+    faces containing e contribute.  One embedding serves all ten edges of a
+    table.  eps is a sign, or one sign per table of the stack.
     """
     L = validate_length_table(L, size=5)
-    return dS_dL_blocks(L[None])[0].T @ (eps * dihedral_angles_from_lengths(L))
+    signed = np.asarray(eps)[..., None] * dihedral_angles_from_lengths(L)
+    return np.einsum("...fe,...f->...e", dS_dL_blocks(L), signed)
 
 
 def reduce_angle(x):

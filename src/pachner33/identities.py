@@ -5,21 +5,27 @@ and reports the worst relative residual.  The library computes every angle
 derivative in closed form (jacobians.dtheta_dL_blocks); the batteries check
 those blocks against closed-form identities and against one independent
 oracle, central_difference, which differentiates the dihedral angles of
-the coordinate route (geometry.dihedral_angles_from_lengths, a (10,) array
-in FACES5 order).  It runs with one Richardson extrapolation level so that
-truncation stays far below the tolerances even for moderately thin
-simplices.  The cluster batteries (two_edge_ratio, six_term,
-cluster_closed_forms) draw an invariants.ClusterSix, whose deficits,
-gradients and areas are rows of the same global assembly the invariant
-runs.
+the coordinate route (geometry.dihedral_angles_from_lengths, (..., 10)
+arrays in FACES5 order).  It runs with one Richardson extrapolation level
+so that truncation stays far below the tolerances even for moderately thin
+simplices, and evaluates its four stencil tables per direction as one
+stack: fd_dtheta_dL embeds all 40 tables of its ten edge directions in one
+call.  The cluster batteries (two_edge_ratio, six_term,
+cluster_closed_forms) read an invariants.ClusterSix per trial, whose
+deficits, gradients and areas are rows of the same global assembly the
+invariant runs.  The trial configurations live in a TrialDraws:
+run_all_batteries draws each trial's simplex and cluster once and every
+battery reads that draw; a battery called alone draws its own.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import geometry
+from .flatmetric import triangle_areas
 from .invariants import CLUSTER_EDGE_INDEX, check_6term, check_basic2, random_cluster
 from .jacobians import dtheta_dL_simplex
 
@@ -50,39 +56,67 @@ def _trial_seeds(seed, trials):
     return np.random.default_rng(seed).integers(0, 2**63 - 1, size=trials)
 
 
+class TrialDraws:
+    """The trial seeds of one (trials, seed) pair and what they draw.
+
+    simplices holds random_simplex_points and clusters random_cluster of
+    each trial seed.  Each list is drawn on first use and kept only as long
+    as this object: run_all_batteries makes one per call and hands it to
+    every battery as draws=, so each simplex and each cluster is drawn once
+    per call.  A battery called without draws makes its own.
+    """
+
+    def __init__(self, trials, seed):
+        self.seeds = _trial_seeds(seed, trials)
+
+    @functools.cached_property
+    def simplices(self):
+        return [random_simplex_points(s) for s in self.seeds]
+
+    @functools.cached_property
+    def clusters(self):
+        return [random_cluster(s) for s in self.seeds]
+
+
 def central_difference(fn, L, direction):
     """Derivative of fn at the squared-length table L along direction.
 
     Central differences at the step FD_REL_STEP * max(L) and at half of it,
-    combined by one Richardson extrapolation level.  This is the one
-    finite-difference oracle of the package; the library itself never
-    differentiates numerically.
+    combined by one Richardson extrapolation level.  direction is one (5, 5)
+    table or a (..., 5, 5) stack of them; fn takes a stack of tables and is
+    called once, on the (4, ..., 5, 5) stencil of every direction.  This is
+    the one finite-difference oracle of the package; the library itself
+    never differentiates numerically.
     """
     h = geometry.FD_REL_STEP * float(L.max())
-
-    def diff(step):
-        plus, minus = fn(L + step * direction), fn(L - step * direction)
-        return (np.asarray(plus) - np.asarray(minus)) / (2 * step)
-
-    return (4 * diff(h / 2) - diff(h)) / 3
+    steps = np.array([h / 2, -h / 2, h, -h]).reshape((4,) + (1,) * np.ndim(direction))
+    values = np.asarray(fn(L + steps * direction))
+    half = (values[0] - values[1]) / (2 * (h / 2))
+    full = (values[2] - values[3]) / (2 * h)
+    return (4 * half - full) / 3
 
 
 def signed_angles(L, eps):
-    """The ten signed dihedral angles of a length table, FACES5 order."""
+    """The ten signed dihedral angles of a length table (or stack), FACES5 order."""
     return eps * geometry.dihedral_angles_from_lengths(L)
 
 
+# (10, 5, 5) unit perturbations of each squared length, EDGES5 order
+_EDGE_DIRECTIONS = np.zeros((10, 5, 5))
+_EDGE_DIRECTIONS[range(10), geometry.EDGE_I, geometry.EDGE_J] = 1.0
+_EDGE_DIRECTIONS[range(10), geometry.EDGE_J, geometry.EDGE_I] = 1.0
+_EDGE_DIRECTIONS.flags.writeable = False
+
+
 def fd_dtheta_dL(L, eps):
-    """(10, 10) oracle of the signed dihedral-angle derivatives by length."""
-    cols = []
-    for i, j in geometry.EDGES5:
-        direction = np.zeros((5, 5))
-        direction[i, j] = direction[j, i] = 1.0
-        cols.append(central_difference(lambda T: signed_angles(T, eps), L, direction))
-    return np.stack(cols, axis=1)
+    """(10, 10) oracle of the signed dihedral-angle derivatives by length.
+
+    All 40 stencil tables (ten edges, four steps) are embedded in one call.
+    """
+    return central_difference(lambda T: signed_angles(T, eps), L, _EDGE_DIRECTIONS).T
 
 
-def battery_opposite_edge_derivative(trials=100, seed=0, tol=DEFAULT_TOL):
+def battery_opposite_edge_derivative(trials=100, seed=0, tol=DEFAULT_TOL, draws=None):
     """Angle-by-opposite-length derivative against area over 24 volumes.
 
     For points A..E with only the squared length AE varying, the signed
@@ -91,8 +125,7 @@ def battery_opposite_edge_derivative(trials=100, seed=0, tol=DEFAULT_TOL):
     the oracle as well, relative to its largest entry.
     """
     worst, failures = 0.0, 0
-    for s in _trial_seeds(seed, trials):
-        pts = random_simplex_points(s)
+    for pts in (draws or TrialDraws(trials, seed)).simplices:
         V = geometry.signed_volume4(pts)
         eps = 1 if V > 0 else -1
         L = geometry.squared_length_table(pts)
@@ -116,57 +149,60 @@ def _random_direction(rng):
     return d / np.abs(d).max()
 
 
-def battery_schlafli(trials=100, seed=0, tol=DEFAULT_TOL):
+def battery_schlafli(trials=100, seed=0, tol=DEFAULT_TOL, draws=None):
     """Area-weighted angle differentials sum to zero for any deformation."""
     worst, failures = 0.0, 0
-    for s in _trial_seeds(seed, trials):
-        rng = np.random.default_rng(s)
-        pts = random_simplex_points(s)
+    draws = draws or TrialDraws(trials, seed)
+    for s, pts in zip(draws.seeds, draws.simplices):
         L = geometry.squared_length_table(pts)
-        direction = _random_direction(rng)
+        direction = _random_direction(np.random.default_rng(s))
         dtheta = central_difference(lambda T: signed_angles(T, +1), L, direction)
-        terms = [geometry.face_area(L, f) * d for f, d in zip(geometry.FACES5, dtheta)]
-        residual = abs(sum(terms)) / sum(abs(t) for t in terms)
+        areas = triangle_areas(
+            L[geometry.EDGE_I, geometry.EDGE_J], geometry.FACE_EDGES5, geometry.FACES5
+        )
+        terms = areas * dtheta
+        residual = abs(terms.sum()) / np.abs(terms).sum()
         worst = max(worst, float(residual))
         failures += int(residual > tol)
     return BatteryResult("schlafli", trials, tol, worst, failures)
 
 
-def battery_modified_schlafli(trials=100, seed=0, tol=DEFAULT_TOL):
+def battery_modified_schlafli(trials=100, seed=0, tol=DEFAULT_TOL, draws=None):
     """Length-weighted edge-angle differentials sum to zero as well.
 
     Follows from the face areas being homogeneous of degree one in the
     squared lengths together with the plain area-weighted identity.
     """
     worst, failures = 0.0, 0
-    for s in _trial_seeds(seed, trials):
-        rng = np.random.default_rng(s)
-        pts = random_simplex_points(s)
+    draws = draws or TrialDraws(trials, seed)
+    for s, pts in zip(draws.seeds, draws.simplices):
         L = geometry.squared_length_table(pts)
-        direction = _random_direction(rng)
+        direction = _random_direction(np.random.default_rng(s))
         dTheta = central_difference(lambda T: geometry.edge_angle_thetas(T, +1), L, direction)
-        terms = [L[e] * d for e, d in zip(geometry.EDGES5, dTheta)]
-        residual = abs(sum(terms)) / sum(abs(t) for t in terms)
+        terms = L[geometry.EDGE_I, geometry.EDGE_J] * dTheta
+        residual = abs(terms.sum()) / np.abs(terms).sum()
         worst = max(worst, float(residual))
         failures += int(residual > tol)
     return BatteryResult("modified_schlafli", trials, tol, worst, failures)
 
 
-def battery_two_edge_ratio(trials=100, seed=0, tol=DEFAULT_TOL):
+def battery_two_edge_ratio(trials=100, seed=0, tol=DEFAULT_TOL, draws=None):
     """Constrained two-length derivative against the volume-product ratio."""
     worst, failures = 0.0, 0
-    for s in _trial_seeds(seed, trials):
-        res = check_basic2(random_cluster(s)).residual
+    for cluster in (draws or TrialDraws(trials, seed)).clusters:
+        res = check_basic2(cluster).residual
         worst = max(worst, float(res))
         failures += int(res > tol)
     return BatteryResult("two_edge_ratio", trials, tol, worst, failures)
 
 
-def battery_six_term(trials=100, seed=0, tol=DEFAULT_TOL, cos_tol=PARALLEL_COS_TOL):
+def battery_six_term(
+    trials=100, seed=0, tol=DEFAULT_TOL, cos_tol=PARALLEL_COS_TOL, draws=None
+):
     """Full gradient form of the six-volume relation plus parallelism."""
     worst, worst_cos, worst_ratio, failures = 0.0, 1.0, 0.0, 0
-    for s in _trial_seeds(seed, trials):
-        chk = check_6term(random_cluster(s))
+    for cluster in (draws or TrialDraws(trials, seed)).clusters:
+        chk = check_6term(cluster)
         worst = max(worst, float(chk.residual))
         worst_cos = min(worst_cos, float(chk.cosine))
         worst_ratio = max(worst_ratio, float(chk.ratio_residual))
@@ -185,7 +221,7 @@ def battery_six_term(trials=100, seed=0, tol=DEFAULT_TOL, cos_tol=PARALLEL_COS_T
     )
 
 
-def battery_cluster_closed_forms(trials=100, seed=0, tol=DEFAULT_TOL):
+def battery_cluster_closed_forms(trials=100, seed=0, tol=DEFAULT_TOL, draws=None):
     """Assembled deficit/length entries against the closed volume-ratio forms.
 
     On the cluster around ABC the (ABC, AB) entry must equal
@@ -194,8 +230,7 @@ def battery_cluster_closed_forms(trials=100, seed=0, tol=DEFAULT_TOL):
     assembled rows that ClusterSix.omega_gradient reads.
     """
     worst, failures = 0.0, 0
-    for s in _trial_seeds(seed, trials):
-        cluster = random_cluster(s)
+    for cluster in (draws or TrialDraws(trials, seed)).clusters:
         V = cluster.hat_volumes
 
         got1 = cluster.omega_gradient("abc")[CLUSTER_EDGE_INDEX[(0, 1)]]
@@ -223,4 +258,6 @@ ALL_BATTERIES = (
 
 
 def run_all_batteries(trials=100, seed=0, tol=DEFAULT_TOL):
-    return [battery(trials=trials, seed=seed, tol=tol) for battery in ALL_BATTERIES]
+    """Every battery over one TrialDraws: each trial's simplex and cluster are drawn once."""
+    draws = TrialDraws(trials, seed)
+    return [battery(trials=trials, seed=seed, tol=tol, draws=draws) for battery in ALL_BATTERIES]

@@ -27,6 +27,7 @@ a face and the moved complex would not be simplicial.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -74,7 +75,9 @@ class ClusterSix:
     hat_volumes[x] is the signed volume of the five points other than x in
     ascending order.  metrics holds the FlatMetric of each side's complex
     (SIDES); the deficit, its gradient and the area at the central triangle
-    are read from the global route at that triangle's row.
+    are read from the global route at that triangle's row.  The gradients
+    of both sides are assembled once, at the first omega_gradient call, and
+    handed out read-only.
     """
 
     points: np.ndarray  # (6, 4)
@@ -105,10 +108,17 @@ class ClusterSix:
         c, row = SIDES[side]
         return float(deficit_omega(c, self.metrics[side])[row])
 
+    @functools.cached_property
+    def _gradients(self):
+        out = {}
+        for side, (c, row) in SIDES.items():
+            out[side] = assemble_domega_dL(c, self.metrics[side])[row]
+            out[side].flags.writeable = False
+        return out
+
     def omega_gradient(self, side):
         """(15,) gradient of that deficit over the squared lengths, CLUSTER_EDGES order."""
-        c, row = SIDES[side]
-        return assemble_domega_dL(c, self.metrics[side])[row]
+        return self._gradients[side]
 
     def area(self, side):
         """Area of the central triangle of side "abc" or "def"."""

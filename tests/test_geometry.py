@@ -266,6 +266,141 @@ def test_gram_embed_rejects_triangle_inequality_violation():
         g.gram_embed(L)
 
 
+# ------------------------------------------------- stacks of tables and points
+
+def gram_matrix_one(L):
+    L = validate_length_table_allclose(L, size=5)
+    return 0.5 * (L[0, 1:, None] + L[0, None, 1:] - L[1:, 1:])
+
+
+def gram_embed_one(L):
+    """The one-table embedding the stacked gram_embed must reproduce per table."""
+    try:
+        C = np.linalg.cholesky(gram_matrix_one(L))
+    except np.linalg.LinAlgError as exc:
+        raise NonRealizableLengthsError("no realization") from exc
+    pts = np.zeros((5, 4))
+    pts[1:] = C
+    return pts
+
+
+def dihedral_angles_one(pts):
+    """The one-simplex coordinate route, one math.acos per face, FACES5 order."""
+    X = np.empty((5, 5))
+    X[:, 0] = 1.0
+    X[:, 1:] = pts
+    try:
+        N = np.linalg.inv(X)[1:, :]
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateSimplexError("simplex is degenerate") from exc
+    G = N.T @ N
+    d = np.sqrt(np.diag(G))
+    cosines = -G / np.outer(d, d)
+    return np.array([math.acos(min(1.0, max(-1.0, cosines[x, y]))) for x, y in g.OPPOSITE5])
+
+
+def edge_angle_thetas_one(L, eps):
+    signed = eps * dihedral_angles_one(gram_embed_one(L))
+    return np.array([
+        sum(float(g.dS_dL_blocks(L[None])[0, f, e]) * signed[f] for f in range(10))
+        for e in range(10)
+    ])
+
+
+def stacked_simplices(shape, seed):
+    """Unit-ball simplices in a stack of the given shape: points, tables, signs."""
+    count = int(np.prod(shape))
+    pts = np.stack([g.unit_ball_placement(seed + k, 5, [range(5)]) for k in range(count)])
+    L = np.stack([g.squared_length_table(p) for p in pts])
+    eps = np.where(np.random.default_rng(seed).random(count) < 0.5, -1, 1)
+    return pts.reshape(shape + (5, 4)), L.reshape(shape + (5, 5)), eps.reshape(shape)
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (7,), (3, 4)])
+def test_stacked_route_equals_the_per_table_loop(shape):
+    pts, L, eps = stacked_simplices(shape, 40)
+    flat_pts, flat_L, flat_eps = pts.reshape(-1, 5, 4), L.reshape(-1, 5, 5), eps.reshape(-1)
+
+    def loop(fn, *stacks):
+        return np.stack([fn(*args) for args in zip(*stacks)]).reshape(shape + (-1,))
+
+    assert g.validate_length_table(L, size=5).tobytes() == L.tobytes()
+    cases = [
+        (g.gram_matrix(L), loop(gram_matrix_one, flat_L)),
+        (g.gram_embed(L), loop(gram_embed_one, flat_L)),
+        (g.dihedral_angles_from_points(pts), loop(dihedral_angles_one, flat_pts)),
+        (g.dihedral_angles_from_lengths(L),
+         loop(lambda T: dihedral_angles_one(gram_embed_one(T)), flat_L)),
+        (g.edge_angle_thetas(L, eps), loop(edge_angle_thetas_one, flat_L, flat_eps)),
+        (g.edge_angle_thetas(L, -1), loop(lambda T: edge_angle_thetas_one(T, -1), flat_L)),
+    ]
+    for got, want in cases:
+        assert got.size == want.size and got.shape[: len(shape)] == shape
+        assert np.abs(got.reshape(want.shape) - want).max() <= 1e-15
+
+
+def _bad_tables():
+    """(name, bad table): asymmetric, nonzero diagonal, not realizable."""
+    _, L, _ = stacked_simplices((), 50)
+    asym, diag, far = L.copy(), L.copy(), L.copy()
+    asym[0, 1] += 1e-3
+    diag[2, 2] = 1e-3
+    far[0, 1] = far[1, 0] = 100.0  # the triangle inequality fails
+    return [("asymmetric", asym), ("diagonal", diag), ("non_realizable", far)]
+
+
+def _raised(fn, arg):
+    try:
+        fn(arg)
+    except (ValueError, NonRealizableLengthsError, DegenerateSimplexError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("name,bad", _bad_tables())
+@pytest.mark.parametrize(
+    "fn,embeds",
+    [
+        (lambda L: g.validate_length_table(L, size=5), False),
+        (g.gram_matrix, False),
+        (g.gram_embed, True),
+        (g.dihedral_angles_from_lengths, True),
+        (lambda L: g.edge_angle_thetas(L, 1), True),
+    ],
+    ids=["validate", "gram_matrix", "gram_embed", "angles_from_lengths", "edge_angles"],
+)
+def test_a_stack_with_one_bad_table_fails_as_that_table(fn, embeds, name, bad):
+    _, good, _ = stacked_simplices((6,), 60)
+    single = _raised(fn, bad)
+    if name != "non_realizable":
+        assert single[0] is ValueError
+    else:  # only an embedding can tell
+        assert (single[0] is NonRealizableLengthsError) if embeds else (single is None)
+    assert _raised(fn, good) is None
+    for position in (0, 3, 6):
+        stack = np.insert(good, position, bad, axis=0)
+        assert _raised(fn, stack) == single
+        assert _raised(fn, stack.reshape(7, 1, 5, 5)) == single
+
+
+def test_a_stack_with_one_degenerate_simplex_fails_as_that_simplex():
+    pts, _, _ = stacked_simplices((5,), 70)
+    flat = pts[2].copy()
+    flat[4] = 0.5 * (flat[1] + flat[3])  # the fifth point joins the others' hyperplane
+    single = _raised(g.dihedral_angles_from_points, flat)
+    assert single is not None and single[0] is DegenerateSimplexError
+    for position in (0, 5):
+        assert _raised(g.dihedral_angles_from_points, np.insert(pts, position, flat, axis=0)) == single
+
+
+def test_stacks_must_be_square_tables():
+    for shape in [(5,), (3, 5, 4), (2, 4, 4)]:
+        with pytest.raises(ValueError):
+            g.validate_length_table(np.zeros(shape), size=5)
+    with pytest.raises(ValueError):
+        g.cm_squared_volume(2, np.zeros((2, 3, 3)))
+
+
 # ------------------------------------------------------------ dihedral angle
 
 def test_dihedral_regular_simplex_matches_gram_oracle():

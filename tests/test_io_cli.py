@@ -2,6 +2,7 @@
 import dataclasses
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -208,6 +209,40 @@ def test_cli_verify_identities_rejects_a_trial_count_below_one(trials, capsys):
         main(["verify-identities", "--trials", trials])
     assert exc.value.code == 2
     assert "usage:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "-1", "0", "inf", "-inf", "1e-400", "x"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check-flat", "FILE", "--tol"),
+        ("verify-identities", "--trials", "1", "--tol"),
+        ("jacobian", "FILE", "--tol"),
+        ("jacobian", "FILE", "--pivot-tol"),
+        ("invariant", "FILE", "--pivot-tol"),
+        ("compare", "FILE", "--face", "1,2,3", "--tol"),
+        ("compare", "FILE", "--face", "1,2,3", "--pivot-tol"),
+    ],
+)
+def test_cli_tolerances_must_be_finite_and_positive(argv, value, capsys):
+    # nan would pass every comparison it meets and write NaN into the report
+    argv = [fixture_path("boundary_delta5.json") if a == "FILE" else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and argv[-1] in err
+
+
+def test_cli_verify_identities_is_byte_identical_apart_from_timing():
+    outs = []
+    for _ in range(2):
+        code, out = run_cli("verify-identities", "--trials", "3", "--seed", "7")
+        assert code == 0
+        timing = re.findall(r'"timing_s": [^,}\n]+', out)
+        assert len(timing) == 1
+        outs.append(out.replace(timing[0], '"timing_s": T'))
+    assert outs[0] == outs[1]
 
 
 @pytest.mark.parametrize(

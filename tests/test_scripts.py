@@ -28,3 +28,13 @@ def test_identity_battery_rejects_a_trial_count_below_one(trials):
     )
     assert done.returncode == 2
     assert "usage:" in done.stderr
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "0"])
+def test_identity_battery_rejects_a_tolerance_that_is_not_finite_and_positive(tol):
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / "identity_battery.py"), "--trials", "1", "--tol", tol],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 2
+    assert "usage:" in done.stderr
