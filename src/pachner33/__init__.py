@@ -55,7 +55,6 @@ from .jacobians import (
     assemble_domega_dL,
     assemble_domega_dS,
     build_jacobians,
-    dS_dL_simplex,
     dtheta_dL_blocks,
     dtheta_dL_simplex,
     rank_and_submatrix,

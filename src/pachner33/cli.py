@@ -16,6 +16,8 @@ import math
 import sys
 import time
 
+import numpy as np
+
 from . import identities, invariants
 from .complexes import pachner_33
 from .errors import Pachner33Error
@@ -62,6 +64,12 @@ def _selection_fields(sel):
         "rows_complement": [list(k) for k in sel.row_comp_keys],
         "cols_complement": [list(k) for k in sel.col_comp_keys],
     }
+
+
+def _triplets(matrix):
+    """A matrix as {shape, rows, cols, values}: its nonzero entries in row-major order."""
+    rows, cols = np.nonzero(matrix)
+    return {"shape": list(matrix.shape), "rows": rows, "cols": cols, "values": matrix[rows, cols]}
 
 
 def _value_field(sign, log_abs):
@@ -184,9 +192,9 @@ def cmd_jacobian(args, t0):
         matrices={
             "face_keys": [list(k) for k in jac.face_keys],
             "edge_keys": [list(k) for k in jac.edge_keys],
-            "dOmega_dL": jac.dOmega_dL,
-            "dOmega_dS": jac.dOmega_dS,
-            "dBigOmega_dS": jac.dBigOmega_dS,
+            "dOmega_dL": _triplets(jac.dOmega_dL),
+            "dOmega_dS": _triplets(jac.dOmega_dS),
+            "dBigOmega_dS": _triplets(jac.dBigOmega_dS),
         },
     )
     _emit(rep, t0)

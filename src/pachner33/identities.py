@@ -149,13 +149,22 @@ def _random_direction(rng):
     return d / np.abs(d).max()
 
 
+def _trial_direction(seed):
+    """The Schlafli batteries' deformation direction for one trial seed.
+
+    Drawn from the child stream [seed, 1], not from seed itself, which
+    random_simplex_points reads for the placement.
+    """
+    return _random_direction(np.random.default_rng([seed, 1]))
+
+
 def battery_schlafli(trials=100, seed=0, tol=DEFAULT_TOL, draws=None):
     """Area-weighted angle differentials sum to zero for any deformation."""
     worst, failures = 0.0, 0
     draws = draws or TrialDraws(trials, seed)
     for s, pts in zip(draws.seeds, draws.simplices):
         L = geometry.squared_length_table(pts)
-        direction = _random_direction(np.random.default_rng(s))
+        direction = _trial_direction(s)
         dtheta = central_difference(lambda T: signed_angles(T, +1), L, direction)
         areas = triangle_areas(
             L[geometry.EDGE_I, geometry.EDGE_J], geometry.FACE_EDGES5, geometry.FACES5
@@ -177,7 +186,7 @@ def battery_modified_schlafli(trials=100, seed=0, tol=DEFAULT_TOL, draws=None):
     draws = draws or TrialDraws(trials, seed)
     for s, pts in zip(draws.seeds, draws.simplices):
         L = geometry.squared_length_table(pts)
-        direction = _random_direction(np.random.default_rng(s))
+        direction = _trial_direction(s)
         dTheta = central_difference(lambda T: geometry.edge_angle_thetas(T, +1), L, direction)
         terms = L[geometry.EDGE_I, geometry.EDGE_J] * dTheta
         residual = abs(terms.sum()) / np.abs(terms).sum()

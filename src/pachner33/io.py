@@ -12,6 +12,14 @@ Document schema (format_version "1"):
 Floats are written with 17 significant digits so parsing returns the exact
 double.  Serialization is deterministic: keys keep a fixed order and vertex
 keys are sorted numerically.
+
+dumps writes the common shapes of a report in one pass each, with the same
+text as writing them item by item: a list of exactly-float items (one
+format per item), a list of exactly-int items, a list of lists or tuples
+of exactly-int items (face keys, simplices), a 1-d float64 ndarray (one
+"%.17g" format string for the whole vector) and a 1-d integer ndarray (one
+join).  Anything else, a bool or a numpy scalar inside a list included,
+is written item by item.  Other ndarrays are not supported.
 """
 from __future__ import annotations
 
@@ -20,6 +28,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from importlib import resources
+from itertools import chain
 
 import numpy as np
 
@@ -46,10 +55,11 @@ def _dump(obj, pieces):
             pieces.append(": ")
             _dump(val, pieces)
         pieces.append("}")
-    elif isinstance(obj, np.ndarray) and obj.ndim == 2 and obj.dtype == np.float64:
-        # a matrix: one "%.17g" format per row, the same text as its .tolist()
-        row = "[" + ", ".join(["%.17g"] * obj.shape[1]) + "]"
-        pieces.append("[" + ", ".join([row % tuple(r) for r in obj.tolist()]) + "]")
+    elif isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype == np.float64:
+        # one "%.17g" format for the whole vector, the same text as its .tolist()
+        pieces.append(("[" + ", ".join(["%.17g"] * len(obj)) + "]") % tuple(obj.tolist()))
+    elif isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind in "iu":
+        pieces.append("[" + ", ".join(map(str, obj.tolist())) + "]")
     elif isinstance(obj, (list, tuple)):
         item_types = set(map(type, obj))
         if item_types <= {float}:
@@ -57,6 +67,9 @@ def _dump(obj, pieces):
             pieces.append("[" + ", ".join(map(_FORMAT17, obj)) + "]")
         elif item_types == {int}:
             pieces.append("[" + ", ".join(map(str, obj)) + "]")
+        elif item_types <= {list, tuple} and set(map(type, chain.from_iterable(obj))) <= {int}:
+            # keys: lists of exactly-int lists, whose str is their JSON text
+            pieces.append("[" + ", ".join(map(str, map(list, obj))) + "]")
         else:
             pieces.append("[")
             for n, val in enumerate(obj):

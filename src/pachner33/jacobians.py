@@ -130,14 +130,15 @@ def dtheta_dL_blocks(L, eps):
     return D.astype(float)
 
 
-def domega_dS_blocks(L, eps):
+def domega_dS_blocks(L, eps, dtheta=None):
     """(N, 10, 10) signed-angle derivatives by face areas.
 
     Areas determine all metric variations within one simplex, so each block
-    is (dtheta/dL) (dS/dL)^-1.  A singular area map means the realization is
+    is (dtheta/dL) (dS/dL)^-1.  dtheta, the dtheta_dL_blocks of L and eps,
+    is computed unless given.  A singular area map means the realization is
     non-generic.
     """
-    D = dtheta_dL_blocks(L, eps)
+    D = dtheta_dL_blocks(L, eps) if dtheta is None else dtheta
     A = geometry.dS_dL_blocks(L)
     try:
         X = np.linalg.solve(np.swapaxes(A, 1, 2), np.swapaxes(D, 1, 2))
@@ -146,11 +147,6 @@ def domega_dS_blocks(L, eps):
             "per-simplex area map is singular (non-generic realization)"
         ) from exc
     return np.swapaxes(X, 1, 2)
-
-
-def dS_dL_simplex(L):
-    """(10, 10) face-area derivatives of one squared-length table."""
-    return geometry.dS_dL_blocks(geometry.validate_length_table(L, size=5)[None])[0]
 
 
 def dtheta_dL_simplex(L, eps):
@@ -166,19 +162,28 @@ def length_tables(L, simplex_edges):
     return tables
 
 
-def assemble_domega_dL(c, m):
-    """Global matrix of face-deficit derivatives by squared edge lengths."""
+def assemble_domega_dL(c, m, dtheta=None):
+    """Global matrix of face-deficit derivatives by squared edge lengths.
+
+    dtheta, the (N, 10, 10) dtheta_dL_blocks of the metric, is computed
+    unless given.
+    """
     rows, cols = c.simplex_faces, c.simplex_edges
-    blocks = dtheta_dL_blocks(length_tables(m.L, cols), m.eps)
+    if dtheta is None:
+        dtheta = dtheta_dL_blocks(length_tables(m.L, cols), m.eps)
     M = np.zeros((len(c.faces[2]), len(c.faces[1])))
-    np.add.at(M, (rows[:, :, None], cols[:, None, :]), -blocks)
+    np.add.at(M, (rows[:, :, None], cols[:, None, :]), -dtheta)
     return M
 
 
-def assemble_domega_dS(c, m):
-    """Global matrix of face-deficit derivatives by independent area variations."""
+def assemble_domega_dS(c, m, dtheta=None):
+    """Global matrix of face-deficit derivatives by independent area variations.
+
+    dtheta, the (N, 10, 10) dtheta_dL_blocks of the metric, is computed
+    unless given.
+    """
     rows = c.simplex_faces
-    blocks = domega_dS_blocks(length_tables(m.L, c.simplex_edges), m.eps)
+    blocks = domega_dS_blocks(length_tables(m.L, c.simplex_edges), m.eps, dtheta)
     F = len(c.faces[2])
     M = np.zeros((F, F))
     np.add.at(M, (rows[:, :, None], rows[:, None, :]), -blocks)
@@ -231,8 +236,10 @@ class JacobianSet:
 
 
 def build_jacobians(c, m):
-    dL = assemble_domega_dL(c, m)
-    dS = assemble_domega_dS(c, m)
+    """The three matrices, from one computation of the per-simplex angle blocks."""
+    dtheta = dtheta_dL_blocks(length_tables(m.L, c.simplex_edges), m.eps)
+    dL = assemble_domega_dL(c, m, dtheta)
+    dS = assemble_domega_dS(c, m, dtheta)
     dBig = assemble_dBigOmega_dS(c, m, domega_dS=dS)
     return JacobianSet(
         face_keys=tuple(c.faces[2]),

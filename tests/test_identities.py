@@ -108,3 +108,14 @@ def test_schlafli_areas_are_the_face_areas():
                                             [1.0, 1.0]]))
     with pytest.raises(DegenerateSimplexError):
         triangle_areas(flat[g.EDGE_I, g.EDGE_J], g.FACE_EDGES5, g.FACES5)
+
+
+def test_schlafli_direction_is_not_the_placement_draw():
+    # the placement of trial seed s starts with default_rng(s).standard_normal((5, 4));
+    # the deformation direction comes from a child stream, not from those Gaussians
+    for s in idn.TrialDraws(5, 11).seeds:
+        d = idn._trial_direction(s)
+        assert np.array_equal(d, d.T) and np.abs(d).max() == 1.0
+        raw = np.random.default_rng(s).standard_normal((5, 4)).ravel()[:10]
+        assert not np.allclose(d[g.EDGE_I, g.EDGE_J], raw / np.abs(raw).max())
+        assert np.array_equal(idn._trial_direction(s), d)

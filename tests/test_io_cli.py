@@ -2,6 +2,7 @@
 import dataclasses
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 
+import pachner33
 from pachner33 import complexes as cx
 from pachner33 import flatmetric as fm
 from pachner33 import geometry as g
@@ -16,7 +18,7 @@ from pachner33 import io as pio
 from pachner33.cli import _selection_fields, _value_field, build_parser, main
 from pachner33.complexes import build_complex
 from pachner33.errors import ComplexStructureError, MovePreconditionError, SchemaError
-from pachner33.jacobians import rank_and_submatrix
+from pachner33.jacobians import build_jacobians, rank_and_submatrix
 
 
 def fixture_path(name):
@@ -287,7 +289,27 @@ def test_cli_jacobian_reports_rank_and_residuals():
     assert rep["rank"] == 1
     assert rep["symmetry_residual"] <= 1e-6
     assert rep["conjugacy_residual"] <= 1e-6
-    assert len(rep["matrices"]["dOmega_dL"]) == 20
+    assert rep["matrices"]["dOmega_dL"]["shape"] == [20, 15]
+
+
+@pytest.mark.parametrize("name", ["boundary_delta5.json", "join_tetra_triangle.json"])
+def test_cli_jacobian_triplets_rebuild_the_matrices(name):
+    code, out = run_cli("jacobian", fixture_path(name))
+    assert code == 0
+    matrices = json.loads(out)["matrices"]
+    doc = pio.load_fixture(name)
+    c = doc.to_complex()
+    jac = build_jacobians(c, fm.realize(c, doc.realization()))
+    assert matrices["face_keys"] == [list(k) for k in c.faces[2]]
+    assert matrices["edge_keys"] == [list(k) for k in c.faces[1]]
+    for field in ("dOmega_dL", "dOmega_dS", "dBigOmega_dS"):
+        t = matrices[field]
+        dense = np.zeros(t["shape"])
+        dense[t["rows"], t["cols"]] = t["values"]
+        assert np.array_equal(dense, getattr(jac, field)), field
+        # row-major order, exact zeros left out
+        assert sorted(zip(t["rows"], t["cols"])) == list(zip(t["rows"], t["cols"]))
+        assert 0.0 not in t["values"]
 
 
 def test_cli_move_round_trip(tmp_path):
@@ -451,9 +473,12 @@ def test_cli_realize_emits_coords(tmp_path):
 
 
 def test_cli_unknown_command_exits_2():
+    # the child imports the package the tests imported, whatever PYTHONPATH says
+    src = os.path.dirname(os.path.dirname(pachner33.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "pachner33", "frobnicate"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 2
 
@@ -511,15 +536,22 @@ def test_dumps_pins_float_text():
     assert pio.dumps({"m": [[1.5, 2.0], (0.25,), [], [np.float64(0.5), 1.0]]}) == (
         '{"m": [[1.5, 2], [0.25], [], [0.5, 1]]}'
     )
-    # a float64 matrix is written row by row with the text of its .tolist()
+    # 1-d float64 and integer arrays are written with the text of their .tolist()
     rng = np.random.default_rng(11)
-    M = rng.standard_normal((3, 6)) * 10.0 ** rng.integers(-300, 300, size=(3, 6))
-    M[1] = special
-    M[2, :2] = (1.0, 2.2250738585072009e-308)
-    assert pio.dumps(M) == pio.dumps(M.tolist())
-    assert pio.dumps({"m": M.T}) == pio.dumps({"m": M.T.tolist()})
-    assert pio.dumps(np.zeros((0, 4))) == pio.dumps([]) == "[]"
-    assert pio.dumps(np.zeros((2, 0))) == pio.dumps([[], []]) == "[[], []]"
+    v = rng.standard_normal(18) * 10.0 ** rng.integers(-300, 300, size=18)
+    v[6:12] = special
+    v[12:14] = (1.0, 2.2250738585072009e-308)
+    assert pio.dumps(v) == pio.dumps(v.tolist())
+    assert pio.dumps({"v": v[::-3]}) == pio.dumps({"v": v[::-3].tolist()})
+    assert pio.dumps(np.array(special)) == pio.dumps(special)
+    assert pio.dumps(np.zeros(0)) == pio.dumps(np.zeros(0, dtype=np.int64)) == "[]"
+    for dtype in (np.int64, np.int32, np.uint8, np.uint64):
+        ints = np.array([0, 3, 7, 255], dtype=dtype)
+        assert pio.dumps(ints) == pio.dumps(ints.tolist()) == "[0, 3, 7, 255]"
+    big = np.array([-(2**63), 2**63 - 1, -1])
+    assert pio.dumps(big) == "[-9223372036854775808, 9223372036854775807, -1]"
+    rows, cols = np.nonzero(np.eye(3))
+    assert pio.dumps({"rows": rows, "cols": cols[::-1]}) == '{"rows": [0, 1, 2], "cols": [2, 1, 0]}'
     assert pio.dumps([3, -1, 0, 10**20]) == "[3, -1, 0, 100000000000000000000]"
     # bool and numpy integers are not exactly int: the general path writes them
     assert pio.dumps([1, True]) == "[1, true]"
@@ -539,6 +571,12 @@ def test_dumps_takes_the_general_path_unless_items_are_exactly_int(monkeypatch):
         ([1, 2], "[1, 2]", 1),
         ([1, True], "[1, true]", 3),
         ([np.int64(1)], "[1]", 2),
+        # lists of exactly-int lists or tuples (keys) take one pass as well
+        ([[0, 1, 2], (3, 4, 5), [], [-7]], "[[0, 1, 2], [3, 4, 5], [], [-7]]", 1),
+        ([[0, 1], [2, True]], "[[0, 1], [2, true]]", 5),
+        ([[0, 1], [np.int64(2), 3]], "[[0, 1], [2, 3]]", 5),
+        ([(0, 1), [2.0]], "[[0, 1], [2]]", 3),
+        ([[0, 1], None], "[[0, 1], null]", 3),
     ):
         calls.clear()
         assert pio.dumps(obj) == text

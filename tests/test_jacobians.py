@@ -16,6 +16,11 @@ from pachner33.errors import SelectionError
 UNIT_L = np.ones((5, 5)) - np.eye(5)
 
 
+def dS_dL_simplex(L):
+    """(10, 10) face-area derivatives of one squared-length table."""
+    return g.dS_dL_blocks(g.validate_length_table(L, size=5)[None])[0]
+
+
 def random_simplex(seed, quality=1e-3):
     rng = np.random.default_rng(seed)
     while True:
@@ -28,7 +33,7 @@ def random_simplex(seed, quality=1e-3):
 # ------------------------------------------------------------- dS/dL
 
 def test_dS_dL_regular_entries():
-    M = jb.dS_dL_simplex(UNIT_L)
+    M = dS_dL_simplex(UNIT_L)
     expected = 1.0 / (4.0 * math.sqrt(3.0))
     for fi, face in enumerate(g.FACES5):
         for ei, edge in enumerate(g.EDGES5):
@@ -41,7 +46,7 @@ def test_dS_dL_regular_entries():
 def test_dS_dL_row_sums_give_areas():
     pts = random_simplex(2)
     L = g.squared_length_table(pts)
-    M = jb.dS_dL_simplex(L)
+    M = dS_dL_simplex(L)
     Lvec = np.array([L[e] for e in g.EDGES5])
     for fi, face in enumerate(g.FACES5):
         assert M[fi] @ Lvec == pytest.approx(g.face_area(L, face), rel=1e-10)
@@ -199,6 +204,24 @@ def test_domega_dS_symmetric_on_fixtures(delta5, delta5_metric, join_complex, jo
     for c, m in ((delta5, delta5_metric), (join_complex, join_metric)):
         M = jb.assemble_domega_dS(c, m)
         assert np.abs(M - M.T).max() <= 1e-6 * np.abs(M).max()
+
+
+def test_build_jacobians_computes_the_angle_blocks_once(monkeypatch, join_complex, join_metric):
+    calls = []
+    blocks = jb.dtheta_dL_blocks
+
+    def counted(L, eps):
+        calls.append(len(L))
+        return blocks(L, eps)
+
+    alone = (jb.assemble_domega_dL(join_complex, join_metric),
+             jb.assemble_domega_dS(join_complex, join_metric))
+    monkeypatch.setattr(jb, "dtheta_dL_blocks", counted)
+    jac = jb.build_jacobians(join_complex, join_metric)
+    assert calls == [len(join_complex.simplices)]
+    # passing the blocks changes no bit of either assembly
+    assert np.array_equal(jac.dOmega_dL, alone[0]) and np.array_equal(jac.dOmega_dS, alone[1])
+    assert np.array_equal(jac.dBigOmega_dS, jb.assemble_dBigOmega_dS(join_complex, join_metric))
 
 
 def test_domega_dS_zero_without_common_simplex(join_complex, join_metric):
