@@ -35,16 +35,13 @@ from .geometry import (
     signed_volume4,
     squared_length_table,
 )
+from .identities import ClusterSix, check_6term, check_basic2, random_cluster
 from .invariants import (
-    ClusterSix,
     InvariantReport,
     MoveComparison,
     basis_change_factor,
-    check_6term,
-    check_basic2,
     compare_under_move,
     full_invariant,
-    random_cluster,
     restricted_invariant,
 )
 from .io import ComplexDocument, load_fixture, parse_complex, serialize_complex

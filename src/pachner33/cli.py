@@ -52,17 +52,21 @@ def _coords_for(doc, args, c):
     return coords
 
 
-def _selection_fields(sel):
-    """The selection as report fields; det(B) as sign and log, which cannot overflow."""
+def _selection_fields(sel, c):
+    """The selection as report fields; det(B) as sign and log, which cannot overflow.
+
+    Rows and columns are written as the keys of c's triangles and edges.
+    """
     det_sign, log_abs_det = sel.slogdet()
+    faces, edges = c.faces[2], c.faces[1]
     return {
         "rank": sel.rank,
         "det_sign": det_sign,
         "log_abs_det": log_abs_det,
-        "rows": [list(k) for k in sel.row_keys],
-        "cols": [list(k) for k in sel.col_keys],
-        "rows_complement": [list(k) for k in sel.row_comp_keys],
-        "cols_complement": [list(k) for k in sel.col_comp_keys],
+        "rows": [list(faces[i]) for i in sel.rows],
+        "cols": [list(edges[i]) for i in sel.cols],
+        "rows_complement": [list(faces[i]) for i in sel.rows_comp],
+        "cols_complement": [list(edges[i]) for i in sel.cols_comp],
     }
 
 
@@ -176,9 +180,7 @@ def cmd_jacobian(args, t0):
     coords = _coords_for(doc, args, c)
     m = realize(c, coords)
     jac = build_jacobians(c, m)
-    sel = rank_and_submatrix(jac.dOmega_dL, tol=args.pivot_tol).with_keys(
-        c.faces[2], c.faces[1]
-    )
+    sel = rank_and_submatrix(jac.dOmega_dL, tol=args.pivot_tol)
     sym = jac.symmetry_residual()
     conj = jac.conjugacy_residual()
     rep = _report(
@@ -188,7 +190,7 @@ def cmd_jacobian(args, t0):
         rank=sel.rank,
         symmetry_residual=sym,
         conjugacy_residual=conj,
-        selection=_selection_fields(sel),
+        selection=_selection_fields(sel, c),
         matrices={
             "face_keys": [list(k) for k in jac.face_keys],
             "edge_keys": [list(k) for k in jac.edge_keys],
@@ -245,7 +247,7 @@ def cmd_invariant(args, t0):
         log_abs_prod_S=report.log_abs_prod_S,
         log_abs_prod_V=report.log_abs_prod_V,
         sign_prod_V=report.sign_prod_V,
-        selection=_selection_fields(report.selection),
+        selection=_selection_fields(report.selection, c),
     )
     _emit(rep, t0)
     return 0
@@ -270,7 +272,7 @@ def cmd_compare(args, t0):
         ratio=mc.ratio,
         deviation=mc.deviation,
         passed=passed,
-        selection=_selection_fields(mc.selection),
+        selection=_selection_fields(mc.selection, c),
     )
     _emit(rep, t0)
     return 0 if passed else 1

@@ -22,11 +22,11 @@ magnitude times the simplex sign eps.
 
 cell_volumes is the package's one volume floor: for a stack of cells given
 by their points it returns the signed volumes and whether each falls below
-a fraction of its mean edge length to the fourth.  realize, the
-replacement cells of a move, the six-point clusters and the sampler all
-call it.  unit_ball_placement draws every seeded placement of the package:
-points uniform in the unit ball, redrawn together until no listed cell is
-below the floor.
+a fraction of its mean edge length to the fourth.  realize (and through
+it the six-point cluster), the replacement cells of a move and the
+sampler call it.  unit_ball_placement draws every seeded placement of the
+package: points uniform in the unit ball, redrawn together until no listed
+cell is below the floor.
 """
 from __future__ import annotations
 
@@ -41,10 +41,6 @@ TWO_PI = 2.0 * math.pi
 
 # |V| below DEGENERACY_REL * (mean edge length)^4 counts as degenerate.
 DEGENERACY_REL = 1e-10
-
-# The finite-difference oracles (identities.central_difference and the flat
-# family of invariants.check_basic2) use a step of FD_REL_STEP * max(L).
-FD_REL_STEP = 1e-5
 
 EDGES5 = tuple((i, j) for i in range(5) for j in range(i + 1, 5))
 FACES5 = tuple(

@@ -1,4 +1,11 @@
-"""Randomized batteries for the differential identities.
+"""The six-point cluster and randomized batteries for the differential identities.
+
+The cluster is six labelled points A..F in R^4 (indices 0..5).  The three
+4-simplices around ABC and the three around DEF are the two sides of a
+3->3 move; glued along their common boundary they make the boundary of
+the 5-simplex on A..F.  ClusterSix realizes that one complex and reads
+each side at the row of its central triangle (SIDES).  check_basic2 and
+check_6term test the paper's volume-product relations on a cluster.
 
 Each battery draws seed-deterministic configurations, evaluates one identity
 and reports the worst relative residual.  The library computes every angle
@@ -11,11 +18,11 @@ so that truncation stays far below the tolerances even for moderately thin
 simplices, and evaluates its four stencil tables per direction as one
 stack: fd_dtheta_dL embeds all 40 tables of its ten edge directions in one
 call.  The cluster batteries (two_edge_ratio, six_term,
-cluster_closed_forms) read an invariants.ClusterSix per trial, whose
-deficits, gradients and areas are rows of the same global assembly the
-invariant runs.  The trial configurations live in a TrialDraws:
-run_all_batteries draws each trial's simplex and cluster once and every
-battery reads that draw; a battery called alone draws its own.
+cluster_closed_forms) read a ClusterSix per trial, whose deficits,
+gradients and areas are rows of the same global assembly the invariant
+runs.  The trial configurations live in a TrialDraws: run_all_batteries
+draws each trial's simplex and cluster once and every battery reads that
+draw; a battery called alone draws its own.
 """
 from __future__ import annotations
 
@@ -25,12 +32,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry
-from .flatmetric import triangle_areas
-from .invariants import CLUSTER_EDGE_INDEX, check_6term, check_basic2, random_cluster
-from .jacobians import dtheta_dL_simplex
+from .complexes import boundary_delta5
+from .errors import DegenerateSimplexError
+from .flatmetric import FLATNESS_TOL, FlatMetric, deficit_omega, realize, triangle_areas
+from .jacobians import assemble_domega_dL, dtheta_dL_simplex
 
 DEFAULT_TOL = 1e-6
 PARALLEL_COS_TOL = 1e-10
+
+# The step of central_difference is FD_REL_STEP * max(L).
+FD_REL_STEP = 1e-5
 
 
 @dataclass(frozen=True)
@@ -45,6 +56,161 @@ class BatteryResult:
     @property
     def passed(self):
         return self.failures == 0
+
+
+A, B, C, D, E, F = range(6)
+
+_DELTA5 = boundary_delta5()
+CLUSTER_EDGES = _DELTA5.faces[1]
+CLUSTER_EDGE_INDEX = _DELTA5.face_index[1]
+# side -> (row of its central triangle, sign of the side's orientation in the boundary)
+SIDES = {
+    "abc": (_DELTA5.face_index[2][(A, B, C)], -1),
+    "def": (_DELTA5.face_index[2][(D, E, F)], 1),
+}
+# cell n omits point n; its stored sign turns its volume into the ascending hat's
+_HAT_SIGNS = np.array([sign for _, sign in _DELTA5.simplices])
+
+
+@dataclass(frozen=True)
+class ClusterSix:
+    """Six points whose 5-simplex boundary is nondegenerate and flat at ABC and DEF.
+
+    hat_volumes[x] is the signed volume of the five points other than x in
+    ascending order.  metric is the FlatMetric of the boundary of the
+    5-simplex; the deficit, its gradient and the area at each side's
+    central triangle are read at that triangle's row, times the side's
+    sign (SIDES).  The deficits and the gradients of both sides are
+    computed once, over the six cells, and the gradients handed out
+    read-only.
+    """
+
+    points: np.ndarray  # (6, 4)
+    hat_volumes: np.ndarray = field(init=False, repr=False, compare=False)  # (6,)
+    metric: FlatMetric = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        pts = np.asarray(self.points, dtype=float)
+        if pts.shape != (6, 4):
+            raise ValueError("cluster needs 6 points in R^4")
+        object.__setattr__(self, "points", pts)
+        m = realize(_DELTA5, dict(enumerate(pts)))
+        object.__setattr__(self, "metric", m)
+        object.__setattr__(self, "hat_volumes", m.V * _HAT_SIGNS)
+        for side in SIDES:
+            if abs(self.omega_value(side)) > FLATNESS_TOL:
+                raise DegenerateSimplexError(
+                    "cluster angle sum does not close up; placement is not flat"
+                )
+
+    @functools.cached_property
+    def _omegas(self):
+        return deficit_omega(_DELTA5, self.metric)
+
+    def omega_value(self, side):
+        """Deficit at the central triangle of side "abc" or "def", in (-pi, pi]."""
+        row, sign = SIDES[side]
+        return float(sign * self._omegas[row])
+
+    @functools.cached_property
+    def _gradients(self):
+        M = assemble_domega_dL(_DELTA5, self.metric)
+        out = {}
+        for side, (row, sign) in SIDES.items():
+            out[side] = sign * M[row]
+            out[side].flags.writeable = False
+        return out
+
+    def omega_gradient(self, side):
+        """(15,) gradient of that deficit over the squared lengths, CLUSTER_EDGES order."""
+        return self._gradients[side]
+
+    def area(self, side):
+        """Area of the central triangle of side "abc" or "def"."""
+        row, _ = SIDES[side]
+        return float(self.metric.S[row])
+
+
+def random_cluster(seed, quality=geometry.DEFAULT_QUALITY):
+    """Seed-deterministic six unit-ball points, every 5-subset nondegenerate."""
+    cells = [verts for verts, _ in _DELTA5.simplices]
+    return ClusterSix(geometry.unit_ball_placement(seed, 6, cells, quality))
+
+
+@dataclass(frozen=True)
+class TwoEdgeCheck:
+    """Constrained derivative of one squared length against another."""
+
+    ratio: float  # dL_DE / dL_AB along the flat one-parameter family
+    predicted: float  # -V_hatA V_hatB / (V_hatD V_hatE)
+    residual: float
+
+
+def check_basic2(cluster):
+    """Move A and E only, keeping every squared length but AB and DE fixed.
+
+    The placements stay flat by construction, so the measured dL_DE/dL_AB
+    must equal minus the volume-product ratio.  Squared lengths are
+    quadratic along the family, so both derivatives are exact:
+    dL_AB = 2 (x_A - x_B) . v_A and dL_DE = -2 (x_D - x_E) . v_E.
+    """
+    pts = cluster.points
+    fixed_pairs = [(A, C), (A, D), (A, E), (A, F), (B, E), (C, E), (E, F)]
+    J = np.zeros((len(fixed_pairs), 8))
+    for r, (u, w) in enumerate(fixed_pairs):
+        d = pts[u] - pts[w]
+        if u == A:
+            J[r, 0:4] += 2 * d
+        if w == A:
+            J[r, 0:4] -= 2 * d
+        if u == E:
+            J[r, 4:8] += 2 * d
+        if w == E:
+            J[r, 4:8] -= 2 * d
+    _, svals, Vh = np.linalg.svd(J)
+    # 7 constraints on 8 coordinates: a unique flat direction needs full rank
+    if svals[-1] < 1e-10 * svals[0]:
+        raise DegenerateSimplexError("constraint Jacobian is rank deficient")
+    v = Vh[-1]
+    dAB = 2 * (pts[A] - pts[B]) @ v[0:4]
+    dDE = -2 * (pts[D] - pts[E]) @ v[4:8]
+    if abs(dAB) < 1e-14 * max(abs(dDE), 1.0):
+        raise DegenerateSimplexError("flat family does not move the AB length")
+    ratio = dDE / dAB
+    V = cluster.hat_volumes
+    predicted = -V[A] * V[B] / (V[D] * V[E])
+    return TwoEdgeCheck(
+        ratio=ratio,
+        predicted=predicted,
+        residual=abs(ratio - predicted) / abs(predicted),
+    )
+
+
+@dataclass(frozen=True)
+class SixTermCheck:
+    """Volume-weighted gradient identity between the two cluster deficits."""
+
+    residual: float  # max component mismatch, relative
+    cosine: float  # |cos| of the two 15-component gradients
+    ratio_residual: float  # gradient-component ratio vs volume products
+
+
+def check_6term(cluster):
+    gA = cluster.omega_gradient("abc")
+    gD = cluster.omega_gradient("def")
+
+    V = cluster.hat_volumes
+    lhs = V[D] * (-V[E]) * V[F] / cluster.area("abc") * gA
+    rhs = V[A] * (-V[B]) * V[C] / cluster.area("def") * gD
+    scale = max(np.abs(lhs).max(), np.abs(rhs).max())
+    residual = float(np.abs(lhs - rhs).max() / scale)
+
+    cosine = abs(float(gA @ gD / (np.linalg.norm(gA) * np.linalg.norm(gD))))
+
+    ratio = gA[CLUSTER_EDGE_INDEX[(A, B)]] / gA[CLUSTER_EDGE_INDEX[(D, E)]]
+    predicted = V[A] * V[B] / (V[D] * V[E])
+    ratio_residual = float(abs(ratio - predicted) / abs(predicted))
+    return SixTermCheck(residual=residual, cosine=cosine, ratio_residual=ratio_residual)
 
 
 def random_simplex_points(seed, quality=geometry.DEFAULT_QUALITY):
@@ -88,7 +254,7 @@ def central_difference(fn, L, direction):
     the one finite-difference oracle of the package; the library itself
     never differentiates numerically.
     """
-    h = geometry.FD_REL_STEP * float(L.max())
+    h = FD_REL_STEP * float(L.max())
     steps = np.array([h / 2, -h / 2, h, -h]).reshape((4,) + (1,) * np.ndim(direction))
     values = np.asarray(fn(L + steps * direction))
     half = (values[0] - values[1]) / (2 * (h / 2))

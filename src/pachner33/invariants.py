@@ -1,20 +1,11 @@
-"""Local cluster identities and the global 3->3 move invariant.
+"""The global 3->3 move invariant of a closed flat complex.
 
-The local checks work on six labelled points A..F in R^4 (indices 0..5).
-Around the triangle ABC sit the three simplices ABCEF, ABCFD, ABCDE; around
-DEF sit BCDEF, CADEF, ABDEF.  The six cells are the six 5-subsets of the
-points.  Each triple is a small consistently oriented complex with boundary
-(SIDES), whose edges are all fifteen pairs, and ClusterSix realizes both
-with the global route: the deficit at the central triangle, its gradient
-over the fifteen squared lengths and the triangle's area are the central
-row of deficit_omega, of assemble_domega_dL and of the metric's S.
-
-The global invariant of a closed flat complex is I = prod(S) / (det(B) *
-prod(V)) for a maximal nondegenerate submatrix B of the face-deficit/length
-matrix, det(B)^-1 multiplying the differential form on the complementary
-index sets (see BasisChangeFactors).  I, det(B) and the products are held
-as (sign, log|.|) only, which neither under- nor overflows at a thousand
-cells; basis_change_factor takes det ratios as differences of slogdets.
+The invariant is I = prod(S) / (det(B) * prod(V)) for a maximal
+nondegenerate submatrix B of the face-deficit/length matrix, det(B)^-1
+multiplying the differential form on the complementary index sets (see
+BasisChangeFactors).  I, det(B) and the products are held as (sign,
+log|.|) only, which neither under- nor overflows at a thousand cells;
+basis_change_factor takes det ratios as differences of slogdets.
 Moves are compared with matched selections: the row of the disappearing
 triangle is replaced by the row of the appearing one.  The move only swaps
 three simplices, so the after-quantities are a local update of the
@@ -27,17 +18,15 @@ a face and the moved complex would not be simplicial.
 """
 from __future__ import annotations
 
-import functools
-import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import geometry
-from .complexes import build_complex, move_cluster, oriented_tuple, scatter_indices
+from .complexes import move_cluster, oriented_tuple, scatter_indices
 from .errors import DegenerateSimplexError, SelectionError
-from .flatmetric import FLATNESS_TOL, deficit_omega, realize, triangle_areas
+from .flatmetric import realize, triangle_areas
 from .jacobians import (
     PIVOT_TOL,
     assemble_domega_dL,
@@ -47,172 +36,6 @@ from .jacobians import (
     log_product,
     rank_and_submatrix,
 )
-
-A, B, C, D, E, F = range(6)
-
-BEFORE_CELLS = ((A, B, C, E, F), (A, B, C, F, D), (A, B, C, D, E))
-AFTER_CELLS = ((B, C, D, E, F), (C, A, D, E, F), (A, B, D, E, F))
-CLUSTER_EDGES = tuple(itertools.combinations(range(6), 2))
-CLUSTER_EDGE_INDEX = {e: n for n, e in enumerate(CLUSTER_EDGES)}
-
-# the five points other than x, ascending; the six cluster cells are these hats
-_HATS = np.array([[v for v in range(6) if v != x] for x in range(6)])
-
-
-def _side(cells, face):
-    c = build_complex(cells, allow_boundary=True)
-    return c, c.face_index[2][face]
-
-
-# each side's complex and the row of its central triangle; c.faces[1] is CLUSTER_EDGES
-SIDES = {"abc": _side(BEFORE_CELLS, (A, B, C)), "def": _side(AFTER_CELLS, (D, E, F))}
-
-
-@dataclass(frozen=True)
-class ClusterSix:
-    """Six points with both three-simplex clusters nondegenerate and flat.
-
-    hat_volumes[x] is the signed volume of the five points other than x in
-    ascending order.  metrics holds the FlatMetric of each side's complex
-    (SIDES); the deficit, its gradient and the area at the central triangle
-    are read from the global route at that triangle's row.  The gradients
-    of both sides are assembled once, at the first omega_gradient call, and
-    handed out read-only.
-    """
-
-    points: np.ndarray  # (6, 4)
-    hat_volumes: np.ndarray = field(init=False, repr=False, compare=False)  # (6,)
-    metrics: dict = field(init=False, repr=False, compare=False)  # side -> FlatMetric
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        if pts.shape != (6, 4):
-            raise ValueError("cluster needs 6 points in R^4")
-        object.__setattr__(self, "points", pts)
-        volumes, below = geometry.cell_volumes(pts[_HATS], geometry.DEGENERACY_REL)
-        object.__setattr__(self, "hat_volumes", volumes)
-        thin = np.flatnonzero(below)
-        if thin.size:
-            raise DegenerateSimplexError(f"simplex omitting point {int(thin[0])} is degenerate")
-        coords = dict(enumerate(pts))
-        metrics = {side: realize(c, coords, allow_boundary=True) for side, (c, _) in SIDES.items()}
-        object.__setattr__(self, "metrics", metrics)
-        for side in SIDES:
-            if abs(self.omega_value(side)) > FLATNESS_TOL:
-                raise DegenerateSimplexError(
-                    "cluster angle sum does not close up; placement is not flat"
-                )
-
-    def omega_value(self, side):
-        """Deficit at the central triangle of side "abc" or "def", in (-pi, pi]."""
-        c, row = SIDES[side]
-        return float(deficit_omega(c, self.metrics[side])[row])
-
-    @functools.cached_property
-    def _gradients(self):
-        out = {}
-        for side, (c, row) in SIDES.items():
-            out[side] = assemble_domega_dL(c, self.metrics[side])[row]
-            out[side].flags.writeable = False
-        return out
-
-    def omega_gradient(self, side):
-        """(15,) gradient of that deficit over the squared lengths, CLUSTER_EDGES order."""
-        return self._gradients[side]
-
-    def area(self, side):
-        """Area of the central triangle of side "abc" or "def"."""
-        _, row = SIDES[side]
-        return float(self.metrics[side].S[row])
-
-
-def random_cluster(seed, quality=geometry.DEFAULT_QUALITY):
-    """Seed-deterministic six unit-ball points, every 5-subset nondegenerate."""
-    return ClusterSix(geometry.unit_ball_placement(seed, 6, _HATS, quality))
-
-
-@dataclass(frozen=True)
-class TwoEdgeCheck:
-    """Constrained derivative of one squared length against another."""
-
-    ratio: float  # dL_DE / dL_AB along the flat one-parameter family
-    predicted: float  # -V_hatA V_hatB / (V_hatD V_hatE)
-    residual: float
-
-
-def check_basic2(cluster):
-    """Move A and E only, keeping every squared length but AB and DE fixed.
-
-    The placements stay flat by construction, so the measured dL_DE/dL_AB
-    must equal minus the volume-product ratio.
-    """
-    pts = cluster.points
-    fixed_pairs = [(A, C), (A, D), (A, E), (A, F), (B, E), (C, E), (E, F)]
-    J = np.zeros((len(fixed_pairs), 8))
-    for r, (u, w) in enumerate(fixed_pairs):
-        d = pts[u] - pts[w]
-        if u == A:
-            J[r, 0:4] += 2 * d
-        if w == A:
-            J[r, 0:4] -= 2 * d
-        if u == E:
-            J[r, 4:8] += 2 * d
-        if w == E:
-            J[r, 4:8] -= 2 * d
-    _, svals, Vh = np.linalg.svd(J)
-    # 7 constraints on 8 coordinates: a unique flat direction needs full rank
-    if svals[-1] < 1e-10 * svals[0]:
-        raise DegenerateSimplexError("constraint Jacobian is rank deficient")
-    v = Vh[-1]
-    scale = float(np.abs(pts).max())
-    s = geometry.FD_REL_STEP * scale
-
-    def lengths_at(t):
-        q = pts.copy()
-        q[A] += t * v[0:4]
-        q[E] += t * v[4:8]
-        return geometry.squared_length_table(q)
-
-    Lp, Lm = lengths_at(s), lengths_at(-s)
-    dAB = Lp[A, B] - Lm[A, B]
-    dDE = Lp[D, E] - Lm[D, E]
-    if abs(dAB) < 1e-14 * max(abs(dDE), 1.0):
-        raise DegenerateSimplexError("flat family does not move the AB length")
-    ratio = dDE / dAB
-    V = cluster.hat_volumes
-    predicted = -V[A] * V[B] / (V[D] * V[E])
-    return TwoEdgeCheck(
-        ratio=ratio,
-        predicted=predicted,
-        residual=abs(ratio - predicted) / abs(predicted),
-    )
-
-
-@dataclass(frozen=True)
-class SixTermCheck:
-    """Volume-weighted gradient identity between the two cluster deficits."""
-
-    residual: float  # max component mismatch, relative
-    cosine: float  # |cos| of the two 15-component gradients
-    ratio_residual: float  # gradient-component ratio vs volume products
-
-
-def check_6term(cluster):
-    gA = cluster.omega_gradient("abc")
-    gD = cluster.omega_gradient("def")
-
-    V = cluster.hat_volumes
-    lhs = V[D] * (-V[E]) * V[F] / cluster.area("abc") * gA
-    rhs = V[A] * (-V[B]) * V[C] / cluster.area("def") * gD
-    scale = max(np.abs(lhs).max(), np.abs(rhs).max())
-    residual = float(np.abs(lhs - rhs).max() / scale)
-
-    cosine = abs(float(gA @ gD / (np.linalg.norm(gA) * np.linalg.norm(gD))))
-
-    ratio = gA[CLUSTER_EDGE_INDEX[(A, B)]] / gA[CLUSTER_EDGE_INDEX[(D, E)]]
-    predicted = V[A] * V[B] / (V[D] * V[E])
-    ratio_residual = float(abs(ratio - predicted) / abs(predicted))
-    return SixTermCheck(residual=residual, cosine=cosine, ratio_residual=ratio_residual)
 
 
 def restricted_invariant(c, m, sel):
@@ -263,7 +86,7 @@ def full_invariant(c, m, pivot_tol=PIVOT_TOL):
     factors (see basis_change_factor) are numerically meaningful.
     """
     M = assemble_domega_dL(c, m)
-    sel = rank_and_submatrix(M, tol=pivot_tol).with_keys(c.faces[2], c.faces[1])
+    sel = rank_and_submatrix(M, tol=pivot_tol)
     if sel.rank < 1:
         raise SelectionError("deficit/length matrix has rank zero")
     sign, log_abs = restricted_invariant(c, m, sel)
@@ -346,9 +169,7 @@ def compare_under_move(c, coords, t, pivot_tol=PIVOT_TOL):
     m = realize(c, coords)
     M = assemble_domega_dL(c, m)
     row_abc = c.face_index[2][abc]
-    sel = rank_and_submatrix(M, must_include_row=row_abc, tol=pivot_tol).with_keys(
-        c.faces[2], c.faces[1]
-    )
+    sel = rank_and_submatrix(M, must_include_row=row_abc, tol=pivot_tol)
     sign_before, log_before = restricted_invariant(c, m, sel)
 
     M_after, def_row, new_volumes = virtual_rebuild(c, m, coords, M, star, def_, new_cells)

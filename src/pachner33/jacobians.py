@@ -35,7 +35,7 @@ the rows it changes rather than the whole matrix.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -278,23 +278,10 @@ class SubmatrixSelection:
     rows_comp: tuple
     cols_comp: tuple
     pivots: tuple
-    row_keys: tuple = None
-    col_keys: tuple = None
-    row_comp_keys: tuple = None
-    col_comp_keys: tuple = None
 
     @property
     def rank(self):
         return len(self.pivots)
-
-    def with_keys(self, face_keys, edge_keys):
-        return replace(
-            self,
-            row_keys=tuple(face_keys[i] for i in self.rows),
-            col_keys=tuple(edge_keys[i] for i in self.cols),
-            row_comp_keys=tuple(face_keys[i] for i in self.rows_comp),
-            col_comp_keys=tuple(edge_keys[i] for i in self.cols_comp),
-        )
 
     def slogdet(self):
         """(sign, log|det|) from the pivots; (1, 0.0) for a rank-0 selection."""
@@ -376,17 +363,3 @@ def kernel_basis(matrix, rank):
     """Orthonormal null-space basis (columns) from the SVD, given the rank."""
     _, _, Vh = np.linalg.svd(np.asarray(matrix, dtype=float))
     return Vh[rank:].T.copy()
-
-
-def displacement_length_differential(c, coords, delta):
-    """dL induced by an infinitesimal vertex displacement field.
-
-    For an edge (u, w): dL = 2 (x_u - x_w) . (delta_u - delta_w).  The result
-    follows the complex's edge ordering.
-    """
-    out = np.zeros(len(c.faces[1]))
-    for n, (u, w) in enumerate(c.faces[1]):
-        d = np.asarray(coords[u], float) - np.asarray(coords[w], float)
-        dd = np.asarray(delta[u], float) - np.asarray(delta[w], float)
-        out[n] = 2.0 * float(d @ dd)
-    return out

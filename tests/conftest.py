@@ -8,6 +8,22 @@ from pachner33 import geometry as g
 LADDER_RUNGS = (26, 86, 166)
 
 
+def vertex_motion_dL(c, coords, delta):
+    """(E,) squared-length change of a vertex displacement field, c.faces[1] order.
+
+    dL_uw = 2 (x_u - x_w) . (delta_u - delta_w) for each edge (u, w).
+    """
+    X = np.array([coords[v] for v in c.vertices], dtype=float)
+    dX = np.array([delta[v] for v in c.vertices], dtype=float)
+    u, w = c.edge_ends.T
+    return 2.0 * np.einsum("ek,ek->e", X[u] - X[w], dX[u] - dX[w])
+
+
+@pytest.fixture(scope="session")
+def motion_dL():
+    return vertex_motion_dL
+
+
 @pytest.fixture(scope="session")
 def delta5():
     return cx.boundary_delta5()

@@ -111,7 +111,7 @@ def test_criterion_06_symmetry_and_conjugacy():
     )
 
 
-def test_criterion_07_rank_and_kernel():
+def test_criterion_07_rank_and_kernel(motion_dL):
     c = cx.boundary_delta5()
     coords = fm.random_realization(c, seed=707)
     m = fm.realize(c, coords)
@@ -122,7 +122,7 @@ def test_criterion_07_rank_and_kernel():
     worst = 0.0
     for _ in range(10):
         delta = {v: rng.standard_normal(4) for v in c.vertices}
-        dL = jb.displacement_length_differential(c, coords, delta)
+        dL = motion_dL(c, coords, delta)
         worst = max(
             worst, np.abs(M @ dL).max() / (np.linalg.norm(dL) * np.abs(M).max())
         )

@@ -4,14 +4,14 @@ import pytest
 
 from pachner33 import geometry as g
 from pachner33 import identities as idn
-from pachner33 import invariants as iv
+from pachner33 import jacobians as jb
 from pachner33.errors import DegenerateSimplexError
 from pachner33.flatmetric import triangle_areas
 
 
 def central_difference_loop(fn, L, direction):
     """One direction, four separate calls of fn on single tables."""
-    h = g.FD_REL_STEP * float(L.max())
+    h = idn.FD_REL_STEP * float(L.max())
 
     def diff(step):
         plus, minus = fn(L + step * direction), fn(L - step * direction)
@@ -57,10 +57,11 @@ def test_central_difference_takes_one_direction_or_a_stack():
 
 def test_random_cluster_is_drawn_once_per_trial_and_call(monkeypatch):
     calls = []
+    original = idn.random_cluster
 
     def counted(seed, *args, **kwargs):
         calls.append(int(seed))
-        return iv.random_cluster(seed, *args, **kwargs)
+        return original(seed, *args, **kwargs)
 
     monkeypatch.setattr(idn, "random_cluster", counted)
     idn.run_all_batteries(trials=3, seed=8)
@@ -82,21 +83,39 @@ def test_shared_draws_give_every_battery_its_standalone_result():
 
 def test_cluster_assembles_each_gradient_once(monkeypatch):
     calls = []
-    original = iv.assemble_domega_dL
+    original = idn.assemble_domega_dL
 
     def counted(c, m):
         calls.append(c)
         return original(c, m)
 
-    monkeypatch.setattr(iv, "assemble_domega_dL", counted)
-    cluster = iv.random_cluster(21)
-    first = {side: cluster.omega_gradient(side).copy() for side in iv.SIDES}
+    monkeypatch.setattr(idn, "assemble_domega_dL", counted)
+    cluster = idn.random_cluster(21)
+    first = {side: cluster.omega_gradient(side).copy() for side in idn.SIDES}
     for _ in range(3):
-        for side in iv.SIDES:
+        for side in idn.SIDES:
             assert np.array_equal(cluster.omega_gradient(side), first[side])
-    assert len(calls) == 2
+    # both sides are rows of one assembly over the six cells
+    assert len(calls) == 1
     with pytest.raises(ValueError):
         cluster.omega_gradient("abc")[0] = 0.0
+
+
+def test_cluster_and_its_gradients_take_two_normal_grams(monkeypatch):
+    calls = []
+    original = jb._normal_gram
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(jb, "_normal_gram", counted)
+    cluster = idn.random_cluster(21)
+    for side in idn.SIDES:
+        cluster.omega_value(side)
+        cluster.omega_gradient(side)
+    # one for the deficits of the flatness check, one for the gradients
+    assert len(calls) == 2
 
 
 def test_schlafli_areas_are_the_face_areas():

@@ -8,6 +8,7 @@ import pytest
 from pachner33 import complexes as cx
 from pachner33 import flatmetric as fm
 from pachner33 import geometry as g
+from pachner33 import identities as idn
 from pachner33 import invariants as iv
 from pachner33 import jacobians as jb
 from pachner33.errors import DegenerateSimplexError, SelectionError
@@ -30,7 +31,7 @@ def symmetric_cluster(seed=21, max_tries=200):
         cpt[0] = cpt[1] = fpt[0] = fpt[1] = 0.0  # fixed by the half turn
         pts = np.stack([a, b, cpt, a * half_turn, b * half_turn, fpt])
         try:
-            return iv.ClusterSix(pts)
+            return idn.ClusterSix(pts)
         except DegenerateSimplexError:
             continue
     raise AssertionError("no symmetric cluster found")
@@ -43,19 +44,25 @@ def test_cluster_requires_nondegenerate_hats():
     # make the simplex omitting C affinely dependent: F into span(A,B,D,E)
     pts[5] = pts[0] + pts[1] + pts[3] - pts[4]
     with pytest.raises(DegenerateSimplexError):
-        iv.ClusterSix(pts)
+        idn.ClusterSix(pts)
 
 
 def test_cluster_deficits_close_up():
-    cluster = iv.random_cluster(4)
+    cluster = idn.random_cluster(4)
     assert abs(cluster.omega_value("abc")) < 1e-10
     assert abs(cluster.omega_value("def")) < 1e-10
 
 
 def test_random_cluster_deterministic():
-    a = iv.random_cluster(123).points
-    b = iv.random_cluster(123).points
+    a = idn.random_cluster(123).points
+    b = idn.random_cluster(123).points
     assert np.array_equal(a, b)
+
+
+# the three cells around ABC and the three around DEF, as listed before the
+# cluster became the boundary of the 5-simplex
+BEFORE_CELLS = ((0, 1, 2, 4, 5), (0, 1, 2, 5, 3), (0, 1, 2, 3, 4))
+AFTER_CELLS = ((1, 2, 3, 4, 5), (2, 0, 3, 4, 5), (0, 1, 3, 4, 5))
 
 
 def cluster_reference(points):
@@ -68,38 +75,49 @@ def cluster_reference(points):
     area is its own Cayley-Menger determinant.
     """
     hats = [[v for v in range(6) if v != x] for x in range(6)]
-    stack = np.array(hats + list(iv.BEFORE_CELLS + iv.AFTER_CELLS))
+    stack = np.array(hats + list(BEFORE_CELLS + AFTER_CELLS))
     volumes, _ = g.cell_volumes(points[stack], g.DEGENERACY_REL)
     L6 = g.squared_length_table(points)
     sides = {}
     for side, cells, face, cell_volumes in (
-        ("abc", iv.BEFORE_CELLS, (0, 1, 2), volumes[6:9]),
-        ("def", iv.AFTER_CELLS, (3, 4, 5), volumes[9:]),
+        ("abc", BEFORE_CELLS, (0, 1, 2), volumes[6:9]),
+        ("def", AFTER_CELLS, (3, 4, 5), volumes[9:]),
     ):
         signs = [1 if vol > 0 else -1 for vol in cell_volumes.tolist()]
         tables = np.stack([L6[np.ix_(cell, cell)] for cell in cells])
         rows = [g.FACE_INDEX5[tuple(sorted(cell.index(v) for v in face))] for cell in cells]
         theta = jb.dihedral_angles_batch(tables)
         total = sum(sign * theta[n, row] for n, (sign, row) in enumerate(zip(signs, rows)))
-        grad = np.zeros(len(iv.CLUSTER_EDGES))
+        grad = np.zeros(len(idn.CLUSTER_EDGES))
         for cell, block, row in zip(cells, jb.dtheta_dL_blocks(tables, signs), rows):
-            cols = [iv.CLUSTER_EDGE_INDEX[tuple(sorted((cell[p], cell[q])))] for p, q in g.EDGES5]
+            cols = [idn.CLUSTER_EDGE_INDEX[tuple(sorted((cell[p], cell[q])))] for p, q in g.EDGES5]
             grad[cols] -= block[row]
         area = math.sqrt(g.cm_squared_volume(2, g.squared_length_table(points[list(face)])))
         sides[side] = (g.reduce_angle(-total), grad, area)
     return volumes[:6], sides
 
 
-def test_cluster_sides_are_complexes_on_all_fifteen_edges():
-    for side, face in (("abc", (0, 1, 2)), ("def", (3, 4, 5))):
-        c, row = iv.SIDES[side]
-        assert iv.CLUSTER_EDGES == c.faces[1]
-        assert c.faces[2][row] == face
-        assert len(c.simplices) == 3 and c.orientation_consistent and not c.is_closed
+def test_cluster_sides_are_rows_of_the_delta5_boundary():
+    c = cx.boundary_delta5()
+    assert idn.CLUSTER_EDGES == c.faces[1] == tuple(itertools.combinations(range(6), 2))
+    # cell n omits point n
+    assert [verts for verts, _ in c.simplices] == [
+        tuple(v for v in range(6) if v != x) for x in range(6)
+    ]
+    for side, face, cells, sign in (
+        ("abc", (0, 1, 2), BEFORE_CELLS, -1),
+        ("def", (3, 4, 5), AFTER_CELLS, 1),
+    ):
+        row, side_sign = idn.SIDES[side]
+        assert c.faces[2][row] == face and side_sign == sign
+        through = {cell for cell in c.simplices if set(face) <= set(cell[0])}
+        listed = cx.build_complex(cells, allow_boundary=True).simplices
+        # the boundary's cells through the side's triangle are that side's cells, times sign
+        assert through == {(verts, sign * s) for verts, s in listed}
 
 
 def test_cluster_global_route_matches_the_hand_rolled_route():
-    clusters = [iv.random_cluster(seed) for seed in range(100)] + [symmetric_cluster()]
+    clusters = [idn.random_cluster(seed) for seed in range(100)] + [symmetric_cluster()]
     for cluster in clusters:
         hat_volumes, sides = cluster_reference(cluster.points)
         assert np.array_equal(cluster.hat_volumes, hat_volumes)
@@ -115,29 +133,62 @@ def test_cluster_global_route_matches_the_hand_rolled_route():
 
 def test_two_edge_ratio_random_clusters():
     for seed in (0, 1, 2):
-        chk = iv.check_basic2(iv.random_cluster(seed))
+        chk = idn.check_basic2(idn.random_cluster(seed))
         assert chk.residual <= 1e-6
 
 
 def test_two_edge_ratio_swap_symmetry():
-    chk = iv.check_basic2(symmetric_cluster())
+    chk = idn.check_basic2(symmetric_cluster())
     assert chk.residual <= 1e-6
     # the swap symmetry forces the two volume products to equal magnitudes
     assert abs(chk.ratio) == pytest.approx(1.0, rel=1e-9)
 
 
+def central_difference_two_edge_ratio(cluster):
+    """dL_DE / dL_AB as check_basic2 took it before its derivatives were exact.
+
+    The same flat direction of A and E, with both squared lengths
+    differenced at +-FD_REL_STEP * max|x| along it.
+    """
+    A, B, C, D, E, F = range(6)
+    pts = cluster.points
+    J = np.zeros((7, 8))
+    for r, (u, w) in enumerate([(A, C), (A, D), (A, E), (A, F), (B, E), (C, E), (E, F)]):
+        d = pts[u] - pts[w]
+        for vertex, cols in ((A, slice(0, 4)), (E, slice(4, 8))):
+            J[r, cols] += 2 * d * ((u == vertex) - (w == vertex))
+    v = np.linalg.svd(J)[2][-1]
+    s = idn.FD_REL_STEP * float(np.abs(pts).max())
+
+    def lengths_at(t):
+        q = pts.copy()
+        q[A] += t * v[0:4]
+        q[E] += t * v[4:8]
+        return g.squared_length_table(q)
+
+    Lp, Lm = lengths_at(s), lengths_at(-s)
+    return (Lp[D, E] - Lm[D, E]) / (Lp[A, B] - Lm[A, B])
+
+
+def test_two_edge_ratio_matches_the_central_difference():
+    clusters = [idn.random_cluster(seed) for seed in range(100)] + [symmetric_cluster()]
+    for cluster in clusters:
+        want = central_difference_two_edge_ratio(cluster)
+        assert idn.check_basic2(cluster).ratio == pytest.approx(want, rel=1e-9)
+
+
 def test_degenerate_cluster_rejected_before_checks():
-    pts = iv.random_cluster(3).points.copy()
+    pts = idn.random_cluster(3).points.copy()
     pts[2] = 0.5 * (pts[0] + pts[1])  # collapse a hat simplex
     with pytest.raises(DegenerateSimplexError):
-        iv.ClusterSix(pts)
+        idn.ClusterSix(pts)
 
 
 # ------------------------------------------------------------- six-term
 
 def test_six_term_identity_random_clusters():
     for seed in (0, 5, 9):
-        chk = iv.check_6term(iv.random_cluster(seed))
+        chk = idn.check_6term(idn.random_cluster(seed))
         assert chk.residual <= 1e-6
         assert chk.cosine >= 1.0 - 1e-10
         assert chk.ratio_residual <= 1e-6
@@ -149,9 +200,7 @@ def test_restricted_invariant_isometry_invariance(delta5, delta5_coords):
     m = fm.realize(delta5, delta5_coords)
     M = jb.assemble_domega_dL(delta5, m)
     row = delta5.face_index[2][(0, 1, 2)]
-    sel = jb.rank_and_submatrix(M, must_include_row=row).with_keys(
-        delta5.faces[2], delta5.faces[1]
-    )
+    sel = jb.rank_and_submatrix(M, must_include_row=row)
     sign, log_abs = iv.restricted_invariant(delta5, m, sel)
     assert sign != 0 and math.isfinite(log_abs)
 
@@ -261,9 +310,9 @@ def materialized_value_after(c, coords, t, sel):
     M = jb.assemble_domega_dL(moved, m)
     rows = [
         moved.face_index[2][record.new_face if key == record.old_face else key]
-        for key in sel.row_keys
+        for key in (c.faces[2][i] for i in sel.rows)
     ]
-    cols = [moved.face_index[1][key] for key in sel.col_keys]
+    cols = [moved.face_index[1][c.faces[1][j]] for j in sel.cols]
     det_sign, log_det = np.linalg.slogdet(M[np.ix_(rows, cols)])
     sign = det_sign * np.prod(np.sign(m.V))
     return sign, np.log(m.S).sum() - log_det - np.log(np.abs(m.V)).sum()
@@ -330,10 +379,6 @@ def test_compare_rejects_degenerate_replacement(join_complex, join_coords):
 
 
 # ------------------------------------------------------------ basis change
-
-def _selection_with_keys(c, M, **kw):
-    return jb.rank_and_submatrix(M, **kw).with_keys(c.faces[2], c.faces[1])
-
 
 def test_edge_swap_factor_contract(join_complex, join_metric):
     M = jb.assemble_domega_dL(join_complex, join_metric)

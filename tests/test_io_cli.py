@@ -355,11 +355,10 @@ def _reject_constant(name):
 
 
 def test_selection_fields_stay_strict_json_when_det_overflows():
-    sel = rank_and_submatrix(np.diag([1e200] * 3)).with_keys(
-        [(0, 1, 2), (0, 1, 3), (0, 2, 3)], [(0, 1), (0, 2), (0, 3)]
-    )
+    sel = rank_and_submatrix(np.diag([1e200] * 3))
     assert math.prod(sel.pivots) == math.inf  # det(B) as a plain double overflows
-    rep = json.loads(pio.dumps(_selection_fields(sel)), parse_constant=_reject_constant)
+    c = cx.boundary_delta5()
+    rep = json.loads(pio.dumps(_selection_fields(sel, c)), parse_constant=_reject_constant)
     assert "det" not in rep
     assert rep["det_sign"] == 1
     assert rep["log_abs_det"] == pytest.approx(600.0 * math.log(10.0), rel=1e-12)
