@@ -48,9 +48,7 @@ from .io import ComplexDocument, load_fixture, parse_complex, serialize_complex
 from .jacobians import (
     JacobianSet,
     SubmatrixSelection,
-    assemble_dBigOmega_dS,
     assemble_domega_dL,
-    assemble_domega_dS,
     build_jacobians,
     dtheta_dL_blocks,
     dtheta_dL_simplex,

@@ -192,8 +192,8 @@ def cmd_jacobian(args, t0):
         conjugacy_residual=conj,
         selection=_selection_fields(sel, c),
         matrices={
-            "face_keys": [list(k) for k in jac.face_keys],
-            "edge_keys": [list(k) for k in jac.edge_keys],
+            "face_keys": [list(k) for k in c.faces[2]],
+            "edge_keys": [list(k) for k in c.faces[1]],
             "dOmega_dL": _triplets(jac.dOmega_dL),
             "dOmega_dS": _triplets(jac.dOmega_dS),
             "dBigOmega_dS": _triplets(jac.dBigOmega_dS),
@@ -310,14 +310,16 @@ def _face_arg(text):
 
 
 def _perturb_arg(text):
-    """'U,V,AMOUNT' as (U, V, AMOUNT): two integer vertex ids and a float."""
+    """'U,V,AMOUNT' as (U, V, AMOUNT): two integer vertex ids and a finite float."""
     try:
         u, v, amount = text.split(",")
-        return int(u), int(v), float(amount)
+        if math.isfinite(float(amount)):
+            return int(u), int(v), float(amount)
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected U,V,AMOUNT with integer vertex ids, got {text!r}"
-        ) from None
+        pass
+    raise argparse.ArgumentTypeError(
+        f"expected U,V,AMOUNT with integer vertex ids and a finite amount, got {text!r}"
+    )
 
 
 @functools.cache

@@ -84,18 +84,6 @@ class Complex4:
     simplex_edges: np.ndarray = field(compare=False, repr=False)  # (N, 10), EDGES5 order
     simplex_tetrahedra: np.ndarray = field(compare=False, repr=False)  # (N, 5), TETS5 order
 
-    @property
-    def edges(self):
-        return self.faces[1]
-
-    @property
-    def triangles(self):
-        return self.faces[2]
-
-    @property
-    def tetrahedra(self):
-        return self.faces[3]
-
     @cached_property
     def face_index(self):
         return {dim: {f: n for n, f in enumerate(keys)} for dim, keys in self.faces.items()}

@@ -112,9 +112,9 @@ def metric_from_lengths(c, L, eps):
     return FlatMetric(L=L, S=S, eps=eps, V=eps * np.sqrt(sq))
 
 
-def random_realization(c, seed, quality=geometry.DEFAULT_QUALITY):
-    """Seed-deterministic unit-ball placement with all simplices nondegenerate."""
-    pts = geometry.unit_ball_placement(seed, len(c.vertices), c.simplex_vertices, quality)
+def random_realization(c, seed):
+    """Seed-deterministic unit-ball placement with no simplex below DEFAULT_QUALITY."""
+    pts = geometry.unit_ball_placement(seed, len(c.vertices), c.simplex_vertices)
     return {v: pts[n] for n, v in enumerate(c.vertices)}
 
 
@@ -139,14 +139,16 @@ def deficit_Omega(c, m, omega=None):
     """(E,) per-edge deficits, aligned with c.faces[1]: the area-derivative
     weighted sum of the face deficits.
 
-    Omega = (dS/dL) omega with the weights of jacobians.area_length_weights.
+    Omega = (dS/dL) omega with the weights of jacobians.area_length_weights,
+    from this metric's own geometry.dS_dL_blocks.
     Equals minus the sum of per-simplex edge angles up to the 2*pi-multiple
     shifts that vanish on the branch chosen for omega; the weights depend
     only on each face's own edge lengths, so they are well defined globally.
     """
     if omega is None:
         omega = deficit_omega(c, m)
-    return jacobians.area_length_weights(c, m) @ omega
+    dS_dL = geometry.dS_dL_blocks(jacobians.length_tables(m.L, c.simplex_edges))
+    return jacobians.area_length_weights(c, dS_dL) @ omega
 
 
 @dataclass(frozen=True)

@@ -182,7 +182,7 @@ def cell_volumes(points, rel):
 
 
 # Samplers redraw a placement until no cell is below the cell_volumes floor
-# at `quality`; the default sits well above DEGENERACY_REL so that angle
+# at DEFAULT_QUALITY, which sits well above DEGENERACY_REL so that angle
 # sums and angle derivatives keep comfortable accuracy margins.
 DEFAULT_QUALITY = 2e-3
 MAX_DRAWS = 500
@@ -195,8 +195,8 @@ def unit_ball_points(rng, n):
     return raw / np.linalg.norm(raw, axis=1, keepdims=True) * radii
 
 
-def unit_ball_placement(seed, n, cells, quality=DEFAULT_QUALITY):
-    """Seed-deterministic (n, 4) unit-ball points with no cell below quality.
+def unit_ball_placement(seed, n, cells):
+    """Seed-deterministic (n, 4) unit-ball points with no cell below DEFAULT_QUALITY.
 
     cells lists 5-tuples of point indices.  The whole placement is redrawn
     until no cell is below the floor of cell_volumes;
@@ -206,10 +206,10 @@ def unit_ball_placement(seed, n, cells, quality=DEFAULT_QUALITY):
     rng = np.random.default_rng(seed)
     for _ in range(MAX_DRAWS):
         pts = unit_ball_points(rng, n)
-        if not cell_volumes(pts[cells], quality)[1].any():
+        if not cell_volumes(pts[cells], DEFAULT_QUALITY)[1].any():
             return pts
     raise DegenerateSimplexError(
-        f"could not find a quality-{quality} placement in {MAX_DRAWS} draws"
+        f"could not find a quality-{DEFAULT_QUALITY} placement in {MAX_DRAWS} draws"
     )
 
 

@@ -131,10 +131,10 @@ class ClusterSix:
         return float(self.metric.S[row])
 
 
-def random_cluster(seed, quality=geometry.DEFAULT_QUALITY):
+def random_cluster(seed):
     """Seed-deterministic six unit-ball points, every 5-subset nondegenerate."""
     cells = [verts for verts, _ in _DELTA5.simplices]
-    return ClusterSix(geometry.unit_ball_placement(seed, 6, cells, quality))
+    return ClusterSix(geometry.unit_ball_placement(seed, 6, cells))
 
 
 @dataclass(frozen=True)
@@ -213,9 +213,9 @@ def check_6term(cluster):
     return SixTermCheck(residual=residual, cosine=cosine, ratio_residual=ratio_residual)
 
 
-def random_simplex_points(seed, quality=geometry.DEFAULT_QUALITY):
-    """Five unit-ball points forming a quality-nondegenerate 4-simplex."""
-    return geometry.unit_ball_placement(seed, 5, [range(5)], quality)
+def random_simplex_points(seed):
+    """Five unit-ball points forming a 4-simplex above the sampler's quality floor."""
+    return geometry.unit_ball_placement(seed, 5, [range(5)])
 
 
 def _trial_seeds(seed, trials):
@@ -371,9 +371,7 @@ def battery_two_edge_ratio(trials=100, seed=0, tol=DEFAULT_TOL, draws=None):
     return BatteryResult("two_edge_ratio", trials, tol, worst, failures)
 
 
-def battery_six_term(
-    trials=100, seed=0, tol=DEFAULT_TOL, cos_tol=PARALLEL_COS_TOL, draws=None
-):
+def battery_six_term(trials=100, seed=0, tol=DEFAULT_TOL, draws=None):
     """Full gradient form of the six-volume relation plus parallelism."""
     worst, worst_cos, worst_ratio, failures = 0.0, 1.0, 0.0, 0
     for cluster in (draws or TrialDraws(trials, seed)).clusters:
@@ -383,7 +381,7 @@ def battery_six_term(
         worst_ratio = max(worst_ratio, float(chk.ratio_residual))
         failures += int(
             (chk.residual > tol)
-            or (chk.cosine < 1 - cos_tol)
+            or (chk.cosine < 1 - PARALLEL_COS_TOL)
             or (chk.ratio_residual > tol)
         )
     return BatteryResult(

@@ -9,9 +9,11 @@ basis_change_factor takes det ratios as differences of slogdets.
 Moves are compared with matched selections: the row of the disappearing
 triangle is replaced by the row of the appearing one.  The move only swaps
 three simplices, so the after-quantities are a local update of the
-before-quantities: virtual_rebuild subtracts the removed cluster's angle
-blocks from the assembled matrix and adds the replacement cluster's, and
-the products drop three volumes and one area and gain their replacements.
+before-quantities.  move_blocks computes the angle blocks of the N cells
+and the three replacement cells in one batch; the assembled matrix is a
+scatter of the first N, and virtual_rebuild takes the removed cluster's
+blocks out of it and puts the replacement's in.  The products drop three
+volumes and one area and gain their replacements.
 The moved complex is never built, which also covers the
 boundary-of-the-5-simplex situation where the opposite triangle is already
 a face and the moved complex would not be simplicial.
@@ -35,6 +37,7 @@ from .jacobians import (
     length_tables,
     log_product,
     rank_and_submatrix,
+    scatter_blocks,
 )
 
 
@@ -102,14 +105,14 @@ def full_invariant(c, m, pivot_tol=PIVOT_TOL):
     )
 
 
-def virtual_rebuild(c, m, coords, M, star, def_, new_cells):
-    """Deficit/length matrix after the move, without materializing it.
+def move_blocks(c, m, coords, def_, new_cells):
+    """Angle blocks of the N cells and the three replacement cells, in one batch.
 
-    Subtracts the removed cluster's angle blocks from the assembled matrix
-    and adds the replacement cluster's; the appearing triangle is a cell of
-    its own, so its row is returned separately (in the self-dual situation
-    an older face with the same vertices may survive alongside).  Also
-    returns the (3,) signed volumes of the replacement cells.
+    Returns the (N + 3, 10, 10) dtheta_dL_blocks and the replacement cells'
+    (3, 10) face rows and edge columns and (3,) signed volumes.  The
+    appearing triangle def_ gets row F, one past the complex's triangles (an
+    older face with the same vertices may survive alongside).  A replacement
+    cell below the cell_volumes floor raises DegenerateSimplexError first.
     """
     pts = [[coords[v] for v in oriented_tuple(*cell)] for cell in new_cells]
     volumes, below = geometry.cell_volumes(pts, geometry.DEGENERACY_REL)
@@ -118,19 +121,29 @@ def virtual_rebuild(c, m, coords, M, star, def_, new_cells):
         raise DegenerateSimplexError(
             f"replacement simplex {new_cells[int(thin[0])][0]} is degenerate"
         )
+    new = [verts for verts, _ in new_cells]
+    faces = {**c.face_index[2], def_: len(c.faces[2])}
+    rows, cols = scatter_indices(new, faces, c.face_index[1])
+    dtheta = dtheta_dL_blocks(
+        length_tables(m.L, np.vstack([c.simplex_edges, cols])),
+        np.append(m.eps, np.where(volumes > 0, 1, -1)),
+    )
+    return dtheta, rows, cols, volumes
+
+
+def virtual_rebuild(c, M, star, dtheta, rows, cols):
+    """Deficit/length matrix after the move, and the appearing triangle's row.
+
+    The removed cluster's blocks dtheta[star] are taken out of M and the
+    replacement's, the last three of move_blocks at its rows and cols, put
+    in; the moved complex is never built.
+    """
     F = M.shape[0]
     # one extra row collects the appearing triangle
     M_after = np.vstack([M, np.zeros((1, M.shape[1]))])
-
-    rows, cols = c.simplex_faces[star], c.simplex_edges[star]
-    blocks = dtheta_dL_blocks(length_tables(m.L, cols), m.eps[star])
-    np.add.at(M_after, (rows[:, :, None], cols[:, None, :]), blocks)
-
-    new = [verts for verts, _ in new_cells]
-    rows, cols = scatter_indices(new, {**c.face_index[2], def_: F}, c.face_index[1])
-    blocks = dtheta_dL_blocks(length_tables(m.L, cols), np.where(volumes > 0, 1, -1))
-    np.add.at(M_after, (rows[:, :, None], cols[:, None, :]), -blocks)
-    return M_after[:F], M_after[F], volumes
+    scatter_blocks(M_after, c.simplex_faces[star], c.simplex_edges[star], dtheta[star])
+    scatter_blocks(M_after, rows, cols, -dtheta[len(c.simplices):])
+    return M_after[:F], M_after[F]
 
 
 @dataclass(frozen=True)
@@ -160,19 +173,21 @@ def compare_under_move(c, coords, t, pivot_tol=PIVOT_TOL):
     The before-selection forces the row of t into the submatrix; the
     after-selection keeps the same rows and columns except that the row of t
     is replaced by the row of the opposite triangle.  The placement is reused
-    for the rebuilt cluster, so flatness persists.  The after-quantities come
-    from virtual_rebuild and the products are updated in place of the three
-    swapped cells.  det(B) is taken from the pivots before the move and from
-    slogdet after it, so both invariants stay in the log domain.
+    for the rebuilt cluster, so flatness persists.  One batch of angle blocks
+    (move_blocks) gives the before-matrix and, through virtual_rebuild, the
+    after-matrix; the products are updated in place of the three swapped
+    cells.  det(B) is taken from the pivots before the move and from slogdet
+    after it, so both invariants stay in the log domain.
     """
     abc, def_, star, new_cells = move_cluster(c, t)
     m = realize(c, coords)
-    M = assemble_domega_dL(c, m)
+    dtheta, new_rows, new_cols, new_volumes = move_blocks(c, m, coords, def_, new_cells)
+    M = assemble_domega_dL(c, m, dtheta[: len(c.simplices)])
     row_abc = c.face_index[2][abc]
     sel = rank_and_submatrix(M, must_include_row=row_abc, tol=pivot_tol)
     sign_before, log_before = restricted_invariant(c, m, sel)
 
-    M_after, def_row, new_volumes = virtual_rebuild(c, m, coords, M, star, def_, new_cells)
+    M_after, def_row = virtual_rebuild(c, M, star, dtheta, new_rows, new_cols)
     B_after = M_after[np.ix_(sel.rows, sel.cols)]
     B_after[sel.rows.index(row_abc)] = def_row[list(sel.cols)]
     volumes = np.append(np.delete(m.V, star), new_volumes)

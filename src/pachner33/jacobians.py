@@ -17,14 +17,15 @@ of each simplex's sorted vertex tuple.
   is the paper's S / (24 V).
 - dtheta/dS = (dtheta/dL) (dS/dL)^-1, the areas being local coordinates.
 
-Global matrices are assembled by scattering the blocks through the
-complex's (N, 10) face-row and edge-column index arrays (simplex_faces,
-simplex_edges); the length tables are gathered through the latter from the
-metric's edge-aligned L:
+A command gathers the length tables once, through the complex's (N, 10)
+edge columns (simplex_edges), and computes each block stack once; every
+global matrix is a scatter of those blocks (scatter_blocks) through the
+face rows and edge columns (simplex_faces, simplex_edges):
 
 - dOmega_dL:    rows = triangles, cols = edges,       entries d(omega_i)/d(L_a)
 - dOmega_dS:    rows = cols = triangles,              entries d(omega_i)/d(S_j)
-- dBigOmega_dS: rows = edges, cols = triangles,       entries d(Omega_a)/d(S_i)
+- dBigOmega_dS: rows = edges, cols = triangles,       entries d(Omega_a)/d(S_i),
+                the dS/dL weights times dOmega_dS
 
 Row/column order follows the complex's lexicographic face tables.  The
 maximal nondegenerate submatrix is found by complete-pivoting Gaussian
@@ -35,6 +36,7 @@ the rows it changes rather than the whole matrix.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,18 +132,16 @@ def dtheta_dL_blocks(L, eps):
     return D.astype(float)
 
 
-def domega_dS_blocks(L, eps, dtheta=None):
+def domega_dS_blocks(dtheta, dS_dL):
     """(N, 10, 10) signed-angle derivatives by face areas.
 
     Areas determine all metric variations within one simplex, so each block
-    is (dtheta/dL) (dS/dL)^-1.  dtheta, the dtheta_dL_blocks of L and eps,
-    is computed unless given.  A singular area map means the realization is
-    non-generic.
+    is (dtheta/dL) (dS/dL)^-1, from the dtheta_dL_blocks and
+    geometry.dS_dL_blocks of the same tables.  A singular area map means the
+    realization is non-generic.
     """
-    D = dtheta_dL_blocks(L, eps) if dtheta is None else dtheta
-    A = geometry.dS_dL_blocks(L)
     try:
-        X = np.linalg.solve(np.swapaxes(A, 1, 2), np.swapaxes(D, 1, 2))
+        X = np.linalg.solve(np.swapaxes(dS_dL, 1, 2), np.swapaxes(dtheta, 1, 2))
     except np.linalg.LinAlgError as exc:
         raise DegenerateSimplexError(
             "per-simplex area map is singular (non-generic realization)"
@@ -162,63 +162,42 @@ def length_tables(L, simplex_edges):
     return tables
 
 
+def scatter_blocks(M, rows, cols, blocks):
+    """Add an (N, 10, 10) block stack into M at its (N, 10) rows and columns; returns M.
+
+    Entries shared by several simplices are summed in simplex order.
+    """
+    np.add.at(M, (rows[:, :, None], cols[:, None, :]), blocks)
+    return M
+
+
 def assemble_domega_dL(c, m, dtheta=None):
     """Global matrix of face-deficit derivatives by squared edge lengths.
 
     dtheta, the (N, 10, 10) dtheta_dL_blocks of the metric, is computed
     unless given.
     """
-    rows, cols = c.simplex_faces, c.simplex_edges
     if dtheta is None:
-        dtheta = dtheta_dL_blocks(length_tables(m.L, cols), m.eps)
+        dtheta = dtheta_dL_blocks(length_tables(m.L, c.simplex_edges), m.eps)
     M = np.zeros((len(c.faces[2]), len(c.faces[1])))
-    np.add.at(M, (rows[:, :, None], cols[:, None, :]), -dtheta)
-    return M
+    return scatter_blocks(M, c.simplex_faces, c.simplex_edges, -dtheta)
 
 
-def assemble_domega_dS(c, m, dtheta=None):
-    """Global matrix of face-deficit derivatives by independent area variations.
-
-    dtheta, the (N, 10, 10) dtheta_dL_blocks of the metric, is computed
-    unless given.
-    """
-    rows = c.simplex_faces
-    blocks = domega_dS_blocks(length_tables(m.L, c.simplex_edges), m.eps, dtheta)
-    F = len(c.faces[2])
-    M = np.zeros((F, F))
-    np.add.at(M, (rows[:, :, None], rows[:, None, :]), -blocks)
-    return M
-
-
-def area_length_weights(c, m):
-    """Global (edges x triangles) matrix of dS_j/dL_a.
+def area_length_weights(c, dS_dL):
+    """Global (edges x triangles) matrix of dS_j/dL_a from the (N, 10, 10) dS/dL blocks.
 
     Each triangle's area depends only on its own three edge lengths, so the
     simplices sharing a face write equal entries.
     """
-    rows, cols = c.simplex_faces, c.simplex_edges
     P = np.zeros((len(c.faces[1]), len(c.faces[2])))
-    P[cols[:, None, :], rows[:, :, None]] = geometry.dS_dL_blocks(length_tables(m.L, cols))
+    P[c.simplex_edges[:, None, :], c.simplex_faces[:, :, None]] = dS_dL
     return P
-
-
-def assemble_dBigOmega_dS(c, m, domega_dS=None):
-    """Global matrix of edge-deficit derivatives by area variations.
-
-    At a flat point the area-derivative weights are stationary against the
-    vanishing face deficits, leaving the weighted sum of dOmega_dS rows.
-    """
-    if domega_dS is None:
-        domega_dS = assemble_domega_dS(c, m)
-    return area_length_weights(c, m) @ domega_dS
 
 
 @dataclass(frozen=True)
 class JacobianSet:
-    """The three global derivative matrices with their face and edge keys."""
+    """The three global derivative matrices."""
 
-    face_keys: tuple
-    edge_keys: tuple
     dOmega_dL: np.ndarray
     dOmega_dS: np.ndarray
     dBigOmega_dS: np.ndarray
@@ -236,18 +215,18 @@ class JacobianSet:
 
 
 def build_jacobians(c, m):
-    """The three matrices, from one computation of the per-simplex angle blocks."""
-    dtheta = dtheta_dL_blocks(length_tables(m.L, c.simplex_edges), m.eps)
-    dL = assemble_domega_dL(c, m, dtheta)
-    dS = assemble_domega_dS(c, m, dtheta)
-    dBig = assemble_dBigOmega_dS(c, m, domega_dS=dS)
-    return JacobianSet(
-        face_keys=tuple(c.faces[2]),
-        edge_keys=tuple(c.faces[1]),
-        dOmega_dL=dL,
-        dOmega_dS=dS,
-        dBigOmega_dS=dBig,
+    """The three matrices, from one batch of per-simplex angle and area blocks."""
+    tables = length_tables(m.L, c.simplex_edges)
+    dtheta = dtheta_dL_blocks(tables, m.eps)
+    dS_dL = geometry.dS_dL_blocks(tables)
+    F = len(c.faces[2])
+    dOmega_dS = scatter_blocks(
+        np.zeros((F, F)), c.simplex_faces, c.simplex_faces, -domega_dS_blocks(dtheta, dS_dL)
     )
+    # At a flat point the area-derivative weights are stationary against the
+    # vanishing face deficits, leaving the weighted sum of dOmega_dS rows.
+    dBigOmega_dS = area_length_weights(c, dS_dL) @ dOmega_dS
+    return JacobianSet(assemble_domega_dL(c, m, dtheta), dOmega_dS, dBigOmega_dS)
 
 
 def log_product(values):
@@ -295,7 +274,8 @@ def rank_and_submatrix(matrix, must_include_row=None, tol=PIVOT_TOL):
     the largest entry is exactly the first pivot, and it stays the reference
     when a (possibly weaker) first pivot row is forced.  If must_include_row
     is given, that row is forced as the first pivot row (its largest entry
-    becomes the first pivot); a numerically zero forced row is an error.
+    becomes the first pivot); a forced row that is not an integer index in
+    [0, n_rows), or that is numerically zero, is an error.
 
     Elimination runs in place and keeps row_best, the largest |entry| of
     each row.  The pivot row is the first argmax of row_best and the pivot
@@ -319,6 +299,10 @@ def rank_and_submatrix(matrix, must_include_row=None, tol=PIVOT_TOL):
 
     forced = None
     if must_include_row is not None:
+        if not (isinstance(must_include_row, numbers.Integral) and 0 <= must_include_row < n_rows):
+            raise SelectionError(
+                f"forced row {must_include_row!r} is not a row index of a {n_rows}-row matrix"
+            )
         forced = int(must_include_row)
         row_max = float(row_best[forced]) if n_cols else 0.0
         if row_max == 0.0 or (global_max and row_max <= tol * global_max):

@@ -63,7 +63,7 @@ def test_criterion_03_cluster_closed_forms():
 
 
 def test_criterion_04_six_term_relation():
-    battery = idn.battery_six_term(trials=100, seed=404, tol=TOL, cos_tol=1e-10)
+    battery = idn.battery_six_term(trials=100, seed=404, tol=TOL)
     report(
         4,
         "six-volume gradient relation and parallelism",

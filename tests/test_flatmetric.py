@@ -318,13 +318,15 @@ def test_deficits_equal_the_entrywise_reduction(stellar_ladder):
     cases += [(c, fm.realize(c, coords)) for c, coords in stellar_ladder.values()]
     wound = 0
     for c, m in cases:
-        theta = jb.dihedral_angles_batch(jb.length_tables(m.L, c.simplex_edges))
+        tables = jb.length_tables(m.L, c.simplex_edges)
+        theta = jb.dihedral_angles_batch(tables)
         raw = np.zeros(len(c.faces[2]))
         np.add.at(raw, c.simplex_faces, -m.eps[:, None] * theta)
         reduced = np.array([g.reduce_angle(x) for x in raw.tolist()])
         omega = fm.deficit_omega(c, m)
         assert omega.tobytes() == reduced.tobytes()
         Omega = fm.deficit_Omega(c, m)
-        assert Omega.tobytes() == (jb.area_length_weights(c, m) @ reduced).tobytes()
+        weights = jb.area_length_weights(c, g.dS_dL_blocks(tables))
+        assert Omega.tobytes() == (weights @ reduced).tobytes()
         wound += int(np.count_nonzero(np.abs(raw) >= np.pi))
     assert wound  # the reduced branch was exercised

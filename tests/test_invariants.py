@@ -11,7 +11,7 @@ from pachner33 import geometry as g
 from pachner33 import identities as idn
 from pachner33 import invariants as iv
 from pachner33 import jacobians as jb
-from pachner33.errors import DegenerateSimplexError, SelectionError
+from pachner33.errors import DegenerateSimplexError, MovePreconditionError, SelectionError
 
 
 def symmetric_cluster(seed=21, max_tries=200):
@@ -345,18 +345,111 @@ def test_compare_on_moved_join_fixture(join_complex, join_coords):
     assert iv.compare_under_move(moved, join_coords, rec.new_face).deviation <= 1e-6
 
 
+def virtual_rebuild_reference(c, m, coords, M, star, def_, new_cells):
+    """The after-matrix, its appearing row and the replacement volumes, as
+    computed before one block batch served the whole move: the removed and
+    the replacement cells' angle blocks each from a call of their own.
+    """
+    pts = [[coords[v] for v in cx.oriented_tuple(*cell)] for cell in new_cells]
+    volumes, below = g.cell_volumes(pts, g.DEGENERACY_REL)
+    if below.any():
+        raise DegenerateSimplexError("replacement simplex is degenerate")
+    F = M.shape[0]
+    M_after = np.vstack([M, np.zeros((1, M.shape[1]))])
+    rows, cols = c.simplex_faces[star], c.simplex_edges[star]
+    blocks = jb.dtheta_dL_blocks(jb.length_tables(m.L, cols), m.eps[star])
+    np.add.at(M_after, (rows[:, :, None], cols[:, None, :]), blocks)
+    new = [verts for verts, _ in new_cells]
+    rows, cols = cx.scatter_indices(new, {**c.face_index[2], def_: F}, c.face_index[1])
+    blocks = jb.dtheta_dL_blocks(jb.length_tables(m.L, cols), np.where(volumes > 0, 1, -1))
+    np.add.at(M_after, (rows[:, :, None], cols[:, None, :]), -blocks)
+    return M_after[:F], M_after[F], volumes
+
+
+def compare_reference(c, coords, t):
+    """(selection, sign and log|I| before, after, ratio) on virtual_rebuild_reference."""
+    abc, def_, star, new_cells = cx.move_cluster(c, t)
+    m = fm.realize(c, coords)
+    M = jb.assemble_domega_dL(c, m)
+    row_abc = c.face_index[2][abc]
+    sel = jb.rank_and_submatrix(M, must_include_row=row_abc)
+    sign_before, log_before = iv.restricted_invariant(c, m, sel)
+    M_after, def_row, new_volumes = virtual_rebuild_reference(
+        c, m, coords, M, star, def_, new_cells
+    )
+    B_after = M_after[np.ix_(sel.rows, sel.cols)]
+    B_after[sel.rows.index(row_abc)] = def_row[list(sel.cols)]
+    volumes = np.append(np.delete(m.V, star), new_volumes)
+    d, e, f = def_
+    def_edges = [[c.face_index[1][pair] for pair in ((d, e), (d, f), (e, f))]]
+    areas = np.append(np.delete(m.S, row_abc), fm.triangle_areas(m.L, def_edges, [def_]))
+    det_sign, log_det = np.linalg.slogdet(B_after)
+    sign_after, log_after = iv._log_value(det_sign, float(log_det), volumes, areas)
+    ratio = sign_before * sign_after * math.exp(log_after - log_before)
+    return sel, sign_before, log_before, sign_after, log_after, ratio
+
+
+def admissible_triangles(c, limit):
+    """Up to limit triangles of c whose star is a 3->3 cluster, in face order."""
+    found = []
+    for tri in c.faces[2]:
+        try:
+            cx.move_cluster(c, tri)
+        except MovePreconditionError:
+            continue
+        found.append(tri)
+        if len(found) == limit:
+            break
+    return found
+
+
+def test_compare_matches_the_two_call_rebuild_bitwise(
+    delta5, delta5_coords, join_complex, join_coords, stellar_ladder
+):
+    cases = [(delta5, delta5_coords), (join_complex, join_coords)]
+    cases += [(c, coords) for n, (c, coords) in stellar_ladder.items() if n <= 86]
+    compared = 0
+    for c, coords in cases:
+        for tri in admissible_triangles(c, 8):
+            mc = iv.compare_under_move(c, coords, tri)
+            sel, sign_before, log_before, sign_after, log_after, ratio = compare_reference(
+                c, coords, tri
+            )
+            assert mc.selection == sel
+            assert (mc.sign_before, mc.sign_after) == (sign_before, sign_after)
+            assert mc.log_abs_before.hex() == log_before.hex()
+            assert mc.log_abs_after.hex() == log_after.hex()
+            assert mc.ratio.hex() == ratio.hex()
+            compared += 1
+    assert compared >= 20
+
+
+def test_compare_computes_the_angle_blocks_once(monkeypatch, join_complex, join_coords):
+    # one batch over the N cells and the three replacement cells
+    calls = []
+    blocks = jb.dtheta_dL_blocks
+
+    def counted(L, eps):
+        calls.append(len(L))
+        return blocks(L, eps)
+
+    monkeypatch.setattr(jb, "dtheta_dL_blocks", counted)
+    monkeypatch.setattr(iv, "dtheta_dL_blocks", counted)
+    iv.compare_under_move(join_complex, join_coords, (0, 1, 2))
+    assert calls == [len(join_complex.simplices) + 3]
+
+
 def test_row_swap_ratio_matches_gradient_ratio(delta5, delta5_coords):
     # the det ratio across the move equals the ratio of the two deficit
     # gradients (which are parallel forms on the shared kernel complement)
     m = fm.realize(delta5, delta5_coords)
-    M = jb.assemble_domega_dL(delta5, m)
     abc = (0, 1, 2)
+    _, def_, star, new_cells = cx.move_cluster(delta5, abc)
+    dtheta, rows, cols, _ = iv.move_blocks(delta5, m, delta5_coords, def_, new_cells)
+    M = jb.assemble_domega_dL(delta5, m, dtheta[: len(delta5.simplices)])
     row_abc = delta5.face_index[2][abc]
     sel = jb.rank_and_submatrix(M, must_include_row=row_abc)
-    _, def_, star, new_cells = cx.move_cluster(delta5, abc)
-    _, def_row, _ = iv.virtual_rebuild(
-        delta5, m, delta5_coords, M, star, def_, new_cells
-    )
+    _, def_row = iv.virtual_rebuild(delta5, M, star, dtheta, rows, cols)
     r_before = M[row_abc]
     cos = abs(r_before @ def_row) / (
         np.linalg.norm(r_before) * np.linalg.norm(def_row)

@@ -196,6 +196,16 @@ def test_cli_malformed_face_or_perturb_is_a_usage_error(argv, capsys):
     assert "usage:" in err and options[0] in err
 
 
+@pytest.mark.parametrize("amount", ["nan", "inf", "-inf"])
+def test_cli_check_flat_rejects_a_non_finite_perturb_amount(amount, capsys):
+    # a non-finite length used to reach the geometry as a misleading degeneracy
+    with pytest.raises(SystemExit) as exc:
+        main(["check-flat", fixture_path("boundary_delta5.json"), "--perturb", f"0,1,{amount}"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "--perturb" in err
+
+
 def test_cli_verify_identities_small():
     code, out = run_cli("verify-identities", "--trials", "3", "--seed", "7")
     rep = json.loads(out)

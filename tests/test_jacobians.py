@@ -21,6 +21,29 @@ def dS_dL_simplex(L):
     return g.dS_dL_blocks(g.validate_length_table(L, size=5)[None])[0]
 
 
+def domega_dS_reference(c, m):
+    """dOmega_dS as assembled before build_jacobians took one block batch.
+
+    Its own angle and area blocks, solved per simplex and scattered; kept
+    as a bitwise reference.
+    """
+    tables = jb.length_tables(m.L, c.simplex_edges)
+    D, A = jb.dtheta_dL_blocks(tables, m.eps), g.dS_dL_blocks(tables)
+    blocks = np.swapaxes(np.linalg.solve(np.swapaxes(A, 1, 2), np.swapaxes(D, 1, 2)), 1, 2)
+    rows = c.simplex_faces
+    M = np.zeros((len(c.faces[2]), len(c.faces[2])))
+    np.add.at(M, (rows[:, :, None], rows[:, None, :]), -blocks)
+    return M
+
+
+def dBigOmega_dS_reference(c, m):
+    """dBigOmega_dS as assembled before: fresh dS/dL weights times domega_dS_reference."""
+    rows, cols = c.simplex_faces, c.simplex_edges
+    P = np.zeros((len(c.faces[1]), len(c.faces[2])))
+    P[cols[:, None, :], rows[:, :, None]] = g.dS_dL_blocks(jb.length_tables(m.L, cols))
+    return P @ domega_dS_reference(c, m)
+
+
 def random_simplex(seed, quality=1e-3):
     rng = np.random.default_rng(seed)
     while True:
@@ -204,30 +227,42 @@ def test_domega_dL_rank_stability(delta5, delta5_coords, delta5_metric):
 
 def test_domega_dS_symmetric_on_fixtures(delta5, delta5_metric, join_complex, join_metric):
     for c, m in ((delta5, delta5_metric), (join_complex, join_metric)):
-        M = jb.assemble_domega_dS(c, m)
+        M = jb.build_jacobians(c, m).dOmega_dS
         assert np.abs(M - M.T).max() <= 1e-6 * np.abs(M).max()
 
 
 def test_build_jacobians_computes_the_angle_blocks_once(monkeypatch, join_complex, join_metric):
+    # one dtheta/dL and one dS/dL batch over the N cells, and nothing else
     calls = []
-    blocks = jb.dtheta_dL_blocks
 
-    def counted(L, eps):
-        calls.append(len(L))
-        return blocks(L, eps)
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append((name, len(args[0])))
+            return fn(*args)
+        return wrapper
 
-    alone = (jb.assemble_domega_dL(join_complex, join_metric),
-             jb.assemble_domega_dS(join_complex, join_metric))
-    monkeypatch.setattr(jb, "dtheta_dL_blocks", counted)
-    jac = jb.build_jacobians(join_complex, join_metric)
-    assert calls == [len(join_complex.simplices)]
-    # passing the blocks changes no bit of either assembly
-    assert np.array_equal(jac.dOmega_dL, alone[0]) and np.array_equal(jac.dOmega_dS, alone[1])
-    assert np.array_equal(jac.dBigOmega_dS, jb.assemble_dBigOmega_dS(join_complex, join_metric))
+    monkeypatch.setattr(jb, "dtheta_dL_blocks", counted("dtheta", jb.dtheta_dL_blocks))
+    monkeypatch.setattr(g, "dS_dL_blocks", counted("dS", g.dS_dL_blocks))
+    jb.build_jacobians(join_complex, join_metric)
+    N = len(join_complex.simplices)
+    assert calls == [("dtheta", N), ("dS", N)]
+
+
+def test_build_jacobians_matches_the_separate_assemblies(
+    delta5, delta5_metric, join_complex, join_metric, stellar_ladder
+):
+    cases = [(delta5, delta5_metric), (join_complex, join_metric)]
+    cases += [(c, fm.realize(c, coords)) for n, (c, coords) in stellar_ladder.items() if n <= 86]
+    for c, m in cases:
+        jac = jb.build_jacobians(c, m)
+        # sharing the block batch changes no bit of any matrix
+        assert jac.dOmega_dL.tobytes() == jb.assemble_domega_dL(c, m).tobytes()
+        assert jac.dOmega_dS.tobytes() == domega_dS_reference(c, m).tobytes()
+        assert jac.dBigOmega_dS.tobytes() == dBigOmega_dS_reference(c, m).tobytes()
 
 
 def test_domega_dS_zero_without_common_simplex(join_complex, join_metric):
-    M = jb.assemble_domega_dS(join_complex, join_metric)
+    M = jb.build_jacobians(join_complex, join_metric).dOmega_dS
     # triangle pairs that share a simplex, from the per-simplex face rows
     shared = {(a, b) for row in join_complex.simplex_faces.tolist() for a in row for b in row}
     pairs_checked = 0
@@ -246,7 +281,8 @@ def test_single_simplex_angle_area_matrix_symmetric():
     pts = random_simplex(11)
     L = g.squared_length_table(pts)
     eps = 1 if g.signed_volume4(pts) > 0 else -1
-    X = jb.domega_dS_blocks(g.validate_length_table(L, size=5)[None], [eps])[0]
+    tables = g.validate_length_table(L, size=5)[None]
+    X = jb.domega_dS_blocks(jb.dtheta_dL_blocks(tables, [eps]), g.dS_dL_blocks(tables))[0]
     assert np.abs(X - X.T).max() <= 1e-6 * np.abs(X).max()
 
 
@@ -257,7 +293,7 @@ def test_conjugacy_on_fixtures(delta5, delta5_metric, join_complex, join_metric)
 
 
 def test_dBigOmega_structural_zeros(join_complex, join_metric):
-    T = jb.assemble_dBigOmega_dS(join_complex, join_metric)
+    T = jb.build_jacobians(join_complex, join_metric).dBigOmega_dS
     # (edge, triangle) pairs that share a simplex, from the per-simplex index rows
     shared = {
         (e, f)
@@ -317,6 +353,14 @@ def test_selection_zero_forced_row_raises():
     M[1, 1] = 2.0
     with pytest.raises(SelectionError, match="zero"):
         jb.rank_and_submatrix(M, must_include_row=0)
+
+
+@pytest.mark.parametrize("row", [-1, 2.7, 3])
+def test_selection_rejects_a_forced_row_outside_the_matrix(row):
+    # -1 would wrap to the last row, 2.7 truncate to 2 and 3 index past the end
+    M = np.arange(1.0, 7.0).reshape(3, 2)
+    with pytest.raises(SelectionError, match="not a row index"):
+        jb.rank_and_submatrix(M, must_include_row=row)
 
 
 def test_selection_det_matches_numpy_det(join_complex, join_metric):
