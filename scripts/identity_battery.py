@@ -12,13 +12,13 @@ import time
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from pachner33 import identities
-from pachner33.cli import positive_float, positive_int
+from pachner33.cli import positive_float, positive_int, seed_int
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--trials", type=positive_int, default=100)
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--seed", type=seed_int, default=0)
     ap.add_argument("--tol", type=positive_float, default=identities.DEFAULT_TOL)
     args = ap.parse_args()
 
@@ -30,7 +30,7 @@ def main():
     overall = True
     for battery in identities.ALL_BATTERIES:
         t0 = time.perf_counter()
-        res = battery(trials=args.trials, seed=args.seed, tol=args.tol, draws=draws)
+        res = battery(draws, args.tol)
         dt = time.perf_counter() - t0
         overall &= res.passed
         extra = " ".join(f"{k}={v:.3e}" for k, v in res.extras.items())

@@ -13,6 +13,7 @@ import sys
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from pachner33 import invariants as iv
+from pachner33.cli import seed_int
 from pachner33.errors import MovePreconditionError, Pachner33Error
 from pachner33.flatmetric import random_realization
 from pachner33.io import load_fixture
@@ -22,7 +23,7 @@ FIXTURES = ("boundary_delta5.json", "join_tetra_triangle.json", "bipyramid_10cel
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--seed", type=int, default=None,
+    ap.add_argument("--seed", type=seed_int, default=None,
                     help="ignore bundled coords and draw a fresh placement")
     args = ap.parse_args()
 

@@ -86,8 +86,8 @@ def _value_field(sign, log_abs):
 
 
 def cmd_inspect(args, t0):
-    doc = load_document(args.file)
-    c = doc.to_complex()
+    doc = load_document(args.file, allow_boundary=True)
+    c = doc.to_complex(allow_boundary=True)
     fv = c.f_vector()
     rep = _report(
         "inspect",
@@ -288,6 +288,16 @@ def positive_int(text):
     raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
 
 
+def seed_int(text):
+    """An integer of at least 0, as a seed of numpy's default_rng."""
+    try:
+        if int(text) >= 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected an integer of at least 0, got {text!r}")
+
+
 def positive_float(text):
     """A finite float above 0, as a tolerance (nan, inf and 0 are refused)."""
     try:
@@ -341,22 +351,22 @@ def build_parser():
     add("inspect", cmd_inspect)
 
     p = add("realize", cmd_realize)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=seed_int, required=True)
     p.add_argument("--output", "-o", default=None)
 
     p = add("check-flat", cmd_check_flat)
     p.add_argument("--tol", type=positive_float, default=FLATNESS_TOL)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=seed_int, default=None)
     p.add_argument("--perturb", type=_perturb_arg, default=None, metavar="U,V,AMOUNT",
                    help="add AMOUNT to the squared length of edge (U, V) first")
 
     p = add("verify-identities", cmd_verify_identities, needs_file=False)
     p.add_argument("--trials", type=positive_int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=seed_int, default=0)
     p.add_argument("--tol", type=positive_float, default=identities.DEFAULT_TOL)
 
     p = add("jacobian", cmd_jacobian)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=seed_int, default=None)
     p.add_argument("--tol", type=positive_float, default=identities.DEFAULT_TOL)
     p.add_argument("--pivot-tol", type=positive_float, default=PIVOT_TOL)
 
@@ -365,12 +375,12 @@ def build_parser():
     p.add_argument("--output", "-o", default=None)
 
     p = add("invariant", cmd_invariant)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=seed_int, default=None)
     p.add_argument("--pivot-tol", type=positive_float, default=PIVOT_TOL)
 
     p = add("compare", cmd_compare)
     p.add_argument("--face", type=_face_arg, required=True, metavar="A,B,C")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=seed_int, default=None)
     p.add_argument("--tol", type=positive_float, default=identities.DEFAULT_TOL)
     p.add_argument("--pivot-tol", type=positive_float, default=PIVOT_TOL)
 

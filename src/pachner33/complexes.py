@@ -99,10 +99,6 @@ class Complex4:
         fv = self.f_vector()
         return sum((-1) ** d * n for d, n in enumerate(fv))
 
-    def simplex_set(self):
-        """Unordered view of the oriented simplices (for move comparisons)."""
-        return frozenset(self.simplices)
-
 
 def _face_ids(prefix, last, nv):
     """Face table and (N, m) face ids from prefix-face ids and last-vertex positions.

@@ -54,10 +54,11 @@ def triangle_areas(L, triangle_edges, triangles):
     """Areas of triangles from squared lengths L and their (F, 3) edge columns.
 
     One stacked Cayley-Menger determinant; raises DegenerateSimplexError
-    naming the first triangle of `triangles` with nonpositive squared area.
+    naming the first triangle of `triangles` with nonpositive squared area
+    (or a non-finite one, from overflowing lengths).
     """
     sq = geometry.cm_squared_volumes(2, L[triangle_edges])
-    bad = np.flatnonzero(sq <= 0.0)
+    bad = np.flatnonzero(~(np.isfinite(sq) & (sq > 0.0)))
     if bad.size:
         raise DegenerateSimplexError(
             f"triangle {triangles[bad[0]]} has nonpositive squared area"
@@ -104,7 +105,7 @@ def metric_from_lengths(c, L, eps):
     eps = np.array(eps, dtype=int)
     S = triangle_areas(L, c.triangle_edges, c.faces[2])
     sq = geometry.cm_squared_volumes(4, L[c.simplex_edges])
-    bad = np.flatnonzero(sq <= 0.0)
+    bad = np.flatnonzero(~(np.isfinite(sq) & (sq > 0.0)))
     if bad.size:
         raise DegenerateSimplexError(
             f"simplex {c.simplices[int(bad[0])][0]} is not realizable"

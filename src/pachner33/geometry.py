@@ -142,7 +142,8 @@ def cm_squared_volumes(k, Lv):
 
     Lv is (M, (k+1)k/2): the squared lengths of each point set in
     lexicographic pair order ((0, 1), (0, 2), ...).  Unvalidated; values may
-    be <= 0 as for cm_squared_volume.
+    be <= 0 as for cm_squared_volume, and inf or nan where a determinant
+    overflows (without a numpy warning).
     """
     Lv = np.asarray(Lv, dtype=float)
     n = k + 1
@@ -150,7 +151,9 @@ def cm_squared_volumes(k, Lv):
     bordered = np.ones((len(Lv), n + 1, n + 1))
     bordered[:, range(n + 1), range(n + 1)] = 0.0
     bordered[:, i + 1, j + 1] = bordered[:, j + 1, i + 1] = Lv
-    return (-1) ** (k + 1) * np.linalg.det(bordered) / (2**k * math.factorial(k) ** 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        det = np.linalg.det(bordered)
+    return (-1) ** (k + 1) * det / (2**k * math.factorial(k) ** 2)
 
 
 def signed_volume4(points):

@@ -20,14 +20,15 @@ stack: fd_dtheta_dL embeds all 40 tables of its ten edge directions in one
 call.  The cluster batteries (two_edge_ratio, six_term,
 cluster_closed_forms) read a ClusterSix per trial, whose deficits,
 gradients and areas are rows of the same global assembly the invariant
-runs.  The trial configurations live in a TrialDraws: run_all_batteries
+runs.  Every battery takes the TrialDraws that holds its trial
+configurations and reports through one result helper; run_all_batteries
 draws each trial's simplex and cluster once and every battery reads that
-draw; a battery called alone draws its own.
+draw.
 """
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -218,22 +219,18 @@ def random_simplex_points(seed):
     return geometry.unit_ball_placement(seed, 5, [range(5)])
 
 
-def _trial_seeds(seed, trials):
-    return np.random.default_rng(seed).integers(0, 2**63 - 1, size=trials)
-
-
 class TrialDraws:
     """The trial seeds of one (trials, seed) pair and what they draw.
 
     simplices holds random_simplex_points and clusters random_cluster of
     each trial seed.  Each list is drawn on first use and kept only as long
-    as this object: run_all_batteries makes one per call and hands it to
-    every battery as draws=, so each simplex and each cluster is drawn once
-    per call.  A battery called without draws makes its own.
+    as this object.  Every battery reads the TrialDraws it is given;
+    run_all_batteries makes one per call and hands it to every battery, so
+    each simplex and each cluster is drawn once per call.
     """
 
     def __init__(self, trials, seed):
-        self.seeds = _trial_seeds(seed, trials)
+        self.seeds = np.random.default_rng(seed).integers(0, 2**63 - 1, size=trials)
 
     @functools.cached_property
     def simplices(self):
@@ -282,7 +279,22 @@ def fd_dtheta_dL(L, eps):
     return central_difference(lambda T: signed_angles(T, eps), L, _EDGE_DIRECTIONS).T
 
 
-def battery_opposite_edge_derivative(trials=100, seed=0, tol=DEFAULT_TOL, draws=None):
+def _result(name, draws, tol, residuals, failed=None, extras=None):
+    """The BatteryResult of one residual per trial of draws.
+
+    max_residual is the largest residual (0.0 when there is none); a trial
+    fails where its residual is above tol, or where failed, when given, says.
+    """
+    residuals = np.asarray(residuals, dtype=float)
+    if failed is None:
+        failed = residuals > tol
+    return BatteryResult(
+        name, len(draws.seeds), tol, float(residuals.max(initial=0.0)),
+        int(np.count_nonzero(failed)), extras or {},
+    )
+
+
+def battery_opposite_edge_derivative(draws, tol=DEFAULT_TOL):
     """Angle-by-opposite-length derivative against area over 24 volumes.
 
     For points A..E with only the squared length AE varying, the signed
@@ -290,8 +302,8 @@ def battery_opposite_edge_derivative(trials=100, seed=0, tol=DEFAULT_TOL, draws=
     oracle gives that entry; the whole closed-form block is checked against
     the oracle as well, relative to its largest entry.
     """
-    worst, failures = 0.0, 0
-    for pts in (draws or TrialDraws(trials, seed)).simplices:
+    residuals = []
+    for pts in draws.simplices:
         V = geometry.signed_volume4(pts)
         eps = 1 if V > 0 else -1
         L = geometry.squared_length_table(pts)
@@ -302,16 +314,14 @@ def battery_opposite_edge_derivative(trials=100, seed=0, tol=DEFAULT_TOL, draws=
         target = S / V
         closed_form = abs(24.0 * d - target) / abs(target)
         block = np.abs(dtheta_dL_simplex(L, eps) - oracle).max() / np.abs(oracle).max()
-        residual = max(closed_form, block)
-        worst = max(worst, float(residual))
-        failures += int(residual > tol)
-    return BatteryResult("opposite_edge_derivative", trials, tol, worst, failures)
+        residuals.append(max(closed_form, block))
+    return _result("opposite_edge_derivative", draws, tol, residuals)
 
 
 def _random_direction(rng):
     d = np.zeros((5, 5))
-    for i, j in geometry.EDGES5:
-        d[i, j] = d[j, i] = rng.standard_normal()
+    i, j = geometry.EDGE_I, geometry.EDGE_J
+    d[i, j] = d[j, i] = rng.standard_normal(10)
     return d / np.abs(d).max()
 
 
@@ -324,10 +334,9 @@ def _trial_direction(seed):
     return _random_direction(np.random.default_rng([seed, 1]))
 
 
-def battery_schlafli(trials=100, seed=0, tol=DEFAULT_TOL, draws=None):
+def battery_schlafli(draws, tol=DEFAULT_TOL):
     """Area-weighted angle differentials sum to zero for any deformation."""
-    worst, failures = 0.0, 0
-    draws = draws or TrialDraws(trials, seed)
+    residuals = []
     for s, pts in zip(draws.seeds, draws.simplices):
         L = geometry.squared_length_table(pts)
         direction = _trial_direction(s)
@@ -336,65 +345,45 @@ def battery_schlafli(trials=100, seed=0, tol=DEFAULT_TOL, draws=None):
             L[geometry.EDGE_I, geometry.EDGE_J], geometry.FACE_EDGES5, geometry.FACES5
         )
         terms = areas * dtheta
-        residual = abs(terms.sum()) / np.abs(terms).sum()
-        worst = max(worst, float(residual))
-        failures += int(residual > tol)
-    return BatteryResult("schlafli", trials, tol, worst, failures)
+        residuals.append(abs(terms.sum()) / np.abs(terms).sum())
+    return _result("schlafli", draws, tol, residuals)
 
 
-def battery_modified_schlafli(trials=100, seed=0, tol=DEFAULT_TOL, draws=None):
+def battery_modified_schlafli(draws, tol=DEFAULT_TOL):
     """Length-weighted edge-angle differentials sum to zero as well.
 
     Follows from the face areas being homogeneous of degree one in the
     squared lengths together with the plain area-weighted identity.
     """
-    worst, failures = 0.0, 0
-    draws = draws or TrialDraws(trials, seed)
+    residuals = []
     for s, pts in zip(draws.seeds, draws.simplices):
         L = geometry.squared_length_table(pts)
         direction = _trial_direction(s)
         dTheta = central_difference(lambda T: geometry.edge_angle_thetas(T, +1), L, direction)
         terms = L[geometry.EDGE_I, geometry.EDGE_J] * dTheta
-        residual = abs(terms.sum()) / np.abs(terms).sum()
-        worst = max(worst, float(residual))
-        failures += int(residual > tol)
-    return BatteryResult("modified_schlafli", trials, tol, worst, failures)
+        residuals.append(abs(terms.sum()) / np.abs(terms).sum())
+    return _result("modified_schlafli", draws, tol, residuals)
 
 
-def battery_two_edge_ratio(trials=100, seed=0, tol=DEFAULT_TOL, draws=None):
+def battery_two_edge_ratio(draws, tol=DEFAULT_TOL):
     """Constrained two-length derivative against the volume-product ratio."""
-    worst, failures = 0.0, 0
-    for cluster in (draws or TrialDraws(trials, seed)).clusters:
-        res = check_basic2(cluster).residual
-        worst = max(worst, float(res))
-        failures += int(res > tol)
-    return BatteryResult("two_edge_ratio", trials, tol, worst, failures)
+    residuals = [check_basic2(cluster).residual for cluster in draws.clusters]
+    return _result("two_edge_ratio", draws, tol, residuals)
 
 
-def battery_six_term(trials=100, seed=0, tol=DEFAULT_TOL, draws=None):
+def battery_six_term(draws, tol=DEFAULT_TOL):
     """Full gradient form of the six-volume relation plus parallelism."""
-    worst, worst_cos, worst_ratio, failures = 0.0, 1.0, 0.0, 0
-    for cluster in (draws or TrialDraws(trials, seed)).clusters:
-        chk = check_6term(cluster)
-        worst = max(worst, float(chk.residual))
-        worst_cos = min(worst_cos, float(chk.cosine))
-        worst_ratio = max(worst_ratio, float(chk.ratio_residual))
-        failures += int(
-            (chk.residual > tol)
-            or (chk.cosine < 1 - PARALLEL_COS_TOL)
-            or (chk.ratio_residual > tol)
-        )
-    return BatteryResult(
-        "six_term",
-        trials,
-        tol,
-        worst,
-        failures,
-        extras={"min_cosine": worst_cos, "max_ratio_residual": worst_ratio},
-    )
+    checks = [astuple(check_6term(cluster)) for cluster in draws.clusters]
+    residual, cosine, ratio = np.array(checks).reshape(-1, 3).T
+    failed = (residual > tol) | (cosine < 1 - PARALLEL_COS_TOL) | (ratio > tol)
+    extras = {
+        "min_cosine": float(cosine.min(initial=1.0)),
+        "max_ratio_residual": float(ratio.max(initial=0.0)),
+    }
+    return _result("six_term", draws, tol, residual, failed, extras)
 
 
-def battery_cluster_closed_forms(trials=100, seed=0, tol=DEFAULT_TOL, draws=None):
+def battery_cluster_closed_forms(draws, tol=DEFAULT_TOL):
     """Assembled deficit/length entries against the closed volume-ratio forms.
 
     On the cluster around ABC the (ABC, AB) entry must equal
@@ -402,8 +391,8 @@ def battery_cluster_closed_forms(trials=100, seed=0, tol=DEFAULT_TOL, draws=None
     holds for (DEF, DE) on the replacement cluster.  The entries are the
     assembled rows that ClusterSix.omega_gradient reads.
     """
-    worst, failures = 0.0, 0
-    for cluster in (draws or TrialDraws(trials, seed)).clusters:
+    residuals = []
+    for cluster in draws.clusters:
         V = cluster.hat_volumes
 
         got1 = cluster.omega_gradient("abc")[CLUSTER_EDGE_INDEX[(0, 1)]]
@@ -414,10 +403,8 @@ def battery_cluster_closed_forms(trials=100, seed=0, tol=DEFAULT_TOL, draws=None
         want2 = -(cluster.area("def") / 24.0) * V[3] * V[4] / (V[0] * V[1] * V[2])
         r2 = abs(got2 - want2) / abs(want2)
 
-        residual = max(r1, r2)
-        worst = max(worst, float(residual))
-        failures += int(residual > tol)
-    return BatteryResult("cluster_closed_forms", trials, tol, worst, failures)
+        residuals.append(max(r1, r2))
+    return _result("cluster_closed_forms", draws, tol, residuals)
 
 
 ALL_BATTERIES = (
@@ -433,4 +420,4 @@ ALL_BATTERIES = (
 def run_all_batteries(trials=100, seed=0, tol=DEFAULT_TOL):
     """Every battery over one TrialDraws: each trial's simplex and cluster are drawn once."""
     draws = TrialDraws(trials, seed)
-    return [battery(trials=trials, seed=seed, tol=tol, draws=draws) for battery in ALL_BATTERIES]
+    return [battery(draws, tol) for battery in ALL_BATTERIES]

@@ -33,7 +33,6 @@ from .jacobians import (
     PIVOT_TOL,
     assemble_domega_dL,
     dtheta_dL_blocks,
-    kernel_basis,
     length_tables,
     log_product,
     rank_and_submatrix,
@@ -271,7 +270,9 @@ def basis_change_factor(M, sel, swap, conjugate=None):
         raise SelectionError(f"{kind} swap produces a singular submatrix")
     coeffs, *_ = np.linalg.lstsq(A[:, list(inside)], A[:, new], rcond=None)
 
-    kernel = kernel_basis(kernel_of, sel.rank)
+    # orthonormal null-space basis (columns) from the SVD, given the rank
+    _, _, Vh = np.linalg.svd(np.asarray(kernel_of, dtype=float))
+    kernel = Vh[sel.rank:].T.copy()
     rhs = np.zeros(len(outside))
     rhs[outside.index(new)] = 1.0
     try:

@@ -237,9 +237,5 @@ def save_document(doc, path):
         fh.write(serialize_complex(doc))
 
 
-def fixture_text(name):
-    return resources.files("pachner33.fixtures").joinpath(name).read_text("utf-8")
-
-
 def load_fixture(name):
-    return parse_complex(fixture_text(name))
+    return parse_complex(resources.files("pachner33.fixtures").joinpath(name).read_text("utf-8"))

@@ -341,9 +341,3 @@ def rank_and_submatrix(matrix, must_include_row=None, tol=PIVOT_TOL):
         cols_comp=tuple(j for j in range(n_cols) if j not in kept_cols),
         pivots=tuple(pivots),
     )
-
-
-def kernel_basis(matrix, rank):
-    """Orthonormal null-space basis (columns) from the SVD, given the rank."""
-    _, _, Vh = np.linalg.svd(np.asarray(matrix, dtype=float))
-    return Vh[rank:].T.copy()

@@ -27,7 +27,7 @@ def report(num, name, passed, detail):
 
 def test_criterion_01_opposite_edge_derivative():
     t0 = time.perf_counter()
-    battery = idn.battery_opposite_edge_derivative(trials=100, seed=101, tol=TOL)
+    battery = idn.battery_opposite_edge_derivative(idn.TrialDraws(100, 101), tol=TOL)
     elapsed = time.perf_counter() - t0
     report(
         1,
@@ -39,8 +39,9 @@ def test_criterion_01_opposite_edge_derivative():
 
 def test_criterion_02_angle_sum_identities():
     t0 = time.perf_counter()
-    plain = idn.battery_schlafli(trials=100, seed=202, tol=TOL)
-    modified = idn.battery_modified_schlafli(trials=100, seed=202, tol=TOL)
+    draws = idn.TrialDraws(100, 202)
+    plain = idn.battery_schlafli(draws, tol=TOL)
+    modified = idn.battery_modified_schlafli(draws, tol=TOL)
     elapsed = time.perf_counter() - t0
     report(
         2,
@@ -52,7 +53,7 @@ def test_criterion_02_angle_sum_identities():
 
 def test_criterion_03_cluster_closed_forms():
     t0 = time.perf_counter()
-    battery = idn.battery_cluster_closed_forms(trials=100, seed=303, tol=TOL)
+    battery = idn.battery_cluster_closed_forms(idn.TrialDraws(100, 303), tol=TOL)
     elapsed = time.perf_counter() - t0
     report(
         3,
@@ -63,7 +64,7 @@ def test_criterion_03_cluster_closed_forms():
 
 
 def test_criterion_04_six_term_relation():
-    battery = idn.battery_six_term(trials=100, seed=404, tol=TOL)
+    battery = idn.battery_six_term(idn.TrialDraws(100, 404), tol=TOL)
     report(
         4,
         "six-volume gradient relation and parallelism",

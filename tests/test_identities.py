@@ -72,13 +72,31 @@ def test_random_cluster_is_drawn_once_per_trial_and_call(monkeypatch):
 
 
 def test_shared_draws_give_every_battery_its_standalone_result():
+    # one battery's reads of the shared draw leave the next battery's result unchanged
     shared = idn.run_all_batteries(trials=4, seed=12)
-    alone = [battery(trials=4, seed=12) for battery in idn.ALL_BATTERIES]
+    alone = [battery(idn.TrialDraws(4, 12)) for battery in idn.ALL_BATTERIES]
     assert shared == alone
     assert [r.name for r in shared] == [
         "opposite_edge_derivative", "two_edge_ratio", "six_term",
         "schlafli", "modified_schlafli", "cluster_closed_forms",
     ]
+
+
+@pytest.mark.parametrize("trials", [1, 3])
+def test_battery_trials_is_the_number_of_drawn_seeds(trials):
+    draws = idn.TrialDraws(trials, 5)
+    for battery in idn.ALL_BATTERIES:
+        assert battery(draws).trials == len(draws.seeds) == trials
+
+
+def test_random_direction_draws_ten_normals_in_edge_order():
+    # one standard_normal(10) call gives the values of ten scalar calls in EDGES5 order
+    for s in range(200):
+        rng = np.random.default_rng([s, 1])
+        want = np.zeros((5, 5))
+        for i, j in g.EDGES5:
+            want[i, j] = want[j, i] = rng.standard_normal()
+        assert np.array_equal(idn._trial_direction(s), want / np.abs(want).max())
 
 
 def test_cluster_assembles_each_gradient_once(monkeypatch):

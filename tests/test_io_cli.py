@@ -131,6 +131,20 @@ def test_cli_inspect():
     assert rep["closed"] and rep["orientation_consistent"]
 
 
+def test_cli_inspect_reports_an_open_complex(tmp_path):
+    # the report's closed field can be false: an open complex is counted, not refused
+    path = tmp_path / "one_cell.json"
+    path.write_text(json.dumps({"format_version": "1", "simplices": [[0, 1, 2, 3, 4]]}))
+    code, out = run_cli("inspect", str(path))
+    assert code == 1
+    rep = json.loads(out)
+    assert "error" not in rep
+    assert rep["counts"] == {
+        "vertices": 5, "edges": 10, "triangles": 10, "tetrahedra": 5, "simplices": 1,
+    }
+    assert rep["closed"] is False and rep["orientation_consistent"] is True
+
+
 def test_cli_compare_delta5_bundled_coords():
     code, out = run_cli("compare", fixture_path("boundary_delta5.json"), "--face", "0,1,2")
     rep = json.loads(out)
@@ -204,6 +218,37 @@ def test_cli_check_flat_rejects_a_non_finite_perturb_amount(amount, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "usage:" in err and "--perturb" in err
+
+
+def test_cli_check_flat_reports_an_overflowing_amount_as_degenerate():
+    # a finite AMOUNT whose Cayley-Menger determinants overflow gets the typed
+    # error report; tier-1 turns any numpy RuntimeWarning on the way into a failure
+    code, out = run_cli(
+        "check-flat", fixture_path("boundary_delta5.json"), "--perturb", "0,1,1e300"
+    )
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "DegenerateSimplexError"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("realize", "FILE"),
+        ("check-flat", "FILE"),
+        ("verify-identities", "--trials", "1"),
+        ("jacobian", "FILE"),
+        ("invariant", "FILE"),
+        ("compare", "FILE", "--face", "1,2,3"),
+    ],
+)
+def test_cli_seed_must_be_a_nonnegative_integer(argv, capsys):
+    # numpy's default_rng refuses a negative seed with a bare ValueError
+    argv = [fixture_path("boundary_delta5.json") if a == "FILE" else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--seed", "-1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "--seed" in err
 
 
 def test_cli_verify_identities_small():

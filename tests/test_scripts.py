@@ -38,3 +38,15 @@ def test_identity_battery_rejects_a_tolerance_that_is_not_finite_and_positive(to
     )
     assert done.returncode == 2
     assert "usage:" in done.stderr
+
+
+@pytest.mark.parametrize(
+    "argv", [("move_experiment.py",), ("identity_battery.py", "--trials", "1")]
+)
+def test_script_seed_must_be_a_nonnegative_integer(argv):
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / argv[0]), *argv[1:], "--seed", "-1"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 2
+    assert "usage:" in done.stderr and "--seed" in done.stderr
