@@ -180,9 +180,20 @@ def cmd_jacobian(args, t0):
     coords = _coords_for(doc, args, c)
     m = realize(c, coords)
     jac = build_jacobians(c, m)
-    sel = rank_and_submatrix(jac.dOmega_dL, tol=args.pivot_tol)
     sym = jac.symmetry_residual()
     conj = jac.conjugacy_residual()
+    matrices = {
+        "face_keys": [list(k) for k in c.faces[2]],
+        "edge_keys": [list(k) for k in c.faces[1]],
+        "dOmega_dL": _triplets(jac.dOmega_dL),
+        "dOmega_dS": _triplets(jac.dOmega_dS),
+        "dBigOmega_dS": _triplets(jac.dBigOmega_dS),
+    }
+    # the selection eliminates in dOmega_dL; no dense matrix outlives it
+    dOmega_dL = jac.dOmega_dL
+    del jac
+    sel = rank_and_submatrix(dOmega_dL, tol=args.pivot_tol)
+    del dOmega_dL
     rep = _report(
         "jacobian",
         args,
@@ -191,13 +202,7 @@ def cmd_jacobian(args, t0):
         symmetry_residual=sym,
         conjugacy_residual=conj,
         selection=_selection_fields(sel, c),
-        matrices={
-            "face_keys": [list(k) for k in c.faces[2]],
-            "edge_keys": [list(k) for k in c.faces[1]],
-            "dOmega_dL": _triplets(jac.dOmega_dL),
-            "dOmega_dS": _triplets(jac.dOmega_dS),
-            "dBigOmega_dS": _triplets(jac.dBigOmega_dS),
-        },
+        matrices=matrices,
     )
     _emit(rep, t0)
     return 0 if (sym <= args.tol and conj <= args.tol) else 1

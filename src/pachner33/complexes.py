@@ -227,7 +227,7 @@ def check_boundary(is_closed, allow_boundary):
     """Reject a complex with boundary tetrahedra unless allow_boundary."""
     if not is_closed and not allow_boundary:
         raise ComplexStructureError(
-            "complex has boundary tetrahedra; pass allow_boundary=True to accept"
+            "complex has boundary tetrahedra; this operation needs a closed complex"
         )
 
 

@@ -50,19 +50,31 @@ class FlatMetric:
         return metric_from_lengths(c, new_L, self.eps)
 
 
+def _first_unrealizable(sq):
+    """(index, kind) of the first squared measure that is not finite and positive, else None.
+
+    kind is "non-finite" for inf or NaN (overflowing lengths) and
+    "nonpositive" otherwise.
+    """
+    bad = np.flatnonzero(~(np.isfinite(sq) & (sq > 0.0)))
+    if not bad.size:
+        return None
+    k = int(bad[0])
+    return k, ("nonpositive" if np.isfinite(sq[k]) else "non-finite")
+
+
 def triangle_areas(L, triangle_edges, triangles):
     """Areas of triangles from squared lengths L and their (F, 3) edge columns.
 
     One stacked Cayley-Menger determinant; raises DegenerateSimplexError
-    naming the first triangle of `triangles` with nonpositive squared area
-    (or a non-finite one, from overflowing lengths).
+    naming the first triangle of `triangles` whose squared area is
+    nonpositive or non-finite, and which of the two it is.
     """
     sq = geometry.cm_squared_volumes(2, L[triangle_edges])
-    bad = np.flatnonzero(~(np.isfinite(sq) & (sq > 0.0)))
-    if bad.size:
-        raise DegenerateSimplexError(
-            f"triangle {triangles[bad[0]]} has nonpositive squared area"
-        )
+    bad = _first_unrealizable(sq)
+    if bad:
+        k, kind = bad
+        raise DegenerateSimplexError(f"triangle {triangles[k]} has {kind} squared area")
     return np.sqrt(sq)
 
 
@@ -105,10 +117,11 @@ def metric_from_lengths(c, L, eps):
     eps = np.array(eps, dtype=int)
     S = triangle_areas(L, c.triangle_edges, c.faces[2])
     sq = geometry.cm_squared_volumes(4, L[c.simplex_edges])
-    bad = np.flatnonzero(~(np.isfinite(sq) & (sq > 0.0)))
-    if bad.size:
+    bad = _first_unrealizable(sq)
+    if bad:
+        k, kind = bad
         raise DegenerateSimplexError(
-            f"simplex {c.simplices[int(bad[0])][0]} is not realizable"
+            f"simplex {c.simplices[k][0]} is not realizable ({kind} squared volume)"
         )
     return FlatMetric(L=L, S=S, eps=eps, V=eps * np.sqrt(sq))
 

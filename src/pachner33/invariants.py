@@ -11,9 +11,11 @@ triangle is replaced by the row of the appearing one.  The move only swaps
 three simplices, so the after-quantities are a local update of the
 before-quantities.  move_blocks computes the angle blocks of the N cells
 and the three replacement cells in one batch; the assembled matrix is a
-scatter of the first N, and virtual_rebuild takes the removed cluster's
-blocks out of it and puts the replacement's in.  The products drop three
-volumes and one area and gain their replacements.
+scatter of the first N, and the selection eliminates in it, so a command
+holds one faces x edges array.  virtual_rebuild then forms only B_after:
+it adds the same blocks, with the removed cluster's taken out and the
+replacement's put in, at the selected rows and columns.  The products drop
+three volumes and one area and gain their replacements.
 The moved complex is never built, which also covers the
 boundary-of-the-5-simplex situation where the opposite triangle is already
 a face and the moved complex would not be simplicial.
@@ -36,7 +38,6 @@ from .jacobians import (
     length_tables,
     log_product,
     rank_and_submatrix,
-    scatter_blocks,
 )
 
 
@@ -87,8 +88,7 @@ def full_invariant(c, m, pivot_tol=PIVOT_TOL):
     label the symbolic differential-form part, of which only transition
     factors (see basis_change_factor) are numerically meaningful.
     """
-    M = assemble_domega_dL(c, m)
-    sel = rank_and_submatrix(M, tol=pivot_tol)
+    sel = rank_and_submatrix(assemble_domega_dL(c, m), tol=pivot_tol)
     if sel.rank < 1:
         raise SelectionError("deficit/length matrix has rank zero")
     sign, log_abs = restricted_invariant(c, m, sel)
@@ -130,19 +130,35 @@ def move_blocks(c, m, coords, def_, new_cells):
     return dtheta, rows, cols, volumes
 
 
-def virtual_rebuild(c, M, star, dtheta, rows, cols):
-    """Deficit/length matrix after the move, and the appearing triangle's row.
+def virtual_rebuild(c, sel, star, dtheta, rows, cols):
+    """After-move entries at the selection: B_after and the appearing triangle's row.
 
-    The removed cluster's blocks dtheta[star] are taken out of M and the
-    replacement's, the last three of move_blocks at its rows and cols, put
-    in; the moved complex is never built.
+    The after-matrix is the assembled one with the removed cluster's blocks
+    dtheta[star] taken out and the replacement's, the last three of
+    move_blocks at its rows and cols, put in.  Only its entries at
+    sel.rows x sel.cols, and those of the appearing triangle (row F) at
+    sel.cols, are formed: the block sequence -dtheta[:N] in cell order, then
+    +dtheta[star], then the three replacement blocks, is added to a
+    (len(sel.rows) + 1, len(sel.cols)) array, masked to those rows and
+    columns, so each entry sums the same terms in the same order as the
+    whole after-matrix would.  The moved complex is never built.
     """
-    F = M.shape[0]
-    # one extra row collects the appearing triangle
-    M_after = np.vstack([M, np.zeros((1, M.shape[1]))])
-    scatter_blocks(M_after, c.simplex_faces[star], c.simplex_edges[star], dtheta[star])
-    scatter_blocks(M_after, rows, cols, -dtheta[len(c.simplices):])
-    return M_after[:F], M_after[F]
+    N, F = len(c.simplices), len(c.faces[2])
+    n_rows, n_cols = len(sel.rows), len(sel.cols)
+    row_at = np.full(F + 1, -1)
+    row_at[list(sel.rows)] = np.arange(n_rows)
+    row_at[F] = n_rows
+    col_at = np.full(len(c.faces[1]), -1)
+    col_at[list(sel.cols)] = np.arange(n_cols)
+    cells = np.concatenate([np.arange(N), star, np.arange(N, len(dtheta))])
+    sign = np.repeat([-1.0, 1.0, -1.0], [N, len(star), len(dtheta) - N])
+    at_row = row_at[np.vstack([c.simplex_faces, c.simplex_faces[star], rows])]
+    at_col = col_at[np.vstack([c.simplex_edges, c.simplex_edges[star], cols])]
+    # kept entries in block-major order: each entry's sum runs in block order
+    k, i, j = np.nonzero((at_row >= 0)[:, :, None] & (at_col >= 0)[:, None, :])
+    B = np.zeros((n_rows + 1, n_cols))
+    np.add.at(B, (at_row[k, i], at_col[k, j]), sign[k] * dtheta[cells[k], i, j])
+    return B[:n_rows], B[n_rows]
 
 
 @dataclass(frozen=True)
@@ -173,22 +189,25 @@ def compare_under_move(c, coords, t, pivot_tol=PIVOT_TOL):
     after-selection keeps the same rows and columns except that the row of t
     is replaced by the row of the opposite triangle.  The placement is reused
     for the rebuilt cluster, so flatness persists.  One batch of angle blocks
-    (move_blocks) gives the before-matrix and, through virtual_rebuild, the
-    after-matrix; the products are updated in place of the three swapped
-    cells.  det(B) is taken from the pivots before the move and from slogdet
-    after it, so both invariants stay in the log domain.
+    (move_blocks) gives the before-matrix, which the selection eliminates in
+    place, and, through virtual_rebuild, the after-submatrix B_after; the
+    products are updated in place of the three swapped cells.  det(B) is
+    taken from the pivots before the move and from slogdet after it, so both
+    invariants stay in the log domain.
     """
     abc, def_, star, new_cells = move_cluster(c, t)
     m = realize(c, coords)
     dtheta, new_rows, new_cols, new_volumes = move_blocks(c, m, coords, def_, new_cells)
-    M = assemble_domega_dL(c, m, dtheta[: len(c.simplices)])
     row_abc = c.face_index[2][abc]
-    sel = rank_and_submatrix(M, must_include_row=row_abc, tol=pivot_tol)
+    sel = rank_and_submatrix(
+        assemble_domega_dL(c, m, dtheta[: len(c.simplices)]),
+        must_include_row=row_abc,
+        tol=pivot_tol,
+    )
     sign_before, log_before = restricted_invariant(c, m, sel)
 
-    M_after, def_row = virtual_rebuild(c, M, star, dtheta, new_rows, new_cols)
-    B_after = M_after[np.ix_(sel.rows, sel.cols)]
-    B_after[sel.rows.index(row_abc)] = def_row[list(sel.cols)]
+    B_after, def_row = virtual_rebuild(c, sel, star, dtheta, new_rows, new_cols)
+    B_after[sel.rows.index(row_abc)] = def_row
     volumes = np.append(np.delete(m.V, star), new_volumes)
     d, e, f = def_
     def_edges = [[c.face_index[1][pair] for pair in ((d, e), (d, f), (e, f))]]

@@ -32,7 +32,9 @@ maximal nondegenerate submatrix is found by complete-pivoting Gaussian
 elimination with a relative pivot threshold.  Each step updates only the
 rows its pivot column reaches and finds the next pivot through the row
 maxima, so on the sparse dOmega_dL (a few percent nonzero) a step costs
-the rows it changes rather than the whole matrix.
+the rows it changes rather than the whole matrix.  The elimination runs in
+the float64 matrix it is handed and forms no whole-matrix temporary, so a
+command that selects holds one faces x edges array.
 """
 from __future__ import annotations
 
@@ -45,6 +47,11 @@ from . import geometry
 from .errors import DegenerateSimplexError, SelectionError
 
 PIVOT_TOL = 1e-9
+# Bytes of each (touched rows x columns) temporary of one elimination pass.
+# Fill-in can make a step touch most rows (the stacked joins fill to about
+# 58%); taking them in passes of this size keeps the temporaries small and
+# in cache whatever the matrix size.
+_UPDATE_BYTES = 1 << 18
 
 _OPP_X, _OPP_Y = (np.array(ends) for ends in zip(*geometry.OPPOSITE5))
 
@@ -194,6 +201,11 @@ def area_length_weights(c, dS_dL):
     return P
 
 
+def _abs_max(a, axis=None):
+    """max |entry| of a (along axis) without an |a| temporary; NaN and +-inf propagate."""
+    return np.maximum(a.max(axis=axis), -a.min(axis=axis))
+
+
 @dataclass(frozen=True)
 class JacobianSet:
     """The three global derivative matrices."""
@@ -204,14 +216,14 @@ class JacobianSet:
 
     def symmetry_residual(self):
         M = self.dOmega_dS
-        scale = np.abs(M).max()
-        return float(np.abs(M - M.T).max() / scale) if scale else 0.0
+        scale = _abs_max(M)
+        return float(_abs_max(M - M.T) / scale) if scale else 0.0
 
     def conjugacy_residual(self):
         A = self.dBigOmega_dS
         B = self.dOmega_dL.T
-        scale = max(np.abs(A).max(), np.abs(B).max())
-        return float(np.abs(A - B).max() / scale) if scale else 0.0
+        scale = max(_abs_max(A), _abs_max(B))
+        return float(_abs_max(A - B) / scale) if scale else 0.0
 
 
 def build_jacobians(c, m):
@@ -270,6 +282,12 @@ class SubmatrixSelection:
 def rank_and_submatrix(matrix, must_include_row=None, tol=PIVOT_TOL):
     """Complete-pivoting elimination: pivot rows/cols and pivots.
 
+    The elimination overwrites matrix, as LAPACK's getrf does, when it is a
+    float64 2-d ndarray (a read-only one is copied); anything else is
+    converted to one first and the caller's object is left unchanged.  On
+    return the array holds no meaningful values, so a caller that reads the
+    matrix afterwards passes a copy.
+
     Pivoting stops when |pivot| <= tol * max|entry|; under complete pivoting
     the largest entry is exactly the first pivot, and it stays the reference
     when a (possibly weaker) first pivot row is forced.  If must_include_row
@@ -277,25 +295,28 @@ def rank_and_submatrix(matrix, must_include_row=None, tol=PIVOT_TOL):
     becomes the first pivot); a forced row that is not an integer index in
     [0, n_rows), or that is numerically zero, is an error.
 
-    Elimination runs in place and keeps row_best, the largest |entry| of
-    each row.  The pivot row is the first argmax of row_best and the pivot
-    column the first argmax of |work[r]|: the first maximum of |work| in
-    row-major order.  A step updates only the rows with a nonzero entry in
-    the pivot column, then zeroes that column and the pivot row and
-    refreshes row_best on the touched rows.  Every other row would only have
-    a signed zero subtracted from it, which changes no |entry|, so the
-    pivots and the complements are bitwise those of eliminating the whole
-    array at every step; on the sparse dOmega_dL a step costs the
-    touched rows, not the matrix.
+    The elimination keeps row_best, the largest |entry| of each row.  It is
+    first taken as max(row.max(), -row.min()), so that no |matrix| array is
+    formed, and a NaN or infinite entry shows in its row's maximum.  The
+    pivot row is the first argmax of row_best and the pivot column the first
+    argmax of |work[r]|: the first maximum of |work| in row-major order.  A
+    step updates only the rows with a nonzero entry in the pivot column, in
+    passes of at most _UPDATE_BYTES per temporary, then zeroes that column
+    and the pivot row and refreshes row_best on the touched rows.  Every
+    other row would only have a signed zero subtracted from it, which
+    changes no |entry|, so the pivots and the complements are bitwise those
+    of eliminating the whole array at every step; on the sparse dOmega_dL a
+    step costs the touched rows, not the matrix.
     """
-    work = np.array(matrix, dtype=float)
+    work = np.require(np.asarray(matrix, dtype=float), requirements="W")
     if work.ndim != 2:
         raise SelectionError("selection needs a 2-d matrix")
-    if not np.all(np.isfinite(work)):
-        raise SelectionError("matrix has non-finite entries")
     n_rows, n_cols = work.shape
-    row_best = np.abs(work).max(axis=1) if n_cols else np.zeros(n_rows)
+    row_best = _abs_max(work, axis=1) if n_cols else np.zeros(n_rows)
+    if not np.all(np.isfinite(row_best)):
+        raise SelectionError("matrix has non-finite entries")
     global_max = float(row_best.max()) if work.size else 0.0
+    rows_per_pass = max(1, _UPDATE_BYTES // (work.itemsize * max(n_cols, 1)))
 
     forced = None
     if must_include_row is not None:
@@ -324,13 +345,18 @@ def rank_and_submatrix(matrix, must_include_row=None, tol=PIVOT_TOL):
         pivots.append(float(piv))
         pivot_rows.append(r)
         pivot_cols.append(c)
+        pivot_row = work[r].copy()
         rows = np.flatnonzero(work[:, c])
-        touched = work[rows]
-        touched -= np.outer(touched[:, c] / piv, work[r])
-        touched[:, c] = 0.0
-        work[rows] = touched
+        for start in range(0, len(rows), rows_per_pass):
+            part = rows[start:start + rows_per_pass]
+            touched = work[part]
+            update = (touched[:, c] / piv)[:, None] * pivot_row
+            touched -= update
+            touched[:, c] = 0.0
+            work[part] = touched
+            # |touched| goes into the spent update rows: no further temporary
+            row_best[part] = np.abs(touched, out=update).max(axis=1)
         work[r] = 0.0
-        row_best[rows] = np.abs(touched).max(axis=1)
         row_best[r] = 0.0
 
     kept_rows, kept_cols = set(pivot_rows), set(pivot_cols)

@@ -4,6 +4,7 @@ import pytest
 from pachner33 import complexes as cx
 from pachner33 import flatmetric as fm
 from pachner33 import geometry as g
+from pachner33.errors import MovePreconditionError
 
 LADDER_RUNGS = (26, 86, 166)
 
@@ -19,9 +20,28 @@ def vertex_motion_dL(c, coords, delta):
     return 2.0 * np.einsum("ek,ek->e", X[u] - X[w], dX[u] - dX[w])
 
 
+def admissible_triangles(c, limit):
+    """Up to limit triangles of c whose star is a 3->3 cluster, in face order."""
+    found = []
+    for tri in c.faces[2]:
+        try:
+            cx.move_cluster(c, tri)
+        except MovePreconditionError:
+            continue
+        found.append(tri)
+        if len(found) == limit:
+            break
+    return found
+
+
 @pytest.fixture(scope="session")
 def motion_dL():
     return vertex_motion_dL
+
+
+@pytest.fixture(scope="session")
+def admissible():
+    return admissible_triangles
 
 
 @pytest.fixture(scope="session")

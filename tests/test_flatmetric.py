@@ -113,6 +113,31 @@ def test_metric_from_lengths_names_the_first_bad_triangle(delta5, delta5_metric)
         delta5_metric.with_lengths(L, delta5)
 
 
+@pytest.mark.parametrize("value, kind", [(1e300, "non-finite"), (-5.0, "nonpositive")])
+def test_triangle_areas_names_the_kind_of_a_bad_squared_area(delta5, delta5_metric, value, kind):
+    # 1e300 overflows the Cayley-Menger determinant to inf/nan; -5 makes it negative
+    L = delta5_metric.L.copy()
+    L[delta5.face_index[1][(0, 1)]] = value
+    message = rf"^triangle \(0, 1, 2\) has {kind} squared area$"
+    with pytest.raises(DegenerateSimplexError, match=message):
+        fm.triangle_areas(L, delta5.triangle_edges, delta5.faces[2])
+
+
+@pytest.mark.parametrize(
+    "scale, shrink, kind", [(1e80, 1.0, "non-finite"), (1.0, 0.8, "nonpositive")]
+)
+def test_metric_from_lengths_names_the_kind_of_a_bad_squared_volume(
+    delta5, delta5_metric, scale, shrink, kind
+):
+    # at 1e80 every triangle is finite but the 4-volumes overflow; shrinking
+    # one edge keeps the triangles and leaves a cell with no Euclidean placement
+    L = delta5_metric.L * scale
+    L[delta5.face_index[1][(0, 1)]] *= shrink
+    message = rf"not realizable \({kind} squared volume\)$"
+    with pytest.raises(DegenerateSimplexError, match=message):
+        delta5_metric.with_lengths(L, delta5)
+
+
 def test_realize_rejects_repeated_points(delta5, delta5_coords):
     coords = dict(delta5_coords)
     coords[1] = coords[0]

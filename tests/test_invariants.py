@@ -11,7 +11,7 @@ from pachner33 import geometry as g
 from pachner33 import identities as idn
 from pachner33 import invariants as iv
 from pachner33 import jacobians as jb
-from pachner33.errors import DegenerateSimplexError, MovePreconditionError, SelectionError
+from pachner33.errors import DegenerateSimplexError, SelectionError
 
 
 def symmetric_cluster(seed=21, max_tries=200):
@@ -372,7 +372,7 @@ def compare_reference(c, coords, t):
     m = fm.realize(c, coords)
     M = jb.assemble_domega_dL(c, m)
     row_abc = c.face_index[2][abc]
-    sel = jb.rank_and_submatrix(M, must_include_row=row_abc)
+    sel = jb.rank_and_submatrix(M.copy(), must_include_row=row_abc)
     sign_before, log_before = iv.restricted_invariant(c, m, sel)
     M_after, def_row, new_volumes = virtual_rebuild_reference(
         c, m, coords, M, star, def_, new_cells
@@ -389,28 +389,50 @@ def compare_reference(c, coords, t):
     return sel, sign_before, log_before, sign_after, log_after, ratio
 
 
-def admissible_triangles(c, limit):
-    """Up to limit triangles of c whose star is a 3->3 cluster, in face order."""
-    found = []
-    for tri in c.faces[2]:
-        try:
-            cx.move_cluster(c, tri)
-        except MovePreconditionError:
-            continue
-        found.append(tri)
-        if len(found) == limit:
-            break
-    return found
+def whole_selection(M):
+    """A selection of every row and column of M, for reading whole after-matrices."""
+    F, E = M.shape
+    return jb.SubmatrixSelection(
+        rows=tuple(range(F)), cols=tuple(range(E)), rows_comp=(), cols_comp=(), pivots=()
+    )
+
+
+def test_virtual_rebuild_matches_the_stacked_copy_bitwise(
+    delta5, delta5_coords, join_complex, join_coords, stellar_ladder, admissible
+):
+    # B_after and the appearing row, at the whole matrix and at the selection,
+    # are the entries of the (F + 1) x E stacked copy, bit for bit
+    cases = [(delta5, delta5_coords), (join_complex, join_coords), stellar_ladder[86]]
+    compared = 0
+    for c, coords in cases:
+        m = fm.realize(c, coords)
+        for tri in admissible(c, 4):
+            _, def_, star, new_cells = cx.move_cluster(c, tri)
+            dtheta, rows, cols, _ = iv.move_blocks(c, m, coords, def_, new_cells)
+            M = jb.assemble_domega_dL(c, m, dtheta[: len(c.simplices)])
+            M_after, def_row, _ = virtual_rebuild_reference(c, m, coords, M, star, def_, new_cells)
+            whole_after, whole_def = iv.virtual_rebuild(
+                c, whole_selection(M), star, dtheta, rows, cols
+            )
+            assert whole_after.tobytes() == M_after.tobytes()
+            assert whole_def.tobytes() == def_row.tobytes()
+            sel = jb.rank_and_submatrix(M, must_include_row=c.face_index[2][tuple(tri)])
+            B_after, def_at_sel = iv.virtual_rebuild(c, sel, star, dtheta, rows, cols)
+            assert B_after.shape == (sel.rank, sel.rank)
+            assert B_after.tobytes() == M_after[np.ix_(sel.rows, sel.cols)].tobytes()
+            assert def_at_sel.tobytes() == def_row[list(sel.cols)].tobytes()
+            compared += 1
+    assert compared >= 8
 
 
 def test_compare_matches_the_two_call_rebuild_bitwise(
-    delta5, delta5_coords, join_complex, join_coords, stellar_ladder
+    delta5, delta5_coords, join_complex, join_coords, stellar_ladder, admissible
 ):
     cases = [(delta5, delta5_coords), (join_complex, join_coords)]
     cases += [(c, coords) for n, (c, coords) in stellar_ladder.items() if n <= 86]
     compared = 0
     for c, coords in cases:
-        for tri in admissible_triangles(c, 8):
+        for tri in admissible(c, 8):
             mc = iv.compare_under_move(c, coords, tri)
             sel, sign_before, log_before, sign_after, log_after, ratio = compare_reference(
                 c, coords, tri
@@ -448,8 +470,10 @@ def test_row_swap_ratio_matches_gradient_ratio(delta5, delta5_coords):
     dtheta, rows, cols, _ = iv.move_blocks(delta5, m, delta5_coords, def_, new_cells)
     M = jb.assemble_domega_dL(delta5, m, dtheta[: len(delta5.simplices)])
     row_abc = delta5.face_index[2][abc]
-    sel = jb.rank_and_submatrix(M, must_include_row=row_abc)
-    _, def_row = iv.virtual_rebuild(delta5, M, star, dtheta, rows, cols)
+    sel = jb.rank_and_submatrix(M.copy(), must_include_row=row_abc)
+    _, def_row = iv.virtual_rebuild(delta5, whole_selection(M), star, dtheta, rows, cols)
+    _, def_at_sel = iv.virtual_rebuild(delta5, sel, star, dtheta, rows, cols)
+    assert def_at_sel.tobytes() == def_row[list(sel.cols)].tobytes()
     r_before = M[row_abc]
     cos = abs(r_before @ def_row) / (
         np.linalg.norm(r_before) * np.linalg.norm(def_row)
@@ -475,7 +499,7 @@ def test_compare_rejects_degenerate_replacement(join_complex, join_coords):
 
 def test_edge_swap_factor_contract(join_complex, join_metric):
     M = jb.assemble_domega_dL(join_complex, join_metric)
-    sel = jb.rank_and_submatrix(M)
+    sel = jb.rank_and_submatrix(M.copy())
     b = sel.cols_comp[0]
     c_col = sel.cols[-1]
     factors = iv.basis_change_factor(M, sel, ("edge", b, c_col))
@@ -487,7 +511,7 @@ def test_edge_swap_factor_contract(join_complex, join_metric):
 def test_face_swap_factor_contract(join_complex, join_metric):
     jac = jb.build_jacobians(join_complex, join_metric)
     M = jac.dOmega_dL
-    sel = jb.rank_and_submatrix(M)
+    sel = jb.rank_and_submatrix(M.copy())
     new_row = next(
         r for r in sel.rows_comp if np.abs(M[r]).max() > 0.1 * np.abs(M).max()
     )
@@ -503,7 +527,7 @@ def test_face_swap_factor_contract(join_complex, join_metric):
 def test_face_swap_on_rank_one_delta5(delta5, delta5_metric):
     jac = jb.build_jacobians(delta5, delta5_metric)
     M = jac.dOmega_dL
-    sel = jb.rank_and_submatrix(M)
+    sel = jb.rank_and_submatrix(M.copy())
     assert sel.rank == 1
     new_row = next(
         r for r in sel.rows_comp if np.abs(M[r]).max() > 0.1 * np.abs(M).max()
@@ -519,7 +543,7 @@ def test_face_swap_on_rank_one_delta5(delta5, delta5_metric):
 def test_swap_chain_preserves_composite_quantity(join_complex, join_metric):
     jac = jb.build_jacobians(join_complex, join_metric)
     M = jac.dOmega_dL
-    sel = jb.rank_and_submatrix(M)
+    sel = jb.rank_and_submatrix(M.copy())
     # the quantity 1 / det(B) changes by factor_form / factor_det per swap
 
     edge_factors = iv.basis_change_factor(
@@ -547,7 +571,7 @@ def test_swap_chain_preserves_composite_quantity(join_complex, join_metric):
 def test_basis_change_factors_do_not_depend_on_the_scale_of_M(join_complex, join_metric):
     jac = jb.build_jacobians(join_complex, join_metric)
     M = jac.dOmega_dL
-    sel = jb.rank_and_submatrix(M)
+    sel = jb.rank_and_submatrix(M.copy())
     big = jb.rank_and_submatrix(M * 1e120)
     assert (big.rows, big.cols) == (sel.rows, sel.cols)
     assert math.prod(big.pivots) == math.inf  # det(B) as a plain double overflows
@@ -566,7 +590,7 @@ def test_basis_change_factors_do_not_depend_on_the_scale_of_M(join_complex, join
 
 def test_basis_change_rejects_bad_swaps(join_complex, join_metric):
     M = jb.assemble_domega_dL(join_complex, join_metric)
-    sel = jb.rank_and_submatrix(M)
+    sel = jb.rank_and_submatrix(M.copy())
     with pytest.raises(SelectionError):
         iv.basis_change_factor(M, sel, ("edge", sel.cols[0], sel.cols[1]))
     with pytest.raises(SelectionError):

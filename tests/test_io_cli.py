@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,10 +15,11 @@ import pachner33
 from pachner33 import complexes as cx
 from pachner33 import flatmetric as fm
 from pachner33 import geometry as g
+from pachner33 import invariants as iv
 from pachner33 import io as pio
 from pachner33.cli import _selection_fields, _value_field, build_parser, main
 from pachner33.complexes import build_complex
-from pachner33.errors import ComplexStructureError, MovePreconditionError, SchemaError
+from pachner33.errors import ComplexStructureError, SchemaError
 from pachner33.jacobians import build_jacobians, rank_and_submatrix
 
 
@@ -228,6 +230,33 @@ def test_cli_check_flat_reports_an_overflowing_amount_as_degenerate():
     )
     assert code == 1
     assert json.loads(out)["error"]["type"] == "DegenerateSimplexError"
+
+
+@pytest.mark.parametrize("amount, kind", [("1e300", "non-finite"), ("-5", "nonpositive")])
+def test_cli_check_flat_names_the_kind_of_a_bad_area(amount, kind):
+    code, out = run_cli(
+        "check-flat", fixture_path("boundary_delta5.json"), "--perturb", f"0,1,{amount}"
+    )
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error == {
+        "type": "DegenerateSimplexError",
+        "message": f"triangle (0, 1, 2) has {kind} squared area",
+    }
+
+
+@pytest.mark.parametrize("command", ["realize", "invariant"])
+def test_cli_open_complex_error_names_no_missing_option(command, tmp_path):
+    # the hint used to name allow_boundary=True, which no command line option sets
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps({"format_version": "1", "simplices": [[0, 1, 2, 3, 4]]}))
+    code, out = run_cli(command, str(path), "--seed", "1")
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["type"] == "ComplexStructureError"
+    assert error["message"] == (
+        "complex has boundary tetrahedra; this operation needs a closed complex"
+    )
 
 
 @pytest.mark.parametrize(
@@ -446,9 +475,15 @@ def stellar_rung(n_cells, seed):
     return cells, points
 
 
-def test_cli_invariant_and_compare_on_a_1006_cell_sphere(tmp_path):
+@pytest.fixture(scope="module")
+def sphere_1006():
+    """Cells, points and complex of the 1006-cell stellar rung at seed 7."""
     cells, points = stellar_rung(1006, seed=7)
-    c = build_complex(cells)
+    return cells, points, build_complex(cells)
+
+
+def test_cli_invariant_and_compare_on_a_1006_cell_sphere(tmp_path, sphere_1006, admissible):
+    cells, points, c = sphere_1006
     assert c.is_closed and c.orientation_consistent and len(c.simplices) == 1006
     path = tmp_path / "stellar_n1006.json"
     doc = pio.ComplexDocument(simplices=cells).with_coords(dict(enumerate(points)))
@@ -462,21 +497,36 @@ def test_cli_invariant_and_compare_on_a_1006_cell_sphere(tmp_path):
     assert math.isfinite(rep["log_abs_value"]) and abs(rep["log_abs_value"]) > 710
     assert rep["value"] is None
 
-    admissible = []
-    for tri in c.faces[2]:
-        try:
-            cx.move_cluster(c, tri)
-        except MovePreconditionError:
-            continue
-        admissible.append(tri)
-        if len(admissible) == 3:
-            break
-    assert len(admissible) == 3
-    for tri in admissible:
+    triangles = admissible(c, 3)
+    assert len(triangles) == 3
+    for tri in triangles:
         code, out = run_cli("compare", str(path), "--face", ",".join(map(str, tri)))
         rep = json.loads(out, parse_constant=_reject_constant)
         assert code == 0, rep
         assert rep["deviation"] <= 1e-10
+
+
+def test_invariant_and_compare_hold_one_faces_by_edges_array(sphere_1006, admissible):
+    # the selection eliminates in the assembled matrix and compare forms only
+    # B_after, so neither call needs a second F x E array (a copy of dOmega_dL
+    # or a whole-matrix temporary would put the traced peak near 3 F E 8 bytes)
+    _, points, c = sphere_1006
+    coords = dict(enumerate(points))
+    m = fm.realize(c, coords)
+    (tri,) = admissible(c, 1)
+    budget = 2 * len(c.faces[2]) * len(c.faces[1]) * np.dtype(float).itemsize
+    calls = {
+        "full_invariant": lambda: iv.full_invariant(c, m),
+        "compare_under_move": lambda: iv.compare_under_move(c, coords, tri),
+    }
+    for name, call in calls.items():
+        tracemalloc.start()
+        try:
+            call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= budget, (name, peak, budget)
 
 
 def test_value_field_is_null_unless_a_finite_nonzero_double():

@@ -328,7 +328,7 @@ def test_selection_on_delta5_forcing_each_triangle(delta5, delta5_metric):
     M = jb.assemble_domega_dL(delta5, delta5_metric)
     for tri in ((0, 1, 2), (1, 3, 5), (2, 4, 5)):
         row = delta5.face_index[2][tri]
-        sel = jb.rank_and_submatrix(M, must_include_row=row)
+        sel = jb.rank_and_submatrix(M.copy(), must_include_row=row)
         assert sel.rank == 1
         assert sel.rows == (row,)
         assert sel.pivots == pytest.approx((M[row, sel.cols[0]],))
@@ -365,7 +365,7 @@ def test_selection_rejects_a_forced_row_outside_the_matrix(row):
 
 def test_selection_det_matches_numpy_det(join_complex, join_metric):
     M = jb.assemble_domega_dL(join_complex, join_metric)
-    sel = jb.rank_and_submatrix(M)
+    sel = jb.rank_and_submatrix(M.copy())
     block = M[np.ix_(sel.rows, sel.cols)]
     det_sign, log_abs_det = np.linalg.slogdet(block)
     # rel 1e-9 on det(B) is abs 1e-9 on log|det(B)|
@@ -388,6 +388,32 @@ def test_join_and_bipyramid_ranks(join_complex, join_metric, bipyramid):
     mb = fm.realize(bipyramid, fm.random_realization(bipyramid, seed=3))
     Mb = jb.assemble_domega_dL(bipyramid, mb)
     assert jb.rank_and_submatrix(Mb).rank == 2
+
+
+def test_selection_eliminates_a_float64_array_in_place():
+    M = np.array([[1.0, 2.0, 3.0, 1.0], [2.0, 4.0, 7.0, 0.0], [1.0, 0.0, 1.0, 5.0]])
+    original = M.copy()
+    sel = jb.rank_and_submatrix(M)
+    assert sel == jb.rank_and_submatrix(original.copy())
+    assert sel.rank == 3
+    # the matrix itself was eliminated: pivot rows and columns are zero
+    assert not np.array_equal(M, original)
+    assert not M[list(sel.rows)].any() and not M[:, list(sel.cols)].any()
+
+
+def test_selection_leaves_other_inputs_unchanged():
+    rows = [[1.0, 2.0, 3.0, 1.0], [2.0, 4.0, 7.0, 0.0], [1.0, 0.0, 1.0, 5.0]]
+    want = jb.rank_and_submatrix(np.array(rows))
+    as_list = [list(r) for r in rows]
+    as_int = np.array(rows, dtype=int)
+    read_only = np.array(rows)
+    read_only.flags.writeable = False
+    assert jb.rank_and_submatrix(as_list) == want
+    assert as_list == rows
+    assert jb.rank_and_submatrix(as_int) == want
+    assert np.array_equal(as_int, np.array(rows, dtype=int))
+    assert jb.rank_and_submatrix(read_only) == want
+    assert np.array_equal(read_only, np.array(rows))
 
 
 # ------------------------------------------- selection against the dense loop
@@ -445,9 +471,9 @@ def _assert_same_selection(M, must_include_row=None):
         expected = rank_and_submatrix_dense(M, must_include_row)
     except SelectionError:
         with pytest.raises(SelectionError, match="numerically zero"):
-            jb.rank_and_submatrix(M, must_include_row)
+            jb.rank_and_submatrix(M.copy(), must_include_row)
         return
-    assert _selection_bits(jb.rank_and_submatrix(M, must_include_row)) == expected
+    assert _selection_bits(jb.rank_and_submatrix(M.copy(), must_include_row)) == expected
 
 
 def test_selection_matches_dense_loop_on_the_stellar_ladder(stellar_ladder):
@@ -490,3 +516,16 @@ def test_selection_matches_dense_loop_on_small_integer_matrices():
         _assert_same_selection(M)
         for row in range(n_rows):
             _assert_same_selection(M, must_include_row=row)
+
+
+def test_selection_in_one_row_passes_matches_dense_loop(
+    monkeypatch, stellar_ladder, join_complex, join_metric
+):
+    # a step updates its touched rows in passes of bounded size; passes of a
+    # single row must still take the pivots of the whole-array loop
+    monkeypatch.setattr(jb, "_UPDATE_BYTES", 1)
+    M = jb.assemble_domega_dL(join_complex, join_metric)
+    _assert_same_selection(M)
+    _assert_same_selection(M, must_include_row=len(M) // 2)
+    c, coords = stellar_ladder[86]
+    _assert_same_selection(jb.assemble_domega_dL(c, fm.realize(c, coords)))
