@@ -25,7 +25,7 @@ def main():
     print(f"{'battery':30s} {'worst residual':>14s} {'failures':>9s} {'time':>7s}")
     t0 = time.perf_counter()
     draws = identities.TrialDraws(args.trials, args.seed)
-    draws.simplices, draws.clusters  # both lists are drawn here, once
+    draws.simplices, draws.clusters  # both are drawn here, once
     print(f"{'shared draws':30s} {'':14s} {'':9s} {time.perf_counter() - t0:6.2f}s")
     overall = True
     for battery in identities.ALL_BATTERIES:

@@ -29,12 +29,7 @@ from .flatmetric import (
     random_realization,
     realize,
 )
-from .geometry import (
-    cm_squared_volume,
-    gram_embed,
-    signed_volume4,
-    squared_length_table,
-)
+from .geometry import gram_embed, signed_volume4, squared_length_table
 from .identities import ClusterSix, check_6term, check_basic2, random_cluster
 from .invariants import (
     InvariantReport,
@@ -51,7 +46,6 @@ from .jacobians import (
     assemble_domega_dL,
     build_jacobians,
     dtheta_dL_blocks,
-    dtheta_dL_simplex,
     rank_and_submatrix,
 )
 

@@ -143,10 +143,8 @@ def deficit_omega(c, m):
     theta = jacobians.dihedral_angles_batch(jacobians.length_tables(m.L, c.simplex_edges))
     omega = np.zeros(len(c.faces[2]))
     np.add.at(omega, c.simplex_faces, -m.eps[:, None] * theta)
-    # reduce_angle is the identity on (-pi, pi)
-    wound = np.flatnonzero(np.abs(omega) >= np.pi)
-    omega[wound] = [geometry.reduce_angle(x) for x in omega[wound].tolist()]
-    return omega
+    # the identity on (-pi, pi); wound faces come back on the flat branch
+    return geometry.reduce_angle(omega)
 
 
 def deficit_Omega(c, m, omega=None):

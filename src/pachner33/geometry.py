@@ -77,10 +77,10 @@ _AREA_ROW, _AREA_AB, _AREA_AC, _AREA_BC = _area_terms()
 
 
 def squared_length_table(points):
-    """Squared pairwise distances of an (n, d) coordinate array."""
+    """Squared pairwise distances of an (n, d) coordinate array, or of a (..., n, d) stack."""
     pts = np.asarray(points, dtype=float)
-    diff = pts[:, None, :] - pts[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
+    diff = pts[..., :, None, :] - pts[..., None, :, :]
+    return np.einsum("...ijk,...ijk->...ij", diff, diff)
 
 
 @functools.cache
@@ -125,25 +125,13 @@ def validate_length_table(L, size=None):
     return L
 
 
-def cm_squared_volume(k, L):
-    """Squared k-volume of k+1 points via the Cayley-Menger determinant.
-
-    May be <= 0 for tables with no Euclidean realization; the raw value is
-    returned so callers can detect degeneracy.
-    """
-    L = validate_length_table(L, size=k + 1)
-    if L.ndim != 2:
-        raise ValueError("cm_squared_volume takes one table; stacks go to cm_squared_volumes")
-    return float(cm_squared_volumes(k, L[_upper_pairs(k + 1)][None])[0])
-
-
 def cm_squared_volumes(k, Lv):
     """Squared k-volumes of a stack of (k+1)-point length lists, one det call.
 
     Lv is (M, (k+1)k/2): the squared lengths of each point set in
     lexicographic pair order ((0, 1), (0, 2), ...).  Unvalidated; values may
-    be <= 0 as for cm_squared_volume, and inf or nan where a determinant
-    overflows (without a numpy warning).
+    be <= 0 for lengths with no Euclidean realization, and inf or nan where
+    a determinant overflows (without a numpy warning).
     """
     Lv = np.asarray(Lv, dtype=float)
     n = k + 1
@@ -241,22 +229,6 @@ def gram_embed(L):
     return pts
 
 
-def face_squared_area(L, face):
-    p, q, r = face
-    T = np.zeros((3, 3))
-    T[0, 1] = T[1, 0] = L[p, q]
-    T[0, 2] = T[2, 0] = L[p, r]
-    T[1, 2] = T[2, 1] = L[q, r]
-    return cm_squared_volume(2, T)
-
-
-def face_area(L, face):
-    sq = face_squared_area(L, face)
-    if sq <= 0.0:
-        raise DegenerateSimplexError(f"face {face} has nonpositive squared area")
-    return math.sqrt(sq)
-
-
 def dS_dL_blocks(L):
     """(..., 10, 10) face-area derivatives by squared edge length.
 
@@ -316,8 +288,12 @@ def edge_angle_thetas(L, eps):
 
 
 def reduce_angle(x):
-    """Representative of x mod 2*pi in (-pi, pi]."""
-    r = math.remainder(x, TWO_PI)
-    if r <= -math.pi:
-        r += TWO_PI
-    return r
+    """Representatives of x mod 2*pi in (-pi, pi], entrywise.
+
+    fmod is exact, and so is each shift by 2*pi of its (-2*pi, 2*pi) result
+    (Sterbenz), so every entry is bitwise math.remainder(x, 2*pi) moved into
+    (-pi, pi], signed zeros included.
+    """
+    r = np.fmod(x, TWO_PI)
+    r = np.where(r > math.pi, r - TWO_PI, r)
+    return np.where(r <= -math.pi, r + TWO_PI, r)

@@ -15,9 +15,11 @@ oracle, central_difference, which differentiates the dihedral angles of
 the coordinate route (geometry.dihedral_angles_from_lengths, (..., 10)
 arrays in FACES5 order).  It runs with one Richardson extrapolation level
 so that truncation stays far below the tolerances even for moderately thin
-simplices, and evaluates its four stencil tables per direction as one
-stack: fd_dtheta_dL embeds all 40 tables of its ten edge directions in one
-call.  The cluster batteries (two_edge_ratio, six_term,
+simplices.  It steps each table of a stack by its own largest entry and
+embeds every stencil table in one call.  The simplex batteries
+(opposite_edge_derivative, schlafli, modified_schlafli) evaluate the
+stack of all trials at once, each trial's residual bitwise the one it
+gets alone.  The cluster batteries (two_edge_ratio, six_term,
 cluster_closed_forms) read a ClusterSix per trial, whose deficits,
 gradients and areas are rows of the same global assembly the invariant
 runs.  Every battery takes the TrialDraws that holds its trial
@@ -36,7 +38,7 @@ from . import geometry
 from .complexes import boundary_delta5
 from .errors import DegenerateSimplexError
 from .flatmetric import FLATNESS_TOL, FlatMetric, deficit_omega, realize, triangle_areas
-from .jacobians import assemble_domega_dL, dtheta_dL_simplex
+from .jacobians import assemble_domega_dL, dtheta_dL_blocks
 
 DEFAULT_TOL = 1e-6
 PARALLEL_COS_TOL = 1e-10
@@ -222,9 +224,9 @@ def random_simplex_points(seed):
 class TrialDraws:
     """The trial seeds of one (trials, seed) pair and what they draw.
 
-    simplices holds random_simplex_points and clusters random_cluster of
-    each trial seed.  Each list is drawn on first use and kept only as long
-    as this object.  Every battery reads the TrialDraws it is given;
+    simplices is the (T, 5, 4) stack of random_simplex_points and clusters
+    the list of random_cluster of the T trial seeds.  Each is drawn on
+    first use and kept only as long as this object.  Every battery reads the TrialDraws it is given;
     run_all_batteries makes one per call and hands it to every battery, so
     each simplex and each cluster is drawn once per call.
     """
@@ -234,7 +236,7 @@ class TrialDraws:
 
     @functools.cached_property
     def simplices(self):
-        return [random_simplex_points(s) for s in self.seeds]
+        return np.array([random_simplex_points(s) for s in self.seeds]).reshape(-1, 5, 4)
 
     @functools.cached_property
     def clusters(self):
@@ -242,17 +244,19 @@ class TrialDraws:
 
 
 def central_difference(fn, L, direction):
-    """Derivative of fn at the squared-length table L along direction.
+    """Derivative of fn at the (..., 5, 5) stack of tables L along direction.
 
-    Central differences at the step FD_REL_STEP * max(L) and at half of it,
-    combined by one Richardson extrapolation level.  direction is one (5, 5)
-    table or a (..., 5, 5) stack of them; fn takes a stack of tables and is
-    called once, on the (4, ..., 5, 5) stencil of every direction.  This is
-    the one finite-difference oracle of the package; the library itself
-    never differentiates numerically.
+    direction broadcasts against L.  Each table takes its own step,
+    FD_REL_STEP * max(L) of that table, and one at half of it, combined by
+    one Richardson extrapolation level.  fn maps a stack of tables to one
+    (..., k) row each and is called once, on the (4, ...) stencil, so each
+    table's derivative is bitwise the one it gets alone.  This is the one
+    finite-difference oracle of the package; the library itself never
+    differentiates numerically.
     """
-    h = FD_REL_STEP * float(L.max())
-    steps = np.array([h / 2, -h / 2, h, -h]).reshape((4,) + (1,) * np.ndim(direction))
+    L = np.broadcast_to(L, np.broadcast_shapes(L.shape, np.shape(direction)))
+    h = FD_REL_STEP * L.max(axis=(-2, -1))[..., None]
+    steps = np.array([h / 2, -h / 2, h, -h])[..., None]
     values = np.asarray(fn(L + steps * direction))
     half = (values[0] - values[1]) / (2 * (h / 2))
     full = (values[2] - values[3]) / (2 * h)
@@ -272,11 +276,16 @@ _EDGE_DIRECTIONS.flags.writeable = False
 
 
 def fd_dtheta_dL(L, eps):
-    """(10, 10) oracle of the signed dihedral-angle derivatives by length.
+    """(..., 10, 10) oracle of the signed dihedral-angle derivatives by length.
 
-    All 40 stencil tables (ten edges, four steps) are embedded in one call.
+    L is a table or a (T, 5, 5) stack, eps its sign or (T,) signs.  All 40
+    stencil tables (ten edges, four steps) of each table are embedded in one call.
     """
-    return central_difference(lambda T: signed_angles(T, eps), L, _EDGE_DIRECTIONS).T
+    eps = np.asarray(eps)[..., None, None]
+    dtheta = central_difference(
+        lambda T: signed_angles(T, eps), L[..., None, :, :], _EDGE_DIRECTIONS
+    )
+    return dtheta.swapaxes(-1, -2)
 
 
 def _result(name, draws, tol, residuals, failed=None, extras=None):
@@ -294,6 +303,13 @@ def _result(name, draws, tol, residuals, failed=None, extras=None):
     )
 
 
+def _face_areas(L):
+    """(T, 10) face areas of a (T, 5, 5) stack, FACES5 order: one triangle_areas batch."""
+    edges = geometry.FACE_EDGES5 + 10 * np.arange(len(L))[:, None, None]
+    Lv = L[:, geometry.EDGE_I, geometry.EDGE_J].ravel()
+    return triangle_areas(Lv, edges.reshape(-1, 3), geometry.FACES5 * len(L)).reshape(-1, 10)
+
+
 def battery_opposite_edge_derivative(draws, tol=DEFAULT_TOL):
     """Angle-by-opposite-length derivative against area over 24 volumes.
 
@@ -302,20 +318,17 @@ def battery_opposite_edge_derivative(draws, tol=DEFAULT_TOL):
     oracle gives that entry; the whole closed-form block is checked against
     the oracle as well, relative to its largest entry.
     """
-    residuals = []
-    for pts in draws.simplices:
-        V = geometry.signed_volume4(pts)
-        eps = 1 if V > 0 else -1
-        L = geometry.squared_length_table(pts)
-        face, edge = (1, 2, 3), (0, 4)
-        S = geometry.face_area(L, face)
-        oracle = fd_dtheta_dL(L, eps)
-        d = oracle[geometry.FACE_INDEX5[face], geometry.EDGE_INDEX5[edge]]
-        target = S / V
-        closed_form = abs(24.0 * d - target) / abs(target)
-        block = np.abs(dtheta_dL_simplex(L, eps) - oracle).max() / np.abs(oracle).max()
-        residuals.append(max(closed_form, block))
-    return _result("opposite_edge_derivative", draws, tol, residuals)
+    L = geometry.squared_length_table(draws.simplices)
+    V, _ = geometry.cell_volumes(draws.simplices, geometry.DEGENERACY_REL)
+    eps = np.where(V > 0, 1, -1)
+    face = geometry.FACE_INDEX5[(1, 2, 3)]
+    oracle = fd_dtheta_dL(L, eps)
+    target = _face_areas(L)[:, face] / V
+    d = oracle[:, face, geometry.EDGE_INDEX5[(0, 4)]]
+    closed_form = np.abs(24.0 * d - target) / np.abs(target)
+    block = (np.abs(dtheta_dL_blocks(L, eps) - oracle).max(axis=(1, 2))
+             / np.abs(oracle).max(axis=(1, 2)))
+    return _result("opposite_edge_derivative", draws, tol, np.maximum(closed_form, block))
 
 
 def _random_direction(rng):
@@ -334,18 +347,17 @@ def _trial_direction(seed):
     return _random_direction(np.random.default_rng([seed, 1]))
 
 
+def _schlafli_residuals(fn, weights, draws):
+    """|sum weights(L) * dfn| / sum |weights(L) * dfn| of each trial, along its direction."""
+    L = geometry.squared_length_table(draws.simplices)
+    directions = np.array([_trial_direction(s) for s in draws.seeds]).reshape(-1, 5, 5)
+    terms = weights(L) * central_difference(fn, L, directions)
+    return np.abs(terms.sum(axis=1)) / np.abs(terms).sum(axis=1)
+
+
 def battery_schlafli(draws, tol=DEFAULT_TOL):
     """Area-weighted angle differentials sum to zero for any deformation."""
-    residuals = []
-    for s, pts in zip(draws.seeds, draws.simplices):
-        L = geometry.squared_length_table(pts)
-        direction = _trial_direction(s)
-        dtheta = central_difference(lambda T: signed_angles(T, +1), L, direction)
-        areas = triangle_areas(
-            L[geometry.EDGE_I, geometry.EDGE_J], geometry.FACE_EDGES5, geometry.FACES5
-        )
-        terms = areas * dtheta
-        residuals.append(abs(terms.sum()) / np.abs(terms).sum())
+    residuals = _schlafli_residuals(lambda T: signed_angles(T, +1), _face_areas, draws)
     return _result("schlafli", draws, tol, residuals)
 
 
@@ -355,13 +367,10 @@ def battery_modified_schlafli(draws, tol=DEFAULT_TOL):
     Follows from the face areas being homogeneous of degree one in the
     squared lengths together with the plain area-weighted identity.
     """
-    residuals = []
-    for s, pts in zip(draws.seeds, draws.simplices):
-        L = geometry.squared_length_table(pts)
-        direction = _trial_direction(s)
-        dTheta = central_difference(lambda T: geometry.edge_angle_thetas(T, +1), L, direction)
-        terms = L[geometry.EDGE_I, geometry.EDGE_J] * dTheta
-        residuals.append(abs(terms.sum()) / np.abs(terms).sum())
+    residuals = _schlafli_residuals(
+        lambda T: geometry.edge_angle_thetas(T, +1),
+        lambda L: L[:, geometry.EDGE_I, geometry.EDGE_J], draws,
+    )
     return _result("modified_schlafli", draws, tol, residuals)
 
 

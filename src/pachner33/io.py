@@ -17,9 +17,10 @@ dumps writes the common shapes of a report in one pass each, with the same
 text as writing them item by item: a list of exactly-float items (one
 format per item), a list of exactly-int items, a list of lists or tuples
 of exactly-int items (face keys, simplices), a 1-d float64 ndarray (one
-"%.17g" format string for the whole vector) and a 1-d integer ndarray (one
-join).  Anything else, a bool or a numpy scalar inside a list included,
-is written item by item.  Other ndarrays are not supported.
+"%.17g" format string for the whole vector) and a 1-d integer ndarray
+(its distinct values formatted once each, then one join).  Anything else,
+a bool or a numpy scalar inside a list included, is written item by item.
+Other ndarrays are not supported.
 """
 from __future__ import annotations
 
@@ -59,7 +60,10 @@ def _dump(obj, pieces):
         # one "%.17g" format for the whole vector, the same text as its .tolist()
         pieces.append(("[" + ", ".join(["%.17g"] * len(obj)) + "]") % tuple(obj.tolist()))
     elif isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind in "iu":
-        pieces.append("[" + ", ".join(map(str, obj.tolist())) + "]")
+        # each distinct value is formatted once; the same text as its .tolist()
+        values, inverse = np.unique(obj, return_inverse=True)
+        text = np.array(list(map(str, values.tolist())), dtype=object)
+        pieces.append("[" + ", ".join(text.take(inverse).tolist()) + "]")
     elif isinstance(obj, (list, tuple)):
         item_types = set(map(type, obj))
         if item_types <= {float}:

@@ -54,6 +54,8 @@ PIVOT_TOL = 1e-9
 _UPDATE_BYTES = 1 << 18
 
 _OPP_X, _OPP_Y = (np.array(ends) for ends in zip(*geometry.OPPOSITE5))
+# the rows a Gauss-Jordan step at pivot k eliminates
+_OTHER_ROWS = tuple(np.array([r for r in range(4) if r != k]) for k in range(4))
 
 
 def _normal_gram(L):
@@ -69,6 +71,11 @@ def _normal_gram(L):
     A table whose G is not positive definite, or whose |V| falls below
     geometry.DEGENERACY_REL * (mean edge length)^4, is rejected: the floor
     of geometry.cell_volumes, taken here from the lengths.
+
+    Each step divides the pivot row and then clears the pivot column from
+    the three other rows with one broadcast update of A and one of its
+    inverse.  The pivot row does not change during the step, so every
+    entry gets the operations a row-by-row update gives it, bitwise.
     """
     L = np.asarray(L, dtype=np.longdouble)
     A = 0.5 * (L[:, 0, 1:, None] + L[:, 0, None, 1:] - L[:, 1:, 1:])
@@ -84,11 +91,10 @@ def _normal_gram(L):
         det *= piv
         A[:, k] /= piv[:, None]
         inv[:, k] /= piv[:, None]
-        for r in range(4):
-            if r != k:
-                f = A[:, r, k, None].copy()
-                A[:, r] -= f * A[:, k]
-                inv[:, r] -= f * inv[:, k]
+        others = _OTHER_ROWS[k]
+        f = A[:, others, k, None]
+        A[:, others] -= f * A[:, k, None]
+        inv[:, others] -= f * inv[:, k, None]
     mean_edge = np.sqrt(np.maximum(L[:, geometry.EDGE_I, geometry.EDGE_J], 0.0)).mean(axis=1)
     floor = geometry.DEGENERACY_REL * mean_edge**4
     bad = np.flatnonzero(~(det / 576.0 > floor * floor))
@@ -154,11 +160,6 @@ def domega_dS_blocks(dtheta, dS_dL):
             "per-simplex area map is singular (non-generic realization)"
         ) from exc
     return np.swapaxes(X, 1, 2)
-
-
-def dtheta_dL_simplex(L, eps):
-    """(10, 10) signed dihedral-angle derivatives of one squared-length table."""
-    return dtheta_dL_blocks(geometry.validate_length_table(L, size=5)[None], [eps])[0]
 
 
 def length_tables(L, simplex_edges):

@@ -1,12 +1,41 @@
+import math
+
 import numpy as np
 import pytest
 
 from pachner33 import complexes as cx
 from pachner33 import flatmetric as fm
 from pachner33 import geometry as g
-from pachner33.errors import MovePreconditionError
+from pachner33.errors import DegenerateSimplexError, MovePreconditionError
 
 LADDER_RUNGS = (26, 86, 166)
+
+
+# One-table references: the library computes these only in batches
+# (cm_squared_volumes, the stacked batteries, deficit_omega).
+
+def cm_squared_volume(k, L):
+    """Squared k-volume of one (k+1)-point squared-length table (Cayley-Menger)."""
+    L = g.validate_length_table(L, size=k + 1)
+    if L.ndim != 2:
+        raise ValueError("cm_squared_volume takes one table; stacks go to cm_squared_volumes")
+    return float(g.cm_squared_volumes(k, L[np.triu_indices(k + 1, 1)][None])[0])
+
+
+def face_area(L, face):
+    """Area of one face of a squared-length table."""
+    sq = cm_squared_volume(2, L[np.ix_(face, face)])
+    if sq <= 0.0:
+        raise DegenerateSimplexError(f"face {face} has nonpositive squared area")
+    return math.sqrt(sq)
+
+
+def reduce_angle_scalar(x):
+    """Representative of the float x mod 2*pi in (-pi, pi]."""
+    r = math.remainder(x, g.TWO_PI)
+    if r <= -math.pi:
+        r += g.TWO_PI
+    return r
 
 
 def vertex_motion_dL(c, coords, delta):

@@ -14,6 +14,8 @@ from pachner33.errors import DegenerateSimplexError, Pachner33Error
 from pachner33.identities import signed_angles
 from pachner33.io import load_fixture
 
+from conftest import reduce_angle_scalar
+
 
 def test_realize_delta5_signed_volumes_cancel(delta5, delta5_metric):
     # the closed oriented complex is folded into R^4: total signed volume 0
@@ -335,8 +337,8 @@ def test_folded_realizations_still_flat():
 
 
 def test_deficits_equal_the_entrywise_reduction(stellar_ladder):
-    # deficit_omega reduces only entries with |x| >= pi; reduce_angle is the
-    # identity below, so every entry is bitwise the entrywise reduction
+    # deficit_omega reduces every entry at once; each is bitwise the scalar
+    # remainder reduction, the identity on (-pi, pi)
     complex_ = cx.boundary_delta5()
     cases = [(complex_, fm.realize(complex_, fm.random_realization(complex_, seed=s)))
              for s in range(30)]
@@ -347,7 +349,7 @@ def test_deficits_equal_the_entrywise_reduction(stellar_ladder):
         theta = jb.dihedral_angles_batch(tables)
         raw = np.zeros(len(c.faces[2]))
         np.add.at(raw, c.simplex_faces, -m.eps[:, None] * theta)
-        reduced = np.array([g.reduce_angle(x) for x in raw.tolist()])
+        reduced = np.array([reduce_angle_scalar(x) for x in raw.tolist()])
         omega = fm.deficit_omega(c, m)
         assert omega.tobytes() == reduced.tobytes()
         Omega = fm.deficit_Omega(c, m)

@@ -13,6 +13,8 @@ from pachner33 import jacobians as jb
 from pachner33.errors import DegenerateSimplexError, NonRealizableLengthsError
 from pachner33.identities import signed_angles
 
+from conftest import cm_squared_volume, face_area, reduce_angle_scalar
+
 
 # ---------------------------------------------------------------- oracles
 
@@ -137,13 +139,13 @@ def test_validate_length_table_keeps_the_allclose_decisions():
 
 def test_cm_unit_triangle_matches_heron():
     L = np.ones((3, 3)) - np.eye(3)
-    assert g.cm_squared_volume(2, L) == pytest.approx(3.0 / 16.0, rel=1e-14)
+    assert cm_squared_volume(2, L) == pytest.approx(3.0 / 16.0, rel=1e-14)
 
 
 def test_cm_orthoscheme_volume():
     pts = np.vstack([np.zeros(4), np.eye(4)])
     L = g.squared_length_table(pts)
-    assert g.cm_squared_volume(4, L) == pytest.approx((1.0 / 24.0) ** 2, rel=1e-12)
+    assert cm_squared_volume(4, L) == pytest.approx((1.0 / 24.0) ** 2, rel=1e-12)
 
 
 def test_cm_regular_simplex_against_gram_oracle():
@@ -151,14 +153,14 @@ def test_cm_regular_simplex_against_gram_oracle():
     pts = g.gram_embed(UNIT_L)
     oracle = gram_volume_oracle(pts)
     assert oracle == pytest.approx(5.0 / 9216.0, rel=1e-12)
-    assert g.cm_squared_volume(4, UNIT_L) == pytest.approx(oracle, rel=1e-12)
+    assert cm_squared_volume(4, UNIT_L) == pytest.approx(oracle, rel=1e-12)
 
 
 def test_cm_matches_gram_oracle_on_random_simplices():
     for seed in range(5):
         pts = random_simplex(seed)
         L = g.squared_length_table(pts)
-        assert g.cm_squared_volume(4, L) == pytest.approx(
+        assert cm_squared_volume(4, L) == pytest.approx(
             gram_volume_oracle(pts), rel=1e-9, abs=1e-15
         )
 
@@ -166,7 +168,7 @@ def test_cm_matches_gram_oracle_on_random_simplices():
 def test_cm_nonrealizable_input_goes_nonpositive():
     L = UNIT_L.copy()
     L[0, 1] = L[1, 0] = 100.0  # violates the triangle inequality grossly
-    assert g.cm_squared_volume(2, L[:3, :3]) < 0.0
+    assert cm_squared_volume(2, L[:3, :3]) < 0.0
 
 
 @given(st.floats(min_value=0.1, max_value=10.0))
@@ -174,8 +176,8 @@ def test_cm_nonrealizable_input_goes_nonpositive():
 def test_cm_homogeneity_under_scaling(c):
     pts = random_simplex(17)
     L = g.squared_length_table(pts)
-    base = g.cm_squared_volume(4, L)
-    assert g.cm_squared_volume(4, c * L) == pytest.approx(c**4 * base, rel=1e-10)
+    base = cm_squared_volume(4, L)
+    assert cm_squared_volume(4, c * L) == pytest.approx(c**4 * base, rel=1e-10)
 
 
 # ----------------------------------------------------------- signed volume
@@ -397,8 +399,6 @@ def test_stacks_must_be_square_tables():
     for shape in [(5,), (3, 5, 4), (2, 4, 4)]:
         with pytest.raises(ValueError):
             g.validate_length_table(np.zeros(shape), size=5)
-    with pytest.raises(ValueError):
-        g.cm_squared_volume(2, np.zeros((2, 3, 3)))
 
 
 # ------------------------------------------------------------ dihedral angle
@@ -458,7 +458,7 @@ def test_opposite_edge_derivative_matches_area_volume_ratio():
         L = g.squared_length_table(pts)
         face, edge = (1, 2, 3), (0, 4)
         n = g.FACE_INDEX5[face]
-        S = g.face_area(L, face)
+        S = face_area(L, face)
         h = 1e-5 * L.max()
         Lp = L.copy(); Lp[edge] += h; Lp[edge[::-1]] += h
         Lm = L.copy(); Lm[edge] -= h; Lm[edge[::-1]] -= h
@@ -507,7 +507,7 @@ def edge_angle_theta_loop(L, edge, eps):
     for face in g.FACES5:
         if a in face and b in face:
             (c,) = [v for v in face if v not in edge]
-            dS = (L[a, c] + L[b, c] - L[a, b]) / (16.0 * g.face_area(L, face))
+            dS = (L[a, c] + L[b, c] - L[a, b]) / (16.0 * face_area(L, face))
             total += dS * (eps * angles[g.FACE_INDEX5[face]])
     return total
 
@@ -545,7 +545,7 @@ def test_area_weighted_angle_differentials_vanish(seed):
     L = g.squared_length_table(pts)
     direction = random_direction(seed + 1)
     dtheta = directional_angle_differentials(L, direction, 1e-5 * L.max())
-    terms = [g.face_area(L, f) * dtheta[f] for f in g.FACES5]
+    terms = [face_area(L, f) * dtheta[f] for f in g.FACES5]
     assert abs(sum(terms)) <= 1e-6 * sum(abs(t) for t in terms)
 
 
@@ -566,8 +566,8 @@ def test_areas_homogeneous_of_degree_one():
     pts = random_simplex(9)
     L = g.squared_length_table(pts)
     for face in g.FACES5:
-        S = g.face_area(L, face)
-        assert g.face_area(2.0 * L, face) == pytest.approx(2.0 * S, rel=1e-12)
+        S = face_area(L, face)
+        assert face_area(2.0 * L, face) == pytest.approx(2.0 * S, rel=1e-12)
         euler = sum(
             L[e] * area_length_derivative(L, face, e) for e in g.EDGES5
         )
@@ -582,3 +582,29 @@ def test_reduce_angle_is_2pi_periodic(x, k):
     r = g.reduce_angle(x)
     assert -math.pi < r <= math.pi + 1e-15
     assert g.reduce_angle(x + 2 * math.pi * k) == pytest.approx(r, abs=1e-9)
+
+
+def test_reduce_angle_is_bitwise_the_scalar_remainder():
+    rng = np.random.default_rng(17)
+    k = np.arange(-6, 7)
+    values = np.concatenate([
+        rng.uniform(-50.0, 50.0, 20000),
+        rng.uniform(-1e6, 1e6, 2000),
+        k * math.pi, k * g.TWO_PI, k * math.pi + 1e-15,  # ties at +-pi, +-2*pi and their neighbours
+        np.nextafter(k * math.pi, np.inf), np.nextafter(k * math.pi, -np.inf),
+        np.nextafter(k * g.TWO_PI, np.inf), np.nextafter(k * g.TWO_PI, -np.inf),
+        [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 3.0, -3.0],
+    ])
+    want = np.array([reduce_angle_scalar(x) for x in values.tolist()])
+    got = g.reduce_angle(values)
+    assert got.tobytes() == want.tobytes()  # signed zeros included
+    assert np.all((got > -math.pi) & (got <= math.pi))
+
+
+def test_squared_length_table_of_a_stack_is_the_per_table_tables():
+    pts = np.random.default_rng(4).standard_normal((3, 7, 5, 4))
+    stacked = g.squared_length_table(pts)
+    assert stacked.shape == (3, 7, 5, 5)
+    for index in np.ndindex(3, 7):
+        diff = pts[index][:, None, :] - pts[index][None, :, :]
+        assert np.array_equal(stacked[index], np.einsum("ijk,ijk->ij", diff, diff))

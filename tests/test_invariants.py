@@ -13,6 +13,8 @@ from pachner33 import invariants as iv
 from pachner33 import jacobians as jb
 from pachner33.errors import DegenerateSimplexError, SelectionError
 
+from conftest import cm_squared_volume, reduce_angle_scalar
+
 
 def symmetric_cluster(seed=21, max_tries=200):
     """Cluster invariant under a half-turn swapping A<->D and B<->E.
@@ -92,8 +94,8 @@ def cluster_reference(points):
         for cell, block, row in zip(cells, jb.dtheta_dL_blocks(tables, signs), rows):
             cols = [idn.CLUSTER_EDGE_INDEX[tuple(sorted((cell[p], cell[q])))] for p, q in g.EDGES5]
             grad[cols] -= block[row]
-        area = math.sqrt(g.cm_squared_volume(2, g.squared_length_table(points[list(face)])))
-        sides[side] = (g.reduce_angle(-total), grad, area)
+        area = math.sqrt(cm_squared_volume(2, g.squared_length_table(points[list(face)])))
+        sides[side] = (reduce_angle_scalar(-total), grad, area)
     return volumes[:6], sides
 
 

@@ -662,6 +662,24 @@ def test_dumps_pins_float_text():
     assert pio.dumps([np.int64(1), 2]) == "[1, 2]"
 
 
+def test_dumps_writes_integer_arrays_as_their_item_text():
+    # the distinct values are formatted once; the text is the item-by-item join
+    rng = np.random.default_rng(5)
+    cases = [
+        np.zeros(0, dtype=np.int64), np.array([7]), np.array([-3]),
+        rng.integers(-50, 50, size=1000), rng.integers(0, 1020, size=5000),
+        np.array([-1, 5, -1, 5, 5, 0, -1]),
+    ]
+    for dtype in (np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64):
+        info = np.iinfo(dtype)
+        extremes = np.array([info.max, info.min, 0, info.max, 1, info.min], dtype=dtype)
+        cases += [extremes, extremes[::-2], np.repeat(extremes, 3)]
+    for a in cases:
+        want = "[" + ", ".join(map(str, a.tolist())) + "]"
+        assert pio.dumps(a) == want
+        assert pio.dumps({"a": a}) == '{"a": ' + want + "}"
+
+
 def test_dumps_takes_the_general_path_unless_items_are_exactly_int(monkeypatch):
     calls = []
     dump = pio._dump

@@ -11,7 +11,9 @@ from pachner33 import flatmetric as fm
 from pachner33 import geometry as g
 from pachner33 import identities as idn
 from pachner33 import jacobians as jb
-from pachner33.errors import SelectionError
+from pachner33.errors import DegenerateSimplexError, SelectionError
+
+from conftest import face_area
 
 UNIT_L = np.ones((5, 5)) - np.eye(5)
 
@@ -19,6 +21,47 @@ UNIT_L = np.ones((5, 5)) - np.eye(5)
 def dS_dL_simplex(L):
     """(10, 10) face-area derivatives of one squared-length table."""
     return g.dS_dL_blocks(g.validate_length_table(L, size=5)[None])[0]
+
+
+def dtheta_dL_simplex(L, eps):
+    """(10, 10) signed dihedral-angle derivatives of one squared-length table."""
+    return jb.dtheta_dL_blocks(g.validate_length_table(L, size=5)[None], [eps])[0]
+
+
+def normal_gram_rowwise(L):
+    """The facet-normal Gram with the row-by-row Gauss-Jordan update, kept as a reference."""
+    L = np.asarray(L, dtype=np.longdouble)
+    A = 0.5 * (L[:, 0, 1:, None] + L[:, 0, None, 1:] - L[:, 1:, 1:])
+    inv = np.broadcast_to(np.eye(4, dtype=np.longdouble), A.shape).copy()
+    det = np.ones(len(L), dtype=np.longdouble)
+    for k in range(4):
+        piv = A[:, k, k].copy()
+        if not np.all(piv > 0.0):
+            bad = int(np.flatnonzero(~(piv > 0.0))[0])
+            raise DegenerateSimplexError(
+                f"simplex {bad} of the batch has no nondegenerate Euclidean realization"
+            )
+        det *= piv
+        A[:, k] /= piv[:, None]
+        inv[:, k] /= piv[:, None]
+        for r in range(4):
+            if r != k:
+                f = A[:, r, k, None].copy()
+                A[:, r] -= f * A[:, k]
+                inv[:, r] -= f * inv[:, k]
+    mean_edge = np.sqrt(np.maximum(L[:, g.EDGE_I, g.EDGE_J], 0.0)).mean(axis=1)
+    floor = g.DEGENERACY_REL * mean_edge**4
+    bad = np.flatnonzero(~(det / 576.0 > floor * floor))
+    if bad.size:
+        raise DegenerateSimplexError(
+            f"simplex {int(bad[0])} of the batch is degenerate "
+            f"(|V| below {g.DEGENERACY_REL:g} mean_edge^4)"
+        )
+    P = np.empty((len(L), 5, 5), dtype=np.longdouble)
+    P[:, 1:, 1:] = inv
+    P[:, 0, 1:] = P[:, 1:, 0] = -inv.sum(axis=1)
+    P[:, 0, 0] = inv.sum(axis=(1, 2))
+    return P
 
 
 def domega_dS_reference(c, m):
@@ -72,7 +115,7 @@ def test_dS_dL_row_sums_give_areas():
     M = dS_dL_simplex(L)
     Lvec = np.array([L[e] for e in g.EDGES5])
     for fi, face in enumerate(g.FACES5):
-        assert M[fi] @ Lvec == pytest.approx(g.face_area(L, face), rel=1e-10)
+        assert M[fi] @ Lvec == pytest.approx(face_area(L, face), rel=1e-10)
 
 
 # ------------------------------------------------------------- dtheta/dL
@@ -82,19 +125,19 @@ def test_dtheta_dL_opposite_pairs_match_closed_form():
     V = g.signed_volume4(pts)
     eps = 1 if V > 0 else -1
     L = g.squared_length_table(pts)
-    D = jb.dtheta_dL_simplex(L, eps)
+    D = dtheta_dL_simplex(L, eps)
     for fi, face in enumerate(g.FACES5):
         x, y = [v for v in range(5) if v not in face]
         ei = g.EDGE_INDEX5[(x, y)]
-        S = g.face_area(L, face)
+        S = face_area(L, face)
         assert D[fi, ei] == pytest.approx(S / (24.0 * V), rel=1e-6)
 
 
 def test_dtheta_dL_columns_satisfy_area_weighted_identity():
     pts = random_simplex(6)
     L = g.squared_length_table(pts)
-    D = jb.dtheta_dL_simplex(L, +1)
-    areas = np.array([g.face_area(L, f) for f in g.FACES5])
+    D = dtheta_dL_simplex(L, +1)
+    areas = np.array([face_area(L, f) for f in g.FACES5])
     col_residual = np.abs(areas @ D)
     scale = np.abs(D).max() * areas.max()
     assert col_residual.max() <= 1e-6 * scale
@@ -104,7 +147,7 @@ def test_dtheta_dL_sign_flip():
     pts = random_simplex(7)
     L = g.squared_length_table(pts)
     assert np.allclose(
-        jb.dtheta_dL_simplex(L, -1), -jb.dtheta_dL_simplex(L, +1), rtol=0, atol=1e-12
+        dtheta_dL_simplex(L, -1), -dtheta_dL_simplex(L, +1), rtol=0, atol=1e-12
     )
 
 
@@ -116,8 +159,8 @@ def test_dtheta_dL_degenerate_stencil_raises():
     pts[4][3] += 1e-12
     L = g.squared_length_table(pts)
     with pytest.raises(Exception) as exc_info:
-        jb.dtheta_dL_simplex(L, +1)
-    from pachner33.errors import DegenerateSimplexError, NonRealizableLengthsError
+        dtheta_dL_simplex(L, +1)
+    from pachner33.errors import NonRealizableLengthsError
 
     assert isinstance(
         exc_info.value, (DegenerateSimplexError, NonRealizableLengthsError)
@@ -129,7 +172,7 @@ def test_dtheta_dL_closed_form_matches_fd_oracle():
         pts = random_simplex(100 + seed)
         eps = 1 if g.signed_volume4(pts) > 0 else -1
         L = g.squared_length_table(pts)
-        D = jb.dtheta_dL_simplex(L, eps)
+        D = dtheta_dL_simplex(L, eps)
         oracle = idn.fd_dtheta_dL(L, eps)
         assert np.abs(D - oracle).max() <= 1e-8 * np.abs(oracle).max()
 
@@ -179,7 +222,7 @@ def test_dtheta_dL_thin_simplices_lose_no_more_than_rounding():
         L = g.squared_length_table(pts)
         eps = 1 if g.signed_volume4(pts) > 0 else -1
         ref = exact_precision_dtheta_dL(L, eps)
-        assert np.abs(jb.dtheta_dL_simplex(L, eps) - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert np.abs(dtheta_dL_simplex(L, eps) - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_dtheta_dL_blocks_stack_single_simplex_blocks():
@@ -190,7 +233,36 @@ def test_dtheta_dL_blocks_stack_single_simplex_blocks():
         signs.append(1 if g.signed_volume4(pts) > 0 else -1)
     batch = jb.dtheta_dL_blocks(np.stack(tables), signs)
     for D, L, eps in zip(batch, tables, signs):
-        assert np.array_equal(D, jb.dtheta_dL_simplex(L, eps))
+        assert np.array_equal(D, dtheta_dL_simplex(L, eps))
+
+
+def test_normal_gram_broadcast_step_is_the_rowwise_elimination(
+    monkeypatch, delta5, delta5_metric, join_complex, join_metric, stellar_ladder
+):
+    cases = [(delta5, delta5_metric), (join_complex, join_metric)]
+    cases += [(c, fm.realize(c, coords)) for c, coords in stellar_ladder.values()]
+    for c, m in cases:
+        tables = jb.length_tables(m.L, c.simplex_edges)
+        # longdouble padding bytes are not part of the value: compare values, not bytes
+        assert np.array_equal(jb._normal_gram(tables), normal_gram_rowwise(tables))
+        blocks = jb.dtheta_dL_blocks(tables, m.eps)
+        with monkeypatch.context() as patched:
+            patched.setattr(jb, "_normal_gram", normal_gram_rowwise)
+            assert np.array_equal(blocks, jb.dtheta_dL_blocks(tables, m.eps))
+
+
+def test_normal_gram_rejects_what_the_rowwise_elimination_rejects():
+    flat = np.vstack([np.zeros(4), np.eye(4)])
+    flat[4] = 0.25 * (flat[0] + flat[1] + flat[2] + flat[3])
+    tables = np.stack([UNIT_L, g.squared_length_table(flat), UNIT_L])
+    not_euclidean = UNIT_L.copy()
+    not_euclidean[0, 1] = not_euclidean[1, 0] = 10.0
+    for bad in (tables, np.stack([UNIT_L, not_euclidean])):
+        with pytest.raises(DegenerateSimplexError) as want:
+            normal_gram_rowwise(bad)
+        with pytest.raises(DegenerateSimplexError) as got:
+            jb._normal_gram(bad)
+        assert str(got.value) == str(want.value)
 
 
 # ------------------------------------------------------ global assemblies
