@@ -2,11 +2,12 @@
 jacobian, move, invariant, compare.
 
 Every command prints one JSON report to stdout and exits 0 when all
-requested checks pass, 1 on a failed check or input error, 2 on usage
-errors.  Reports echo the effective tolerances and seeds; apart from the
-timing field they are byte-identical across runs with equal inputs.  A
-command that needs a placement draws a fresh one from --seed when a seed is
-given and otherwise uses the document's coords.
+requested checks pass, 1 on a failed check or input error (a file that
+cannot be read or written included), 2 on usage errors.  Reports echo the
+effective tolerances and seeds; apart from the timing field they are
+byte-identical across runs with equal inputs.  A command that needs a
+placement draws a fresh one from --seed when a seed is given and otherwise
+uses the document's coords.
 """
 from __future__ import annotations
 
@@ -398,7 +399,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args, t0)
-    except Pachner33Error as exc:
+    except (Pachner33Error, OSError, UnicodeDecodeError) as exc:
         rep = {
             "command": args.command,
             "error": {"type": type(exc).__name__, "message": str(exc)},

@@ -9,8 +9,9 @@ index arrays (edge ends, triangle edges, simplex vertices and edges).
 
 Deficit angles come in two flavours, each an array aligned with its face
 table: omega around 2-faces (minus the algebraic sum of dihedral angles,
-reduced to (-pi, pi]) and Omega around edges (area-derivative weighted sums
-of the per-face deficits).
+reduced to (-pi, pi]) and Omega around edges (sums of the per-face deficits
+weighted by each triangle's area derivatives dS/dL, which depend on its
+own three edges only).
 
 Around a face of a generic flat placement the raw algebraic angle sum is an
 exact multiple of 2*pi but not always zero (folded placements wind), so
@@ -151,16 +152,20 @@ def deficit_Omega(c, m, omega=None):
     """(E,) per-edge deficits, aligned with c.faces[1]: the area-derivative
     weighted sum of the face deficits.
 
-    Omega = (dS/dL) omega with the weights of jacobians.area_length_weights,
-    from this metric's own geometry.dS_dL_blocks.
-    Equals minus the sum of per-simplex edge angles up to the 2*pi-multiple
-    shifts that vanish on the branch chosen for omega; the weights depend
-    only on each face's own edge lengths, so they are well defined globally.
+    Omega_a = sum over the triangles t through edge a of (dS_t/dL_a) omega_t.
+    A triangle's area depends only on its own three edges, so its weights
+    are one (F, 3) array in c.triangle_edges order (ab, ac, bc): for the
+    edge k, (L_other1 + L_other2 - L_k) / (16 S).  Equals minus the sum of
+    per-simplex edge angles up to the 2*pi-multiple shifts that vanish on
+    the branch chosen for omega.
     """
     if omega is None:
         omega = deficit_omega(c, m)
-    dS_dL = geometry.dS_dL_blocks(jacobians.length_tables(m.L, c.simplex_edges))
-    return jacobians.area_length_weights(c, dS_dL) @ omega
+    ab, ac, bc = m.L[c.triangle_edges].T
+    weights = np.stack([ac + bc - ab, ab + bc - ac, ab + ac - bc], axis=1) / (16.0 * m.S[:, None])
+    return np.bincount(
+        c.triangle_edges.ravel(), (weights * omega[:, None]).ravel(), minlength=len(c.faces[1])
+    )
 
 
 @dataclass(frozen=True)

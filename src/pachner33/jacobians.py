@@ -25,7 +25,7 @@ face rows and edge columns (simplex_faces, simplex_edges):
 - dOmega_dL:    rows = triangles, cols = edges,       entries d(omega_i)/d(L_a)
 - dOmega_dS:    rows = cols = triangles,              entries d(omega_i)/d(S_j)
 - dBigOmega_dS: rows = edges, cols = triangles,       entries d(Omega_a)/d(S_i),
-                the dS/dL weights times dOmega_dS
+                the scatter of each simplex's (dS/dL)^T (dOmega/dS) block
 
 Row/column order follows the complex's lexicographic face tables.  The
 maximal nondegenerate submatrix is found by complete-pivoting Gaussian
@@ -191,17 +191,6 @@ def assemble_domega_dL(c, m, dtheta=None):
     return scatter_blocks(M, c.simplex_faces, c.simplex_edges, -dtheta)
 
 
-def area_length_weights(c, dS_dL):
-    """Global (edges x triangles) matrix of dS_j/dL_a from the (N, 10, 10) dS/dL blocks.
-
-    Each triangle's area depends only on its own three edge lengths, so the
-    simplices sharing a face write equal entries.
-    """
-    P = np.zeros((len(c.faces[1]), len(c.faces[2])))
-    P[c.simplex_edges[:, None, :], c.simplex_faces[:, :, None]] = dS_dL
-    return P
-
-
 def _abs_max(a, axis=None):
     """max |entry| of a (along axis) without an |a| temporary; NaN and +-inf propagate."""
     return np.maximum(a.max(axis=axis), -a.min(axis=axis))
@@ -232,13 +221,16 @@ def build_jacobians(c, m):
     tables = length_tables(m.L, c.simplex_edges)
     dtheta = dtheta_dL_blocks(tables, m.eps)
     dS_dL = geometry.dS_dL_blocks(tables)
-    F = len(c.faces[2])
-    dOmega_dS = scatter_blocks(
-        np.zeros((F, F)), c.simplex_faces, c.simplex_faces, -domega_dS_blocks(dtheta, dS_dL)
-    )
+    E, F = len(c.faces[1]), len(c.faces[2])
+    X = -domega_dS_blocks(dtheta, dS_dL)
+    dOmega_dS = scatter_blocks(np.zeros((F, F)), c.simplex_faces, c.simplex_faces, X)
     # At a flat point the area-derivative weights are stationary against the
     # vanishing face deficits, leaving the weighted sum of dOmega_dS rows.
-    dBigOmega_dS = area_length_weights(c, dS_dL) @ dOmega_dS
+    # A triangle's weights depend on its own edges only, so each cell's
+    # share is its own (dS/dL)^T X block.
+    dBigOmega_dS = scatter_blocks(
+        np.zeros((E, F)), c.simplex_edges, c.simplex_faces, np.swapaxes(dS_dL, 1, 2) @ X
+    )
     return JacobianSet(assemble_domega_dL(c, m, dtheta), dOmega_dS, dBigOmega_dS)
 
 

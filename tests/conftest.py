@@ -6,6 +6,7 @@ import pytest
 from pachner33 import complexes as cx
 from pachner33 import flatmetric as fm
 from pachner33 import geometry as g
+from pachner33 import jacobians as jb
 from pachner33.errors import DegenerateSimplexError, MovePreconditionError
 
 LADDER_RUNGS = (26, 86, 166)
@@ -36,6 +37,19 @@ def reduce_angle_scalar(x):
     if r <= -math.pi:
         r += g.TWO_PI
     return r
+
+
+def area_length_weights(c, m):
+    """Dense (edges x triangles) matrix of dS_t/dL_e from one batch of dS/dL blocks.
+
+    The simplices sharing a triangle write equal entries.  The library once
+    took dBigOmega_dS and Omega as products with this matrix; it is kept as
+    their reference.
+    """
+    W = np.zeros((len(c.faces[1]), len(c.faces[2])))
+    dS_dL = g.dS_dL_blocks(jb.length_tables(m.L, c.simplex_edges))
+    W[c.simplex_edges[:, None, :], c.simplex_faces[:, :, None]] = dS_dL
+    return W
 
 
 def vertex_motion_dL(c, coords, delta):

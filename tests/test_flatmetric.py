@@ -14,7 +14,7 @@ from pachner33.errors import DegenerateSimplexError, Pachner33Error
 from pachner33.identities import signed_angles
 from pachner33.io import load_fixture
 
-from conftest import reduce_angle_scalar
+from conftest import area_length_weights, reduce_angle_scalar
 
 
 def test_realize_delta5_signed_volumes_cancel(delta5, delta5_metric):
@@ -306,6 +306,24 @@ def test_check_flat_vacuous_on_empty_complex():
     assert rep.max_omega == 0.0 and rep.max_Omega == 0.0
 
 
+def test_check_flat_makes_one_angle_batch_and_no_area_batch(
+    monkeypatch, join_complex, join_metric
+):
+    # Omega's weights come from the metric's own areas, not from dS/dL blocks
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append((name, len(args[0])))
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(jb, "dihedral_angles_batch", counted("theta", jb.dihedral_angles_batch))
+    monkeypatch.setattr(g, "dS_dL_blocks", counted("dS", g.dS_dL_blocks))
+    assert fm.check_flat(join_complex, join_metric).passed
+    assert calls == [("theta", len(join_complex.simplices))]
+
+
 def simplex_angle_tables(c, m):
     """Signed dihedral-angle tables of every simplex, keyed by global faces."""
     theta = jb.dihedral_angles_batch(jb.length_tables(m.L, c.simplex_edges))
@@ -352,8 +370,10 @@ def test_deficits_equal_the_entrywise_reduction(stellar_ladder):
         reduced = np.array([reduce_angle_scalar(x) for x in raw.tolist()])
         omega = fm.deficit_omega(c, m)
         assert omega.tobytes() == reduced.tobytes()
+        # the per-triangle weights come from the metric's areas and are summed
+        # in another order: equal up to rounding of the sum of the magnitudes
+        W = area_length_weights(c, m)
         Omega = fm.deficit_Omega(c, m)
-        weights = jb.area_length_weights(c, g.dS_dL_blocks(tables))
-        assert Omega.tobytes() == (weights @ reduced).tobytes()
+        assert np.all(np.abs(Omega - W @ reduced) <= 1e-12 * (np.abs(W) @ np.abs(reduced)))
         wound += int(np.count_nonzero(np.abs(raw) >= np.pi))
     assert wound  # the reduced branch was exercised

@@ -260,6 +260,39 @@ def test_cli_open_complex_error_names_no_missing_option(command, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "case, error_type",
+    [
+        ("missing input", "FileNotFoundError"),
+        ("directory as input", "IsADirectoryError"),
+        ("non-UTF-8 input", "UnicodeDecodeError"),
+        ("realize -o into a missing directory", "FileNotFoundError"),
+        ("move -o into a missing directory", "FileNotFoundError"),
+    ],
+)
+def test_cli_unreadable_or_unwritable_file_is_an_error_report(case, error_type, tmp_path):
+    # these used to end in a traceback with no report
+    bad_bytes = tmp_path / "latin1.json"
+    bad_bytes.write_bytes(b'{"format_version": "1", "simplices": [], "metadata": "\xe9\xff"}')
+    unwritable = str(tmp_path / "absent" / "out.json")
+    argv = {
+        "missing input": ("inspect", str(tmp_path / "absent.json")),
+        "directory as input": ("check-flat", str(tmp_path)),
+        "non-UTF-8 input": ("invariant", str(bad_bytes)),
+        "realize -o into a missing directory": (
+            "realize", fixture_path("boundary_delta5.json"), "--seed", "1", "-o", unwritable
+        ),
+        "move -o into a missing directory": (
+            "move", fixture_path("join_tetra_triangle.json"), "--face", "0,1,2", "-o", unwritable
+        ),
+    }[case]
+    code, out = run_cli(*argv)
+    assert code == 1
+    rep = json.loads(out)
+    assert rep["command"] == argv[0]
+    assert rep["error"]["type"] == error_type and rep["error"]["message"]
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("realize", "FILE"),

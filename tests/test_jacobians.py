@@ -13,7 +13,7 @@ from pachner33 import identities as idn
 from pachner33 import jacobians as jb
 from pachner33.errors import DegenerateSimplexError, SelectionError
 
-from conftest import face_area
+from conftest import area_length_weights, face_area
 
 UNIT_L = np.ones((5, 5)) - np.eye(5)
 
@@ -80,11 +80,11 @@ def domega_dS_reference(c, m):
 
 
 def dBigOmega_dS_reference(c, m):
-    """dBigOmega_dS as assembled before: fresh dS/dL weights times domega_dS_reference."""
-    rows, cols = c.simplex_faces, c.simplex_edges
-    P = np.zeros((len(c.faces[1]), len(c.faces[2])))
-    P[cols[:, None, :], rows[:, :, None]] = g.dS_dL_blocks(jb.length_tables(m.L, cols))
-    return P @ domega_dS_reference(c, m)
+    """dBigOmega_dS as a dense product: the (edges x triangles) dS/dL weights
+    times domega_dS_reference, and the same product of the magnitudes, which
+    bounds its rounding."""
+    W, X = area_length_weights(c, m), domega_dS_reference(c, m)
+    return W @ X, np.abs(W) @ np.abs(X)
 
 
 def random_simplex(seed, quality=1e-3):
@@ -327,10 +327,13 @@ def test_build_jacobians_matches_the_separate_assemblies(
     cases += [(c, fm.realize(c, coords)) for n, (c, coords) in stellar_ladder.items() if n <= 86]
     for c, m in cases:
         jac = jb.build_jacobians(c, m)
-        # sharing the block batch changes no bit of any matrix
+        # sharing the block batch changes no bit of the two scatters
         assert jac.dOmega_dL.tobytes() == jb.assemble_domega_dL(c, m).tobytes()
         assert jac.dOmega_dS.tobytes() == domega_dS_reference(c, m).tobytes()
-        assert jac.dBigOmega_dS.tobytes() == dBigOmega_dS_reference(c, m).tobytes()
+        # the per-simplex (dS/dL)^T X blocks sum the dense product's terms in
+        # another order: equal up to rounding of the sum of their magnitudes
+        ref, magnitude = dBigOmega_dS_reference(c, m)
+        assert np.all(np.abs(jac.dBigOmega_dS - ref) <= 1e-13 * magnitude)
 
 
 def test_domega_dS_zero_without_common_simplex(join_complex, join_metric):

@@ -59,15 +59,25 @@ def test_script_seed_must_be_a_nonnegative_integer(argv):
     assert "usage:" in done.stderr and "--seed" in done.stderr
 
 
-def test_benchmark_inputs_import_and_build_the_identities_workload(monkeypatch, tmp_path, capsys):
-    # perfbench/inputs.py imports library names at module level: a name it
-    # needs that goes missing fails here, not in every benchmark run.  It is
-    # loaded read-only (no bytecode written next to it).
+@pytest.fixture
+def perfbench_inputs(monkeypatch):
+    """perfbench/inputs.py, loaded read-only (no bytecode written next to it).
+
+    It imports library names at module level: a name it needs that goes
+    missing fails here, not in every benchmark run.
+    """
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     spec = importlib.util.spec_from_file_location("perfbench_inputs", PERFBENCH_INPUTS)
     inputs = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, inputs)  # its dataclasses look it up
     spec.loader.exec_module(inputs)
+    return inputs
+
+
+def test_benchmark_inputs_import_and_build_the_identities_workload(
+    perfbench_inputs, tmp_path, capsys
+):
+    inputs = perfbench_inputs
     workload = inputs.build_workload("identities", 1, tmp_path)
     assert len(workload.ops) == inputs.IDENTITY_SEEDS and workload.documents == {}
     assert cli_main(list(workload.ops[0].argv)) == 0
@@ -76,3 +86,17 @@ def test_benchmark_inputs_import_and_build_the_identities_workload(monkeypatch, 
     # the one-cell quality measure of its join placements
     cell = np.vstack([np.zeros(4), np.eye(4)])
     assert inputs.quality(cell) == pytest.approx((1 / 24) / ((4 + 6 * 2**0.5) / 10) ** 4)
+
+
+def test_benchmark_ladder_jacobian_and_check_flat_calls_succeed(perfbench_inputs, tmp_path, capsys):
+    # the benchmark's own documents through the commands that take the
+    # area-derivative weights: jacobian at 86 and 166 cells, check-flat at 406
+    workload = perfbench_inputs.build_workload("ladder", 1, tmp_path)
+    ops = {op.kind: op for op in workload.ops if op.argv[0] in ("jacobian", "check-flat")}
+    assert sorted(ops) == ["checkflat_s.n406", "jacobian_s.n166", "jacobian_s.n86"]
+    for op in ops.values():
+        assert cli_main(list(op.argv)) == 0, op.kind
+        report = json.loads(capsys.readouterr().out)
+        assert report["command"] == op.argv[0] and "error" not in report
+        if op.argv[0] == "jacobian":
+            assert report["rank"] == op.expect["rank"]
