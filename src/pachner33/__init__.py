@@ -30,7 +30,7 @@ from .flatmetric import (
     realize,
 )
 from .geometry import gram_embed, signed_volume4, squared_length_table
-from .identities import ClusterSix, check_6term, check_basic2, random_cluster
+from .identities import ClusterSix, check_6term, check_basic2, random_clusters
 from .invariants import (
     InvariantReport,
     MoveComparison,

@@ -129,7 +129,7 @@ def metric_from_lengths(c, L, eps):
 
 def random_realization(c, seed):
     """Seed-deterministic unit-ball placement with no simplex below DEFAULT_QUALITY."""
-    pts = geometry.unit_ball_placement(seed, len(c.vertices), c.simplex_vertices)
+    pts = geometry.unit_ball_placement([seed], len(c.vertices), c.simplex_vertices)[0]
     return {v: pts[n] for n, v in enumerate(c.vertices)}
 
 

@@ -22,11 +22,12 @@ magnitude times the simplex sign eps.
 
 cell_volumes is the package's one volume floor: for a stack of cells given
 by their points it returns the signed volumes and whether each falls below
-a fraction of its mean edge length to the fourth.  realize (and through
-it the six-point cluster), the replacement cells of a move and the
-sampler call it.  unit_ball_placement draws every seeded placement of the
-package: points uniform in the unit ball, redrawn together until no listed
-cell is below the floor.
+a fraction of its mean edge length to the fourth.  realize, the stack of
+six-point clusters, the replacement cells of a move and the sampler call
+it.  unit_ball_placement draws every seeded placement of the package, for
+a sequence of seeds at once: each seed's points are uniform in the unit
+ball, redrawn together until no listed cell is below the floor, and each
+round of redraws is tested in one cell_volumes call.
 """
 from __future__ import annotations
 
@@ -186,22 +187,34 @@ def unit_ball_points(rng, n):
     return raw / np.linalg.norm(raw, axis=1, keepdims=True) * radii
 
 
-def unit_ball_placement(seed, n, cells):
-    """Seed-deterministic (n, 4) unit-ball points with no cell below DEFAULT_QUALITY.
+def unit_ball_placement(seeds, n, cells):
+    """(S, n, 4) unit-ball placements, one per seed, with no cell below DEFAULT_QUALITY.
 
-    cells lists 5-tuples of point indices.  The whole placement is redrawn
-    until no cell is below the floor of cell_volumes;
-    DegenerateSimplexError after MAX_DRAWS draws.
+    cells lists 5-tuples of point indices.  Each seed has its own generator
+    and redraws its whole placement until no cell is below the floor of
+    cell_volumes.  The draws go in rounds: each round draws the next
+    placement of every seed still unplaced and tests them all in one
+    cell_volumes call, so each seed's placement is bitwise the one it gets
+    alone.  DegenerateSimplexError when a seed is still unplaced after
+    MAX_DRAWS draws.
     """
     cells = np.asarray(cells, dtype=np.intp).reshape(-1, 5)
-    rng = np.random.default_rng(seed)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    out = np.empty((len(rngs), n, 4))
+    todo = np.arange(len(rngs))
     for _ in range(MAX_DRAWS):
-        pts = unit_ball_points(rng, n)
-        if not cell_volumes(pts[cells], DEFAULT_QUALITY)[1].any():
-            return pts
-    raise DegenerateSimplexError(
-        f"could not find a quality-{DEFAULT_QUALITY} placement in {MAX_DRAWS} draws"
-    )
+        if not todo.size:
+            break
+        pts = np.stack([unit_ball_points(rngs[k], n) for k in todo])
+        below = cell_volumes(pts[:, cells], DEFAULT_QUALITY)[1].reshape(len(todo), -1)
+        placed = ~below.any(axis=1)
+        out[todo[placed]] = pts[placed]
+        todo = todo[~placed]
+    if todo.size:
+        raise DegenerateSimplexError(
+            f"could not find a quality-{DEFAULT_QUALITY} placement in {MAX_DRAWS} draws"
+        )
+    return out
 
 
 def gram_matrix(L):

@@ -3,9 +3,11 @@
 The cluster is six labelled points A..F in R^4 (indices 0..5).  The three
 4-simplices around ABC and the three around DEF are the two sides of a
 3->3 move; glued along their common boundary they make the boundary of
-the 5-simplex on A..F.  ClusterSix realizes that one complex and reads
-each side at the row of its central triangle (SIDES).  check_basic2 and
-check_6term test the paper's volume-product relations on a cluster.
+the 5-simplex on A..F.  ClusterSix realizes that complex for a (T, 6, 4)
+stack of clusters at once and reads each side at the row of its central
+triangle (SIDES); one cluster is the stack of one.  check_basic2 and
+check_6term test the paper's volume-product relations on every cluster of
+a stack.
 
 Each battery draws seed-deterministic configurations, evaluates one identity
 and reports the worst relative residual.  The library computes every angle
@@ -16,29 +18,30 @@ the coordinate route (geometry.dihedral_angles_from_lengths, (..., 10)
 arrays in FACES5 order).  It runs with one Richardson extrapolation level
 so that truncation stays far below the tolerances even for moderately thin
 simplices.  It steps each table of a stack by its own largest entry and
-embeds every stencil table in one call.  The simplex batteries
-(opposite_edge_derivative, schlafli, modified_schlafli) evaluate the
-stack of all trials at once, each trial's residual bitwise the one it
-gets alone.  The cluster batteries (two_edge_ratio, six_term,
-cluster_closed_forms) read a ClusterSix per trial, whose deficits,
-gradients and areas are rows of the same global assembly the invariant
-runs.  Every battery takes the TrialDraws that holds its trial
-configurations and reports through one result helper; run_all_batteries
-draws each trial's simplex and cluster once and every battery reads that
-draw.
+embeds every stencil table in one call.
+
+Every battery takes the TrialDraws that holds its trial configurations and
+evaluates all trials at once, each trial's residual bitwise the one it gets
+alone; all report through one result helper.  The simplex batteries
+(opposite_edge_derivative, schlafli, modified_schlafli) read the (T, 5, 5)
+length tables and (T, 10) face areas of the trial simplices, the cluster
+batteries (two_edge_ratio, six_term, cluster_closed_forms) the one
+ClusterSix of the trial clusters, whose deficits, gradients and areas are
+the rows of the global assembly the invariant runs.  run_all_batteries
+makes one TrialDraws, so each of these is computed once per call.
 """
 from __future__ import annotations
 
 import functools
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import geometry
 from .complexes import boundary_delta5
 from .errors import DegenerateSimplexError
-from .flatmetric import FLATNESS_TOL, FlatMetric, deficit_omega, realize, triangle_areas
-from .jacobians import assemble_domega_dL, dtheta_dL_blocks
+from .flatmetric import FLATNESS_TOL, triangle_areas
+from .jacobians import angles_and_dtheta_dL, dtheta_dL_blocks, length_tables
 
 DEFAULT_TOL = 1e-6
 PARALLEL_COS_TOL = 1e-10
@@ -71,164 +74,213 @@ SIDES = {
     "abc": (_DELTA5.face_index[2][(A, B, C)], -1),
     "def": (_DELTA5.face_index[2][(D, E, F)], 1),
 }
+_SIDE_ROWS, _SIDE_SIGNS = (np.array(col) for col in zip(*SIDES.values()))
+# the three cells through each side's central triangle in cell order, the
+# triangle's place among each cell's ten faces and each cell's ten edges
+_SIDE_CELLS = np.array([np.flatnonzero((_DELTA5.simplex_faces == row).any(axis=1))
+                        for row in _SIDE_ROWS])
+_SIDE_FACES = np.argmax(_DELTA5.simplex_faces[_SIDE_CELLS] == _SIDE_ROWS[:, None, None], axis=2)
+_SIDE_EDGES = _DELTA5.simplex_edges[_SIDE_CELLS]
 # cell n omits point n; its stored sign turns its volume into the ascending hat's
 _HAT_SIGNS = np.array([sign for _, sign in _DELTA5.simplices])
+_CELL_VERTICES = [verts for verts, _ in _DELTA5.simplices]
 
 
-@dataclass(frozen=True)
+def _raise_for_first(failed, text):
+    """DegenerateSimplexError with text, prefixed by the first trial that failed."""
+    bad = np.flatnonzero(failed)
+    if bad.size:
+        raise DegenerateSimplexError(f"trial {int(bad[0])}: {text}")
+
+
+def _offset_rows(index, width, trials):
+    """(trials * len(index), k) rows of index into the trials' stacked width-long rows."""
+    return (index + width * np.arange(trials)[:, None, None]).reshape(-1, index.shape[-1])
+
+
+@dataclass(frozen=True, eq=False)
 class ClusterSix:
-    """Six points whose 5-simplex boundary is nondegenerate and flat at ABC and DEF.
+    """A stack of T clusters of six points, each nondegenerate and flat at ABC and DEF.
 
-    hat_volumes[x] is the signed volume of the five points other than x in
-    ascending order.  metric is the FlatMetric of the boundary of the
-    5-simplex; the deficit, its gradient and the area at each side's
-    central triangle are read at that triangle's row, times the side's
-    sign (SIDES).  The deficits and the gradients of both sides are
-    computed once, over the six cells, and the gradients handed out
-    read-only.
+    points is (T, 6, 4); one cluster is the stack of one.  Each cluster is
+    the boundary of the 5-simplex on its points, realized through
+    _DELTA5's index arrays for all T at once: one squared-length matmul,
+    one cell_volumes call over the 6T cells, one Cayley-Menger batch for
+    the two central triangles and one _normal_gram over the 6T length
+    tables, which gives both the dihedral angles and their derivatives.
+    Only the rows of the two central triangles are scattered, in the cell
+    order of np.add.at, so every entry is bitwise the one the per-trial
+    realize, deficit_omega and assemble_domega_dL give it.
+
+    hat_volumes[t, x] is the signed volume of the five points other than x
+    in ascending order.  Side k is the k-th of SIDES ("abc", "def"):
+    omegas[t, k] is the deficit at its central triangle, in (-pi, pi],
+    areas[t, k] that triangle's area and gradients[t, k] the (15,) gradient
+    of the deficit over the squared lengths, CLUSTER_EDGES order; deficits
+    and gradients are times the side's sign.  All are read-only.  A trial
+    with a degenerate cell or a deficit above FLATNESS_TOL raises
+    DegenerateSimplexError naming the first such trial.
     """
 
-    points: np.ndarray  # (6, 4)
-    hat_volumes: np.ndarray = field(init=False, repr=False, compare=False)  # (6,)
-    metric: FlatMetric = field(init=False, repr=False, compare=False)
+    points: np.ndarray  # (T, 6, 4)
+    hat_volumes: np.ndarray = field(init=False, repr=False)  # (T, 6)
+    omegas: np.ndarray = field(init=False, repr=False)  # (T, 2)
+    areas: np.ndarray = field(init=False, repr=False)  # (T, 2)
+    gradients: np.ndarray = field(init=False, repr=False)  # (T, 2, 15)
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
-        if pts.shape != (6, 4):
-            raise ValueError("cluster needs 6 points in R^4")
+        if pts.ndim != 3 or pts.shape[1:] != (6, 4):
+            raise ValueError("clusters need a (T, 6, 4) stack of points")
+        T = len(pts)
+        ends = _DELTA5.edge_ends
+        d = pts[:, ends[:, 0]] - pts[:, ends[:, 1]]
+        # a stack of 1x4 by 4x1 products rounds exactly like d @ d per edge
+        L = np.matmul(d[..., None, :], d[..., :, None])[..., 0, 0]
+
+        V, below = geometry.cell_volumes(pts[:, _DELTA5.simplex_vertices], geometry.DEGENERACY_REL)
+        bad = np.flatnonzero(below)
+        if bad.size:
+            t, sid = divmod(int(bad[0]), 6)
+            raise DegenerateSimplexError(
+                f"trial {t}: simplex {_DELTA5.simplices[sid][0]} (id {sid}) is degenerate"
+            )
+        eps = np.where(V > 0, 1, -1)
+        tri_edges = _offset_rows(_DELTA5.triangle_edges[_SIDE_ROWS], 15, T)
+        tris = [_DELTA5.faces[2][row] for row in _SIDE_ROWS] * T
+        S = triangle_areas(L.ravel(), tri_edges, tris).reshape(T, 2)
+
+        tables = length_tables(L.ravel(), _offset_rows(_DELTA5.simplex_edges, 15, T))
+        theta, dtheta = angles_and_dtheta_dL(tables, eps)
+        theta, dtheta = theta.reshape(T, 6, 10), dtheta.reshape(T, 6, 10, 10)
+        eps = eps.reshape(T, 6)
+        omega = np.zeros((T, 2))
+        grad = np.zeros((T, 2, 15))
+        sides = np.arange(2)[:, None]
+        for k in range(3):
+            cells, faces = _SIDE_CELLS[:, k], _SIDE_FACES[:, k]
+            omega -= eps[:, cells] * theta[:, cells, faces]
+            grad[:, sides, _SIDE_EDGES[:, k]] -= dtheta[:, cells, faces]
+        omega = _SIDE_SIGNS * geometry.reduce_angle(omega)
+        _raise_for_first(
+            (np.abs(omega) > FLATNESS_TOL).any(axis=1),
+            "cluster angle sum does not close up; placement is not flat",
+        )
         object.__setattr__(self, "points", pts)
-        m = realize(_DELTA5, dict(enumerate(pts)))
-        object.__setattr__(self, "metric", m)
-        object.__setattr__(self, "hat_volumes", m.V * _HAT_SIGNS)
-        for side in SIDES:
-            if abs(self.omega_value(side)) > FLATNESS_TOL:
-                raise DegenerateSimplexError(
-                    "cluster angle sum does not close up; placement is not flat"
-                )
-
-    @functools.cached_property
-    def _omegas(self):
-        return deficit_omega(_DELTA5, self.metric)
-
-    def omega_value(self, side):
-        """Deficit at the central triangle of side "abc" or "def", in (-pi, pi]."""
-        row, sign = SIDES[side]
-        return float(sign * self._omegas[row])
-
-    @functools.cached_property
-    def _gradients(self):
-        M = assemble_domega_dL(_DELTA5, self.metric)
-        out = {}
-        for side, (row, sign) in SIDES.items():
-            out[side] = sign * M[row]
-            out[side].flags.writeable = False
-        return out
-
-    def omega_gradient(self, side):
-        """(15,) gradient of that deficit over the squared lengths, CLUSTER_EDGES order."""
-        return self._gradients[side]
-
-    def area(self, side):
-        """Area of the central triangle of side "abc" or "def"."""
-        row, _ = SIDES[side]
-        return float(self.metric.S[row])
+        for name, value in (
+            ("hat_volumes", V.reshape(T, 6) * _HAT_SIGNS),
+            ("omegas", omega),
+            ("areas", S),
+            ("gradients", _SIDE_SIGNS[:, None] * grad),
+        ):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
 
-def random_cluster(seed):
-    """Seed-deterministic six unit-ball points, every 5-subset nondegenerate."""
-    cells = [verts for verts, _ in _DELTA5.simplices]
-    return ClusterSix(geometry.unit_ball_placement(seed, 6, cells))
+def random_clusters(seeds):
+    """The ClusterSix of one seed-deterministic unit-ball cluster per seed."""
+    return ClusterSix(geometry.unit_ball_placement(seeds, 6, _CELL_VERTICES))
 
 
 @dataclass(frozen=True)
 class TwoEdgeCheck:
-    """Constrained derivative of one squared length against another."""
+    """Constrained derivative of one squared length against another, (T,) per field."""
 
-    ratio: float  # dL_DE / dL_AB along the flat one-parameter family
-    predicted: float  # -V_hatA V_hatB / (V_hatD V_hatE)
-    residual: float
+    ratio: np.ndarray  # dL_DE / dL_AB along the flat one-parameter family
+    predicted: np.ndarray  # -V_hatA V_hatB / (V_hatD V_hatE)
+    residual: np.ndarray
 
 
-def check_basic2(cluster):
+def _dot(a, b):
+    """Row-by-row dot products of two (T, k) stacks as (1 x k)(k x 1) matmuls.
+
+    Each rounds exactly as a @ b of the two rows alone.
+    """
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+_FIXED_PAIRS = ((A, C), (A, D), (A, E), (A, F), (B, E), (C, E), (E, F))
+_FIXED_U, _FIXED_W = (np.array(ends) for ends in zip(*_FIXED_PAIRS))
+
+
+def check_basic2(clusters):
     """Move A and E only, keeping every squared length but AB and DE fixed.
 
     The placements stay flat by construction, so the measured dL_DE/dL_AB
     must equal minus the volume-product ratio.  Squared lengths are
     quadratic along the family, so both derivatives are exact:
     dL_AB = 2 (x_A - x_B) . v_A and dL_DE = -2 (x_D - x_E) . v_E.
+    Every cluster of the stack is checked at once, with one stacked SVD of
+    the (T, 7, 8) constraint Jacobians.
     """
-    pts = cluster.points
-    fixed_pairs = [(A, C), (A, D), (A, E), (A, F), (B, E), (C, E), (E, F)]
-    J = np.zeros((len(fixed_pairs), 8))
-    for r, (u, w) in enumerate(fixed_pairs):
-        d = pts[u] - pts[w]
-        if u == A:
-            J[r, 0:4] += 2 * d
-        if w == A:
-            J[r, 0:4] -= 2 * d
-        if u == E:
-            J[r, 4:8] += 2 * d
-        if w == E:
-            J[r, 4:8] -= 2 * d
+    pts = clusters.points
+    d = 2 * (pts[:, _FIXED_U] - pts[:, _FIXED_W])
+    J = np.zeros((len(pts), len(_FIXED_PAIRS), 8))
+    for vertex, cols in ((A, slice(0, 4)), (E, slice(4, 8))):
+        J[:, _FIXED_U == vertex, cols] += d[:, _FIXED_U == vertex]
+        J[:, _FIXED_W == vertex, cols] -= d[:, _FIXED_W == vertex]
     _, svals, Vh = np.linalg.svd(J)
     # 7 constraints on 8 coordinates: a unique flat direction needs full rank
-    if svals[-1] < 1e-10 * svals[0]:
-        raise DegenerateSimplexError("constraint Jacobian is rank deficient")
-    v = Vh[-1]
-    dAB = 2 * (pts[A] - pts[B]) @ v[0:4]
-    dDE = -2 * (pts[D] - pts[E]) @ v[4:8]
-    if abs(dAB) < 1e-14 * max(abs(dDE), 1.0):
-        raise DegenerateSimplexError("flat family does not move the AB length")
+    _raise_for_first(svals[:, -1] < 1e-10 * svals[:, 0], "constraint Jacobian is rank deficient")
+    v = Vh[:, -1]
+    dAB = _dot(2 * (pts[:, A] - pts[:, B]), v[:, 0:4])
+    dDE = _dot(-2 * (pts[:, D] - pts[:, E]), v[:, 4:8])
+    _raise_for_first(
+        np.abs(dAB) < 1e-14 * np.maximum(np.abs(dDE), 1.0),
+        "flat family does not move the AB length",
+    )
     ratio = dDE / dAB
-    V = cluster.hat_volumes
-    predicted = -V[A] * V[B] / (V[D] * V[E])
+    V = clusters.hat_volumes
+    predicted = -V[:, A] * V[:, B] / (V[:, D] * V[:, E])
     return TwoEdgeCheck(
         ratio=ratio,
         predicted=predicted,
-        residual=abs(ratio - predicted) / abs(predicted),
+        residual=np.abs(ratio - predicted) / np.abs(predicted),
     )
 
 
 @dataclass(frozen=True)
 class SixTermCheck:
-    """Volume-weighted gradient identity between the two cluster deficits."""
+    """Volume-weighted gradient identity between the two cluster deficits, (T,) per field."""
 
-    residual: float  # max component mismatch, relative
-    cosine: float  # |cos| of the two 15-component gradients
-    ratio_residual: float  # gradient-component ratio vs volume products
+    residual: np.ndarray  # max component mismatch, relative
+    cosine: np.ndarray  # |cos| of the two 15-component gradients
+    ratio_residual: np.ndarray  # gradient-component ratio vs volume products
 
 
-def check_6term(cluster):
-    gA = cluster.omega_gradient("abc")
-    gD = cluster.omega_gradient("def")
+def check_6term(clusters):
+    """The volume-weighted gradient identity on every cluster of the stack."""
+    gA, gD = clusters.gradients[:, 0], clusters.gradients[:, 1]
+    V, S = clusters.hat_volumes, clusters.areas
+    lhs = (V[:, D] * (-V[:, E]) * V[:, F] / S[:, 0])[:, None] * gA
+    rhs = (V[:, A] * (-V[:, B]) * V[:, C] / S[:, 1])[:, None] * gD
+    scale = np.maximum(np.abs(lhs).max(axis=1), np.abs(rhs).max(axis=1))
+    residual = np.abs(lhs - rhs).max(axis=1) / scale
 
-    V = cluster.hat_volumes
-    lhs = V[D] * (-V[E]) * V[F] / cluster.area("abc") * gA
-    rhs = V[A] * (-V[B]) * V[C] / cluster.area("def") * gD
-    scale = max(np.abs(lhs).max(), np.abs(rhs).max())
-    residual = float(np.abs(lhs - rhs).max() / scale)
+    # |gA| is sqrt(gA . gA), as np.linalg.norm takes it
+    cosine = np.abs(_dot(gA, gD) / (np.sqrt(_dot(gA, gA)) * np.sqrt(_dot(gD, gD))))
 
-    cosine = abs(float(gA @ gD / (np.linalg.norm(gA) * np.linalg.norm(gD))))
-
-    ratio = gA[CLUSTER_EDGE_INDEX[(A, B)]] / gA[CLUSTER_EDGE_INDEX[(D, E)]]
-    predicted = V[A] * V[B] / (V[D] * V[E])
-    ratio_residual = float(abs(ratio - predicted) / abs(predicted))
+    ratio = gA[:, CLUSTER_EDGE_INDEX[(A, B)]] / gA[:, CLUSTER_EDGE_INDEX[(D, E)]]
+    predicted = V[:, A] * V[:, B] / (V[:, D] * V[:, E])
+    ratio_residual = np.abs(ratio - predicted) / np.abs(predicted)
     return SixTermCheck(residual=residual, cosine=cosine, ratio_residual=ratio_residual)
 
 
-def random_simplex_points(seed):
-    """Five unit-ball points forming a 4-simplex above the sampler's quality floor."""
-    return geometry.unit_ball_placement(seed, 5, [range(5)])
+def random_simplices(seeds):
+    """(T, 5, 4) unit-ball 4-simplices above the sampler's quality floor, one per seed."""
+    return geometry.unit_ball_placement(seeds, 5, [range(5)])
 
 
 class TrialDraws:
     """The trial seeds of one (trials, seed) pair and what they draw.
 
-    simplices is the (T, 5, 4) stack of random_simplex_points and clusters
-    the list of random_cluster of the T trial seeds.  Each is drawn on
-    first use and kept only as long as this object.  Every battery reads the TrialDraws it is given;
+    simplices is the (T, 5, 4) stack of random_simplices of the T trial
+    seeds, tables their squared-length tables and face_areas their (T, 10)
+    face areas; clusters is the one ClusterSix of random_clusters over the
+    same seeds.  Each is computed on first use and kept only as long as
+    this object.  Every battery reads the TrialDraws it is given;
     run_all_batteries makes one per call and hands it to every battery, so
-    each simplex and each cluster is drawn once per call.
+    each is computed once per call.
     """
 
     def __init__(self, trials, seed):
@@ -236,11 +288,19 @@ class TrialDraws:
 
     @functools.cached_property
     def simplices(self):
-        return np.array([random_simplex_points(s) for s in self.seeds]).reshape(-1, 5, 4)
+        return random_simplices(self.seeds)
+
+    @functools.cached_property
+    def tables(self):
+        return geometry.squared_length_table(self.simplices)
+
+    @functools.cached_property
+    def face_areas(self):
+        return _face_areas(self.tables)
 
     @functools.cached_property
     def clusters(self):
-        return [random_cluster(s) for s in self.seeds]
+        return random_clusters(self.seeds)
 
 
 def central_difference(fn, L, direction):
@@ -305,9 +365,9 @@ def _result(name, draws, tol, residuals, failed=None, extras=None):
 
 def _face_areas(L):
     """(T, 10) face areas of a (T, 5, 5) stack, FACES5 order: one triangle_areas batch."""
-    edges = geometry.FACE_EDGES5 + 10 * np.arange(len(L))[:, None, None]
+    edges = _offset_rows(geometry.FACE_EDGES5, 10, len(L))
     Lv = L[:, geometry.EDGE_I, geometry.EDGE_J].ravel()
-    return triangle_areas(Lv, edges.reshape(-1, 3), geometry.FACES5 * len(L)).reshape(-1, 10)
+    return triangle_areas(Lv, edges, geometry.FACES5 * len(L)).reshape(-1, 10)
 
 
 def battery_opposite_edge_derivative(draws, tol=DEFAULT_TOL):
@@ -318,12 +378,12 @@ def battery_opposite_edge_derivative(draws, tol=DEFAULT_TOL):
     oracle gives that entry; the whole closed-form block is checked against
     the oracle as well, relative to its largest entry.
     """
-    L = geometry.squared_length_table(draws.simplices)
+    L = draws.tables
     V, _ = geometry.cell_volumes(draws.simplices, geometry.DEGENERACY_REL)
     eps = np.where(V > 0, 1, -1)
     face = geometry.FACE_INDEX5[(1, 2, 3)]
     oracle = fd_dtheta_dL(L, eps)
-    target = _face_areas(L)[:, face] / V
+    target = draws.face_areas[:, face] / V
     d = oracle[:, face, geometry.EDGE_INDEX5[(0, 4)]]
     closed_form = np.abs(24.0 * d - target) / np.abs(target)
     block = (np.abs(dtheta_dL_blocks(L, eps) - oracle).max(axis=(1, 2))
@@ -342,22 +402,24 @@ def _trial_direction(seed):
     """The Schlafli batteries' deformation direction for one trial seed.
 
     Drawn from the child stream [seed, 1], not from seed itself, which
-    random_simplex_points reads for the placement.
+    random_simplices reads for the placement.
     """
     return _random_direction(np.random.default_rng([seed, 1]))
 
 
 def _schlafli_residuals(fn, weights, draws):
-    """|sum weights(L) * dfn| / sum |weights(L) * dfn| of each trial, along its direction."""
-    L = geometry.squared_length_table(draws.simplices)
+    """|sum weights * dfn| / sum |weights * dfn| of each trial, along its direction.
+
+    weights is the (T, 10) stack of each trial's weights.
+    """
     directions = np.array([_trial_direction(s) for s in draws.seeds]).reshape(-1, 5, 5)
-    terms = weights(L) * central_difference(fn, L, directions)
+    terms = weights * central_difference(fn, draws.tables, directions)
     return np.abs(terms.sum(axis=1)) / np.abs(terms).sum(axis=1)
 
 
 def battery_schlafli(draws, tol=DEFAULT_TOL):
     """Area-weighted angle differentials sum to zero for any deformation."""
-    residuals = _schlafli_residuals(lambda T: signed_angles(T, +1), _face_areas, draws)
+    residuals = _schlafli_residuals(lambda T: signed_angles(T, +1), draws.face_areas, draws)
     return _result("schlafli", draws, tol, residuals)
 
 
@@ -369,27 +431,27 @@ def battery_modified_schlafli(draws, tol=DEFAULT_TOL):
     """
     residuals = _schlafli_residuals(
         lambda T: geometry.edge_angle_thetas(T, +1),
-        lambda L: L[:, geometry.EDGE_I, geometry.EDGE_J], draws,
+        draws.tables[:, geometry.EDGE_I, geometry.EDGE_J], draws,
     )
     return _result("modified_schlafli", draws, tol, residuals)
 
 
 def battery_two_edge_ratio(draws, tol=DEFAULT_TOL):
     """Constrained two-length derivative against the volume-product ratio."""
-    residuals = [check_basic2(cluster).residual for cluster in draws.clusters]
-    return _result("two_edge_ratio", draws, tol, residuals)
+    return _result("two_edge_ratio", draws, tol, check_basic2(draws.clusters).residual)
 
 
 def battery_six_term(draws, tol=DEFAULT_TOL):
     """Full gradient form of the six-volume relation plus parallelism."""
-    checks = [astuple(check_6term(cluster)) for cluster in draws.clusters]
-    residual, cosine, ratio = np.array(checks).reshape(-1, 3).T
-    failed = (residual > tol) | (cosine < 1 - PARALLEL_COS_TOL) | (ratio > tol)
+    chk = check_6term(draws.clusters)
+    failed = (
+        (chk.residual > tol) | (chk.cosine < 1 - PARALLEL_COS_TOL) | (chk.ratio_residual > tol)
+    )
     extras = {
-        "min_cosine": float(cosine.min(initial=1.0)),
-        "max_ratio_residual": float(ratio.max(initial=0.0)),
+        "min_cosine": float(chk.cosine.min(initial=1.0)),
+        "max_ratio_residual": float(chk.ratio_residual.max(initial=0.0)),
     }
-    return _result("six_term", draws, tol, residual, failed, extras)
+    return _result("six_term", draws, tol, chk.residual, failed, extras)
 
 
 def battery_cluster_closed_forms(draws, tol=DEFAULT_TOL):
@@ -397,23 +459,20 @@ def battery_cluster_closed_forms(draws, tol=DEFAULT_TOL):
 
     On the cluster around ABC the (ABC, AB) entry must equal
     -(S_ABC/24) V_hatA V_hatB / (V_hatD V_hatE V_hatF); the mirrored statement
-    holds for (DEF, DE) on the replacement cluster.  The entries are the
-    assembled rows that ClusterSix.omega_gradient reads.
+    holds for (DEF, DE) on the replacement cluster.  The entries are those
+    of ClusterSix.gradients.
     """
-    residuals = []
-    for cluster in draws.clusters:
-        V = cluster.hat_volumes
+    clusters = draws.clusters
+    V, S, grads = clusters.hat_volumes, clusters.areas, clusters.gradients
 
-        got1 = cluster.omega_gradient("abc")[CLUSTER_EDGE_INDEX[(0, 1)]]
-        want1 = -(cluster.area("abc") / 24.0) * V[0] * V[1] / (V[3] * V[4] * V[5])
-        r1 = abs(got1 - want1) / abs(want1)
+    got1 = grads[:, 0, CLUSTER_EDGE_INDEX[(A, B)]]
+    want1 = -(S[:, 0] / 24.0) * V[:, A] * V[:, B] / (V[:, D] * V[:, E] * V[:, F])
+    r1 = np.abs(got1 - want1) / np.abs(want1)
 
-        got2 = cluster.omega_gradient("def")[CLUSTER_EDGE_INDEX[(3, 4)]]
-        want2 = -(cluster.area("def") / 24.0) * V[3] * V[4] / (V[0] * V[1] * V[2])
-        r2 = abs(got2 - want2) / abs(want2)
-
-        residuals.append(max(r1, r2))
-    return _result("cluster_closed_forms", draws, tol, residuals)
+    got2 = grads[:, 1, CLUSTER_EDGE_INDEX[(D, E)]]
+    want2 = -(S[:, 1] / 24.0) * V[:, D] * V[:, E] / (V[:, A] * V[:, B] * V[:, C])
+    r2 = np.abs(got2 - want2) / np.abs(want2)
+    return _result("cluster_closed_forms", draws, tol, np.maximum(r1, r2))
 
 
 ALL_BATTERIES = (

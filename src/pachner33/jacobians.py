@@ -110,25 +110,19 @@ def _normal_gram(L):
     return P
 
 
-def dihedral_angles_batch(L):
-    """(N, 10) dihedral-angle magnitudes of an (N, 5, 5) stack, FACES5 order.
+def _gram_angles(P):
+    """(N, 10) dihedral-angle magnitudes from the facet-normal Gram matrices P.
 
     theta = atan2(sqrt(P_xx P_yy - P_xy^2), -P_xy) at the face opposite the
-    vertices x, y, for the facet-normal Gram matrix P of _normal_gram.
+    vertices x, y.
     """
-    P = _normal_gram(L)
     Pxy = P[:, _OPP_X, _OPP_Y]
     wedge = np.sqrt(np.maximum(P[:, _OPP_X, _OPP_X] * P[:, _OPP_Y, _OPP_Y] - Pxy * Pxy, 0.0))
     return np.arctan2(wedge, -Pxy).astype(float)
 
 
-def dtheta_dL_blocks(L, eps):
-    """(N, 10, 10) signed dihedral-angle derivatives by squared edge length.
-
-    L is an (N, 5, 5) stack of squared-length tables and eps the N simplex
-    signs.  Raises DegenerateSimplexError on a degenerate table.
-    """
-    P = _normal_gram(L)
+def _gram_dtheta_dL(P, eps):
+    """(N, 10, 10) signed dihedral-angle derivatives from the Gram matrices P and signs eps."""
     x, y = _OPP_X[:, None], _OPP_Y[:, None]
     i, j = geometry.EDGE_I[None, :], geometry.EDGE_J[None, :]
     Pxx = P[:, _OPP_X, _OPP_X][:, :, None]
@@ -143,6 +137,30 @@ def dtheta_dL_blocks(L, eps):
     if not np.all(np.isfinite(D)):
         raise DegenerateSimplexError("dihedral-angle derivatives are not finite")
     return D.astype(float)
+
+
+def dihedral_angles_batch(L):
+    """(N, 10) dihedral-angle magnitudes of an (N, 5, 5) stack, FACES5 order.
+
+    From the facet-normal Gram matrix P of _normal_gram: the angle at the
+    face opposite the vertices x, y has cos = -P_xy / sqrt(P_xx P_yy).
+    """
+    return _gram_angles(_normal_gram(L))
+
+
+def dtheta_dL_blocks(L, eps):
+    """(N, 10, 10) signed dihedral-angle derivatives by squared edge length.
+
+    L is an (N, 5, 5) stack of squared-length tables and eps the N simplex
+    signs.  Raises DegenerateSimplexError on a degenerate table.
+    """
+    return _gram_dtheta_dL(_normal_gram(L), eps)
+
+
+def angles_and_dtheta_dL(L, eps):
+    """dihedral_angles_batch(L) and dtheta_dL_blocks(L, eps) from one _normal_gram."""
+    P = _normal_gram(L)
+    return _gram_angles(P), _gram_dtheta_dL(P, eps)
 
 
 def domega_dS_blocks(dtheta, dS_dL):

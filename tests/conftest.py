@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from pachner33 import complexes as cx
 from pachner33 import flatmetric as fm
 from pachner33 import geometry as g
+from pachner33 import identities as idn
 from pachner33 import jacobians as jb
 from pachner33.errors import DegenerateSimplexError, MovePreconditionError
 
@@ -50,6 +52,145 @@ def area_length_weights(c, m):
     dS_dL = g.dS_dL_blocks(jb.length_tables(m.L, c.simplex_edges))
     W[c.simplex_edges[:, None, :], c.simplex_faces[:, :, None]] = dS_dL
     return W
+
+
+# The per-seed sampler and the per-trial six-point cluster: the library draws
+# every placement of a list of seeds in rounds and realizes the clusters of
+# all trials as one stack; these are the per-seed and per-trial routes those
+# replaced, kept as their bitwise references.
+
+def below_quality_loop(points, quality):
+    """The per-cell floor test that cell_volumes batched."""
+    L = g.squared_length_table(points)
+    return abs(g.signed_volume4(points)) < quality * g.mean_edge_length(L) ** 4
+
+
+def unit_ball_placement_loop(seed, n, cells, quality=g.DEFAULT_QUALITY):
+    """One seed's placement, redrawn whole with the per-cell floor test."""
+    rng = np.random.default_rng(seed)
+    for _ in range(g.MAX_DRAWS):
+        pts = g.unit_ball_points(rng, n)
+        if not any(below_quality_loop(pts[list(cell)], quality) for cell in cells):
+            return pts
+    raise DegenerateSimplexError(f"no quality-{quality} placement in {g.MAX_DRAWS} draws")
+
+
+DELTA5 = cx.boundary_delta5()
+DELTA5_CELLS = [verts for verts, _ in DELTA5.simplices]
+
+
+class ClusterReference:
+    """One cluster on the per-trial route: realize, deficit_omega and
+    assemble_domega_dL on the boundary of the 5-simplex, each side read at
+    the row of its central triangle (idn.SIDES) times its sign.
+
+    Holds the fields of one trial of idn.ClusterSix, unstacked.
+    """
+
+    def __init__(self, points):
+        self.points = np.asarray(points, dtype=float)
+        m = fm.realize(DELTA5, dict(enumerate(self.points)))
+        omega = fm.deficit_omega(DELTA5, m)
+        sides = idn.SIDES.values()
+        self.omegas = np.array([float(sign * omega[row]) for row, sign in sides])
+        if (np.abs(self.omegas) > fm.FLATNESS_TOL).any():
+            raise DegenerateSimplexError(
+                "cluster angle sum does not close up; placement is not flat"
+            )
+        M = jb.assemble_domega_dL(DELTA5, m)
+        self.hat_volumes = m.V * np.array([sign for _, sign in DELTA5.simplices])
+        self.areas = np.array([float(m.S[row]) for row, _ in sides])
+        self.gradients = np.stack([sign * M[row] for row, sign in sides])
+
+
+CLUSTER_FIELDS = {"points": (6, 4), "hat_volumes": (6,), "omegas": (2,), "areas": (2,),
+                  "gradients": (2, 15)}
+
+
+def reference_clusters(seeds):
+    """The stack of the per-trial route: per seed, its sampler loop and a ClusterReference."""
+    per_trial = [ClusterReference(unit_ball_placement_loop(s, 6, DELTA5_CELLS)) for s in seeds]
+    return SimpleNamespace(**{
+        name: np.array([getattr(c, name) for c in per_trial]).reshape((-1,) + shape)
+        for name, shape in CLUSTER_FIELDS.items()
+    })
+
+
+def check_basic2_one(pts, V):
+    """(ratio, predicted, residual) of check_basic2 on one cluster."""
+    A, B, C, D, E, F = range(6)
+    fixed_pairs = [(A, C), (A, D), (A, E), (A, F), (B, E), (C, E), (E, F)]
+    J = np.zeros((len(fixed_pairs), 8))
+    for r, (u, w) in enumerate(fixed_pairs):
+        d = pts[u] - pts[w]
+        if u == A:
+            J[r, 0:4] += 2 * d
+        if w == A:
+            J[r, 0:4] -= 2 * d
+        if u == E:
+            J[r, 4:8] += 2 * d
+        if w == E:
+            J[r, 4:8] -= 2 * d
+    _, svals, Vh = np.linalg.svd(J)
+    if svals[-1] < 1e-10 * svals[0]:
+        raise DegenerateSimplexError("constraint Jacobian is rank deficient")
+    v = Vh[-1]
+    dAB = 2 * (pts[A] - pts[B]) @ v[0:4]
+    dDE = -2 * (pts[D] - pts[E]) @ v[4:8]
+    if abs(dAB) < 1e-14 * max(abs(dDE), 1.0):
+        raise DegenerateSimplexError("flat family does not move the AB length")
+    ratio = dDE / dAB
+    predicted = -V[A] * V[B] / (V[D] * V[E])
+    return ratio, predicted, abs(ratio - predicted) / abs(predicted)
+
+
+def check_6term_one(gA, gD, V, area_abc, area_def):
+    """(residual, cosine, ratio_residual) of check_6term on one cluster."""
+    A, B, C, D, E, F = range(6)
+    lhs = V[D] * (-V[E]) * V[F] / area_abc * gA
+    rhs = V[A] * (-V[B]) * V[C] / area_def * gD
+    scale = max(np.abs(lhs).max(), np.abs(rhs).max())
+    residual = float(np.abs(lhs - rhs).max() / scale)
+    cosine = abs(float(gA @ gD / (np.linalg.norm(gA) * np.linalg.norm(gD))))
+    ratio = gA[idn.CLUSTER_EDGE_INDEX[(A, B)]] / gA[idn.CLUSTER_EDGE_INDEX[(D, E)]]
+    predicted = V[A] * V[B] / (V[D] * V[E])
+    return residual, cosine, float(abs(ratio - predicted) / abs(predicted))
+
+
+def check_basic2_reference(clusters):
+    """check_basic2 of a stack, one trial at a time."""
+    rows = [check_basic2_one(p, V) for p, V in zip(clusters.points, clusters.hat_volumes)]
+    return idn.TwoEdgeCheck(*np.array(rows, dtype=float).reshape(-1, 3).T)
+
+
+def check_6term_reference(clusters):
+    """check_6term of a stack, one trial at a time."""
+    rows = [check_6term_one(grads[0], grads[1], V, S[0], S[1])
+            for grads, V, S in zip(clusters.gradients, clusters.hat_volumes, clusters.areas)]
+    return idn.SixTermCheck(*np.array(rows, dtype=float).reshape(-1, 3).T)
+
+
+def symmetric_cluster(seed=21, max_tries=200):
+    """Stack of one cluster invariant under a half-turn swapping A<->D and B<->E.
+
+    The symmetry must preserve orientation (a reflection would force the
+    setwise-fixed simplices ABDEF and ABCDE to be degenerate), so C and F
+    sit on the axis plane of a 180-degree rotation.
+    """
+    rng = np.random.default_rng(seed)
+    half_turn = np.array([-1.0, -1.0, 1.0, 1.0])
+    for _ in range(max_tries):
+        a = rng.standard_normal(4)
+        b = rng.standard_normal(4)
+        cpt = rng.standard_normal(4)
+        fpt = rng.standard_normal(4)
+        cpt[0] = cpt[1] = fpt[0] = fpt[1] = 0.0  # fixed by the half turn
+        pts = np.stack([a, b, cpt, a * half_turn, b * half_turn, fpt])
+        try:
+            return idn.ClusterSix(pts[None])
+        except DegenerateSimplexError:
+            continue
+    raise AssertionError("no symmetric cluster found")
 
 
 def vertex_motion_dL(c, coords, delta):

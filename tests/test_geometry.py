@@ -13,7 +13,13 @@ from pachner33 import jacobians as jb
 from pachner33.errors import DegenerateSimplexError, NonRealizableLengthsError
 from pachner33.identities import signed_angles
 
-from conftest import cm_squared_volume, face_area, reduce_angle_scalar
+from conftest import (
+    below_quality_loop,
+    cm_squared_volume,
+    face_area,
+    reduce_angle_scalar,
+    unit_ball_placement_loop,
+)
 
 
 # ---------------------------------------------------------------- oracles
@@ -201,22 +207,6 @@ def test_signed_volume_zero_for_affinely_dependent_points():
 
 # ------------------------------------------------------- the volume floor
 
-def below_quality_loop(points, quality):
-    """The per-cell floor test that cell_volumes batched, kept as its reference."""
-    L = g.squared_length_table(points)
-    return abs(g.signed_volume4(points)) < quality * g.mean_edge_length(L) ** 4
-
-
-def unit_ball_placement_loop(seed, n, cells, quality=g.DEFAULT_QUALITY):
-    """The sampler with the per-cell floor test, kept as its reference."""
-    rng = np.random.default_rng(seed)
-    for _ in range(g.MAX_DRAWS):
-        pts = g.unit_ball_points(rng, n)
-        if not any(below_quality_loop(pts[list(cell)], quality) for cell in cells):
-            return pts
-    raise DegenerateSimplexError(f"no quality-{quality} placement in {g.MAX_DRAWS} draws")
-
-
 def test_cell_volumes_match_the_per_cell_loop():
     rng = np.random.default_rng(61)
     pts = rng.standard_normal((3000, 5, 4)) * rng.uniform(1e-3, 1e3, (3000, 1, 1))
@@ -239,9 +229,41 @@ def test_placement_matches_the_per_cell_loop():
     ]
     for cells in cell_lists:
         n = int(np.max(cells)) + 1
+        stacked = g.unit_ball_placement(range(200), n, cells)
+        assert stacked.shape == (200, n, 4)
         for seed in range(200):
             want = unit_ball_placement_loop(seed, n, cells)
-            assert g.unit_ball_placement(seed, n, cells).tobytes() == want.tobytes()
+            # drawn in rounds with the other seeds, or alone: the seed's own placement
+            assert stacked[seed].tobytes() == want.tobytes()
+            assert g.unit_ball_placement([seed], n, cells)[0].tobytes() == want.tobytes()
+    assert g.unit_ball_placement([], 6, cell_lists[1]).shape == (0, 6, 4)
+
+
+def draws_needed(seed, n, cells):
+    """How many placements the per-seed loop draws for seed."""
+    rng = np.random.default_rng(seed)
+    for k in range(1, g.MAX_DRAWS + 1):
+        pts = g.unit_ball_points(rng, n)
+        if not any(below_quality_loop(pts[list(cell)], g.DEFAULT_QUALITY) for cell in cells):
+            return k
+    raise AssertionError(f"seed {seed} needs more than {g.MAX_DRAWS} draws")
+
+
+def test_placement_redraw_limit_holds_per_seed(monkeypatch):
+    cells = cx.bipyramid_sphere().simplex_vertices
+    n = int(np.max(cells)) + 1
+    needed = {seed: draws_needed(seed, n, cells) for seed in range(40)}
+    hard = max(needed, key=needed.get)
+    easy = [seed for seed, k in needed.items() if k < needed[hard]]
+    assert needed[hard] > 1 and easy
+    monkeypatch.setattr(g, "MAX_DRAWS", needed[hard] - 1)
+    # seeds within the limit are placed; one seed past it fails the whole list
+    assert g.unit_ball_placement(easy, n, cells).shape == (len(easy), n, 4)
+    with pytest.raises(DegenerateSimplexError, match="placement in"):
+        g.unit_ball_placement(easy + [hard], n, cells)
+    monkeypatch.setattr(g, "MAX_DRAWS", needed[hard])
+    placed = g.unit_ball_placement(easy + [hard], n, cells)
+    assert placed[-1].tobytes() == unit_ball_placement_loop(hard, n, cells).tobytes()
 
 
 # ------------------------------------------------------------- embedding
@@ -312,7 +334,7 @@ def edge_angle_thetas_one(L, eps):
 def stacked_simplices(shape, seed):
     """Unit-ball simplices in a stack of the given shape: points, tables, signs."""
     count = int(np.prod(shape))
-    pts = np.stack([g.unit_ball_placement(seed + k, 5, [range(5)]) for k in range(count)])
+    pts = g.unit_ball_placement(range(seed, seed + count), 5, [range(5)])
     L = np.stack([g.squared_length_table(p) for p in pts])
     eps = np.where(np.random.default_rng(seed).random(count) < 0.5, -1, 1)
     return pts.reshape(shape + (5, 4)), L.reshape(shape + (5, 5)), eps.reshape(shape)

@@ -1,14 +1,27 @@
-"""The finite-difference oracle on stacks, and one draw per trial per battery run."""
+"""The finite-difference oracle on stacks, one draw per battery run, and the
+cluster stack against its per-trial reference."""
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from pachner33 import flatmetric as fm
 from pachner33 import geometry as g
 from pachner33 import identities as idn
 from pachner33 import jacobians as jb
 from pachner33.errors import DegenerateSimplexError
 from pachner33.flatmetric import triangle_areas
 
-from conftest import face_area
+from conftest import (
+    CLUSTER_FIELDS,
+    DELTA5_CELLS,
+    ClusterReference,
+    check_6term_one,
+    check_basic2_one,
+    face_area,
+    symmetric_cluster,
+    unit_ball_placement_loop,
+)
 
 
 def central_difference_loop(fn, L, direction):
@@ -34,7 +47,7 @@ def fd_dtheta_dL_loop(L, eps):
 
 def test_fd_dtheta_dL_matches_the_40_call_loop():
     for seed in range(12):
-        pts = idn.random_simplex_points(seed)
+        pts = idn.random_simplices([seed])[0]
         L = g.squared_length_table(pts)
         for eps in (1, -1):
             want = fd_dtheta_dL_loop(L, eps)
@@ -45,7 +58,7 @@ def test_fd_dtheta_dL_matches_the_40_call_loop():
 
 def test_central_difference_takes_one_direction_or_a_stack():
     rng = np.random.default_rng(3)
-    L = g.squared_length_table(idn.random_simplex_points(3))
+    L = g.squared_length_table(idn.random_simplices([3])[0])
     directions = [idn._random_direction(rng) for _ in range(4)]
     thetas = lambda T: g.edge_angle_thetas(T, +1)  # noqa: E731
     stacked = idn.central_difference(thetas, L, np.stack(directions))
@@ -57,20 +70,21 @@ def test_central_difference_takes_one_direction_or_a_stack():
         assert np.abs(stacked[k] - want).max() <= 1e-10 * scale
 
 
-def test_random_cluster_is_drawn_once_per_trial_and_call(monkeypatch):
+def test_clusters_are_drawn_once_per_call(monkeypatch):
     calls = []
-    original = idn.random_cluster
+    original = idn.random_clusters
 
-    def counted(seed, *args, **kwargs):
-        calls.append(int(seed))
-        return original(seed, *args, **kwargs)
+    def counted(seeds):
+        calls.append([int(s) for s in seeds])
+        return original(seeds)
 
-    monkeypatch.setattr(idn, "random_cluster", counted)
+    monkeypatch.setattr(idn, "random_clusters", counted)
     idn.run_all_batteries(trials=3, seed=8)
-    assert len(calls) == 3 and len(set(calls)) == 3
+    # one stacked draw of all three trial seeds
+    assert len(calls) == 1 and len(set(calls[0])) == 3
     # no draw outlives its call: the same seeds are drawn again
     idn.run_all_batteries(trials=3, seed=8)
-    assert len(calls) == 6 and calls[3:] == calls[:3]
+    assert len(calls) == 2 and calls[1] == calls[0]
 
 
 def test_shared_draws_give_every_battery_its_standalone_result():
@@ -103,43 +117,121 @@ def test_random_direction_draws_ten_normals_in_edge_order():
 
 def test_cluster_assembles_each_gradient_once(monkeypatch):
     calls = []
-    original = idn.assemble_domega_dL
+    original = idn.angles_and_dtheta_dL
 
-    def counted(c, m):
-        calls.append(c)
-        return original(c, m)
+    def counted(L, eps):
+        calls.append(len(L))
+        return original(L, eps)
 
-    monkeypatch.setattr(idn, "assemble_domega_dL", counted)
-    cluster = idn.random_cluster(21)
-    first = {side: cluster.omega_gradient(side).copy() for side in idn.SIDES}
+    monkeypatch.setattr(idn, "angles_and_dtheta_dL", counted)
+    draws = idn.TrialDraws(4, 21)
+    first = draws.clusters.gradients.copy()
     for _ in range(3):
-        for side in idn.SIDES:
-            assert np.array_equal(cluster.omega_gradient(side), first[side])
-    # both sides are rows of one assembly over the six cells
-    assert len(calls) == 1
-    with pytest.raises(ValueError):
-        cluster.omega_gradient("abc")[0] = 0.0
+        assert np.array_equal(draws.clusters.gradients, first)
+    # both sides of all four trials are rows of one block batch over the 24 cells
+    assert calls == [24]
+    for name in CLUSTER_FIELDS:
+        if name != "points":
+            with pytest.raises(ValueError):
+                getattr(draws.clusters, name)[0, 0] = 0.0
 
 
-def test_cluster_and_its_gradients_take_two_normal_grams(monkeypatch):
+def test_cluster_stack_and_its_gradients_take_one_normal_gram(monkeypatch):
     calls = []
     original = jb._normal_gram
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def counted(L):
+        calls.append(len(L))
+        return original(L)
 
     monkeypatch.setattr(jb, "_normal_gram", counted)
-    cluster = idn.random_cluster(21)
-    for side in idn.SIDES:
-        cluster.omega_value(side)
-        cluster.omega_gradient(side)
-    # one for the deficits of the flatness check, one for the gradients
-    assert len(calls) == 2
+    draws = idn.TrialDraws(5, 21)
+    for battery in (idn.battery_two_edge_ratio, idn.battery_six_term,
+                    idn.battery_cluster_closed_forms):
+        battery(draws)
+    # the deficits of the flatness check and the gradients of all 30 cells
+    # come from one set of Gram matrices
+    assert calls == [30]
+
+
+# ------------------------------------------ the cluster stack and its references
+
+def assert_stack_is_the_reference(clusters, references):
+    """Every stacked field and check result is bitwise that of the per-trial route."""
+    assert len(clusters.points) == len(references)
+    basic2, six_term = idn.check_basic2(clusters), idn.check_6term(clusters)
+    for t, ref in enumerate(references):
+        for name in CLUSTER_FIELDS:
+            assert getattr(clusters, name)[t].tobytes() == getattr(ref, name).tobytes(), name
+        got = [basic2.ratio[t], basic2.predicted[t], basic2.residual[t]]
+        want = check_basic2_one(ref.points, ref.hat_volumes)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+        got = [six_term.residual[t], six_term.cosine[t], six_term.ratio_residual[t]]
+        want = check_6term_one(*ref.gradients, ref.hat_volumes, *ref.areas)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+def reference_for(seeds):
+    return [ClusterReference(unit_ball_placement_loop(s, 6, DELTA5_CELLS)) for s in seeds]
+
+
+def test_cluster_stack_is_bitwise_the_per_trial_route():
+    assert_stack_is_the_reference(idn.random_clusters(range(200)), reference_for(range(200)))
+    symmetric = symmetric_cluster()
+    assert_stack_is_the_reference(symmetric, [ClusterReference(symmetric.points[0])])
+
+
+@pytest.mark.parametrize("seeds", [[], [0], [7], [2**40]])
+def test_cluster_stack_of_none_or_one(seeds):
+    clusters = idn.random_clusters(seeds)
+    for name, shape in CLUSTER_FIELDS.items():
+        assert getattr(clusters, name).shape == (len(seeds),) + shape
+    assert_stack_is_the_reference(clusters, reference_for(seeds))
+    for chk in (idn.check_basic2(clusters), idn.check_6term(clusters)):
+        for value in vars(chk).values():
+            assert value.shape == (len(seeds),)
+
+
+def test_stacked_failures_name_the_trial(monkeypatch):
+    # a degenerate cell: trial 2 has a collapsed hat simplex
+    pts = idn.random_clusters(range(4)).points.copy()
+    pts[2, 2] = 0.5 * (pts[2, 0] + pts[2, 1])
+    with pytest.raises(DegenerateSimplexError) as alone:
+        ClusterReference(pts[2])
+    with pytest.raises(DegenerateSimplexError) as stacked:
+        idn.ClusterSix(pts)
+    assert str(stacked.value) == f"trial 2: {alone.value}"
+
+    # a deficit above the flatness tolerance: the largest deficit of twelve
+    # trials is put last and the tolerance set just below it
+    clusters = idn.random_clusters(range(12))
+    worst = np.abs(clusters.omegas).max(axis=1)
+    order = np.argsort(worst, kind="stable")
+    pts, tol = clusters.points[order], worst[order][-2]
+    assert tol < worst[order][-1]
+    monkeypatch.setattr(idn, "FLATNESS_TOL", tol)
+    monkeypatch.setattr(fm, "FLATNESS_TOL", tol)
+    with pytest.raises(DegenerateSimplexError) as alone:
+        ClusterReference(pts[-1])
+    with pytest.raises(DegenerateSimplexError) as stacked:
+        idn.ClusterSix(pts)
+    assert str(stacked.value) == f"trial 11: {alone.value}"
+    assert len(idn.ClusterSix(pts[:-1]).points) == 11
+
+    # a rank-deficient flat family: in trial 1, F lies in the plane of B, C and E
+    clusters = idn.random_clusters(range(3))
+    pts = clusters.points.copy()
+    B, C, E, F = 1, 2, 4, 5
+    pts[1, F] = pts[1, E] + 0.5 * (pts[1, B] - pts[1, E]) + 0.25 * (pts[1, C] - pts[1, E])
+    with pytest.raises(DegenerateSimplexError) as alone:
+        check_basic2_one(pts[1], clusters.hat_volumes[1])
+    with pytest.raises(DegenerateSimplexError) as stacked:
+        idn.check_basic2(SimpleNamespace(points=pts, hat_volumes=clusters.hat_volumes))
+    assert str(stacked.value) == f"trial 1: {alone.value}"
 
 
 def test_schlafli_areas_are_the_face_areas():
-    tables = g.squared_length_table(np.stack([idn.random_simplex_points(s) for s in range(5)]))
+    tables = g.squared_length_table(idn.random_simplices(range(5)))
     stacked = idn._face_areas(tables)
     for L, areas in zip(tables, stacked):
         want = [face_area(L, f) for f in g.FACES5]
@@ -166,7 +258,7 @@ def test_schlafli_direction_is_not_the_placement_draw():
 
 def test_central_difference_steps_each_table_of_a_stack_alone():
     # tables of different scale, so that each takes a different step
-    pts = np.stack([idn.random_simplex_points(s) for s in range(4)])
+    pts = idn.random_simplices(range(4))
     L = g.squared_length_table(pts) * np.array([1.0, 3.7, 0.2, 11.0])[:, None, None]
     assert len(set(L.max(axis=(1, 2)).tolist())) == 4
     directions = np.stack([idn._trial_direction(s) for s in range(4)])

@@ -13,30 +13,7 @@ from pachner33 import invariants as iv
 from pachner33 import jacobians as jb
 from pachner33.errors import DegenerateSimplexError, SelectionError
 
-from conftest import cm_squared_volume, reduce_angle_scalar
-
-
-def symmetric_cluster(seed=21, max_tries=200):
-    """Cluster invariant under a half-turn swapping A<->D and B<->E.
-
-    The symmetry must preserve orientation (a reflection would force the
-    setwise-fixed simplices ABDEF and ABCDE to be degenerate), so C and F
-    sit on the axis plane of a 180-degree rotation.
-    """
-    rng = np.random.default_rng(seed)
-    half_turn = np.array([-1.0, -1.0, 1.0, 1.0])
-    for _ in range(max_tries):
-        a = rng.standard_normal(4)
-        b = rng.standard_normal(4)
-        cpt = rng.standard_normal(4)
-        fpt = rng.standard_normal(4)
-        cpt[0] = cpt[1] = fpt[0] = fpt[1] = 0.0  # fixed by the half turn
-        pts = np.stack([a, b, cpt, a * half_turn, b * half_turn, fpt])
-        try:
-            return idn.ClusterSix(pts)
-        except DegenerateSimplexError:
-            continue
-    raise AssertionError("no symmetric cluster found")
+from conftest import cm_squared_volume, reduce_angle_scalar, symmetric_cluster
 
 
 # --------------------------------------------------------------- clusters
@@ -46,18 +23,18 @@ def test_cluster_requires_nondegenerate_hats():
     # make the simplex omitting C affinely dependent: F into span(A,B,D,E)
     pts[5] = pts[0] + pts[1] + pts[3] - pts[4]
     with pytest.raises(DegenerateSimplexError):
-        idn.ClusterSix(pts)
+        idn.ClusterSix(pts[None])
 
 
 def test_cluster_deficits_close_up():
-    cluster = idn.random_cluster(4)
-    assert abs(cluster.omega_value("abc")) < 1e-10
-    assert abs(cluster.omega_value("def")) < 1e-10
+    cluster = idn.random_clusters([4])
+    assert cluster.omegas.shape == (1, 2)
+    assert np.abs(cluster.omegas).max() < 1e-10
 
 
 def test_random_cluster_deterministic():
-    a = idn.random_cluster(123).points
-    b = idn.random_cluster(123).points
+    a = idn.random_clusters([123]).points
+    b = idn.random_clusters([123]).points
     assert np.array_equal(a, b)
 
 
@@ -119,41 +96,40 @@ def test_cluster_sides_are_rows_of_the_delta5_boundary():
 
 
 def test_cluster_global_route_matches_the_hand_rolled_route():
-    clusters = [idn.random_cluster(seed) for seed in range(100)] + [symmetric_cluster()]
-    for cluster in clusters:
-        hat_volumes, sides = cluster_reference(cluster.points)
-        assert np.array_equal(cluster.hat_volumes, hat_volumes)
-        for side, (omega, grad, area) in sides.items():
-            got = cluster.omega_gradient(side)
-            assert got.shape == (15,)
-            assert np.abs(got - grad).max() <= 1e-12 * np.abs(grad).max()
-            assert cluster.omega_value(side) == pytest.approx(omega, rel=0, abs=1e-12)
-            assert cluster.area(side) == pytest.approx(area, rel=1e-12)
+    for clusters in (idn.random_clusters(range(100)), symmetric_cluster()):
+        for t, points in enumerate(clusters.points):
+            hat_volumes, sides = cluster_reference(points)
+            assert np.array_equal(clusters.hat_volumes[t], hat_volumes)
+            for k, (omega, grad, area) in enumerate(sides.values()):
+                got = clusters.gradients[t, k]
+                assert got.shape == (15,)
+                assert np.abs(got - grad).max() <= 1e-12 * np.abs(grad).max()
+                assert clusters.omegas[t, k] == pytest.approx(omega, rel=0, abs=1e-12)
+                assert clusters.areas[t, k] == pytest.approx(area, rel=1e-12)
 
 
 # ---------------------------------------------------------- two-edge ratio
 
 def test_two_edge_ratio_random_clusters():
-    for seed in (0, 1, 2):
-        chk = idn.check_basic2(idn.random_cluster(seed))
-        assert chk.residual <= 1e-6
+    chk = idn.check_basic2(idn.random_clusters([0, 1, 2]))
+    assert chk.residual.shape == (3,)
+    assert (chk.residual <= 1e-6).all()
 
 
 def test_two_edge_ratio_swap_symmetry():
     chk = idn.check_basic2(symmetric_cluster())
-    assert chk.residual <= 1e-6
+    assert chk.residual[0] <= 1e-6
     # the swap symmetry forces the two volume products to equal magnitudes
-    assert abs(chk.ratio) == pytest.approx(1.0, rel=1e-9)
+    assert abs(chk.ratio[0]) == pytest.approx(1.0, rel=1e-9)
 
 
-def central_difference_two_edge_ratio(cluster):
-    """dL_DE / dL_AB as check_basic2 took it before its derivatives were exact.
+def central_difference_two_edge_ratio(pts):
+    """dL_DE / dL_AB of one cluster as check_basic2 took it before its derivatives were exact.
 
     The same flat direction of A and E, with both squared lengths
     differenced at +-FD_REL_STEP * max|x| along it.
     """
     A, B, C, D, E, F = range(6)
-    pts = cluster.points
     J = np.zeros((7, 8))
     for r, (u, w) in enumerate([(A, C), (A, D), (A, E), (A, F), (B, E), (C, E), (E, F)]):
         d = pts[u] - pts[w]
@@ -173,15 +149,14 @@ def central_difference_two_edge_ratio(cluster):
 
 
 def test_two_edge_ratio_matches_the_central_difference():
-    clusters = [idn.random_cluster(seed) for seed in range(100)] + [symmetric_cluster()]
-    for cluster in clusters:
-        want = central_difference_two_edge_ratio(cluster)
-        assert idn.check_basic2(cluster).ratio == pytest.approx(want, rel=1e-9)
+    for clusters in (idn.random_clusters(range(100)), symmetric_cluster()):
+        want = [central_difference_two_edge_ratio(pts) for pts in clusters.points]
+        assert idn.check_basic2(clusters).ratio == pytest.approx(want, rel=1e-9)
 
 
 def test_degenerate_cluster_rejected_before_checks():
-    pts = idn.random_cluster(3).points.copy()
-    pts[2] = 0.5 * (pts[0] + pts[1])  # collapse a hat simplex
+    pts = idn.random_clusters([3]).points.copy()
+    pts[0, 2] = 0.5 * (pts[0, 0] + pts[0, 1])  # collapse a hat simplex
     with pytest.raises(DegenerateSimplexError):
         idn.ClusterSix(pts)
 
@@ -189,11 +164,11 @@ def test_degenerate_cluster_rejected_before_checks():
 # ------------------------------------------------------------- six-term
 
 def test_six_term_identity_random_clusters():
-    for seed in (0, 5, 9):
-        chk = idn.check_6term(idn.random_cluster(seed))
-        assert chk.residual <= 1e-6
-        assert chk.cosine >= 1.0 - 1e-10
-        assert chk.ratio_residual <= 1e-6
+    chk = idn.check_6term(idn.random_clusters([0, 5, 9]))
+    assert chk.residual.shape == (3,)
+    assert (chk.residual <= 1e-6).all()
+    assert (chk.cosine >= 1.0 - 1e-10).all()
+    assert (chk.ratio_residual <= 1e-6).all()
 
 
 # ------------------------------------------------------ restricted invariant

@@ -9,7 +9,15 @@ import sys
 import numpy as np
 import pytest
 
+from pachner33 import identities as idn
 from pachner33.cli import main as cli_main
+
+from conftest import (
+    check_6term_reference,
+    check_basic2_reference,
+    reference_clusters,
+    unit_ball_placement_loop,
+)
 
 SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
 PERFBENCH_INPUTS = SCRIPTS.parent / "perfbench" / "inputs.py"
@@ -100,3 +108,30 @@ def test_benchmark_ladder_jacobian_and_check_flat_calls_succeed(perfbench_inputs
         assert report["command"] == op.argv[0] and "error" not in report
         if op.argv[0] == "jacobian":
             assert report["rank"] == op.expect["rank"]
+
+
+def test_benchmark_identity_reports_equal_the_per_trial_route(
+    perfbench_inputs, tmp_path, capsys, monkeypatch
+):
+    # the identities workload's calls at four benchmark seeds, on the stacked
+    # route and with the per-seed sampler and per-trial clusters and checks
+    ops = [op for seed in (1, 611, 612, 613)
+           for op in perfbench_inputs.build_workload("identities", seed, tmp_path).ops]
+
+    def reports():
+        out = []
+        for op in ops:
+            assert cli_main(list(op.argv)) == 0
+            report = json.loads(capsys.readouterr().out)
+            del report["timing_s"]
+            out.append(report)
+        return out
+
+    stacked = reports()
+    monkeypatch.setattr(idn, "random_simplices", lambda seeds: np.array(
+        [unit_ball_placement_loop(s, 5, [range(5)]) for s in seeds]).reshape(-1, 5, 4))
+    monkeypatch.setattr(idn, "random_clusters", reference_clusters)
+    monkeypatch.setattr(idn, "check_basic2", check_basic2_reference)
+    monkeypatch.setattr(idn, "check_6term", check_6term_reference)
+    assert reports() == stacked
+    assert [r["trials"] for r in stacked] == [perfbench_inputs.IDENTITY_TRIALS] * len(ops)
