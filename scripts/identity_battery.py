@@ -2,9 +2,9 @@
 
 The batteries read one identities.TrialDraws, as run_all_batteries does.
 Everything it shares between batteries comes first, on the "shared draws"
-row: the simplices with their length tables and face areas, and the one
-ClusterSix stack of all trials' clusters.  Each battery's time is then its
-own checks without the draws.
+row: the simplices with their length tables, face areas and Schlafli
+directions, and the one ClusterSix stack of all trials' clusters.  Each
+battery's time is then its own checks without the draws.
 """
 import argparse
 import pathlib
@@ -27,7 +27,7 @@ def main():
     print(f"{'battery':30s} {'worst residual':>14s} {'failures':>9s} {'time':>7s}")
     t0 = time.perf_counter()
     draws = identities.TrialDraws(args.trials, args.seed)
-    draws.face_areas, draws.clusters  # drawn and realized here, once
+    draws.face_areas, draws.directions, draws.clusters  # drawn and realized here, once
     print(f"{'shared draws':30s} {'':14s} {'':9s} {time.perf_counter() - t0:6.2f}s")
     overall = True
     for battery in identities.ALL_BATTERIES:

@@ -22,8 +22,8 @@ import numpy as np
 from . import identities, invariants
 from .complexes import pachner_33
 from .errors import Pachner33Error
-from .flatmetric import FLATNESS_TOL, check_flat, random_realization, realize
-from .io import ComplexDocument, dumps, load_document, serialize_complex
+from .flatmetric import FLATNESS_TOL, check_flat, metric_from_lengths, random_realization, realize
+from .io import ComplexDocument, dumps, load_document, save_document, serialize_complex
 from .jacobians import PIVOT_TOL, build_jacobians, rank_and_submatrix
 
 
@@ -43,14 +43,16 @@ def _emit(rep, t0):
     sys.stdout.write(dumps(rep) + "\n")
 
 
-def _coords_for(doc, args, c):
-    """The placement drawn from --seed if given, else the document's coords."""
+def _placement(args):
+    """(complex, coords) of a closed document: coords drawn from --seed if given, else its own."""
+    doc = load_document(args.file)
+    c = doc.to_complex()
     if args.seed is not None:
-        return random_realization(c, seed=args.seed)
+        return c, random_realization(c, seed=args.seed)
     coords = doc.realization()
     if coords is None:
         raise Pachner33Error("document has no coords; pass --seed to realize")
-    return coords
+    return c, coords
 
 
 def _selection_fields(sel, c):
@@ -87,7 +89,7 @@ def _value_field(sign, log_abs):
 
 
 def cmd_inspect(args, t0):
-    doc = load_document(args.file, allow_boundary=True)
+    doc = load_document(args.file)
     c = doc.to_complex(allow_boundary=True)
     fv = c.f_vector()
     rep = _report(
@@ -112,22 +114,17 @@ def cmd_inspect(args, t0):
 def cmd_realize(args, t0):
     doc = load_document(args.file)
     c = doc.to_complex()
-    coords = random_realization(c, seed=args.seed)
-    out = serialize_complex(doc.with_coords(coords))
+    out_doc = doc.with_coords(random_realization(c, seed=args.seed))
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(out)
-        rep = _report("realize", args, output=args.output)
-        _emit(rep, t0)
+        save_document(out_doc, args.output)
+        _emit(_report("realize", args, output=args.output), t0)
     else:
-        sys.stdout.write(out)
+        sys.stdout.write(serialize_complex(out_doc))
     return 0
 
 
 def cmd_check_flat(args, t0):
-    doc = load_document(args.file)
-    c = doc.to_complex()
-    coords = _coords_for(doc, args, c)
+    c, coords = _placement(args)
     m = realize(c, coords)
     if args.perturb:
         u, v, amount = args.perturb
@@ -136,7 +133,7 @@ def cmd_check_flat(args, t0):
             raise Pachner33Error(f"{key} is not an edge of the complex")
         L = m.L.copy()
         L[c.face_index[1][key]] += amount
-        m = m.with_lengths(L, c)
+        m = metric_from_lengths(c, L, m.eps)
     flat = check_flat(c, m, tol=args.tol)
     rep = _report(
         "check-flat",
@@ -176,9 +173,7 @@ def cmd_verify_identities(args, t0):
 
 
 def cmd_jacobian(args, t0):
-    doc = load_document(args.file)
-    c = doc.to_complex()
-    coords = _coords_for(doc, args, c)
+    c, coords = _placement(args)
     m = realize(c, coords)
     jac = build_jacobians(c, m)
     sym = jac.symmetry_residual()
@@ -193,12 +188,12 @@ def cmd_jacobian(args, t0):
     # the selection eliminates in dOmega_dL; no dense matrix outlives it
     dOmega_dL = jac.dOmega_dL
     del jac
-    sel = rank_and_submatrix(dOmega_dL, tol=args.pivot_tol)
+    sel = rank_and_submatrix(dOmega_dL)
     del dOmega_dL
     rep = _report(
         "jacobian",
         args,
-        tolerances={"residual": args.tol, "pivot": args.pivot_tol},
+        tolerances={"residual": args.tol, "pivot": PIVOT_TOL},
         rank=sel.rank,
         symmetry_residual=sym,
         conjugacy_residual=conj,
@@ -220,8 +215,7 @@ def cmd_move(args, t0):
     if doc.coords is not None:
         out_doc = out_doc.with_coords(doc.realization())
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(serialize_complex(out_doc))
+        save_document(out_doc, args.output)
     rep = _report(
         "move",
         args,
@@ -238,15 +232,12 @@ def cmd_move(args, t0):
 
 
 def cmd_invariant(args, t0):
-    doc = load_document(args.file)
-    c = doc.to_complex()
-    coords = _coords_for(doc, args, c)
-    m = realize(c, coords)
-    report = invariants.full_invariant(c, m, pivot_tol=args.pivot_tol)
+    c, coords = _placement(args)
+    report = invariants.full_invariant(c, realize(c, coords))
     rep = _report(
         "invariant",
         args,
-        tolerances={"pivot": args.pivot_tol},
+        tolerances={"pivot": PIVOT_TOL},
         value=_value_field(report.sign, report.log_abs_value),
         log_abs_value=report.log_abs_value,
         sign=report.sign,
@@ -260,15 +251,13 @@ def cmd_invariant(args, t0):
 
 
 def cmd_compare(args, t0):
-    doc = load_document(args.file)
-    c = doc.to_complex()
-    coords = _coords_for(doc, args, c)
-    mc = invariants.compare_under_move(c, coords, args.face, pivot_tol=args.pivot_tol)
+    c, coords = _placement(args)
+    mc = invariants.compare_under_move(c, coords, args.face)
     passed = mc.deviation <= args.tol
     rep = _report(
         "compare",
         args,
-        tolerances={"ratio": args.tol, "pivot": args.pivot_tol},
+        tolerances={"ratio": args.tol, "pivot": PIVOT_TOL},
         face=list(mc.old_face),
         new_face=list(mc.new_face),
         sign_before=mc.sign_before,
@@ -284,34 +273,25 @@ def cmd_compare(args, t0):
     return 0 if passed else 1
 
 
-def positive_int(text):
-    """An integer of at least 1, as a count of trials."""
-    try:
-        if int(text) >= 1:
-            return int(text)
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+def _checked(convert, accept, expected):
+    """An argparse type: convert(text) if accept() takes it, else a usage error."""
+
+    def parse(text):
+        try:
+            value = convert(text)
+            if accept(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+
+    return parse
 
 
-def seed_int(text):
-    """An integer of at least 0, as a seed of numpy's default_rng."""
-    try:
-        if int(text) >= 0:
-            return int(text)
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected an integer of at least 0, got {text!r}")
-
-
-def positive_float(text):
-    """A finite float above 0, as a tolerance (nan, inf and 0 are refused)."""
-    try:
-        if math.isfinite(float(text)) and float(text) > 0.0:
-            return float(text)
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected a finite number above 0, got {text!r}")
+# a count of trials; a seed of numpy's default_rng; a tolerance (nan, inf and 0 refused)
+positive_int = _checked(int, lambda n: n >= 1, "a positive integer")
+seed_int = _checked(int, lambda n: n >= 0, "an integer of at least 0")
+positive_float = _checked(float, lambda x: math.isfinite(x) and x > 0.0, "a finite number above 0")
 
 
 def _face_arg(text):
@@ -374,7 +354,6 @@ def build_parser():
     p = add("jacobian", cmd_jacobian)
     p.add_argument("--seed", type=seed_int, default=None)
     p.add_argument("--tol", type=positive_float, default=identities.DEFAULT_TOL)
-    p.add_argument("--pivot-tol", type=positive_float, default=PIVOT_TOL)
 
     p = add("move", cmd_move)
     p.add_argument("--face", type=_face_arg, required=True, metavar="A,B,C")
@@ -382,13 +361,11 @@ def build_parser():
 
     p = add("invariant", cmd_invariant)
     p.add_argument("--seed", type=seed_int, default=None)
-    p.add_argument("--pivot-tol", type=positive_float, default=PIVOT_TOL)
 
     p = add("compare", cmd_compare)
     p.add_argument("--face", type=_face_arg, required=True, metavar="A,B,C")
     p.add_argument("--seed", type=seed_int, default=None)
     p.add_argument("--tol", type=positive_float, default=identities.DEFAULT_TOL)
-    p.add_argument("--pivot-tol", type=positive_float, default=PIVOT_TOL)
 
     return parser
 

@@ -46,10 +46,6 @@ class FlatMetric:
     eps: np.ndarray  # (N,) of int
     V: np.ndarray  # (N,)
 
-    def with_lengths(self, new_L, c):
-        """Same assigned signs, metric recomputed from a new (E,) length array."""
-        return metric_from_lengths(c, new_L, self.eps)
-
 
 def _first_unrealizable(sq):
     """(index, kind) of the first squared measure that is not finite and positive, else None.
@@ -79,17 +75,14 @@ def triangle_areas(L, triangle_edges, triangles):
     return np.sqrt(sq)
 
 
-def realize(c, coords, allow_boundary=False):
+def realize(c, coords):
     """FlatMetric induced by a vertex placement.
 
-    Requires a consistently oriented complex, closed unless allow_boundary.
-    Raises DegenerateSimplexError naming the first degenerate simplex.
+    Requires a closed, consistently oriented complex (require_closed_oriented);
+    metric_from_lengths takes open ones.  Raises DegenerateSimplexError
+    naming the first degenerate simplex.
     """
-    if allow_boundary:
-        if not c.orientation_consistent:
-            raise Pachner33Error("realize requires a consistently oriented complex")
-    else:
-        require_closed_oriented(c)
+    require_closed_oriented(c)
     missing = [v for v in c.vertices if v not in coords]
     if missing:
         raise Pachner33Error(f"realization lacks coordinates for vertices {missing}")

@@ -275,12 +275,13 @@ class TrialDraws:
     """The trial seeds of one (trials, seed) pair and what they draw.
 
     simplices is the (T, 5, 4) stack of random_simplices of the T trial
-    seeds, tables their squared-length tables and face_areas their (T, 10)
-    face areas; clusters is the one ClusterSix of random_clusters over the
-    same seeds.  Each is computed on first use and kept only as long as
-    this object.  Every battery reads the TrialDraws it is given;
-    run_all_batteries makes one per call and hands it to every battery, so
-    each is computed once per call.
+    seeds, tables their squared-length tables, face_areas their (T, 10)
+    face areas and directions their (T, 5, 5) Schlafli deformation
+    directions (_trial_direction); clusters is the one ClusterSix of
+    random_clusters over the same seeds.  Each is computed on first use
+    and kept only as long as this object.  Every battery reads the
+    TrialDraws it is given; run_all_batteries makes one per call and hands
+    it to every battery, so each is computed once per call.
     """
 
     def __init__(self, trials, seed):
@@ -297,6 +298,10 @@ class TrialDraws:
     @functools.cached_property
     def face_areas(self):
         return _face_areas(self.tables)
+
+    @functools.cached_property
+    def directions(self):
+        return np.array([_trial_direction(s) for s in self.seeds]).reshape(-1, 5, 5)
 
     @functools.cached_property
     def clusters(self):
@@ -391,20 +396,17 @@ def battery_opposite_edge_derivative(draws, tol=DEFAULT_TOL):
     return _result("opposite_edge_derivative", draws, tol, np.maximum(closed_form, block))
 
 
-def _random_direction(rng):
-    d = np.zeros((5, 5))
-    i, j = geometry.EDGE_I, geometry.EDGE_J
-    d[i, j] = d[j, i] = rng.standard_normal(10)
-    return d / np.abs(d).max()
-
-
 def _trial_direction(seed):
     """The Schlafli batteries' deformation direction for one trial seed.
 
-    Drawn from the child stream [seed, 1], not from seed itself, which
+    Ten standard normals in EDGES5 order, scaled to a largest |entry| of 1,
+    drawn from the child stream [seed, 1], not from seed itself, which
     random_simplices reads for the placement.
     """
-    return _random_direction(np.random.default_rng([seed, 1]))
+    d = np.zeros((5, 5))
+    i, j = geometry.EDGE_I, geometry.EDGE_J
+    d[i, j] = d[j, i] = np.random.default_rng([seed, 1]).standard_normal(10)
+    return d / np.abs(d).max()
 
 
 def _schlafli_residuals(fn, weights, draws):
@@ -412,8 +414,7 @@ def _schlafli_residuals(fn, weights, draws):
 
     weights is the (T, 10) stack of each trial's weights.
     """
-    directions = np.array([_trial_direction(s) for s in draws.seeds]).reshape(-1, 5, 5)
-    terms = weights * central_difference(fn, draws.tables, directions)
+    terms = weights * central_difference(fn, draws.tables, draws.directions)
     return np.abs(terms.sum(axis=1)) / np.abs(terms).sum(axis=1)
 
 

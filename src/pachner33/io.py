@@ -106,7 +106,9 @@ class ComplexDocument:
 
     Immutable, so the complex built from `simplices` the first time it is
     needed (by parse_complex, to validate the document) stays the one that
-    every later to_complex call returns.
+    every later to_complex call returns.  to_complex is the documents'
+    closedness gate: it refuses a complex with boundary tetrahedra unless
+    allow_boundary.
     """
 
     simplices: tuple  # of vertex-id tuples, orientation = order
@@ -146,12 +148,12 @@ def _finite_real(x):
     return float(x)
 
 
-def parse_complex(text, allow_boundary=False):
+def parse_complex(text):
     """Parse and validate a document; errors name the offending field.
 
     The simplex list is additionally run through complex construction so a
     schema-valid but structurally broken document is rejected here; the
-    document keeps that complex for to_complex.
+    document keeps that complex for to_complex, which checks closedness.
     """
     try:
         raw = json.loads(text)
@@ -213,7 +215,7 @@ def parse_complex(text, allow_boundary=False):
     doc = ComplexDocument(
         simplices=clean, coords=coords, metadata=metadata, format_version=version
     )
-    doc.to_complex(allow_boundary=allow_boundary)  # structural validation, kept on doc
+    doc.to_complex(allow_boundary=True)  # structural validation, kept on doc
     return doc
 
 
@@ -231,9 +233,10 @@ def serialize_complex(doc):
     return dumps(payload) + "\n"
 
 
-def load_document(path, allow_boundary=False):
+def load_document(path):
+    """parse_complex of a UTF-8 file; closedness is left to doc.to_complex()."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_complex(fh.read(), allow_boundary=allow_boundary)
+        return parse_complex(fh.read())
 
 
 def save_document(doc, path):

@@ -46,6 +46,9 @@ import numpy as np
 from . import geometry
 from .errors import DegenerateSimplexError, SelectionError
 
+# The relative pivot threshold, fixed: the rank belongs to the complex (E - 4V + 10
+# on S^4).  On flat placements the kept pivots stay above ~1e-3 of the largest
+# entry and the next falls below ~1e-11 of it, so 1e-9 never decides a rank.
 PIVOT_TOL = 1e-9
 # Bytes of each (touched rows x columns) temporary of one elimination pass.
 # Fill-in can make a step touch most rows (the stacked joins fill to about
@@ -290,7 +293,7 @@ class SubmatrixSelection:
         return log_product(self.pivots)
 
 
-def rank_and_submatrix(matrix, must_include_row=None, tol=PIVOT_TOL):
+def rank_and_submatrix(matrix, must_include_row=None):
     """Complete-pivoting elimination: pivot rows/cols and pivots.
 
     The elimination overwrites matrix, as LAPACK's getrf does, when it is a
@@ -299,9 +302,9 @@ def rank_and_submatrix(matrix, must_include_row=None, tol=PIVOT_TOL):
     return the array holds no meaningful values, so a caller that reads the
     matrix afterwards passes a copy.
 
-    Pivoting stops when |pivot| <= tol * max|entry|; under complete pivoting
-    the largest entry is exactly the first pivot, and it stays the reference
-    when a (possibly weaker) first pivot row is forced.  If must_include_row
+    Pivoting stops when |pivot| <= PIVOT_TOL * max|entry|; under complete
+    pivoting the largest entry is exactly the first pivot, and it stays the
+    reference when a (possibly weaker) first pivot row is forced.  If must_include_row
     is given, that row is forced as the first pivot row (its largest entry
     becomes the first pivot); a forced row that is not an integer index in
     [0, n_rows), or that is numerically zero, is an error.
@@ -337,7 +340,7 @@ def rank_and_submatrix(matrix, must_include_row=None, tol=PIVOT_TOL):
             )
         forced = int(must_include_row)
         row_max = float(row_best[forced]) if n_cols else 0.0
-        if row_max == 0.0 or (global_max and row_max <= tol * global_max):
+        if row_max == 0.0 or (global_max and row_max <= PIVOT_TOL * global_max):
             raise SelectionError(
                 f"forced row {forced} is numerically zero; it cannot pivot"
             )
@@ -349,7 +352,7 @@ def rank_and_submatrix(matrix, must_include_row=None, tol=PIVOT_TOL):
         r = forced if forced is not None and not pivots else int(np.argmax(row_best))
         c = int(np.argmax(np.abs(work[r])))
         piv = work[r, c]
-        if pivots and abs(piv) <= tol * global_max:
+        if pivots and abs(piv) <= PIVOT_TOL * global_max:
             break
         if not pivots and piv == 0.0:
             break

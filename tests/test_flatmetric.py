@@ -10,7 +10,7 @@ from pachner33 import complexes as cx
 from pachner33 import flatmetric as fm
 from pachner33 import geometry as g
 from pachner33 import jacobians as jb
-from pachner33.errors import DegenerateSimplexError, Pachner33Error
+from pachner33.errors import ComplexStructureError, DegenerateSimplexError, Pachner33Error
 from pachner33.identities import signed_angles
 from pachner33.io import load_fixture
 
@@ -112,7 +112,7 @@ def test_metric_from_lengths_names_the_first_bad_triangle(delta5, delta5_metric)
     L = delta5_metric.L.copy()
     L[delta5.face_index[1][(1, 2)]] = 100.0 * L.max()  # breaks every triangle on edge 12
     with pytest.raises(DegenerateSimplexError, match=r"triangle \(0, 1, 2\) "):
-        delta5_metric.with_lengths(L, delta5)
+        fm.metric_from_lengths(delta5, L, delta5_metric.eps)
 
 
 @pytest.mark.parametrize("value, kind", [(1e300, "non-finite"), (-5.0, "nonpositive")])
@@ -137,7 +137,7 @@ def test_metric_from_lengths_names_the_kind_of_a_bad_squared_volume(
     L[delta5.face_index[1][(0, 1)]] *= shrink
     message = rf"not realizable \({kind} squared volume\)$"
     with pytest.raises(DegenerateSimplexError, match=message):
-        delta5_metric.with_lengths(L, delta5)
+        fm.metric_from_lengths(delta5, L, delta5_metric.eps)
 
 
 def test_realize_rejects_repeated_points(delta5, delta5_coords):
@@ -187,10 +187,21 @@ def test_random_realization_reproduces_the_bundled_coords(name):
         assert np.array_equal(coords[v], p)
 
 
-def test_random_realization_single_simplex():
+def one_simplex_metric(seed):
+    """The open one-simplex complex, a random placement and its metric from lengths."""
     c = cx.build_complex([(0, 1, 2, 3, 4)], allow_boundary=True)
-    coords = fm.random_realization(c, seed=0)
-    m = fm.realize(c, coords, allow_boundary=True)
+    coords = fm.random_realization(c, seed=seed)
+    pts = np.stack([coords[v] for v in c.vertices])
+    # the face tables of the one simplex are the local FACES5 and EDGES5
+    assert c.faces[2] == g.FACES5 and c.faces[1] == g.EDGES5
+    L = g.squared_length_table(pts)[g.EDGE_I, g.EDGE_J]
+    return c, coords, fm.metric_from_lengths(c, L, [np.sign(g.signed_volume4(pts))])
+
+
+def test_random_realization_single_simplex():
+    c, coords, m = one_simplex_metric(0)
+    with pytest.raises(ComplexStructureError, match="closed complex"):
+        fm.realize(c, coords)  # metric_from_lengths is the route for open complexes
     assert len(coords) == 5
     assert abs(m.V[0]) > 0
 
@@ -222,13 +233,9 @@ def test_deficit_scale_invariance(delta5, delta5_coords):
 
 
 def test_one_simplex_diagnostics():
-    c = cx.build_complex([(0, 1, 2, 3, 4)], allow_boundary=True)
-    coords = fm.random_realization(c, seed=7)
-    m = fm.realize(c, coords, allow_boundary=True)
+    c, _, m = one_simplex_metric(7)
     eps = m.eps[0]
     L = jb.length_tables(m.L, c.simplex_edges)[0]
-    # the face tables of the one simplex are the local FACES5 and EDGES5
-    assert c.faces[2] == g.FACES5 and c.faces[1] == g.EDGES5
     omega = fm.deficit_omega(c, m)
     assert omega == pytest.approx(-np.asarray(signed_angles(L, eps)), abs=1e-12)
     Omega = fm.deficit_Omega(c, m)
@@ -243,7 +250,7 @@ def test_perturbed_length_matches_first_order_prediction(delta5, delta5_metric):
     def residual(step):
         L = delta5_metric.L.copy()
         L[col] += step
-        perturbed = delta5_metric.with_lengths(L, delta5)
+        perturbed = fm.metric_from_lengths(delta5, L, delta5_metric.eps)
         omega = fm.deficit_omega(delta5, perturbed)
         return np.abs(omega - M[:, col] * step).max()
 
@@ -252,7 +259,7 @@ def test_perturbed_length_matches_first_order_prediction(delta5, delta5_metric):
     assert r1 > 0.0
     L = delta5_metric.L.copy()
     L[col] += step
-    omega = fm.deficit_omega(delta5, delta5_metric.with_lengths(L, delta5))
+    omega = fm.deficit_omega(delta5, fm.metric_from_lengths(delta5, L, delta5_metric.eps))
     assert np.abs(omega).max() > 1e-6  # curvature switched on
     # quadratic remainder: halving the step cuts the residual ~4x
     assert r2 <= 0.35 * r1
@@ -291,7 +298,7 @@ def test_check_flat_passes_on_flat_input(delta5, delta5_metric):
 def test_check_flat_names_offenders_after_perturbation(delta5, delta5_metric):
     L = delta5_metric.L.copy()
     L[delta5.face_index[1][(0, 1)]] += 1e-3
-    rep = fm.check_flat(delta5, delta5_metric.with_lengths(L, delta5), tol=1e-8)
+    rep = fm.check_flat(delta5, fm.metric_from_lengths(delta5, L, delta5_metric.eps), tol=1e-8)
     assert not rep.passed
     assert rep.bad_faces
     # every offending face contains the perturbed edge's endpoints context

@@ -9,6 +9,7 @@ from pachner33 import flatmetric as fm
 from pachner33 import geometry as g
 from pachner33 import identities as idn
 from pachner33 import jacobians as jb
+from pachner33.cli import main
 from pachner33.errors import DegenerateSimplexError
 from pachner33.flatmetric import triangle_areas
 
@@ -57,9 +58,8 @@ def test_fd_dtheta_dL_matches_the_40_call_loop():
 
 
 def test_central_difference_takes_one_direction_or_a_stack():
-    rng = np.random.default_rng(3)
     L = g.squared_length_table(idn.random_simplices([3])[0])
-    directions = [idn._random_direction(rng) for _ in range(4)]
+    directions = [idn._trial_direction(s) for s in range(4)]
     thetas = lambda T: g.edge_angle_thetas(T, +1)  # noqa: E731
     stacked = idn.central_difference(thetas, L, np.stack(directions))
     for k, direction in enumerate(directions):
@@ -85,6 +85,27 @@ def test_clusters_are_drawn_once_per_call(monkeypatch):
     # no draw outlives its call: the same seeds are drawn again
     idn.run_all_batteries(trials=3, seed=8)
     assert len(calls) == 2 and calls[1] == calls[0]
+
+
+def test_schlafli_directions_are_drawn_once_per_trial_and_call(monkeypatch, capsys):
+    calls = []
+    original = idn._trial_direction
+
+    def counted(seed):
+        calls.append(int(seed))
+        return original(seed)
+
+    monkeypatch.setattr(idn, "_trial_direction", counted)
+    seeds = [int(s) for s in idn.TrialDraws(5, 9).seeds]
+    for n in (1, 2):
+        assert main(["verify-identities", "--trials", "5", "--seed", "9"]) == 0
+        # both Schlafli batteries read one direction per trial seed
+        assert calls == seeds * n
+    capsys.readouterr()
+    draws = idn.TrialDraws(5, 9)
+    assert draws.directions.shape == (5, 5, 5)
+    for s, d in zip(draws.seeds, draws.directions):
+        assert np.array_equal(d, original(s))
 
 
 def test_shared_draws_give_every_battery_its_standalone_result():

@@ -1,8 +1,10 @@
 """Document parsing, serialization round-trips and the CLI surface."""
+import argparse
 import dataclasses
 import json
 import math
 import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -334,23 +336,56 @@ def test_cli_verify_identities_rejects_a_trial_count_below_one(trials, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ("check-flat", "FILE", "--tol"),
-        ("verify-identities", "--trials", "1", "--tol"),
-        ("jacobian", "FILE", "--tol"),
-        ("jacobian", "FILE", "--pivot-tol"),
-        ("invariant", "FILE", "--pivot-tol"),
-        ("compare", "FILE", "--face", "1,2,3", "--tol"),
-        ("compare", "FILE", "--face", "1,2,3", "--pivot-tol"),
+        ("check-flat", "FILE", "--tol", "VALUE"),
+        ("verify-identities", "--trials", "1", "--tol", "VALUE"),
+        ("jacobian", "FILE", "--tol", "VALUE"),
+        ("compare", "FILE", "--face", "1,2,3", "--tol", "VALUE"),
+        # checked wherever it stands: before the file and the other options
+        ("check-flat", "--tol", "VALUE", "FILE"),
+        ("jacobian", "--tol", "VALUE", "--seed", "1", "FILE"),
+        ("compare", "--tol", "VALUE", "--face", "1,2,3", "FILE"),
     ],
 )
 def test_cli_tolerances_must_be_finite_and_positive(argv, value, capsys):
     # nan would pass every comparison it meets and write NaN into the report
-    argv = [fixture_path("boundary_delta5.json") if a == "FILE" else a for a in argv]
+    path = fixture_path("boundary_delta5.json")
+    option = argv[argv.index("VALUE") - 1]
+    argv = [{"FILE": path, "VALUE": value}.get(a, a) for a in argv]
     with pytest.raises(SystemExit) as exc:
-        main([*argv, value])
+        main(argv)
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert "usage:" in err and argv[-1] in err
+    assert "usage:" in err and f"argument {option}:" in err
+
+
+def test_readme_synopsis_lists_every_option_of_every_command():
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+    (block,) = [b for b in readme.split("```") if "pachner33 inspect FILE" in b]
+    synopsis = [line.split("#")[0].split() for line in block.strip().splitlines()]
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert [words[1] for words in synopsis] == list(commands.choices)
+    for name, *words in (words[1:] for words in synopsis):
+        # every spelling of an option maps to its first (-o and --output are one option)
+        spelled = {opt: a.option_strings[0] for a in commands.choices[name]._actions
+                   if a.dest != "help" for opt in a.option_strings}
+        listed = {w.strip("[]") for w in words if w.strip("[]").startswith("-")}
+        assert listed <= spelled.keys(), name
+        assert {spelled[opt] for opt in listed} == set(spelled.values()), name
+
+
+@pytest.mark.parametrize(
+    "argv", [("jacobian",), ("invariant",), ("compare", "--face", "0,1,2")]
+)
+def test_cli_pivot_threshold_is_not_an_option(argv, capsys):
+    # the rank belongs to the complex; the threshold is the fixed PIVOT_TOL
+    path = fixture_path("boundary_delta5.json")
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], path, *argv[1:], "--pivot-tol", "1e-15"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --pivot-tol 1e-15" in capsys.readouterr().err
+    code, out = run_cli(argv[0], path, *argv[1:])
+    assert code == 0
+    assert json.loads(out)["tolerances"]["pivot"] == 1e-9
 
 
 def test_cli_verify_identities_is_byte_identical_apart_from_timing():
@@ -590,9 +625,8 @@ def test_document_is_immutable_and_keeps_its_complex():
     assert doc.to_complex() is doc.to_complex()
     with pytest.raises(dataclasses.FrozenInstanceError):
         doc.simplices = ()
-    one = pio.parse_complex(
-        '{"format_version": "1", "simplices": [[0, 1, 2, 3, 4]]}', allow_boundary=True
-    )
+    # parsing builds the complex; to_complex is where closedness is checked
+    one = pio.parse_complex('{"format_version": "1", "simplices": [[0, 1, 2, 3, 4]]}')
     assert one.to_complex(allow_boundary=True).f_vector()[-1] == 1
     with pytest.raises(ComplexStructureError, match="boundary"):
         one.to_complex()

@@ -12,6 +12,7 @@ from pachner33 import geometry as g
 from pachner33 import identities as idn
 from pachner33 import jacobians as jb
 from pachner33.errors import DegenerateSimplexError, SelectionError
+from pachner33.io import load_fixture
 
 from conftest import area_length_weights, face_area
 
@@ -418,9 +419,11 @@ def test_selection_zero_matrix():
 
 
 def test_selection_threshold_semantics():
-    sel = jb.rank_and_submatrix(np.diag([5.0, 1e-20]), tol=1e-9)
-    assert sel.rank == 1
-    assert sel.pivots == pytest.approx((5.0,))
+    # a later pivot counts only above PIVOT_TOL times the largest entry
+    for small, rank in ((1e-20, 1), (2.5 * jb.PIVOT_TOL, 1), (10.0 * jb.PIVOT_TOL, 2)):
+        sel = jb.rank_and_submatrix(np.diag([5.0, small]))
+        assert sel.rank == rank
+        assert sel.pivots == pytest.approx((5.0, small)[:rank])
 
 
 def test_selection_zero_forced_row_raises():
@@ -566,6 +569,24 @@ def test_selection_matches_dense_loop_on_fixtures(delta5, delta5_metric, join_co
         _assert_same_selection(M)
         for row in (0, len(M) // 2, len(M) - 1):
             _assert_same_selection(M, must_include_row=row)
+
+
+def test_pivot_threshold_sits_in_a_wide_gap(stellar_ladder):
+    # PIVOT_TOL is fixed because the rank never depends on it: eliminating
+    # with a vanishing threshold, the pivots of rank E - 4V + 10 stay far
+    # above it and the next one falls far below it
+    placed = [(c, coords) for _, (c, coords) in sorted(stellar_ladder.items())]
+    for name in ("boundary_delta5.json", "bipyramid_10cell.json", "join_tetra_triangle.json"):
+        doc = load_fixture(name)
+        placed.append((doc.to_complex(), doc.realization()))
+    for c, coords in placed:
+        M = jb.assemble_domega_dL(c, fm.realize(c, coords))
+        sel = rank_and_submatrix_dense(M, tol=1e-300)
+        pivots = np.abs(np.frombuffer(sel["pivots"])) / np.abs(M).max()
+        rank = len(c.faces[1]) - 4 * len(c.vertices) + 10
+        assert len(pivots) > rank and pivots[0] == 1.0
+        assert pivots[:rank].min() >= 1e-6 and pivots[rank] <= 1e-10, len(c.simplices)
+        assert jb.rank_and_submatrix(M).rank == rank
 
 
 @pytest.mark.parametrize("shape", [(4, 6), (5, 0), (0, 7)])
