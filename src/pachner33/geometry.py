@@ -26,8 +26,11 @@ a fraction of its mean edge length to the fourth.  realize, the stack of
 six-point clusters, the replacement cells of a move and the sampler call
 it.  unit_ball_placement draws every seeded placement of the package, for
 a sequence of seeds at once: each seed's points are uniform in the unit
-ball, redrawn together until no listed cell is below the floor, and each
-round of redraws is tested in one cell_volumes call.
+ball, redrawn together until no listed cell is below the floor.  The
+redraws go in rounds that draw ahead, 1, 2, 4, ... placements per
+unplaced seed, each round normalized in one step and tested in one
+cell_volumes call; every seed keeps its first passing draw, so its
+placement is the one a draw-at-a-time loop gives.
 """
 from __future__ import annotations
 
@@ -178,38 +181,51 @@ def cell_volumes(points, rel):
 # sums and angle derivatives keep comfortable accuracy margins.
 DEFAULT_QUALITY = 2e-3
 MAX_DRAWS = 500
-
-
-def unit_ball_points(rng, n):
-    """n points uniform in the unit 4-ball: Gaussian directions, radii U^(1/4)."""
-    raw = rng.standard_normal((n, 4))
-    radii = rng.uniform(size=(n, 1)) ** 0.25
-    return raw / np.linalg.norm(raw, axis=1, keepdims=True) * radii
+# Cells one sampler round floors at most.  A round's temporaries take about
+# 1.3 kB per cell, so this keeps a give-up on a complex of hundreds of cells
+# near 10 MB; clusters and single simplices stay far below it.
+_ROUND_CELLS = 1 << 13
 
 
 def unit_ball_placement(seeds, n, cells):
     """(S, n, 4) unit-ball placements, one per seed, with no cell below DEFAULT_QUALITY.
 
     cells lists 5-tuples of point indices.  Each seed has its own generator
-    and redraws its whole placement until no cell is below the floor of
-    cell_volumes.  The draws go in rounds: each round draws the next
-    placement of every seed still unplaced and tests them all in one
-    cell_volumes call, so each seed's placement is bitwise the one it gets
-    alone.  DegenerateSimplexError when a seed is still unplaced after
-    MAX_DRAWS draws.
+    and draws whole placements of n points until one has no cell below the
+    floor of cell_volumes; a draw is n * 4 standard normals, the Gaussian
+    directions, then n uniforms U, the radii U^(1/4).  The draws go in
+    rounds that draw ahead: round r draws the next 2^r placements of every
+    seed still unplaced (1, 2, 4, ...), each from its seed's stream in
+    order, normalizes them all in one step and floors them in one
+    cell_volumes call.  Each seed keeps its first passing draw, so its
+    placement is bitwise the one drawing one placement at a time gives,
+    and a seed that needs k draws is placed in ceil(log2(k + 1)) rounds.
+    A round draws fewer when 2^r placements would floor more than
+    _ROUND_CELLS cells, and no seed draws more than MAX_DRAWS placements;
+    DegenerateSimplexError when a seed is still unplaced after that many.
     """
     cells = np.asarray(cells, dtype=np.intp).reshape(-1, 5)
     rngs = [np.random.default_rng(seed) for seed in seeds]
     out = np.empty((len(rngs), n, 4))
     todo = np.arange(len(rngs))
-    for _ in range(MAX_DRAWS):
-        if not todo.size:
-            break
-        pts = np.stack([unit_ball_points(rngs[k], n) for k in todo])
-        below = cell_volumes(pts[:, cells], DEFAULT_QUALITY)[1].reshape(len(todo), -1)
-        placed = ~below.any(axis=1)
-        out[todo[placed]] = pts[placed]
+    drawn = 0
+    while todo.size and drawn < MAX_DRAWS:
+        ahead = min(drawn + 1, MAX_DRAWS - drawn,
+                    max(1, _ROUND_CELLS // max(1, todo.size * len(cells))))
+        raw = np.empty((todo.size, ahead, n, 4))
+        radii = np.empty((todo.size, ahead, n, 1))
+        for k, seed_raw, seed_radii in zip(todo, raw, radii):
+            rng = rngs[k]
+            for draw_raw, draw_radii in zip(seed_raw, seed_radii):
+                rng.standard_normal(out=draw_raw)
+                rng.random(out=draw_radii)
+        pts = raw / np.linalg.norm(raw, axis=-1, keepdims=True) * radii**0.25
+        below = cell_volumes(pts[:, :, cells], DEFAULT_QUALITY)[1]
+        passing = ~below.reshape(todo.size, ahead, len(cells)).any(axis=2)
+        placed = passing.any(axis=1)
+        out[todo[placed]] = pts[placed, passing[placed].argmax(axis=1)]
         todo = todo[~placed]
+        drawn += ahead
     if todo.size:
         raise DegenerateSimplexError(
             f"could not find a quality-{DEFAULT_QUALITY} placement in {MAX_DRAWS} draws"

@@ -11,8 +11,9 @@ a stack.
 
 Each battery draws seed-deterministic configurations, evaluates one identity
 and reports the worst relative residual.  The library computes every angle
-derivative in closed form (jacobians.dtheta_dL_blocks); the batteries check
-those blocks against closed-form identities and against one independent
+derivative in closed form (jacobians.dtheta_dL_blocks, and its rows at the
+cluster's central triangles, jacobians.face_angle_rows); the batteries
+check those against closed-form identities and against one independent
 oracle, central_difference, which differentiates the dihedral angles of
 the coordinate route (geometry.dihedral_angles_from_lengths, (..., 10)
 arrays in FACES5 order).  It runs with one Richardson extrapolation level
@@ -41,7 +42,7 @@ from . import geometry
 from .complexes import boundary_delta5
 from .errors import DegenerateSimplexError
 from .flatmetric import FLATNESS_TOL, triangle_areas
-from .jacobians import angles_and_dtheta_dL, dtheta_dL_blocks, length_tables
+from .jacobians import dtheta_dL_blocks, face_angle_rows, length_tables
 
 DEFAULT_TOL = 1e-6
 PARALLEL_COS_TOL = 1e-10
@@ -81,6 +82,9 @@ _SIDE_CELLS = np.array([np.flatnonzero((_DELTA5.simplex_faces == row).any(axis=1
                         for row in _SIDE_ROWS])
 _SIDE_FACES = np.argmax(_DELTA5.simplex_faces[_SIDE_CELLS] == _SIDE_ROWS[:, None, None], axis=2)
 _SIDE_EDGES = _DELTA5.simplex_edges[_SIDE_CELLS]
+# each cell holds one central triangle: its place among the cell's ten faces
+_CELL_FACES = np.empty(6, dtype=np.intp)
+_CELL_FACES[_SIDE_CELLS] = _SIDE_FACES
 # cell n omits point n; its stored sign turns its volume into the ascending hat's
 _HAT_SIGNS = np.array([sign for _, sign in _DELTA5.simplices])
 _CELL_VERTICES = [verts for verts, _ in _DELTA5.simplices]
@@ -106,11 +110,12 @@ class ClusterSix:
     the boundary of the 5-simplex on its points, realized through
     _DELTA5's index arrays for all T at once: one squared-length matmul,
     one cell_volumes call over the 6T cells, one Cayley-Menger batch for
-    the two central triangles and one _normal_gram over the 6T length
-    tables, which gives both the dihedral angles and their derivatives.
-    Only the rows of the two central triangles are scattered, in the cell
-    order of np.add.at, so every entry is bitwise the one the per-trial
-    realize, deficit_omega and assemble_domega_dL give it.
+    the two central triangles and one face_angle_rows call over the 6T
+    length tables.  Each cell holds one central triangle, and only that
+    face's angle and (10,) dtheta/dL row are taken from the cell's
+    facet-normal Gram, not its whole angle block.  The rows are scattered
+    in the cell order of np.add.at, so every entry is bitwise the one the
+    per-trial realize, deficit_omega and assemble_domega_dL give it.
 
     hat_volumes[t, x] is the signed volume of the five points other than x
     in ascending order.  Side k is the k-th of SIDES ("abc", "def"):
@@ -151,16 +156,16 @@ class ClusterSix:
         S = triangle_areas(L.ravel(), tri_edges, tris).reshape(T, 2)
 
         tables = length_tables(L.ravel(), _offset_rows(_DELTA5.simplex_edges, 15, T))
-        theta, dtheta = angles_and_dtheta_dL(tables, eps)
-        theta, dtheta = theta.reshape(T, 6, 10), dtheta.reshape(T, 6, 10, 10)
+        theta, dtheta = face_angle_rows(tables, eps, np.tile(_CELL_FACES, T))
+        theta, dtheta = theta.reshape(T, 6), dtheta.reshape(T, 6, 10)
         eps = eps.reshape(T, 6)
         omega = np.zeros((T, 2))
         grad = np.zeros((T, 2, 15))
         sides = np.arange(2)[:, None]
         for k in range(3):
-            cells, faces = _SIDE_CELLS[:, k], _SIDE_FACES[:, k]
-            omega -= eps[:, cells] * theta[:, cells, faces]
-            grad[:, sides, _SIDE_EDGES[:, k]] -= dtheta[:, cells, faces]
+            cells = _SIDE_CELLS[:, k]
+            omega -= eps[:, cells] * theta[:, cells]
+            grad[:, sides, _SIDE_EDGES[:, k]] -= dtheta[:, cells]
         omega = _SIDE_SIGNS * geometry.reduce_angle(omega)
         _raise_for_first(
             (np.abs(omega) > FLATNESS_TOL).any(axis=1),

@@ -14,7 +14,9 @@ of each simplex's sorted vertex tuple.
   and dQ^-1 = -Q^-1 dQ Q^-1 gives dP_xy/dL_ij = (P_xi P_jy + P_xj P_iy) / 2.
   These are the derivatives of linearised Regge calculus
   (Dittrich-Freidel-Speziale, PRD 76 104020, 2007); the opposite-edge entry
-  is the paper's S / (24 V).
+  is the paper's S / (24 V).  The same formula gives the angle and the
+  (10,) row of one face per simplex (face_angle_rows), for a caller that
+  reads no other face.
 - dtheta/dS = (dtheta/dL) (dS/dL)^-1, the areas being local coordinates.
 
 A command gathers the length tables once, through the complex's (N, 10)
@@ -113,30 +115,50 @@ def _normal_gram(L):
     return P
 
 
-def _gram_angles(P):
-    """(N, 10) dihedral-angle magnitudes from the facet-normal Gram matrices P.
+def _face_gather(P, faces):
+    """take(a, b) = P[n, a, b] of each table n, and the vertices x, y opposite its faces.
+
+    faces None evaluates all ten faces of every table: x and y are (10, 1)
+    and take gathers by the slice P[:, a, b], giving (N, 10, k) arrays.  An
+    (N,) array of FACES5 rows evaluates one face per table: x and y are
+    (N, 1) and take gives (N, k) arrays.
+    """
+    if faces is None:
+        return (lambda a, b: P[:, a, b]), _OPP_X[:, None], _OPP_Y[:, None]
+    n = np.arange(len(P))[:, None]
+    return (lambda a, b: P[n, a, b]), _OPP_X[faces, None], _OPP_Y[faces, None]
+
+
+def _gram_angles(P, faces=None):
+    """Dihedral-angle magnitudes from the facet-normal Gram matrices P.
 
     theta = atan2(sqrt(P_xx P_yy - P_xy^2), -P_xy) at the face opposite the
-    vertices x, y.
+    vertices x, y: (N, 10) for all faces, or (N,) at the faces given
+    (_face_gather).
     """
-    Pxy = P[:, _OPP_X, _OPP_Y]
-    wedge = np.sqrt(np.maximum(P[:, _OPP_X, _OPP_X] * P[:, _OPP_Y, _OPP_Y] - Pxy * Pxy, 0.0))
-    return np.arctan2(wedge, -Pxy).astype(float)
+    take, x, y = _face_gather(P, faces)
+    Pxy = take(x, y)
+    wedge = np.sqrt(np.maximum(take(x, x) * take(y, y) - Pxy * Pxy, 0.0))
+    return np.arctan2(wedge, -Pxy)[..., 0].astype(float)
 
 
-def _gram_dtheta_dL(P, eps):
-    """(N, 10, 10) signed dihedral-angle derivatives from the Gram matrices P and signs eps."""
-    x, y = _OPP_X[:, None], _OPP_Y[:, None]
-    i, j = geometry.EDGE_I[None, :], geometry.EDGE_J[None, :]
-    Pxx = P[:, _OPP_X, _OPP_X][:, :, None]
-    Pyy = P[:, _OPP_Y, _OPP_Y][:, :, None]
+def _gram_dtheta_dL(P, eps, faces=None):
+    """Signed dihedral-angle derivatives from the Gram matrices P and signs eps.
+
+    (N, 10, 10) blocks for all faces, or the (N, 10) rows of the faces given
+    (_face_gather); columns follow EDGES5.
+    """
+    take, x, y = _face_gather(P, faces)
+    i, j = geometry.EDGE_I, geometry.EDGE_J
+    Pxx, Pyy = take(x, x), take(y, y)
     norm = np.sqrt(Pxx * Pyy)
-    cos = -P[:, _OPP_X, _OPP_Y][:, :, None] / norm
-    dPxy = 0.5 * (P[:, x, i] * P[:, j, y] + P[:, x, j] * P[:, i, y])
+    cos = -take(x, y) / norm
+    dPxy = 0.5 * (take(x, i) * take(j, y) + take(x, j) * take(i, y))
     dcos = -dPxy / norm - 0.5 * cos * (
-        P[:, x, i] * P[:, x, j] / Pxx + P[:, y, i] * P[:, y, j] / Pyy
+        take(x, i) * take(x, j) / Pxx + take(y, i) * take(y, j) / Pyy
     )
-    D = -np.asarray(eps, dtype=float)[:, None, None] * dcos / np.sqrt(1.0 - cos * cos)
+    eps = np.asarray(eps, dtype=float).reshape((-1,) + (1,) * (dcos.ndim - 1))
+    D = -eps * dcos / np.sqrt(1.0 - cos * cos)
     if not np.all(np.isfinite(D)):
         raise DegenerateSimplexError("dihedral-angle derivatives are not finite")
     return D.astype(float)
@@ -160,10 +182,16 @@ def dtheta_dL_blocks(L, eps):
     return _gram_dtheta_dL(_normal_gram(L), eps)
 
 
-def angles_and_dtheta_dL(L, eps):
-    """dihedral_angles_batch(L) and dtheta_dL_blocks(L, eps) from one _normal_gram."""
+def face_angle_rows(L, eps, faces):
+    """The angle and dtheta/dL row of one face per table, from one _normal_gram.
+
+    faces holds one FACES5 row per table of the (N, 5, 5) stack L; returns
+    the (N,) magnitudes and (N, 10) signed derivative rows, each entry
+    bitwise that of dihedral_angles_batch(L) and dtheta_dL_blocks(L, eps)
+    at that face.
+    """
     P = _normal_gram(L)
-    return _gram_angles(P), _gram_dtheta_dL(P, eps)
+    return _gram_angles(P, faces), _gram_dtheta_dL(P, eps, faces)
 
 
 def domega_dS_blocks(dtheta, dS_dL):

@@ -55,7 +55,7 @@ def area_length_weights(c, m):
 
 
 # The per-seed sampler and the per-trial six-point cluster: the library draws
-# every placement of a list of seeds in rounds and realizes the clusters of
+# every placement of a list of seeds in rounds that draw ahead and realizes the clusters of
 # all trials as one stack; these are the per-seed and per-trial routes those
 # replaced, kept as their bitwise references.
 
@@ -65,11 +65,18 @@ def below_quality_loop(points, quality):
     return abs(g.signed_volume4(points)) < quality * g.mean_edge_length(L) ** 4
 
 
+def unit_ball_points(rng, n):
+    """One draw of n points uniform in the unit 4-ball: Gaussian directions, radii U^(1/4)."""
+    raw = rng.standard_normal((n, 4))
+    radii = rng.uniform(size=(n, 1)) ** 0.25
+    return raw / np.linalg.norm(raw, axis=1, keepdims=True) * radii
+
+
 def unit_ball_placement_loop(seed, n, cells, quality=g.DEFAULT_QUALITY):
-    """One seed's placement, redrawn whole with the per-cell floor test."""
+    """One seed's placement, drawn one placement at a time with the per-cell floor test."""
     rng = np.random.default_rng(seed)
     for _ in range(g.MAX_DRAWS):
-        pts = g.unit_ball_points(rng, n)
+        pts = unit_ball_points(rng, n)
         if not any(below_quality_loop(pts[list(cell)], quality) for cell in cells):
             return pts
     raise DegenerateSimplexError(f"no quality-{quality} placement in {g.MAX_DRAWS} draws")

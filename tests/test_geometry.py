@@ -19,6 +19,7 @@ from conftest import (
     face_area,
     reduce_angle_scalar,
     unit_ball_placement_loop,
+    unit_ball_points,
 )
 
 
@@ -243,7 +244,7 @@ def draws_needed(seed, n, cells):
     """How many placements the per-seed loop draws for seed."""
     rng = np.random.default_rng(seed)
     for k in range(1, g.MAX_DRAWS + 1):
-        pts = g.unit_ball_points(rng, n)
+        pts = unit_ball_points(rng, n)
         if not any(below_quality_loop(pts[list(cell)], g.DEFAULT_QUALITY) for cell in cells):
             return k
     raise AssertionError(f"seed {seed} needs more than {g.MAX_DRAWS} draws")
@@ -264,6 +265,52 @@ def test_placement_redraw_limit_holds_per_seed(monkeypatch):
     monkeypatch.setattr(g, "MAX_DRAWS", needed[hard])
     placed = g.unit_ball_placement(easy + [hard], n, cells)
     assert placed[-1].tobytes() == unit_ball_placement_loop(hard, n, cells).tobytes()
+
+
+def test_placement_rounds_draw_ahead_up_to_the_cap(monkeypatch):
+    cells = cx.bipyramid_sphere().simplex_vertices
+    n = int(np.max(cells)) + 1
+    needed = {seed: draws_needed(seed, n, cells) for seed in range(40)}
+    rounds = []  # placements drawn per seed in each round, from each cell_volumes call
+    original = g.cell_volumes
+
+    def counted(points, rel):
+        rounds.append(points.shape[:2])
+        return original(points, rel)
+
+    monkeypatch.setattr(g, "cell_volumes", counted)
+    for seeds in ([0], [5], [7, 31], list(range(40))):
+        rounds.clear()
+        g.unit_ball_placement(seeds, n, cells)
+        k = max(needed[seed] for seed in seeds)
+        # round r draws the next 2^r placements of each unplaced seed
+        assert len(rounds) == math.ceil(math.log2(k + 1))
+        assert [ahead for _, ahead in rounds] == [2**r for r in range(len(rounds))]
+
+    # a cap that is neither a power of two nor 2^r - 1 cuts the last round short
+    k = next(k for k in sorted(set(needed.values()))
+             if k & (k - 1) and k & (k + 1) and k + 1 in needed.values())
+    exact = min(seed for seed, need in needed.items() if need == k)
+    over = min(seed for seed, need in needed.items() if need == k + 1)
+    easy = [seed for seed, need in needed.items() if need < k]
+    monkeypatch.setattr(g, "MAX_DRAWS", k)
+    rounds.clear()
+    placed = g.unit_ball_placement(easy + [exact], n, cells)
+    assert placed[-1].tobytes() == unit_ball_placement_loop(exact, n, cells).tobytes()
+    assert sum(ahead for _, ahead in rounds) == k
+    with pytest.raises(DegenerateSimplexError) as exc:
+        g.unit_ball_placement(easy + [over], n, cells)
+    assert str(exc.value) == f"could not find a quality-{g.DEFAULT_QUALITY} placement in {k} draws"
+
+    # a round that would floor more than _ROUND_CELLS cells draws fewer placements
+    monkeypatch.setattr(g, "MAX_DRAWS", max(needed.values()))
+    monkeypatch.setattr(g, "_ROUND_CELLS", 3 * len(cells))
+    rounds.clear()
+    placed = g.unit_ball_placement([exact, over], n, cells)
+    for seed, pts in zip([exact, over], placed):
+        assert pts.tobytes() == unit_ball_placement_loop(seed, n, cells).tobytes()
+    assert all(seeds * ahead <= 3 or ahead == 1 for seeds, ahead in rounds)
+    assert max(ahead for _, ahead in rounds) == 3
 
 
 # ------------------------------------------------------------- embedding

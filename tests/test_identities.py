@@ -15,6 +15,7 @@ from pachner33.flatmetric import triangle_areas
 
 from conftest import (
     CLUSTER_FIELDS,
+    DELTA5,
     DELTA5_CELLS,
     ClusterReference,
     check_6term_one,
@@ -138,18 +139,18 @@ def test_random_direction_draws_ten_normals_in_edge_order():
 
 def test_cluster_assembles_each_gradient_once(monkeypatch):
     calls = []
-    original = idn.angles_and_dtheta_dL
+    original = idn.face_angle_rows
 
-    def counted(L, eps):
+    def counted(L, eps, faces):
         calls.append(len(L))
-        return original(L, eps)
+        return original(L, eps, faces)
 
-    monkeypatch.setattr(idn, "angles_and_dtheta_dL", counted)
+    monkeypatch.setattr(idn, "face_angle_rows", counted)
     draws = idn.TrialDraws(4, 21)
     first = draws.clusters.gradients.copy()
     for _ in range(3):
         assert np.array_equal(draws.clusters.gradients, first)
-    # both sides of all four trials are rows of one block batch over the 24 cells
+    # both sides of all four trials come from one batch of rows over the 24 cells
     assert calls == [24]
     for name in CLUSTER_FIELDS:
         if name != "points":
@@ -194,6 +195,46 @@ def assert_stack_is_the_reference(clusters, references):
 
 def reference_for(seeds):
     return [ClusterReference(unit_ball_placement_loop(s, 6, DELTA5_CELLS)) for s in seeds]
+
+
+def angles_and_dtheta_dL(L, eps):
+    """All ten angles and (10, 10) dtheta/dL blocks of every table from one _normal_gram."""
+    P = jb._normal_gram(L)
+    return jb._gram_angles(P), jb._gram_dtheta_dL(P, eps)
+
+
+def full_block_sides(points):
+    """omegas and gradients of a (T, 6, 4) stack on the full-block route.
+
+    Every cell's ten angles and whole dtheta/dL block, read at its central
+    triangle by the three-step loop of each side, as ClusterSix did before
+    it took only those rows.
+    """
+    T = len(points)
+    d = points[:, DELTA5.edge_ends[:, 0]] - points[:, DELTA5.edge_ends[:, 1]]
+    L = np.matmul(d[..., None, :], d[..., :, None])[..., 0, 0]
+    V, _ = g.cell_volumes(points[:, DELTA5.simplex_vertices], g.DEGENERACY_REL)
+    eps = np.where(V > 0, 1, -1)
+    tables = jb.length_tables(L.ravel(), idn._offset_rows(DELTA5.simplex_edges, 15, T))
+    theta, dtheta = angles_and_dtheta_dL(tables, eps)
+    theta, dtheta = theta.reshape(T, 6, 10), dtheta.reshape(T, 6, 10, 10)
+    eps = eps.reshape(T, 6)
+    omega, grad = np.zeros((T, 2)), np.zeros((T, 2, 15))
+    sides = np.arange(2)[:, None]
+    for k in range(3):
+        cells, faces = idn._SIDE_CELLS[:, k], idn._SIDE_FACES[:, k]
+        omega -= eps[:, cells] * theta[:, cells, faces]
+        grad[:, sides, idn._SIDE_EDGES[:, k]] -= dtheta[:, cells, faces]
+    return idn._SIDE_SIGNS * g.reduce_angle(omega), idn._SIDE_SIGNS[:, None] * grad
+
+
+def test_cluster_rows_are_the_full_block_route():
+    stacks = [idn.random_clusters(range(200)), symmetric_cluster(),
+              idn.random_clusters([]), idn.random_clusters([7])]
+    for clusters in stacks:
+        omegas, gradients = full_block_sides(clusters.points)
+        assert clusters.omegas.tobytes() == omegas.tobytes()
+        assert clusters.gradients.tobytes() == gradients.tobytes()
 
 
 def test_cluster_stack_is_bitwise_the_per_trial_route():

@@ -349,13 +349,18 @@ def test_cli_verify_identities_rejects_a_trial_count_below_one(trials, capsys):
 def test_cli_tolerances_must_be_finite_and_positive(argv, value, capsys):
     # nan would pass every comparison it meets and write NaN into the report
     path = fixture_path("boundary_delta5.json")
-    option = argv[argv.index("VALUE") - 1]
-    argv = [{"FILE": path, "VALUE": value}.get(a, a) for a in argv]
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert "usage:" in err and f"argument {option}:" in err
+    at = argv.index("VALUE")
+    option = argv[at - 1]
+    split = [{"FILE": path, "VALUE": value}.get(a, a) for a in argv]
+    # argparse reads "--tol -inf" as an option without its value; "--tol=-inf" reaches the check
+    joined = split[:at - 1] + [f"{option}={value}"] + split[at + 1:]
+    for spelling in (split, joined):
+        with pytest.raises(SystemExit) as exc:
+            main(spelling)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and f"argument {option}:" in err
+    assert f"expected a finite number above 0, got {value!r}" in err
 
 
 def test_readme_synopsis_lists_every_option_of_every_command():

@@ -237,6 +237,20 @@ def test_dtheta_dL_blocks_stack_single_simplex_blocks():
         assert np.array_equal(D, dtheta_dL_simplex(L, eps))
 
 
+def test_face_angle_rows_are_rows_of_the_blocks(stellar_ladder):
+    c, coords = stellar_ladder[86]
+    m = fm.realize(c, coords)
+    tables = jb.length_tables(m.L, c.simplex_edges)
+    angles, blocks = jb.dihedral_angles_batch(tables), jb.dtheta_dL_blocks(tables, m.eps)
+    n = np.arange(len(tables))
+    for faces in (n % 10, np.random.default_rng(3).integers(0, 10, len(tables))):
+        theta, rows = jb.face_angle_rows(tables, m.eps, faces)
+        assert theta.tobytes() == angles[n, faces].tobytes()
+        assert rows.tobytes() == blocks[n, faces].tobytes()
+    theta, rows = jb.face_angle_rows(tables[:0], m.eps[:0], faces[:0])
+    assert theta.shape == (0,) and rows.shape == (0, 10)
+
+
 def test_normal_gram_broadcast_step_is_the_rowwise_elimination(
     monkeypatch, delta5, delta5_metric, join_complex, join_metric, stellar_ladder
 ):
