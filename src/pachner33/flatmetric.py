@@ -132,11 +132,13 @@ def deficit_omega(c, m):
 
     The dihedral angles of all simplices come from one batch
     (jacobians.dihedral_angles_batch) and are summed into the faces through
-    the complex's (N, 10) face rows.
+    the complex's (N, 10) face rows by one np.bincount, in simplex order
+    from 0.0.
     """
     theta = jacobians.dihedral_angles_batch(jacobians.length_tables(m.L, c.simplex_edges))
-    omega = np.zeros(len(c.faces[2]))
-    np.add.at(omega, c.simplex_faces, -m.eps[:, None] * theta)
+    omega = np.bincount(
+        c.simplex_faces.ravel(), (-m.eps[:, None] * theta).ravel(), minlength=len(c.faces[2])
+    )
     # the identity on (-pi, pi); wound faces come back on the flat branch
     return geometry.reduce_angle(omega)
 

@@ -77,14 +77,17 @@ def _normal_gram(L):
     geometry.DEGENERACY_REL * (mean edge length)^4, is rejected: the floor
     of geometry.cell_volumes, taken here from the lengths.
 
-    Each step divides the pivot row and then clears the pivot column from
-    the three other rows with one broadcast update of A and one of its
-    inverse.  The pivot row does not change during the step, so every
-    entry gets the operations a row-by-row update gives it, bitwise.
+    The elimination runs on one augmented (N, 4, 8) array [G | I], whose
+    right half ends as G^-1.  Each step divides the pivot row and then
+    clears the pivot column from the three other rows with one broadcast
+    update.  The pivot row does not change during the step, so every entry
+    gets the operations a row-by-row update of G and of its inverse gives
+    it, bitwise.
     """
     L = np.asarray(L, dtype=np.longdouble)
-    A = 0.5 * (L[:, 0, 1:, None] + L[:, 0, None, 1:] - L[:, 1:, 1:])
-    inv = np.broadcast_to(np.eye(4, dtype=np.longdouble), A.shape).copy()
+    A = np.empty((len(L), 4, 8), dtype=np.longdouble)
+    A[:, :, :4] = 0.5 * (L[:, 0, 1:, None] + L[:, 0, None, 1:] - L[:, 1:, 1:])
+    A[:, :, 4:] = np.eye(4)
     det = np.ones(len(L), dtype=np.longdouble)
     for k in range(4):
         piv = A[:, k, k].copy()
@@ -95,11 +98,8 @@ def _normal_gram(L):
             )
         det *= piv
         A[:, k] /= piv[:, None]
-        inv[:, k] /= piv[:, None]
         others = _OTHER_ROWS[k]
-        f = A[:, others, k, None]
-        A[:, others] -= f * A[:, k, None]
-        inv[:, others] -= f * inv[:, k, None]
+        A[:, others] -= A[:, others, k, None] * A[:, k, None]
     mean_edge = np.sqrt(np.maximum(L[:, geometry.EDGE_I, geometry.EDGE_J], 0.0)).mean(axis=1)
     floor = geometry.DEGENERACY_REL * mean_edge**4
     bad = np.flatnonzero(~(det / 576.0 > floor * floor))
@@ -108,6 +108,8 @@ def _normal_gram(L):
             f"simplex {int(bad[0])} of the batch is degenerate "
             f"(|V| below {geometry.DEGENERACY_REL:g} mean_edge^4)"
         )
+    # contiguous, so that the sums below reduce in the order they always have
+    inv = np.ascontiguousarray(A[:, :, 4:])
     P = np.empty((len(L), 5, 5), dtype=np.longdouble)
     P[:, 1:, 1:] = inv
     P[:, 0, 1:] = P[:, 1:, 0] = -inv.sum(axis=1)
@@ -146,22 +148,54 @@ def _gram_dtheta_dL(P, eps, faces=None):
     """Signed dihedral-angle derivatives from the Gram matrices P and signs eps.
 
     (N, 10, 10) blocks for all faces, or the (N, 10) rows of the faces given
-    (_face_gather); columns follow EDGES5.
+    (_face_gather); columns follow EDGES5.  With s = P_xi P_jy + P_xj P_iy,
+    cos = -P_xy / sqrt(P_xx P_yy) and norm = sqrt(P_xx P_yy),
+
+        dcos/dL_ij = s / (-2 norm) - (cos / 2) (P_xi P_xj / P_xx + P_yi P_yj / P_yy)
+        D = dcos / (-eps sqrt(1 - cos^2)),
+
+    which rounds exactly as -(s / 2) / norm and (-eps dcos) / sqrt(1 - cos^2)
+    do (halving, doubling and sign flips are exact).  Each of the six
+    gathers P_xi, P_xj, P_iy, P_jy, P_yi, P_yj is taken once, and every
+    block-sized longdouble operation after them is in place, ordered so
+    that at most four block-sized arrays are alive.  The division by eps
+    is exact only for eps = +-1, so any other sign is a ValueError.  Raises
+    DegenerateSimplexError when a derivative is not finite in float64.
     """
     take, x, y = _face_gather(P, faces)
     i, j = geometry.EDGE_I, geometry.EDGE_J
     Pxx, Pyy = take(x, x), take(y, y)
     norm = np.sqrt(Pxx * Pyy)
     cos = -take(x, y) / norm
-    dPxy = 0.5 * (take(x, i) * take(j, y) + take(x, j) * take(i, y))
-    dcos = -dPxy / norm - 0.5 * cos * (
-        take(x, i) * take(x, j) / Pxx + take(y, i) * take(y, j) / Pyy
-    )
+    Pxi, Pxj = take(x, i), take(x, j)
+    dcos = take(j, y)
+    dcos *= Pxi
+    Piy = take(i, y)
+    Piy *= Pxj
+    dcos += Piy
+    del Piy
+    dcos /= -2.0 * norm
+    Pxi *= Pxj
+    del Pxj
+    Pxi /= Pxx
+    Pyi = take(y, i)
+    Pyi *= take(y, j)
+    Pyi /= Pyy
+    Pxi += Pyi
+    del Pyi
+    Pxi *= 0.5 * cos
+    dcos -= Pxi
+    del Pxi
     eps = np.asarray(eps, dtype=float).reshape((-1,) + (1,) * (dcos.ndim - 1))
-    D = -eps * dcos / np.sqrt(1.0 - cos * cos)
-    if not np.all(np.isfinite(D)):
+    if not np.all(np.abs(eps) == 1.0):
+        raise ValueError("simplex signs must be +1 or -1")
+    dcos /= -eps * np.sqrt(1.0 - cos * cos)
+    # the gathers lay the blocks out face-major; the cast returns them C-ordered
+    with np.errstate(over="ignore"):
+        D = dcos.astype(float, order="C")
+    if not np.isfinite(D).all():
         raise DegenerateSimplexError("dihedral-angle derivatives are not finite")
-    return D.astype(float)
+    return D
 
 
 def dihedral_angles_batch(L):
@@ -219,13 +253,16 @@ def length_tables(L, simplex_edges):
     return tables
 
 
-def scatter_blocks(M, rows, cols, blocks):
-    """Add an (N, 10, 10) block stack into M at its (N, 10) rows and columns; returns M.
+def scatter_blocks(shape, rows, cols, blocks):
+    """The (n_rows, n_cols) sum of an (N, 10, 10) block stack at its (N, 10) rows and columns.
 
-    Entries shared by several simplices are summed in simplex order.
+    One np.bincount over the flat keys row * n_cols + col: each entry starts
+    from 0.0 and adds its blocks' terms in simplex order, as np.add.at into
+    zeros does, bitwise.
     """
-    np.add.at(M, (rows[:, :, None], cols[:, None, :]), blocks)
-    return M
+    n_rows, n_cols = shape
+    keys = rows[:, :, None] * n_cols + cols[:, None, :]
+    return np.bincount(keys.ravel(), blocks.ravel(), minlength=n_rows * n_cols).reshape(shape)
 
 
 def assemble_domega_dL(c, m, dtheta=None):
@@ -235,9 +272,12 @@ def assemble_domega_dL(c, m, dtheta=None):
     unless given.
     """
     if dtheta is None:
-        dtheta = dtheta_dL_blocks(length_tables(m.L, c.simplex_edges), m.eps)
-    M = np.zeros((len(c.faces[2]), len(c.faces[1])))
-    return scatter_blocks(M, c.simplex_faces, c.simplex_edges, -dtheta)
+        blocks = dtheta_dL_blocks(length_tables(m.L, c.simplex_edges), m.eps)
+        np.negative(blocks, out=blocks)
+    else:
+        blocks = -dtheta
+    shape = (len(c.faces[2]), len(c.faces[1]))
+    return scatter_blocks(shape, c.simplex_faces, c.simplex_edges, blocks)
 
 
 def _abs_max(a, axis=None):
@@ -272,13 +312,13 @@ def build_jacobians(c, m):
     dS_dL = geometry.dS_dL_blocks(tables)
     E, F = len(c.faces[1]), len(c.faces[2])
     X = -domega_dS_blocks(dtheta, dS_dL)
-    dOmega_dS = scatter_blocks(np.zeros((F, F)), c.simplex_faces, c.simplex_faces, X)
+    dOmega_dS = scatter_blocks((F, F), c.simplex_faces, c.simplex_faces, X)
     # At a flat point the area-derivative weights are stationary against the
     # vanishing face deficits, leaving the weighted sum of dOmega_dS rows.
     # A triangle's weights depend on its own edges only, so each cell's
     # share is its own (dS/dL)^T X block.
     dBigOmega_dS = scatter_blocks(
-        np.zeros((E, F)), c.simplex_edges, c.simplex_faces, np.swapaxes(dS_dL, 1, 2) @ X
+        (E, F), c.simplex_edges, c.simplex_faces, np.swapaxes(dS_dL, 1, 2) @ X
     )
     return JacobianSet(assemble_domega_dL(c, m, dtheta), dOmega_dS, dBigOmega_dS)
 
@@ -358,6 +398,7 @@ def rank_and_submatrix(matrix, must_include_row=None):
     if not np.all(np.isfinite(row_best)):
         raise SelectionError("matrix has non-finite entries")
     global_max = float(row_best.max()) if work.size else 0.0
+    pivot_floor = PIVOT_TOL * global_max
     rows_per_pass = max(1, _UPDATE_BYTES // (work.itemsize * max(n_cols, 1)))
 
     forced = None
@@ -368,7 +409,7 @@ def rank_and_submatrix(matrix, must_include_row=None):
             )
         forced = int(must_include_row)
         row_max = float(row_best[forced]) if n_cols else 0.0
-        if row_max == 0.0 or (global_max and row_max <= PIVOT_TOL * global_max):
+        if row_max == 0.0 or (global_max and row_max <= pivot_floor):
             raise SelectionError(
                 f"forced row {forced} is numerically zero; it cannot pivot"
             )
@@ -377,18 +418,19 @@ def rank_and_submatrix(matrix, must_include_row=None):
     pivot_rows = []
     pivot_cols = []
     for _ in range(min(n_rows, n_cols)):
-        r = forced if forced is not None and not pivots else int(np.argmax(row_best))
-        c = int(np.argmax(np.abs(work[r])))
+        r = forced if forced is not None and not pivots else int(row_best.argmax())
+        c = int(np.abs(work[r]).argmax())
         piv = work[r, c]
-        if pivots and abs(piv) <= PIVOT_TOL * global_max:
+        if pivots and abs(piv) <= pivot_floor:
             break
         if not pivots and piv == 0.0:
             break
         pivots.append(float(piv))
         pivot_rows.append(r)
         pivot_cols.append(c)
-        pivot_row = work[r].copy()
-        rows = np.flatnonzero(work[:, c])
+        rows = work[:, c].nonzero()[0]
+        # an earlier pass would overwrite row r, which later passes read
+        pivot_row = work[r] if len(rows) <= rows_per_pass else work[r].copy()
         for start in range(0, len(rows), rows_per_pass):
             part = rows[start:start + rows_per_pass]
             touched = work[part]

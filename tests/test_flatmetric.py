@@ -361,12 +361,14 @@ def test_folded_realizations_still_flat():
     assert found_winding
 
 
-def test_deficits_equal_the_entrywise_reduction(stellar_ladder):
-    # deficit_omega reduces every entry at once; each is bitwise the scalar
-    # remainder reduction, the identity on (-pi, pi)
+def test_deficits_equal_the_entrywise_reduction(stellar_ladder, join_complex, join_metric):
+    # deficit_omega sums into faces as np.add.at into zeros does and reduces
+    # every entry at once; each is bitwise the scalar remainder reduction,
+    # the identity on (-pi, pi), of the np.add.at sum
     complex_ = cx.boundary_delta5()
     cases = [(complex_, fm.realize(complex_, fm.random_realization(complex_, seed=s)))
              for s in range(30)]
+    cases += [(join_complex, join_metric)]
     cases += [(c, fm.realize(c, coords)) for c, coords in stellar_ladder.values()]
     wound = 0
     for c, m in cases:

@@ -374,12 +374,33 @@ def whole_selection(M):
     )
 
 
+def virtual_rebuild_masked_add_at(c, sel, star, dtheta, rows, cols):
+    """virtual_rebuild with its masked sum taken by np.add.at into zeros."""
+    N, F = len(c.simplices), len(c.faces[2])
+    n_rows, n_cols = len(sel.rows), len(sel.cols)
+    row_at = np.full(F + 1, -1)
+    row_at[list(sel.rows)] = np.arange(n_rows)
+    row_at[F] = n_rows
+    col_at = np.full(len(c.faces[1]), -1)
+    col_at[list(sel.cols)] = np.arange(n_cols)
+    cells = np.concatenate([np.arange(N), star, np.arange(N, len(dtheta))])
+    sign = np.repeat([-1.0, 1.0, -1.0], [N, len(star), len(dtheta) - N])
+    at_row = row_at[np.vstack([c.simplex_faces, c.simplex_faces[star], rows])]
+    at_col = col_at[np.vstack([c.simplex_edges, c.simplex_edges[star], cols])]
+    k, i, j = np.nonzero((at_row >= 0)[:, :, None] & (at_col >= 0)[:, None, :])
+    B = np.zeros((n_rows + 1, n_cols))
+    np.add.at(B, (at_row[k, i], at_col[k, j]), sign[k] * dtheta[cells[k], i, j])
+    return B[:n_rows], B[n_rows]
+
+
 def test_virtual_rebuild_matches_the_stacked_copy_bitwise(
     delta5, delta5_coords, join_complex, join_coords, stellar_ladder, admissible
 ):
     # B_after and the appearing row, at the whole matrix and at the selection,
-    # are the entries of the (F + 1) x E stacked copy, bit for bit
-    cases = [(delta5, delta5_coords), (join_complex, join_coords), stellar_ladder[86]]
+    # are the entries of the (F + 1) x E stacked copy, bit for bit, and the
+    # masked np.add.at sum of the same terms
+    cases = [(delta5, delta5_coords), (join_complex, join_coords)]
+    cases += list(stellar_ladder.values())
     compared = 0
     for c, coords in cases:
         m = fm.realize(c, coords)
@@ -388,9 +409,8 @@ def test_virtual_rebuild_matches_the_stacked_copy_bitwise(
             dtheta, rows, cols, _ = iv.move_blocks(c, m, coords, def_, new_cells)
             M = jb.assemble_domega_dL(c, m, dtheta[: len(c.simplices)])
             M_after, def_row, _ = virtual_rebuild_reference(c, m, coords, M, star, def_, new_cells)
-            whole_after, whole_def = iv.virtual_rebuild(
-                c, whole_selection(M), star, dtheta, rows, cols
-            )
+            whole = whole_selection(M)
+            whole_after, whole_def = iv.virtual_rebuild(c, whole, star, dtheta, rows, cols)
             assert whole_after.tobytes() == M_after.tobytes()
             assert whole_def.tobytes() == def_row.tobytes()
             sel = jb.rank_and_submatrix(M, must_include_row=c.face_index[2][tuple(tri)])
@@ -398,8 +418,11 @@ def test_virtual_rebuild_matches_the_stacked_copy_bitwise(
             assert B_after.shape == (sel.rank, sel.rank)
             assert B_after.tobytes() == M_after[np.ix_(sel.rows, sel.cols)].tobytes()
             assert def_at_sel.tobytes() == def_row[list(sel.cols)].tobytes()
+            for s, got in ((whole, (whole_after, whole_def)), (sel, (B_after, def_at_sel))):
+                want = virtual_rebuild_masked_add_at(c, s, star, dtheta, rows, cols)
+                assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
             compared += 1
-    assert compared >= 8
+    assert compared >= 12
 
 
 def test_compare_matches_the_two_call_rebuild_bitwise(

@@ -1,6 +1,7 @@
 """Derivative matrices, their symmetry properties and the submatrix selection."""
 import decimal
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -14,7 +15,7 @@ from pachner33 import jacobians as jb
 from pachner33.errors import DegenerateSimplexError, SelectionError
 from pachner33.io import load_fixture
 
-from conftest import area_length_weights, face_area
+from conftest import LADDER_RUNGS, area_length_weights, face_area
 
 UNIT_L = np.ones((5, 5)) - np.eye(5)
 
@@ -63,6 +64,39 @@ def normal_gram_rowwise(L):
     P[:, 0, 1:] = P[:, 1:, 0] = -inv.sum(axis=1)
     P[:, 0, 0] = inv.sum(axis=(1, 2))
     return P
+
+
+def gram_dtheta_dL_reference(P, eps, faces=None):
+    """The derivative formula term by term, kept as the bitwise reference of
+    jb._gram_dtheta_dL, which folds its halvings and sign flips and runs in place."""
+    take, x, y = jb._face_gather(P, faces)
+    i, j = g.EDGE_I, g.EDGE_J
+    Pxx, Pyy = take(x, x), take(y, y)
+    norm = np.sqrt(Pxx * Pyy)
+    cos = -take(x, y) / norm
+    dPxy = 0.5 * (take(x, i) * take(j, y) + take(x, j) * take(i, y))
+    dcos = -dPxy / norm - 0.5 * cos * (
+        take(x, i) * take(x, j) / Pxx + take(y, i) * take(y, j) / Pyy
+    )
+    eps = np.asarray(eps, dtype=float).reshape((-1,) + (1,) * (dcos.ndim - 1))
+    D = -eps * dcos / np.sqrt(1.0 - cos * cos)
+    if not np.all(np.isfinite(D)):
+        raise DegenerateSimplexError("dihedral-angle derivatives are not finite")
+    return D.astype(float)
+
+
+def scatter_blocks_add_at(shape, rows, cols, blocks):
+    """np.add.at of the block stack into zeros, kept as the reference of the bincount scatter."""
+    M = np.zeros(shape)
+    np.add.at(M, (rows[:, :, None], cols[:, None, :]), blocks)
+    return M
+
+
+def use_reference_routes(patched):
+    """Swap in the row-by-row Gram, the term-by-term kernel and the add.at scatter."""
+    patched.setattr(jb, "_normal_gram", normal_gram_rowwise)
+    patched.setattr(jb, "_gram_dtheta_dL", gram_dtheta_dL_reference)
+    patched.setattr(jb, "scatter_blocks", scatter_blocks_add_at)
 
 
 def domega_dS_reference(c, m):
@@ -208,20 +242,27 @@ def exact_precision_dtheta_dL(L, eps):
     return out
 
 
+def thin_tables():
+    """Six thin simplices and their signs: one vertex close to the opposite
+    facet, |V| / mean_edge^4 ~ 1e-6..1e-5."""
+    rng = np.random.default_rng(5)
+    tables, signs = [], []
+    for _ in range(6):
+        pts = rng.standard_normal((5, 4))
+        normal = np.linalg.svd(pts[1:4] - pts[0])[2][-1]
+        pts[4] = rng.dirichlet(np.full(4, 3.0)) @ pts[:4] + 1e-3 * normal
+        tables.append(g.squared_length_table(pts))
+        signs.append(1 if g.signed_volume4(pts) > 0 else -1)
+    return np.stack(tables), signs
+
+
 @pytest.mark.skipif(
     np.finfo(np.longdouble).eps >= np.finfo(float).eps,
     reason="no extended precision on this platform",
 )
 def test_dtheta_dL_thin_simplices_lose_no_more_than_rounding():
-    # one vertex close to the opposite facet: |V| / mean_edge^4 ~ 1e-6..1e-5,
-    # where a float64 inverse of the Cayley-Menger matrix loses ~1e-10
-    rng = np.random.default_rng(5)
-    for _ in range(6):
-        pts = rng.standard_normal((5, 4))
-        normal = np.linalg.svd(pts[1:4] - pts[0])[2][-1]
-        pts[4] = rng.dirichlet(np.full(4, 3.0)) @ pts[:4] + 1e-3 * normal
-        L = g.squared_length_table(pts)
-        eps = 1 if g.signed_volume4(pts) > 0 else -1
+    # thin simplices, where a float64 inverse of the Cayley-Menger matrix loses ~1e-10
+    for L, eps in zip(*thin_tables()):
         ref = exact_precision_dtheta_dL(L, eps)
         assert np.abs(dtheta_dL_simplex(L, eps) - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -266,6 +307,103 @@ def test_normal_gram_broadcast_step_is_the_rowwise_elimination(
             assert np.array_equal(blocks, jb.dtheta_dL_blocks(tables, m.eps))
 
 
+def kernel_outputs(tables, eps):
+    """Every output of the angle kernel on one stack, as bytes."""
+    n = np.arange(len(tables))
+    faces = np.random.default_rng(len(tables)).integers(0, 10, len(tables))
+    out = [jb.dtheta_dL_blocks(tables, eps), jb.dihedral_angles_batch(tables)]
+    for rows in (n % 10, faces):
+        out += jb.face_angle_rows(tables, eps, rows)
+    return [(a.shape, a.tobytes()) for a in out]
+
+
+def assembled_outputs(c, m):
+    """Every matrix assembled from one metric's blocks, as bytes."""
+    dtheta = jb.dtheta_dL_blocks(jb.length_tables(m.L, c.simplex_edges), m.eps)
+    jac = jb.build_jacobians(c, m)
+    out = [jb.assemble_domega_dL(c, m), jb.assemble_domega_dL(c, m, dtheta)]
+    out += [jac.dOmega_dL, jac.dOmega_dS, jac.dBigOmega_dS]
+    return [(a.shape, a.tobytes()) for a in out]
+
+
+def test_kernel_and_assemblies_are_the_reference_routes_bitwise(
+    monkeypatch, delta5, delta5_metric, join_complex, join_metric, stellar_ladder
+):
+    placed = [(delta5, delta5_metric), (join_complex, join_metric)]
+    placed += [(c, fm.realize(c, coords)) for c, coords in stellar_ladder.values()]
+    stacks = [(jb.length_tables(m.L, c.simplex_edges), m.eps) for c, m in placed]
+    thin, signs = thin_tables()
+    stacks.append((thin, signs))
+    # signs that are not the tables' own orientation, and the empty stack
+    tables, eps = stacks[2]
+    stacks.append((tables, np.where(np.arange(len(eps)) % 3 == 0, eps, -eps)))
+    stacks.append((thin[:0], signs[:0]))
+
+    def outputs():
+        return ([kernel_outputs(tables, eps) for tables, eps in stacks],
+                [assembled_outputs(c, m) for c, m in placed])
+
+    got = outputs()
+    with monkeypatch.context() as patched:
+        use_reference_routes(patched)
+        want = outputs()
+    assert got == want
+    assert jb.dtheta_dL_blocks(thin[:0], signs[:0]).shape == (0, 10, 10)
+
+
+def traced_peak(call):
+    call()  # numpy's first-call allocations are not the route's
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_kernel_and_assembly_peak_no_higher_than_the_reference_routes(
+    monkeypatch, stellar_ladder
+):
+    # the in-place kernel frees each block-sized longdouble array early and
+    # the bincount scatter forms one (N, 10, 10) key array in its place
+    c, coords = stellar_ladder[max(LADDER_RUNGS)]
+    m = fm.realize(c, coords)
+    tables = jb.length_tables(m.L, c.simplex_edges)
+    calls = {
+        "dtheta_dL_blocks": lambda: jb.dtheta_dL_blocks(tables, m.eps),
+        "assemble_domega_dL": lambda: jb.assemble_domega_dL(c, m),
+    }
+    got = {name: traced_peak(call) for name, call in calls.items()}
+    with monkeypatch.context() as patched:
+        use_reference_routes(patched)
+        want = {name: traced_peak(call) for name, call in calls.items()}
+    for name in calls:
+        assert got[name] <= want[name], (name, got[name], want[name])
+
+
+def test_dtheta_dL_overflowing_float64_raises_a_typed_error():
+    # entries up to 4.5 / L, finite in extended precision and beyond float64
+    # after the cast at L ~ 1e-308: a typed error, not +-inf blocks (or an
+    # overflow warning)
+    pts = np.vstack([np.zeros(4), np.eye(4)])
+    pts[4] = [0.2, 0.2, 0.2, 0.2]
+    tables = g.squared_length_table(pts)[None] * 1e-308
+    with pytest.raises(DegenerateSimplexError, match="not finite"):
+        jb.dtheta_dL_blocks(tables, [1])
+    with pytest.raises(DegenerateSimplexError, match="not finite"):
+        jb.face_angle_rows(tables, [1], np.array([0]))
+    assert np.isfinite(jb.dihedral_angles_batch(tables)).all()
+
+
+@pytest.mark.parametrize("eps", [0, 2, -0.5, math.nan])
+def test_dtheta_dL_rejects_a_sign_other_than_plus_or_minus_one(eps):
+    tables = np.stack([UNIT_L, UNIT_L])
+    with pytest.raises(ValueError, match="signs"):
+        jb.dtheta_dL_blocks(tables, [1, eps])
+    with pytest.raises(ValueError, match="signs"):
+        jb.face_angle_rows(tables, [eps, -1], np.array([0, 3]))
+
+
 def test_normal_gram_rejects_what_the_rowwise_elimination_rejects():
     flat = np.vstack([np.zeros(4), np.eye(4)])
     flat[4] = 0.25 * (flat[0] + flat[1] + flat[2] + flat[3])
@@ -281,6 +419,36 @@ def test_normal_gram_rejects_what_the_rowwise_elimination_rejects():
 
 
 # ------------------------------------------------------ global assemblies
+
+def test_scatter_blocks_sums_as_add_at_bitwise():
+    # repeated keys within and across blocks, -0.0 terms, sums that cancel to
+    # exactly 0 and empty batches: each entry starts from 0.0 and adds its
+    # terms in block order under both
+    rng = np.random.default_rng(17)
+    cases = []
+    for trial in range(60):
+        shape = (int(rng.integers(0, 7)), int(rng.integers(1, 7)))
+        N = int(rng.integers(0, 5)) if shape[0] else 0
+        rows = rng.integers(0, max(shape[0], 1), size=(N, 10))
+        cols = rng.integers(0, shape[1], size=(N, 10))
+        blocks = rng.standard_normal((N, 10, 10)) * 10.0 ** rng.integers(-8, 9, (N, 10, 10))
+        blocks[rng.random((N, 10, 10)) < 0.2] = -0.0
+        cases.append((shape, rows, cols, blocks))
+    # a block and its negative at the same distinct keys: every sum is exactly 0
+    rows, cols = np.arange(10)[None], np.arange(10)[None]
+    block = rng.standard_normal((1, 10, 10))
+    cancel = (np.repeat(rows, 2, axis=0), np.repeat(cols, 2, axis=0), np.vstack([block, -block]))
+    cases.append(((12, 11),) + cancel)
+    cases.append(((10, 10), rows, cols, np.full((1, 10, 10), -0.0)))
+    for shape, rows, cols, blocks in cases:
+        got = jb.scatter_blocks(shape, rows, cols, blocks)
+        assert got.shape == shape
+        assert got.tobytes() == scatter_blocks_add_at(shape, rows, cols, blocks).tobytes()
+    # exact cancellation and -0.0 terms both leave +0.0, as add.at does
+    for shape, rows, cols, blocks in cases[-2:]:
+        got = jb.scatter_blocks(shape, rows, cols, blocks)
+        assert not np.any(got) and not np.signbit(got).any()
+
 
 def test_domega_dL_rank_one_on_delta5(delta5, delta5_metric):
     M = jb.assemble_domega_dL(delta5, delta5_metric)

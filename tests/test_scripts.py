@@ -1,5 +1,6 @@
 """The scripts under scripts/ run to completion on the bundled fixtures, and the
-benchmark's input module still finds every library name it imports."""
+benchmark's input module still finds every library name it imports and builds
+workloads whose operations its oracle accepts."""
 import importlib.util
 import json
 import pathlib
@@ -20,7 +21,7 @@ from conftest import (
 )
 
 SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
-PERFBENCH_INPUTS = SCRIPTS.parent / "perfbench" / "inputs.py"
+PERFBENCH = SCRIPTS.parent / "perfbench"
 
 
 @pytest.mark.parametrize(
@@ -67,23 +68,25 @@ def test_script_seed_must_be_a_nonnegative_integer(argv):
     assert "usage:" in done.stderr and "--seed" in done.stderr
 
 
+def load_perfbench_module(monkeypatch, name):
+    """perfbench/<name>.py, loaded read-only (no bytecode written next to it)."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
 @pytest.fixture
 def perfbench_inputs(monkeypatch):
-    """perfbench/inputs.py, loaded read-only (no bytecode written next to it).
-
-    It imports library names at module level: a name it needs that goes
-    missing fails here, not in every benchmark run.
-    """
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec = importlib.util.spec_from_file_location("perfbench_inputs", PERFBENCH_INPUTS)
-    inputs = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, inputs)  # its dataclasses look it up
-    spec.loader.exec_module(inputs)
-    return inputs
+    """perfbench/inputs.py.  It imports library names at module level: a name
+    it needs that goes missing fails here, not in every benchmark run."""
+    return load_perfbench_module(monkeypatch, "inputs")
 
 
 def test_benchmark_inputs_import_and_build_the_identities_workload(
-    perfbench_inputs, tmp_path, capsys
+    perfbench_inputs, monkeypatch, tmp_path, capsys
 ):
     inputs = perfbench_inputs
     workload = inputs.build_workload("identities", 1, tmp_path)
@@ -91,6 +94,21 @@ def test_benchmark_inputs_import_and_build_the_identities_workload(
     assert cli_main(list(workload.ops[0].argv)) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["trials"] == inputs.IDENTITY_TRIALS
+    # the other two workloads, built once: the first operation of each kind
+    # passes the benchmark's own oracle, so a library change that breaks their
+    # generators or calls fails here and not as a failed benchmark run
+    oracle = load_perfbench_module(monkeypatch, "oracle")
+    kinds = set()
+    for name in ("moves", "ladder"):
+        for op in inputs.build_workload(name, 1, tmp_path).ops:
+            if op.kind in kinds:
+                continue
+            kinds.add(op.kind)
+            exit_code = cli_main(list(op.argv))
+            text = capsys.readouterr().out
+            reasons, _ = oracle.judge(op.argv[0], op.expect, exit_code, text, None)
+            assert reasons == [], (op.kind, reasons)
+    assert len(kinds) == 9
     # the one-cell quality measure of its join placements
     cell = np.vstack([np.zeros(4), np.eye(4)])
     assert inputs.quality(cell) == pytest.approx((1 / 24) / ((4 + 6 * 2**0.5) / 10) ** 4)
