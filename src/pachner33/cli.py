@@ -58,18 +58,19 @@ def _placement(args):
 def _selection_fields(sel, c):
     """The selection as report fields; det(B) as sign and log, which cannot overflow.
 
-    Rows and columns are written as the keys of c's triangles and edges.
+    Rows and columns are written as the keys of c's triangles and edges,
+    the rows of its vertex-id arrays.
     """
     det_sign, log_abs_det = sel.slogdet()
-    faces, edges = c.faces[2], c.faces[1]
+    faces, edges = c.face_ids(2), c.face_ids(1)
     return {
         "rank": sel.rank,
         "det_sign": det_sign,
         "log_abs_det": log_abs_det,
-        "rows": [list(faces[i]) for i in sel.rows],
-        "cols": [list(edges[i]) for i in sel.cols],
-        "rows_complement": [list(faces[i]) for i in sel.rows_comp],
-        "cols_complement": [list(edges[i]) for i in sel.cols_comp],
+        "rows": faces[list(sel.rows)].tolist(),
+        "cols": edges[list(sel.cols)].tolist(),
+        "rows_complement": faces[list(sel.rows_comp)].tolist(),
+        "cols_complement": edges[list(sel.cols_comp)].tolist(),
     }
 
 
@@ -179,8 +180,8 @@ def cmd_jacobian(args, t0):
     sym = jac.symmetry_residual()
     conj = jac.conjugacy_residual()
     matrices = {
-        "face_keys": [list(k) for k in c.faces[2]],
-        "edge_keys": [list(k) for k in c.faces[1]],
+        "face_keys": c.face_ids(2).tolist(),
+        "edge_keys": c.face_ids(1).tolist(),
         "dOmega_dL": _triplets(jac.dOmega_dL),
         "dOmega_dS": _triplets(jac.dOmega_dS),
         "dBigOmega_dS": _triplets(jac.dBigOmega_dS),
@@ -209,7 +210,7 @@ def cmd_move(args, t0):
     c = doc.to_complex()
     moved, record = pachner_33(c, args.face)
     out_doc = ComplexDocument(
-        simplices=[list(moved.oriented_simplex(i)) for i in range(len(moved.simplices))],
+        simplices=moved.vertex_ids[moved.simplex_vertices].tolist(),
         metadata=dict(doc.metadata),
     )
     if doc.coords is not None:

@@ -17,12 +17,15 @@ its first-k-vertex face times V plus the position of its last vertex, so
 one np.unique per dimension gives the lexicographic face table and, through
 its inverse, the per-simplex index arrays.  Closedness, non-manifold
 tetrahedra and orientation consistency are counts over the (N, 5)
-tetrahedron ids.  The tuple-keyed face_index dict is built on first use
-only.
+tetrahedron ids.  The complex keeps the vertex positions of its faces
+as arrays; the tuple tables (faces[d], face_index[d], simplices) are built
+from them on first read, each dimension on its own, so a command that only
+reads the arrays builds none of them.
 """
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -61,39 +64,102 @@ def oriented_tuple(verts, sign):
     return verts[:-2] + (verts[-1], verts[-2])
 
 
-@dataclass(frozen=True)
+class _Tables(Mapping):
+    """dim -> table for the dimensions 0..3, each built by build(dim) on its first read.
+
+    Reads as the dict of all four tables; its repr builds them.
+    """
+
+    def __init__(self, build):
+        self._build = build
+        self._built = {}
+
+    def __getitem__(self, dim):
+        if dim not in self._built:
+            if dim not in range(4):
+                raise KeyError(dim)
+            self._built[dim] = self._build(dim)
+        return self._built[dim]
+
+    def __contains__(self, dim):
+        return dim in range(4)
+
+    def __iter__(self):
+        return iter(range(4))
+
+    def __len__(self):
+        return 4
+
+    def __repr__(self):
+        return repr(dict(self))
+
+
+@dataclass(frozen=True, eq=False)
 class Complex4:
     """Immutable oriented 4-dimensional simplicial complex.
 
-    face_index (dim -> {face tuple: position}) is derived from the face
-    tables on first use.
+    The lattice is held as index arrays.  The tuple tables are derived from
+    them on first read, each dimension separately: faces (dim -> tuple of
+    sorted vertex tuples, lexicographic), face_index (dim -> {face tuple:
+    position}), simplices (tuple of (sorted 5-tuple, sign)) and vertices
+    (the tuple of vertex_ids).  Sizes come from the arrays (f_vector).
+    Complexes compare by identity: two builds of one cell list are equal
+    complexes only in their tables.
     """
 
-    simplices: tuple  # of (sorted 5-tuple, sign)
-    vertices: tuple
-    faces: dict  # dim -> tuple of sorted vertex tuples, lexicographic
     is_closed: bool
     orientation_consistent: bool
     # Index arrays aligned with the face tables, for batched metric and
-    # assembly code.  Vertex entries are positions in `vertices`; edge,
+    # assembly code.  Vertex entries are positions in `vertex_ids`; edge,
     # triangle and tetrahedron entries are positions in faces[1..3].
-    edge_ends: np.ndarray = field(compare=False, repr=False)  # (E, 2)
-    triangle_edges: np.ndarray = field(compare=False, repr=False)  # (F, 3): ab, ac, bc
-    simplex_vertices: np.ndarray = field(compare=False, repr=False)  # (N, 5), oriented
-    simplex_faces: np.ndarray = field(compare=False, repr=False)  # (N, 10), FACES5 order
-    simplex_edges: np.ndarray = field(compare=False, repr=False)  # (N, 10), EDGES5 order
-    simplex_tetrahedra: np.ndarray = field(compare=False, repr=False)  # (N, 5), TETS5 order
+    vertex_ids: np.ndarray = field(repr=False)  # (V,) int64, the vertices ascending
+    edge_ends: np.ndarray = field(repr=False)  # (E, 2)
+    triangle_vertices: np.ndarray = field(repr=False)  # (F, 3)
+    tetrahedron_vertices: np.ndarray = field(repr=False)  # (T, 4)
+    triangle_edges: np.ndarray = field(repr=False)  # (F, 3): ab, ac, bc
+    simplex_vertices: np.ndarray = field(repr=False)  # (N, 5), oriented
+    simplex_signs: np.ndarray = field(repr=False)  # (N,) +-1 against the sorted order
+    simplex_faces: np.ndarray = field(repr=False)  # (N, 10), FACES5 order
+    simplex_edges: np.ndarray = field(repr=False)  # (N, 10), EDGES5 order
+    simplex_tetrahedra: np.ndarray = field(repr=False)  # (N, 5), TETS5 order
+
+    def _face_positions(self):
+        """dim -> (n, dim + 1) positions in vertex_ids of the faces of that dimension."""
+        vertex = np.arange(len(self.vertex_ids))[:, None]
+        return vertex, self.edge_ends, self.triangle_vertices, self.tetrahedron_vertices
+
+    def face_ids(self, dim):
+        """(n, dim + 1) vertex ids of the faces of one dimension, rows aligned with faces[dim]."""
+        return self.vertex_ids[self._face_positions()[dim]]
+
+    @cached_property
+    def vertices(self):
+        return tuple(self.vertex_ids.tolist())
+
+    # The table builders hold the arrays, not the complex, so that a complex
+    # whose tables were read holds no reference cycle and is freed at once.
+    @cached_property
+    def faces(self):
+        ids, positions = self.vertex_ids, self._face_positions()
+        return _Tables(lambda dim: tuple(map(tuple, ids[positions[dim]].tolist())))
 
     @cached_property
     def face_index(self):
-        return {dim: {f: n for n, f in enumerate(keys)} for dim, keys in self.faces.items()}
+        faces = self.faces
+        return _Tables(lambda dim: {f: n for n, f in enumerate(faces[dim])})
+
+    @cached_property
+    def simplices(self):
+        rows = self.vertex_ids[np.sort(self.simplex_vertices, axis=1)]
+        return tuple(zip(map(tuple, rows.tolist()), self.simplex_signs.tolist()))
 
     def oriented_simplex(self, i):
         verts, sign = self.simplices[i]
         return oriented_tuple(verts, sign)
 
     def f_vector(self):
-        return tuple(len(self.faces[d]) for d in range(4)) + (len(self.simplices),)
+        return (len(self.vertex_ids), len(self.edge_ends), len(self.triangle_vertices),
+                len(self.tetrahedron_vertices), len(self.simplex_vertices))
 
     def euler_characteristic(self):
         fv = self.f_vector()
@@ -112,10 +178,6 @@ def _face_ids(prefix, last, nv):
     return np.divmod(keys, nv), ids.reshape(prefix.shape)
 
 
-def _tuples(vertices, positions):
-    return tuple(map(tuple, vertices[positions].tolist()))
-
-
 def build_complex(simplex_list, allow_boundary=False):
     """Validate a list of oriented 5-tuples and derive the face lattice.
 
@@ -126,7 +188,9 @@ def build_complex(simplex_list, allow_boundary=False):
     allow_boundary is set.
     """
     cells = list(simplex_list)
-    short = next((n for n, cell in enumerate(cells) if len(cell) != 5), len(cells))
+    short = len(cells)
+    if set(map(len, cells)) - {5}:
+        short = next(n for n, cell in enumerate(cells) if len(cell) != 5)
     try:
         raw = np.array(cells[:short], dtype=np.int64).reshape(short, 5)
     except OverflowError:
@@ -189,19 +253,15 @@ def build_complex(simplex_list, allow_boundary=False):
     odd = signs < 0
     oriented[odd, 3], oriented[odd, 4] = pos[odd, 4], pos[odd, 3]
     return Complex4(
-        simplices=tuple(zip(map(tuple, rows.tolist()), signs.tolist())),
-        vertices=tuple(vertices.tolist()),
-        faces={
-            0: tuple((v,) for v in vertices.tolist()),
-            1: _tuples(vertices, edge_ends),
-            2: _tuples(vertices, triangles),
-            3: _tuples(vertices, tetrahedra),
-        },
         is_closed=is_closed,
         orientation_consistent=consistent,
+        vertex_ids=vertices,
         edge_ends=edge_ends,
+        triangle_vertices=triangles,
+        tetrahedron_vertices=tetrahedra,
         triangle_edges=triangle_edges,
         simplex_vertices=oriented,
+        simplex_signs=signs,
         simplex_faces=simplex_faces,
         simplex_edges=simplex_edges,
         simplex_tetrahedra=simplex_tets,
@@ -271,9 +331,9 @@ def move_cluster(c, t):
         raise MovePreconditionError(
             f"triangle {tuple(sorted(t))} lies in {len(star)} simplices, need exactly 3"
         )
-    union = set()
-    for sid in star:
-        union.update(c.simplices[sid][0])
+    # the oriented vertex ids of each star cell
+    cells = dict(zip(star, c.vertex_ids[c.simplex_vertices[star]].tolist()))
+    union = set().union(*cells.values())
     if len(union) != 6:
         raise MovePreconditionError(
             f"star of {tuple(sorted(t))} spans {len(union)} vertices, need exactly 6"
@@ -283,8 +343,7 @@ def move_cluster(c, t):
     six = abc + def_
 
     by_missing = {}
-    for sid in star:
-        verts = set(c.simplices[sid][0])
+    for sid, verts in cells.items():
         missing = [v for v in def_ if v not in verts]
         if len(missing) != 1:
             raise MovePreconditionError("star simplices do not form a 3->3 cluster")
@@ -293,7 +352,7 @@ def move_cluster(c, t):
     # The cell replacing x is the removed cell missing D with D in place of
     # x: it bounds their shared tetrahedron as that cell did.
     d_vertex = def_[0]
-    donor = c.oriented_simplex(by_missing[d_vertex])
+    donor = cells[by_missing[d_vertex]]
     rows, signs = _sort_with_parity(
         np.array([[d_vertex if u == x else u for u in donor] for x in abc])
     )

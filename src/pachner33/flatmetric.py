@@ -64,14 +64,17 @@ def triangle_areas(L, triangle_edges, triangles):
     """Areas of triangles from squared lengths L and their (F, 3) edge columns.
 
     One stacked Cayley-Menger determinant; raises DegenerateSimplexError
-    naming the first triangle of `triangles` whose squared area is
-    nonpositive or non-finite, and which of the two it is.
+    naming the first triangle whose squared area is nonpositive or
+    non-finite, and which of the two it is, by its row of `triangles` (vertex
+    ids, read only then).
     """
     sq = geometry.cm_squared_volumes(2, L[triangle_edges])
     bad = _first_unrealizable(sq)
     if bad:
         k, kind = bad
-        raise DegenerateSimplexError(f"triangle {triangles[k]} has {kind} squared area")
+        raise DegenerateSimplexError(
+            f"triangle {tuple(map(int, triangles[k]))} has {kind} squared area"
+        )
     return np.sqrt(sq)
 
 
@@ -101,7 +104,7 @@ def realize(c, coords):
         )
     eps = np.where(V > 0, 1, -1)
 
-    S = triangle_areas(L, c.triangle_edges, c.faces[2])
+    S = triangle_areas(L, c.triangle_edges, c.face_ids(2))
     return FlatMetric(L=L, S=S, eps=eps, V=V)
 
 
@@ -109,7 +112,7 @@ def metric_from_lengths(c, L, eps):
     """Metric data from an (E,) length array with fixed (N,) simplex signs."""
     L = np.array(L, dtype=float)
     eps = np.array(eps, dtype=int)
-    S = triangle_areas(L, c.triangle_edges, c.faces[2])
+    S = triangle_areas(L, c.triangle_edges, c.face_ids(2))
     sq = geometry.cm_squared_volumes(4, L[c.simplex_edges])
     bad = _first_unrealizable(sq)
     if bad:
@@ -137,7 +140,8 @@ def deficit_omega(c, m):
     """
     theta = jacobians.dihedral_angles_batch(jacobians.length_tables(m.L, c.simplex_edges))
     omega = np.bincount(
-        c.simplex_faces.ravel(), (-m.eps[:, None] * theta).ravel(), minlength=len(c.faces[2])
+        c.simplex_faces.ravel(), (-m.eps[:, None] * theta).ravel(),
+        minlength=len(c.triangle_vertices),
     )
     # the identity on (-pi, pi); wound faces come back on the flat branch
     return geometry.reduce_angle(omega)
@@ -159,7 +163,7 @@ def deficit_Omega(c, m, omega=None):
     ab, ac, bc = m.L[c.triangle_edges].T
     weights = np.stack([ac + bc - ab, ab + bc - ac, ab + ac - bc], axis=1) / (16.0 * m.S[:, None])
     return np.bincount(
-        c.triangle_edges.ravel(), (weights * omega[:, None]).ravel(), minlength=len(c.faces[1])
+        c.triangle_edges.ravel(), (weights * omega[:, None]).ravel(), minlength=len(c.edge_ends)
     )
 
 
@@ -178,8 +182,8 @@ def check_flat(c, m, tol=FLATNESS_TOL):
     omega = deficit_omega(c, m)
     abs_o, abs_O = np.abs(omega), np.abs(deficit_Omega(c, m, omega))
     max_o, max_O = float(abs_o.max(initial=0.0)), float(abs_O.max(initial=0.0))
-    bad_faces = tuple(c.faces[2][i] for i in np.flatnonzero(abs_o > tol))
-    bad_edges = tuple(c.faces[1][i] for i in np.flatnonzero(abs_O > tol))
+    bad_faces = tuple(map(tuple, c.face_ids(2)[abs_o > tol].tolist()))
+    bad_edges = tuple(map(tuple, c.face_ids(1)[abs_O > tol].tolist()))
     return FlatnessReport(
         passed=max_o <= tol and max_O <= tol,
         max_omega=max_o,

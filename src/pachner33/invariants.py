@@ -47,20 +47,27 @@ def restricted_invariant(c, m, sel):
     Each factor is carried in the log domain: prod(V) underflows a double
     at a few hundred cells, and I itself overflows one at about a thousand.
     """
+    return _log_value(*_selection_det(c, sel), log_product(m.V), log_product(m.S))
+
+
+def _selection_det(c, sel):
+    """(sign, log|det|) of a selection that fits c and has a finite nonzero det."""
     det_sign, log_det = sel.slogdet()
     if sel.rank < 1 or det_sign == 0 or not math.isfinite(log_det):
         raise SelectionError("selection is degenerate (zero or non-finite det)")
-    if max(sel.rows, default=0) >= len(c.faces[2]) or max(sel.cols, default=0) >= len(
-        c.faces[1]
-    ):
+    if max(sel.rows, default=0) >= len(c.triangle_vertices) or max(
+        sel.cols, default=0
+    ) >= len(c.edge_ends):
         raise SelectionError("selection does not fit the complex")
-    return _log_value(det_sign, log_det, m.V, m.S)
+    return det_sign, log_det
 
 
-def _log_value(det_sign, log_det, volumes, areas):
-    """(sign, log|prod(areas) / (det * prod(volumes))|) for det = det_sign * exp(log_det)."""
-    vol_sign, log_V = log_product(volumes)
-    _, log_S = log_product(areas)
+def _log_value(det_sign, log_det, prod_V, prod_S):
+    """(sign, log|prod S / (det * prod V)|) for det = det_sign * exp(log_det).
+
+    prod_V and prod_S are the log_product pairs of the volumes and areas.
+    """
+    (vol_sign, log_V), (_, log_S) = prod_V, prod_S
     return int(det_sign) * vol_sign, log_S - (log_det + log_V)
 
 
@@ -92,9 +99,9 @@ def full_invariant(c, m):
     sel = rank_and_submatrix(assemble_domega_dL(c, m))
     if sel.rank < 1:
         raise SelectionError("deficit/length matrix has rank zero")
-    sign, log_abs = restricted_invariant(c, m, sel)
-    sign_V, log_V = log_product(m.V)
-    _, log_S = log_product(m.S)
+    prod_V, prod_S = log_product(m.V), log_product(m.S)
+    sign, log_abs = _log_value(*_selection_det(c, sel), prod_V, prod_S)
+    (sign_V, log_V), (_, log_S) = prod_V, prod_S
     return InvariantReport(
         log_abs_value=log_abs,
         sign=sign,
@@ -122,7 +129,7 @@ def move_blocks(c, m, coords, def_, new_cells):
             f"replacement simplex {new_cells[int(thin[0])][0]} is degenerate"
         )
     new = [verts for verts, _ in new_cells]
-    faces = {**c.face_index[2], def_: len(c.faces[2])}
+    faces = {**c.face_index[2], def_: len(c.triangle_vertices)}
     rows, cols = scatter_indices(new, faces, c.face_index[1])
     dtheta = dtheta_dL_blocks(
         length_tables(m.L, np.vstack([c.simplex_edges, cols])),
@@ -145,12 +152,12 @@ def virtual_rebuild(c, sel, star, dtheta, rows, cols):
     terms in the same order, from 0.0, as the whole after-matrix would.  The
     moved complex is never built.
     """
-    N, F = len(c.simplices), len(c.faces[2])
+    N, F = len(c.simplex_vertices), len(c.triangle_vertices)
     n_rows, n_cols = len(sel.rows), len(sel.cols)
     row_at = np.full(F + 1, -1)
     row_at[list(sel.rows)] = np.arange(n_rows)
     row_at[F] = n_rows
-    col_at = np.full(len(c.faces[1]), -1)
+    col_at = np.full(len(c.edge_ends), -1)
     col_at[list(sel.cols)] = np.arange(n_cols)
     cells = np.concatenate([np.arange(N), star, np.arange(N, len(dtheta))])
     sign = np.repeat([-1.0, 1.0, -1.0], [N, len(star), len(dtheta) - N])
@@ -207,7 +214,7 @@ def compare_under_move(c, coords, t):
     dtheta, new_rows, new_cols, new_volumes = move_blocks(c, m, coords, def_, new_cells)
     row_abc = c.face_index[2][abc]
     sel = rank_and_submatrix(
-        assemble_domega_dL(c, m, dtheta[: len(c.simplices)]), must_include_row=row_abc
+        assemble_domega_dL(c, m, dtheta[: len(c.simplex_vertices)]), must_include_row=row_abc
     )
     sign_before, log_before = restricted_invariant(c, m, sel)
 
@@ -221,7 +228,9 @@ def compare_under_move(c, coords, t):
     det_sign, log_det = np.linalg.slogdet(B_after)
     if det_sign == 0 or not math.isfinite(log_det):
         raise SelectionError("matched after-selection is degenerate")
-    sign_after, log_after = _log_value(det_sign, float(log_det), volumes, areas)
+    sign_after, log_after = _log_value(
+        det_sign, float(log_det), log_product(volumes), log_product(areas)
+    )
 
     log_ratio = log_after - log_before
     return MoveComparison(

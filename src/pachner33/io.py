@@ -9,9 +9,12 @@ Document schema (format_version "1"):
       "metadata": {"name": "..."}                  # optional, string map
     }
 
-Floats are written with 17 significant digits so parsing returns the exact
-double.  Serialization is deterministic: keys keep a fixed order and vertex
-keys are sorted numerically.
+parse_complex validates a document in bulk (the sets of item types and
+lengths, one finiteness test of the coordinate array) and walks it item by
+item only to name the first fault of a document it rejects.  Floats are
+written with 17 significant digits so parsing returns the exact double.
+Serialization is deterministic: keys keep a fixed order and vertex keys are
+sorted numerically.
 
 dumps writes the common shapes of a report in one pass each, with the same
 text as writing them item by item: a list of exactly-float items (one
@@ -117,7 +120,7 @@ class ComplexDocument:
     format_version: str = FORMAT_VERSION
 
     def __post_init__(self):
-        object.__setattr__(self, "simplices", tuple(tuple(s) for s in self.simplices))
+        object.__setattr__(self, "simplices", tuple(map(tuple, self.simplices)))
 
     @cached_property
     def _complex(self):
@@ -148,12 +151,76 @@ def _finite_real(x):
     return float(x)
 
 
+def _simplex_fault(simplices):
+    """The SchemaError of the first simplex, in document order, that is not 5 integers."""
+    for n, s in enumerate(simplices):
+        if not isinstance(s, list) or len(s) != 5:
+            return SchemaError(f"simplices[{n}] must be an array of 5 vertex ids")
+        if not all(isinstance(v, int) and not isinstance(v, bool) for v in s):
+            return SchemaError(f"simplices[{n}] must contain integers")
+
+
+def _coords_fault(rc, vertices):
+    """The SchemaError of the first faulty coords entry, in document order, or of the
+    lowest vertex without one."""
+    seen = set()
+    for key, val in rc.items():
+        try:
+            vid = int(key)
+        except ValueError:
+            return SchemaError(f"coords key {key!r} is not a vertex id")
+        if vid not in vertices:
+            return SchemaError(f"coords key {key!r} names no vertex of the simplices")
+        if vid in seen:
+            return SchemaError(f"coords key {key!r} repeats vertex {vid}")
+        seen.add(vid)
+        if not isinstance(val, list) or len(val) != 4:
+            return SchemaError(f"coords[{key}] must be an array of 4 reals")
+        try:
+            for x in val:
+                _finite_real(x)
+        except (TypeError, OverflowError):
+            return SchemaError(f"coords[{key}] must contain finite numbers")
+    missing = vertices - seen
+    if missing:
+        return SchemaError(f"coords is missing vertex {min(missing)}")
+
+
+def _coords(rc, vertices):
+    """{vertex id: [4 floats]} in document order, or None when an entry is faulty.
+
+    Bulk checks: the keys parse as distinct ints naming exactly the
+    vertices, every value is a list of 4 ints or floats (a bool's type is
+    bool), and the (V, 4) float array of the values is finite.
+    """
+    try:
+        ids = list(map(int, rc))
+    except ValueError:
+        return None
+    values = list(rc.values())
+    if not (len(set(ids)) == len(ids) and set(ids) == vertices
+            and set(map(type, values)) == {list} and set(map(len, values)) == {4}
+            and set(map(type, chain.from_iterable(values))) <= {int, float}):
+        return None
+    try:
+        points = np.array(values, dtype=float)
+    except OverflowError:  # an int beyond the float range
+        return None
+    if not np.isfinite(points).all():
+        return None
+    return dict(zip(ids, points.tolist()))
+
+
 def parse_complex(text):
     """Parse and validate a document; errors name the offending field.
 
-    The simplex list is additionally run through complex construction so a
-    schema-valid but structurally broken document is rejected here; the
-    document keeps that complex for to_complex, which checks closedness.
+    The simplex list and the coords are checked in bulk, by the sets of
+    their item types and lengths and one finiteness test of the coordinate
+    array.  Only when a bulk check fails are the items walked in document
+    order, to name the first faulty one.  The simplex list is then run
+    through complex construction so a schema-valid but structurally broken
+    document is rejected here; the document keeps that complex for
+    to_complex, which checks closedness.
     """
     try:
         raw = json.loads(text)
@@ -169,40 +236,20 @@ def parse_complex(text):
     simplices = raw.get("simplices")
     if not isinstance(simplices, list) or not simplices:
         raise SchemaError("simplices must be a non-empty array")
-    clean = []
-    for n, s in enumerate(simplices):
-        if not isinstance(s, list) or len(s) != 5:
-            raise SchemaError(f"simplices[{n}] must be an array of 5 vertex ids")
-        if not all(isinstance(v, int) and not isinstance(v, bool) for v in s):
-            raise SchemaError(f"simplices[{n}] must contain integers")
-        clean.append(list(s))
-
-    vertices = {v for s in clean for v in s}
+    # JSON gives exact lists and ints; a bool's type is bool
+    if not (set(map(type, simplices)) == {list} and set(map(len, simplices)) == {5}
+            and set(map(type, chain.from_iterable(simplices))) == {int}):
+        raise _simplex_fault(simplices)
+    vertices = set(chain.from_iterable(simplices))
 
     coords = None
     if raw.get("coords") is not None:
         rc = raw["coords"]
         if not isinstance(rc, dict):
             raise SchemaError("coords must be an object mapping vertex id to 4 reals")
-        coords = {}
-        for key, val in rc.items():
-            try:
-                vid = int(key)
-            except ValueError:
-                raise SchemaError(f"coords key {key!r} is not a vertex id")
-            if vid not in vertices:
-                raise SchemaError(f"coords key {key!r} names no vertex of the simplices")
-            if vid in coords:
-                raise SchemaError(f"coords key {key!r} repeats vertex {vid}")
-            if not isinstance(val, list) or len(val) != 4:
-                raise SchemaError(f"coords[{key}] must be an array of 4 reals")
-            try:
-                coords[vid] = [_finite_real(x) for x in val]
-            except (TypeError, OverflowError):
-                raise SchemaError(f"coords[{key}] must contain finite numbers") from None
-        for v in sorted(vertices):
-            if v not in coords:
-                raise SchemaError(f"coords is missing vertex {v}")
+        coords = _coords(rc, vertices)
+        if coords is None:
+            raise _coords_fault(rc, vertices)
 
     metadata = raw.get("metadata", {})
     if metadata is None:
@@ -213,7 +260,7 @@ def parse_complex(text):
         raise SchemaError("metadata must be a string-to-string map")
 
     doc = ComplexDocument(
-        simplices=clean, coords=coords, metadata=metadata, format_version=version
+        simplices=simplices, coords=coords, metadata=metadata, format_version=version
     )
     doc.to_complex(allow_boundary=True)  # structural validation, kept on doc
     return doc

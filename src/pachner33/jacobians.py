@@ -59,6 +59,7 @@ PIVOT_TOL = 1e-9
 _UPDATE_BYTES = 1 << 18
 
 _OPP_X, _OPP_Y = (np.array(ends) for ends in zip(*geometry.OPPOSITE5))
+_VERTICES = np.arange(5)[:, None]
 # the rows a Gauss-Jordan step at pivot k eliminates
 _OTHER_ROWS = tuple(np.array([r for r in range(4) if r != k]) for k in range(4))
 
@@ -82,7 +83,11 @@ def _normal_gram(L):
     clears the pivot column from the three other rows with one broadcast
     update.  The pivot row does not change during the step, so every entry
     gets the operations a row-by-row update of G and of its inverse gives
-    it, bitwise.
+    it, bitwise.  Step k touches only the columns k+1 .. k+4: the columns
+    to their left are spent (unit columns, which the update would leave as
+    they are and which nothing reads again) and those to their right are
+    still exact identity columns, zero in the pivot row, which it would
+    leave unchanged too.
     """
     L = np.asarray(L, dtype=np.longdouble)
     A = np.empty((len(L), 4, 8), dtype=np.longdouble)
@@ -97,9 +102,10 @@ def _normal_gram(L):
                 f"simplex {bad} of the batch has no nondegenerate Euclidean realization"
             )
         det *= piv
-        A[:, k] /= piv[:, None]
+        window = slice(k + 1, k + 5)
+        A[:, k, window] /= piv[:, None]
         others = _OTHER_ROWS[k]
-        A[:, others] -= A[:, others, k, None] * A[:, k, None]
+        A[:, others, window] -= A[:, others, k, None] * A[:, k, None, window]
     mean_edge = np.sqrt(np.maximum(L[:, geometry.EDGE_I, geometry.EDGE_J], 0.0)).mean(axis=1)
     floor = geometry.DEGENERACY_REL * mean_edge**4
     bad = np.flatnonzero(~(det / 576.0 > floor * floor))
@@ -131,17 +137,26 @@ def _face_gather(P, faces):
     return (lambda a, b: P[n, a, b]), _OPP_X[faces, None], _OPP_Y[faces, None]
 
 
+def _vertex_terms(take, v):
+    """W = P_vi P_vj / P_vv at the vertices v, for the edges ij of EDGES5 (columns)."""
+    W = take(v, geometry.EDGE_I)
+    W *= take(v, geometry.EDGE_J)
+    W /= take(v, v)
+    return W
+
+
 def _gram_angles(P, faces=None):
     """Dihedral-angle magnitudes from the facet-normal Gram matrices P.
 
     theta = atan2(sqrt(P_xx P_yy - P_xy^2), -P_xy) at the face opposite the
     vertices x, y: (N, 10) for all faces, or (N,) at the faces given
-    (_face_gather).
+    (_face_gather), C-ordered.
     """
     take, x, y = _face_gather(P, faces)
     Pxy = take(x, y)
     wedge = np.sqrt(np.maximum(take(x, x) * take(y, y) - Pxy * Pxy, 0.0))
-    return np.arctan2(wedge, -Pxy)[..., 0].astype(float)
+    # the gathers lay the angles out face-major; the cast returns them C-ordered
+    return np.arctan2(wedge, -Pxy)[..., 0].astype(float, order="C")
 
 
 def _gram_dtheta_dL(P, eps, faces=None):
@@ -155,11 +170,14 @@ def _gram_dtheta_dL(P, eps, faces=None):
         D = dcos / (-eps sqrt(1 - cos^2)),
 
     which rounds exactly as -(s / 2) / norm and (-eps dcos) / sqrt(1 - cos^2)
-    do (halving, doubling and sign flips are exact).  Each of the six
-    gathers P_xi, P_xj, P_iy, P_jy, P_yi, P_yj is taken once, and every
-    block-sized longdouble operation after them is in place, ordered so
-    that at most four block-sized arrays are alive.  The division by eps
-    is exact only for eps = +-1, so any other sign is a ValueError.  Raises
+    do (halving, doubling and sign flips are exact).  The bracket is
+    W[x] + W[y] for the per-vertex terms W[v, ij] = P_vi P_vj / P_vv,
+    formed once per table for its five vertices and gathered (all faces),
+    or formed at x and at y (one face per table): the same operations
+    either way.  Every block-sized longdouble operation is in place,
+    ordered so that at most four block-sized arrays are alive.  The
+    division by eps is exact only for eps = +-1, so any other sign is a
+    ValueError.  Raises
     DegenerateSimplexError when a derivative is not finite in float64.
     """
     take, x, y = _face_gather(P, faces)
@@ -167,25 +185,27 @@ def _gram_dtheta_dL(P, eps, faces=None):
     Pxx, Pyy = take(x, x), take(y, y)
     norm = np.sqrt(Pxx * Pyy)
     cos = -take(x, y) / norm
-    Pxi, Pxj = take(x, i), take(x, j)
+    if faces is None:
+        # formed before the block-sized arrays, W leaves the process's heap
+        # lower (its peak RSS on the benchmark ladder), at the same traced peak
+        W = _vertex_terms(take, _VERTICES)
     dcos = take(j, y)
-    dcos *= Pxi
+    dcos *= take(x, i)
     Piy = take(i, y)
-    Piy *= Pxj
+    Piy *= take(x, j)
     dcos += Piy
     del Piy
     dcos /= -2.0 * norm
-    Pxi *= Pxj
-    del Pxj
-    Pxi /= Pxx
-    Pyi = take(y, i)
-    Pyi *= take(y, j)
-    Pyi /= Pyy
-    Pxi += Pyi
-    del Pyi
-    Pxi *= 0.5 * cos
-    dcos -= Pxi
-    del Pxi
+    if faces is None:
+        bracket = W[:, _OPP_X]
+        bracket += W[:, _OPP_Y]
+        del W
+    else:
+        bracket = _vertex_terms(take, x)
+        bracket += _vertex_terms(take, y)
+    bracket *= 0.5 * cos
+    dcos -= bracket
+    del bracket
     eps = np.asarray(eps, dtype=float).reshape((-1,) + (1,) * (dcos.ndim - 1))
     if not np.all(np.abs(eps) == 1.0):
         raise ValueError("simplex signs must be +1 or -1")
@@ -276,7 +296,7 @@ def assemble_domega_dL(c, m, dtheta=None):
         np.negative(blocks, out=blocks)
     else:
         blocks = -dtheta
-    shape = (len(c.faces[2]), len(c.faces[1]))
+    shape = (len(c.triangle_vertices), len(c.edge_ends))
     return scatter_blocks(shape, c.simplex_faces, c.simplex_edges, blocks)
 
 
@@ -310,7 +330,7 @@ def build_jacobians(c, m):
     tables = length_tables(m.L, c.simplex_edges)
     dtheta = dtheta_dL_blocks(tables, m.eps)
     dS_dL = geometry.dS_dL_blocks(tables)
-    E, F = len(c.faces[1]), len(c.faces[2])
+    E, F = len(c.edge_ends), len(c.triangle_vertices)
     X = -domega_dS_blocks(dtheta, dS_dL)
     dOmega_dS = scatter_blocks((F, F), c.simplex_faces, c.simplex_faces, X)
     # At a flat point the area-derivative weights are stationary against the

@@ -1,5 +1,7 @@
 """Combinatorics: construction, face lattice, stars, 3->3 moves."""
+import gc
 import itertools
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -479,6 +481,48 @@ def test_build_matches_the_loop_on_the_stellar_rungs(stellar_ladder):
     c = assert_builds_like_the_loop(stellar_cells(1006, seed=5))
     assert len(c.simplices) == 1006
     assert c.is_closed and c.orientation_consistent and c.euler_characteristic() == 2
+
+
+def test_tuple_tables_are_built_per_dimension_on_first_read(stellar_ladder):
+    cells = oriented_cells(stellar_ladder[86][0])
+    c = cx.build_complex(cells)
+    fv = c.f_vector()
+    assert fv == (26, 115, 220, 215, 86) and c.euler_characteristic() == 2
+    assert not {"faces", "face_index", "simplices"} & vars(c).keys()
+    triangles = c.faces[2]
+    assert set(c.faces._built) == {2} and 3 in c.faces and 4 not in c.faces
+    assert c.face_index[1][c.faces[1][7]] == 7
+    assert set(c.faces._built) == {1, 2} and set(c.face_index._built) == {1}
+    assert "simplices" not in vars(c)
+    with pytest.raises(KeyError):
+        c.faces[4]
+    for dim in range(4):
+        ids = c.face_ids(dim)
+        assert ids.dtype == np.int64 and ids.shape == (fv[dim], dim + 1)
+        assert c.faces[dim] == tuple(map(tuple, ids.tolist()))
+    assert triangles is c.faces[2] and list(c.faces) == [0, 1, 2, 3]
+    assert repr(c.faces) == repr({dim: c.faces[dim] for dim in range(4)})
+    assert [c.oriented_simplex(i) for i in range(fv[4])] == [tuple(s) for s in cells]
+
+
+def test_a_complex_whose_tables_were_read_is_freed_without_the_cycle_collector():
+    c = cx.build_complex(oriented_cells(cx.boundary_delta5()))
+    c.faces[1], c.face_index[2], c.simplices
+    gone = weakref.ref(c)
+    gc.disable()
+    try:
+        del c
+        assert gone() is None
+    finally:
+        gc.enable()
+
+
+def test_complexes_compare_by_identity(join_complex):
+    # two builds of one cell list have equal tables but are distinct complexes
+    again = cx.build_complex(oriented_cells(join_complex))
+    assert again.simplices == join_complex.simplices and again.faces == join_complex.faces
+    assert again != join_complex and again == again
+    assert len({again, join_complex}) == 2
 
 
 def test_build_matches_the_loop_under_relabelling_and_reordering(join_complex):

@@ -239,6 +239,27 @@ def test_full_invariant_is_the_restricted_invariant(delta5, delta5_metric):
     )
 
 
+def test_full_invariant_takes_each_product_once(monkeypatch, stellar_ladder):
+    # one log_product of the volumes and one of the areas serve both the value
+    # and the report's products, which equal those of the restricted invariant
+    c, coords = stellar_ladder[166]
+    m = fm.realize(c, coords)
+    want = iv.full_invariant(c, m)
+    taken = []
+
+    def counting(values):
+        taken.append(values)
+        return jb.log_product(values)
+
+    monkeypatch.setattr(iv, "log_product", counting)
+    rep = iv.full_invariant(c, m)
+    assert [id(values) for values in taken] == [id(m.V), id(m.S)]
+    assert repr(rep) == repr(want)
+    assert (rep.sign_prod_V, rep.log_abs_prod_V) == jb.log_product(m.V)
+    assert rep.log_abs_prod_S == jb.log_product(m.S)[1]
+    assert iv.restricted_invariant(c, m, rep.selection) == (rep.sign, rep.log_abs_value)
+
+
 def test_full_invariant_euclidean_motion_invariance(delta5, delta5_coords, delta5_metric):
     rep = iv.full_invariant(delta5, delta5_metric)
     rng = np.random.default_rng(17)
@@ -361,7 +382,9 @@ def compare_reference(c, coords, t):
     def_edges = [[c.face_index[1][pair] for pair in ((d, e), (d, f), (e, f))]]
     areas = np.append(np.delete(m.S, row_abc), fm.triangle_areas(m.L, def_edges, [def_]))
     det_sign, log_det = np.linalg.slogdet(B_after)
-    sign_after, log_after = iv._log_value(det_sign, float(log_det), volumes, areas)
+    sign_after, log_after = iv._log_value(
+        det_sign, float(log_det), jb.log_product(volumes), jb.log_product(areas)
+    )
     ratio = sign_before * sign_after * math.exp(log_after - log_before)
     return sel, sign_before, log_before, sign_after, log_after, ratio
 

@@ -98,6 +98,177 @@ def test_parse_validates_structure():
         pio.parse_complex(text)
 
 
+def _finite_real_loop(x):
+    if isinstance(x, bool) or not isinstance(x, (int, float)) or not math.isfinite(x):
+        raise TypeError(x)
+    return float(x)
+
+
+def parse_complex_loop(text):
+    """parse_complex as it validated item by item before the bulk checks, kept as
+    the reference of its accept/reject decisions and messages."""
+    try:
+        raw = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"invalid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise SchemaError("document root must be an object")
+    version = raw.get("format_version")
+    if version != pio.FORMAT_VERSION:
+        raise SchemaError(f"format_version must be {pio.FORMAT_VERSION!r}, got {version!r}")
+    simplices = raw.get("simplices")
+    if not isinstance(simplices, list) or not simplices:
+        raise SchemaError("simplices must be a non-empty array")
+    clean = []
+    for n, s in enumerate(simplices):
+        if not isinstance(s, list) or len(s) != 5:
+            raise SchemaError(f"simplices[{n}] must be an array of 5 vertex ids")
+        if not all(isinstance(v, int) and not isinstance(v, bool) for v in s):
+            raise SchemaError(f"simplices[{n}] must contain integers")
+        clean.append(list(s))
+    vertices = {v for s in clean for v in s}
+    coords = None
+    if raw.get("coords") is not None:
+        rc = raw["coords"]
+        if not isinstance(rc, dict):
+            raise SchemaError("coords must be an object mapping vertex id to 4 reals")
+        coords = {}
+        for key, val in rc.items():
+            try:
+                vid = int(key)
+            except ValueError:
+                raise SchemaError(f"coords key {key!r} is not a vertex id")
+            if vid not in vertices:
+                raise SchemaError(f"coords key {key!r} names no vertex of the simplices")
+            if vid in coords:
+                raise SchemaError(f"coords key {key!r} repeats vertex {vid}")
+            if not isinstance(val, list) or len(val) != 4:
+                raise SchemaError(f"coords[{key}] must be an array of 4 reals")
+            try:
+                coords[vid] = [_finite_real_loop(x) for x in val]
+            except (TypeError, OverflowError):
+                raise SchemaError(f"coords[{key}] must contain finite numbers") from None
+        for v in sorted(vertices):
+            if v not in coords:
+                raise SchemaError(f"coords is missing vertex {v}")
+    metadata = raw.get("metadata", {})
+    if metadata is None:
+        metadata = {}
+    if not isinstance(metadata, dict) or not all(
+        isinstance(k, str) and isinstance(v, str) for k, v in metadata.items()
+    ):
+        raise SchemaError("metadata must be a string-to-string map")
+    doc = pio.ComplexDocument(
+        simplices=clean, coords=coords, metadata=metadata, format_version=version
+    )
+    doc.to_complex(allow_boundary=True)
+    return doc
+
+
+def _parse_outcome(parse, text):
+    """The error type and text, or the parsed fields (repr, so int and float types count)."""
+    try:
+        doc = parse(text)
+    except (SchemaError, ComplexStructureError) as exc:
+        return type(exc).__name__, str(exc)
+    return repr((doc.simplices, doc.coords, doc.metadata, doc.format_version))
+
+
+def _insert_at(mapping, position, key, value):
+    items = list(mapping.items())
+    items.insert(position, (key, value))
+    return dict(items)
+
+
+def _fault(raw, kind, rng):
+    """Put one fault of the given kind at a seeded place of a raw document, in place."""
+    simplices, coords = raw["simplices"], raw["coords"]
+    k = int(rng.integers(5))
+    at = int(rng.integers(len(coords) + 1))
+    # an earlier fault may have cut a simplex or a point short: fault the others
+    cells = [n for n, cell in enumerate(simplices) if isinstance(cell, list) and len(cell) >= 5]
+    points = [key for key, p in coords.items() if isinstance(p, list) and len(p) == 4]
+    if not (cells and points):
+        return
+    n = cells[int(rng.integers(len(cells)))]
+    key = points[int(rng.integers(len(points)))]
+    if kind == "short simplex":
+        simplices[n] = simplices[n][:4]
+    elif kind == "long simplex":
+        simplices[n] = simplices[n] + [simplices[n][0]]
+    elif kind == "bool id":
+        simplices[n][k] = bool(rng.integers(2))
+    elif kind == "float id":
+        simplices[n][k] = float(simplices[n][k])
+    elif kind == "non-list simplex":
+        simplices[n] = ["01234", {"a": 1}, 7, None][int(rng.integers(4))]
+    elif kind == "key x":
+        raw["coords"] = _insert_at(coords, at, "x", [0.5] * 4)
+    elif kind == "key naming no vertex":
+        raw["coords"] = _insert_at(coords, at, "77", [0.5] * 4)
+    elif kind == "key with a leading zero":
+        raw["coords"] = _insert_at(coords, at, "0" + key, [0.5] * 4)
+    elif kind == "3-long coordinate":
+        coords[key] = coords[key][:3]
+    elif kind == "non-list coordinate":
+        coords[key] = {"x": 1.0}
+    elif kind in ("NaN", "Infinity", "bool coordinate", "string coordinate",
+                  "null coordinate", "huge int coordinate"):
+        coords[key][k % 4] = {"NaN": math.nan, "Infinity": -math.inf, "bool coordinate": False,
+                              "string coordinate": "0.5", "null coordinate": None,
+                              "huge int coordinate": 10**400}[kind]
+    elif kind == "missing vertex":
+        del coords[key]
+    elif kind == "int coordinate":  # not a fault: ints are reals
+        coords[key][k % 4] = int(rng.integers(-3, 4))
+    elif kind == "reordered keys":  # not a fault
+        raw["coords"] = dict(sorted(coords.items(), key=lambda item: rng.random()))
+    else:
+        raise ValueError(kind)
+
+
+FAULTS = ("short simplex", "long simplex", "bool id", "float id", "non-list simplex", "key x",
+          "key naming no vertex", "key with a leading zero", "3-long coordinate",
+          "non-list coordinate", "NaN", "Infinity", "bool coordinate", "string coordinate",
+          "null coordinate", "huge int coordinate", "missing vertex", "int coordinate",
+          "reordered keys")
+
+
+def test_bulk_validation_decides_and_names_as_the_item_loop():
+    # seeded documents with one to three faults each (several faults: the
+    # first in document order must win), on the three fixtures
+    texts = []
+    rng = np.random.default_rng(23)
+    for name in ("boundary_delta5.json", "join_tetra_triangle.json", "bipyramid_10cell.json"):
+        base = json.loads(pio.serialize_complex(pio.load_fixture(name)))
+        texts.append(json.dumps(base))
+        for kind in FAULTS:
+            raw = json.loads(json.dumps(base))
+            _fault(raw, kind, rng)
+            texts.append(json.dumps(raw))
+        for _ in range(150):
+            raw = json.loads(json.dumps(base))
+            for kind in rng.choice(FAULTS, size=int(rng.integers(1, 4))):
+                _fault(raw, str(kind), rng)
+            texts.append(json.dumps(raw))
+    outcomes = []
+    for text in texts:
+        want = _parse_outcome(parse_complex_loop, text)
+        assert _parse_outcome(pio.parse_complex, text) == want, text
+        outcomes.append(want)
+    # every message of the item loop comes up
+    errors = [o[1] for o in outcomes if isinstance(o, tuple)]
+    templates = {re.sub(r"\[\d+\]|'[^']*'|\d+", "#", text) for text in errors}
+    assert templates == {
+        "simplices# must be an array of # vertex ids", "simplices# must contain integers",
+        "coords key # is not a vertex id", "coords key # names no vertex of the simplices",
+        "coords key # repeats vertex #", "coords# must be an array of # reals",
+        "coords# must contain finite numbers", "coords is missing vertex #",
+    }
+    accepted = sum(isinstance(o, str) for o in outcomes)
+    assert 10 <= accepted <= len(outcomes) - 300
+
+
 def test_serialize_parse_round_trip():
     doc = pio.load_fixture("join_tetra_triangle.json")
     text = pio.serialize_complex(doc)
@@ -623,6 +794,36 @@ def test_cli_builds_the_face_lattice_once(monkeypatch):
         code, _ = run_cli(argv[0], fixture_path("join_tetra_triangle.json"), *argv[1:])
         assert code == 0
         assert len(calls) == 1, argv[0]
+
+
+def test_check_flat_and_invariant_build_no_tuple_table(monkeypatch, stellar_ladder, tmp_path):
+    # their reports are written from the face arrays: neither reads c.faces,
+    # c.face_index or c.simplices, on the fixtures and on a 166-cell rung
+    built = []
+
+    def keeping_build(*args, **kwargs):
+        built.append(build_complex(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(pio, "build_complex", keeping_build)
+    c, coords = stellar_ladder[166]
+    path = tmp_path / "rung.json"
+    pio.save_document(pio.ComplexDocument(
+        simplices=[c.oriented_simplex(i) for i in range(len(c.simplices))]).with_coords(coords),
+        path)
+    calls = [(command, str(path)) for command in ("check-flat", "invariant")]
+    for name in ("boundary_delta5.json", "join_tetra_triangle.json"):
+        for argv in (["check-flat"], ["invariant"], ["check-flat", "--seed", "3"],
+                     ["invariant", "--seed", "3"]):
+            calls.append((argv[0], fixture_path(name), *argv[1:]))
+    for argv in calls:
+        code, out = run_cli(*argv)
+        assert code == 0, out
+        assert not {"faces", "face_index", "simplices"} & vars(built[-1]).keys(), argv
+    # compare reads the triangle and edge tables, never the tetrahedra
+    code, _ = run_cli("compare", fixture_path("join_tetra_triangle.json"), "--face", "0,1,2")
+    assert code == 0
+    assert set(built[-1].faces._built) == set(built[-1].face_index._built) == {1, 2}
 
 
 def test_document_is_immutable_and_keeps_its_complex():

@@ -66,6 +66,60 @@ def normal_gram_rowwise(L):
     return P
 
 
+def normal_gram_full_width(L):
+    """The facet-normal Gram with every Gauss-Jordan step over all eight columns of
+    [G | I], kept as the bitwise reference of the steps over a column window."""
+    L = np.asarray(L, dtype=np.longdouble)
+    A = np.empty((len(L), 4, 8), dtype=np.longdouble)
+    A[:, :, :4] = 0.5 * (L[:, 0, 1:, None] + L[:, 0, None, 1:] - L[:, 1:, 1:])
+    A[:, :, 4:] = np.eye(4)
+    det = np.ones(len(L), dtype=np.longdouble)
+    for k in range(4):
+        piv = A[:, k, k].copy()
+        if not np.all(piv > 0.0):
+            bad = int(np.flatnonzero(~(piv > 0.0))[0])
+            raise DegenerateSimplexError(
+                f"simplex {bad} of the batch has no nondegenerate Euclidean realization"
+            )
+        det *= piv
+        A[:, k] /= piv[:, None]
+        others = np.array([r for r in range(4) if r != k])
+        A[:, others] -= A[:, others, k, None] * A[:, k, None]
+    mean_edge = np.sqrt(np.maximum(L[:, g.EDGE_I, g.EDGE_J], 0.0)).mean(axis=1)
+    floor = g.DEGENERACY_REL * mean_edge**4
+    bad = np.flatnonzero(~(det / 576.0 > floor * floor))
+    if bad.size:
+        raise DegenerateSimplexError(
+            f"simplex {int(bad[0])} of the batch is degenerate "
+            f"(|V| below {g.DEGENERACY_REL:g} mean_edge^4)"
+        )
+    inv = np.ascontiguousarray(A[:, :, 4:])
+    P = np.empty((len(L), 5, 5), dtype=np.longdouble)
+    P[:, 1:, 1:] = inv
+    P[:, 0, 1:] = P[:, 1:, 0] = -inv.sum(axis=1)
+    P[:, 0, 0] = inv.sum(axis=(1, 2))
+    return P
+
+
+def value_bytes(a):
+    """The bytes of an array's values, C order.  Of an x87 extended longdouble
+    these are the first 10 of each item's bytes; the rest is padding, which
+    arithmetic leaves undefined."""
+    a = np.ascontiguousarray(a)
+    if a.dtype == np.longdouble and np.finfo(np.longdouble).nmant == 63 and a.itemsize > 10:
+        return a.view(np.uint8).reshape(-1, a.itemsize)[:, :10].tobytes()
+    return a.tobytes()
+
+
+def gram_angles_reference(P, faces=None):
+    """The angles in the layout of the gathers, kept as the value reference of
+    jb._gram_angles, which returns them C-ordered."""
+    take, x, y = jb._face_gather(P, faces)
+    Pxy = take(x, y)
+    wedge = np.sqrt(np.maximum(take(x, x) * take(y, y) - Pxy * Pxy, 0.0))
+    return np.arctan2(wedge, -Pxy)[..., 0].astype(float)
+
+
 def gram_dtheta_dL_reference(P, eps, faces=None):
     """The derivative formula term by term, kept as the bitwise reference of
     jb._gram_dtheta_dL, which folds its halvings and sign flips and runs in place."""
@@ -92,9 +146,11 @@ def scatter_blocks_add_at(shape, rows, cols, blocks):
     return M
 
 
-def use_reference_routes(patched):
-    """Swap in the row-by-row Gram, the term-by-term kernel and the add.at scatter."""
-    patched.setattr(jb, "_normal_gram", normal_gram_rowwise)
+def use_reference_routes(patched, normal_gram=normal_gram_rowwise):
+    """Swap in a reference Gram (row by row unless given), the angles in the
+    gathers' layout, the term-by-term kernel and the add.at scatter."""
+    patched.setattr(jb, "_normal_gram", normal_gram)
+    patched.setattr(jb, "_gram_angles", gram_angles_reference)
     patched.setattr(jb, "_gram_dtheta_dL", gram_dtheta_dL_reference)
     patched.setattr(jb, "scatter_blocks", scatter_blocks_add_at)
 
@@ -340,15 +396,33 @@ def test_kernel_and_assemblies_are_the_reference_routes_bitwise(
     stacks.append((thin[:0], signs[:0]))
 
     def outputs():
-        return ([kernel_outputs(tables, eps) for tables, eps in stacks],
+        return ([value_bytes(jb._normal_gram(tables)) for tables, _ in stacks],
+                [kernel_outputs(tables, eps) for tables, eps in stacks],
                 [assembled_outputs(c, m) for c, m in placed])
 
     got = outputs()
-    with monkeypatch.context() as patched:
-        use_reference_routes(patched)
-        want = outputs()
-    assert got == want
+    for normal_gram in (normal_gram_rowwise, normal_gram_full_width):
+        with monkeypatch.context() as patched:
+            use_reference_routes(patched, normal_gram)
+            want = outputs()
+        assert got == want, normal_gram.__name__
     assert jb.dtheta_dL_blocks(thin[:0], signs[:0]).shape == (0, 10, 10)
+
+
+def test_angles_are_c_ordered_and_bitwise_the_gathered_ones(stellar_ladder):
+    c, coords = stellar_ladder[max(LADDER_RUNGS)]
+    m = fm.realize(c, coords)
+    tables = jb.length_tables(m.L, c.simplex_edges)
+    P = jb._normal_gram(tables)
+    theta, gathered = jb.dihedral_angles_batch(tables), gram_angles_reference(P)
+    assert not gathered.flags.c_contiguous  # the gathers lay the batch axis innermost
+    assert theta.flags.c_contiguous and theta.tobytes() == gathered.tobytes()
+    # so the signed angles of deficit_omega ravel without a copy
+    signed = -m.eps[:, None] * theta
+    assert np.shares_memory(signed.ravel(), signed)
+    faces = np.arange(len(tables)) % 10
+    rows = jb.face_angle_rows(tables, m.eps, faces)[0]
+    assert rows.flags.c_contiguous and rows.tobytes() == gram_angles_reference(P, faces).tobytes()
 
 
 def traced_peak(call):
@@ -411,11 +485,12 @@ def test_normal_gram_rejects_what_the_rowwise_elimination_rejects():
     not_euclidean = UNIT_L.copy()
     not_euclidean[0, 1] = not_euclidean[1, 0] = 10.0
     for bad in (tables, np.stack([UNIT_L, not_euclidean])):
-        with pytest.raises(DegenerateSimplexError) as want:
-            normal_gram_rowwise(bad)
         with pytest.raises(DegenerateSimplexError) as got:
             jb._normal_gram(bad)
-        assert str(got.value) == str(want.value)
+        for reference in (normal_gram_rowwise, normal_gram_full_width):
+            with pytest.raises(DegenerateSimplexError) as want:
+                reference(bad)
+            assert str(got.value) == str(want.value)
 
 
 # ------------------------------------------------------ global assemblies

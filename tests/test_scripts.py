@@ -4,6 +4,7 @@ workloads whose operations its oracle accepts."""
 import importlib.util
 import json
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -66,6 +67,20 @@ def test_script_seed_must_be_a_nonnegative_integer(argv):
     )
     assert done.returncode == 2
     assert "usage:" in done.stderr and "--seed" in done.stderr
+
+
+def test_report_digest_is_stable_across_runs():
+    # two runs of the moves workload at one seed print one and the same digest
+    digests = []
+    for _ in range(2):
+        done = subprocess.run(
+            [sys.executable, str(SCRIPTS / "report_digest.py"), "moves", "611"],
+            capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stdout + done.stderr
+        digests.append(done.stdout)
+    assert digests[0] == digests[1]
+    assert re.fullmatch(r"[0-9a-f]{64}\n", digests[0])
 
 
 def load_perfbench_module(monkeypatch, name):
