@@ -268,21 +268,6 @@ def build_complex(simplex_list, allow_boundary=False):
     )
 
 
-def scatter_indices(cells, face_index, edge_index):
-    """(N, 10) global face rows and edge columns of sorted 5-tuples.
-
-    Entry [n, k] is the position of the k-th local face (geometry.FACES5)
-    or edge (geometry.EDGES5) of cells[n] in face_index or edge_index.
-    """
-    rows = [[face_index[(v[p], v[q], v[r])] for p, q, r in FACES5] for v in cells]
-    cols = [[edge_index[(v[p], v[q])] for p, q in EDGES5] for v in cells]
-    return _index_array(rows, 10), _index_array(cols, 10)
-
-
-def _index_array(rows, width):
-    return np.array(rows, dtype=np.intp).reshape(len(rows), width)
-
-
 def check_boundary(is_closed, allow_boundary):
     """Reject a complex with boundary tetrahedra unless allow_boundary."""
     if not is_closed and not allow_boundary:
@@ -373,12 +358,7 @@ def pachner_33(c, t):
             f"opposite triangle {def_} is already a face; the move would create "
             "a non-simplicial identification"
         )
-    removed = set(star)
-    new_list = [
-        oriented_tuple(*c.simplices[i])
-        for i in range(len(c.simplices))
-        if i not in removed
-    ]
+    new_list = np.delete(c.vertex_ids[c.simplex_vertices], star, axis=0).tolist()
     added_ids = tuple(range(len(new_list), len(new_list) + 3))
     new_list.extend(oriented_tuple(*cell) for cell in new_cells)
     moved = build_complex(new_list, allow_boundary=not c.is_closed)

@@ -54,30 +54,18 @@ EDGE_INDEX5 = {e: n for n, e in enumerate(EDGES5)}
 FACE_INDEX5 = {f: n for n, f in enumerate(FACES5)}
 # the two vertices opposite each face, aligned with FACES5
 OPPOSITE5 = tuple(tuple(v for v in range(5) if v not in face) for face in FACES5)
+OPP_X, OPP_Y = (np.array(ends) for ends in zip(*OPPOSITE5))
 EDGE_I, EDGE_J = (np.array(ends) for ends in zip(*EDGES5))
 # local edges ab, ac, bc of each local face abc, aligned with FACES5
 FACE_EDGES5 = np.array([[EDGE_INDEX5[(a, b)], EDGE_INDEX5[(a, c)], EDGE_INDEX5[(b, c)]]
                         for a, b, c in FACES5])
 FACE_EDGES5.flags.writeable = False
-_OPP_X, _OPP_Y = (np.array(ends) for ends in zip(*OPPOSITE5))
-
-
-def _area_terms():
-    """Face row, edge ab and the other two edges ac, bc of every (face, edge) pair."""
-    terms = []
-    for fi, face in enumerate(FACES5):
-        for a, b in ((face[0], face[1]), (face[0], face[2]), (face[1], face[2])):
-            (c,) = [v for v in face if v != a and v != b]
-            terms.append((
-                fi,
-                EDGE_INDEX5[(a, b)],
-                EDGE_INDEX5[tuple(sorted((a, c)))],
-                EDGE_INDEX5[tuple(sorted((b, c)))],
-            ))
-    return tuple(np.array(col) for col in zip(*terms))
-
-
-_AREA_ROW, _AREA_AB, _AREA_AC, _AREA_BC = _area_terms()
+# each (face, edge) pair of dS_dL_blocks: the face's row, its edge ab and the
+# face's other two edges, ac and bc
+_AREA_ROW = np.repeat(np.arange(10), 3)
+_AREA_AB = FACE_EDGES5.ravel()
+_AREA_AC = FACE_EDGES5[:, [1, 0, 0]].ravel()
+_AREA_BC = FACE_EDGES5[:, [2, 2, 1]].ravel()
 
 
 def squared_length_table(points):
@@ -295,7 +283,7 @@ def dihedral_angles_from_points(points):
     N = Ainv[..., 1:, :]  # column i is the gradient of barycentric coordinate i
     G = N.swapaxes(-1, -2) @ N
     d = np.sqrt(np.diagonal(G, axis1=-2, axis2=-1))
-    cosines = -G[..., _OPP_X, _OPP_Y] / (d[..., _OPP_X] * d[..., _OPP_Y])
+    cosines = -G[..., OPP_X, OPP_Y] / (d[..., OPP_X] * d[..., OPP_Y])
     return np.arccos(np.clip(cosines, -1.0, 1.0))
 
 

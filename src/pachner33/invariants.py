@@ -8,17 +8,18 @@ log|.|) only, which neither under- nor overflows at a thousand cells;
 basis_change_factor takes det ratios as differences of slogdets.
 Moves are compared with matched selections: the row of the disappearing
 triangle is replaced by the row of the appearing one.  The move only swaps
-three simplices, so the after-quantities are a local update of the
-before-quantities.  move_blocks computes the angle blocks of the N cells
-and the three replacement cells in one batch; the assembled matrix is a
-scatter of the first N, and the selection eliminates in it, so a command
-holds one faces x edges array.  virtual_rebuild then forms only B_after:
-it adds the same blocks, with the removed cluster's taken out and the
-replacement's put in, at the selected rows and columns.  The products drop
-three volumes and one area and gain their replacements.
-The moved complex is never built, which also covers the
-boundary-of-the-5-simplex situation where the opposite triangle is already
-a face and the moved complex would not be simplicial.
+three simplices, so the after-quantities come from the same data as the
+before-quantities.  move_blocks computes each cell's share of dOmega/dL,
+its (10, 10) block -dtheta/dL, for the N cells and the three replacement
+cells in one batch; the assembled matrix is a scatter of the first N, and
+the selection eliminates in it, so a command holds one faces x edges
+array.  virtual_rebuild then forms only B_after, as the sum of the shares
+of the after-cells (the N cells without the removed three, then the three
+replacements) at the selected rows and columns: bitwise the moved
+complex's own entries.  The products drop three volumes and one area and
+gain their replacements.  The moved complex is never built, which also
+covers the boundary-of-the-5-simplex situation where the opposite
+triangle is already a face and the moved complex would not be simplicial.
 """
 from __future__ import annotations
 
@@ -28,9 +29,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .complexes import move_cluster, oriented_tuple, scatter_indices
+from .complexes import move_cluster, oriented_tuple
 from .errors import DegenerateSimplexError, SelectionError
 from .flatmetric import realize, triangle_areas
+from .geometry import EDGES5, FACES5
 from .jacobians import (
     PIVOT_TOL,
     assemble_domega_dL,
@@ -112,14 +114,18 @@ def full_invariant(c, m):
     )
 
 
-def move_blocks(c, m, coords, def_, new_cells):
-    """Angle blocks of the N cells and the three replacement cells, in one batch.
+def move_blocks(c, m, coords, star, new_cells):
+    """Shares of the N cells and the three replacement cells, in one batch.
 
-    Returns the (N + 3, 10, 10) dtheta_dL_blocks and the replacement cells'
-    (3, 10) face rows and edge columns and (3,) signed volumes.  The
-    appearing triangle def_ gets row F, one past the complex's triangles (an
-    older face with the same vertices may survive alongside).  A replacement
-    cell below the cell_volumes floor raises DegenerateSimplexError first.
+    Returns the (N + 3, 10, 10) shares -dtheta/dL, dtheta_dL_blocks of the
+    negated signs, and the replacement cells' (3, 10) face rows and edge
+    columns and (3,) signed volumes.  Every edge of a replacement cell, and
+    every face but the appearing triangle, is a face of a star cell, so the
+    rows and columns are read off the star cells' (simplex_faces[star],
+    simplex_edges[star]); the appearing triangle gets row F, one past the
+    complex's triangles (an older face with the same vertices may survive
+    alongside).  A replacement cell below the cell_volumes floor raises
+    DegenerateSimplexError first.
     """
     pts = [[coords[v] for v in oriented_tuple(*cell)] for cell in new_cells]
     volumes, below = geometry.cell_volumes(pts, geometry.DEGENERACY_REL)
@@ -128,48 +134,53 @@ def move_blocks(c, m, coords, def_, new_cells):
         raise DegenerateSimplexError(
             f"replacement simplex {new_cells[int(thin[0])][0]} is degenerate"
         )
-    new = [verts for verts, _ in new_cells]
-    faces = {**c.face_index[2], def_: len(c.triangle_vertices)}
-    rows, cols = scatter_indices(new, faces, c.face_index[1])
-    dtheta = dtheta_dL_blocks(
+    # {vertex ids: index} of the star cells' faces and edges, read at the replacement cells'
+    old = c.vertex_ids[np.sort(c.simplex_vertices[star], axis=1)].tolist()
+    index = dict(zip(
+        [(v[p], v[q], v[r]) for v in old for p, q, r in FACES5]
+        + [(v[p], v[q]) for v in old for p, q in EDGES5],
+        np.append(c.simplex_faces[star], c.simplex_edges[star]).tolist(),
+    ))
+    F = len(c.triangle_vertices)
+    rows = np.array([[index.get((v[p], v[q], v[r]), F) for p, q, r in FACES5]
+                     for v, _ in new_cells])
+    cols = np.array([[index[(v[p], v[q])] for p, q in EDGES5] for v, _ in new_cells])
+    shares = dtheta_dL_blocks(
         length_tables(m.L, np.vstack([c.simplex_edges, cols])),
-        np.append(m.eps, np.where(volumes > 0, 1, -1)),
+        -np.append(m.eps, np.where(volumes > 0, 1, -1)),
     )
-    return dtheta, rows, cols, volumes
+    return shares, rows, cols, volumes
 
 
-def virtual_rebuild(c, sel, star, dtheta, rows, cols):
+def virtual_rebuild(c, sel, star, shares, rows, cols):
     """After-move entries at the selection: B_after and the appearing triangle's row.
 
-    The after-matrix is the assembled one with the removed cluster's blocks
-    dtheta[star] taken out and the replacement's, the last three of
-    move_blocks at its rows and cols, put in.  Only its entries at
-    sel.rows x sel.cols, and those of the appearing triangle (row F) at
-    sel.cols, are formed: the block sequence -dtheta[:N] in cell order, then
-    +dtheta[star], then the three replacement blocks, masked to those rows
-    and columns, is summed by one np.bincount into a
-    (len(sel.rows) + 1, len(sel.cols)) array, so each entry sums the same
-    terms in the same order, from 0.0, as the whole after-matrix would.  The
-    moved complex is never built.
+    The after-cells are the N cells without the star, in cell order, then
+    the three replacement cells, the last three of move_blocks at its rows
+    and cols.  Only the after-matrix's entries at sel.rows x sel.cols, and
+    those of the appearing triangle (row F) at sel.cols, are formed: the
+    after-cells' shares, masked to those rows and columns, are summed by one
+    np.bincount into a (len(sel.rows) + 1, len(sel.cols)) array, so each
+    entry sums the same terms in the same order, from 0.0, as the moved
+    complex's assembly does.  The moved complex is never built.
     """
-    N, F = len(c.simplex_vertices), len(c.triangle_vertices)
+    F = len(c.triangle_vertices)
     n_rows, n_cols = len(sel.rows), len(sel.cols)
     row_at = np.full(F + 1, -1)
     row_at[list(sel.rows)] = np.arange(n_rows)
     row_at[F] = n_rows
     col_at = np.full(len(c.edge_ends), -1)
     col_at[list(sel.cols)] = np.arange(n_cols)
-    cells = np.concatenate([np.arange(N), star, np.arange(N, len(dtheta))])
-    sign = np.repeat([-1.0, 1.0, -1.0], [N, len(star), len(dtheta) - N])
-    at_row = row_at[np.vstack([c.simplex_faces, c.simplex_faces[star], rows])]
-    at_col = col_at[np.vstack([c.simplex_edges, c.simplex_edges[star], cols])]
+    after = np.delete(np.arange(len(shares)), star)
+    at_row = row_at[np.vstack([c.simplex_faces, rows])[after]]
+    at_col = col_at[np.vstack([c.simplex_edges, cols])[after]]
     # kept entries in block-major order: each entry's sum runs in block order.
     # scatter_blocks with a discard row and column gives the same bits but
     # adds every entry.
     k, i, j = np.nonzero((at_row >= 0)[:, :, None] & (at_col >= 0)[:, None, :])
     B = np.bincount(
         at_row[k, i] * n_cols + at_col[k, j],
-        sign[k] * dtheta[cells[k], i, j],
+        shares[after[k], i, j],
         minlength=(n_rows + 1) * n_cols,
     ).reshape(n_rows + 1, n_cols)
     return B[:n_rows], B[n_rows]
@@ -202,7 +213,7 @@ def compare_under_move(c, coords, t):
     The before-selection forces the row of t into the submatrix; the
     after-selection keeps the same rows and columns except that the row of t
     is replaced by the row of the opposite triangle.  The placement is reused
-    for the rebuilt cluster, so flatness persists.  One batch of angle blocks
+    for the rebuilt cluster, so flatness persists.  One batch of shares
     (move_blocks) gives the before-matrix, which the selection eliminates in
     place, and, through virtual_rebuild, the after-submatrix B_after; the
     products are updated in place of the three swapped cells.  det(B) is
@@ -211,18 +222,19 @@ def compare_under_move(c, coords, t):
     """
     abc, def_, star, new_cells = move_cluster(c, t)
     m = realize(c, coords)
-    dtheta, new_rows, new_cols, new_volumes = move_blocks(c, m, coords, def_, new_cells)
+    shares, new_rows, new_cols, new_volumes = move_blocks(c, m, coords, star, new_cells)
     row_abc = c.face_index[2][abc]
     sel = rank_and_submatrix(
-        assemble_domega_dL(c, m, dtheta[: len(c.simplex_vertices)]), must_include_row=row_abc
+        assemble_domega_dL(c, m, shares[: len(c.simplex_vertices)]), must_include_row=row_abc
     )
     sign_before, log_before = restricted_invariant(c, m, sel)
 
-    B_after, def_row = virtual_rebuild(c, sel, star, dtheta, new_rows, new_cols)
+    B_after, def_row = virtual_rebuild(c, sel, star, shares, new_rows, new_cols)
     B_after[sel.rows.index(row_abc)] = def_row
     volumes = np.append(np.delete(m.V, star), new_volumes)
-    d, e, f = def_
-    def_edges = [[c.face_index[1][pair] for pair in ((d, e), (d, f), (e, f))]]
+    # the edges de, df, ef of the appearing triangle, in its first replacement cell
+    is_def = new_rows[0] == len(c.triangle_vertices)
+    def_edges = new_cols[0, geometry.FACE_EDGES5[is_def]]
     areas = np.append(np.delete(m.S, row_abc), triangle_areas(m.L, def_edges, [def_]))
 
     det_sign, log_det = np.linalg.slogdet(B_after)

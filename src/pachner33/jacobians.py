@@ -58,7 +58,6 @@ PIVOT_TOL = 1e-9
 # in cache whatever the matrix size.
 _UPDATE_BYTES = 1 << 18
 
-_OPP_X, _OPP_Y = (np.array(ends) for ends in zip(*geometry.OPPOSITE5))
 _VERTICES = np.arange(5)[:, None]
 # the rows a Gauss-Jordan step at pivot k eliminates
 _OTHER_ROWS = tuple(np.array([r for r in range(4) if r != k]) for k in range(4))
@@ -132,9 +131,9 @@ def _face_gather(P, faces):
     (N, 1) and take gives (N, k) arrays.
     """
     if faces is None:
-        return (lambda a, b: P[:, a, b]), _OPP_X[:, None], _OPP_Y[:, None]
+        return (lambda a, b: P[:, a, b]), geometry.OPP_X[:, None], geometry.OPP_Y[:, None]
     n = np.arange(len(P))[:, None]
-    return (lambda a, b: P[n, a, b]), _OPP_X[faces, None], _OPP_Y[faces, None]
+    return (lambda a, b: P[n, a, b]), geometry.OPP_X[faces, None], geometry.OPP_Y[faces, None]
 
 
 def _vertex_terms(take, v):
@@ -197,8 +196,8 @@ def _gram_dtheta_dL(P, eps, faces=None):
     del Piy
     dcos /= -2.0 * norm
     if faces is None:
-        bracket = W[:, _OPP_X]
-        bracket += W[:, _OPP_Y]
+        bracket = W[:, geometry.OPP_X]
+        bracket += W[:, geometry.OPP_Y]
         del W
     else:
         bracket = _vertex_terms(take, x)
@@ -285,17 +284,16 @@ def scatter_blocks(shape, rows, cols, blocks):
     return np.bincount(keys.ravel(), blocks.ravel(), minlength=n_rows * n_cols).reshape(shape)
 
 
-def assemble_domega_dL(c, m, dtheta=None):
+def assemble_domega_dL(c, m, blocks=None):
     """Global matrix of face-deficit derivatives by squared edge lengths.
 
-    dtheta, the (N, 10, 10) dtheta_dL_blocks of the metric, is computed
-    unless given.
+    blocks are the cells' (N, 10, 10) shares of it, -dtheta/dL, scattered as
+    they are; unless given they are dtheta_dL_blocks(tables, -m.eps), bitwise
+    the negated angle blocks (the sign enters only the kernel's last
+    division).
     """
-    if dtheta is None:
-        blocks = dtheta_dL_blocks(length_tables(m.L, c.simplex_edges), m.eps)
-        np.negative(blocks, out=blocks)
-    else:
-        blocks = -dtheta
+    if blocks is None:
+        blocks = dtheta_dL_blocks(length_tables(m.L, c.simplex_edges), -m.eps)
     shape = (len(c.triangle_vertices), len(c.edge_ends))
     return scatter_blocks(shape, c.simplex_faces, c.simplex_edges, blocks)
 
@@ -328,10 +326,11 @@ class JacobianSet:
 def build_jacobians(c, m):
     """The three matrices, from one batch of per-simplex angle and area blocks."""
     tables = length_tables(m.L, c.simplex_edges)
-    dtheta = dtheta_dL_blocks(tables, m.eps)
+    shares = dtheta_dL_blocks(tables, -m.eps)
     dS_dL = geometry.dS_dL_blocks(tables)
     E, F = len(c.edge_ends), len(c.triangle_vertices)
-    X = -domega_dS_blocks(dtheta, dS_dL)
+    # a linear solve: X is bitwise the negated domega_dS_blocks of the angle blocks
+    X = domega_dS_blocks(shares, dS_dL)
     dOmega_dS = scatter_blocks((F, F), c.simplex_faces, c.simplex_faces, X)
     # At a flat point the area-derivative weights are stationary against the
     # vanishing face deficits, leaving the weighted sum of dOmega_dS rows.
@@ -340,7 +339,7 @@ def build_jacobians(c, m):
     dBigOmega_dS = scatter_blocks(
         (E, F), c.simplex_edges, c.simplex_faces, np.swapaxes(dS_dL, 1, 2) @ X
     )
-    return JacobianSet(assemble_domega_dL(c, m, dtheta), dOmega_dS, dBigOmega_dS)
+    return JacobianSet(assemble_domega_dL(c, m, shares), dOmega_dS, dBigOmega_dS)
 
 
 def log_product(values):
@@ -395,7 +394,7 @@ def rank_and_submatrix(matrix, must_include_row=None):
     reference when a (possibly weaker) first pivot row is forced.  If must_include_row
     is given, that row is forced as the first pivot row (its largest entry
     becomes the first pivot); a forced row that is not an integer index in
-    [0, n_rows), or that is numerically zero, is an error.
+    [0, n_rows) (a bool is none), or that is numerically zero, is an error.
 
     The elimination keeps row_best, the largest |entry| of each row.  It is
     first taken as max(row.max(), -row.min()), so that no |matrix| array is
@@ -423,7 +422,8 @@ def rank_and_submatrix(matrix, must_include_row=None):
 
     forced = None
     if must_include_row is not None:
-        if not (isinstance(must_include_row, numbers.Integral) and 0 <= must_include_row < n_rows):
+        row = must_include_row  # a bool is an Integral to Python, but no row index
+        if isinstance(row, bool) or not (isinstance(row, numbers.Integral) and 0 <= row < n_rows):
             raise SelectionError(
                 f"forced row {must_include_row!r} is not a row index of a {n_rows}-row matrix"
             )

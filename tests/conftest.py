@@ -211,8 +211,26 @@ def vertex_motion_dL(c, coords, delta):
     return 2.0 * np.einsum("ek,ek->e", X[u] - X[w], dX[u] - dX[w])
 
 
-def admissible_triangles(c, limit):
-    """Up to limit triangles of c whose star is a 3->3 cluster, in face order."""
+def index_array(rows, width):
+    return np.array(rows, dtype=np.intp).reshape(len(rows), width)
+
+
+def scatter_indices(cells, face_index, edge_index):
+    """(N, 10) global face rows and edge columns of sorted 5-tuples, by dict lookup.
+
+    Entry [n, k] is the position of the k-th local face (geometry.FACES5)
+    or edge (geometry.EDGES5) of cells[n] in face_index or edge_index.  The
+    per-cell route that build_complex's simplex_faces/simplex_edges and
+    move_blocks' replacement rows and columns replaced, kept as their
+    reference.
+    """
+    rows = [[face_index[(v[p], v[q], v[r])] for p, q, r in g.FACES5] for v in cells]
+    cols = [[edge_index[(v[p], v[q])] for p, q in g.EDGES5] for v in cells]
+    return index_array(rows, 10), index_array(cols, 10)
+
+
+def admissible_triangles(c, limit=None):
+    """Up to limit (default all) triangles of c whose star is a 3->3 cluster, in face order."""
     found = []
     for tri in c.faces[2]:
         try:

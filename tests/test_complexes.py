@@ -16,6 +16,8 @@ from pachner33 import jacobians as jb
 from pachner33.errors import ComplexStructureError, MovePreconditionError
 from pachner33.io import load_fixture
 
+from conftest import index_array, scatter_indices
+
 
 # --------------------------------------------------- orientation references
 
@@ -338,10 +340,6 @@ def canonical_oriented_loop(verts):
     return tuple(sorted(verts)), sign
 
 
-def _index_array(rows, width):
-    return np.array(rows, dtype=np.intp).reshape(len(rows), width)
-
-
 def build_complex_loop(simplex_list, allow_boundary=False):
     """The per-cell loop that build_complex replaced, kept as its bitwise reference."""
     simplices = []
@@ -393,7 +391,7 @@ def build_complex_loop(simplex_list, allow_boundary=False):
     vertices = tuple(sorted({v for verts, _ in simplices for v in verts}))
     position = {v: n for n, v in enumerate(vertices)}
     edge_of = face_index[1]
-    simplex_faces, simplex_edges = cx.scatter_indices(
+    simplex_faces, simplex_edges = scatter_indices(
         [verts for verts, _ in simplices], face_index[2], edge_of
     )
     return SimpleNamespace(
@@ -403,16 +401,16 @@ def build_complex_loop(simplex_list, allow_boundary=False):
         face_index=face_index,
         is_closed=is_closed,
         orientation_consistent=consistent,
-        edge_ends=_index_array([[position[u], position[w]] for u, w in faces[1]], 2),
-        triangle_edges=_index_array(
+        edge_ends=index_array([[position[u], position[w]] for u, w in faces[1]], 2),
+        triangle_edges=index_array(
             [[edge_of[(a, b)], edge_of[(a, c)], edge_of[(b, c)]] for a, b, c in faces[2]], 3
         ),
-        simplex_vertices=_index_array(
+        simplex_vertices=index_array(
             [[position[v] for v in cx.oriented_tuple(*s)] for s in simplices], 5
         ),
         simplex_faces=simplex_faces,
         simplex_edges=simplex_edges,
-        simplex_tetrahedra=_index_array(
+        simplex_tetrahedra=index_array(
             [[face_index[3][t] for t in itertools.combinations(v, 4)] for v, _ in simplices], 5
         ),
     )

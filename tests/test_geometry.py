@@ -555,6 +555,22 @@ def test_area_length_derivative_zero_off_face():
     assert area_length_derivative(UNIT_L, (0, 1, 2), (3, 4)) == 0.0
 
 
+def test_local_index_tables_match_a_faces5_loop():
+    # the (face, edge) terms of dS_dL_blocks, derived from FACE_EDGES5, and the
+    # vertices opposite each face, which jacobians reads from here, are the
+    # tables a loop over FACES5 builds
+    terms, opposite = [], []
+    for fi, face in enumerate(g.FACES5):
+        for a, b in ((face[0], face[1]), (face[0], face[2]), (face[1], face[2])):
+            (c,) = [v for v in face if v not in (a, b)]
+            terms.append((fi, g.EDGE_INDEX5[(a, b)], g.EDGE_INDEX5[tuple(sorted((a, c)))],
+                          g.EDGE_INDEX5[tuple(sorted((b, c)))]))
+        opposite.append([v for v in range(5) if v not in face])
+    derived = (g._AREA_ROW, g._AREA_AB, g._AREA_AC, g._AREA_BC)
+    assert [a.tolist() for a in derived] == [list(col) for col in zip(*terms)]
+    assert [g.OPP_X.tolist(), g.OPP_Y.tolist()] == [list(col) for col in zip(*opposite)]
+
+
 def test_edge_angle_regular_simplex_matches_oracle():
     # three faces contain any edge; each contributes (dS/dL) * arccos(1/4)
     oracle = 3.0 * area_derivative_oracle(1.0, 1.0, 1.0) * regular_simplex_dihedral_oracle(4)

@@ -13,7 +13,7 @@ from pachner33 import invariants as iv
 from pachner33 import jacobians as jb
 from pachner33.errors import DegenerateSimplexError, SelectionError
 
-from conftest import cm_squared_volume, reduce_angle_scalar, symmetric_cluster
+from conftest import cm_squared_volume, reduce_angle_scalar, scatter_indices, symmetric_cluster
 
 
 # --------------------------------------------------------------- clusters
@@ -343,38 +343,60 @@ def test_compare_on_moved_join_fixture(join_complex, join_coords):
     assert iv.compare_under_move(moved, join_coords, rec.new_face).deviation <= 1e-6
 
 
-def virtual_rebuild_reference(c, m, coords, M, star, def_, new_cells):
-    """The after-matrix, its appearing row and the replacement volumes, as
-    computed before one block batch served the whole move: the removed and
-    the replacement cells' angle blocks each from a call of their own.
+def after_cells_reference(c, m, coords, star, def_, new_cells):
+    """The (F + 1) x E after-matrix, as np.add.at of the after-cells' shares into zeros.
+
+    The after-cells are the cells without the star, in cell order, then the
+    replacement cells, whose shares come from a call of their own and whose
+    rows and columns come from dict lookups, the appearing triangle at row
+    F.  Returns the first F rows, row F and the replacement volumes.
     """
     pts = [[coords[v] for v in cx.oriented_tuple(*cell)] for cell in new_cells]
     volumes, below = g.cell_volumes(pts, g.DEGENERACY_REL)
     if below.any():
         raise DegenerateSimplexError("replacement simplex is degenerate")
-    F = M.shape[0]
-    M_after = np.vstack([M, np.zeros((1, M.shape[1]))])
-    rows, cols = c.simplex_faces[star], c.simplex_edges[star]
-    blocks = jb.dtheta_dL_blocks(jb.length_tables(m.L, cols), m.eps[star])
-    np.add.at(M_after, (rows[:, :, None], cols[:, None, :]), blocks)
-    new = [verts for verts, _ in new_cells]
-    rows, cols = cx.scatter_indices(new, {**c.face_index[2], def_: F}, c.face_index[1])
-    blocks = jb.dtheta_dL_blocks(jb.length_tables(m.L, cols), np.where(volumes > 0, 1, -1))
-    np.add.at(M_after, (rows[:, :, None], cols[:, None, :]), -blocks)
+    F, E = len(c.faces[2]), len(c.faces[1])
+    rows, cols = scatter_indices(
+        [verts for verts, _ in new_cells], {**c.face_index[2], def_: F}, c.face_index[1]
+    )
+    kept = np.delete(np.arange(len(c.simplices)), star)
+    shares = np.concatenate([
+        jb.dtheta_dL_blocks(jb.length_tables(m.L, c.simplex_edges[kept]), -m.eps[kept]),
+        jb.dtheta_dL_blocks(jb.length_tables(m.L, cols), -np.where(volumes > 0, 1.0, -1.0)),
+    ])
+    rows = np.vstack([c.simplex_faces[kept], rows])
+    cols = np.vstack([c.simplex_edges[kept], cols])
+    M_after = np.zeros((F + 1, E))
+    np.add.at(M_after, (rows[:, :, None], cols[:, None, :]), shares)
     return M_after[:F], M_after[F], volumes
 
 
+def moved_reference(c, coords, t, sel):
+    """The moved complex's own entries at a selection of c: pachner_33, realize, assemble.
+
+    Returns its entries at sel.rows x sel.cols, the row of the disappearing
+    triangle taken by the appearing one, and the appearing triangle's row
+    at sel.cols.
+    """
+    moved, record = cx.pachner_33(c, t)
+    M = jb.assemble_domega_dL(moved, fm.realize(moved, coords))
+    rows = [
+        moved.face_index[2][record.new_face if key == record.old_face else key]
+        for key in (c.faces[2][i] for i in sel.rows)
+    ]
+    cols = [moved.face_index[1][c.faces[1][j]] for j in sel.cols]
+    return M[np.ix_(rows, cols)], M[moved.face_index[2][record.new_face], cols]
+
+
 def compare_reference(c, coords, t):
-    """(selection, sign and log|I| before, after, ratio) on virtual_rebuild_reference."""
+    """(selection, sign and log|I| before, after, ratio) on after_cells_reference."""
     abc, def_, star, new_cells = cx.move_cluster(c, t)
     m = fm.realize(c, coords)
     M = jb.assemble_domega_dL(c, m)
     row_abc = c.face_index[2][abc]
     sel = jb.rank_and_submatrix(M.copy(), must_include_row=row_abc)
     sign_before, log_before = iv.restricted_invariant(c, m, sel)
-    M_after, def_row, new_volumes = virtual_rebuild_reference(
-        c, m, coords, M, star, def_, new_cells
-    )
+    M_after, def_row, new_volumes = after_cells_reference(c, m, coords, star, def_, new_cells)
     B_after = M_after[np.ix_(sel.rows, sel.cols)]
     B_after[sel.rows.index(row_abc)] = def_row[list(sel.cols)]
     volumes = np.append(np.delete(m.V, star), new_volumes)
@@ -397,55 +419,91 @@ def whole_selection(M):
     )
 
 
-def virtual_rebuild_masked_add_at(c, sel, star, dtheta, rows, cols):
-    """virtual_rebuild with its masked sum taken by np.add.at into zeros."""
-    N, F = len(c.simplices), len(c.faces[2])
-    n_rows, n_cols = len(sel.rows), len(sel.cols)
-    row_at = np.full(F + 1, -1)
-    row_at[list(sel.rows)] = np.arange(n_rows)
-    row_at[F] = n_rows
-    col_at = np.full(len(c.faces[1]), -1)
-    col_at[list(sel.cols)] = np.arange(n_cols)
-    cells = np.concatenate([np.arange(N), star, np.arange(N, len(dtheta))])
-    sign = np.repeat([-1.0, 1.0, -1.0], [N, len(star), len(dtheta) - N])
-    at_row = row_at[np.vstack([c.simplex_faces, c.simplex_faces[star], rows])]
-    at_col = col_at[np.vstack([c.simplex_edges, c.simplex_edges[star], cols])]
-    k, i, j = np.nonzero((at_row >= 0)[:, :, None] & (at_col >= 0)[:, None, :])
-    B = np.zeros((n_rows + 1, n_cols))
-    np.add.at(B, (at_row[k, i], at_col[k, j]), sign[k] * dtheta[cells[k], i, j])
-    return B[:n_rows], B[n_rows]
+def move_cases(delta5, delta5_coords, join_complex, join_coords, bipyramid, stellar_ladder):
+    """The three fixtures, the bipyramid on the unit-ball sampler, and the rungs."""
+    bipyramid_coords = fm.random_realization(bipyramid, seed=2)
+    cases = [(delta5, delta5_coords), (join_complex, join_coords), (bipyramid, bipyramid_coords)]
+    return cases + list(stellar_ladder.values())
+
+
+def test_move_blocks_reads_the_replacement_indices_off_the_star(
+    delta5, delta5_coords, join_complex, join_coords, bipyramid, stellar_ladder, admissible
+):
+    # the replacement rows and columns are the dict lookups of their faces,
+    # with the appearing triangle at row F, also where it is already a face
+    compared = already = 0
+    for c, coords in move_cases(
+        delta5, delta5_coords, join_complex, join_coords, bipyramid, stellar_ladder
+    ):
+        m = fm.realize(c, coords)
+        F = len(c.faces[2])
+        for tri in admissible(c):
+            _, def_, star, new_cells = cx.move_cluster(c, tri)
+            _, rows, cols, _ = iv.move_blocks(c, m, coords, star, new_cells)
+            want = scatter_indices(
+                [verts for verts, _ in new_cells], {**c.face_index[2], def_: F}, c.face_index[1]
+            )
+            assert [rows.tolist(), cols.tolist()] == [a.tolist() for a in want], tri
+            already += def_ in c.face_index[2]
+            compared += 1
+    assert compared >= 100 and already >= 20
 
 
 def test_virtual_rebuild_matches_the_stacked_copy_bitwise(
-    delta5, delta5_coords, join_complex, join_coords, stellar_ladder, admissible
+    delta5, delta5_coords, join_complex, join_coords, bipyramid, stellar_ladder, admissible
 ):
     # B_after and the appearing row, at the whole matrix and at the selection,
-    # are the entries of the (F + 1) x E stacked copy, bit for bit, and the
-    # masked np.add.at sum of the same terms
-    cases = [(delta5, delta5_coords), (join_complex, join_coords)]
-    cases += list(stellar_ladder.values())
+    # are the entries of the (F + 1) x E stacked copy of the after-cells, bit
+    # for bit, at every admissible move, DEF already a face or not
     compared = 0
-    for c, coords in cases:
+    for c, coords in move_cases(
+        delta5, delta5_coords, join_complex, join_coords, bipyramid, stellar_ladder
+    ):
         m = fm.realize(c, coords)
-        for tri in admissible(c, 4):
+        for tri in admissible(c):
             _, def_, star, new_cells = cx.move_cluster(c, tri)
-            dtheta, rows, cols, _ = iv.move_blocks(c, m, coords, def_, new_cells)
-            M = jb.assemble_domega_dL(c, m, dtheta[: len(c.simplices)])
-            M_after, def_row, _ = virtual_rebuild_reference(c, m, coords, M, star, def_, new_cells)
+            shares, rows, cols, _ = iv.move_blocks(c, m, coords, star, new_cells)
+            M = jb.assemble_domega_dL(c, m, shares[: len(c.simplices)])
+            M_after, def_row, _ = after_cells_reference(c, m, coords, star, def_, new_cells)
             whole = whole_selection(M)
-            whole_after, whole_def = iv.virtual_rebuild(c, whole, star, dtheta, rows, cols)
+            whole_after, whole_def = iv.virtual_rebuild(c, whole, star, shares, rows, cols)
             assert whole_after.tobytes() == M_after.tobytes()
             assert whole_def.tobytes() == def_row.tobytes()
             sel = jb.rank_and_submatrix(M, must_include_row=c.face_index[2][tuple(tri)])
-            B_after, def_at_sel = iv.virtual_rebuild(c, sel, star, dtheta, rows, cols)
+            B_after, def_at_sel = iv.virtual_rebuild(c, sel, star, shares, rows, cols)
             assert B_after.shape == (sel.rank, sel.rank)
             assert B_after.tobytes() == M_after[np.ix_(sel.rows, sel.cols)].tobytes()
             assert def_at_sel.tobytes() == def_row[list(sel.cols)].tobytes()
-            for s, got in ((whole, (whole_after, whole_def)), (sel, (B_after, def_at_sel))):
-                want = virtual_rebuild_masked_add_at(c, s, star, dtheta, rows, cols)
-                assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
             compared += 1
-    assert compared >= 12
+    assert compared >= 100
+
+
+def test_virtual_rebuild_is_the_moved_complex_bitwise(
+    join_complex, join_coords, stellar_ladder, admissible
+):
+    # at every move pachner_33 can make, B_after and the appearing row are the
+    # moved complex's own assembled entries at the matched rows and columns
+    # (the join, its one-move descendant and the rungs, which have none)
+    descendant, _ = cx.pachner_33(join_complex, (0, 2, 3))
+    cases = [(join_complex, join_coords), (descendant, join_coords), *stellar_ladder.values()]
+    compared = 0
+    for c, coords in cases:
+        m = fm.realize(c, coords)
+        for tri in admissible(c):
+            abc, def_, star, new_cells = cx.move_cluster(c, tri)
+            if def_ in c.face_index[2]:
+                continue
+            shares, rows, cols, _ = iv.move_blocks(c, m, coords, star, new_cells)
+            M = jb.assemble_domega_dL(c, m, shares[: len(c.simplices)])
+            row_abc = c.face_index[2][abc]
+            for sel in (whole_selection(M), jb.rank_and_submatrix(M, must_include_row=row_abc)):
+                B_after, def_row = iv.virtual_rebuild(c, sel, star, shares, rows, cols)
+                B_after[sel.rows.index(row_abc)] = def_row
+                want, want_def = moved_reference(c, coords, tri, sel)
+                assert B_after.tobytes() == want.tobytes(), tri
+                assert def_row.tobytes() == want_def.tobytes(), tri
+            compared += 1
+    assert compared == 8
 
 
 def test_compare_matches_the_two_call_rebuild_bitwise(
@@ -490,12 +548,12 @@ def test_row_swap_ratio_matches_gradient_ratio(delta5, delta5_coords):
     m = fm.realize(delta5, delta5_coords)
     abc = (0, 1, 2)
     _, def_, star, new_cells = cx.move_cluster(delta5, abc)
-    dtheta, rows, cols, _ = iv.move_blocks(delta5, m, delta5_coords, def_, new_cells)
-    M = jb.assemble_domega_dL(delta5, m, dtheta[: len(delta5.simplices)])
+    shares, rows, cols, _ = iv.move_blocks(delta5, m, delta5_coords, star, new_cells)
+    M = jb.assemble_domega_dL(delta5, m, shares[: len(delta5.simplices)])
     row_abc = delta5.face_index[2][abc]
     sel = jb.rank_and_submatrix(M.copy(), must_include_row=row_abc)
-    _, def_row = iv.virtual_rebuild(delta5, whole_selection(M), star, dtheta, rows, cols)
-    _, def_at_sel = iv.virtual_rebuild(delta5, sel, star, dtheta, rows, cols)
+    _, def_row = iv.virtual_rebuild(delta5, whole_selection(M), star, shares, rows, cols)
+    _, def_at_sel = iv.virtual_rebuild(delta5, sel, star, shares, rows, cols)
     assert def_at_sel.tobytes() == def_row[list(sel.cols)].tobytes()
     r_before = M[row_abc]
     cos = abs(r_before @ def_row) / (

@@ -820,10 +820,11 @@ def test_check_flat_and_invariant_build_no_tuple_table(monkeypatch, stellar_ladd
         code, out = run_cli(*argv)
         assert code == 0, out
         assert not {"faces", "face_index", "simplices"} & vars(built[-1]).keys(), argv
-    # compare reads the triangle and edge tables, never the tetrahedra
+    # compare reads the triangle table only: the replacement cells' indices
+    # come from the removed cells' arrays
     code, _ = run_cli("compare", fixture_path("join_tetra_triangle.json"), "--face", "0,1,2")
     assert code == 0
-    assert set(built[-1].faces._built) == set(built[-1].face_index._built) == {1, 2}
+    assert set(built[-1].faces._built) == set(built[-1].face_index._built) == {2}
 
 
 def test_document_is_immutable_and_keeps_its_complex():

@@ -698,6 +698,14 @@ def test_selection_rejects_a_forced_row_outside_the_matrix(row):
         jb.rank_and_submatrix(M, must_include_row=row)
 
 
+@pytest.mark.parametrize("row", [True, False, np.True_], ids=["True", "False", "np.True_"])
+def test_selection_rejects_a_bool_forced_row(row):
+    # True and False would force rows 1 and 0, as np.True_ never did
+    M = np.arange(1.0, 7.0).reshape(3, 2)
+    with pytest.raises(SelectionError, match=f"forced row {row!r} is not a row index of a 3-row"):
+        jb.rank_and_submatrix(M, must_include_row=row)
+
+
 def test_selection_det_matches_numpy_det(join_complex, join_metric):
     M = jb.assemble_domega_dL(join_complex, join_metric)
     sel = jb.rank_and_submatrix(M.copy())

@@ -83,6 +83,20 @@ def test_report_digest_is_stable_across_runs():
     assert re.fullmatch(r"[0-9a-f]{64}\n", digests[0])
 
 
+def test_report_digest_at_this_checkout_equals_the_default():
+    # --checkout at this checkout's root prints the digest of the call without it
+    digests = []
+    for flag in ([], ["--checkout", str(SCRIPTS.parent)]):
+        done = subprocess.run(
+            [sys.executable, str(SCRIPTS / "report_digest.py"), "moves", "611", *flag],
+            capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stdout + done.stderr
+        digests.append(done.stdout)
+    assert digests[0] == digests[1]
+    assert re.fullmatch(r"[0-9a-f]{64}\n", digests[0])
+
+
 def load_perfbench_module(monkeypatch, name):
     """perfbench/<name>.py, loaded read-only (no bytecode written next to it)."""
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
