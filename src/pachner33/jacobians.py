@@ -34,8 +34,11 @@ maximal nondegenerate submatrix is found by complete-pivoting Gaussian
 elimination with a relative pivot threshold.  Each step updates only the
 rows its pivot column reaches and finds the next pivot through the row
 maxima, so on the sparse dOmega_dL (a few percent nonzero) a step costs
-the rows it changes rather than the whole matrix.  The elimination runs in
-the float64 matrix it is handed and forms no whole-matrix temporary, so a
+the rows it changes rather than the whole matrix.  Once a step touches
+more than half of the rows of an array that fits in one update pass (the
+stacked joins fill in), the remaining steps take the whole array, whose
+two buffers stay within that pass's bound.  The elimination runs in the
+float64 matrix it is handed and forms no whole-matrix temporary, so a
 command that selects holds one faces x edges array.
 """
 from __future__ import annotations
@@ -408,6 +411,15 @@ def rank_and_submatrix(matrix, must_include_row=None):
     changes no |entry|, so the pivots and the complements are bitwise those
     of eliminating the whole array at every step; on the sparse dOmega_dL a
     step costs the touched rows, not the matrix.
+
+    Once a step has touched more than half of the rows and the whole array
+    fits in one pass (work.nbytes <= _UPDATE_BYTES), the remaining steps
+    do just that: the pivot is the first argmax of |work|, taken into a
+    preallocated buffer, and the update x - (x_c / piv) * p is formed in a
+    second one; then the pivot row and column are zeroed.  Both buffers
+    have the array's size, within the pass bound, and the steps skip the
+    gathers, scatters and row maxima that pay off only while few rows are
+    touched.
     """
     work = np.require(np.asarray(matrix, dtype=float), requirements="W")
     if work.ndim != 2:
@@ -437,9 +449,13 @@ def rank_and_submatrix(matrix, must_include_row=None):
     pivots = []
     pivot_rows = []
     pivot_cols = []
+    whole = None  # the (|work|, update) buffers once the steps take the whole array
     for _ in range(min(n_rows, n_cols)):
-        r = forced if forced is not None and not pivots else int(row_best.argmax())
-        c = int(np.abs(work[r]).argmax())
+        if whole is not None:
+            r, c = divmod(int(np.abs(work, out=whole[0]).argmax()), n_cols)
+        else:
+            r = forced if forced is not None and not pivots else int(row_best.argmax())
+            c = int(np.abs(work[r]).argmax())
         piv = work[r, c]
         if pivots and abs(piv) <= pivot_floor:
             break
@@ -448,18 +464,24 @@ def rank_and_submatrix(matrix, must_include_row=None):
         pivots.append(float(piv))
         pivot_rows.append(r)
         pivot_cols.append(c)
-        rows = work[:, c].nonzero()[0]
-        # an earlier pass would overwrite row r, which later passes read
-        pivot_row = work[r] if len(rows) <= rows_per_pass else work[r].copy()
-        for start in range(0, len(rows), rows_per_pass):
-            part = rows[start:start + rows_per_pass]
-            touched = work[part]
-            update = (touched[:, c] / piv)[:, None] * pivot_row
-            touched -= update
-            touched[:, c] = 0.0
-            work[part] = touched
-            # |touched| goes into the spent update rows: no further temporary
-            row_best[part] = np.abs(touched, out=update).max(axis=1)
+        if whole is not None:
+            work -= np.multiply((work[:, c] / piv)[:, None], work[r], out=whole[1])
+            work[:, c] = 0.0
+        else:
+            rows = work[:, c].nonzero()[0]
+            # an earlier pass would overwrite row r, which later passes read
+            pivot_row = work[r] if len(rows) <= rows_per_pass else work[r].copy()
+            for start in range(0, len(rows), rows_per_pass):
+                part = rows[start:start + rows_per_pass]
+                touched = work[part]
+                update = (touched[:, c] / piv)[:, None] * pivot_row
+                touched -= update
+                touched[:, c] = 0.0
+                work[part] = touched
+                # |touched| goes into the spent update rows: no further temporary
+                row_best[part] = np.abs(touched, out=update).max(axis=1)
+            if 2 * len(rows) > n_rows and work.nbytes <= _UPDATE_BYTES:
+                whole = np.empty_like(work), np.empty_like(work)
         work[r] = 0.0
         row_best[r] = 0.0
 

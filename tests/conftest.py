@@ -9,7 +9,7 @@ from pachner33 import flatmetric as fm
 from pachner33 import geometry as g
 from pachner33 import identities as idn
 from pachner33 import jacobians as jb
-from pachner33.errors import DegenerateSimplexError, MovePreconditionError
+from pachner33.errors import DegenerateSimplexError, MovePreconditionError, SelectionError
 
 LADDER_RUNGS = (26, 86, 166)
 
@@ -227,6 +227,81 @@ def scatter_indices(cells, face_index, edge_index):
     rows = [[face_index[(v[p], v[q], v[r])] for p, q, r in g.FACES5] for v in cells]
     cols = [[edge_index[(v[p], v[q])] for p, q in g.EDGES5] for v in cells]
     return index_array(rows, 10), index_array(cols, 10)
+
+
+def rank_and_submatrix_dense(matrix, must_include_row=None, tol=jb.PIVOT_TOL):
+    """The whole-array elimination: every step updates and searches all of |work|."""
+    work = np.array(matrix, dtype=float)
+    n_rows, n_cols = work.shape
+    global_max = float(np.abs(work).max()) if work.size else 0.0
+    forced = None
+    if must_include_row is not None:
+        forced = int(must_include_row)
+        row_max = float(np.abs(work[forced]).max()) if n_cols else 0.0
+        if row_max == 0.0 or (global_max and row_max <= tol * global_max):
+            raise SelectionError(f"forced row {forced} is numerically zero; it cannot pivot")
+    pivots, pivot_rows, pivot_cols = [], [], []
+    for _ in range(min(n_rows, n_cols)):
+        if forced is not None and not pivots:
+            r = forced
+            c = int(np.argmax(np.abs(work[r])))
+        else:
+            r, c = divmod(int(np.argmax(np.abs(work))), n_cols)
+        piv = work[r, c]
+        if pivots and abs(piv) <= tol * global_max:
+            break
+        if not pivots and piv == 0.0:
+            break
+        pivots.append(float(piv))
+        pivot_rows.append(r)
+        pivot_cols.append(c)
+        work -= np.outer(work[:, c] / piv, work[r])
+        work[r] = 0.0
+        work[:, c] = 0.0
+    return {
+        "rows": tuple(pivot_rows),
+        "cols": tuple(pivot_cols),
+        "rows_comp": tuple(i for i in range(n_rows) if i not in pivot_rows),
+        "cols_comp": tuple(j for j in range(n_cols) if j not in pivot_cols),
+        "pivots": np.array(pivots, dtype=float).tobytes(),
+    }
+
+
+def selection_bits(sel):
+    return {
+        "rows": sel.rows,
+        "cols": sel.cols,
+        "rows_comp": sel.rows_comp,
+        "cols_comp": sel.cols_comp,
+        "pivots": np.array(sel.pivots, dtype=float).tobytes(),
+    }
+
+
+def assert_same_selection(M, must_include_row=None):
+    try:
+        expected = rank_and_submatrix_dense(M, must_include_row)
+    except SelectionError:
+        with pytest.raises(SelectionError, match="numerically zero"):
+            jb.rank_and_submatrix(M.copy(), must_include_row)
+        return
+    assert selection_bits(jb.rank_and_submatrix(M.copy(), must_include_row)) == expected
+
+
+def count_empty_like(monkeypatch):
+    """The shapes np.empty_like is called with from now on, in a list that grows.
+
+    rank_and_submatrix calls it only when its steps switch to the whole
+    array, for its two buffers.
+    """
+    shapes = []
+    empty_like = np.empty_like
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return empty_like(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "empty_like", counted)
+    return shapes
 
 
 def admissible_triangles(c, limit=None):

@@ -15,7 +15,14 @@ from pachner33 import jacobians as jb
 from pachner33.errors import DegenerateSimplexError, SelectionError
 from pachner33.io import load_fixture
 
-from conftest import LADDER_RUNGS, area_length_weights, face_area
+from conftest import (
+    LADDER_RUNGS,
+    area_length_weights,
+    assert_same_selection,
+    count_empty_like,
+    face_area,
+    rank_and_submatrix_dense,
+)
 
 UNIT_L = np.ones((5, 5)) - np.eye(5)
 
@@ -761,79 +768,21 @@ def test_selection_leaves_other_inputs_unchanged():
 
 # ------------------------------------------- selection against the dense loop
 
-def rank_and_submatrix_dense(matrix, must_include_row=None, tol=jb.PIVOT_TOL):
-    """The whole-array elimination: every step updates and searches all of |work|."""
-    work = np.array(matrix, dtype=float)
-    n_rows, n_cols = work.shape
-    global_max = float(np.abs(work).max()) if work.size else 0.0
-    forced = None
-    if must_include_row is not None:
-        forced = int(must_include_row)
-        row_max = float(np.abs(work[forced]).max()) if n_cols else 0.0
-        if row_max == 0.0 or (global_max and row_max <= tol * global_max):
-            raise SelectionError(f"forced row {forced} is numerically zero; it cannot pivot")
-    pivots, pivot_rows, pivot_cols = [], [], []
-    for _ in range(min(n_rows, n_cols)):
-        if forced is not None and not pivots:
-            r = forced
-            c = int(np.argmax(np.abs(work[r])))
-        else:
-            r, c = divmod(int(np.argmax(np.abs(work))), n_cols)
-        piv = work[r, c]
-        if pivots and abs(piv) <= tol * global_max:
-            break
-        if not pivots and piv == 0.0:
-            break
-        pivots.append(float(piv))
-        pivot_rows.append(r)
-        pivot_cols.append(c)
-        work -= np.outer(work[:, c] / piv, work[r])
-        work[r] = 0.0
-        work[:, c] = 0.0
-    return {
-        "rows": tuple(pivot_rows),
-        "cols": tuple(pivot_cols),
-        "rows_comp": tuple(i for i in range(n_rows) if i not in pivot_rows),
-        "cols_comp": tuple(j for j in range(n_cols) if j not in pivot_cols),
-        "pivots": np.array(pivots, dtype=float).tobytes(),
-    }
-
-
-def _selection_bits(sel):
-    return {
-        "rows": sel.rows,
-        "cols": sel.cols,
-        "rows_comp": sel.rows_comp,
-        "cols_comp": sel.cols_comp,
-        "pivots": np.array(sel.pivots, dtype=float).tobytes(),
-    }
-
-
-def _assert_same_selection(M, must_include_row=None):
-    try:
-        expected = rank_and_submatrix_dense(M, must_include_row)
-    except SelectionError:
-        with pytest.raises(SelectionError, match="numerically zero"):
-            jb.rank_and_submatrix(M.copy(), must_include_row)
-        return
-    assert _selection_bits(jb.rank_and_submatrix(M.copy(), must_include_row)) == expected
-
-
 def test_selection_matches_dense_loop_on_the_stellar_ladder(stellar_ladder):
     for cells, (c, coords) in sorted(stellar_ladder.items()):
         M = jb.assemble_domega_dL(c, fm.realize(c, coords))
-        _assert_same_selection(M)
+        assert_same_selection(M)
         for row in (0, len(M) // 2, len(M) - 1):
             assert np.any(M[row]), cells
-            _assert_same_selection(M, must_include_row=row)
+            assert_same_selection(M, must_include_row=row)
 
 
 def test_selection_matches_dense_loop_on_fixtures(delta5, delta5_metric, join_complex, join_metric):
     for c, m in ((delta5, delta5_metric), (join_complex, join_metric)):
         M = jb.assemble_domega_dL(c, m)
-        _assert_same_selection(M)
+        assert_same_selection(M)
         for row in (0, len(M) // 2, len(M) - 1):
-            _assert_same_selection(M, must_include_row=row)
+            assert_same_selection(M, must_include_row=row)
 
 
 def test_pivot_threshold_sits_in_a_wide_gap(stellar_ladder):
@@ -856,12 +805,15 @@ def test_pivot_threshold_sits_in_a_wide_gap(stellar_ladder):
 
 @pytest.mark.parametrize("shape", [(4, 6), (5, 0), (0, 7)])
 def test_selection_matches_dense_loop_on_empty_and_zero(shape):
-    _assert_same_selection(np.zeros(shape))
+    assert_same_selection(np.zeros(shape))
 
 
-def test_selection_matches_dense_loop_on_small_integer_matrices():
-    # Entries in -2..2 give exact ties among |entries| and exact cancellations;
-    # masked and low-rank products give sparse and rank-deficient matrices.
+def small_integer_matrices():
+    """400 seeded matrices of at most 7 x 7 entries in -2..2.
+
+    The entries give exact ties among |entries| and exact cancellations;
+    masked and low-rank products give sparse and rank-deficient matrices.
+    """
     rng = np.random.default_rng(73)
     for trial in range(400):
         n_rows, n_cols = (int(k) for k in rng.integers(1, 8, size=2))
@@ -874,9 +826,14 @@ def test_selection_matches_dense_loop_on_small_integer_matrices():
             M = M.astype(float)
         elif trial % 4 == 3:
             M[rng.integers(n_rows)] = M[rng.integers(n_rows)]
-        _assert_same_selection(M)
-        for row in range(n_rows):
-            _assert_same_selection(M, must_include_row=row)
+        yield M
+
+
+def test_selection_matches_dense_loop_on_small_integer_matrices():
+    for M in small_integer_matrices():
+        assert_same_selection(M)
+        for row in range(len(M)):
+            assert_same_selection(M, must_include_row=row)
 
 
 def test_selection_in_one_row_passes_matches_dense_loop(
@@ -886,7 +843,30 @@ def test_selection_in_one_row_passes_matches_dense_loop(
     # single row must still take the pivots of the whole-array loop
     monkeypatch.setattr(jb, "_UPDATE_BYTES", 1)
     M = jb.assemble_domega_dL(join_complex, join_metric)
-    _assert_same_selection(M)
-    _assert_same_selection(M, must_include_row=len(M) // 2)
+    assert_same_selection(M)
+    assert_same_selection(M, must_include_row=len(M) // 2)
     c, coords = stellar_ladder[86]
-    _assert_same_selection(jb.assemble_domega_dL(c, fm.realize(c, coords)))
+    assert_same_selection(jb.assemble_domega_dL(c, fm.realize(c, coords)))
+
+
+@pytest.mark.parametrize("update_bytes", [1, 1 << 40])
+def test_selection_with_no_or_every_array_in_one_pass_matches_dense_loop(
+    monkeypatch, update_bytes, stellar_ladder, join_complex, join_metric
+):
+    # at 1 byte no array fits in one pass, so every step updates its touched
+    # rows; at 2**40 every array fits, so the steps take the whole array once
+    # a step has touched more than half of the rows.  Either way the pivots
+    # are those of the dense loop.
+    placed = [(join_complex, join_metric)]
+    placed += [(c, fm.realize(c, coords)) for _, (c, coords) in sorted(stellar_ladder.items())]
+    matrices = [jb.assemble_domega_dL(c, m) for c, m in placed]
+    monkeypatch.setattr(jb, "_UPDATE_BYTES", update_bytes)
+    buffers = count_empty_like(monkeypatch)
+    for M in small_integer_matrices():
+        for row in (None, *range(len(M))):
+            assert_same_selection(M, must_include_row=row)
+    for M in matrices:
+        for row in (None, 0, len(M) // 2, len(M) - 1):
+            assert_same_selection(M, must_include_row=row)
+    # two buffers per switch
+    assert (len(buffers) > 0) == (update_bytes > 1) and len(buffers) % 2 == 0

@@ -11,12 +11,16 @@ import sys
 import numpy as np
 import pytest
 
+from pachner33 import flatmetric as fm
 from pachner33 import identities as idn
+from pachner33 import jacobians as jb
 from pachner33.cli import main as cli_main
 
 from conftest import (
+    assert_same_selection,
     check_6term_reference,
     check_basic2_reference,
+    count_empty_like,
     reference_clusters,
     unit_ball_placement_loop,
 )
@@ -141,6 +145,25 @@ def test_benchmark_inputs_import_and_build_the_identities_workload(
     # the one-cell quality measure of its join placements
     cell = np.vstack([np.zeros(4), np.eye(4)])
     assert inputs.quality(cell) == pytest.approx((1 / 24) / ((4 + 6 * 2**0.5) / 10) ** 4)
+
+
+def test_selection_on_the_benchmark_join_takes_the_whole_array(perfbench_inputs, monkeypatch):
+    # a 72-cell stacked-sphere join, as the moves workload builds, fills in
+    # and its dOmega_dL fits in one update pass: at the default pass size the
+    # selection switches to whole-array steps, with or without a forced row,
+    # and keeps the pivots of the dense loop
+    inputs = perfbench_inputs
+    rng = np.random.default_rng(3)
+    c, coords = inputs.checked_complex(
+        *inputs.stacked_sphere_join(rng, inputs.JOIN_SPHERE_TRIANGLES), "join"
+    )
+    M = jb.assemble_domega_dL(c, fm.realize(c, coords))
+    assert len(c.simplices) == 72 and M.nbytes <= jb._UPDATE_BYTES
+    buffers = count_empty_like(monkeypatch)
+    for row in (None, 0, len(M) // 2, len(M) - 1):
+        buffers.clear()
+        assert_same_selection(M, must_include_row=row)
+        assert buffers == [M.shape, M.shape], row
 
 
 def test_benchmark_ladder_jacobian_and_check_flat_calls_succeed(perfbench_inputs, tmp_path, capsys):
