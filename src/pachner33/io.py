@@ -72,11 +72,12 @@ def _dump(obj, pieces):
         if item_types <= {float}:
             # all items exactly float (or none): one join, the same text as item by item
             pieces.append("[" + ", ".join(map(_FORMAT17, obj)) + "]")
-        elif item_types == {int}:
-            pieces.append("[" + ", ".join(map(str, obj)) + "]")
-        elif item_types <= {list, tuple} and set(map(type, chain.from_iterable(obj))) <= {int}:
-            # keys: lists of exactly-int lists, whose str is their JSON text
-            pieces.append("[" + ", ".join(map(str, map(list, obj))) + "]")
+        elif item_types == {int} or (
+            item_types <= {list, tuple} and set(map(type, chain.from_iterable(obj))) <= {int}
+        ):
+            # exactly-int items or keys (lists of exactly-int lists or tuples):
+            # json's C encoder writes the text the item-by-item path would
+            pieces.append(json.dumps(obj))
         else:
             pieces.append("[")
             for n, val in enumerate(obj):

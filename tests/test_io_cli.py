@@ -973,6 +973,13 @@ def test_dumps_takes_the_general_path_unless_items_are_exactly_int(monkeypatch):
         ([[0, 1], [np.int64(2), 3]], "[[0, 1], [2, 3]]", 5),
         ([(0, 1), [2.0]], "[[0, 1], [2]]", 3),
         ([[0, 1], None], "[[0, 1], null]", 3),
+        # tuples, empty inner lists and ints beyond 64 bits through json's encoder
+        ((4, 5, 6), "[4, 5, 6]", 1),
+        (((0, 1), ()), "[[0, 1], []]", 1),
+        ([[], []], "[[], []]", 1),
+        ([10**20, -(10**20)], "[100000000000000000000, -100000000000000000000]", 1),
+        ([(10**20, 0)], "[[100000000000000000000, 0]]", 1),
+        ((1, np.int64(2)), "[1, 2]", 3),
     ):
         calls.clear()
         assert pio.dumps(obj) == text
