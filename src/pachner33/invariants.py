@@ -17,12 +17,14 @@ array.  virtual_rebuild then forms only B_after, as the sum of the shares
 of the after-cells (the N cells without the removed three, then the three
 replacements) at the selected rows and columns: bitwise the moved
 complex's own entries.  The products drop three volumes and one area and
-gain their replacements.  The moved complex is never built, which also
+gain their replacements, each at its place in the moved complex's order.
+The moved complex is never built, which also
 covers the boundary-of-the-5-simplex situation where the opposite
 triangle is already a face and the moved complex would not be simplicial.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -215,10 +217,16 @@ def compare_under_move(c, coords, t):
     is replaced by the row of the opposite triangle.  The placement is reused
     for the rebuilt cluster, so flatness persists.  One batch of shares
     (move_blocks) gives the before-matrix, which the selection eliminates in
-    place, and, through virtual_rebuild, the after-submatrix B_after; the
-    products are updated in place of the three swapped cells.  det(B) is
-    taken from the pivots before the move and from slogdet after it, so both
-    invariants stay in the log domain.
+    place, and, through virtual_rebuild, the after-submatrix B_after.  The
+    products drop the three removed volumes and the area of t; the three
+    new volumes follow the kept ones, and the area of the opposite triangle
+    goes at its lexicographic place among the remaining triangles (before
+    it where it is already a face, as on the 5-simplex boundary and the
+    bipyramid).  So both products sum in the moved complex's order, and
+    on a move whose opposite triangle is not yet a face the after-value is
+    bitwise the moved complex's own.  det(B) is taken from the pivots
+    before the move and from slogdet after it, so both invariants stay in
+    the log domain.
     """
     abc, def_, star, new_cells = move_cluster(c, t)
     m = realize(c, coords)
@@ -235,7 +243,10 @@ def compare_under_move(c, coords, t):
     # the edges de, df, ef of the appearing triangle, in its first replacement cell
     is_def = new_rows[0] == len(c.triangle_vertices)
     def_edges = new_cols[0, geometry.FACE_EDGES5[is_def]]
-    areas = np.append(np.delete(m.S, row_abc), triangle_areas(m.L, def_edges, [def_]))
+    at = bisect.bisect_left(c.faces[2], def_)  # DEF's place, before DEF if it is a face
+    areas = np.insert(
+        np.delete(m.S, row_abc), at - (row_abc < at), triangle_areas(m.L, def_edges, [def_])
+    )
 
     det_sign, log_det = np.linalg.slogdet(B_after)
     if det_sign == 0 or not math.isfinite(log_det):

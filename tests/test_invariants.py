@@ -402,7 +402,10 @@ def compare_reference(c, coords, t):
     volumes = np.append(np.delete(m.V, star), new_volumes)
     d, e, f = def_
     def_edges = [[c.face_index[1][pair] for pair in ((d, e), (d, f), (e, f))]]
-    areas = np.append(np.delete(m.S, row_abc), fm.triangle_areas(m.L, def_edges, [def_]))
+    # the moved complex's triangles in key order, DEF before an equal key
+    keyed = [(def_, fm.triangle_areas(m.L, def_edges, [def_])[0])]
+    keyed += [(key, area) for key, area in zip(c.faces[2], m.S) if key != abc]
+    areas = np.array([area for _, area in sorted(keyed, key=lambda pair: pair[0])])
     det_sign, log_det = np.linalg.slogdet(B_after)
     sign_after, log_after = iv._log_value(
         det_sign, float(log_det), jb.log_product(volumes), jb.log_product(areas)
