@@ -836,37 +836,47 @@ def test_selection_matches_dense_loop_on_small_integer_matrices():
             assert_same_selection(M, must_include_row=row)
 
 
+def selection_cases(stellar_ladder, join_complex, join_metric):
+    """(matrix, forced rows) pairs: the small integer matrices with every row,
+    the join fixture and the stellar rungs with none and their first, middle
+    and last rows."""
+    cases = [(M, (None, *range(len(M)))) for M in small_integer_matrices()]
+    placed = [(join_complex, join_metric)]
+    placed += [(c, fm.realize(c, coords)) for _, (c, coords) in sorted(stellar_ladder.items())]
+    for c, m in placed:
+        M = jb.assemble_domega_dL(c, m)
+        cases.append((M, (None, 0, len(M) // 2, len(M) - 1)))
+    return cases
+
+
 def test_selection_in_one_row_passes_matches_dense_loop(
     monkeypatch, stellar_ladder, join_complex, join_metric
 ):
     # a step updates its touched rows in passes of bounded size; passes of a
-    # single row must still take the pivots of the whole-array loop
+    # single row must still take the pivots of the whole-array loop.  No
+    # array fits in one pass, so no step takes the whole array.
+    cases = selection_cases(stellar_ladder, join_complex, join_metric)
     monkeypatch.setattr(jb, "_UPDATE_BYTES", 1)
-    M = jb.assemble_domega_dL(join_complex, join_metric)
-    assert_same_selection(M)
-    assert_same_selection(M, must_include_row=len(M) // 2)
-    c, coords = stellar_ladder[86]
-    assert_same_selection(jb.assemble_domega_dL(c, fm.realize(c, coords)))
-
-
-@pytest.mark.parametrize("update_bytes", [1, 1 << 40])
-def test_selection_with_no_or_every_array_in_one_pass_matches_dense_loop(
-    monkeypatch, update_bytes, stellar_ladder, join_complex, join_metric
-):
-    # at 1 byte no array fits in one pass, so every step updates its touched
-    # rows; at 2**40 every array fits, so the steps take the whole array once
-    # a step has touched more than half of the rows.  Either way the pivots
-    # are those of the dense loop.
-    placed = [(join_complex, join_metric)]
-    placed += [(c, fm.realize(c, coords)) for _, (c, coords) in sorted(stellar_ladder.items())]
-    matrices = [jb.assemble_domega_dL(c, m) for c, m in placed]
-    monkeypatch.setattr(jb, "_UPDATE_BYTES", update_bytes)
     buffers = count_empty_like(monkeypatch)
-    for M in small_integer_matrices():
-        for row in (None, *range(len(M))):
+    for M, rows in cases:
+        for row in rows:
             assert_same_selection(M, must_include_row=row)
-    for M in matrices:
-        for row in (None, 0, len(M) // 2, len(M) - 1):
+    assert buffers == []
+
+
+def test_selection_with_every_array_in_one_pass_matches_dense_loop(
+    monkeypatch, stellar_ladder, join_complex, join_metric
+):
+    # every array fits in one pass, so the steps take the whole array once a
+    # step has touched more than half of the rows, with the same pivots
+    cases = selection_cases(stellar_ladder, join_complex, join_metric)
+    monkeypatch.setattr(jb, "_UPDATE_BYTES", 1 << 40)
+    buffers = count_empty_like(monkeypatch)
+    switched = 0
+    for M, rows in cases:
+        for row in rows:
+            buffers.clear()
             assert_same_selection(M, must_include_row=row)
-    # two buffers per switch
-    assert (len(buffers) > 0) == (update_bytes > 1) and len(buffers) % 2 == 0
+            assert buffers in ([], [M.shape, M.shape])
+            switched += bool(buffers)
+    assert switched >= len(cases)
