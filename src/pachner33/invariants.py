@@ -18,9 +18,9 @@ of the after-cells (the N cells without the removed three, then the three
 replacements) at the selected rows and columns: bitwise the moved
 complex's own entries.  The products drop three volumes and one area and
 gain their replacements, each at its place in the moved complex's order.
-The moved complex is never built, which also
-covers the boundary-of-the-5-simplex situation where the opposite
-triangle is already a face and the moved complex would not be simplicial.
+The moved complex is never built, which also covers the 5-simplex
+boundary, where the opposite triangle is already a face and the moved
+complex would not be simplicial.
 """
 from __future__ import annotations
 
@@ -218,15 +218,11 @@ def compare_under_move(c, coords, t):
     for the rebuilt cluster, so flatness persists.  One batch of shares
     (move_blocks) gives the before-matrix, which the selection eliminates in
     place, and, through virtual_rebuild, the after-submatrix B_after.  The
-    products drop the three removed volumes and the area of t; the three
-    new volumes follow the kept ones, and the area of the opposite triangle
-    goes at its lexicographic place among the remaining triangles (before
-    it where it is already a face, as on the 5-simplex boundary and the
-    bipyramid).  So both products sum in the moved complex's order, and
-    on a move whose opposite triangle is not yet a face the after-value is
-    bitwise the moved complex's own.  det(B) is taken from the pivots
-    before the move and from slogdet after it, so both invariants stay in
-    the log domain.
+    new volumes follow the kept ones and the opposite triangle's area goes
+    at its lexicographic place (before it where it is already a face), so
+    both products sum in the moved complex's order.  det(B) is taken from
+    the pivots before the move and from slogdet after it, so both
+    invariants stay in the log domain.
     """
     abc, def_, star, new_cells = move_cluster(c, t)
     m = realize(c, coords)

@@ -75,8 +75,7 @@ def _dump(obj, pieces):
         elif item_types == {int} or (
             item_types <= {list, tuple} and set(map(type, chain.from_iterable(obj))) <= {int}
         ):
-            # exactly-int items or keys (lists of exactly-int lists or tuples):
-            # json's C encoder writes the text the item-by-item path would
+            # exactly-int items or keys: json's C encoder writes the same text
             pieces.append(json.dumps(obj))
         else:
             pieces.append("[")

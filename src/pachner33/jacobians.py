@@ -34,11 +34,9 @@ maximal nondegenerate submatrix is found by complete-pivoting Gaussian
 elimination with a relative pivot threshold.  Each step updates only the
 rows its pivot column reaches and finds the next pivot through the row
 maxima, so on the sparse dOmega_dL (a few percent nonzero) a step costs
-the rows it changes rather than the whole matrix.  Once a step touches
-more than half of the rows of an array that fits in one update pass (the
-stacked joins fill in), the remaining steps take the whole array, whose
-two buffers stay within that pass's bound.  The elimination runs in the
-float64 matrix it is handed and forms no whole-matrix temporary, so a
+the rows it changes rather than the whole matrix; on a small array that
+fills in, the later steps take the whole array.  The elimination runs in
+the float64 matrix it is handed and forms no whole-matrix temporary, so a
 command that selects holds one faces x edges array.
 """
 from __future__ import annotations
@@ -410,16 +408,11 @@ def rank_and_submatrix(matrix, must_include_row=None):
     other row would only have a signed zero subtracted from it, which
     changes no |entry|, so the pivots and the complements are bitwise those
     of eliminating the whole array at every step; on the sparse dOmega_dL a
-    step costs the touched rows, not the matrix.
-
-    Once a step has touched more than half of the rows and the whole array
-    fits in one pass (work.nbytes <= _UPDATE_BYTES), the remaining steps
-    do just that: the pivot is the first argmax of |work|, taken into a
-    preallocated buffer, and the update x - (x_c / piv) * p is formed in a
-    second one; then the pivot row and column are zeroed.  Both buffers
-    have the array's size, within the pass bound, and the steps skip the
-    gathers, scatters and row maxima that pay off only while few rows are
-    touched.
+    step costs the touched rows, not the matrix.  Once a step has touched
+    more than half of the rows and the whole array fits in one pass
+    (work.nbytes <= _UPDATE_BYTES), the remaining steps do just that, in
+    two array-sized buffers: the pivot is the first argmax of |work| and
+    the update is x - (x_c / piv) * p, with no row maxima.
     """
     work = np.require(np.asarray(matrix, dtype=float), requirements="W")
     if work.ndim != 2:

@@ -8,6 +8,7 @@ from pachner33 import complexes as cx
 from pachner33 import flatmetric as fm
 from pachner33 import geometry as g
 from pachner33 import identities as idn
+from pachner33 import invariants as iv
 from pachner33 import jacobians as jb
 from pachner33.errors import DegenerateSimplexError, MovePreconditionError, SelectionError
 
@@ -302,6 +303,26 @@ def count_empty_like(monkeypatch):
 
     monkeypatch.setattr(np, "empty_like", counted)
     return shapes
+
+
+def materialized_value_after(c, coords, t, sel):
+    """(sign, log|prod(S) / (det(B) * prod(V))|) of the matched selection on the moved complex.
+
+    The reference route: build the moved complex with pachner_33, realize
+    and assemble it, select the same rows and columns with the row of t
+    replaced by the row of the opposite triangle, and take the value from
+    its slogdet and its own products.
+    """
+    moved, record = cx.pachner_33(c, t)
+    m = fm.realize(moved, coords)
+    M = jb.assemble_domega_dL(moved, m)
+    rows = [
+        moved.face_index[2][record.new_face if key == record.old_face else key]
+        for key in (c.faces[2][i] for i in sel.rows)
+    ]
+    cols = [moved.face_index[1][c.faces[1][j]] for j in sel.cols]
+    det_sign, log_det = np.linalg.slogdet(M[np.ix_(rows, cols)])
+    return iv._log_value(det_sign, float(log_det), jb.log_product(m.V), jb.log_product(m.S))
 
 
 def admissible_triangles(c, limit=None):

@@ -13,7 +13,13 @@ from pachner33 import invariants as iv
 from pachner33 import jacobians as jb
 from pachner33.errors import DegenerateSimplexError, SelectionError
 
-from conftest import cm_squared_volume, reduce_angle_scalar, scatter_indices, symmetric_cluster
+from conftest import (
+    cm_squared_volume,
+    materialized_value_after,
+    reduce_angle_scalar,
+    scatter_indices,
+    symmetric_cluster,
+)
 
 
 # --------------------------------------------------------------- clusters
@@ -296,33 +302,13 @@ def test_compare_under_move_join_materializes(join_complex, join_coords):
     assert iv.compare_under_move(join_complex, join_coords, (0, 1, 2)).deviation <= 1e-6
 
 
-def materialized_value_after(c, coords, t, sel):
-    """(sign, log|prod(S) / (det(B) * prod(V))|) of the matched selection on the moved complex.
-
-    The reference route: build the moved complex with pachner_33, realize
-    and assemble it, and select the same rows and columns with the row of t
-    replaced by the row of the opposite triangle.
-    """
-    moved, record = cx.pachner_33(c, t)
-    m = fm.realize(moved, coords)
-    M = jb.assemble_domega_dL(moved, m)
-    rows = [
-        moved.face_index[2][record.new_face if key == record.old_face else key]
-        for key in (c.faces[2][i] for i in sel.rows)
-    ]
-    cols = [moved.face_index[1][c.faces[1][j]] for j in sel.cols]
-    det_sign, log_det = np.linalg.slogdet(M[np.ix_(rows, cols)])
-    sign = det_sign * np.prod(np.sign(m.V))
-    return sign, np.log(m.S).sum() - log_det - np.log(np.abs(m.V)).sum()
-
-
 def test_compare_paths_agree_when_both_available(join_complex, join_coords):
-    # the local rebuild against the materialized move at every sphere triangle
+    # the local rebuild against the materialized move at every sphere triangle,
+    # bit for bit
     for tri in itertools.combinations(range(4), 3):
         mc = iv.compare_under_move(join_complex, join_coords, tri)
         sign, log_abs = materialized_value_after(join_complex, join_coords, tri, mc.selection)
-        assert mc.sign_after == sign
-        assert mc.log_abs_after == pytest.approx(log_abs, abs=1e-9)
+        assert (mc.sign_after, mc.log_abs_after.hex()) == (sign, log_abs.hex())
 
 
 def test_compare_double_move_returns_to_start(join_complex, join_coords):

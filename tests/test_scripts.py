@@ -24,6 +24,7 @@ from conftest import (
     check_6term_reference,
     check_basic2_reference,
     count_empty_like,
+    materialized_value_after,
     reference_clusters,
     unit_ball_placement_loop,
 )
@@ -169,51 +170,27 @@ def test_selection_on_the_benchmark_join_takes_the_whole_array(perfbench_inputs,
         assert buffers == [M.shape, M.shape], row
 
 
-def moved_log_value(c, coords, t, sel):
-    """(sign, log|I|) of the moved complex at the matched selection.
-
-    pachner_33, realize and assemble the moved complex, select the rows and
-    columns of sel with the row of t taken by the opposite triangle, and
-    take I from its slogdet and the moved complex's own products.
-    """
-    moved, record = cx.pachner_33(c, t)
-    m = fm.realize(moved, coords)
-    M = jb.assemble_domega_dL(moved, m)
-    rows = [
-        moved.face_index[2][record.new_face if key == record.old_face else key]
-        for key in (c.faces[2][i] for i in sel.rows)
-    ]
-    cols = [moved.face_index[1][c.faces[1][j]] for j in sel.cols]
-    det_sign, log_det = np.linalg.slogdet(M[np.ix_(rows, cols)])
-    return iv._log_value(
-        det_sign, float(log_det), jb.log_product(m.V), jb.log_product(m.S)
-    )
-
-
-def test_compare_after_value_is_the_moved_complexs_own_bitwise(
-    perfbench_inputs, join_complex, join_coords
+def test_compare_after_value_on_the_benchmark_joins_is_the_moved_complexs_own(
+    perfbench_inputs,
 ):
-    # at every move whose opposite triangle is not yet a face, on the 12-cell
-    # join fixture and on two 72-cell stacked-sphere joins as the moves
-    # workload builds (the stellar rungs have no such move): compare's
-    # after-value is the moved complex's own, bit for bit
+    # at every move whose opposite triangle is not yet a face, on two 72-cell
+    # stacked-sphere joins as the moves workload builds, compare's after-value
+    # is the moved complex's own bit for bit, products summed in its order
     inputs = perfbench_inputs
-    cases = [(join_complex, join_coords)]
+    compared = 0
     for seed in (3, 6):
         rng = np.random.default_rng(seed)
-        cases.append(inputs.checked_complex(
+        c, coords = inputs.checked_complex(
             *inputs.stacked_sphere_join(rng, inputs.JOIN_SPHERE_TRIANGLES), "join"
-        ))
-    compared = 0
-    for c, coords in cases:
+        )
         for t in admissible_triangles(c):
             if cx.move_cluster(c, t)[1] in c.face_index[2]:
                 continue
             mc = iv.compare_under_move(c, coords, t)
-            sign, log_abs = moved_log_value(c, coords, t, mc.selection)
-            assert (mc.sign_after, mc.log_abs_after.hex()) == (sign, log_abs.hex()), t
+            sign, log_abs = materialized_value_after(c, coords, t, mc.selection)
+            assert (mc.sign_after, mc.log_abs_after.hex()) == (sign, log_abs.hex()), (seed, t)
             compared += 1
-    assert compared == 4 + 39 + 39
+    assert compared == 39 + 39
 
 
 def test_benchmark_ladder_jacobian_and_check_flat_calls_succeed(perfbench_inputs, tmp_path, capsys):
