@@ -411,8 +411,8 @@ def rank_and_submatrix(matrix, must_include_row=None):
     step costs the touched rows, not the matrix.  Once a step has touched
     more than half of the rows and the whole array fits in one pass
     (work.nbytes <= _UPDATE_BYTES), the remaining steps do just that, in
-    two array-sized buffers: the pivot is the first argmax of |work| and
-    the update is x - (x_c / piv) * p, with no row maxima.
+    one array-sized buffer: the pivot is the first argmax of |work| and the
+    update is x - (x_c / piv) * p, with no row maxima.
     """
     work = np.require(np.asarray(matrix, dtype=float), requirements="W")
     if work.ndim != 2:
@@ -442,10 +442,10 @@ def rank_and_submatrix(matrix, must_include_row=None):
     pivots = []
     pivot_rows = []
     pivot_cols = []
-    whole = None  # the (|work|, update) buffers once the steps take the whole array
+    whole = None  # the |work| and update buffer once the steps take the whole array
     for _ in range(min(n_rows, n_cols)):
         if whole is not None:
-            r, c = divmod(int(np.abs(work, out=whole[0]).argmax()), n_cols)
+            r, c = divmod(int(np.abs(work, out=whole).argmax()), n_cols)
         else:
             r = forced if forced is not None and not pivots else int(row_best.argmax())
             c = int(np.abs(work[r]).argmax())
@@ -458,7 +458,7 @@ def rank_and_submatrix(matrix, must_include_row=None):
         pivot_rows.append(r)
         pivot_cols.append(c)
         if whole is not None:
-            work -= np.multiply((work[:, c] / piv)[:, None], work[r], out=whole[1])
+            work -= np.multiply((work[:, c] / piv)[:, None], work[r], out=whole)
             work[:, c] = 0.0
         else:
             rows = work[:, c].nonzero()[0]
@@ -474,7 +474,7 @@ def rank_and_submatrix(matrix, must_include_row=None):
                 # |touched| goes into the spent update rows: no further temporary
                 row_best[part] = np.abs(touched, out=update).max(axis=1)
             if 2 * len(rows) > n_rows and work.nbytes <= _UPDATE_BYTES:
-                whole = np.empty_like(work), np.empty_like(work)
+                whole = np.empty_like(work)
         work[r] = 0.0
         row_best[r] = 0.0
 

@@ -292,7 +292,7 @@ def count_empty_like(monkeypatch):
     """The shapes np.empty_like is called with from now on, in a list that grows.
 
     rank_and_submatrix calls it only when its steps switch to the whole
-    array, for its two buffers.
+    array, for their buffer.
     """
     shapes = []
     empty_like = np.empty_like

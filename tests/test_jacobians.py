@@ -877,6 +877,6 @@ def test_selection_with_every_array_in_one_pass_matches_dense_loop(
         for row in rows:
             buffers.clear()
             assert_same_selection(M, must_include_row=row)
-            assert buffers in ([], [M.shape, M.shape])
+            assert buffers in ([], [M.shape])
             switched += bool(buffers)
     assert switched >= len(cases)
