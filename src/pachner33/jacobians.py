@@ -56,7 +56,8 @@ PIVOT_TOL = 1e-9
 # Bytes of each (touched rows x columns) temporary of one elimination pass.
 # Fill-in can make a step touch most rows (the stacked joins fill to about
 # 58%); taking them in passes of this size keeps the temporaries small and
-# in cache whatever the matrix size.
+# in cache whatever the matrix size.  An array that fits in one pass takes
+# whole-array steps once it fills in.
 _UPDATE_BYTES = 1 << 18
 
 _VERTICES = np.arange(5)[:, None]
