@@ -76,8 +76,9 @@ def _selection_fields(sel, c):
 
 def _triplets(matrix):
     """A matrix as {shape, rows, cols, values}: its nonzero entries in row-major order."""
-    rows, cols = np.nonzero(matrix)
-    return {"shape": list(matrix.shape), "rows": rows, "cols": cols, "values": matrix[rows, cols]}
+    flat = np.flatnonzero(matrix)
+    rows, cols = np.divmod(flat, matrix.shape[1])
+    return {"shape": list(matrix.shape), "rows": rows, "cols": cols, "values": matrix.take(flat)}
 
 
 def _value_field(sign, log_abs):

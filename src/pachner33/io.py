@@ -19,8 +19,10 @@ sorted numerically.
 dumps writes the common shapes of a report in one pass each, with the same
 text as writing them item by item: a list of exactly-float items (one
 format per item), a list of exactly-int items, a list of lists or tuples
-of exactly-int items (face keys, simplices), a 1-d float64 ndarray (one
-"%.17g" format string for the whole vector) and a 1-d integer ndarray
+of exactly-int items (face keys, simplices), a 1-d float64 ndarray (the
+correctly rounded "%.17g" digits and layout formed with array steps, in
+chunks of at most 4096 items; zeros, nan, infinities and magnitudes
+outside [1e-6, 1e17) formatted one at a time) and a 1-d integer ndarray
 (its distinct values formatted once each, then one join).  Anything else,
 a bool or a numpy scalar inside a list included, is written item by item.
 Other ndarrays are not supported.
@@ -47,6 +49,149 @@ def format_float(x):
     return _FORMAT17(float(x))
 
 
+# The vectorized "%.17g" of a 1-d float64 array works in chunks of at most
+# _CHUNK items, so that its temporaries do not grow with the array.
+_CHUNK = 4096
+_VELTKAMP = 134217729.0  # 2**27 + 1
+
+
+def _split(a):
+    """Veltkamp's split: a == hi + lo exactly, each with at most 26 significant bits."""
+    c = _VELTKAMP * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+# 10**p for p in 0..22, exact (5**22 < 2**53), and its halves, split on Python
+# floats: a float64 ufunc call at import would page in about 170 kB
+_POW10, _POW10_HI, _POW10_LO = np.array(
+    [(float(10**p), *_split(float(10**p))) for p in range(23)]
+).T
+# "00", "01", ..., "99": two ASCII digits per entry
+_PAIRS = np.frombuffer("".join(map("{:02d}".format, range(100))).encode(), dtype=np.uint16)
+# Text slots of one item, in order: sign, "0.000" of fixed notation below 1,
+# 17 digits and the point, "e-0N" of scientific notation, ", ".
+_SIGN, _ZEROS, _DIGITS, _EXPONENT, _SEPARATOR, _SLOTS = 0, 1, 6, 24, 28, 30
+_ZEROS_TEXT = np.frombuffer(b"0.000", np.uint8)[:, None]
+_EXPONENT_TEXT = np.frombuffer(b"e-0", np.uint8)[:, None]
+_ROW5 = np.arange(5)[:, None]
+_ROW18 = np.arange(18)[:, None]
+_DIGIT_PLACE = np.arange(1, 18, dtype=np.uint8)[:, None]
+
+
+def _significands(x):
+    """(N, X, exact): the 17-digit significand N and the decimal exponent X of
+    each item of x, and whether they are exact (else the item is formatted alone).
+
+    An item of magnitude a in [1e-6, 1e17):
+    - k = floor(log10 a) and p = 16 - k, so that y = a * 10**p lies in
+      [1e16, 1e17).  p is at most 22, so 10**p is an exact double.
+    - y is formed exactly as hi + lo by Dekker's two-product; hi is an
+      integer, as every double from 2**53 up is.
+    - N is y rounded half-to-even, in int64, as "%.17g" rounds.
+    - y >= 1e16 is tested exactly on (hi, lo) and y < 1e17 on N.  An item
+      for which log10 missed k fails one of them and is not exact.
+    Zeros, nan, infinities and magnitudes outside that range are not exact.
+    """
+    a = np.abs(x)
+    exact = (a >= 1e-6) & (a < 1e17)  # false for nan
+    a = np.where(exact, a, 1.0)
+    p = np.clip(16 - np.floor(np.log10(a)).astype(np.int64), 0, 22)
+    a_hi, a_lo = _split(a)
+    b_hi, b_lo = _POW10_HI[p], _POW10_LO[p]
+    hi = a * _POW10[p]
+    lo = ((a_hi * b_hi - hi) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    exact &= (hi > 1e16) | ((hi == 1e16) & (lo >= 0.0))  # y >= 1e16
+    whole = np.floor(lo)
+    frac = lo - whole
+    N = hi.astype(np.int64) + whole.astype(np.int64)
+    N += (frac > 0.5) | ((frac == 0.5) & (N & 1 == 1))
+    # y < 1e17, and no carry of N into the exponent.  No double in range
+    # carries: the one nearest below each power of ten differs from it
+    # within 17 digits.
+    exact &= N < 10**17
+    return N, 16 - p, exact
+
+
+def _digits(N):
+    """(19, n) bytes: row 0 the point, rows 1-17 the digits of N < 10**17, row 18 "0"."""
+    n = len(N)
+    D = np.empty((19, n), np.uint8)
+    D[0] = ord(".")
+    lead = N // 10**16
+    D[1] = lead + ord("0")
+    rest = N - lead * 10**16
+    high = rest // 10**8
+    pairs = np.stack((high, rest - high * 10**8)).astype(np.int32)
+    for div in (10**4, 100):
+        high = pairs // div
+        pairs = np.stack((high, pairs - high * div), axis=-2)
+    # pair i gives the digits of rows 2 + 2i and 3 + 2i
+    D[2:18].reshape(8, 2, n).transpose(0, 2, 1)[...] = (
+        _PAIRS.take(pairs.reshape(8, n)).view(np.uint8).reshape(8, n, 2)
+    )
+    D[18] = ord("0")
+    return D
+
+
+def _slots(x, N, X):
+    """(slots, n) bytes: the "%.17g" text of each item of x, from its significand N
+    and exponent X, followed by ", ", with a NUL in each slot the text leaves empty.
+
+    The text follows the rules of %g: fixed notation for exponents -4 to 16,
+    scientific ("e-05", "e-06") below, trailing zeros and a bare point left
+    out, "-" from the sign bit.
+    """
+    n = len(x)
+    D = _digits(N)
+    significant = ((D[1:18] != ord("0")) * _DIGIT_PLACE).max(axis=0)
+    scientific = X < -4
+    at_least_one = X >= 0
+    # the point follows digit `point`; fixed notation below 1 has it in "0.000"
+    point = np.where(scientific, 1, np.where(at_least_one, X + 1, 17))
+    shown = np.maximum(significant, np.where(at_least_one, X + 1, 1)) + (significant > point)
+
+    T = np.empty((_SLOTS, n), np.uint8)
+    np.multiply(np.signbit(x), np.uint8(ord("-")), out=T[_SIGN])
+    zeros = np.where(scientific | at_least_one, 0, 1 - X)
+    np.multiply(_ZEROS_TEXT, _ROW5 < zeros, out=T[_ZEROS:_DIGITS])
+    digits = T[_DIGITS:_EXPONENT]
+    # slot j holds digit j before the point and digit j - 1 after it
+    np.multiply(_ROW18 >= point, D[0:18] - D[1:19], out=digits)
+    digits += D[1:19]
+    digits[point, np.arange(n)] = ord(".")
+    digits *= _ROW18 < shown
+    np.multiply(_EXPONENT_TEXT, scientific, out=T[_EXPONENT:_EXPONENT + 3])
+    np.multiply(ord("0") - X, scientific, out=T[_EXPONENT + 3], casting="unsafe")
+    T[_SEPARATOR] = ord(",")
+    T[_SEPARATOR + 1] = ord(" ")
+    return T
+
+
+def _float64_text(x):
+    """The "%.17g" text of each item of the 1-d float64 array x, each followed by ", ".
+
+    The text of the items with an exact significand is laid out by _slots
+    and read item by item with the NULs deleted.  The other items are then
+    written one at a time, by _FORMAT17 (the same text as "%.17g"), at their
+    places in the text.
+    """
+    N, X, exact = _significands(x)
+    T = _slots(x, N, X)
+    per_item = np.flatnonzero(~exact)
+    T[:_SEPARATOR, per_item] = 0
+    text = np.ascontiguousarray(T.T).tobytes().translate(None, b"\0").decode("ascii")
+    if not len(per_item):
+        return text
+    lengths = np.count_nonzero(T, axis=0)
+    starts = (np.cumsum(lengths) - lengths)[per_item].tolist()
+    pieces = [text[:starts[0]]]
+    for start, end, value in zip(starts, starts[1:] + [len(text)], x[per_item].tolist()):
+        pieces.append(_FORMAT17(value))
+        pieces.append(text[start:end])
+    return "".join(pieces)
+
+
 def _dump(obj, pieces):
     if isinstance(obj, dict):
         pieces.append("{")
@@ -60,8 +205,15 @@ def _dump(obj, pieces):
             _dump(val, pieces)
         pieces.append("}")
     elif isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype == np.float64:
-        # one "%.17g" format for the whole vector, the same text as its .tolist()
-        pieces.append(("[" + ", ".join(["%.17g"] * len(obj)) + "]") % tuple(obj.tolist()))
+        pieces.append("[")
+        n = len(obj)
+        if n:
+            # equal chunks of at most _CHUNK items; each text ends with ", "
+            chunks = -(-n // _CHUNK)
+            step = -(-n // chunks)
+            pieces.extend(_float64_text(obj[start:start + step]) for start in range(0, n, step))
+            pieces[-1] = pieces[-1][:-2]
+        pieces.append("]")
     elif isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind in "iu":
         # each distinct value is formatted once; the same text as its .tolist()
         values, inverse = np.unique(obj, return_inverse=True)

@@ -1,3 +1,4 @@
+import json
 import math
 from types import SimpleNamespace
 
@@ -9,6 +10,7 @@ from pachner33 import flatmetric as fm
 from pachner33 import geometry as g
 from pachner33 import identities as idn
 from pachner33 import invariants as iv
+from pachner33 import io as pio
 from pachner33 import jacobians as jb
 from pachner33.errors import DegenerateSimplexError, MovePreconditionError, SelectionError
 
@@ -337,6 +339,28 @@ def admissible_triangles(c, limit=None):
         if len(found) == limit:
             break
     return found
+
+
+# The report writer as it wrote a 1-d float64 array before io.dumps formed the
+# text with array steps: one "%.17g" format string over the array's .tolist(),
+# which CPython formats item by item with its correctly rounded dtoa.
+
+def float64_text_reference(values):
+    """A 1-d float64 array as "[x0, x1, ...]", each item by "%.17g"."""
+    return ("[" + ", ".join(["%.17g"] * len(values)) + "]") % tuple(values.tolist())
+
+
+def dumps_reference(obj):
+    """io.dumps text with every 1-d float64 array in a dict written by
+    float64_text_reference; other values go through io.dumps, whose other
+    branches are unchanged since that writer."""
+    if isinstance(obj, dict):
+        return "{" + ", ".join(
+            f"{json.dumps(str(key))}: {dumps_reference(val)}" for key, val in obj.items()
+        ) + "}"
+    if isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype == np.float64:
+        return float64_text_reference(obj)
+    return pio.dumps(obj)
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,7 @@
 """Document parsing, serialization round-trips and the CLI surface."""
 import argparse
 import dataclasses
+import fractions
 import json
 import math
 import os
@@ -12,6 +13,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pachner33
 from pachner33 import complexes as cx
@@ -23,6 +26,8 @@ from pachner33.cli import _selection_fields, _value_field, build_parser, main
 from pachner33.complexes import build_complex
 from pachner33.errors import ComplexStructureError, SchemaError
 from pachner33.jacobians import build_jacobians, rank_and_submatrix
+
+from conftest import float64_text_reference
 
 
 def fixture_path(name):
@@ -984,3 +989,111 @@ def test_dumps_takes_the_general_path_unless_items_are_exactly_int(monkeypatch):
         calls.clear()
         assert pio.dumps(obj) == text
         assert len(calls) == n_calls, obj
+
+
+# ------------------------------------------------- float64 arrays in reports
+
+def _powers_of_ten_and_neighbours(low, high, steps):
+    """The doubles nearest 10**e for e in [low, high] and their `steps` nextafter
+    neighbours on each side."""
+    below = above = 10.0 ** np.arange(low, high + 1)
+    found = [below]
+    for _ in range(steps):
+        below, above = np.nextafter(below, 0.0), np.nextafter(above, np.inf)
+        found += [below, above]
+    return np.concatenate(found)
+
+
+def _exact_ties(rng, per_exponent):
+    """Doubles whose 17-significant-digit rounding is an exact decimal tie.
+
+    x = M / 2**(p + 1) with M odd makes x * 10**p = M * 5**p / 2 end in .5;
+    M is drawn so that this lies in [1e16, 1e17) and M < 2**53 keeps x exact.
+    """
+    ties = []
+    for p in range(1, 23):
+        low, high = -(-2 * 10**16 // 5**p), min(2 * 10**17 // 5**p, 2**53)
+        M = rng.integers(low // 2, high // 2, size=per_exponent) * 2 + 1
+        ties.append(M[M < high].astype(np.float64) / 2.0 ** (p + 1))
+    return np.concatenate(ties)
+
+
+@given(st.lists(st.floats() | st.floats(1e-7, 1e18) | st.floats(-1e18, -1e-7), max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_dumps_writes_a_float_array_as_the_item_format(xs):
+    # finite and special doubles; any RuntimeWarning fails the test
+    want = "[" + ", ".join("%.17g" % x for x in xs) + "]"
+    assert pio.dumps(np.array(xs, dtype=np.float64)) == want
+
+
+def test_dumps_writes_float_arrays_as_the_reference_writer():
+    rng = np.random.default_rng(17)
+    ties = _exact_ties(rng, 200)
+    assert "%.17g" % 1234567890123456.25 == "1234567890123456.2"  # to even
+    cases = [
+        np.array([1234567890123456.25, 1234567890123456.75, 0.5, 2.5e-6, 9.5]),
+        ties, -ties,
+        _powers_of_ten_and_neighbours(-7, 18, 40),
+        np.array([5e-324, -5e-324, 0.0, -0.0, 1e308, -1e308, np.nan, np.inf, -np.inf]),
+        rng.standard_normal(5000) * 10.0 ** rng.uniform(-30, 20, 5000),
+        # whole significands of 1 to 17 digits: trailing zeros left out
+        np.repeat(rng.integers(10**16, 10**17, 17) // 10 ** np.arange(17), 23)
+        * 10.0 ** np.tile(np.arange(-6, 17), 17),
+        np.zeros(0), np.array([0.1]), np.array([-0.0]),
+    ]
+    # more than one chunk, with per-item values on both sides of each chunk boundary
+    long = rng.uniform(-2.0, 2.0, 3 * pio._CHUNK + 5)
+    long[pio._CHUNK - 2:pio._CHUNK + 2] = (0.0, np.nan, 1e-300, 1e300)
+    cases.append(long)
+    for v in cases:
+        for view in (v, v[::-1], v[1::3], np.repeat(v, 2)[::2]):
+            assert pio.dumps(view) == float64_text_reference(view)
+            assert pio.dumps({"v": view}) == '{"v": ' + float64_text_reference(view) + "}"
+
+
+def test_float_array_items_outside_the_array_steps_are_formatted_one_at_a_time(monkeypatch):
+    # zeros, nan, infinities, magnitudes outside [1e-6, 1e17) and the double
+    # nearest 1e-6, which lies below 10**-6 (its y falls short of 1e16), all
+    # take the per-item format; items in range take none
+    formatted = []
+    format17 = pio._FORMAT17
+
+    def counting_format(x):
+        formatted.append(x)
+        return format17(x)
+
+    monkeypatch.setattr(pio, "_FORMAT17", counting_format)
+    per_item = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1e-300, 9.99e-7, 1e-6,
+                         1e17, -1e17, 2.5e17, 1e308])
+    assert fractions.Fraction(1e-6) < fractions.Fraction(1, 10**6)
+    v = np.tile(per_item, pio._CHUNK // 5)
+    assert pio.dumps(v) == float64_text_reference(v)
+    assert [x.hex() for x in formatted] == [x.hex() for x in v.tolist()]
+    formatted.clear()
+    in_range = np.array([np.nextafter(1e-6, 1.0), 1e-5, 0.1, 2.5, 1e16, np.nextafter(1e17, 0.0)])
+    assert pio.dumps(in_range) == float64_text_reference(in_range)
+    assert formatted == []
+
+
+@pytest.mark.parametrize("toward", [-np.inf, np.inf])
+def test_float_arrays_keep_their_text_when_log10_is_one_ulp_off(monkeypatch, toward):
+    # a log10 one ulp off moves floor(log10) across each power of ten; the
+    # exact tests y >= 1e16 and N < 10**17 send those items to the per-item
+    # format, and every text stays the reference's
+    v = _powers_of_ten_and_neighbours(-6, 16, 3)
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda a: np.nextafter(log10(a), toward))
+    assert pio.dumps(v) == float64_text_reference(v)
+    assert pio.dumps(-v[::-1]) == float64_text_reference(-v[::-1])
+
+
+def test_float_array_writer_temporaries_are_bounded_by_the_chunk():
+    # at most the pieces, the joined text and one chunk's temporaries are alive
+    v = np.random.default_rng(3).uniform(-1.0, 1.0, 25 * pio._CHUNK)
+    tracemalloc.start()
+    try:
+        text = pio.dumps(v)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * len(text) + 200 * pio._CHUNK

@@ -1,6 +1,7 @@
 """The scripts under scripts/ run to completion on the bundled fixtures, and the
 benchmark's input module still finds every library name it imports and builds
 workloads whose operations its oracle accepts."""
+import importlib.resources
 import importlib.util
 import json
 import pathlib
@@ -11,10 +12,12 @@ import sys
 import numpy as np
 import pytest
 
+from pachner33 import cli
 from pachner33 import complexes as cx
 from pachner33 import flatmetric as fm
 from pachner33 import identities as idn
 from pachner33 import invariants as iv
+from pachner33 import io as pio
 from pachner33 import jacobians as jb
 from pachner33.cli import main as cli_main
 
@@ -24,6 +27,7 @@ from conftest import (
     check_6term_reference,
     check_basic2_reference,
     count_empty_like,
+    dumps_reference,
     materialized_value_after,
     reference_clusters,
     unit_ball_placement_loop,
@@ -205,6 +209,34 @@ def test_benchmark_ladder_jacobian_and_check_flat_calls_succeed(perfbench_inputs
         assert report["command"] == op.argv[0] and "error" not in report
         if op.argv[0] == "jacobian":
             assert report["rank"] == op.expect["rank"]
+
+
+def test_jacobian_reports_are_the_reference_writers_text(
+    perfbench_inputs, tmp_path, capsys, monkeypatch
+):
+    # the whole jacobian report, float64 triplet values included, is written
+    # with the text of the writer before the array steps: on the three
+    # fixtures and on the benchmark's 86-cell ladder rung at seed 611
+    written = []
+    dumps = cli.dumps
+
+    def recording_dumps(obj):
+        written.append(obj)
+        return dumps(obj)
+
+    monkeypatch.setattr(cli, "dumps", recording_dumps)
+    fixtures = importlib.resources.files("pachner33.fixtures")
+    argvs = [["jacobian", str(fixtures / name)] for name in
+             ("boundary_delta5.json", "join_tetra_triangle.json", "bipyramid_10cell.json")]
+    ops = perfbench_inputs.build_workload("ladder", 611, tmp_path).ops
+    argvs.append(list(next(op.argv for op in ops if op.kind == "jacobian_s.n86")))
+    for argv in argvs:
+        written.clear()
+        assert cli_main(argv) == 0, argv
+        (report,) = written
+        assert capsys.readouterr().out == dumps_reference(report) + "\n", argv
+    # the rung's dOmega_dS values fill more than one chunk of the writer
+    assert len(report["matrices"]["dOmega_dS"]["values"]) > pio._CHUNK
 
 
 def test_benchmark_identity_reports_equal_the_per_trial_route(
