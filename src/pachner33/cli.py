@@ -17,14 +17,12 @@ import math
 import sys
 import time
 
-import numpy as np
-
 from . import identities, invariants
 from .complexes import pachner_33
 from .errors import Pachner33Error
 from .flatmetric import FLATNESS_TOL, check_flat, metric_from_lengths, random_realization, realize
 from .io import ComplexDocument, dumps, load_document, save_document, serialize_complex
-from .jacobians import PIVOT_TOL, build_jacobians, rank_and_submatrix
+from .jacobians import PIVOT_TOL, build_jacobians
 
 
 def _report(command, args, **fields):
@@ -74,11 +72,9 @@ def _selection_fields(sel, c):
     }
 
 
-def _triplets(matrix):
-    """A matrix as {shape, rows, cols, values}: its nonzero entries in row-major order."""
-    flat = np.flatnonzero(matrix)
-    rows, cols = np.divmod(flat, matrix.shape[1])
-    return {"shape": list(matrix.shape), "rows": rows, "cols": cols, "values": matrix.take(flat)}
+def _triplets(t):
+    """jacobians.Triplets as {shape, rows, cols, values}: its nonzero entries in row-major order."""
+    return {"shape": list(t.shape), "rows": t.rows, "cols": t.cols, "values": t.values}
 
 
 def _value_field(sign, log_abs):
@@ -180,18 +176,14 @@ def cmd_jacobian(args, t0):
     jac = build_jacobians(c, m)
     sym = jac.symmetry_residual()
     conj = jac.conjugacy_residual()
+    sel = jac.selection
     matrices = {
-        "face_keys": c.face_ids(2).tolist(),
-        "edge_keys": c.face_ids(1).tolist(),
+        "face_keys": c.face_ids(2),
+        "edge_keys": c.face_ids(1),
         "dOmega_dL": _triplets(jac.dOmega_dL),
         "dOmega_dS": _triplets(jac.dOmega_dS),
         "dBigOmega_dS": _triplets(jac.dBigOmega_dS),
     }
-    # the selection eliminates in dOmega_dL; no dense matrix outlives it
-    dOmega_dL = jac.dOmega_dL
-    del jac
-    sel = rank_and_submatrix(dOmega_dL)
-    del dOmega_dL
     rep = _report(
         "jacobian",
         args,

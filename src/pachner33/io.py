@@ -19,13 +19,14 @@ sorted numerically.
 dumps writes the common shapes of a report in one pass each, with the same
 text as writing them item by item: a list of exactly-float items (one
 format per item), a list of exactly-int items, a list of lists or tuples
-of exactly-int items (face keys, simplices), a 1-d float64 ndarray (the
-correctly rounded "%.17g" digits and layout formed with array steps, in
-chunks of at most 4096 items; zeros, nan, infinities and magnitudes
-outside [1e-6, 1e17) formatted one at a time) and a 1-d integer ndarray
-(its distinct values formatted once each, then one join).  Anything else,
-a bool or a numpy scalar inside a list included, is written item by item.
-Other ndarrays are not supported.
+of exactly-int items (simplices, selection keys), a 1-d float64 ndarray
+(the correctly rounded "%.17g" digits and layout formed with array steps,
+in chunks of at most 4096 items; zeros, nan, infinities and magnitudes
+outside [1e-6, 1e17) formatted one at a time) and a 1-d or 2-d integer
+ndarray (triplet indices, face keys: the text of json.dumps(a.tolist()),
+gathered in one step from a NUL-padded byte table of each value's text).
+Anything else, a bool or a numpy scalar inside a list included, is
+written item by item.  Other ndarrays are not supported.
 """
 from __future__ import annotations
 
@@ -192,6 +193,60 @@ def _float64_text(x):
     return "".join(pieces)
 
 
+def _int_slots(values, separator):
+    """(n, slots) bytes: the decimal text of each item of the int64 or uint64
+    array values, its digits right-aligned with NULs before the first (and
+    a "-" or a NUL ahead of them when any item is negative), followed by
+    the bytes of separator.
+    """
+    negative = values < 0
+    signs = int(negative.any())
+    rest = values.astype(np.uint64)
+    np.negative(rest, out=rest, where=negative)  # |int64 min| fits in uint64
+    width = len(str(int(rest.max())))
+    T = np.empty((len(values), signs + width + len(separator)), np.uint8)
+    if signs:
+        np.multiply(negative, np.uint8(ord("-")), out=T[:, 0])
+    # each item over the powers of ten down to 1: a leading zero gives a
+    # quotient of 0 and is a NUL; the units digit is always shown
+    quotients = rest[:, None] // np.uint64(10) ** np.arange(width - 1, -1, -1, dtype=np.uint64)
+    shown = quotients != 0
+    shown[:, -1] = True
+    quotients %= np.uint64(10)
+    quotients += np.uint64(ord("0"))
+    np.multiply(quotients, shown, out=T[:, signs:signs + width], casting="unsafe")
+    T[:, signs + width:] = np.frombuffer(separator, np.uint8)
+    return T
+
+
+def _int_array_text(a):
+    """json.dumps(a.tolist()) of a 1-d or 2-d integer array, byte for byte.
+
+    Each value's text sits in a NUL-padded byte table (_int_slots) with the
+    separator that follows it: ", ", with two NULs more in a 2-d array,
+    whose last column gets "], [" in their place.  The table spans
+    min(a)..max(a) when that range holds fewer values than a has items,
+    and one gather takes each item's row; otherwise it holds the items
+    themselves.  The NULs are then deleted with bytes.translate.
+    """
+    if not a.size:
+        return json.dumps(a.tolist())
+    separator = b", " if a.ndim == 1 else b", \0\0"
+    wide = np.uint64 if a.dtype.kind == "u" else np.int64
+    lo, hi = int(a.min()), int(a.max())
+    if hi - lo < a.size:
+        table = _int_slots(np.arange(hi - lo + 1, dtype=wide) + wide(lo), separator)
+        rows = table.view(f"V{table.shape[1]}").ravel()
+        T = rows.take(np.subtract(a, wide(lo), dtype=wide)).view(np.uint8).reshape(a.shape + (-1,))
+    else:
+        T = _int_slots(a.astype(wide).ravel(), separator).reshape(a.shape + (-1,))
+    if a.ndim == 2:
+        T[:, -1, -4:] = np.frombuffer(b"], [", np.uint8)
+    text = T.tobytes().translate(None, b"\0").decode("ascii")
+    cut = len(separator)
+    return "[" * a.ndim + text[:-cut] + "]" * a.ndim
+
+
 def _dump(obj, pieces):
     if isinstance(obj, dict):
         pieces.append("{")
@@ -214,11 +269,8 @@ def _dump(obj, pieces):
             pieces.extend(_float64_text(obj[start:start + step]) for start in range(0, n, step))
             pieces[-1] = pieces[-1][:-2]
         pieces.append("]")
-    elif isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind in "iu":
-        # each distinct value is formatted once; the same text as its .tolist()
-        values, inverse = np.unique(obj, return_inverse=True)
-        text = np.array(list(map(str, values.tolist())), dtype=object)
-        pieces.append("[" + ", ".join(text.take(inverse).tolist()) + "]")
+    elif isinstance(obj, np.ndarray) and obj.ndim in (1, 2) and obj.dtype.kind in "iu":
+        pieces.append(_int_array_text(obj))
     elif isinstance(obj, (list, tuple)):
         item_types = set(map(type, obj))
         if item_types <= {float}:

@@ -29,8 +29,12 @@ face rows and edge columns (simplex_faces, simplex_edges):
 - dBigOmega_dS: rows = edges, cols = triangles,       entries d(Omega_a)/d(S_i),
                 the scatter of each simplex's (dS/dL)^T (dOmega/dS) block
 
-Row/column order follows the complex's lexicographic face tables.  The
-maximal nondegenerate submatrix is found by complete-pivoting Gaussian
+Row/column order follows the complex's lexicographic face tables.
+build_jacobians forms the three one at a time and keeps each as Triplets,
+its nonzero entries: each dense matrix is spent (by the selection or by a
+residual's transpose_gap) before the next is formed.
+
+The maximal nondegenerate submatrix is found by complete-pivoting Gaussian
 elimination with a relative pivot threshold.  Each step updates only the
 rows its pivot column reaches and finds the next pivot through the row
 maxima, so on the sparse dOmega_dL (a few percent nonzero) a step costs
@@ -306,34 +310,103 @@ def _abs_max(a, axis=None):
 
 
 @dataclass(frozen=True)
-class JacobianSet:
-    """The three global derivative matrices."""
+class Triplets:
+    """A matrix as its nonzero entries in row-major order.
 
-    dOmega_dL: np.ndarray
-    dOmega_dS: np.ndarray
-    dBigOmega_dS: np.ndarray
+    rows and cols index the (n_rows, n_cols) shape and values holds the
+    entries; exact zeros are left out, so the matrix rebuilds bit for bit.
+    """
+
+    shape: tuple
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+
+    @classmethod
+    def of(cls, matrix):
+        # nonzero runs several times faster on a bool array than on floats
+        flat = np.flatnonzero(matrix != 0.0)
+        rows, cols = np.divmod(flat, matrix.shape[1])
+        return cls(matrix.shape, rows, cols, matrix.take(flat))
+
+
+def transpose_gap(A, a, b):
+    """max |A - B^T| from the dense A and the Triplets a of A and b of B.
+
+    A is spent: its entries at the nonzeros of B^T are zeroed.  B^T's
+    entry (j, i) is b's (i, j), so A - B^T is A's entry less b's value at
+    the nonzeros of B^T, A's own entry at the other nonzeros of A, and 0.0
+    elsewhere.  The gaps are taken at b's nonzeros, then at a's once b's
+    are zeroed in A: a's entry where B^T has none, 0.0 where it was
+    already taken.  With a = b, the triplets of a square A, they are the
+    entries of A - A^T, each pair taken with either sign.  A 0.0 moves no
+    maximum, so this is bitwise the maximum over the dense A - B^T, NaN
+    and infinities included; 0.0 when neither matrix has a nonzero.
+    """
+    n_cols = A.shape[1]
+    flat = A.reshape(-1)
+    at_b = b.cols * n_cols + b.rows
+    gaps = [flat.take(at_b) - b.values]
+    flat[at_b] = 0.0
+    gaps.append(flat.take(a.rows * n_cols + a.cols))
+    gaps = np.concatenate(gaps)
+    return _abs_max(gaps) if len(gaps) else 0.0
+
+
+def _relative(gap, a, b):
+    """gap / max(max |a|, max |b|) over two Triplets; 0.0 when that scale is 0.
+
+    The zeros a triplet list leaves out move no maximum, so the scale is
+    bitwise that of the dense matrices (0.0 for one without a nonzero).
+    """
+    scale = max(_abs_max(t.values) if len(t.values) else 0.0 for t in (a, b))
+    return float(gap / scale) if scale else 0.0
+
+
+@dataclass(frozen=True)
+class JacobianSet:
+    """The three global derivative matrices as Triplets, the selection of
+    dOmega_dL, and the largest entry of each residual's difference."""
+
+    dOmega_dL: Triplets
+    dOmega_dS: Triplets
+    dBigOmega_dS: Triplets
+    selection: SubmatrixSelection
+    symmetry_gap: float  # max |dOmega_dS - dOmega_dS^T|
+    conjugacy_gap: float  # max |dBigOmega_dS - dOmega_dL^T|
 
     def symmetry_residual(self):
-        M = self.dOmega_dS
-        scale = _abs_max(M)
-        return float(_abs_max(M - M.T) / scale) if scale else 0.0
+        return _relative(self.symmetry_gap, self.dOmega_dS, self.dOmega_dS)
 
     def conjugacy_residual(self):
-        A = self.dBigOmega_dS
-        B = self.dOmega_dL.T
-        scale = max(_abs_max(A), _abs_max(B))
-        return float(_abs_max(A - B) / scale) if scale else 0.0
+        return _relative(self.conjugacy_gap, self.dBigOmega_dS, self.dOmega_dL)
 
 
 def build_jacobians(c, m):
-    """The three matrices, from one batch of per-simplex angle and area blocks."""
+    """The three matrices, the selection and both residuals' largest gaps, from one
+    batch of per-simplex angle and area blocks.
+
+    Each whole matrix is scattered, taken as Triplets and spent before the
+    next one is formed: dOmega_dL by the selection (rank_and_submatrix
+    eliminates in it), dOmega_dS and dBigOmega_dS by transpose_gap.  So
+    one dense matrix is alive at a time, the largest being the F x F
+    dOmega_dS.
+    """
     tables = length_tables(m.L, c.simplex_edges)
     shares = dtheta_dL_blocks(tables, -m.eps)
+    dOmega_dL = assemble_domega_dL(c, m, shares)
+    dL = Triplets.of(dOmega_dL)
+    selection = rank_and_submatrix(dOmega_dL)
+    del dOmega_dL
     dS_dL = geometry.dS_dL_blocks(tables)
     E, F = len(c.edge_ends), len(c.triangle_vertices)
     # a linear solve: X is bitwise the negated domega_dS_blocks of the angle blocks
     X = domega_dS_blocks(shares, dS_dL)
+    del shares
     dOmega_dS = scatter_blocks((F, F), c.simplex_faces, c.simplex_faces, X)
+    dS = Triplets.of(dOmega_dS)
+    symmetry_gap = transpose_gap(dOmega_dS, dS, dS)
+    del dOmega_dS
     # At a flat point the area-derivative weights are stationary against the
     # vanishing face deficits, leaving the weighted sum of dOmega_dS rows.
     # A triangle's weights depend on its own edges only, so each cell's
@@ -341,7 +414,9 @@ def build_jacobians(c, m):
     dBigOmega_dS = scatter_blocks(
         (E, F), c.simplex_edges, c.simplex_faces, np.swapaxes(dS_dL, 1, 2) @ X
     )
-    return JacobianSet(assemble_domega_dL(c, m, shares), dOmega_dS, dBigOmega_dS)
+    dBig = Triplets.of(dBigOmega_dS)
+    conjugacy_gap = transpose_gap(dBigOmega_dS, dBig, dL)
+    return JacobianSet(dL, dS, dBig, selection, symmetry_gap, conjugacy_gap)
 
 
 def log_product(values):
@@ -479,11 +554,17 @@ def rank_and_submatrix(matrix, must_include_row=None):
         work[r] = 0.0
         row_best[r] = 0.0
 
-    kept_rows, kept_cols = set(pivot_rows), set(pivot_cols)
     return SubmatrixSelection(
         rows=tuple(pivot_rows),
         cols=tuple(pivot_cols),
-        rows_comp=tuple(i for i in range(n_rows) if i not in kept_rows),
-        cols_comp=tuple(j for j in range(n_cols) if j not in kept_cols),
+        rows_comp=_complement(n_rows, pivot_rows),
+        cols_comp=_complement(n_cols, pivot_cols),
         pivots=tuple(pivots),
     )
+
+
+def _complement(n, kept):
+    """The indices in range(n) not in kept, ascending, as a tuple of ints."""
+    mask = np.ones(n, dtype=bool)
+    mask[kept] = False
+    return tuple(np.flatnonzero(mask).tolist())

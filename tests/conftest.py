@@ -57,6 +57,32 @@ def area_length_weights(c, m):
     return W
 
 
+def dense(t):
+    """The matrix of jacobians.Triplets t, rebuilt from its nonzero entries."""
+    M = np.zeros(t.shape)
+    M[t.rows, t.cols] = t.values
+    return M
+
+
+# The residuals as JacobianSet took them from its dense matrices, before it
+# kept their triplets; kept as the bitwise reference of the triplet residuals.
+
+def _abs_max(a):
+    return np.maximum(a.max(), -a.min())
+
+
+def symmetry_residual_dense(M):
+    """max |M - M^T| / max |M| of a square dense matrix; 0.0 when M is zero."""
+    scale = _abs_max(M)
+    return float(_abs_max(M - M.T) / scale) if scale else 0.0
+
+
+def conjugacy_residual_dense(A, B):
+    """max |A - B^T| / max(max |A|, max |B|) of dense A and B; 0.0 when both are zero."""
+    scale = max(_abs_max(A), _abs_max(B.T))
+    return float(_abs_max(A - B.T) / scale) if scale else 0.0
+
+
 # The per-seed sampler and the per-trial six-point cluster: the library draws
 # every placement of a list of seeds in rounds that draw ahead and realizes the clusters of
 # all trials as one stack; these are the per-seed and per-trial routes those
@@ -352,14 +378,17 @@ def float64_text_reference(values):
 
 def dumps_reference(obj):
     """io.dumps text with every 1-d float64 array in a dict written by
-    float64_text_reference; other values go through io.dumps, whose other
-    branches are unchanged since that writer."""
+    float64_text_reference and every 1-d or 2-d integer array by
+    json.dumps(a.tolist()); other values go through io.dumps, whose other
+    branches are unchanged since those writers."""
     if isinstance(obj, dict):
         return "{" + ", ".join(
             f"{json.dumps(str(key))}: {dumps_reference(val)}" for key, val in obj.items()
         ) + "}"
     if isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype == np.float64:
         return float64_text_reference(obj)
+    if isinstance(obj, np.ndarray) and obj.ndim in (1, 2) and obj.dtype.kind in "iu":
+        return json.dumps(obj.tolist())
     return pio.dumps(obj)
 
 

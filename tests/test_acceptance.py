@@ -17,6 +17,8 @@ from pachner33 import invariants as iv
 from pachner33 import jacobians as jb
 from pachner33.cli import main as cli_main
 
+from conftest import dense
+
 TOL = 1e-6
 
 
@@ -156,7 +158,7 @@ def test_criterion_09_selection_independence():
     c = cx.tetra_circle_join()
     m = fm.realize(c, fm.random_realization(c, seed=909))
     jac = jb.build_jacobians(c, m)
-    M = jac.dOmega_dL
+    M = dense(jac.dOmega_dL)
     sel = jb.rank_and_submatrix(M.copy())
     assert sel.rank >= 2
 
@@ -169,7 +171,7 @@ def test_criterion_09_selection_independence():
     coeffs, *_ = np.linalg.lstsq(M[list(sel.rows)].T, M[new_row], rcond=None)
     old_row = sel.rows[int(np.argmax(np.abs(coeffs)))]
     face = iv.basis_change_factor(
-        M, sel, ("face", new_row, old_row), conjugate=jac.dBigOmega_dS
+        M, sel, ("face", new_row, old_row), conjugate=dense(jac.dBigOmega_dS)
     )
     face_det_contract = abs(face.factor_det - face.coefficient) / abs(face.coefficient)
     face_form_contract = abs(face.factor_det + face.factor_form) / abs(face.factor_det)

@@ -15,6 +15,7 @@ from pachner33.errors import DegenerateSimplexError, SelectionError
 
 from conftest import (
     cm_squared_volume,
+    dense,
     materialized_value_after,
     reduce_angle_scalar,
     scatter_indices,
@@ -580,7 +581,7 @@ def test_edge_swap_factor_contract(join_complex, join_metric):
 
 def test_face_swap_factor_contract(join_complex, join_metric):
     jac = jb.build_jacobians(join_complex, join_metric)
-    M = jac.dOmega_dL
+    M = dense(jac.dOmega_dL)
     sel = jb.rank_and_submatrix(M.copy())
     new_row = next(
         r for r in sel.rows_comp if np.abs(M[r]).max() > 0.1 * np.abs(M).max()
@@ -588,7 +589,7 @@ def test_face_swap_factor_contract(join_complex, join_metric):
     coeffs, *_ = np.linalg.lstsq(M[list(sel.rows)].T, M[new_row], rcond=None)
     old_row = sel.rows[int(np.argmax(np.abs(coeffs)))]
     factors = iv.basis_change_factor(
-        M, sel, ("face", new_row, old_row), conjugate=jac.dBigOmega_dS
+        M, sel, ("face", new_row, old_row), conjugate=dense(jac.dBigOmega_dS)
     )
     assert factors.factor_det == pytest.approx(factors.coefficient, rel=1e-6)
     assert factors.factor_det == pytest.approx(-factors.factor_form, rel=1e-6)
@@ -596,14 +597,14 @@ def test_face_swap_factor_contract(join_complex, join_metric):
 
 def test_face_swap_on_rank_one_delta5(delta5, delta5_metric):
     jac = jb.build_jacobians(delta5, delta5_metric)
-    M = jac.dOmega_dL
+    M = dense(jac.dOmega_dL)
     sel = jb.rank_and_submatrix(M.copy())
     assert sel.rank == 1
     new_row = next(
         r for r in sel.rows_comp if np.abs(M[r]).max() > 0.1 * np.abs(M).max()
     )
     factors = iv.basis_change_factor(
-        M, sel, ("face", new_row, sel.rows[0]), conjugate=jac.dBigOmega_dS
+        M, sel, ("face", new_row, sel.rows[0]), conjugate=dense(jac.dBigOmega_dS)
     )
     # det(B)^-1 times the accumulated form factor is preserved up to sign:
     # |1 / (det(B) * factor_det) * factor_form| = |1 / det(B)|
@@ -612,7 +613,7 @@ def test_face_swap_on_rank_one_delta5(delta5, delta5_metric):
 
 def test_swap_chain_preserves_composite_quantity(join_complex, join_metric):
     jac = jb.build_jacobians(join_complex, join_metric)
-    M = jac.dOmega_dL
+    M = dense(jac.dOmega_dL)
     sel = jb.rank_and_submatrix(M.copy())
     # the quantity 1 / det(B) changes by factor_form / factor_det per swap
 
@@ -632,7 +633,7 @@ def test_swap_chain_preserves_composite_quantity(join_complex, join_metric):
         M,
         sel,
         ("face", strong_row, old_row),
-        conjugate=jac.dBigOmega_dS,
+        conjugate=dense(jac.dBigOmega_dS),
     )
     q_face = face_factors.factor_form / face_factors.factor_det
     assert abs(q_face) == pytest.approx(1.0, rel=1e-6)
@@ -640,7 +641,7 @@ def test_swap_chain_preserves_composite_quantity(join_complex, join_metric):
 
 def test_basis_change_factors_do_not_depend_on_the_scale_of_M(join_complex, join_metric):
     jac = jb.build_jacobians(join_complex, join_metric)
-    M = jac.dOmega_dL
+    M = dense(jac.dOmega_dL)
     sel = jb.rank_and_submatrix(M.copy())
     big = jb.rank_and_submatrix(M * 1e120)
     assert (big.rows, big.cols) == (sel.rows, sel.cols)
@@ -649,7 +650,7 @@ def test_basis_change_factors_do_not_depend_on_the_scale_of_M(join_complex, join
     old_row = sel.rows[int(np.argmax(np.abs(coeffs)))]
     swaps = (
         (("edge", sel.cols_comp[0], sel.cols[-1]), None),
-        (("face", sel.rows_comp[0], old_row), jac.dBigOmega_dS),
+        (("face", sel.rows_comp[0], old_row), dense(jac.dBigOmega_dS)),
     )
     for swap, conjugate in swaps:
         want = iv.basis_change_factor(M, sel, swap, conjugate=conjugate)

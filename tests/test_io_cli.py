@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pachner33
+from pachner33 import cli
 from pachner33 import complexes as cx
 from pachner33 import flatmetric as fm
 from pachner33 import geometry as g
@@ -25,9 +26,10 @@ from pachner33 import io as pio
 from pachner33.cli import _selection_fields, _value_field, build_parser, main
 from pachner33.complexes import build_complex
 from pachner33.errors import ComplexStructureError, SchemaError
-from pachner33.jacobians import build_jacobians, rank_and_submatrix
+from pachner33 import jacobians as jb
+from pachner33.jacobians import rank_and_submatrix
 
-from conftest import float64_text_reference
+from conftest import dumps_reference, float64_text_reference
 
 
 def fixture_path(name):
@@ -625,24 +627,78 @@ def test_cli_jacobian_reports_rank_and_residuals():
     assert rep["matrices"]["dOmega_dL"]["shape"] == [20, 15]
 
 
-@pytest.mark.parametrize("name", ["boundary_delta5.json", "join_tetra_triangle.json"])
-def test_cli_jacobian_triplets_rebuild_the_matrices(name):
-    code, out = run_cli("jacobian", fixture_path(name))
+def rung_document(stellar_ladder, n_cells, path):
+    """The stellar_ladder rung of n_cells cells written as a document at path."""
+    c, coords = stellar_ladder[n_cells]
+    pio.save_document(pio.ComplexDocument(
+        simplices=[c.oriented_simplex(i) for i in range(len(c.simplices))]).with_coords(coords),
+        path)
+    return str(path)
+
+
+@pytest.mark.parametrize("name", ["boundary_delta5.json", "join_tetra_triangle.json", 86])
+def test_cli_jacobian_triplets_rebuild_the_matrices(name, stellar_ladder, tmp_path, monkeypatch):
+    if name == 86:
+        path = rung_document(stellar_ladder, 86, tmp_path / "rung.json")
+    else:
+        path = fixture_path(name)
+    written = []
+    dumps = cli.dumps
+
+    def recording_dumps(obj):
+        written.append(obj)
+        return dumps(obj)
+
+    monkeypatch.setattr(cli, "dumps", recording_dumps)
+    code, out = run_cli("jacobian", path)
     assert code == 0
+    # the whole report is the reference writers' text
+    assert out == dumps_reference(written[-1]) + "\n"
     matrices = json.loads(out)["matrices"]
-    doc = pio.load_fixture(name)
+    doc = pio.load_document(path)
     c = doc.to_complex()
-    jac = build_jacobians(c, fm.realize(c, doc.realization()))
+    m = fm.realize(c, doc.realization())
     assert matrices["face_keys"] == [list(k) for k in c.faces[2]]
     assert matrices["edge_keys"] == [list(k) for k in c.faces[1]]
+    rebuilt = {}
     for field in ("dOmega_dL", "dOmega_dS", "dBigOmega_dS"):
         t = matrices[field]
-        dense = np.zeros(t["shape"])
-        dense[t["rows"], t["cols"]] = t["values"]
-        assert np.array_equal(dense, getattr(jac, field)), field
+        rebuilt[field] = np.zeros(t["shape"])
+        rebuilt[field][t["rows"], t["cols"]] = t["values"]
         # row-major order, exact zeros left out
         assert sorted(zip(t["rows"], t["cols"])) == list(zip(t["rows"], t["cols"]))
         assert 0.0 not in t["values"]
+    # the scatters of the cells' blocks, as the library forms them
+    F, E = len(c.faces[2]), len(c.faces[1])
+    tables = jb.length_tables(m.L, c.simplex_edges)
+    X = -jb.domega_dS_blocks(jb.dtheta_dL_blocks(tables, m.eps), g.dS_dL_blocks(tables))
+    XA = np.swapaxes(g.dS_dL_blocks(tables), 1, 2) @ X
+    want = {
+        "dOmega_dL": jb.assemble_domega_dL(c, m),
+        "dOmega_dS": jb.scatter_blocks((F, F), c.simplex_faces, c.simplex_faces, X),
+        "dBigOmega_dS": jb.scatter_blocks((E, F), c.simplex_edges, c.simplex_faces, XA),
+    }
+    for field, matrix in want.items():
+        assert rebuilt[field].tobytes() == matrix.tobytes(), field
+
+
+def test_cli_jacobian_holds_one_whole_matrix_at_a_time(stellar_ladder, tmp_path):
+    # each dense matrix is freed before the next is formed and neither
+    # residual forms a whole-matrix temporary: on the 166-cell rung the traced
+    # peak lies one F x F float64 array below 4 437 478 bytes, the peak of
+    # the same call when the three dense matrices and M - M^T were alive at
+    # once (numpy 2.4)
+    path = rung_document(stellar_ladder, 166, tmp_path / "rung.json")
+    run_cli("jacobian", path)  # imports and caches outside the trace
+    tracemalloc.start()
+    try:
+        code, _ = run_cli("jacobian", path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    F = len(stellar_ladder[166][0].triangle_vertices)
+    assert peak < 4_437_478 - F * F * np.dtype(float).itemsize, peak
 
 
 def test_cli_move_round_trip(tmp_path):
@@ -941,21 +997,34 @@ def test_dumps_pins_float_text():
     assert pio.dumps([np.int64(1), 2]) == "[1, 2]"
 
 
+INTEGER_DTYPES = (np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32,
+                  np.uint64, np.dtype(">i8"), np.dtype(">u8"))
+
+
 def test_dumps_writes_integer_arrays_as_their_item_text():
-    # the distinct values are formatted once; the text is the item-by-item join
+    # 1-d and 2-d arrays of every integer dtype (big-endian ones included):
+    # the text of json.dumps(a.tolist()), through the range table (values
+    # repeat) and through the per-item table (a range wider than the array)
     rng = np.random.default_rng(5)
     cases = [
-        np.zeros(0, dtype=np.int64), np.array([7]), np.array([-3]),
+        np.zeros(0, dtype=np.int64), np.zeros((0, 3), dtype=np.int64),
+        np.zeros((4, 0), dtype=np.int32), np.zeros((0, 0), dtype=np.uint8),
+        np.array([7]), np.array([-3]), np.array([0]), np.array([[0]]), np.array([[-12, 0, 9]]),
         rng.integers(-50, 50, size=1000), rng.integers(0, 1020, size=5000),
-        np.array([-1, 5, -1, 5, 5, 0, -1]),
+        rng.integers(0, 1020, size=(600, 3)), rng.integers(-10**15, 10**15, size=(300, 2)),
+        np.array([-1, 5, -1, 5, 5, 0, -1]), np.array([[1, 10, 100], [1000, 9, 99]]),
     ]
-    for dtype in (np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64):
+    for dtype in INTEGER_DTYPES:
         info = np.iinfo(dtype)
-        extremes = np.array([info.max, info.min, 0, info.max, 1, info.min], dtype=dtype)
-        cases += [extremes, extremes[::-2], np.repeat(extremes, 3)]
+        extremes = np.array([info.max, info.min, 0, info.max, 1, info.min, 9, 10], dtype=dtype)
+        low = np.array([info.min + k for k in range(12)], dtype=dtype)
+        high = np.array([info.max - k for k in range(12)], dtype=dtype)
+        cases += [extremes, extremes[::-2], np.repeat(extremes, 3), extremes.reshape(2, 4),
+                  extremes.reshape(4, 2)[::-1, ::-1], extremes.reshape(2, 4).T, low,
+                  np.repeat(low, 2).reshape(6, 4), high[::-1], high.reshape(3, 4)[:, ::2]]
     for a in cases:
-        want = "[" + ", ".join(map(str, a.tolist())) + "]"
-        assert pio.dumps(a) == want
+        want = json.dumps(a.tolist())
+        assert pio.dumps(a) == want, (a.dtype, a.shape)
         assert pio.dumps({"a": a}) == '{"a": ' + want + "}"
 
 

@@ -19,9 +19,13 @@ from conftest import (
     LADDER_RUNGS,
     area_length_weights,
     assert_same_selection,
+    conjugacy_residual_dense,
     count_empty_like,
+    dense,
     face_area,
     rank_and_submatrix_dense,
+    selection_bits,
+    symmetry_residual_dense,
 )
 
 UNIT_L = np.ones((5, 5)) - np.eye(5)
@@ -385,7 +389,7 @@ def assembled_outputs(c, m):
     dtheta = jb.dtheta_dL_blocks(jb.length_tables(m.L, c.simplex_edges), m.eps)
     jac = jb.build_jacobians(c, m)
     out = [jb.assemble_domega_dL(c, m), jb.assemble_domega_dL(c, m, dtheta)]
-    out += [jac.dOmega_dL, jac.dOmega_dS, jac.dBigOmega_dS]
+    out += [dense(jac.dOmega_dL), dense(jac.dOmega_dS), dense(jac.dBigOmega_dS)]
     return [(a.shape, a.tobytes()) for a in out]
 
 
@@ -564,7 +568,7 @@ def test_domega_dL_rank_stability(delta5, delta5_coords, delta5_metric):
 
 def test_domega_dS_symmetric_on_fixtures(delta5, delta5_metric, join_complex, join_metric):
     for c, m in ((delta5, delta5_metric), (join_complex, join_metric)):
-        M = jb.build_jacobians(c, m).dOmega_dS
+        M = dense(jb.build_jacobians(c, m).dOmega_dS)
         assert np.abs(M - M.T).max() <= 1e-6 * np.abs(M).max()
 
 
@@ -592,17 +596,21 @@ def test_build_jacobians_matches_the_separate_assemblies(
     cases += [(c, fm.realize(c, coords)) for n, (c, coords) in stellar_ladder.items() if n <= 86]
     for c, m in cases:
         jac = jb.build_jacobians(c, m)
-        # sharing the block batch changes no bit of the two scatters
-        assert jac.dOmega_dL.tobytes() == jb.assemble_domega_dL(c, m).tobytes()
-        assert jac.dOmega_dS.tobytes() == domega_dS_reference(c, m).tobytes()
+        # sharing the block batch changes no bit of the two scatters, and the
+        # triplets rebuild them
+        dOmega_dL = jb.assemble_domega_dL(c, m)
+        assert dense(jac.dOmega_dL).tobytes() == dOmega_dL.tobytes()
+        assert dense(jac.dOmega_dS).tobytes() == domega_dS_reference(c, m).tobytes()
+        # the selection is that of the assembled matrix
+        assert selection_bits(jac.selection) == selection_bits(jb.rank_and_submatrix(dOmega_dL))
         # the per-simplex (dS/dL)^T X blocks sum the dense product's terms in
         # another order: equal up to rounding of the sum of their magnitudes
         ref, magnitude = dBigOmega_dS_reference(c, m)
-        assert np.all(np.abs(jac.dBigOmega_dS - ref) <= 1e-13 * magnitude)
+        assert np.all(np.abs(dense(jac.dBigOmega_dS) - ref) <= 1e-13 * magnitude)
 
 
 def test_domega_dS_zero_without_common_simplex(join_complex, join_metric):
-    M = jb.build_jacobians(join_complex, join_metric).dOmega_dS
+    M = dense(jb.build_jacobians(join_complex, join_metric).dOmega_dS)
     # triangle pairs that share a simplex, from the per-simplex face rows
     shared = {(a, b) for row in join_complex.simplex_faces.tolist() for a in row for b in row}
     pairs_checked = 0
@@ -633,7 +641,7 @@ def test_conjugacy_on_fixtures(delta5, delta5_metric, join_complex, join_metric)
 
 
 def test_dBigOmega_structural_zeros(join_complex, join_metric):
-    T = jb.build_jacobians(join_complex, join_metric).dBigOmega_dS
+    T = dense(jb.build_jacobians(join_complex, join_metric).dBigOmega_dS)
     # (edge, triangle) pairs that share a simplex, from the per-simplex index rows
     shared = {
         (e, f)
@@ -660,6 +668,60 @@ def test_conjugacy_on_moved_join(join_complex, join_coords):
     jac = jb.build_jacobians(moved, m2)
     assert jac.symmetry_residual() <= 1e-6
     assert jac.conjugacy_residual() <= 1e-6
+
+
+def residuals_from_triplets(dOmega_dL, dOmega_dS, dBigOmega_dS):
+    """(symmetry, conjugacy) residuals of three dense matrices, their gaps
+    taken by transpose_gap as build_jacobians takes them."""
+    dL, dS, dBig = map(jb.Triplets.of, (dOmega_dL, dOmega_dS, dBigOmega_dS))
+    jac = jb.JacobianSet(
+        dL, dS, dBig, None,
+        jb.transpose_gap(dOmega_dS.copy(), dS, dS),
+        jb.transpose_gap(dBigOmega_dS.copy(), dBig, dL),
+    )
+    return jac.symmetry_residual(), jac.conjugacy_residual()
+
+
+def sparse_matrix(rng, shape, density):
+    M = rng.standard_normal(shape)
+    M[rng.uniform(size=shape) > density] = 0.0
+    return M
+
+
+def test_triplet_residuals_are_the_dense_residuals_bitwise():
+    # asymmetric patterns, exact cancellations, NaN and infinities on one
+    # side and on both, zero matrices and a one-entry matrix: each residual
+    # is the dense one bit for bit (repr tells -0.0 from 0.0; NaN is "nan")
+    rng = np.random.default_rng(31)
+    F, E = 9, 5
+    cases = []
+    for density in (0.0, 0.05, 0.3, 1.0):
+        S = sparse_matrix(rng, (F, F), density)
+        L = sparse_matrix(rng, (F, E), density)
+        cases.append((L, S, sparse_matrix(rng, (E, F), density)))
+        # symmetric S, and A equal to L^T but at a few entries
+        A = L.T.copy()
+        A[rng.integers(E, size=3), rng.integers(F, size=3)] = rng.standard_normal(3)
+        cases += [(L, S + S.T, A), (L, S + S.T, L.T.copy()),
+                  (-np.abs(L), -np.abs(S + S.T), -np.abs(L.T))]
+        if density == 0.3:
+            base = (L, S + S.T, A)
+    for value in (np.nan, np.inf, -np.inf):
+        for sides in ((0,), (1,), (0, 1)):
+            L, S, A = (M.copy() for M in base)
+            for side in sides:
+                L[(1, 2) if side else (2, 1)] = value  # L[1, 2] is A[2, 1]'s partner
+                A[(2, 1) if side else (4, 7)] = value
+                S[(3, 4) if side else (4, 3)] = value
+            cases.append((L, S, A))
+    one = np.zeros((F, F))
+    one[2, 5] = 1e-300
+    cases.append((np.zeros((F, E)), one, np.zeros((E, F))))
+    for L, S, A in cases:
+        with np.errstate(invalid="ignore"):  # inf - inf and inf / inf give NaN
+            want = (symmetry_residual_dense(S), conjugacy_residual_dense(A, L))
+            got = residuals_from_triplets(L, S, A)
+        assert tuple(map(repr, got)) == tuple(map(repr, want))
 
 
 # --------------------------------------------------------- rank/selection

@@ -26,10 +26,13 @@ from conftest import (
     assert_same_selection,
     check_6term_reference,
     check_basic2_reference,
+    conjugacy_residual_dense,
     count_empty_like,
+    dense,
     dumps_reference,
     materialized_value_after,
     reference_clusters,
+    symmetry_residual_dense,
     unit_ball_placement_loop,
 )
 
@@ -172,6 +175,33 @@ def test_selection_on_the_benchmark_join_takes_the_whole_array(perfbench_inputs,
         buffers.clear()
         assert_same_selection(M, must_include_row=row)
         assert buffers == [M.shape], row
+
+
+def test_jacobian_residuals_are_the_dense_residuals_bitwise(
+    perfbench_inputs, delta5, delta5_metric, join_complex, join_metric, bipyramid, stellar_ladder
+):
+    # the residuals taken at the triplets are those of the dense matrices,
+    # bit for bit, on the fixtures, the ladder rungs up to 166 cells and two
+    # 72-cell stacked-sphere joins as the moves workload builds
+    placed = [(delta5, delta5_metric), (join_complex, join_metric),
+              (bipyramid, fm.realize(bipyramid, fm.random_realization(bipyramid, seed=2)))]
+    placed += [(c, fm.realize(c, coords)) for c, coords in stellar_ladder.values()]
+    for seed in (3, 6):
+        c, coords = perfbench_inputs.checked_complex(
+            *perfbench_inputs.stacked_sphere_join(
+                np.random.default_rng(seed), perfbench_inputs.JOIN_SPHERE_TRIANGLES
+            ), "join"
+        )
+        placed.append((c, fm.realize(c, coords)))
+    assert [len(c.simplices) for c, _ in placed[3:]] == [26, 86, 166, 72, 72]
+    for c, m in placed:
+        jac = jb.build_jacobians(c, m)
+        dOmega_dL = dense(jac.dOmega_dL)
+        assert dOmega_dL.tobytes() == jb.assemble_domega_dL(c, m).tobytes()
+        want = (symmetry_residual_dense(dense(jac.dOmega_dS)),
+                conjugacy_residual_dense(dense(jac.dBigOmega_dS), dOmega_dL))
+        assert (jac.symmetry_residual(), jac.conjugacy_residual()) == want
+        assert 0.0 < max(want) <= 1e-6
 
 
 def test_compare_after_value_on_the_benchmark_joins_is_the_moved_complexs_own(
