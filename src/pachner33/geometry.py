@@ -297,9 +297,9 @@ def edge_angle_thetas(L, eps):
 
     Theta_e = sum over faces f of dS_f/dL_e * eps * theta_f; only the three
     faces containing e contribute.  One embedding serves all ten edges of a
-    table.  eps is a sign, or one sign per table of the stack.
+    table.  eps is a sign, or one sign per table of the stack.  The
+    tables are validated once, by the embedding.
     """
-    L = validate_length_table(L, size=5)
     signed = np.asarray(eps)[..., None] * dihedral_angles_from_lengths(L)
     return np.einsum("...fe,...f->...e", dS_dL_blocks(L), signed)
 

@@ -12,7 +12,7 @@ a stack.
 Each battery draws seed-deterministic configurations, evaluates one identity
 and reports the worst relative residual.  The library computes every angle
 derivative in closed form (jacobians.dtheta_dL_blocks, and its rows at the
-cluster's central triangles, jacobians.face_angle_rows); the batteries
+cluster's central faces, jacobians.face_angle_rows); the batteries
 check those against closed-form identities and against one independent
 oracle, central_difference, which differentiates the dihedral angles of
 the coordinate route (geometry.dihedral_angles_from_lengths, (..., 10)
@@ -42,7 +42,7 @@ from . import geometry
 from .complexes import boundary_delta5
 from .errors import DegenerateSimplexError
 from .flatmetric import FLATNESS_TOL, triangle_areas
-from .jacobians import dtheta_dL_blocks, face_angle_rows, length_tables
+from .jacobians import dtheta_dL_blocks, face_angle_rows, length_tables, scatter_blocks
 
 DEFAULT_TOL = 1e-6
 PARALLEL_COS_TOL = 1e-10
@@ -76,15 +76,10 @@ SIDES = {
     "def": (_DELTA5.face_index[2][(D, E, F)], 1),
 }
 _SIDE_ROWS, _SIDE_SIGNS = (np.array(col) for col in zip(*SIDES.values()))
-# the three cells through each side's central triangle in cell order, the
-# triangle's place among each cell's ten faces and each cell's ten edges
-_SIDE_CELLS = np.array([np.flatnonzero((_DELTA5.simplex_faces == row).any(axis=1))
-                        for row in _SIDE_ROWS])
-_SIDE_FACES = np.argmax(_DELTA5.simplex_faces[_SIDE_CELLS] == _SIDE_ROWS[:, None, None], axis=2)
-_SIDE_EDGES = _DELTA5.simplex_edges[_SIDE_CELLS]
-# each cell holds one central triangle: its place among the cell's ten faces
-_CELL_FACES = np.empty(6, dtype=np.intp)
-_CELL_FACES[_SIDE_CELLS] = _SIDE_FACES
+# Cell n omits point n, so its central triangle is ABC, its FACES5 row 0,
+# for n >= 3 (side 0) and DEF, its row 9, for n < 3 (side 1).
+_CENTRAL_FACES = [0, 9]
+_CELL_SIDES = np.array([1, 1, 1, 0, 0, 0])
 # cell n omits point n; its stored sign turns its volume into the ascending hat's
 _HAT_SIGNS = np.array([sign for _, sign in _DELTA5.simplices])
 _CELL_VERTICES = [verts for verts, _ in _DELTA5.simplices]
@@ -111,11 +106,12 @@ class ClusterSix:
     _DELTA5's index arrays for all T at once: one squared-length matmul,
     one cell_volumes call over the 6T cells, one Cayley-Menger batch for
     the two central triangles and one face_angle_rows call over the 6T
-    length tables.  Each cell holds one central triangle, and only that
-    face's angle and (10,) dtheta/dL row are taken from the cell's
-    facet-normal Gram, not its whole angle block.  The rows are scattered
-    in the cell order of np.add.at, so every entry is bitwise the one the
-    per-trial realize, deficit_omega and assemble_domega_dL give it.
+    length tables at FACES5 rows 0 (ABC in cells 3-5) and 9 (DEF in cells
+    0-2).  Each cell keeps the angle and (10,) dtheta/dL row of the one it
+    holds, not its whole angle block.  One np.bincount sums the deficits
+    and one scatter_blocks the gradients, both in cell order from 0.0, so
+    every entry is bitwise the one the per-trial realize, deficit_omega
+    and assemble_domega_dL give it.
 
     hat_volumes[t, x] is the signed volume of the five points other than x
     in ascending order.  Side k is the k-th of SIDES ("abc", "def"):
@@ -156,16 +152,14 @@ class ClusterSix:
         S = triangle_areas(L.ravel(), tri_edges, tris).reshape(T, 2)
 
         tables = length_tables(L.ravel(), _offset_rows(_DELTA5.simplex_edges, 15, T))
-        theta, dtheta = face_angle_rows(tables, eps, np.tile(_CELL_FACES, T))
-        theta, dtheta = theta.reshape(T, 6), dtheta.reshape(T, 6, 10)
-        eps = eps.reshape(T, 6)
-        omega = np.zeros((T, 2))
-        grad = np.zeros((T, 2, 15))
-        sides = np.arange(2)[:, None]
-        for k in range(3):
-            cells = _SIDE_CELLS[:, k]
-            omega -= eps[:, cells] * theta[:, cells]
-            grad[:, sides, _SIDE_EDGES[:, k]] -= dtheta[:, cells]
+        theta, dtheta = face_angle_rows(tables, eps, _CENTRAL_FACES)
+        cells, sides = np.arange(6 * T), np.tile(_CELL_SIDES, T)
+        theta, dtheta = theta[cells, sides], dtheta[cells, sides]
+        # each cell adds its share to the (trial, side) row of its central triangle
+        at = 2 * (cells // 6) + sides
+        omega = np.bincount(at, -eps * theta, minlength=2 * T).reshape(T, 2)
+        edges = np.tile(_DELTA5.simplex_edges, (T, 1))
+        grad = scatter_blocks((2 * T, 15), at[:, None], edges, -dtheta[:, None])
         omega = _SIDE_SIGNS * geometry.reduce_angle(omega)
         _raise_for_first(
             (np.abs(omega) > FLATNESS_TOL).any(axis=1),
@@ -176,7 +170,7 @@ class ClusterSix:
             ("hat_volumes", V.reshape(T, 6) * _HAT_SIGNS),
             ("omegas", omega),
             ("areas", S),
-            ("gradients", _SIDE_SIGNS[:, None] * grad),
+            ("gradients", _SIDE_SIGNS[:, None] * grad.reshape(T, 2, 15)),
         ):
             value.flags.writeable = False
             object.__setattr__(self, name, value)

@@ -42,6 +42,7 @@ from .jacobians import (
     length_tables,
     log_product,
     rank_and_submatrix,
+    scatter_blocks,
 )
 
 
@@ -160,32 +161,28 @@ def virtual_rebuild(c, sel, star, shares, rows, cols):
     The after-cells are the N cells without the star, in cell order, then
     the three replacement cells, the last three of move_blocks at its rows
     and cols.  Only the after-matrix's entries at sel.rows x sel.cols, and
-    those of the appearing triangle (row F) at sel.cols, are formed: the
-    after-cells' shares, masked to those rows and columns, are summed by one
-    np.bincount into a (len(sel.rows) + 1, len(sel.cols)) array, so each
-    entry sums the same terms in the same order, from 0.0, as the moved
-    complex's assembly does.  The moved complex is never built.
+    those of the appearing triangle (row F) at sel.cols, are kept: the
+    after-cells' shares are scattered (scatter_blocks) into a
+    (len(sel.rows) + 2, len(sel.cols) + 1) array whose last row and column
+    take every other entry, so each kept entry sums the same terms in the
+    same order, from 0.0, as the moved complex's assembly does.  The moved
+    complex is never built.
     """
     F = len(c.triangle_vertices)
     n_rows, n_cols = len(sel.rows), len(sel.cols)
-    row_at = np.full(F + 1, -1)
+    row_at = np.full(F + 1, n_rows + 1)
     row_at[list(sel.rows)] = np.arange(n_rows)
     row_at[F] = n_rows
-    col_at = np.full(len(c.edge_ends), -1)
+    col_at = np.full(len(c.edge_ends), n_cols)
     col_at[list(sel.cols)] = np.arange(n_cols)
     after = np.delete(np.arange(len(shares)), star)
-    at_row = row_at[np.vstack([c.simplex_faces, rows])[after]]
-    at_col = col_at[np.vstack([c.simplex_edges, cols])[after]]
-    # kept entries in block-major order: each entry's sum runs in block order.
-    # scatter_blocks with a discard row and column gives the same bits but
-    # adds every entry.
-    k, i, j = np.nonzero((at_row >= 0)[:, :, None] & (at_col >= 0)[:, None, :])
-    B = np.bincount(
-        at_row[k, i] * n_cols + at_col[k, j],
-        shares[after[k], i, j],
-        minlength=(n_rows + 1) * n_cols,
-    ).reshape(n_rows + 1, n_cols)
-    return B[:n_rows], B[n_rows]
+    B = scatter_blocks(
+        (n_rows + 2, n_cols + 1),
+        row_at[np.vstack([c.simplex_faces, rows])[after]],
+        col_at[np.vstack([c.simplex_edges, cols])[after]],
+        shares[after],
+    )
+    return B[:n_rows, :n_cols], B[n_rows, :n_cols]
 
 
 @dataclass(frozen=True)

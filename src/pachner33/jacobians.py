@@ -14,9 +14,9 @@ of each simplex's sorted vertex tuple.
   and dQ^-1 = -Q^-1 dQ Q^-1 gives dP_xy/dL_ij = (P_xi P_jy + P_xj P_iy) / 2.
   These are the derivatives of linearised Regge calculus
   (Dittrich-Freidel-Speziale, PRD 76 104020, 2007); the opposite-edge entry
-  is the paper's S / (24 V).  The same formula gives the angle and the
-  (10,) row of one face per simplex (face_angle_rows), for a caller that
-  reads no other face.
+  is the paper's S / (24 V).  The same kernel gives the angles and the
+  (10,) rows of a list of faces of every simplex (face_angle_rows), for a
+  caller that reads no other face.
 - dtheta/dS = (dtheta/dL) (dS/dL)^-1, the areas being local coordinates.
 
 A command gathers the length tables once, through the complex's (N, 10)
@@ -128,48 +128,27 @@ def _normal_gram(L):
     return P
 
 
-def _face_gather(P, faces):
-    """take(a, b) = P[n, a, b] of each table n, and the vertices x, y opposite its faces.
-
-    faces None evaluates all ten faces of every table: x and y are (10, 1)
-    and take gathers by the slice P[:, a, b], giving (N, 10, k) arrays.  An
-    (N,) array of FACES5 rows evaluates one face per table: x and y are
-    (N, 1) and take gives (N, k) arrays.
-    """
-    if faces is None:
-        return (lambda a, b: P[:, a, b]), geometry.OPP_X[:, None], geometry.OPP_Y[:, None]
-    n = np.arange(len(P))[:, None]
-    return (lambda a, b: P[n, a, b]), geometry.OPP_X[faces, None], geometry.OPP_Y[faces, None]
-
-
-def _vertex_terms(take, v):
-    """W = P_vi P_vj / P_vv at the vertices v, for the edges ij of EDGES5 (columns)."""
-    W = take(v, geometry.EDGE_I)
-    W *= take(v, geometry.EDGE_J)
-    W /= take(v, v)
-    return W
-
-
-def _gram_angles(P, faces=None):
+def _gram_angles(P, faces=range(10)):
     """Dihedral-angle magnitudes from the facet-normal Gram matrices P.
 
     theta = atan2(sqrt(P_xx P_yy - P_xy^2), -P_xy) at the face opposite the
-    vertices x, y: (N, 10) for all faces, or (N,) at the faces given
-    (_face_gather), C-ordered.
+    vertices x, y, for each FACES5 row of faces (default all ten) of every
+    table: (N, len(faces)), C-ordered.
     """
-    take, x, y = _face_gather(P, faces)
-    Pxy = take(x, y)
-    wedge = np.sqrt(np.maximum(take(x, x) * take(y, y) - Pxy * Pxy, 0.0))
+    x, y = geometry.OPP_X[faces, None], geometry.OPP_Y[faces, None]
+    Pxy = P[:, x, y]
+    wedge = np.sqrt(np.maximum(P[:, x, x] * P[:, y, y] - Pxy * Pxy, 0.0))
     # the gathers lay the angles out face-major; the cast returns them C-ordered
     return np.arctan2(wedge, -Pxy)[..., 0].astype(float, order="C")
 
 
-def _gram_dtheta_dL(P, eps, faces=None):
+def _gram_dtheta_dL(P, eps, faces=range(10)):
     """Signed dihedral-angle derivatives from the Gram matrices P and signs eps.
 
-    (N, 10, 10) blocks for all faces, or the (N, 10) rows of the faces given
-    (_face_gather); columns follow EDGES5.  With s = P_xi P_jy + P_xj P_iy,
-    cos = -P_xy / sqrt(P_xx P_yy) and norm = sqrt(P_xx P_yy),
+    The (N, len(faces), 10) rows of each FACES5 row of faces (default all
+    ten: the blocks) of every table; columns follow EDGES5.  With
+    s = P_xi P_jy + P_xj P_iy, cos = -P_xy / sqrt(P_xx P_yy) and
+    norm = sqrt(P_xx P_yy),
 
         dcos/dL_ij = s / (-2 norm) - (cos / 2) (P_xi P_xj / P_xx + P_yi P_yj / P_yy)
         D = dcos / (-eps sqrt(1 - cos^2)),
@@ -177,41 +156,36 @@ def _gram_dtheta_dL(P, eps, faces=None):
     which rounds exactly as -(s / 2) / norm and (-eps dcos) / sqrt(1 - cos^2)
     do (halving, doubling and sign flips are exact).  The bracket is
     W[x] + W[y] for the per-vertex terms W[v, ij] = P_vi P_vj / P_vv,
-    formed once per table for its five vertices and gathered (all faces),
-    or formed at x and at y (one face per table): the same operations
-    either way.  Every block-sized longdouble operation is in place,
-    ordered so that at most four block-sized arrays are alive.  The
-    division by eps is exact only for eps = +-1, so any other sign is a
-    ValueError.  Raises
+    formed once per table for its five vertices and gathered at the faces.
+    Every block-sized longdouble operation is in place, ordered so that at
+    most four block-sized arrays are alive.  The division by eps is exact
+    only for eps = +-1, so any other sign is a ValueError.  Raises
     DegenerateSimplexError when a derivative is not finite in float64.
     """
-    take, x, y = _face_gather(P, faces)
-    i, j = geometry.EDGE_I, geometry.EDGE_J
-    Pxx, Pyy = take(x, x), take(y, y)
+    x, y = geometry.OPP_X[faces, None], geometry.OPP_Y[faces, None]
+    i, j, v = geometry.EDGE_I, geometry.EDGE_J, _VERTICES
+    Pxx, Pyy = P[:, x, x], P[:, y, y]
     norm = np.sqrt(Pxx * Pyy)
-    cos = -take(x, y) / norm
-    if faces is None:
-        # formed before the block-sized arrays, W leaves the process's heap
-        # lower (its peak RSS on the benchmark ladder), at the same traced peak
-        W = _vertex_terms(take, _VERTICES)
-    dcos = take(j, y)
-    dcos *= take(x, i)
-    Piy = take(i, y)
-    Piy *= take(x, j)
+    cos = -P[:, x, y] / norm
+    # formed before the block-sized arrays, W leaves the process's heap
+    # lower (its peak RSS on the benchmark ladder), at the same traced peak
+    W = P[:, v, i]
+    W *= P[:, v, j]
+    W /= P[:, v, v]
+    dcos = P[:, j, y]
+    dcos *= P[:, x, i]
+    Piy = P[:, i, y]
+    Piy *= P[:, x, j]
     dcos += Piy
     del Piy
     dcos /= -2.0 * norm
-    if faces is None:
-        bracket = W[:, geometry.OPP_X]
-        bracket += W[:, geometry.OPP_Y]
-        del W
-    else:
-        bracket = _vertex_terms(take, x)
-        bracket += _vertex_terms(take, y)
+    bracket = W[:, geometry.OPP_X[faces]]
+    bracket += W[:, geometry.OPP_Y[faces]]
+    del W
     bracket *= 0.5 * cos
     dcos -= bracket
     del bracket
-    eps = np.asarray(eps, dtype=float).reshape((-1,) + (1,) * (dcos.ndim - 1))
+    eps = np.asarray(eps, dtype=float).reshape(-1, 1, 1)
     if not np.all(np.abs(eps) == 1.0):
         raise ValueError("simplex signs must be +1 or -1")
     dcos /= -eps * np.sqrt(1.0 - cos * cos)
@@ -242,12 +216,12 @@ def dtheta_dL_blocks(L, eps):
 
 
 def face_angle_rows(L, eps, faces):
-    """The angle and dtheta/dL row of one face per table, from one _normal_gram.
+    """The angles and dtheta/dL rows of the given faces of every table, from one _normal_gram.
 
-    faces holds one FACES5 row per table of the (N, 5, 5) stack L; returns
-    the (N,) magnitudes and (N, 10) signed derivative rows, each entry
-    bitwise that of dihedral_angles_batch(L) and dtheta_dL_blocks(L, eps)
-    at that face.
+    faces lists FACES5 rows, evaluated for every table of the (N, 5, 5)
+    stack L; returns the (N, k) magnitudes and (N, k, 10) signed derivative
+    rows of its k faces, each entry bitwise that of dihedral_angles_batch(L)
+    and dtheta_dL_blocks(L, eps) at that face.
     """
     P = _normal_gram(L)
     return _gram_angles(P, faces), _gram_dtheta_dL(P, eps, faces)
@@ -279,7 +253,7 @@ def length_tables(L, simplex_edges):
 
 
 def scatter_blocks(shape, rows, cols, blocks):
-    """The (n_rows, n_cols) sum of an (N, 10, 10) block stack at its (N, 10) rows and columns.
+    """The (n_rows, n_cols) sum of an (N, r, c) block stack at its (N, r) rows and (N, c) columns.
 
     One np.bincount over the flat keys row * n_cols + col: each entry starts
     from 0.0 and adds its blocks' terms in simplex order, as np.add.at into
@@ -341,7 +315,8 @@ def transpose_gap(A, a, b):
     already taken.  With a = b, the triplets of a square A, they are the
     entries of A - A^T, each pair taken with either sign.  A 0.0 moves no
     maximum, so this is bitwise the maximum over the dense A - B^T, NaN
-    and infinities included; 0.0 when neither matrix has a nonzero.
+    and infinities included, a zero maximum being 0.0, never -0.0; 0.0
+    when neither matrix has a nonzero.
     """
     n_cols = A.shape[1]
     flat = A.reshape(-1)
@@ -350,7 +325,8 @@ def transpose_gap(A, a, b):
     flat[at_b] = 0.0
     gaps.append(flat.take(a.rows * n_cols + a.cols))
     gaps = np.concatenate(gaps)
-    return _abs_max(gaps) if len(gaps) else 0.0
+    # + 0.0 turns the -0.0 of all-zero gaps into 0.0 and keeps a NaN
+    return _abs_max(gaps) + 0.0 if len(gaps) else 0.0
 
 
 def _relative(gap, a, b):

@@ -68,7 +68,8 @@ def dense(t):
 # kept their triplets; kept as the bitwise reference of the triplet residuals.
 
 def _abs_max(a):
-    return np.maximum(a.max(), -a.min())
+    # + 0.0 reports a zero maximum as 0.0, not the -0.0 of -a.min(), as the library does
+    return np.maximum(a.max(), -a.min()) + 0.0
 
 
 def symmetry_residual_dense(M):

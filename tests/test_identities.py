@@ -203,12 +203,21 @@ def angles_and_dtheta_dL(L, eps):
     return jb._gram_angles(P), jb._gram_dtheta_dL(P, eps)
 
 
+# the three cells through each side's central triangle in cell order, the
+# triangle's place among each cell's ten faces and each cell's ten edges
+SIDE_ROWS, SIDE_SIGNS = (np.array(col) for col in zip(*idn.SIDES.values()))
+SIDE_CELLS = np.array([np.flatnonzero((DELTA5.simplex_faces == row).any(axis=1))
+                       for row in SIDE_ROWS])
+SIDE_FACES = np.argmax(DELTA5.simplex_faces[SIDE_CELLS] == SIDE_ROWS[:, None, None], axis=2)
+SIDE_EDGES = DELTA5.simplex_edges[SIDE_CELLS]
+
+
 def full_block_sides(points):
     """omegas and gradients of a (T, 6, 4) stack on the full-block route.
 
     Every cell's ten angles and whole dtheta/dL block, read at its central
     triangle by the three-step loop of each side, as ClusterSix did before
-    it took only those rows.
+    it took only those rows and summed them in one scatter.
     """
     T = len(points)
     d = points[:, DELTA5.edge_ends[:, 0]] - points[:, DELTA5.edge_ends[:, 1]]
@@ -222,15 +231,31 @@ def full_block_sides(points):
     omega, grad = np.zeros((T, 2)), np.zeros((T, 2, 15))
     sides = np.arange(2)[:, None]
     for k in range(3):
-        cells, faces = idn._SIDE_CELLS[:, k], idn._SIDE_FACES[:, k]
+        cells, faces = SIDE_CELLS[:, k], SIDE_FACES[:, k]
         omega -= eps[:, cells] * theta[:, cells, faces]
-        grad[:, sides, idn._SIDE_EDGES[:, k]] -= dtheta[:, cells, faces]
-    return idn._SIDE_SIGNS * g.reduce_angle(omega), idn._SIDE_SIGNS[:, None] * grad
+        grad[:, sides, SIDE_EDGES[:, k]] -= dtheta[:, cells, faces]
+    return SIDE_SIGNS * g.reduce_angle(omega), SIDE_SIGNS[:, None] * grad
+
+
+def test_central_triangle_of_cell_n_is_face_0_from_n_3_and_face_9_below():
+    # cell n omits point n, so it holds ABC (side 0) as its FACES5 row 0 when
+    # n >= 3 and DEF (side 1) as its row 9 when n < 3, where ClusterSix reads them
+    rows = [row for row, _ in idn.SIDES.values()]
+    for n in range(6):
+        side = int(n < 3)
+        assert DELTA5.simplices[n][0] == tuple(p for p in range(6) if p != n)
+        assert idn._CELL_SIDES[n] == side
+        assert DELTA5.simplex_faces[n, idn._CENTRAL_FACES[side]] == rows[side]
+        assert rows[1 - side] not in DELTA5.simplex_faces[n]
+    assert idn._CENTRAL_FACES == [0, 9]
+    assert SIDE_CELLS.tolist() == [[3, 4, 5], [0, 1, 2]]
+    assert SIDE_FACES.tolist() == [[0, 0, 0], [9, 9, 9]]
 
 
 def test_cluster_rows_are_the_full_block_route():
     stacks = [idn.random_clusters(range(200)), symmetric_cluster(),
               idn.random_clusters([]), idn.random_clusters([7])]
+    stacks += [idn.random_clusters(range(300, 300 + T)) for T in (5, 37)]
     for clusters in stacks:
         omegas, gradients = full_block_sides(clusters.points)
         assert clusters.omegas.tobytes() == omegas.tobytes()

@@ -122,19 +122,37 @@ def value_bytes(a):
     return a.tobytes()
 
 
+def face_gather(P, faces):
+    """take(a, b) of the Gram matrices P, and the vertices x, y opposite the faces.
+
+    faces None evaluates all ten faces of every table: x and y are (10, 1)
+    and take gathers by the slice P[:, a, b], giving (N, 10, k) arrays.  A
+    list of FACES5 rows evaluates them one (table, face) pair at a time, in
+    table-major order: x and y are (N * len(faces), 1) and take gathers
+    P[n, a, b] at the table n of each pair, giving (N * len(faces), k) arrays.
+    """
+    if faces is None:
+        return (lambda a, b: P[:, a, b]), g.OPP_X[:, None], g.OPP_Y[:, None]
+    n = np.repeat(np.arange(len(P)), len(faces))[:, None]
+    faces = np.tile(np.asarray(faces, dtype=int), len(P))
+    return (lambda a, b: P[n, a, b]), g.OPP_X[faces, None], g.OPP_Y[faces, None]
+
+
 def gram_angles_reference(P, faces=None):
     """The angles in the layout of the gathers, kept as the value reference of
-    jb._gram_angles, which returns them C-ordered."""
-    take, x, y = jb._face_gather(P, faces)
+    jb._gram_angles, which gathers by slices only and returns them C-ordered."""
+    take, x, y = face_gather(P, faces)
     Pxy = take(x, y)
     wedge = np.sqrt(np.maximum(take(x, x) * take(y, y) - Pxy * Pxy, 0.0))
-    return np.arctan2(wedge, -Pxy)[..., 0].astype(float)
+    theta = np.arctan2(wedge, -Pxy)[..., 0].astype(float)
+    return theta if faces is None else theta.reshape(len(P), len(faces))
 
 
 def gram_dtheta_dL_reference(P, eps, faces=None):
     """The derivative formula term by term, kept as the bitwise reference of
-    jb._gram_dtheta_dL, which folds its halvings and sign flips and runs in place."""
-    take, x, y = jb._face_gather(P, faces)
+    jb._gram_dtheta_dL, which folds its halvings and sign flips, runs in place
+    and gathers by slices only."""
+    take, x, y = face_gather(P, faces)
     i, j = g.EDGE_I, g.EDGE_J
     Pxx, Pyy = take(x, x), take(y, y)
     norm = np.sqrt(Pxx * Pyy)
@@ -143,11 +161,15 @@ def gram_dtheta_dL_reference(P, eps, faces=None):
     dcos = -dPxy / norm - 0.5 * cos * (
         take(x, i) * take(x, j) / Pxx + take(y, i) * take(y, j) / Pyy
     )
-    eps = np.asarray(eps, dtype=float).reshape((-1,) + (1,) * (dcos.ndim - 1))
+    eps = np.asarray(eps, dtype=float).reshape(-1)
+    if faces is not None:
+        eps = np.repeat(eps, len(faces))
+    eps = eps.reshape((-1,) + (1,) * (dcos.ndim - 1))
     D = -eps * dcos / np.sqrt(1.0 - cos * cos)
     if not np.all(np.isfinite(D)):
         raise DegenerateSimplexError("dihedral-angle derivatives are not finite")
-    return D.astype(float)
+    D = D.astype(float)
+    return D if faces is None else D.reshape(len(P), len(faces), 10)
 
 
 def scatter_blocks_add_at(shape, rows, cols, blocks):
@@ -350,13 +372,14 @@ def test_face_angle_rows_are_rows_of_the_blocks(stellar_ladder):
     m = fm.realize(c, coords)
     tables = jb.length_tables(m.L, c.simplex_edges)
     angles, blocks = jb.dihedral_angles_batch(tables), jb.dtheta_dL_blocks(tables, m.eps)
-    n = np.arange(len(tables))
-    for faces in (n % 10, np.random.default_rng(3).integers(0, 10, len(tables))):
+    # all ten faces, the cluster's two central ones, one, a repeated one, none
+    for faces in (range(10), [0, 9], [6], [3, 8, 3], []):
         theta, rows = jb.face_angle_rows(tables, m.eps, faces)
-        assert theta.tobytes() == angles[n, faces].tobytes()
-        assert rows.tobytes() == blocks[n, faces].tobytes()
-    theta, rows = jb.face_angle_rows(tables[:0], m.eps[:0], faces[:0])
-    assert theta.shape == (0,) and rows.shape == (0, 10)
+        assert theta.shape == (len(tables), len(faces)) and rows.shape == theta.shape + (10,)
+        assert theta.tobytes() == angles[:, list(faces)].tobytes()
+        assert rows.tobytes() == blocks[:, list(faces)].tobytes()
+    theta, rows = jb.face_angle_rows(tables[:0], m.eps[:0], [0, 9])
+    assert theta.shape == (0, 2) and rows.shape == (0, 2, 10)
 
 
 def test_normal_gram_broadcast_step_is_the_rowwise_elimination(
@@ -376,10 +399,9 @@ def test_normal_gram_broadcast_step_is_the_rowwise_elimination(
 
 def kernel_outputs(tables, eps):
     """Every output of the angle kernel on one stack, as bytes."""
-    n = np.arange(len(tables))
-    faces = np.random.default_rng(len(tables)).integers(0, 10, len(tables))
+    faces = np.random.default_rng(len(tables)).integers(0, 10, 4)
     out = [jb.dtheta_dL_blocks(tables, eps), jb.dihedral_angles_batch(tables)]
-    for rows in (n % 10, faces):
+    for rows in ([0, 9], faces, []):
         out += jb.face_angle_rows(tables, eps, rows)
     return [(a.shape, a.tobytes()) for a in out]
 
@@ -431,9 +453,8 @@ def test_angles_are_c_ordered_and_bitwise_the_gathered_ones(stellar_ladder):
     # so the signed angles of deficit_omega ravel without a copy
     signed = -m.eps[:, None] * theta
     assert np.shares_memory(signed.ravel(), signed)
-    faces = np.arange(len(tables)) % 10
-    rows = jb.face_angle_rows(tables, m.eps, faces)[0]
-    assert rows.flags.c_contiguous and rows.tobytes() == gram_angles_reference(P, faces).tobytes()
+    rows = jb.face_angle_rows(tables, m.eps, [0, 9])[0]
+    assert rows.flags.c_contiguous and rows.tobytes() == gram_angles_reference(P, [0, 9]).tobytes()
 
 
 def traced_peak(call):
@@ -476,7 +497,7 @@ def test_dtheta_dL_overflowing_float64_raises_a_typed_error():
     with pytest.raises(DegenerateSimplexError, match="not finite"):
         jb.dtheta_dL_blocks(tables, [1])
     with pytest.raises(DegenerateSimplexError, match="not finite"):
-        jb.face_angle_rows(tables, [1], np.array([0]))
+        jb.face_angle_rows(tables, [1], [0])
     assert np.isfinite(jb.dihedral_angles_batch(tables)).all()
 
 
@@ -486,7 +507,7 @@ def test_dtheta_dL_rejects_a_sign_other_than_plus_or_minus_one(eps):
     with pytest.raises(ValueError, match="signs"):
         jb.dtheta_dL_blocks(tables, [1, eps])
     with pytest.raises(ValueError, match="signs"):
-        jb.face_angle_rows(tables, [eps, -1], np.array([0, 3]))
+        jb.face_angle_rows(tables, [eps, -1], [0, 3])
 
 
 def test_normal_gram_rejects_what_the_rowwise_elimination_rejects():
@@ -722,6 +743,9 @@ def test_triplet_residuals_are_the_dense_residuals_bitwise():
             want = (symmetry_residual_dense(S), conjugacy_residual_dense(A, L))
             got = residuals_from_triplets(L, S, A)
         assert tuple(map(repr, got)) == tuple(map(repr, want))
+    # an exactly symmetric and conjugate pair reports 0.0, not -0.0
+    pair = np.array([[0.0, 1.0], [1.0, 0.0]])
+    assert tuple(map(repr, residuals_from_triplets(pair, pair, pair))) == ("0.0", "0.0")
 
 
 # --------------------------------------------------------- rank/selection
