@@ -42,12 +42,17 @@ def _emit(rep, t0):
 
 
 def _placement(args):
-    """(complex, coords) of a closed document: coords drawn from --seed if given, else its own."""
+    """(complex, coords) of a closed document: coords drawn from --seed if given, else its own.
+
+    The document's own coords are the {vertex id: [4 floats]} lists that
+    parse_complex validated, handed to realize as they are: realize stacks
+    lists and arrays alike into the same float64 array.
+    """
     doc = load_document(args.file)
     c = doc.to_complex()
     if args.seed is not None:
         return c, random_realization(c, seed=args.seed)
-    coords = doc.realization()
+    coords = doc.coords
     if coords is None:
         raise Pachner33Error("document has no coords; pass --seed to realize")
     return c, coords
@@ -56,8 +61,9 @@ def _placement(args):
 def _selection_fields(sel, c):
     """The selection as report fields; det(B) as sign and log, which cannot overflow.
 
-    Rows and columns are written as the keys of c's triangles and edges,
-    the rows of its vertex-id arrays.
+    Rows and columns are written as the keys of c's triangles and edges:
+    (k, 3) and (k, 2) integer arrays, the rows of its vertex-id arrays,
+    which dumps writes with the text of their nested lists.
     """
     det_sign, log_abs_det = sel.slogdet()
     faces, edges = c.face_ids(2), c.face_ids(1)
@@ -65,10 +71,10 @@ def _selection_fields(sel, c):
         "rank": sel.rank,
         "det_sign": det_sign,
         "log_abs_det": log_abs_det,
-        "rows": faces[list(sel.rows)].tolist(),
-        "cols": edges[list(sel.cols)].tolist(),
-        "rows_complement": faces[list(sel.rows_comp)].tolist(),
-        "cols_complement": edges[list(sel.cols_comp)].tolist(),
+        "rows": faces[list(sel.rows)],
+        "cols": edges[list(sel.cols)],
+        "rows_complement": faces[list(sel.rows_comp)],
+        "cols_complement": edges[list(sel.cols_comp)],
     }
 
 
@@ -207,7 +213,7 @@ def cmd_move(args, t0):
         metadata=dict(doc.metadata),
     )
     if doc.coords is not None:
-        out_doc = out_doc.with_coords(doc.realization())
+        out_doc = out_doc.with_coords(doc.coords)
     if args.output:
         save_document(out_doc, args.output)
     rep = _report(

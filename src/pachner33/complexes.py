@@ -20,11 +20,14 @@ tetrahedra and orientation consistency are counts over the (N, 5)
 tetrahedron ids.  The complex keeps the vertex positions of its faces
 as arrays; the tuple tables (faces[d], face_index[d], simplices) are built
 from them on first read, each dimension on its own, so a command that only
-reads the arrays builds none of them.
+reads the arrays builds none of them; find_faces looks edges and
+triangles up by vertex ids with one np.searchsorted over packed keys of
+the face arrays.
 """
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -133,6 +136,41 @@ class Complex4:
         return self.vertex_ids[self._face_positions()[dim]]
 
     @cached_property
+    def _packed_faces(self):
+        """dim -> (weights, keys) of the edges (1) and triangles (2): the base-V
+        digit weights of a face's vertex positions and the packed keys of the
+        face table, ascending, as the table is lexicographic (see find_faces)."""
+        nv = len(self.vertex_ids)
+        if nv**3 >= 2**63:
+            raise ComplexStructureError(f"{nv} vertices are too many for packed face keys")
+        packed = {}
+        for dim in (1, 2):
+            weights = nv ** np.arange(dim, -1, -1, dtype=np.int64)
+            packed[dim] = weights, self._face_positions()[dim] @ weights
+        return packed
+
+    def find_faces(self, ids):
+        """(at, found) for edges or triangles given by vertex ids.
+
+        ids is an (..., 2) or (..., 3) integer array, each row ascending.
+        Each row is packed into one key, its vertex positions as the digits
+        of a base-V number (an int64 while V^3 < 2^63, up to about two
+        million vertices; ComplexStructureError beyond), and one
+        np.searchsorted over the packed table of its dimension gives at:
+        its row in faces[dim] where found, and where not but every id
+        names a vertex, the row it would go before.  A row with an id that
+        names no vertex is not found.
+        """
+        ids = np.asarray(ids, dtype=np.int64)
+        vertex_ids = self.vertex_ids
+        pos = np.minimum(np.searchsorted(vertex_ids, ids), len(vertex_ids) - 1)
+        weights, table = self._packed_faces[ids.shape[-1] - 1]
+        keys = pos @ weights
+        at = np.searchsorted(table, keys)
+        found = (vertex_ids[pos] == ids).all(axis=-1) & (table.take(at, mode="clip") == keys)
+        return at, found
+
+    @cached_property
     def vertices(self):
         return tuple(self.vertex_ids.tolist())
 
@@ -164,6 +202,24 @@ class Complex4:
     def euler_characteristic(self):
         fv = self.f_vector()
         return sum((-1) ** d * n for d, n in enumerate(fv))
+
+
+def triangle_row(c, t):
+    """The row of triangle t (three vertex ids, any order) in c.faces[2], or None.
+
+    find_faces for one triangle, its key packed in Python: the positions of
+    the ids come from bisect on c.vertices, so an id of any size that names
+    no vertex is not found.
+    """
+    ids = sorted(int(v) for v in t)
+    vertices = c.vertices
+    pos = [bisect_left(vertices, v) for v in ids]
+    if len(ids) != 3 or any(p == len(vertices) or vertices[p] != v for p, v in zip(pos, ids)):
+        return None
+    _, table = c._packed_faces[2]
+    key = (pos[0] * len(vertices) + pos[1]) * len(vertices) + pos[2]
+    at = int(table.searchsorted(key))
+    return at if at < len(table) and table[at] == key else None
 
 
 def _face_ids(prefix, last, nv):
@@ -285,9 +341,9 @@ def require_closed_oriented(c):
 
 def star_of_triangle(c, t):
     """Ids of the 4-simplices containing triangle t, ascending."""
-    key = tuple(sorted(int(v) for v in t))
-    row = c.face_index[2].get(key)
+    row = triangle_row(c, t)
     if row is None:
+        key = tuple(sorted(int(v) for v in t))
         raise ComplexStructureError(f"triangle {key} is not a face of the complex")
     return np.flatnonzero((c.simplex_faces == row).any(axis=1)).tolist()
 
@@ -353,7 +409,7 @@ def pachner_33(c, t):
     result would identify distinct cells and stop being simplicial).
     """
     abc, def_, star, new_cells = move_cluster(c, t)
-    if def_ in c.face_index[2]:
+    if triangle_row(c, def_) is not None:
         raise MovePreconditionError(
             f"opposite triangle {def_} is already a face; the move would create "
             "a non-simplicial identification"

@@ -24,7 +24,6 @@ complex would not be simplicial.
 """
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
@@ -44,6 +43,9 @@ from .jacobians import (
     rank_and_submatrix,
     scatter_blocks,
 )
+
+# the local faces and edges of a sorted 5-tuple as index arrays
+_FACES5, _EDGES5 = np.array(FACES5), np.array(EDGES5)
 
 
 def restricted_invariant(c, m, sel):
@@ -124,10 +126,11 @@ def move_blocks(c, m, coords, star, new_cells):
     negated signs, and the replacement cells' (3, 10) face rows and edge
     columns and (3,) signed volumes.  Every edge of a replacement cell, and
     every face but the appearing triangle, is a face of a star cell, so the
-    rows and columns are read off the star cells' (simplex_faces[star],
-    simplex_edges[star]); the appearing triangle gets row F, one past the
-    complex's triangles (an older face with the same vertices may survive
-    alongside).  A replacement cell below the cell_volumes floor raises
+    rows and columns are found in the complex's face tables (find_faces);
+    the appearing triangle, the one face the three replacement cells share
+    and no star cell has, gets row F, one past the complex's triangles (an
+    older face with the same vertices may survive alongside).  A
+    replacement cell below the cell_volumes floor raises
     DegenerateSimplexError first.
     """
     pts = [[coords[v] for v in oriented_tuple(*cell)] for cell in new_cells]
@@ -137,17 +140,12 @@ def move_blocks(c, m, coords, star, new_cells):
         raise DegenerateSimplexError(
             f"replacement simplex {new_cells[int(thin[0])][0]} is degenerate"
         )
-    # {vertex ids: index} of the star cells' faces and edges, read at the replacement cells'
-    old = c.vertex_ids[np.sort(c.simplex_vertices[star], axis=1)].tolist()
-    index = dict(zip(
-        [(v[p], v[q], v[r]) for v in old for p, q, r in FACES5]
-        + [(v[p], v[q]) for v in old for p, q in EDGES5],
-        np.append(c.simplex_faces[star], c.simplex_edges[star]).tolist(),
-    ))
-    F = len(c.triangle_vertices)
-    rows = np.array([[index.get((v[p], v[q], v[r]), F) for p, q, r in FACES5]
-                     for v, _ in new_cells])
-    cols = np.array([[index[(v[p], v[q])] for p, q in EDGES5] for v, _ in new_cells])
+    cells = np.array([verts for verts, _ in new_cells])
+    faces = cells[:, _FACES5]
+    rows, _ = c.find_faces(faces)
+    shared = sorted(set(cells[0].tolist()).intersection(*cells[1:].tolist()))
+    rows[(faces == shared).all(axis=2)] = len(c.triangle_vertices)
+    cols, _ = c.find_faces(cells[:, _EDGES5])
     shares = dtheta_dL_blocks(
         length_tables(m.L, np.vstack([c.simplex_edges, cols])),
         -np.append(m.eps, np.where(volumes > 0, 1, -1)),
@@ -224,7 +222,8 @@ def compare_under_move(c, coords, t):
     abc, def_, star, new_cells = move_cluster(c, t)
     m = realize(c, coords)
     shares, new_rows, new_cols, new_volumes = move_blocks(c, m, coords, star, new_cells)
-    row_abc = c.face_index[2][abc]
+    # the row of ABC, and DEF's place in the triangle order (before DEF if it is a face)
+    row_abc, at = c.find_faces([abc, def_])[0].tolist()
     sel = rank_and_submatrix(
         assemble_domega_dL(c, m, shares[: len(c.simplex_vertices)]), must_include_row=row_abc
     )
@@ -236,7 +235,6 @@ def compare_under_move(c, coords, t):
     # the edges de, df, ef of the appearing triangle, in its first replacement cell
     is_def = new_rows[0] == len(c.triangle_vertices)
     def_edges = new_cols[0, geometry.FACE_EDGES5[is_def]]
-    at = bisect.bisect_left(c.faces[2], def_)  # DEF's place, before DEF if it is a face
     areas = np.insert(
         np.delete(m.S, row_abc), at - (row_abc < at), triangle_areas(m.L, def_edges, [def_])
     )

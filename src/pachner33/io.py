@@ -17,14 +17,16 @@ Serialization is deterministic: keys keep a fixed order and vertex keys are
 sorted numerically.
 
 dumps writes the common shapes of a report in one pass each, with the same
-text as writing them item by item: a list of exactly-float items (one
-format per item), a list of exactly-int items, a list of lists or tuples
-of exactly-int items (simplices, selection keys), a 1-d float64 ndarray
-(the correctly rounded "%.17g" digits and layout formed with array steps,
-in chunks of at most 4096 items; zeros, nan, infinities and magnitudes
-outside [1e-6, 1e17) formatted one at a time) and a 1-d or 2-d integer
-ndarray (triplet indices, face keys: the text of json.dumps(a.tolist()),
-gathered in one step from a NUL-padded byte table of each value's text).
+text as writing them item by item: a dict key (json's C string encoder,
+as json.dumps writes a str), a list of exactly-float items (one format
+per item), a list of exactly-int items, a list of lists or tuples of
+exactly-int items (simplices), a 1-d float64 ndarray (the correctly
+rounded "%.17g" digits and layout formed with array steps, in chunks of
+at most 4096 items; zeros, nan, infinities and magnitudes outside
+[1e-6, 1e17) formatted one at a time) and a 1-d or 2-d integer ndarray
+(triplet indices, face keys, selection keys: the text of
+json.dumps(a.tolist()), gathered in one step from a NUL-padded byte table
+of each value's text).
 Anything else, a bool or a numpy scalar inside a list included, is
 written item by item.  Other ndarrays are not supported.
 """
@@ -36,6 +38,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from importlib import resources
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -255,7 +258,8 @@ def _dump(obj, pieces):
             if not first:
                 pieces.append(", ")
             first = False
-            pieces.append(json.dumps(str(key)))
+            # the C function json.dumps calls for a str, without its wrapper
+            pieces.append(encode_basestring_ascii(str(key)))
             pieces.append(": ")
             _dump(val, pieces)
         pieces.append("}")

@@ -81,7 +81,10 @@ def _normal_gram(L):
     of the lengths themselves, enough to add a spurious rank to dOmega_dL.
     A table whose G is not positive definite, or whose |V| falls below
     geometry.DEGENERACY_REL * (mean edge length)^4, is rejected: the floor
-    of geometry.cell_volumes, taken here from the lengths.
+    of geometry.cell_volumes, taken here from the lengths.  The mean edge
+    is taken in float64, as cell_volumes takes it; its fourth power and the
+    floor's square are then formed by products in extended precision, whose
+    range holds them at any scale of the lengths.
 
     The elimination runs on one augmented (N, 4, 8) array [G | I], whose
     right half ends as G^-1.  Each step divides the pivot row and then
@@ -94,6 +97,7 @@ def _normal_gram(L):
     still exact identity columns, zero in the pivot row, which it would
     leave unchanged too.
     """
+    edges = np.asarray(L, dtype=float)[:, geometry.EDGE_I, geometry.EDGE_J]
     L = np.asarray(L, dtype=np.longdouble)
     A = np.empty((len(L), 4, 8), dtype=np.longdouble)
     A[:, :, :4] = 0.5 * (L[:, 0, 1:, None] + L[:, 0, None, 1:] - L[:, 1:, 1:])
@@ -111,8 +115,9 @@ def _normal_gram(L):
         A[:, k, window] /= piv[:, None]
         others = _OTHER_ROWS[k]
         A[:, others, window] -= A[:, others, k, None] * A[:, k, None, window]
-    mean_edge = np.sqrt(np.maximum(L[:, geometry.EDGE_I, geometry.EDGE_J], 0.0)).mean(axis=1)
-    floor = geometry.DEGENERACY_REL * mean_edge**4
+    mean_edge = np.sqrt(np.maximum(edges, 0.0)).mean(axis=1).astype(np.longdouble)
+    mean_edge2 = mean_edge * mean_edge
+    floor = geometry.DEGENERACY_REL * (mean_edge2 * mean_edge2)
     bad = np.flatnonzero(~(det / 576.0 > floor * floor))
     if bad.size:
         raise DegenerateSimplexError(

@@ -1,4 +1,6 @@
 """Combinatorics: construction, face lattice, stars, 3->3 moves."""
+import bisect
+import dataclasses
 import gc
 import itertools
 import weakref
@@ -156,6 +158,43 @@ def test_star_of_triangle_single_simplex():
 def test_star_of_missing_triangle_raises(delta5):
     with pytest.raises(ComplexStructureError):
         cx.star_of_triangle(delta5, (0, 1, 7))
+
+
+def test_find_faces_is_the_tuple_table_lookup(join_complex):
+    # on a complex whose vertex ids have gaps, every ascending pair and
+    # triple of ids around them (non-vertices included) is found exactly
+    # where the tuple tables hold it, with bisect's place where it is not
+    cells = join_complex.vertex_ids[join_complex.simplex_vertices]
+    c = cx.build_complex((3 * cells - 4).tolist())
+    ids = range(-6, 20)
+    for dim in (1, 2):
+        table, index = c.faces[dim], c.face_index[dim]
+        queries = np.array(list(itertools.combinations(ids, dim + 1)))
+        at, found = c.find_faces(queries)
+        assert found.tolist() == [tuple(q) in index for q in queries.tolist()]
+        assert found.sum() == len(table)
+        vertices = set(c.vertices)
+        for q, row in zip(queries.tolist(), at.tolist()):
+            if set(q) <= vertices:
+                assert row == bisect.bisect_left(table, tuple(q)), q
+    # triangle_row: any order; ids outside int64, repeated ids and other
+    # lengths name no triangle, as the tuple table's lookup had it
+    for t in [(2, -4, -1), (-1, 2, -4), *itertools.combinations(ids, 3)]:
+        assert cx.triangle_row(c, t) == c.face_index[2].get(tuple(sorted(t))), t
+    for t in [(-4, -1, 2**63), (-4, -1, -(2**63) - 1), (-4, -1, 10**30),
+              (-4, -4, -1), (-4, -1), (-4, -1, 2, 5)]:
+        assert cx.triangle_row(c, t) is None, t
+        with pytest.raises(ComplexStructureError, match="is not a face"):
+            cx.star_of_triangle(c, t)
+    # base-V keys of three positions fit int64 up to V = 2097151 vertices
+    for nv, fits in ((2**21 - 1, True), (2**21, False)):
+        wide = dataclasses.replace(c, vertex_ids=np.arange(nv))
+        if fits:
+            # positions 0, 1, 2 are the ids 0, 1, 2 of the wide complex
+            assert wide.find_faces([[0, 1, 2]])[1].tolist() == [(-4, -1, 2) in c.face_index[2]]
+        else:
+            with pytest.raises(ComplexStructureError, match="too many"):
+                wide.find_faces([[0, 1, 2]])
 
 
 def test_total_boundary_of_delta5_vanishes(delta5):

@@ -881,11 +881,47 @@ def test_check_flat_and_invariant_build_no_tuple_table(monkeypatch, stellar_ladd
         code, out = run_cli(*argv)
         assert code == 0, out
         assert not {"faces", "face_index", "simplices"} & vars(built[-1]).keys(), argv
-    # compare reads the triangle table only: the replacement cells' indices
-    # come from the removed cells' arrays
-    code, _ = run_cli("compare", fixture_path("join_tetra_triangle.json"), "--face", "0,1,2")
-    assert code == 0
-    assert set(built[-1].faces._built) == set(built[-1].face_index._built) == {2}
+    # nor does compare: its triangle and edge lookups search the face arrays
+    for name in ("join_tetra_triangle.json", "bipyramid_10cell.json"):
+        for seed in ([], ["--seed", "3"]):
+            argv = ["compare", fixture_path(name), "--face", "0,1,2", *seed]
+            code, out = run_cli(*argv)
+            assert code == 0, out
+            assert not {"faces", "face_index", "simplices"} & vars(built[-1]).keys(), argv
+
+
+def test_commands_hand_the_document_coords_to_realize(monkeypatch):
+    # a document's own coords go to realize as parse_complex kept them:
+    # realization() is never called, and each report is the one of a
+    # document holding realization()'s per-vertex arrays instead
+    argvs = [("invariant",), ("jacobian",), ("check-flat",), ("compare", "--face", "0,1,2")]
+    paths = [fixture_path(name) for name in
+             ("boundary_delta5.json", "join_tetra_triangle.json", "bipyramid_10cell.json")]
+    cases = [(argv[0], path, *argv[1:]) for path in paths for argv in argvs]
+
+    def untimed(*argv):
+        code, out = run_cli(*argv)
+        return code, re.sub(r'"timing_s": [^,}]+', "", out)
+
+    def with_arrays(path):
+        doc = pio.load_document(path)
+        return dataclasses.replace(doc, coords=doc.realization())
+
+    monkeypatch.setattr(cli, "load_document", with_arrays)
+    want = [untimed(*argv) for argv in cases]
+    monkeypatch.setattr(cli, "load_document", pio.load_document)
+
+    def refusing(self):
+        raise AssertionError("realization() called")
+
+    monkeypatch.setattr(pio.ComplexDocument, "realization", refusing)
+    for argv, (code, text) in zip(cases, want):
+        assert code == 0, argv
+        assert untimed(*argv) == (code, text), argv
+    # the coords are the lists that parsing validated
+    coords = pio.load_document(paths[0]).coords
+    assert {type(p) for p in coords.values()} == {list}
+    assert {type(x) for p in coords.values() for x in p} == {float}
 
 
 def test_document_is_immutable_and_keeps_its_complex():
@@ -995,6 +1031,15 @@ def test_dumps_pins_float_text():
     # bool and numpy integers are not exactly int: the general path writes them
     assert pio.dumps([1, True]) == "[1, true]"
     assert pio.dumps([np.int64(1), 2]) == "[1, 2]"
+
+
+@pytest.mark.parametrize(
+    "key", ["rank", "", "\u00e9", "\u2713", "\U0001d11e", '"', "\\", "\n", "\x00", 3, 2.5]
+)
+def test_dumps_writes_dict_keys_as_json_dumps(key):
+    # ASCII, Latin-1, BMP and astral characters, the escapes and non-str keys
+    assert pio.dumps({key: 0}) == json.dumps({key: 0})
+    assert pio.dumps({key: {key: [1]}}) == json.dumps({key: {key: [1]}})
 
 
 INTEGER_DTYPES = (np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32,

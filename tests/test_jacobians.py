@@ -525,6 +525,55 @@ def test_normal_gram_rejects_what_the_rowwise_elimination_rejects():
             assert str(got.value) == str(want.value)
 
 
+def elongated_cell(quality):
+    """(5, 4) points of one cell whose |V| / mean_edge^4 is quality.
+
+    A unit right tetrahedron and an apex at height H over its corner,
+    rotated and moved: the quality falls as H grows, and H is found by
+    bisection.  The cell is long, not flat, so its edge-vector Gram is
+    well conditioned, and the volume from the lengths agrees with the one
+    from the points far inside 1e-6.
+    """
+    rng = np.random.default_rng(41)
+    Q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    shift = rng.standard_normal(4)
+
+    def cell(H):
+        return np.vstack([np.zeros(4), np.eye(4)[:3], [0.0, 0.0, 0.0, H]]) @ Q.T + shift
+
+    def cell_quality(H):
+        pts = cell(H)
+        (V,), _ = g.cell_volumes(pts, g.DEGENERACY_REL)
+        return abs(V) / g.mean_edge_length(g.squared_length_table(pts)) ** 4
+
+    low, high = 1.0, 1e6
+    for _ in range(200):
+        mid = 0.5 * (low + high)
+        low, high = (mid, high) if cell_quality(mid) > quality else (low, mid)
+    return cell(high)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-30, 1e30, 1e-45, 1e45])
+def test_degeneracy_floor_is_the_cell_volumes_floor(scale):
+    # cells a relative 1e-6 below and above DEGENERACY_REL * mean_edge^4:
+    # the kernel rejects the one below and takes the one above, as
+    # cell_volumes floors them; at 1e-45 and 1e45, det G = 576 V^2 and the
+    # floor's square leave the float64 range
+    for side, quality in (("below", g.DEGENERACY_REL * (1 - 1e-6)),
+                          ("above", g.DEGENERACY_REL * (1 + 1e-6))):
+        pts = elongated_cell(quality) * scale
+        _, (below,) = g.cell_volumes(pts, g.DEGENERACY_REL)
+        assert below == (side == "below")
+        L = g.squared_length_table(pts)[None]
+        (V,), _ = g.cell_volumes(pts, g.DEGENERACY_REL)
+        eps = [1 if V > 0 else -1]
+        if side == "below":
+            with pytest.raises(DegenerateSimplexError, match="is degenerate"):
+                jb.dtheta_dL_blocks(L, eps)
+        else:
+            assert np.isfinite(jb.dtheta_dL_blocks(L, eps)).all()
+
+
 # ------------------------------------------------------ global assemblies
 
 def test_scatter_blocks_sums_as_add_at_bitwise():

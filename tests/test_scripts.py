@@ -269,6 +269,42 @@ def test_jacobian_reports_are_the_reference_writers_text(
     assert len(report["matrices"]["dOmega_dS"]["values"]) > pio._CHUNK
 
 
+def test_invariant_and_compare_reports_are_the_reference_writers_text(
+    perfbench_inputs, tmp_path, capsys, monkeypatch
+):
+    # invariant and compare reports, their selection keys written from
+    # integer arrays, have the text of the writer of their nested lists: on
+    # the three fixtures, the seed-611 ladder rungs 26-406 and a 72-join
+    written = []
+    dumps = cli.dumps
+
+    def recording_dumps(obj):
+        written.append(obj)
+        return dumps(obj)
+
+    monkeypatch.setattr(cli, "dumps", recording_dumps)
+    fixtures = importlib.resources.files("pachner33.fixtures")
+    argvs = []
+    for name in ("boundary_delta5.json", "join_tetra_triangle.json", "bipyramid_10cell.json"):
+        argvs += [["invariant", str(fixtures / name)],
+                  ["compare", str(fixtures / name), "--face", "0,1,2"]]
+    ladder = perfbench_inputs.build_workload("ladder", 611, tmp_path).ops
+    for n in (26, 86, 166, 406):
+        argvs.append(list(next(op.argv for op in ladder if op.kind == f"invariant_s.n{n}")))
+    moves = perfbench_inputs.build_workload("moves", 611, tmp_path).ops
+    join = next(op.argv for op in moves if op.kind == "compare_s.join")
+    argvs += [["invariant", join[1]], list(join)]
+    for argv in argvs:
+        written.clear()
+        assert cli_main(argv) == 0, argv
+        (report,) = written
+        selection = report["selection"]
+        assert all(isinstance(selection[key], np.ndarray) for key in
+                   ("rows", "cols", "rows_complement", "cols_complement")), argv
+        assert capsys.readouterr().out == dumps_reference(report) + "\n", argv
+    assert len(report["selection"]["rows"]) == report["selection"]["rank"] > 0
+
+
 def test_benchmark_identity_reports_equal_the_per_trial_route(
     perfbench_inputs, tmp_path, capsys, monkeypatch
 ):
