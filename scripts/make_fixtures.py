@@ -14,7 +14,7 @@ FIXTURE_DIR = pathlib.Path(__file__).resolve().parents[1] / "src" / "pachner33" 
 def emit(name, complex_, seed, description):
     coords = random_realization(complex_, seed=seed)
     doc = ComplexDocument(
-        simplices=[list(complex_.oriented_simplex(i)) for i in range(len(complex_.simplices))],
+        simplices=complex_.vertex_ids[complex_.simplex_vertices].tolist(),
         metadata={"name": name, "description": description, "coords_seed": str(seed)},
     ).with_coords(coords)
     path = FIXTURE_DIR / f"{name}.json"

@@ -34,10 +34,10 @@ def main():
         coords = doc.realization()
         if args.seed is not None:
             coords = random_realization(c, seed=args.seed)
-        print(f"\n== {name}: {len(c.simplices)} simplices, "
-              f"{len(c.faces[2])} triangles ==")
+        print(f"\n== {name}: {len(c.simplex_vertices)} simplices, "
+              f"{len(c.triangle_vertices)} triangles ==")
         moved = 0
-        for tri in c.faces[2]:
+        for tri in map(tuple, c.face_ids(2).tolist()):
             try:
                 mc = iv.compare_under_move(c, coords, tri)
             except MovePreconditionError:

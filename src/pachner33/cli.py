@@ -132,11 +132,11 @@ def cmd_check_flat(args, t0):
     m = realize(c, coords)
     if args.perturb:
         u, v, amount = args.perturb
-        key = tuple(sorted((u, v)))
-        if key not in c.face_index[1]:
-            raise Pachner33Error(f"{key} is not an edge of the complex")
+        edge = c.face_row(1, (u, v))
+        if edge is None:
+            raise Pachner33Error(f"{tuple(sorted((u, v)))} is not an edge of the complex")
         L = m.L.copy()
-        L[c.face_index[1][key]] += amount
+        L[edge] += amount
         m = metric_from_lengths(c, L, m.eps)
     flat = check_flat(c, m, tol=args.tol)
     rep = _report(

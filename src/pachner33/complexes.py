@@ -1,13 +1,13 @@
 """Oriented 4-dimensional simplicial complexes and the 3->3 move.
 
-Simplices are stored canonically as (sorted 5-tuple, sign): the sign marks
-whether the intended orientation is an even (+1) or odd (-1) permutation of
-the ascending tuple.  Lower faces are keyed by sorted vertex tuples and carry
-no stored orientation.  There is one orientation rule: the sign is the
-parity of the sorting permutation, and a cell of sign s induces s *
-_TET_SIGNS[k] on its k-th tetrahedron (TETS5 order).  orient_consistently
-spreads signs by that rule; stellar_subdivide and move_cluster orient a new
-cell as an oriented old cell with one vertex substituted.
+A complex is its index arrays.  A cell has one form, its canonical oriented
+order: ascending, with the last two vertices swapped when its sign, the
+parity of the permutation sorting the cell as listed, is odd.  Lower faces
+are ascending vertex rows with no stored orientation.  There is one
+orientation rule: a cell of sign s induces s * _TET_SIGNS[k] on its k-th
+tetrahedron (TETS5 order).  orient_consistently spreads signs by that rule;
+stellar_subdivide and move_cluster orient a new cell as an oriented old
+cell with one vertex substituted.
 
 build_complex derives the face lattice in one array pass.  The cells are
 stacked as an (N, 5) array, sorted row-wise, with the orientation sign from
@@ -17,18 +17,15 @@ its first-k-vertex face times V plus the position of its last vertex, so
 one np.unique per dimension gives the lexicographic face table and, through
 its inverse, the per-simplex index arrays.  Closedness, non-manifold
 tetrahedra and orientation consistency are counts over the (N, 5)
-tetrahedron ids.  The complex keeps the vertex positions of its faces
-as arrays; the tuple tables (faces[d], face_index[d], simplices) are built
-from them on first read, each dimension on its own, so a command that only
-reads the arrays builds none of them; find_faces looks edges and
-triangles up by vertex ids with one np.searchsorted over packed keys of
-the face arrays.
+tetrahedron ids.  find_faces, the one face lookup, finds edges and
+triangles by vertex ids with one np.searchsorted over packed keys of the
+face arrays.  The tuple views (faces, face_index, simplices,
+oriented_simplex) are built when first read; the library reads none.
 """
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
-from collections.abc import Mapping
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -60,68 +57,36 @@ def _sort_with_parity(rows):
     return np.sort(rows, axis=1), 1 - 2 * (inversions % 2)
 
 
-def oriented_tuple(verts, sign):
-    """A concrete vertex ordering realizing (sorted tuple, sign)."""
-    if sign > 0:
-        return verts
-    return verts[:-2] + (verts[-1], verts[-2])
-
-
-class _Tables(Mapping):
-    """dim -> table for the dimensions 0..3, each built by build(dim) on its first read.
-
-    Reads as the dict of all four tables; its repr builds them.
-    """
-
-    def __init__(self, build):
-        self._build = build
-        self._built = {}
-
-    def __getitem__(self, dim):
-        if dim not in self._built:
-            if dim not in range(4):
-                raise KeyError(dim)
-            self._built[dim] = self._build(dim)
-        return self._built[dim]
-
-    def __contains__(self, dim):
-        return dim in range(4)
-
-    def __iter__(self):
-        return iter(range(4))
-
-    def __len__(self):
-        return 4
-
-    def __repr__(self):
-        return repr(dict(self))
+def _oriented(rows, signs):
+    """Ascending (N, 5) rows in canonical oriented order: the last two swapped where signs < 0."""
+    oriented = rows.copy()
+    odd = signs < 0
+    oriented[odd, 3], oriented[odd, 4] = rows[odd, 4], rows[odd, 3]
+    return oriented
 
 
 @dataclass(frozen=True, eq=False)
 class Complex4:
-    """Immutable oriented 4-dimensional simplicial complex.
+    """Immutable oriented 4-dimensional simplicial complex, held as index arrays.
 
-    The lattice is held as index arrays.  The tuple tables are derived from
-    them on first read, each dimension separately: faces (dim -> tuple of
-    sorted vertex tuples, lexicographic), face_index (dim -> {face tuple:
-    position}), simplices (tuple of (sorted 5-tuple, sign)) and vertices
-    (the tuple of vertex_ids).  Sizes come from the arrays (f_vector).
-    Complexes compare by identity: two builds of one cell list are equal
-    complexes only in their tables.
+    The faces of each dimension are lexicographic in their vertex ids
+    (face_ids).  The views vertices, faces (dim -> tuple of vertex tuples),
+    face_index (dim -> {face tuple: row}), simplices ((ascending 5-tuple,
+    sign) pairs) and oriented_simplex are built from the arrays when first
+    read.  Complexes compare by identity.
     """
 
     is_closed: bool
     orientation_consistent: bool
-    # Index arrays aligned with the face tables, for batched metric and
-    # assembly code.  Vertex entries are positions in `vertex_ids`; edge,
-    # triangle and tetrahedron entries are positions in faces[1..3].
+    # Vertex entries are positions in vertex_ids; edge, triangle and tetrahedron
+    # entries are rows of edge_ends, triangle_vertices and tetrahedron_vertices.
     vertex_ids: np.ndarray = field(repr=False)  # (V,) int64, the vertices ascending
     edge_ends: np.ndarray = field(repr=False)  # (E, 2)
     triangle_vertices: np.ndarray = field(repr=False)  # (F, 3)
     tetrahedron_vertices: np.ndarray = field(repr=False)  # (T, 4)
     triangle_edges: np.ndarray = field(repr=False)  # (F, 3): ab, ac, bc
-    simplex_vertices: np.ndarray = field(repr=False)  # (N, 5), oriented
-    simplex_signs: np.ndarray = field(repr=False)  # (N,) +-1 against the sorted order
+    simplex_vertices: np.ndarray = field(repr=False)  # (N, 5), canonical oriented order
+    simplex_signs: np.ndarray = field(repr=False)  # (N,) +-1, that order against the ascending one
     simplex_faces: np.ndarray = field(repr=False)  # (N, 10), FACES5 order
     simplex_edges: np.ndarray = field(repr=False)  # (N, 10), EDGES5 order
     simplex_tetrahedra: np.ndarray = field(repr=False)  # (N, 5), TETS5 order
@@ -132,7 +97,7 @@ class Complex4:
         return vertex, self.edge_ends, self.triangle_vertices, self.tetrahedron_vertices
 
     def face_ids(self, dim):
-        """(n, dim + 1) vertex ids of the faces of one dimension, rows aligned with faces[dim]."""
+        """(n, dim + 1) vertex ids of the faces of one dimension, one ascending row per face."""
         return self.vertex_ids[self._face_positions()[dim]]
 
     @cached_property
@@ -157,9 +122,9 @@ class Complex4:
         of a base-V number (an int64 while V^3 < 2^63, up to about two
         million vertices; ComplexStructureError beyond), and one
         np.searchsorted over the packed table of its dimension gives at:
-        its row in faces[dim] where found, and where not but every id
-        names a vertex, the row it would go before.  A row with an id that
-        names no vertex is not found.
+        its face row where found, and where not but every id names a
+        vertex, the row it would go before.  A row with an id that names no
+        vertex, or with a repeated id, is not found.
         """
         ids = np.asarray(ids, dtype=np.int64)
         vertex_ids = self.vertex_ids
@@ -170,21 +135,32 @@ class Complex4:
         found = (vertex_ids[pos] == ids).all(axis=-1) & (table.take(at, mode="clip") == keys)
         return at, found
 
+    def face_row(self, dim, ids):
+        """Row of the edge (dim 1) or triangle (dim 2) with vertex ids in any order, or None.
+
+        find_faces of one face given as Python integers: ids of another
+        count, a repeated id or an id beyond int64 name no face.
+        """
+        key = sorted(int(v) for v in ids)
+        if len(key) != dim + 1:
+            return None
+        try:
+            at, found = self.find_faces(key)
+        except OverflowError:
+            return None
+        return int(at) if found else None
+
     @cached_property
     def vertices(self):
         return tuple(self.vertex_ids.tolist())
 
-    # The table builders hold the arrays, not the complex, so that a complex
-    # whose tables were read holds no reference cycle and is freed at once.
     @cached_property
     def faces(self):
-        ids, positions = self.vertex_ids, self._face_positions()
-        return _Tables(lambda dim: tuple(map(tuple, ids[positions[dim]].tolist())))
+        return {dim: tuple(map(tuple, self.face_ids(dim).tolist())) for dim in range(4)}
 
     @cached_property
     def face_index(self):
-        faces = self.faces
-        return _Tables(lambda dim: {f: n for n, f in enumerate(faces[dim])})
+        return {dim: {f: n for n, f in enumerate(table)} for dim, table in self.faces.items()}
 
     @cached_property
     def simplices(self):
@@ -192,8 +168,7 @@ class Complex4:
         return tuple(zip(map(tuple, rows.tolist()), self.simplex_signs.tolist()))
 
     def oriented_simplex(self, i):
-        verts, sign = self.simplices[i]
-        return oriented_tuple(verts, sign)
+        return tuple(self.vertex_ids[self.simplex_vertices[i]].tolist())
 
     def f_vector(self):
         return (len(self.vertex_ids), len(self.edge_ends), len(self.triangle_vertices),
@@ -202,24 +177,6 @@ class Complex4:
     def euler_characteristic(self):
         fv = self.f_vector()
         return sum((-1) ** d * n for d, n in enumerate(fv))
-
-
-def triangle_row(c, t):
-    """The row of triangle t (three vertex ids, any order) in c.faces[2], or None.
-
-    find_faces for one triangle, its key packed in Python: the positions of
-    the ids come from bisect on c.vertices, so an id of any size that names
-    no vertex is not found.
-    """
-    ids = sorted(int(v) for v in t)
-    vertices = c.vertices
-    pos = [bisect_left(vertices, v) for v in ids]
-    if len(ids) != 3 or any(p == len(vertices) or vertices[p] != v for p, v in zip(pos, ids)):
-        return None
-    _, table = c._packed_faces[2]
-    key = (pos[0] * len(vertices) + pos[1]) * len(vertices) + pos[2]
-    at = int(table.searchsorted(key))
-    return at if at < len(table) and table[at] == key else None
 
 
 def _face_ids(prefix, last, nv):
@@ -305,9 +262,6 @@ def build_complex(simplex_list, allow_boundary=False):
 
     triangle_edges = np.empty((len(triangles), 3), dtype=np.intp)
     triangle_edges[simplex_faces] = simplex_edges[:, FACE_EDGES5]
-    oriented = pos.copy()
-    odd = signs < 0
-    oriented[odd, 3], oriented[odd, 4] = pos[odd, 4], pos[odd, 3]
     return Complex4(
         is_closed=is_closed,
         orientation_consistent=consistent,
@@ -316,7 +270,7 @@ def build_complex(simplex_list, allow_boundary=False):
         triangle_vertices=triangles,
         tetrahedron_vertices=tetrahedra,
         triangle_edges=triangle_edges,
-        simplex_vertices=oriented,
+        simplex_vertices=_oriented(pos, signs),
         simplex_signs=signs,
         simplex_faces=simplex_faces,
         simplex_edges=simplex_edges,
@@ -341,7 +295,7 @@ def require_closed_oriented(c):
 
 def star_of_triangle(c, t):
     """Ids of the 4-simplices containing triangle t, ascending."""
-    row = triangle_row(c, t)
+    row = c.face_row(2, t)
     if row is None:
         key = tuple(sorted(int(v) for v in t))
         raise ComplexStructureError(f"triangle {key} is not a face of the complex")
@@ -362,26 +316,24 @@ class MoveRecord:
 def move_cluster(c, t):
     """Labels and replacement cells for a 3->3 move at triangle t.
 
-    Returns (abc, def_, star_ids, new_cells) where new_cells are oriented
-    (sorted tuple, sign) pairs chosen so the replacement cluster carries the
-    same boundary as the removed one.  Admissibility of materializing the
-    move (new face absent) is NOT checked here.
+    Returns (abc, def_, star_ids, new_cells) where new_cells is the (3, 5)
+    array of the replacement cells' vertex ids in canonical oriented order,
+    chosen so the replacement cluster carries the same boundary as the
+    removed one.  Admissibility of materializing the move (new face absent)
+    is NOT checked here.
     """
     star = star_of_triangle(c, t)
+    abc = tuple(sorted(int(v) for v in t))
     if len(star) != 3:
         raise MovePreconditionError(
-            f"triangle {tuple(sorted(t))} lies in {len(star)} simplices, need exactly 3"
+            f"triangle {abc} lies in {len(star)} simplices, need exactly 3"
         )
     # the oriented vertex ids of each star cell
     cells = dict(zip(star, c.vertex_ids[c.simplex_vertices[star]].tolist()))
     union = set().union(*cells.values())
     if len(union) != 6:
-        raise MovePreconditionError(
-            f"star of {tuple(sorted(t))} spans {len(union)} vertices, need exactly 6"
-        )
-    abc = tuple(sorted(int(v) for v in t))
+        raise MovePreconditionError(f"star of {abc} spans {len(union)} vertices, need exactly 6")
     def_ = tuple(sorted(union - set(abc)))
-    six = abc + def_
 
     by_missing = {}
     for sid, verts in cells.items():
@@ -394,10 +346,9 @@ def move_cluster(c, t):
     # x: it bounds their shared tetrahedron as that cell did.
     d_vertex = def_[0]
     donor = cells[by_missing[d_vertex]]
-    rows, signs = _sort_with_parity(
+    new_cells = _oriented(*_sort_with_parity(
         np.array([[d_vertex if u == x else u for u in donor] for x in abc])
-    )
-    new_cells = list(zip(map(tuple, rows.tolist()), signs.tolist()))
+    ))
     return abc, def_, star, new_cells
 
 
@@ -409,14 +360,14 @@ def pachner_33(c, t):
     result would identify distinct cells and stop being simplicial).
     """
     abc, def_, star, new_cells = move_cluster(c, t)
-    if triangle_row(c, def_) is not None:
+    if c.find_faces(def_)[1]:
         raise MovePreconditionError(
             f"opposite triangle {def_} is already a face; the move would create "
             "a non-simplicial identification"
         )
-    new_list = np.delete(c.vertex_ids[c.simplex_vertices], star, axis=0).tolist()
-    added_ids = tuple(range(len(new_list), len(new_list) + 3))
-    new_list.extend(oriented_tuple(*cell) for cell in new_cells)
+    kept = np.delete(c.vertex_ids[c.simplex_vertices], star, axis=0)
+    added_ids = tuple(range(len(kept), len(kept) + 3))
+    new_list = np.vstack([kept, new_cells]).tolist()
     moved = build_complex(new_list, allow_boundary=not c.is_closed)
     if moved.orientation_consistent != c.orientation_consistent:
         raise ComplexStructureError("move broke orientation consistency")
@@ -448,7 +399,7 @@ def orient_consistently(simplex_sets):
     pairs = order[np.bincount(tets)[tets[order]] == 2].reshape(-1, 2)
     cell_a, cell_b = pairs.T // 5
     flip = -_TET_SIGNS[pairs[:, 0] % 5] * _TET_SIGNS[pairs[:, 1] % 5]
-    signs = np.zeros(len(c.simplices), dtype=int)
+    signs = np.zeros(len(c.simplex_vertices), dtype=int)
     while not signs.all():
         signs[np.argmin(signs != 0)] = 1
         while True:
@@ -460,31 +411,34 @@ def orient_consistently(simplex_sets):
             signs[cell_a[backward]] = signs[cell_b[backward]] * flip[backward]
     if np.any(signs[cell_b] != signs[cell_a] * flip):
         raise ComplexStructureError("simplex list admits no consistent orientation")
-    return [oriented_tuple(verts, s) for (verts, _), s in zip(c.simplices, signs.tolist())]
+    rows = c.vertex_ids[np.sort(c.simplex_vertices, axis=1)]
+    return list(map(tuple, _oriented(rows, signs).tolist()))
 
 
 def stellar_subdivide(c, sid):
     """Stellar 1->5 subdivision of simplex sid at a new vertex.
 
     The cell is replaced by the cone over its boundary from the vertex
-    max(c.vertices) + 1.  Each cone cell is the oriented cell with one vertex
-    replaced by the apex, so it keeps the cell's orientation and every other
-    cell keeps its own.
+    max(c.vertex_ids) + 1.  Each cone cell is the oriented cell with one
+    vertex replaced by the apex, so it keeps the cell's orientation and
+    every other cell keeps its own.  sid must be an integer in range(N) (a
+    bool is none); anything else raises ComplexStructureError.
     """
-    apex = c.vertices[-1] + 1
-    cell = c.oriented_simplex(sid)
-    cells = [c.oriented_simplex(n) for n in range(len(c.simplices)) if n != sid]
-    cells += [tuple(apex if u == x else u for u in cell) for x in cell]
-    return build_complex(cells, allow_boundary=not c.is_closed)
+    n_cells = len(c.simplex_vertices)
+    if isinstance(sid, bool) or not (isinstance(sid, numbers.Integral) and 0 <= sid < n_cells):
+        raise ComplexStructureError(f"simplex id {sid!r} is not in range({n_cells})")
+    cells = c.vertex_ids[c.simplex_vertices]
+    apex = int(c.vertex_ids[-1]) + 1
+    cell = cells[sid].tolist()
+    cone = [[apex if u == x else u for u in cell] for x in cell]
+    return build_complex(np.delete(cells, sid, axis=0).tolist() + cone,
+                         allow_boundary=not c.is_closed)
 
 
 def boundary_delta5():
     """Boundary of the 5-simplex on vertices 0..5 with its standard orientation."""
-    simplices = []
-    for i in range(6):
-        verts = tuple(v for v in range(6) if v != i)
-        simplices.append(oriented_tuple(verts, (-1) ** i))
-    return build_complex(simplices)
+    hats = np.array([[v for v in range(6) if v != i] for i in range(6)])
+    return build_complex(_oriented(hats, (-1) ** np.arange(6)).tolist())
 
 
 def tetra_circle_join():

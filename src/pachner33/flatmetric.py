@@ -3,7 +3,7 @@
 A realization maps vertex ids to points; it induces squared edge lengths L,
 triangle areas S, per-simplex signs eps (whether the stored orientation
 agrees with the ambient one) and signed volumes V.  FlatMetric holds them as
-arrays aligned with the complex's face tables, and realize and
+arrays aligned with the complex's face arrays, and realize and
 metric_from_lengths compute each of them in one batch through the complex's
 index arrays (edge ends, triangle edges, simplex vertices and edges).
 
@@ -34,17 +34,22 @@ FLATNESS_TOL = 1e-8
 
 @dataclass(frozen=True, eq=False)
 class FlatMetric:
-    """Metric data of a realization, as arrays aligned with the face tables.
+    """Metric data of a realization, as arrays aligned with the face arrays.
 
-    L[e] is the squared length of edge c.faces[1][e], S[t] the area of
-    triangle c.faces[2][t], V[n] the signed 4-volume of simplex n of
-    c.simplices and eps[n] = +-1 its sign.  Metrics compare by identity.
+    L[e] is the squared length of edge c.edge_ends[e], S[t] the area of
+    triangle c.triangle_vertices[t], V[n] the signed 4-volume of cell n in
+    its oriented order and eps[n] = +-1 its sign.  Compared by identity.
     """
 
     L: np.ndarray  # (E,)
     S: np.ndarray  # (F,)
     eps: np.ndarray  # (N,) of int
     V: np.ndarray  # (N,)
+
+
+def _cell_text(c, n):
+    """Cell n's vertex ids, ascending, as the tuple an error message names."""
+    return tuple(np.sort(c.vertex_ids[c.simplex_vertices[n]]).tolist())
 
 
 def _first_unrealizable(sq):
@@ -100,7 +105,7 @@ def realize(c, coords):
     if bad.size:
         sid = int(bad[0])
         raise DegenerateSimplexError(
-            f"simplex {c.simplices[sid][0]} (id {sid}) is degenerate"
+            f"simplex {_cell_text(c, sid)} (id {sid}) is degenerate"
         )
     eps = np.where(V > 0, 1, -1)
 
@@ -118,7 +123,7 @@ def metric_from_lengths(c, L, eps):
     if bad:
         k, kind = bad
         raise DegenerateSimplexError(
-            f"simplex {c.simplices[k][0]} is not realizable ({kind} squared volume)"
+            f"simplex {_cell_text(c, k)} is not realizable ({kind} squared volume)"
         )
     return FlatMetric(L=L, S=S, eps=eps, V=eps * np.sqrt(sq))
 
@@ -130,7 +135,7 @@ def random_realization(c, seed):
 
 
 def deficit_omega(c, m):
-    """(F,) per-face deficits, aligned with c.faces[2]: minus the algebraic
+    """(F,) per-face deficits, aligned with c.triangle_vertices: minus the algebraic
     dihedral-angle sum, in (-pi, pi].
 
     The dihedral angles of all simplices come from one batch
@@ -148,7 +153,7 @@ def deficit_omega(c, m):
 
 
 def deficit_Omega(c, m, omega=None):
-    """(E,) per-edge deficits, aligned with c.faces[1]: the area-derivative
+    """(E,) per-edge deficits, aligned with c.edge_ends: the area-derivative
     weighted sum of the face deficits.
 
     Omega_a = sum over the triangles t through edge a of (dS_t/dL_a) omega_t.

@@ -68,21 +68,21 @@ class BatteryResult:
 A, B, C, D, E, F = range(6)
 
 _DELTA5 = boundary_delta5()
-CLUSTER_EDGES = _DELTA5.faces[1]
-CLUSTER_EDGE_INDEX = _DELTA5.face_index[1]
+# (15, 2) vertex ids of the cluster's edges, lexicographic: the columns of its gradients
+CLUSTER_EDGES = _DELTA5.face_ids(1)
+_AB, _DE = _DELTA5.find_faces([(A, B), (D, E)])[0].tolist()
+_ABC, _DEF = _DELTA5.find_faces([(A, B, C), (D, E, F)])[0].tolist()
 # side -> (row of its central triangle, sign of the side's orientation in the boundary)
-SIDES = {
-    "abc": (_DELTA5.face_index[2][(A, B, C)], -1),
-    "def": (_DELTA5.face_index[2][(D, E, F)], 1),
-}
+SIDES = {"abc": (_ABC, -1), "def": (_DEF, 1)}
 _SIDE_ROWS, _SIDE_SIGNS = (np.array(col) for col in zip(*SIDES.values()))
 # Cell n omits point n, so its central triangle is ABC, its FACES5 row 0,
 # for n >= 3 (side 0) and DEF, its row 9, for n < 3 (side 1).
 _CENTRAL_FACES = [0, 9]
 _CELL_SIDES = np.array([1, 1, 1, 0, 0, 0])
-# cell n omits point n; its stored sign turns its volume into the ascending hat's
-_HAT_SIGNS = np.array([sign for _, sign in _DELTA5.simplices])
-_CELL_VERTICES = [verts for verts, _ in _DELTA5.simplices]
+# cell n omits point n; its sign turns its volume into the ascending hat's
+# (the vertex ids are 0..5, so vertex positions are vertex ids)
+_HAT_SIGNS = _DELTA5.simplex_signs
+_CELL_VERTICES = np.sort(_DELTA5.simplex_vertices, axis=1)
 
 
 def _raise_for_first(failed, text):
@@ -143,12 +143,11 @@ class ClusterSix:
         bad = np.flatnonzero(below)
         if bad.size:
             t, sid = divmod(int(bad[0]), 6)
-            raise DegenerateSimplexError(
-                f"trial {t}: simplex {_DELTA5.simplices[sid][0]} (id {sid}) is degenerate"
-            )
+            cell = tuple(_CELL_VERTICES[sid].tolist())
+            raise DegenerateSimplexError(f"trial {t}: simplex {cell} (id {sid}) is degenerate")
         eps = np.where(V > 0, 1, -1)
         tri_edges = _offset_rows(_DELTA5.triangle_edges[_SIDE_ROWS], 15, T)
-        tris = [_DELTA5.faces[2][row] for row in _SIDE_ROWS] * T
+        tris = np.tile(_DELTA5.face_ids(2)[_SIDE_ROWS], (T, 1))
         S = triangle_areas(L.ravel(), tri_edges, tris).reshape(T, 2)
 
         tables = length_tables(L.ravel(), _offset_rows(_DELTA5.simplex_edges, 15, T))
@@ -259,7 +258,7 @@ def check_6term(clusters):
     # |gA| is sqrt(gA . gA), as np.linalg.norm takes it
     cosine = np.abs(_dot(gA, gD) / (np.sqrt(_dot(gA, gA)) * np.sqrt(_dot(gD, gD))))
 
-    ratio = gA[:, CLUSTER_EDGE_INDEX[(A, B)]] / gA[:, CLUSTER_EDGE_INDEX[(D, E)]]
+    ratio = gA[:, _AB] / gA[:, _DE]
     predicted = V[:, A] * V[:, B] / (V[:, D] * V[:, E])
     ratio_residual = np.abs(ratio - predicted) / np.abs(predicted)
     return SixTermCheck(residual=residual, cosine=cosine, ratio_residual=ratio_residual)
@@ -465,11 +464,11 @@ def battery_cluster_closed_forms(draws, tol=DEFAULT_TOL):
     clusters = draws.clusters
     V, S, grads = clusters.hat_volumes, clusters.areas, clusters.gradients
 
-    got1 = grads[:, 0, CLUSTER_EDGE_INDEX[(A, B)]]
+    got1 = grads[:, 0, _AB]
     want1 = -(S[:, 0] / 24.0) * V[:, A] * V[:, B] / (V[:, D] * V[:, E] * V[:, F])
     r1 = np.abs(got1 - want1) / np.abs(want1)
 
-    got2 = grads[:, 1, CLUSTER_EDGE_INDEX[(D, E)]]
+    got2 = grads[:, 1, _DE]
     want2 = -(S[:, 1] / 24.0) * V[:, D] * V[:, E] / (V[:, A] * V[:, B] * V[:, C])
     r2 = np.abs(got2 - want2) / np.abs(want2)
     return _result("cluster_closed_forms", draws, tol, np.maximum(r1, r2))

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .complexes import move_cluster, oriented_tuple
+from .complexes import move_cluster
 from .errors import DegenerateSimplexError, SelectionError
 from .flatmetric import realize, triangle_areas
 from .geometry import EDGES5, FACES5
@@ -122,25 +122,26 @@ def full_invariant(c, m):
 def move_blocks(c, m, coords, star, new_cells):
     """Shares of the N cells and the three replacement cells, in one batch.
 
-    Returns the (N + 3, 10, 10) shares -dtheta/dL, dtheta_dL_blocks of the
-    negated signs, and the replacement cells' (3, 10) face rows and edge
-    columns and (3,) signed volumes.  Every edge of a replacement cell, and
-    every face but the appearing triangle, is a face of a star cell, so the
-    rows and columns are found in the complex's face tables (find_faces);
-    the appearing triangle, the one face the three replacement cells share
-    and no star cell has, gets row F, one past the complex's triangles (an
-    older face with the same vertices may survive alongside).  A
-    replacement cell below the cell_volumes floor raises
+    new_cells is move_cluster's (3, 5) array of vertex ids in canonical
+    oriented order.  Returns the (N + 3, 10, 10) shares -dtheta/dL,
+    dtheta_dL_blocks of the negated signs, and the replacement cells' (3, 10)
+    face rows and edge columns and (3,) signed volumes.  Every edge of a
+    replacement cell, and every face but the appearing triangle, is a face
+    of a star cell, so the rows and columns are found in the complex's face
+    arrays (find_faces); the appearing triangle, the one face the three
+    replacement cells share and no star cell has, gets row F, one past the
+    complex's triangles (an older face with the same vertices may survive
+    alongside).  A replacement cell below the cell_volumes floor raises
     DegenerateSimplexError first.
     """
-    pts = [[coords[v] for v in oriented_tuple(*cell)] for cell in new_cells]
+    pts = [[coords[v] for v in cell] for cell in new_cells.tolist()]
     volumes, below = geometry.cell_volumes(pts, geometry.DEGENERACY_REL)
+    cells = np.sort(new_cells, axis=1)
     thin = np.flatnonzero(below)
     if thin.size:
         raise DegenerateSimplexError(
-            f"replacement simplex {new_cells[int(thin[0])][0]} is degenerate"
+            f"replacement simplex {tuple(cells[int(thin[0])].tolist())} is degenerate"
         )
-    cells = np.array([verts for verts, _ in new_cells])
     faces = cells[:, _FACES5]
     rows, _ = c.find_faces(faces)
     shared = sorted(set(cells[0].tolist()).intersection(*cells[1:].tolist()))

@@ -29,7 +29,7 @@ face rows and edge columns (simplex_faces, simplex_edges):
 - dBigOmega_dS: rows = edges, cols = triangles,       entries d(Omega_a)/d(S_i),
                 the scatter of each simplex's (dS/dL)^T (dOmega/dS) block
 
-Row/column order follows the complex's lexicographic face tables.
+Row/column order follows the complex's lexicographic face arrays.
 build_jacobians forms the three one at a time and keeps each as Triplets,
 its nonzero entries: each dense matrix is spent (by the selection or by a
 residual's transpose_gap) before the next is formed.

@@ -189,7 +189,7 @@ def check_6term_one(gA, gD, V, area_abc, area_def):
     scale = max(np.abs(lhs).max(), np.abs(rhs).max())
     residual = float(np.abs(lhs - rhs).max() / scale)
     cosine = abs(float(gA @ gD / (np.linalg.norm(gA) * np.linalg.norm(gD))))
-    ratio = gA[idn.CLUSTER_EDGE_INDEX[(A, B)]] / gA[idn.CLUSTER_EDGE_INDEX[(D, E)]]
+    ratio = gA[DELTA5.face_index[1][(A, B)]] / gA[DELTA5.face_index[1][(D, E)]]
     predicted = V[A] * V[B] / (V[D] * V[E])
     return residual, cosine, float(abs(ratio - predicted) / abs(predicted))
 

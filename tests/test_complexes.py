@@ -3,6 +3,7 @@ import bisect
 import dataclasses
 import gc
 import itertools
+import re
 import weakref
 from types import SimpleNamespace
 
@@ -22,6 +23,11 @@ from conftest import index_array, scatter_indices
 
 
 # --------------------------------------------------- orientation references
+
+def oriented_tuple(verts, sign):
+    """The canonical oriented order of (ascending tuple, sign): the last two swapped if odd."""
+    return verts if sign > 0 else verts[:-2] + (verts[-1], verts[-2])
+
 
 def induced_facet_sign(verts, sign, facet):
     """Sign induced on a sorted facet by an oriented simplex.
@@ -68,7 +74,7 @@ def orient_consistently_walk(simplex_sets):
                     else:
                         signs[other] = required
                         queue.append(other)
-    return [cx.oriented_tuple(sets[i], signs[i]) for i in range(len(sets))]
+    return [oriented_tuple(sets[i], signs[i]) for i in range(len(sets))]
 
 
 def new_cells_by_induced_sign(c, t):
@@ -86,7 +92,7 @@ def new_cells_by_induced_sign(c, t):
         tau = tuple(v for v in new_verts if v != d_vertex)
         target = induced_facet_sign(*donor, tau)
         candidate = induced_facet_sign(new_verts, 1, tau)
-        cells.append((new_verts, 1 if candidate == target else -1))
+        cells.append(oriented_tuple(new_verts, 1 if candidate == target else -1))
     return cells
 
 
@@ -177,15 +183,19 @@ def test_find_faces_is_the_tuple_table_lookup(join_complex):
         for q, row in zip(queries.tolist(), at.tolist()):
             if set(q) <= vertices:
                 assert row == bisect.bisect_left(table, tuple(q)), q
-    # triangle_row: any order; ids outside int64, repeated ids and other
-    # lengths name no triangle, as the tuple table's lookup had it
+    # face_row: any order; ids outside int64, repeated ids and other
+    # lengths name no face, as the tuple table's lookup had it
     for t in [(2, -4, -1), (-1, 2, -4), *itertools.combinations(ids, 3)]:
-        assert cx.triangle_row(c, t) == c.face_index[2].get(tuple(sorted(t))), t
+        assert c.face_row(2, t) == c.face_index[2].get(tuple(sorted(t))), t
+    for e in [(-1, -4), *itertools.combinations(ids, 2)]:
+        assert c.face_row(1, e) == c.face_index[1].get(tuple(sorted(e))), e
     for t in [(-4, -1, 2**63), (-4, -1, -(2**63) - 1), (-4, -1, 10**30),
               (-4, -4, -1), (-4, -1), (-4, -1, 2, 5)]:
-        assert cx.triangle_row(c, t) is None, t
+        assert c.face_row(2, t) is None, t
         with pytest.raises(ComplexStructureError, match="is not a face"):
             cx.star_of_triangle(c, t)
+    for e in [(-4, 10**20), (-4, -4), (-4,), (-4, -1, 2)]:
+        assert c.face_row(1, e) is None, e
     # base-V keys of three positions fit int64 up to V = 2097151 vertices
     for nv, fits in ((2**21 - 1, True), (2**21, False)):
         wide = dataclasses.replace(c, vertex_ids=np.arange(nv))
@@ -251,6 +261,9 @@ def test_move_rejected_in_four_simplex_star(bipyramid):
     # triangles inside the equator belong to four simplices
     with pytest.raises(MovePreconditionError, match="lies in 4"):
         cx.pachner_33(bipyramid, (1, 2, 3))
+    # ids given as numpy integers, in any order, are named as Python integers
+    with pytest.raises(MovePreconditionError, match=r"^triangle \(1, 2, 3\) lies in 4 "):
+        cx.pachner_33(bipyramid, np.array([3, 1, 2]))
 
 
 def test_replacement_cells_cover_the_removed_boundary(join_complex):
@@ -264,7 +277,7 @@ def test_replacement_cells_cover_the_removed_boundary(join_complex):
         return {t: s for t, s in chain.items() if s != 0}
 
     removed = [join_complex.simplices[i] for i in star]
-    assert boundary_chain(removed) == boundary_chain(new_cells)
+    assert boundary_chain(removed) == boundary_chain(map(canonical_oriented_loop, new_cells))
 
 
 def test_orient_consistently_round_trips(join_complex):
@@ -325,7 +338,8 @@ def test_move_cluster_orients_like_the_induced_sign_rule(
                 _, _, _, new_cells = cx.move_cluster(c, tri)
             except MovePreconditionError:
                 continue
-            assert new_cells == new_cells_by_induced_sign(c, tri)
+            assert new_cells.dtype == np.int64 and new_cells.shape == (3, 5)
+            assert list(map(tuple, new_cells.tolist())) == new_cells_by_induced_sign(c, tri)
             moved += 1
     assert moved > 200
 
@@ -445,7 +459,7 @@ def build_complex_loop(simplex_list, allow_boundary=False):
             [[edge_of[(a, b)], edge_of[(a, c)], edge_of[(b, c)]] for a, b, c in faces[2]], 3
         ),
         simplex_vertices=index_array(
-            [[position[v] for v in cx.oriented_tuple(*s)] for s in simplices], 5
+            [[position[v] for v in oriented_tuple(*s)] for s in simplices], 5
         ),
         simplex_faces=simplex_faces,
         simplex_edges=simplex_edges,
@@ -520,26 +534,22 @@ def test_build_matches_the_loop_on_the_stellar_rungs(stellar_ladder):
     assert c.is_closed and c.orientation_consistent and c.euler_characteristic() == 2
 
 
-def test_tuple_tables_are_built_per_dimension_on_first_read(stellar_ladder):
+def test_tuple_views_are_read_off_the_arrays(stellar_ladder):
     cells = oriented_cells(stellar_ladder[86][0])
     c = cx.build_complex(cells)
     fv = c.f_vector()
     assert fv == (26, 115, 220, 215, 86) and c.euler_characteristic() == 2
     assert not {"faces", "face_index", "simplices"} & vars(c).keys()
-    triangles = c.faces[2]
-    assert set(c.faces._built) == {2} and 3 in c.faces and 4 not in c.faces
-    assert c.face_index[1][c.faces[1][7]] == 7
-    assert set(c.faces._built) == {1, 2} and set(c.face_index._built) == {1}
-    assert "simplices" not in vars(c)
-    with pytest.raises(KeyError):
-        c.faces[4]
     for dim in range(4):
         ids = c.face_ids(dim)
         assert ids.dtype == np.int64 and ids.shape == (fv[dim], dim + 1)
         assert c.faces[dim] == tuple(map(tuple, ids.tolist()))
-    assert triangles is c.faces[2] and list(c.faces) == [0, 1, 2, 3]
-    assert repr(c.faces) == repr({dim: c.faces[dim] for dim in range(4)})
+        assert c.face_index[dim] == {f: n for n, f in enumerate(c.faces[dim])}
+    assert list(c.faces) == list(c.face_index) == [0, 1, 2, 3]
+    # built once, when first read
+    assert c.faces is c.faces and c.face_index is c.face_index and c.simplices is c.simplices
     assert [c.oriented_simplex(i) for i in range(fv[4])] == [tuple(s) for s in cells]
+    assert [oriented_tuple(*s) for s in c.simplices] == [tuple(s) for s in cells]
 
 
 def test_a_complex_whose_tables_were_read_is_freed_without_the_cycle_collector():
@@ -635,6 +645,18 @@ def test_bad_lists_raise_the_loop_error():
 def test_vertex_ids_beyond_int64_are_a_structure_error():
     with pytest.raises(ComplexStructureError, match="64-bit"):
         cx.build_complex([(0, 1, 2, 3, 2**63)], allow_boundary=True)
+
+
+def test_stellar_subdivide_takes_only_a_cell_id(delta5):
+    # the cone over cell 2 from vertex 6, as its oriented cell with one vertex replaced
+    cells = oriented_cells(delta5)
+    cone = [tuple(6 if u == x else u for u in cells[2]) for x in cells[2]]
+    want = oriented_cells(cx.build_complex(cells[:2] + cells[3:] + cone))
+    for sid in (2, np.int64(2), np.intp(2)):
+        assert oriented_cells(cx.stellar_subdivide(delta5, sid)) == want
+    for sid in (-1, 6, 10**20, True, False, 2.0, "2", None):
+        with pytest.raises(ComplexStructureError, match=rf"^simplex id {re.escape(repr(sid))} "):
+            cx.stellar_subdivide(delta5, sid)
 
 
 def test_metric_paths_leave_the_lookup_dicts_unbuilt(stellar_ladder):

@@ -14,6 +14,7 @@ from pachner33 import jacobians as jb
 from pachner33.errors import DegenerateSimplexError, SelectionError
 
 from conftest import (
+    DELTA5,
     cm_squared_volume,
     dense,
     materialized_value_after,
@@ -24,6 +25,8 @@ from conftest import (
 
 
 # --------------------------------------------------------------- clusters
+
+EDGE_OF = DELTA5.face_index[1]
 
 def test_cluster_requires_nondegenerate_hats():
     pts = np.vstack([np.zeros(4), np.eye(4), np.ones(4)[None, :]])
@@ -76,7 +79,7 @@ def cluster_reference(points):
         total = sum(sign * theta[n, row] for n, (sign, row) in enumerate(zip(signs, rows)))
         grad = np.zeros(len(idn.CLUSTER_EDGES))
         for cell, block, row in zip(cells, jb.dtheta_dL_blocks(tables, signs), rows):
-            cols = [idn.CLUSTER_EDGE_INDEX[tuple(sorted((cell[p], cell[q])))] for p, q in g.EDGES5]
+            cols = [EDGE_OF[tuple(sorted((cell[p], cell[q])))] for p, q in g.EDGES5]
             grad[cols] -= block[row]
         area = math.sqrt(cm_squared_volume(2, g.squared_length_table(points[list(face)])))
         sides[side] = (reduce_angle_scalar(-total), grad, area)
@@ -85,7 +88,8 @@ def cluster_reference(points):
 
 def test_cluster_sides_are_rows_of_the_delta5_boundary():
     c = cx.boundary_delta5()
-    assert idn.CLUSTER_EDGES == c.faces[1] == tuple(itertools.combinations(range(6), 2))
+    assert idn.CLUSTER_EDGES.tolist() == [list(e) for e in itertools.combinations(range(6), 2)]
+    assert c.faces[1] == tuple(itertools.combinations(range(6), 2))
     # cell n omits point n
     assert [verts for verts, _ in c.simplices] == [
         tuple(v for v in range(6) if v != x) for x in range(6)
@@ -338,13 +342,13 @@ def after_cells_reference(c, m, coords, star, def_, new_cells):
     rows and columns come from dict lookups, the appearing triangle at row
     F.  Returns the first F rows, row F and the replacement volumes.
     """
-    pts = [[coords[v] for v in cx.oriented_tuple(*cell)] for cell in new_cells]
+    pts = [[coords[v] for v in cell] for cell in new_cells.tolist()]
     volumes, below = g.cell_volumes(pts, g.DEGENERACY_REL)
     if below.any():
         raise DegenerateSimplexError("replacement simplex is degenerate")
     F, E = len(c.faces[2]), len(c.faces[1])
     rows, cols = scatter_indices(
-        [verts for verts, _ in new_cells], {**c.face_index[2], def_: F}, c.face_index[1]
+        np.sort(new_cells, axis=1).tolist(), {**c.face_index[2], def_: F}, c.face_index[1]
     )
     kept = np.delete(np.arange(len(c.simplices)), star)
     shares = np.concatenate([
@@ -431,7 +435,7 @@ def test_move_blocks_reads_the_replacement_indices_off_the_star(
             _, def_, star, new_cells = cx.move_cluster(c, tri)
             _, rows, cols, _ = iv.move_blocks(c, m, coords, star, new_cells)
             want = scatter_indices(
-                [verts for verts, _ in new_cells], {**c.face_index[2], def_: F}, c.face_index[1]
+                np.sort(new_cells, axis=1).tolist(), {**c.face_index[2], def_: F}, c.face_index[1]
             )
             assert [rows.tolist(), cols.tolist()] == [a.tolist() for a in want], tri
             already += def_ in c.face_index[2]

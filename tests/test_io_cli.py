@@ -890,6 +890,95 @@ def test_check_flat_and_invariant_build_no_tuple_table(monkeypatch, stellar_ladd
             assert not {"faces", "face_index", "simplices"} & vars(built[-1]).keys(), argv
 
 
+def _moved_vertex_document(path, vertex, onto):
+    """The join fixture with vertex placed at the centroid of the vertices onto."""
+    doc = pio.load_fixture("join_tetra_triangle.json")
+    coords = dict(doc.coords)
+    coords[vertex] = [sum(x) / len(onto) for x in zip(*(coords[v] for v in onto))]
+    pio.save_document(pio.ComplexDocument(simplices=doc.simplices).with_coords(coords), path)
+    return str(path)
+
+
+def test_commands_read_no_tuple_table(monkeypatch, tmp_path):
+    # every command reads the face arrays only, error paths included: with
+    # the tuple views refusing to be read, each report is the one they give
+    # when the views can be read, on documents each command parses afresh
+    join, delta5 = fixture_path("join_tetra_triangle.json"), fixture_path("boundary_delta5.json")
+    # vertex 4 on the triangle 0 1 2 flattens the cell 0 1 2 4 5; vertex 6 in
+    # the hyperplane of 0 1 4 5 flattens only a replacement cell of the move at 0 1 2
+    flat_cell = _moved_vertex_document(tmp_path / "flat_cell.json", 4, (0, 1, 2))
+    flat_move = _moved_vertex_document(tmp_path / "flat_move.json", 6, (0, 1, 4, 5))
+    cases = {
+        ("invariant", join): None,
+        ("jacobian", join): None,
+        ("compare", join, "--face", "0,1,2"): None,
+        ("compare", delta5, "--face", "0,1,2"): None,
+        ("move", join, "--face", "0,1,2"): None,
+        ("check-flat", join, "--perturb", "0,1,1e-3"): None,
+        ("invariant", flat_cell): "simplex (0, 1, 2, 4, 5) (id 0) is degenerate",
+        ("compare", flat_move, "--face", "0,1,2"):
+            "replacement simplex (0, 1, 4, 5, 6) is degenerate",
+        ("check-flat", delta5, "--perturb", "0,1,-0.03"):
+            "simplex (0, 1, 3, 4, 5) is not realizable (nonpositive squared volume)",
+        ("check-flat", fixture_path("bipyramid_10cell.json"), "--perturb", "6,0,1e-3"):
+            "(0, 6) is not an edge of the complex",
+    }
+
+    def untimed(out):
+        return re.sub(r'"timing_s": [^,}]+', "", out)
+
+    want = {}
+    for argv in cases:
+        code, out = run_cli(*argv)
+        want[argv] = code, untimed(out)
+
+    def refuse(name):
+        def read(*args):
+            raise AssertionError(f"Complex4.{name} was read")
+        return read
+
+    for name in ("faces", "face_index", "simplices"):
+        monkeypatch.setattr(cx.Complex4, name, property(refuse(name)))
+    monkeypatch.setattr(cx.Complex4, "oriented_simplex", refuse("oriented_simplex"))
+    for argv, message in cases.items():
+        code, out = run_cli(*argv)
+        assert (code, untimed(out)) == want[argv], argv
+        rep = json.loads(out)
+        if message is None:
+            assert "error" not in rep, argv
+        else:
+            assert code == 1 and rep["error"]["message"] == message, argv
+
+
+BIG_ID = str(10**20)
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (("move", "--face", f"0,1,{BIG_ID}"),
+         ("ComplexStructureError", f"triangle (0, 1, {BIG_ID}) is not a face of the complex")),
+        (("move", "--face", "1,0,0"),
+         ("ComplexStructureError", "triangle (0, 0, 1) is not a face of the complex")),
+        (("compare", "--face", f"{BIG_ID},1,0"),
+         ("ComplexStructureError", f"triangle (0, 1, {BIG_ID}) is not a face of the complex")),
+        (("compare", "--face", "0,0,1"),
+         ("ComplexStructureError", "triangle (0, 0, 1) is not a face of the complex")),
+        (("check-flat", "--perturb", f"{BIG_ID},0,1e-3"),
+         ("Pachner33Error", f"(0, {BIG_ID}) is not an edge of the complex")),
+        (("check-flat", "--perturb", "1,1,1e-3"),
+         ("Pachner33Error", "(1, 1) is not an edge of the complex")),
+    ],
+)
+def test_cli_ids_that_name_no_face_are_an_error_report(argv, error):
+    command, *options = argv
+    code, out = run_cli(command, fixture_path("join_tetra_triangle.json"), *options)
+    assert code == 1
+    assert json.loads(out) == {
+        "command": command, "error": {"type": error[0], "message": error[1]},
+    }
+
+
 def test_commands_hand_the_document_coords_to_realize(monkeypatch):
     # a document's own coords go to realize as parse_complex kept them:
     # realization() is never called, and each report is the one of a
