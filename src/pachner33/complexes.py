@@ -124,9 +124,15 @@ class Complex4:
         np.searchsorted over the packed table of its dimension gives at:
         its face row where found, and where not but every id names a
         vertex, the row it would go before.  A row with an id that names no
-        vertex, or with a repeated id, is not found.
+        vertex, or with a repeated id, is not found.  ids of any other width
+        raise ComplexStructureError.
         """
         ids = np.asarray(ids, dtype=np.int64)
+        if ids.ndim == 0 or ids.shape[-1] not in (2, 3):
+            width = f"width {ids.shape[-1]}" if ids.ndim else "a scalar"
+            raise ComplexStructureError(
+                f"faces are looked up as rows of 2 or 3 vertex ids, not {width}"
+            )
         vertex_ids = self.vertex_ids
         pos = np.minimum(np.searchsorted(vertex_ids, ids), len(vertex_ids) - 1)
         weights, table = self._packed_faces[ids.shape[-1] - 1]

@@ -45,6 +45,11 @@ TWO_PI = 2.0 * math.pi
 
 # |V| below DEGENERACY_REL * (mean edge length)^4 counts as degenerate.
 DEGENERACY_REL = 1e-10
+# A cell whose |V| / (mean edge length)^4 is below THIN_QUALITY is thin: the
+# angle kernel takes it in extended precision, every other cell in float64
+# (jacobians._normal_grams).  At 1e-4, float64 star cells of quality
+# 1.0e-4 to 2e-4 took a 408-join's worst honest move from 1.1e-10 to 3.2e-10.
+THIN_QUALITY = 2e-4
 
 EDGES5 = tuple((i, j) for i in range(5) for j in range(i + 1, 5))
 FACES5 = tuple(

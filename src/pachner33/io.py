@@ -57,6 +57,11 @@ def format_float(x):
 # _CHUNK items, so that its temporaries do not grow with the array.
 _CHUNK = 4096
 _VELTKAMP = 134217729.0  # 2**27 + 1
+# An integer array of fewer items is written by json.dumps(a.tolist()), the
+# same text: the byte table of _int_array_text costs about 25 us whatever
+# the size, which json's encoder only reaches at about 200 items (2-d
+# arrays of 2 or 3 columns; 1-d arrays at 350 to 800).
+_INT_TABLE_ITEMS = 200
 
 
 def _split(a):
@@ -274,7 +279,8 @@ def _dump(obj, pieces):
             pieces[-1] = pieces[-1][:-2]
         pieces.append("]")
     elif isinstance(obj, np.ndarray) and obj.ndim in (1, 2) and obj.dtype.kind in "iu":
-        pieces.append(_int_array_text(obj))
+        small = obj.size < _INT_TABLE_ITEMS
+        pieces.append(json.dumps(obj.tolist()) if small else _int_array_text(obj))
     elif isinstance(obj, (list, tuple)):
         item_types = set(map(type, obj))
         if item_types <= {float}:

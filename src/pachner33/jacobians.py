@@ -17,6 +17,17 @@ of each simplex's sorted vertex tuple.
   is the paper's S / (24 V).  The same kernel gives the angles and the
   (10,) rows of a list of faces of every simplex (face_angle_rows), for a
   caller that reads no other face.
+
+  The kernel runs in float64, and only thin cells, those whose quality
+  |V| / mean_edge^4 is below geometry.THIN_QUALITY = 2e-4, are re-run in
+  extended precision (np.longdouble where the platform has it), through
+  the elimination and derivative every cell took before (_normal_grams).
+  Against a 50-digit reference from the coordinates (the 60 thinnest
+  cells of each band on fifteen 406-cell ladder rungs), a float64 block
+  is within 3.6e-12 of its largest entry from quality 2e-4 to 1e-3 and
+  1.0e-13 above.  Below the line float64 would lose 7.7e-12 (1e-4 to
+  2e-4) and 1.2e-9 (below 1e-4), where extended precision keeps 2.6e-12
+  and 5.1e-10, the rounding of the squared lengths.
 - dtheta/dS = (dtheta/dL) (dS/dL)^-1, the areas being local coordinates.
 
 A command gathers the length tables once, through the complex's (N, 10)
@@ -64,27 +75,16 @@ PIVOT_TOL = 1e-9
 # whole-array steps once it fills in.
 _UPDATE_BYTES = 1 << 18
 
+# the squared mean edges the float64 pass takes (see _normal_grams)
+_FLOAT64_SCALE = 1e100
+
 _VERTICES = np.arange(5)[:, None]
 # the rows a Gauss-Jordan step at pivot k eliminates
 _OTHER_ROWS = tuple(np.array([r for r in range(4) if r != k]) for k in range(4))
 
 
-def _normal_gram(L):
-    """Gram matrix P of the facet normals (barycentric-coordinate gradients).
-
-    P is the lower-right 5x5 block of the inverse bordered Cayley-Menger
-    matrix.  It is obtained as the inverse of the edge-vector Gram matrix at
-    vertex 0, G_pq = (L_0p + L_0q - L_pq) / 2 with det G = 576 V^2, whose
-    row sums give the normal at vertex 0.  Gauss-Jordan elimination runs in
-    extended precision (np.longdouble where the platform has it): on thin
-    simplices a float64 inverse loses about ten times more than the rounding
-    of the lengths themselves, enough to add a spurious rank to dOmega_dL.
-    A table whose G is not positive definite, or whose |V| falls below
-    geometry.DEGENERACY_REL * (mean edge length)^4, is rejected: the floor
-    of geometry.cell_volumes, taken here from the lengths.  The mean edge
-    is taken in float64, as cell_volumes takes it; its fourth power and the
-    floor's square are then formed by products in extended precision, whose
-    range holds them at any scale of the lengths.
+def _eliminate(G):
+    """Gauss-Jordan elimination of an (N, 4, 4) stack in its own dtype: (G^-1, pivots).
 
     The elimination runs on one augmented (N, 4, 8) array [G | I], whose
     right half ends as G^-1.  Each step divides the pivot row and then
@@ -95,42 +95,142 @@ def _normal_gram(L):
     to their left are spent (unit columns, which the update would leave as
     they are and which nothing reads again) and those to their right are
     still exact identity columns, zero in the pivot row, which it would
-    leave unchanged too.
+    leave unchanged too.  Nothing is checked: after a pivot that is not
+    positive a table's values mean nothing, and the caller, which judges
+    the (N, 4) pivots, discards them.  The inverse is C-contiguous.
     """
-    edges = np.asarray(L, dtype=float)[:, geometry.EDGE_I, geometry.EDGE_J]
-    L = np.asarray(L, dtype=np.longdouble)
-    A = np.empty((len(L), 4, 8), dtype=np.longdouble)
-    A[:, :, :4] = 0.5 * (L[:, 0, 1:, None] + L[:, 0, None, 1:] - L[:, 1:, 1:])
+    A = np.empty((len(G), 4, 8), dtype=G.dtype)
+    A[:, :, :4] = G
     A[:, :, 4:] = np.eye(4)
-    det = np.ones(len(L), dtype=np.longdouble)
+    pivots = np.empty((len(G), 4), dtype=G.dtype)
     for k in range(4):
-        piv = A[:, k, k].copy()
-        if not np.all(piv > 0.0):
-            bad = int(np.flatnonzero(~(piv > 0.0))[0])
-            raise DegenerateSimplexError(
-                f"simplex {bad} of the batch has no nondegenerate Euclidean realization"
-            )
-        det *= piv
+        pivots[:, k] = A[:, k, k]
         window = slice(k + 1, k + 5)
-        A[:, k, window] /= piv[:, None]
+        A[:, k, window] /= pivots[:, k, None]
         others = _OTHER_ROWS[k]
         A[:, others, window] -= A[:, others, k, None] * A[:, k, None, window]
-    mean_edge = np.sqrt(np.maximum(edges, 0.0)).mean(axis=1).astype(np.longdouble)
+    # contiguous, so that the sums of _gram_of_inverse reduce in the order they always have
+    return np.ascontiguousarray(A[:, :, 4:]), pivots
+
+
+def _edge_gram(L):
+    """(N, 4, 4) edge-vector Gram matrices at vertex 0, G_pq = (L_0p + L_0q - L_pq) / 2, in L's dtype."""
+    return 0.5 * (L[:, 0, 1:, None] + L[:, 0, None, 1:] - L[:, 1:, 1:])
+
+
+def _mean_edge(L):
+    """(N,) mean edge lengths of a float64 stack, as geometry.cell_volumes takes them."""
+    return np.sqrt(np.maximum(L[:, geometry.EDGE_I, geometry.EDGE_J], 0.0)).mean(axis=1)
+
+
+def _gram_of_inverse(inv):
+    """(N, 5, 5) facet-normal Gram matrices P from the inverses of the edge-vector Grams.
+
+    P's lower-right 4x4 block is G^-1, and the row sums give the normal at
+    vertex 0.
+    """
+    P = np.empty((len(inv), 5, 5), dtype=inv.dtype)
+    P[:, 1:, 1:] = inv
+    P[:, 0, 1:] = P[:, 1:, 0] = -inv.sum(axis=1)
+    P[:, 0, 0] = inv.sum(axis=(1, 2))
+    return P
+
+
+def _normal_gram(L, cells=None):
+    """Gram matrix P of the facet normals (barycentric-coordinate gradients), in extended precision.
+
+    The kernel's thin pass.  P is the lower-right 5x5 block of the inverse
+    bordered Cayley-Menger matrix.  It is obtained as the inverse of the
+    edge-vector Gram matrix at vertex 0 (_edge_gram), det G = 576 V^2, by
+    _eliminate in np.longdouble where the platform has it: on thin
+    simplices a float64 inverse loses about ten times more than the
+    rounding of the lengths themselves.  A table whose G is not positive
+    definite, or whose |V| falls below geometry.DEGENERACY_REL * (mean edge
+    length)^4, is rejected: the floor of geometry.cell_volumes, taken here
+    from the lengths.  A pivot that is not positive is reported at the
+    first step that has one, for the first table there, as an elimination
+    that stops at that step reports it.  The mean edge is taken in float64,
+    as cell_volumes takes it; its fourth power and the floor's square are
+    then formed by products in extended precision, whose range holds them
+    at any scale of the lengths.  cells gives each table's index in the
+    batch the errors name (by default its place in L).
+    """
+    mean_edge = _mean_edge(np.asarray(L, dtype=float)).astype(np.longdouble)
+    L = np.asarray(L, dtype=np.longdouble)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        inv, pivots = _eliminate(_edge_gram(L))
+    names = np.arange(len(L)) if cells is None else cells
+    not_positive = ~(pivots > 0.0)
+    if not_positive.any():
+        step = int(not_positive.any(axis=0).argmax())
+        bad = names[int(not_positive[:, step].argmax())]
+        raise DegenerateSimplexError(
+            f"simplex {bad} of the batch has no nondegenerate Euclidean realization"
+        )
+    det = pivots[:, 0] * pivots[:, 1] * pivots[:, 2] * pivots[:, 3]
     mean_edge2 = mean_edge * mean_edge
     floor = geometry.DEGENERACY_REL * (mean_edge2 * mean_edge2)
     bad = np.flatnonzero(~(det / 576.0 > floor * floor))
     if bad.size:
         raise DegenerateSimplexError(
-            f"simplex {int(bad[0])} of the batch is degenerate "
+            f"simplex {names[int(bad[0])]} of the batch is degenerate "
             f"(|V| below {geometry.DEGENERACY_REL:g} mean_edge^4)"
         )
-    # contiguous, so that the sums below reduce in the order they always have
-    inv = np.ascontiguousarray(A[:, :, 4:])
-    P = np.empty((len(L), 5, 5), dtype=np.longdouble)
-    P[:, 1:, 1:] = inv
-    P[:, 0, 1:] = P[:, 1:, 0] = -inv.sum(axis=1)
-    P[:, 0, 0] = inv.sum(axis=(1, 2))
-    return P
+    return _gram_of_inverse(inv)
+
+
+def _normal_grams(L):
+    """The facet-normal Gram matrices of an (N, 5, 5) stack, by pass: [(cells, P), ...].
+
+    The float64 pass eliminates every table (_eliminate in float64) and
+    keeps those it can trust; the others are thin and are re-run through
+    _normal_gram in extended precision, its errors naming their batch
+    indices.  From the float64 pivots a table's squared quality is taken
+    scale-free, prod_k (pivot_k / mean_edge^2) / 576 = (|V| / mean_edge^4)^2,
+    so that nothing overflows at any scale.  A table is thin when
+        - its quality is below geometry.THIN_QUALITY,
+        - a float64 pivot is not positive or an entry of its inverse is not
+          finite, or
+        - its squared mean edge lies outside [1 / _FLOAT64_SCALE,
+          _FLOAT64_SCALE]: from about 1e+-200 on, products of entries of P
+          leave the float64 range and the blocks would not be finite.
+    Degenerate tables are far below THIN_QUALITY in either precision, so
+    every error is the extended-precision route's own.
+
+    Returns one pass, (slice(None), P) in float64, when no table is thin,
+    else the float64 tables' (indices, P) and the thin ones' (indices, P)
+    in np.longdouble.
+    """
+    L = np.asarray(L, dtype=float)
+    scale = _mean_edge(L)
+    scale *= scale
+    with np.errstate(all="ignore"):  # the values of thin tables are discarded
+        inv, pivots = _eliminate(_edge_gram(L))
+        rel = pivots / scale[:, None]
+        quality2 = rel[:, 0] * rel[:, 1] * rel[:, 2] * rel[:, 3] / 576.0
+    kept = ((quality2 >= geometry.THIN_QUALITY**2) & (pivots > 0.0).all(axis=1)
+            & np.isfinite(inv).all(axis=(1, 2))
+            & (scale >= 1.0 / _FLOAT64_SCALE) & (scale <= _FLOAT64_SCALE))
+    if kept.all():
+        return [(slice(None), _gram_of_inverse(inv))]
+    kept, thin = np.flatnonzero(kept), np.flatnonzero(~kept)
+    return [(kept, _gram_of_inverse(inv[kept])), (thin, _normal_gram(L[thin], thin))]
+
+
+def _by_pass(L, kernel):
+    """kernel(P, cells) of each pass of _normal_grams(L), a tuple of (n, ...)
+    float64 arrays per pass, merged into batch order."""
+    passes = _normal_grams(L)
+    results = [kernel(P, cells) for cells, P in passes]
+    if len(results) == 1:
+        return results[0]
+    merged = []
+    for parts in zip(*results):
+        out = np.empty((len(L),) + parts[0].shape[1:])
+        for (cells, _), part in zip(passes, parts):
+            out[cells] = part
+        merged.append(out)
+    return tuple(merged)
 
 
 def _gram_angles(P, faces=range(10)):
@@ -162,10 +262,11 @@ def _gram_dtheta_dL(P, eps, faces=range(10)):
     do (halving, doubling and sign flips are exact).  The bracket is
     W[x] + W[y] for the per-vertex terms W[v, ij] = P_vi P_vj / P_vv,
     formed once per table for its five vertices and gathered at the faces.
-    Every block-sized longdouble operation is in place, ordered so that at
-    most four block-sized arrays are alive.  The division by eps is exact
-    only for eps = +-1, so any other sign is a ValueError.  Raises
-    DegenerateSimplexError when a derivative is not finite in float64.
+    P is float64 or, on the thin pass, np.longdouble; every block-sized
+    operation is in place, ordered so that at most four block-sized arrays
+    are alive.  The division by eps is exact only for eps = +-1, so any
+    other sign is a ValueError.  Raises DegenerateSimplexError when a
+    derivative is not finite in float64.
     """
     x, y = geometry.OPP_X[faces, None], geometry.OPP_Y[faces, None]
     i, j, v = geometry.EDGE_I, geometry.EDGE_J, _VERTICES
@@ -205,10 +306,10 @@ def _gram_dtheta_dL(P, eps, faces=range(10)):
 def dihedral_angles_batch(L):
     """(N, 10) dihedral-angle magnitudes of an (N, 5, 5) stack, FACES5 order.
 
-    From the facet-normal Gram matrix P of _normal_gram: the angle at the
-    face opposite the vertices x, y has cos = -P_xy / sqrt(P_xx P_yy).
+    From the facet-normal Gram matrices P of _normal_grams: the angle at
+    the face opposite the vertices x, y has cos = -P_xy / sqrt(P_xx P_yy).
     """
-    return _gram_angles(_normal_gram(L))
+    return _by_pass(L, lambda P, cells: (_gram_angles(P),))[0]
 
 
 def dtheta_dL_blocks(L, eps):
@@ -217,19 +318,22 @@ def dtheta_dL_blocks(L, eps):
     L is an (N, 5, 5) stack of squared-length tables and eps the N simplex
     signs.  Raises DegenerateSimplexError on a degenerate table.
     """
-    return _gram_dtheta_dL(_normal_gram(L), eps)
+    eps = np.asarray(eps, dtype=float).reshape(-1)
+    return _by_pass(L, lambda P, cells: (_gram_dtheta_dL(P, eps[cells]),))[0]
 
 
 def face_angle_rows(L, eps, faces):
-    """The angles and dtheta/dL rows of the given faces of every table, from one _normal_gram.
+    """The angles and dtheta/dL rows of the given faces of every table, from one _normal_grams.
 
     faces lists FACES5 rows, evaluated for every table of the (N, 5, 5)
     stack L; returns the (N, k) magnitudes and (N, k, 10) signed derivative
     rows of its k faces, each entry bitwise that of dihedral_angles_batch(L)
     and dtheta_dL_blocks(L, eps) at that face.
     """
-    P = _normal_gram(L)
-    return _gram_angles(P, faces), _gram_dtheta_dL(P, eps, faces)
+    eps = np.asarray(eps, dtype=float).reshape(-1)
+    return _by_pass(
+        L, lambda P, cells: (_gram_angles(P, faces), _gram_dtheta_dL(P, eps[cells], faces))
+    )
 
 
 def domega_dS_blocks(dtheta, dS_dL):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from types import SimpleNamespace
@@ -366,6 +367,46 @@ def admissible_triangles(c, limit=None):
         if len(found) == limit:
             break
     return found
+
+
+def thin_simplices():
+    """(6, 5, 4) points of six thin simplices and their (6,) signs: one vertex
+    close to the opposite facet, |V| / mean_edge^4 ~ 1e-6..2e-5."""
+    rng = np.random.default_rng(5)
+    points = []
+    for _ in range(6):
+        pts = rng.standard_normal((5, 4))
+        normal = np.linalg.svd(pts[1:4] - pts[0])[2][-1]
+        pts[4] = rng.dirichlet(np.full(4, 3.0)) @ pts[:4] + 1e-3 * normal
+        points.append(pts)
+    points = np.stack(points)
+    signs = np.array([1 if g.signed_volume4(pts) > 0 else -1 for pts in points])
+    return points, signs
+
+
+def join72(seed=72, sphere_triangles=24, placements=40):
+    """Cells and points of a seeded stacked 2-sphere of 24 triangles joined with a 3-cycle.
+
+    The placement is the best of 40 unit-ball draws by the worst cell's
+    |V| / mean_edge^4: the library sampler's floor is out of reach at 72 cells.
+    """
+    rng = np.random.default_rng(seed)
+    triangles = list(itertools.combinations(range(4), 3))
+    nv = 4
+    while len(triangles) < sphere_triangles:
+        tri = triangles.pop(int(rng.integers(len(triangles))))
+        triangles += [pair + (nv,) for pair in itertools.combinations(tri, 2)]
+        nv += 1
+    circle = ((nv, nv + 1), (nv + 1, nv + 2), (nv, nv + 2))
+    cells = cx.orient_consistently([tri + edge for tri in triangles for edge in circle])
+
+    def worst(pts):
+        return min(abs(g.signed_volume4(pts[list(cell)]))
+                   / g.mean_edge_length(g.squared_length_table(pts[list(cell)])) ** 4
+                   for cell in cells)
+
+    best = max((unit_ball_points(rng, nv + 3) for _ in range(placements)), key=worst)
+    return cells, dict(enumerate(best))
 
 
 # The report writer as it wrote a 1-d float64 array before io.dumps formed the

@@ -207,6 +207,14 @@ def test_find_faces_is_the_tuple_table_lookup(join_complex):
                 wide.find_faces([[0, 1, 2]])
 
 
+@pytest.mark.parametrize("ids", [[[0, 1, 2, 3]], [0], [[0]], [[]], 0, np.zeros((2, 0), dtype=int)],
+                         ids=["width 4", "width 1", "rows of 1", "rows of 0", "scalar", "empty rows"])
+def test_find_faces_rejects_rows_that_are_not_edges_or_triangles(bipyramid, ids):
+    width = "a scalar" if np.ndim(ids) == 0 else f"width {np.shape(ids)[-1]}"
+    with pytest.raises(ComplexStructureError, match=f"rows of 2 or 3 vertex ids, not {width}$"):
+        bipyramid.find_faces(ids)
+
+
 def test_total_boundary_of_delta5_vanishes(delta5):
     # every tetrahedron receives opposite induced orientations
     assert np.bincount(delta5.simplex_tetrahedra.ravel()).tolist() == [2] * 15

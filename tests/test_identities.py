@@ -160,13 +160,13 @@ def test_cluster_assembles_each_gradient_once(monkeypatch):
 
 def test_cluster_stack_and_its_gradients_take_one_normal_gram(monkeypatch):
     calls = []
-    original = jb._normal_gram
+    original = jb._normal_grams
 
     def counted(L):
         calls.append(len(L))
         return original(L)
 
-    monkeypatch.setattr(jb, "_normal_gram", counted)
+    monkeypatch.setattr(jb, "_normal_grams", counted)
     draws = idn.TrialDraws(5, 21)
     for battery in (idn.battery_two_edge_ratio, idn.battery_six_term,
                     idn.battery_cluster_closed_forms):
@@ -198,9 +198,8 @@ def reference_for(seeds):
 
 
 def angles_and_dtheta_dL(L, eps):
-    """All ten angles and (10, 10) dtheta/dL blocks of every table from one _normal_gram."""
-    P = jb._normal_gram(L)
-    return jb._gram_angles(P), jb._gram_dtheta_dL(P, eps)
+    """All ten angles and (10, 10) dtheta/dL blocks of every table."""
+    return jb.dihedral_angles_batch(L), jb.dtheta_dL_blocks(L, eps)
 
 
 # the three cells through each side's central triangle in cell order, the

@@ -59,20 +59,27 @@ def cluster_reference(points):
 
     Returns the six hat volumes, taken from one 12-row stack of the hats and
     the listed cluster cells, and per side the deficit, the (15,) gradient
-    and the area at the central triangle.  Each cell's length table is in
-    its listed vertex order, the gradient is scattered cell by cell and the
-    area is its own Cayley-Menger determinant.
+    and the area at the central triangle.  Each cell's sign is that of its
+    listed vertex order, and its length table is in ascending vertex order
+    with the squared lengths rounded as ClusterSix rounds them (a 1x4 by
+    4x1 product per pair): the float64 kernel puts two vertex orders, or
+    two roundings of the lengths, up to about 2e-12 of a block's largest
+    entry apart on cells of quality 1e-4 to 1e-3, and the symmetric
+    cluster has such cells.  The gradient is scattered cell by cell and
+    the area is its own Cayley-Menger determinant.
     """
     hats = [[v for v in range(6) if v != x] for x in range(6)]
     stack = np.array(hats + list(BEFORE_CELLS + AFTER_CELLS))
     volumes, _ = g.cell_volumes(points[stack], g.DEGENERACY_REL)
-    L6 = g.squared_length_table(points)
+    d = points[:, None] - points[None]
+    L6 = np.matmul(d[..., None, :], d[..., :, None])[..., 0, 0]
     sides = {}
     for side, cells, face, cell_volumes in (
         ("abc", BEFORE_CELLS, (0, 1, 2), volumes[6:9]),
         ("def", AFTER_CELLS, (3, 4, 5), volumes[9:]),
     ):
         signs = [1 if vol > 0 else -1 for vol in cell_volumes.tolist()]
+        cells = [sorted(cell) for cell in cells]
         tables = np.stack([L6[np.ix_(cell, cell)] for cell in cells])
         rows = [g.FACE_INDEX5[tuple(sorted(cell.index(v) for v in face))] for cell in cells]
         theta = jb.dihedral_angles_batch(tables)

@@ -1138,7 +1138,9 @@ INTEGER_DTYPES = (np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np
 def test_dumps_writes_integer_arrays_as_their_item_text():
     # 1-d and 2-d arrays of every integer dtype (big-endian ones included):
     # the text of json.dumps(a.tolist()), through the range table (values
-    # repeat) and through the per-item table (a range wider than the array)
+    # repeat) and through the per-item table (a range wider than the array).
+    # dumps hands arrays of fewer than _INT_TABLE_ITEMS items to json itself;
+    # the byte table is checked on every array directly
     rng = np.random.default_rng(5)
     cases = [
         np.zeros(0, dtype=np.int64), np.zeros((0, 3), dtype=np.int64),
@@ -1156,8 +1158,10 @@ def test_dumps_writes_integer_arrays_as_their_item_text():
         cases += [extremes, extremes[::-2], np.repeat(extremes, 3), extremes.reshape(2, 4),
                   extremes.reshape(4, 2)[::-1, ::-1], extremes.reshape(2, 4).T, low,
                   np.repeat(low, 2).reshape(6, 4), high[::-1], high.reshape(3, 4)[:, ::2]]
+    assert {a.size < pio._INT_TABLE_ITEMS for a in cases} == {True, False}
     for a in cases:
         want = json.dumps(a.tolist())
+        assert pio._int_array_text(a) == want, (a.dtype, a.shape)
         assert pio.dumps(a) == want, (a.dtype, a.shape)
         assert pio.dumps({"a": a}) == '{"a": ' + want + "}"
 

@@ -2,6 +2,7 @@
 import decimal
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -26,6 +27,7 @@ from conftest import (
     rank_and_submatrix_dense,
     selection_bits,
     symmetry_residual_dense,
+    thin_simplices,
 )
 
 UNIT_L = np.ones((5, 5)) - np.eye(5)
@@ -41,8 +43,10 @@ def dtheta_dL_simplex(L, eps):
     return jb.dtheta_dL_blocks(g.validate_length_table(L, size=5)[None], [eps])[0]
 
 
-def normal_gram_rowwise(L):
-    """The facet-normal Gram with the row-by-row Gauss-Jordan update, kept as a reference."""
+def normal_gram_rowwise(L, cells=None):
+    """The facet-normal Gram with the row-by-row Gauss-Jordan update, kept as a
+    reference of the thin pass; cells gives the batch indices its errors name."""
+    names = np.arange(len(L)) if cells is None else cells
     L = np.asarray(L, dtype=np.longdouble)
     A = 0.5 * (L[:, 0, 1:, None] + L[:, 0, None, 1:] - L[:, 1:, 1:])
     inv = np.broadcast_to(np.eye(4, dtype=np.longdouble), A.shape).copy()
@@ -50,7 +54,7 @@ def normal_gram_rowwise(L):
     for k in range(4):
         piv = A[:, k, k].copy()
         if not np.all(piv > 0.0):
-            bad = int(np.flatnonzero(~(piv > 0.0))[0])
+            bad = names[int(np.flatnonzero(~(piv > 0.0))[0])]
             raise DegenerateSimplexError(
                 f"simplex {bad} of the batch has no nondegenerate Euclidean realization"
             )
@@ -67,7 +71,7 @@ def normal_gram_rowwise(L):
     bad = np.flatnonzero(~(det / 576.0 > floor * floor))
     if bad.size:
         raise DegenerateSimplexError(
-            f"simplex {int(bad[0])} of the batch is degenerate "
+            f"simplex {names[int(bad[0])]} of the batch is degenerate "
             f"(|V| below {g.DEGENERACY_REL:g} mean_edge^4)"
         )
     P = np.empty((len(L), 5, 5), dtype=np.longdouble)
@@ -77,9 +81,10 @@ def normal_gram_rowwise(L):
     return P
 
 
-def normal_gram_full_width(L):
+def normal_gram_full_width(L, cells=None):
     """The facet-normal Gram with every Gauss-Jordan step over all eight columns of
     [G | I], kept as the bitwise reference of the steps over a column window."""
+    names = np.arange(len(L)) if cells is None else cells
     L = np.asarray(L, dtype=np.longdouble)
     A = np.empty((len(L), 4, 8), dtype=np.longdouble)
     A[:, :, :4] = 0.5 * (L[:, 0, 1:, None] + L[:, 0, None, 1:] - L[:, 1:, 1:])
@@ -88,7 +93,7 @@ def normal_gram_full_width(L):
     for k in range(4):
         piv = A[:, k, k].copy()
         if not np.all(piv > 0.0):
-            bad = int(np.flatnonzero(~(piv > 0.0))[0])
+            bad = names[int(np.flatnonzero(~(piv > 0.0))[0])]
             raise DegenerateSimplexError(
                 f"simplex {bad} of the batch has no nondegenerate Euclidean realization"
             )
@@ -101,7 +106,7 @@ def normal_gram_full_width(L):
     bad = np.flatnonzero(~(det / 576.0 > floor * floor))
     if bad.size:
         raise DegenerateSimplexError(
-            f"simplex {int(bad[0])} of the batch is degenerate "
+            f"simplex {names[int(bad[0])]} of the batch is degenerate "
             f"(|V| below {g.DEGENERACY_REL:g} mean_edge^4)"
         )
     inv = np.ascontiguousarray(A[:, :, 4:])
@@ -110,6 +115,55 @@ def normal_gram_full_width(L):
     P[:, 0, 1:] = P[:, 1:, 0] = -inv.sum(axis=1)
     P[:, 0, 0] = inv.sum(axis=(1, 2))
     return P
+
+
+def float64_pass_rowwise(L):
+    """The float64 pass with the row-by-row update: the (N, 5, 5) Gram matrices
+    of every table and whether each is kept, the squared quality taken from the
+    pivots one factor at a time; kept as the reference of jb._normal_grams."""
+    L = np.asarray(L, dtype=float)
+    A = 0.5 * (L[:, 0, 1:, None] + L[:, 0, None, 1:] - L[:, 1:, 1:])
+    inv = np.broadcast_to(np.eye(4), A.shape).copy()
+    mean_edge = np.sqrt(np.maximum(L[:, g.EDGE_I, g.EDGE_J], 0.0)).mean(axis=1)
+    scale = mean_edge * mean_edge
+    quality2 = np.ones(len(L))
+    positive = np.ones(len(L), dtype=bool)
+    with np.errstate(all="ignore"):
+        for k in range(4):
+            piv = A[:, k, k].copy()
+            positive &= piv > 0.0
+            quality2 *= piv / scale
+            A[:, k] /= piv[:, None]
+            inv[:, k] /= piv[:, None]
+            for r in range(4):
+                if r != k:
+                    f = A[:, r, k, None].copy()
+                    A[:, r] -= f * A[:, k]
+                    inv[:, r] -= f * inv[:, k]
+        quality2 /= 576.0
+    kept = (positive & (quality2 >= g.THIN_QUALITY**2) & np.isfinite(inv).all(axis=(1, 2))
+            & (1.0 / 1e100 <= scale) & (scale <= 1e100))
+    P = np.empty((len(L), 5, 5))
+    P[:, 1:, 1:] = inv
+    P[:, 0, 1:] = P[:, 1:, 0] = -inv.sum(axis=1)
+    P[:, 0, 0] = inv.sum(axis=(1, 2))
+    return P, kept
+
+
+def normal_grams_reference(L):
+    """The passes of jb._normal_grams from float64_pass_rowwise, the thin tables
+    through jb._normal_gram as it is at the call (a reference when patched)."""
+    P, kept = float64_pass_rowwise(L)
+    if kept.all():
+        return [(slice(None), P)]
+    kept, thin = np.flatnonzero(kept), np.flatnonzero(~kept)
+    return [(kept, P[kept]), (thin, jb._normal_gram(np.asarray(L)[thin], thin))]
+
+
+def passes_bytes(passes):
+    """The cells and Gram values of each pass of a _normal_grams result."""
+    return [(np.arange(len(P))[cells].tobytes() if isinstance(cells, slice) else cells.tobytes(),
+             P.dtype, value_bytes(P)) for cells, P in passes]
 
 
 def value_bytes(a):
@@ -180,8 +234,10 @@ def scatter_blocks_add_at(shape, rows, cols, blocks):
 
 
 def use_reference_routes(patched, normal_gram=normal_gram_rowwise):
-    """Swap in a reference Gram (row by row unless given), the angles in the
-    gathers' layout, the term-by-term kernel and the add.at scatter."""
+    """Swap in the row-by-row float64 pass, a reference Gram for the thin pass
+    (row by row unless given), the angles in the gathers' layout, the
+    term-by-term kernel and the add.at scatter."""
+    patched.setattr(jb, "_normal_grams", normal_grams_reference)
     patched.setattr(jb, "_normal_gram", normal_gram)
     patched.setattr(jb, "_gram_angles", gram_angles_reference)
     patched.setattr(jb, "_gram_dtheta_dL", gram_dtheta_dL_reference)
@@ -332,17 +388,9 @@ def exact_precision_dtheta_dL(L, eps):
 
 
 def thin_tables():
-    """Six thin simplices and their signs: one vertex close to the opposite
-    facet, |V| / mean_edge^4 ~ 1e-6..1e-5."""
-    rng = np.random.default_rng(5)
-    tables, signs = [], []
-    for _ in range(6):
-        pts = rng.standard_normal((5, 4))
-        normal = np.linalg.svd(pts[1:4] - pts[0])[2][-1]
-        pts[4] = rng.dirichlet(np.full(4, 3.0)) @ pts[:4] + 1e-3 * normal
-        tables.append(g.squared_length_table(pts))
-        signs.append(1 if g.signed_volume4(pts) > 0 else -1)
-    return np.stack(tables), signs
+    """The squared-length tables and signs of the six thin_simplices."""
+    points, signs = thin_simplices()
+    return g.squared_length_table(points), signs.tolist()
 
 
 @pytest.mark.skipif(
@@ -387,14 +435,20 @@ def test_normal_gram_broadcast_step_is_the_rowwise_elimination(
 ):
     cases = [(delta5, delta5_metric), (join_complex, join_metric)]
     cases += [(c, fm.realize(c, coords)) for c, coords in stellar_ladder.values()]
+    split = 0
     for c, m in cases:
         tables = jb.length_tables(m.L, c.simplex_edges)
         # longdouble padding bytes are not part of the value: compare values, not bytes
         assert np.array_equal(jb._normal_gram(tables), normal_gram_rowwise(tables))
+        passes = jb._normal_grams(tables)
+        assert passes_bytes(passes) == passes_bytes(normal_grams_reference(tables))
+        split += len(passes) == 2
         blocks = jb.dtheta_dL_blocks(tables, m.eps)
         with monkeypatch.context() as patched:
+            patched.setattr(jb, "_normal_grams", normal_grams_reference)
             patched.setattr(jb, "_normal_gram", normal_gram_rowwise)
             assert np.array_equal(blocks, jb.dtheta_dL_blocks(tables, m.eps))
+    assert split  # the 166-cell rung has thin cells
 
 
 def kernel_outputs(tables, eps):
@@ -430,6 +484,7 @@ def test_kernel_and_assemblies_are_the_reference_routes_bitwise(
 
     def outputs():
         return ([value_bytes(jb._normal_gram(tables)) for tables, _ in stacks],
+                [passes_bytes(jb._normal_grams(tables)) for tables, _ in stacks],
                 [kernel_outputs(tables, eps) for tables, eps in stacks],
                 [assembled_outputs(c, m) for c, m in placed])
 
@@ -446,15 +501,21 @@ def test_angles_are_c_ordered_and_bitwise_the_gathered_ones(stellar_ladder):
     c, coords = stellar_ladder[max(LADDER_RUNGS)]
     m = fm.realize(c, coords)
     tables = jb.length_tables(m.L, c.simplex_edges)
-    P = jb._normal_gram(tables)
-    theta, gathered = jb.dihedral_angles_batch(tables), gram_angles_reference(P)
-    assert not gathered.flags.c_contiguous  # the gathers lay the batch axis innermost
-    assert theta.flags.c_contiguous and theta.tobytes() == gathered.tobytes()
+    theta = jb.dihedral_angles_batch(tables)
+    rows = jb.face_angle_rows(tables, m.eps, [0, 9])[0]
+    assert theta.flags.c_contiguous and rows.flags.c_contiguous
+    passes = jb._normal_grams(tables)
+    assert [P.dtype for _, P in passes] == [np.dtype(float), np.dtype(np.longdouble)]
+    for cells, P in passes:
+        gathered = gram_angles_reference(P)
+        assert not gathered.flags.c_contiguous  # the gathers lay the batch axis innermost
+        got = jb._gram_angles(P)
+        assert got.flags.c_contiguous and got.tobytes() == gathered.tobytes()
+        assert theta[cells].tobytes() == gathered.tobytes()
+        assert rows[cells].tobytes() == gram_angles_reference(P, [0, 9]).tobytes()
     # so the signed angles of deficit_omega ravel without a copy
     signed = -m.eps[:, None] * theta
     assert np.shares_memory(signed.ravel(), signed)
-    rows = jb.face_angle_rows(tables, m.eps, [0, 9])[0]
-    assert rows.flags.c_contiguous and rows.tobytes() == gram_angles_reference(P, [0, 9]).tobytes()
 
 
 def traced_peak(call):
@@ -470,8 +531,9 @@ def traced_peak(call):
 def test_kernel_and_assembly_peak_no_higher_than_the_reference_routes(
     monkeypatch, stellar_ladder
 ):
-    # the in-place kernel frees each block-sized longdouble array early and
-    # the bincount scatter forms one (N, 10, 10) key array in its place
+    # the in-place kernel frees each block-sized array early and the
+    # bincount scatter forms one (N, 10, 10) key array in its place; the
+    # rung has thin cells, so both passes run
     c, coords = stellar_ladder[max(LADDER_RUNGS)]
     m = fm.realize(c, coords)
     tables = jb.length_tables(m.L, c.simplex_edges)
@@ -572,6 +634,80 @@ def test_degeneracy_floor_is_the_cell_volumes_floor(scale):
                 jb.dtheta_dL_blocks(L, eps)
         else:
             assert np.isfinite(jb.dtheta_dL_blocks(L, eps)).all()
+
+
+def mixed_stack():
+    """(tables, signs, thin) of a stack mixing the kernel's two passes.
+
+    Thick cells (quality 1.7e-3 to 1.1e-2), the thin simplices, both kinds
+    scaled by 1e-45 and 1e45, and thick cells scaled by 1e-75 and 1e75,
+    whose squared mean edges leave the float64 pass's range.  thin marks
+    the tables the extended-precision pass takes.
+    """
+    thick = np.stack([g.squared_length_table(random_simplex(300 + s)) for s in range(4)])
+    thick_signs = [1 if g.signed_volume4(random_simplex(300 + s)) > 0 else -1 for s in range(4)]
+    thin, thin_signs = thin_tables()
+    parts = [(thick, thick_signs, False), (thin, thin_signs, True)]
+    for scale in (1e-45, 1e45):
+        parts += [(thick[:2] * scale**2, thick_signs[:2], False),
+                  (thin[:2] * scale**2, thin_signs[:2], True)]
+    parts += [(thick[2:] * scale**2, thick_signs[2:], True) for scale in (1e-75, 1e75)]
+    order = np.random.default_rng(8).permutation(sum(len(t) for t, _, _ in parts))
+    tables = np.concatenate([t for t, _, _ in parts])[order]
+    signs = np.concatenate([s for _, s, _ in parts]).astype(float)[order]
+    thin = np.concatenate([np.full(len(t), is_thin) for t, _, is_thin in parts])[order]
+    return tables, signs, thin
+
+
+def test_mixed_stack_takes_each_cell_through_its_pass_bitwise():
+    tables, signs, thin = mixed_stack()
+    faces = [0, 9, 4]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        passes = jb._normal_grams(tables)
+        blocks = jb.dtheta_dL_blocks(tables, signs)
+        angles = jb.dihedral_angles_batch(tables)
+        theta, rows = jb.face_angle_rows(tables, signs, faces)
+    (kept, P64), (rerun, P) = passes
+    assert kept.tolist() == np.flatnonzero(~thin).tolist()
+    assert rerun.tolist() == np.flatnonzero(thin).tolist()
+    assert P64.dtype == np.float64 and P.dtype == np.longdouble
+    # each pass is bitwise its kernel on its own tables: the float64
+    # elimination on the thick ones, today's extended-precision route on
+    # the thin ones
+    P64 = jb._gram_of_inverse(jb._eliminate(jb._edge_gram(tables[kept]))[0])
+    for cells, P in ((kept, P64), (rerun, normal_gram_rowwise(tables[rerun]))):
+        assert blocks[cells].tobytes() == gram_dtheta_dL_reference(P, signs[cells]).tobytes()
+        assert angles[cells].tobytes() == gram_angles_reference(P).tobytes()
+        assert theta[cells].tobytes() == gram_angles_reference(P, faces).tobytes()
+        assert rows[cells].tobytes() == gram_dtheta_dL_reference(P, signs[cells], faces).tobytes()
+    assert blocks.flags.c_contiguous and np.isfinite(blocks).all()
+
+
+def test_mixed_stack_errors_name_the_batch_index():
+    tables, signs, thin = mixed_stack()
+    # a cell below the degeneracy floor, and a table with no realization
+    below = g.squared_length_table(elongated_cell(0.5 * g.DEGENERACY_REL))
+    not_euclidean = UNIT_L.copy()
+    not_euclidean[0, 1] = not_euclidean[1, 0] = 10.0
+    last_thin = int(np.flatnonzero(thin)[-1])
+    for bad, text in ((below, "is degenerate"),
+                      (not_euclidean, "has no nondegenerate Euclidean realization")):
+        # after the last thin table: its index among the thin ones is not its batch index
+        at = last_thin + 1
+        stack = np.insert(tables, at, bad, axis=0)
+        for call in (lambda: jb.dtheta_dL_blocks(stack, np.insert(signs, at, 1.0)),
+                     lambda: jb.dihedral_angles_batch(stack),
+                     lambda: jb.face_angle_rows(stack, np.insert(signs, at, 1.0), [0])):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DegenerateSimplexError) as got:
+                    call()
+            assert str(got.value).startswith(f"simplex {at} of the batch {text}")
+            # the text of the extended-precision route on the whole batch
+            with pytest.raises(DegenerateSimplexError) as want:
+                normal_gram_rowwise(stack)
+            assert str(got.value) == str(want.value)
 
 
 # ------------------------------------------------------ global assemblies

@@ -8,18 +8,16 @@ log|I| must survive it, the last up to rounding.
 """
 import contextlib
 import io
-import itertools
 import json
 
 import numpy as np
 import pytest
 
 from pachner33 import complexes as cx
-from pachner33 import geometry as g
 from pachner33 import io as pio
 from pachner33.cli import main
 
-from conftest import admissible_triangles, unit_ball_points
+from conftest import admissible_triangles, join72
 
 FIXTURES = ("boundary_delta5.json", "join_tetra_triangle.json", "bipyramid_10cell.json")
 RUNGS = (26, 86, 166)
@@ -28,31 +26,6 @@ KEY_FIELDS = {("face",), ("new_face",), ("matrices", "face_keys"), ("matrices", 
     ("selection", key) for key in ("rows", "cols", "rows_complement", "cols_complement")
 }
 LOG_TOL = 1e-11
-
-
-def join72(seed=72, sphere_triangles=24, placements=40):
-    """Cells and points of a seeded stacked 2-sphere of 24 triangles joined with a 3-cycle.
-
-    The placement is the best of 40 unit-ball draws by the worst cell's
-    |V| / mean_edge^4: the library sampler's floor is out of reach at 72 cells.
-    """
-    rng = np.random.default_rng(seed)
-    triangles = list(itertools.combinations(range(4), 3))
-    nv = 4
-    while len(triangles) < sphere_triangles:
-        tri = triangles.pop(int(rng.integers(len(triangles))))
-        triangles += [pair + (nv,) for pair in itertools.combinations(tri, 2)]
-        nv += 1
-    circle = ((nv, nv + 1), (nv + 1, nv + 2), (nv, nv + 2))
-    cells = cx.orient_consistently([tri + edge for tri in triangles for edge in circle])
-
-    def worst(pts):
-        return min(abs(g.signed_volume4(pts[list(cell)]))
-                   / g.mean_edge_length(g.squared_length_table(pts[list(cell)])) ** 4
-                   for cell in cells)
-
-    best = max((unit_ball_points(rng, nv + 3) for _ in range(placements)), key=worst)
-    return cells, dict(enumerate(best))
 
 
 @pytest.fixture(scope="module")

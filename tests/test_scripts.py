@@ -112,6 +112,67 @@ def test_report_digest_at_this_checkout_equals_the_default():
     assert re.fullmatch(r"[0-9a-f]{64}\n", digests[0])
 
 
+def test_report_digest_against_its_own_checkout_shows_no_gap():
+    # every numeric field of both runs is the same: each gap prints as 0
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / "report_digest.py"), "identities", "611",
+         "--against", str(SCRIPTS.parent)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    header, *fields = done.stdout.splitlines()
+    assert header.split() == ["field", "max", "|a", "-", "b|", "/", "max(|a|,", "|b|)"]
+    assert "verify-identities.checks[schlafli].max_residual" in {f.split()[0] for f in fields}
+    assert all(f.split()[1] == "0" for f in fields), done.stdout
+
+
+@pytest.fixture
+def report_digest(monkeypatch):
+    """scripts/report_digest.py as a module, loaded without writing bytecode."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("report_digest", SCRIPTS / "report_digest.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_report_digest_against_tells_digits_from_other_bytes(report_digest, monkeypatch, capsys):
+    rd = report_digest
+    base = '{"command": "c", "x": 2.0, "n": [1, 2], "s": "t", "checks": [{"name": "k", "r": 1e-3}]}'
+    ours = [[0, base], [1, "not json"], [0, '{"command": "c", "v": nan, "w": inf}']]
+
+    def with_text(*replacements):
+        texts = [list(pair) for pair in ours]
+        for n, old, new in replacements:
+            texts[n][1] = texts[n][1].replace(old, new)
+        return texts
+
+    commands = ["c", "c", "c"]
+    gaps, differences = rd.compare(ours, ours, commands)
+    assert differences == [] and set(gaps.values()) == {0.0}
+    assert set(gaps) == {"c.x", "c.n[]", "c.checks[k].r", "c.v", "c.w"}
+    # the digits of a number: its relative gap, no difference
+    gaps, differences = rd.compare(ours, with_text((0, "2.0", "2.5"), (0, "1e-3", "2e-3")), commands)
+    assert differences == [] and gaps["c.x"] == 0.2 and gaps["c.checks[k].r"] == 0.5
+    gaps, differences = rd.compare(ours, with_text((2, "inf", "1.0")), commands)
+    assert differences == [] and gaps["c.w"] == float("inf")
+    # any other byte, a list's length or an exit code: a difference
+    for theirs in (with_text((0, '"t"', '"u"')), with_text((0, "[1, 2]", "[1, 2, 3]")),
+                   with_text((1, "json", "JSON")), with_text((0, '"x"', '"y"'))):
+        assert len(rd.compare(ours, theirs, commands)[1]) == 1
+    theirs = [list(pair) for pair in ours]
+    theirs[1][0] = 0
+    assert rd.compare(ours, theirs, commands)[1] == ["operation 1 (c): exit code 1 against 0"]
+    # main prints the gaps and the differences and exits 1 on a difference
+    for other, code in ((ours, 0), (with_text((0, '"t"', '"u"')), 1)):
+        monkeypatch.setattr(rd, "run_reports", lambda root, w, s, o=other: o if root.name == "b" else ours)
+        monkeypatch.setattr(sys, "argv", ["report_digest.py", "moves", "3", "--checkout", "a",
+                                          "--against", "b"])
+        assert rd.main() == code
+        out = capsys.readouterr().out
+        assert "c.x" in out and ("differs: operation 0 (c): c.s differs" in out) == bool(code)
+
+
 def load_perfbench_module(monkeypatch, name):
     """perfbench/<name>.py, loaded read-only (no bytecode written next to it)."""
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
