@@ -21,7 +21,9 @@ of each simplex's sorted vertex tuple.
   The kernel runs in float64, and only thin cells, those whose quality
   |V| / mean_edge^4 is below geometry.THIN_QUALITY = 2e-4, are re-run in
   extended precision (np.longdouble where the platform has it), through
-  the elimination and derivative every cell took before (_normal_grams).
+  the same elimination and derivative (_normal_grams).  One scale-free
+  quality, taken from the elimination pivots (_squared_quality), decides
+  both which cells are thin and which fall below the degeneracy floor.
   Against a 50-digit reference from the coordinates (the 60 thinnest
   cells of each band on fifteen 406-cell ladder rungs), a float64 block
   is within 3.6e-12 of its largest entry from quality 2e-4 to 1e-3 and
@@ -118,9 +120,15 @@ def _edge_gram(L):
     return 0.5 * (L[:, 0, 1:, None] + L[:, 0, None, 1:] - L[:, 1:, 1:])
 
 
-def _mean_edge(L):
-    """(N,) mean edge lengths of a float64 stack, as geometry.cell_volumes takes them."""
-    return np.sqrt(np.maximum(L[:, geometry.EDGE_I, geometry.EDGE_J], 0.0)).mean(axis=1)
+def _squared_quality(pivots, scale):
+    """(N,) squared qualities (|V| / mean_edge^4)^2 from the (N, 4) elimination pivots.
+
+    prod_k (pivot_k / scale) / 576 for the (N,) squared mean edges scale,
+    det G = prod_k pivot_k being 576 V^2: each factor is scale-free, so the
+    product stays in range at any scale of the lengths, in float64 too.
+    """
+    rel = pivots / scale[:, None]
+    return rel[:, 0] * rel[:, 1] * rel[:, 2] * rel[:, 3] / 576.0
 
 
 def _gram_of_inverse(inv):
@@ -136,85 +144,66 @@ def _gram_of_inverse(inv):
     return P
 
 
-def _normal_gram(L, cells=None):
-    """Gram matrix P of the facet normals (barycentric-coordinate gradients), in extended precision.
-
-    The kernel's thin pass.  P is the lower-right 5x5 block of the inverse
-    bordered Cayley-Menger matrix.  It is obtained as the inverse of the
-    edge-vector Gram matrix at vertex 0 (_edge_gram), det G = 576 V^2, by
-    _eliminate in np.longdouble where the platform has it: on thin
-    simplices a float64 inverse loses about ten times more than the
-    rounding of the lengths themselves.  A table whose G is not positive
-    definite, or whose |V| falls below geometry.DEGENERACY_REL * (mean edge
-    length)^4, is rejected: the floor of geometry.cell_volumes, taken here
-    from the lengths.  A pivot that is not positive is reported at the
-    first step that has one, for the first table there, as an elimination
-    that stops at that step reports it.  The mean edge is taken in float64,
-    as cell_volumes takes it; its fourth power and the floor's square are
-    then formed by products in extended precision, whose range holds them
-    at any scale of the lengths.  cells gives each table's index in the
-    batch the errors name (by default its place in L).
-    """
-    mean_edge = _mean_edge(np.asarray(L, dtype=float)).astype(np.longdouble)
-    L = np.asarray(L, dtype=np.longdouble)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        inv, pivots = _eliminate(_edge_gram(L))
-    names = np.arange(len(L)) if cells is None else cells
-    not_positive = ~(pivots > 0.0)
-    if not_positive.any():
-        step = int(not_positive.any(axis=0).argmax())
-        bad = names[int(not_positive[:, step].argmax())]
-        raise DegenerateSimplexError(
-            f"simplex {bad} of the batch has no nondegenerate Euclidean realization"
-        )
-    det = pivots[:, 0] * pivots[:, 1] * pivots[:, 2] * pivots[:, 3]
-    mean_edge2 = mean_edge * mean_edge
-    floor = geometry.DEGENERACY_REL * (mean_edge2 * mean_edge2)
-    bad = np.flatnonzero(~(det / 576.0 > floor * floor))
-    if bad.size:
-        raise DegenerateSimplexError(
-            f"simplex {names[int(bad[0])]} of the batch is degenerate "
-            f"(|V| below {geometry.DEGENERACY_REL:g} mean_edge^4)"
-        )
-    return _gram_of_inverse(inv)
-
-
 def _normal_grams(L):
     """The facet-normal Gram matrices of an (N, 5, 5) stack, by pass: [(cells, P), ...].
 
-    The float64 pass eliminates every table (_eliminate in float64) and
-    keeps those it can trust; the others are thin and are re-run through
-    _normal_gram in extended precision, its errors naming their batch
-    indices.  From the float64 pivots a table's squared quality is taken
-    scale-free, prod_k (pivot_k / mean_edge^2) / 576 = (|V| / mean_edge^4)^2,
-    so that nothing overflows at any scale.  A table is thin when
+    P is the lower-right 5x5 block of the inverse bordered Cayley-Menger
+    matrix, the inverse of the edge-vector Gram matrix at vertex 0
+    (_edge_gram, det G = 576 V^2) bordered by its row sums
+    (_gram_of_inverse).  The float64 pass eliminates every table
+    (_eliminate in float64) and keeps those it can trust; the others are
+    thin and are eliminated again in np.longdouble, where on thin simplices
+    a float64 inverse loses about ten times more than the rounding of the
+    lengths themselves.  Both passes judge a table by one squared quality,
+    _squared_quality of their pivots and the float64 squared mean edge s,
+    taken as geometry.cell_volumes takes it.  A table is thin when
         - its quality is below geometry.THIN_QUALITY,
         - a float64 pivot is not positive or an entry of its inverse is not
           finite, or
-        - its squared mean edge lies outside [1 / _FLOAT64_SCALE,
-          _FLOAT64_SCALE]: from about 1e+-200 on, products of entries of P
-          leave the float64 range and the blocks would not be finite.
-    Degenerate tables are far below THIN_QUALITY in either precision, so
-    every error is the extended-precision route's own.
+        - s lies outside [1 / _FLOAT64_SCALE, _FLOAT64_SCALE]: from about
+          1e+-200 on, products of entries of P leave the float64 range and
+          the blocks would not be finite.
+    The thin pass rejects a table whose G is not positive definite, or
+    whose quality is below geometry.DEGENERACY_REL (NaN included), the
+    floor of cell_volumes.  A pivot that is not positive is reported at the
+    first step that has one, for the first table there, as an elimination
+    that stops at that step reports it; every error names the table's
+    index in the batch.  Degenerate tables are far below THIN_QUALITY in
+    either precision, so every error is the thin pass's own.
 
     Returns one pass, (slice(None), P) in float64, when no table is thin,
     else the float64 tables' (indices, P) and the thin ones' (indices, P)
     in np.longdouble.
     """
     L = np.asarray(L, dtype=float)
-    scale = _mean_edge(L)
+    scale = np.sqrt(np.maximum(L[:, geometry.EDGE_I, geometry.EDGE_J], 0.0)).mean(axis=1)
     scale *= scale
     with np.errstate(all="ignore"):  # the values of thin tables are discarded
         inv, pivots = _eliminate(_edge_gram(L))
-        rel = pivots / scale[:, None]
-        quality2 = rel[:, 0] * rel[:, 1] * rel[:, 2] * rel[:, 3] / 576.0
+        quality2 = _squared_quality(pivots, scale)
     kept = ((quality2 >= geometry.THIN_QUALITY**2) & (pivots > 0.0).all(axis=1)
             & np.isfinite(inv).all(axis=(1, 2))
             & (scale >= 1.0 / _FLOAT64_SCALE) & (scale <= _FLOAT64_SCALE))
     if kept.all():
         return [(slice(None), _gram_of_inverse(inv))]
     kept, thin = np.flatnonzero(kept), np.flatnonzero(~kept)
-    return [(kept, _gram_of_inverse(inv[kept])), (thin, _normal_gram(L[thin], thin))]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        inv_thin, pivots = _eliminate(_edge_gram(L[thin].astype(np.longdouble)))
+        quality2 = _squared_quality(pivots, scale[thin])
+    not_positive = ~(pivots > 0.0)
+    if not_positive.any():
+        step = int(not_positive.any(axis=0).argmax())
+        raise DegenerateSimplexError(
+            f"simplex {thin[int(not_positive[:, step].argmax())]} of the batch "
+            "has no nondegenerate Euclidean realization"
+        )
+    bad = np.flatnonzero(~(quality2 >= geometry.DEGENERACY_REL**2))
+    if bad.size:
+        raise DegenerateSimplexError(
+            f"simplex {thin[int(bad[0])]} of the batch is degenerate "
+            f"(|V| below {geometry.DEGENERACY_REL:g} mean_edge^4)"
+        )
+    return [(kept, _gram_of_inverse(inv[kept])), (thin, _gram_of_inverse(inv_thin))]
 
 
 def _by_pass(L, kernel):

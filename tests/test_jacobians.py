@@ -43,14 +43,34 @@ def dtheta_dL_simplex(L, eps):
     return jb.dtheta_dL_blocks(g.validate_length_table(L, size=5)[None], [eps])[0]
 
 
+def squared_mean_edge(L):
+    """(N,) squared mean edges of a float64 stack, as geometry.cell_volumes takes the mean."""
+    mean_edge = np.sqrt(np.maximum(L[:, g.EDGE_I, g.EDGE_J], 0.0)).mean(axis=1)
+    return mean_edge * mean_edge
+
+
+def reject_below_floor(quality2, names):
+    """The thin pass's floor: the first table whose squared quality is below
+    DEGENERACY_REL^2, or NaN, is degenerate."""
+    bad = np.flatnonzero(~(quality2 >= g.DEGENERACY_REL**2))
+    if bad.size:
+        raise DegenerateSimplexError(
+            f"simplex {names[int(bad[0])]} of the batch is degenerate "
+            f"(|V| below {g.DEGENERACY_REL:g} mean_edge^4)"
+        )
+
+
 def normal_gram_rowwise(L, cells=None):
     """The facet-normal Gram with the row-by-row Gauss-Jordan update, kept as a
-    reference of the thin pass; cells gives the batch indices its errors name."""
+    reference of the thin pass, the squared quality taken from the pivots one
+    factor at a time; cells gives the batch indices its errors name."""
     names = np.arange(len(L)) if cells is None else cells
-    L = np.asarray(L, dtype=np.longdouble)
+    L = np.asarray(L, dtype=float)
+    scale = squared_mean_edge(L)
+    L = L.astype(np.longdouble)
     A = 0.5 * (L[:, 0, 1:, None] + L[:, 0, None, 1:] - L[:, 1:, 1:])
     inv = np.broadcast_to(np.eye(4, dtype=np.longdouble), A.shape).copy()
-    det = np.ones(len(L), dtype=np.longdouble)
+    quality2 = np.ones(len(L), dtype=np.longdouble)
     for k in range(4):
         piv = A[:, k, k].copy()
         if not np.all(piv > 0.0):
@@ -58,7 +78,7 @@ def normal_gram_rowwise(L, cells=None):
             raise DegenerateSimplexError(
                 f"simplex {bad} of the batch has no nondegenerate Euclidean realization"
             )
-        det *= piv
+        quality2 *= piv / scale
         A[:, k] /= piv[:, None]
         inv[:, k] /= piv[:, None]
         for r in range(4):
@@ -66,14 +86,7 @@ def normal_gram_rowwise(L, cells=None):
                 f = A[:, r, k, None].copy()
                 A[:, r] -= f * A[:, k]
                 inv[:, r] -= f * inv[:, k]
-    mean_edge = np.sqrt(np.maximum(L[:, g.EDGE_I, g.EDGE_J], 0.0)).mean(axis=1)
-    floor = g.DEGENERACY_REL * mean_edge**4
-    bad = np.flatnonzero(~(det / 576.0 > floor * floor))
-    if bad.size:
-        raise DegenerateSimplexError(
-            f"simplex {names[int(bad[0])]} of the batch is degenerate "
-            f"(|V| below {g.DEGENERACY_REL:g} mean_edge^4)"
-        )
+    reject_below_floor(quality2 / 576.0, names)
     P = np.empty((len(L), 5, 5), dtype=np.longdouble)
     P[:, 1:, 1:] = inv
     P[:, 0, 1:] = P[:, 1:, 0] = -inv.sum(axis=1)
@@ -85,11 +98,13 @@ def normal_gram_full_width(L, cells=None):
     """The facet-normal Gram with every Gauss-Jordan step over all eight columns of
     [G | I], kept as the bitwise reference of the steps over a column window."""
     names = np.arange(len(L)) if cells is None else cells
-    L = np.asarray(L, dtype=np.longdouble)
+    L = np.asarray(L, dtype=float)
+    scale = squared_mean_edge(L)
+    L = L.astype(np.longdouble)
     A = np.empty((len(L), 4, 8), dtype=np.longdouble)
     A[:, :, :4] = 0.5 * (L[:, 0, 1:, None] + L[:, 0, None, 1:] - L[:, 1:, 1:])
     A[:, :, 4:] = np.eye(4)
-    det = np.ones(len(L), dtype=np.longdouble)
+    quality2 = np.ones(len(L), dtype=np.longdouble)
     for k in range(4):
         piv = A[:, k, k].copy()
         if not np.all(piv > 0.0):
@@ -97,18 +112,11 @@ def normal_gram_full_width(L, cells=None):
             raise DegenerateSimplexError(
                 f"simplex {bad} of the batch has no nondegenerate Euclidean realization"
             )
-        det *= piv
+        quality2 *= piv / scale
         A[:, k] /= piv[:, None]
         others = np.array([r for r in range(4) if r != k])
         A[:, others] -= A[:, others, k, None] * A[:, k, None]
-    mean_edge = np.sqrt(np.maximum(L[:, g.EDGE_I, g.EDGE_J], 0.0)).mean(axis=1)
-    floor = g.DEGENERACY_REL * mean_edge**4
-    bad = np.flatnonzero(~(det / 576.0 > floor * floor))
-    if bad.size:
-        raise DegenerateSimplexError(
-            f"simplex {names[int(bad[0])]} of the batch is degenerate "
-            f"(|V| below {g.DEGENERACY_REL:g} mean_edge^4)"
-        )
+    reject_below_floor(quality2 / 576.0, names)
     inv = np.ascontiguousarray(A[:, :, 4:])
     P = np.empty((len(L), 5, 5), dtype=np.longdouble)
     P[:, 1:, 1:] = inv
@@ -124,8 +132,7 @@ def float64_pass_rowwise(L):
     L = np.asarray(L, dtype=float)
     A = 0.5 * (L[:, 0, 1:, None] + L[:, 0, None, 1:] - L[:, 1:, 1:])
     inv = np.broadcast_to(np.eye(4), A.shape).copy()
-    mean_edge = np.sqrt(np.maximum(L[:, g.EDGE_I, g.EDGE_J], 0.0)).mean(axis=1)
-    scale = mean_edge * mean_edge
+    scale = squared_mean_edge(L)
     quality2 = np.ones(len(L))
     positive = np.ones(len(L), dtype=bool)
     with np.errstate(all="ignore"):
@@ -150,14 +157,22 @@ def float64_pass_rowwise(L):
     return P, kept
 
 
-def normal_grams_reference(L):
+def normal_grams_reference(L, normal_gram=normal_gram_rowwise):
     """The passes of jb._normal_grams from float64_pass_rowwise, the thin tables
-    through jb._normal_gram as it is at the call (a reference when patched)."""
+    through a reference of the thin pass (row by row unless given)."""
     P, kept = float64_pass_rowwise(L)
     if kept.all():
         return [(slice(None), P)]
     kept, thin = np.flatnonzero(kept), np.flatnonzero(~kept)
-    return [(kept, P[kept]), (thin, jb._normal_gram(np.asarray(L)[thin], thin))]
+    return [(kept, P[kept]), (thin, normal_gram(np.asarray(L)[thin], thin))]
+
+
+def thin_pass(L):
+    """The Gram matrices of every table of L from the thin pass of jb._normal_grams
+    as it is at the call (a reference when patched), every table taken as thin."""
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(g, "THIN_QUALITY", math.inf)
+        return jb._normal_grams(L)[-1][1]
 
 
 def passes_bytes(passes):
@@ -237,8 +252,7 @@ def use_reference_routes(patched, normal_gram=normal_gram_rowwise):
     """Swap in the row-by-row float64 pass, a reference Gram for the thin pass
     (row by row unless given), the angles in the gathers' layout, the
     term-by-term kernel and the add.at scatter."""
-    patched.setattr(jb, "_normal_grams", normal_grams_reference)
-    patched.setattr(jb, "_normal_gram", normal_gram)
+    patched.setattr(jb, "_normal_grams", lambda L: normal_grams_reference(L, normal_gram))
     patched.setattr(jb, "_gram_angles", gram_angles_reference)
     patched.setattr(jb, "_gram_dtheta_dL", gram_dtheta_dL_reference)
     patched.setattr(jb, "scatter_blocks", scatter_blocks_add_at)
@@ -439,14 +453,13 @@ def test_normal_gram_broadcast_step_is_the_rowwise_elimination(
     for c, m in cases:
         tables = jb.length_tables(m.L, c.simplex_edges)
         # longdouble padding bytes are not part of the value: compare values, not bytes
-        assert np.array_equal(jb._normal_gram(tables), normal_gram_rowwise(tables))
+        assert np.array_equal(thin_pass(tables), normal_gram_rowwise(tables))
         passes = jb._normal_grams(tables)
         assert passes_bytes(passes) == passes_bytes(normal_grams_reference(tables))
         split += len(passes) == 2
         blocks = jb.dtheta_dL_blocks(tables, m.eps)
         with monkeypatch.context() as patched:
             patched.setattr(jb, "_normal_grams", normal_grams_reference)
-            patched.setattr(jb, "_normal_gram", normal_gram_rowwise)
             assert np.array_equal(blocks, jb.dtheta_dL_blocks(tables, m.eps))
     assert split  # the 166-cell rung has thin cells
 
@@ -483,7 +496,7 @@ def test_kernel_and_assemblies_are_the_reference_routes_bitwise(
     stacks.append((thin[:0], signs[:0]))
 
     def outputs():
-        return ([value_bytes(jb._normal_gram(tables)) for tables, _ in stacks],
+        return ([value_bytes(thin_pass(tables)) for tables, _ in stacks],
                 [passes_bytes(jb._normal_grams(tables)) for tables, _ in stacks],
                 [kernel_outputs(tables, eps) for tables, eps in stacks],
                 [assembled_outputs(c, m) for c, m in placed])
@@ -580,7 +593,7 @@ def test_normal_gram_rejects_what_the_rowwise_elimination_rejects():
     not_euclidean[0, 1] = not_euclidean[1, 0] = 10.0
     for bad in (tables, np.stack([UNIT_L, not_euclidean])):
         with pytest.raises(DegenerateSimplexError) as got:
-            jb._normal_gram(bad)
+            jb._normal_grams(bad)
         for reference in (normal_gram_rowwise, normal_gram_full_width):
             with pytest.raises(DegenerateSimplexError) as want:
                 reference(bad)
@@ -615,12 +628,24 @@ def elongated_cell(quality):
     return cell(high)
 
 
-@pytest.mark.parametrize("scale", [1.0, 1e-30, 1e30, 1e-45, 1e45])
-def test_degeneracy_floor_is_the_cell_volumes_floor(scale):
+FLOOR_SCALES = (1.0, 1e-30, 1e30, 1e-45, 1e45)
+
+
+# The thin pass's extended type is np.longdouble as the platform has it; the
+# "-float64" cases set it to float64, as it is where np.longdouble is float64
+# (the kernel reads the name at the call).
+@pytest.mark.parametrize(
+    "scale, extended",
+    [pytest.param(scale, np.longdouble, id=repr(scale)) for scale in FLOOR_SCALES]
+    + [pytest.param(scale, np.float64, id=f"{scale!r}-float64") for scale in FLOOR_SCALES],
+)
+def test_degeneracy_floor_is_the_cell_volumes_floor(monkeypatch, scale, extended):
     # cells a relative 1e-6 below and above DEGENERACY_REL * mean_edge^4:
     # the kernel rejects the one below and takes the one above, as
     # cell_volumes floors them; at 1e-45 and 1e45, det G = 576 V^2 and the
-    # floor's square leave the float64 range
+    # floor's square leave the float64 range, so the quality is taken
+    # scale-free
+    monkeypatch.setattr(np, "longdouble", extended)
     for side, quality in (("below", g.DEGENERACY_REL * (1 - 1e-6)),
                           ("above", g.DEGENERACY_REL * (1 + 1e-6))):
         pts = elongated_cell(quality) * scale
@@ -684,7 +709,7 @@ def test_mixed_stack_takes_each_cell_through_its_pass_bitwise():
     assert blocks.flags.c_contiguous and np.isfinite(blocks).all()
 
 
-def test_mixed_stack_errors_name_the_batch_index():
+def assert_mixed_stack_errors_name_the_batch_index():
     tables, signs, thin = mixed_stack()
     # a cell below the degeneracy floor, and a table with no realization
     below = g.squared_length_table(elongated_cell(0.5 * g.DEGENERACY_REL))
@@ -708,6 +733,15 @@ def test_mixed_stack_errors_name_the_batch_index():
             with pytest.raises(DegenerateSimplexError) as want:
                 normal_gram_rowwise(stack)
             assert str(got.value) == str(want.value)
+
+
+def test_mixed_stack_errors_name_the_batch_index():
+    assert_mixed_stack_errors_name_the_batch_index()
+
+
+def test_mixed_stack_errors_name_the_batch_index_with_a_float64_extended_type(monkeypatch):
+    monkeypatch.setattr(np, "longdouble", np.float64)
+    assert_mixed_stack_errors_name_the_batch_index()
 
 
 # ------------------------------------------------------ global assemblies
