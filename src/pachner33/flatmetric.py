@@ -5,7 +5,10 @@ triangle areas S, per-simplex signs eps (whether the stored orientation
 agrees with the ambient one) and signed volumes V.  FlatMetric holds them as
 arrays aligned with the complex's face arrays, and realize and
 metric_from_lengths compute each of them in one batch through the complex's
-index arrays (edge ends, triangle edges, simplex vertices and edges).
+index arrays (edge ends, triangle edges, simplex vertices and edges).  The
+areas take the closed form geometry.squared_areas16; realize takes the
+volumes from the coordinates and metric_from_lengths from the edge-vector
+Gram matrices (geometry.edge_gram).
 
 Deficit angles come in two flavours, each an array aligned with its face
 table: omega around 2-faces (minus the algebraic sum of dihedral angles,
@@ -52,35 +55,22 @@ def _cell_text(c, n):
     return tuple(np.sort(c.vertex_ids[c.simplex_vertices[n]]).tolist())
 
 
-def _first_unrealizable(sq):
-    """(index, kind) of the first squared measure that is not finite and positive, else None.
-
-    kind is "non-finite" for inf or NaN (overflowing lengths) and
-    "nonpositive" otherwise.
-    """
-    bad = np.flatnonzero(~(np.isfinite(sq) & (sq > 0.0)))
-    if not bad.size:
-        return None
-    k = int(bad[0])
-    return k, ("nonpositive" if np.isfinite(sq[k]) else "non-finite")
-
-
 def triangle_areas(L, triangle_edges, triangles):
-    """Areas of triangles from squared lengths L and their (F, 3) edge columns.
+    """(..., F) areas of triangles from (..., E) squared lengths L and their (F, 3) edge columns.
 
-    One stacked Cayley-Menger determinant; raises DegenerateSimplexError
-    naming the first triangle whose squared area is nonpositive or
-    non-finite, and which of the two it is, by its row of `triangles` (vertex
-    ids, read only then).
+    geometry.squared_areas16 of the columns in their order (ab, ac, bc) for
+    each length array of the stack; raises DegenerateSimplexError naming the
+    first triangle whose squared area is nonpositive or non-finite, and
+    which of the two it is, by its row of `triangles` (vertex ids, read only
+    then).
     """
-    sq = geometry.cm_squared_volumes(2, L[triangle_edges])
-    bad = _first_unrealizable(sq)
+    sq16, bad = geometry.squared_areas16(*np.moveaxis(np.take(L, triangle_edges, axis=-1), -1, 0))
     if bad:
         k, kind = bad
         raise DegenerateSimplexError(
-            f"triangle {tuple(map(int, triangles[k]))} has {kind} squared area"
+            f"triangle {tuple(map(int, triangles[k % len(triangles)]))} has {kind} squared area"
         )
-    return np.sqrt(sq)
+    return np.sqrt(sq16) / 4.0
 
 
 def realize(c, coords):
@@ -114,18 +104,24 @@ def realize(c, coords):
 
 
 def metric_from_lengths(c, L, eps):
-    """Metric data from an (E,) length array with fixed (N,) simplex signs."""
+    """Metric data from an (E,) length array with fixed (N,) simplex signs.
+
+    |V| of each cell is sqrt(det G / 576) for its edge-vector Gram matrix G
+    (geometry.edge_gram); a cell whose det G is nonpositive or non-finite
+    raises DegenerateSimplexError naming it.
+    """
     L = np.array(L, dtype=float)
     eps = np.array(eps, dtype=int)
     S = triangle_areas(L, c.triangle_edges, c.face_ids(2))
-    sq = geometry.cm_squared_volumes(4, L[c.simplex_edges])
-    bad = _first_unrealizable(sq)
+    with np.errstate(over="ignore", invalid="ignore"):
+        det = np.linalg.det(geometry.edge_gram(jacobians.length_tables(L, c.simplex_edges)))
+    bad = geometry.first_unrealizable(det)
     if bad:
         k, kind = bad
         raise DegenerateSimplexError(
             f"simplex {_cell_text(c, k)} is not realizable ({kind} squared volume)"
         )
-    return FlatMetric(L=L, S=S, eps=eps, V=eps * np.sqrt(sq))
+    return FlatMetric(L=L, S=S, eps=eps, V=eps * np.sqrt(det / 576.0))
 
 
 def random_realization(c, seed):

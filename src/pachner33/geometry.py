@@ -20,6 +20,13 @@ table raises alone.  The route serves the identity batteries and the
 tests as their oracle.  Magnitudes lie in (0, pi); a signed angle is the
 magnitude times the simplex sign eps.
 
+Each simplex measure has one formula from squared lengths.  A triangle's
+area comes from squared_areas16, the closed form 16 S^2 = 2 (ab ac + ac bc
++ bc ab) - ab^2 - ac^2 - bc^2, which flatmetric.triangle_areas and
+dS_dL_blocks call; a cell's volume from edge_gram, its edge-vector Gram
+matrix at vertex 0, as det G = 576 V^2, which
+flatmetric.metric_from_lengths takes and the angle kernel eliminates.
+
 cell_volumes is the package's one volume floor: for a stack of cells given
 by their points it returns the signed volumes and whether each falls below
 a fraction of its mean edge length to the fourth.  realize, the stack of
@@ -34,7 +41,6 @@ placement is the one a draw-at-a-time loop gives.
 """
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -83,18 +89,6 @@ def squared_length_table(points):
     return np.einsum("...ijk,...ijk->...ij", diff, diff)
 
 
-@functools.cache
-def _upper_pairs(n):
-    """np.triu_indices(n, 1), the (i < j) pairs in lexicographic order.
-
-    Built once per size and shared by every caller, hence read-only.
-    """
-    pairs = np.triu_indices(n, 1)
-    for index in pairs:
-        index.flags.writeable = False
-    return pairs
-
-
 # np.allclose's default tolerances, which the length-table checks keep
 TABLE_RTOL, TABLE_ATOL = 1e-5, 1e-8
 
@@ -125,23 +119,27 @@ def validate_length_table(L, size=None):
     return L
 
 
-def cm_squared_volumes(k, Lv):
-    """Squared k-volumes of a stack of (k+1)-point length lists, one det call.
+def first_unrealizable(sq):
+    """(C-order index, kind) of the first entry of sq that is not finite and positive, else
+    None: kind is "non-finite" for inf or NaN (overflowing lengths), else "nonpositive"."""
+    bad = np.flatnonzero(~(np.isfinite(sq) & (sq > 0.0)))
+    if not bad.size:
+        return None
+    k = int(bad[0])
+    return k, ("nonpositive" if np.isfinite(sq.flat[k]) else "non-finite")
 
-    Lv is (M, (k+1)k/2): the squared lengths of each point set in
-    lexicographic pair order ((0, 1), (0, 2), ...).  Unvalidated; values may
-    be <= 0 for lengths with no Euclidean realization, and inf or nan where
-    a determinant overflows (without a numpy warning).
+
+def squared_areas16(ab, ac, bc):
+    """(16 S^2, first_unrealizable of it) of triangles with squared edge lengths ab, ac, bc.
+
+    The package's one area formula, elementwise over arrays of one shape:
+    16 S^2 = 2 (ab ac + ac bc + bc ab) - ab^2 - ac^2 - bc^2 (Heron's, in
+    squared lengths).  The value is <= 0 for lengths with no Euclidean
+    triangle, and inf or NaN where it overflows (without a numpy warning).
     """
-    Lv = np.asarray(Lv, dtype=float)
-    n = k + 1
-    i, j = _upper_pairs(n)
-    bordered = np.ones((len(Lv), n + 1, n + 1))
-    bordered[:, range(n + 1), range(n + 1)] = 0.0
-    bordered[:, i + 1, j + 1] = bordered[:, j + 1, i + 1] = Lv
     with np.errstate(over="ignore", invalid="ignore"):
-        det = np.linalg.det(bordered)
-    return (-1) ** (k + 1) * det / (2**k * math.factorial(k) ** 2)
+        sq16 = 2.0 * (ab * ac + ac * bc + bc * ab) - ab * ab - ac * ac - bc * bc
+    return sq16, first_unrealizable(sq16)
 
 
 def signed_volume4(points):
@@ -153,9 +151,9 @@ def signed_volume4(points):
 
 
 def mean_edge_length(L):
-    """Mean Euclidean edge length of a squared-length table."""
+    """Mean Euclidean edge length of a (5, 5) squared-length table."""
     L = np.asarray(L, dtype=float)
-    return float(np.mean(np.sqrt(np.maximum(L[_upper_pairs(L.shape[0])], 0.0))))
+    return float(np.mean(np.sqrt(np.maximum(L[EDGE_I, EDGE_J], 0.0))))
 
 
 def cell_volumes(points, rel):
@@ -229,10 +227,15 @@ def unit_ball_placement(seeds, n, cells):
     return out
 
 
-def gram_matrix(L):
-    """(..., 4, 4) Gram matrices G_pq = (L_0p + L_0q - L_pq) / 2 anchored at vertex 0."""
-    L = validate_length_table(L, size=5)
+def edge_gram(L):
+    """(..., 4, 4) edge-vector Gram matrices at vertex 0 of unvalidated (..., 5, 5)
+    tables, G_pq = (L_0p + L_0q - L_pq) / 2, in L's dtype: det G = 576 V^2."""
     return 0.5 * (L[..., 0, 1:, None] + L[..., 0, None, 1:] - L[..., 1:, 1:])
+
+
+def gram_matrix(L):
+    """edge_gram of a stack of tables, after validate_length_table."""
+    return edge_gram(validate_length_table(L, size=5))
 
 
 def gram_embed(L):
@@ -258,15 +261,19 @@ def dS_dL_blocks(L):
     """(..., 10, 10) face-area derivatives by squared edge length.
 
     L is a (..., 5, 5) stack of squared-length tables; rows follow FACES5 and
-    columns EDGES5.  From 16 S^2 = 2 L1 L2 + 2 L2 L3 + 2 L3 L1 - L1^2 - L2^2
-    - L3^2.  Raises DegenerateSimplexError when a face has nonpositive
-    squared area.
+    columns EDGES5.  dS/dL_ab = (L_ac + L_bc - L_ab) / (4 sqrt(16 S^2)) for
+    the edge ab of the face abc, squared_areas16 taking the edge's own length
+    first.  Raises DegenerateSimplexError naming the first face whose squared
+    area is nonpositive or non-finite by its local vertices and the C-order
+    index of its table among the stack's tables.
     """
     Lv = np.asarray(L, dtype=float)[..., EDGE_I, EDGE_J]
     ab, ac, bc = Lv[..., _AREA_AB], Lv[..., _AREA_AC], Lv[..., _AREA_BC]
-    sq16 = 2.0 * (ab * ac + ac * bc + bc * ab) - ab * ab - ac * ac - bc * bc
-    if not np.all(sq16 > 0.0):
-        raise DegenerateSimplexError("a face has nonpositive squared area")
+    sq16, bad = squared_areas16(ab, ac, bc)
+    if bad:
+        table, pair = divmod(bad[0], 30)
+        raise DegenerateSimplexError(f"table {table} of the stack: face "
+                                     f"{FACES5[_AREA_ROW[pair]]} has {bad[1]} squared area")
     out = np.zeros(Lv.shape[:-1] + (10, 10))
     out[..., _AREA_ROW, _AREA_AB] = (ac + bc - ab) / (4.0 * np.sqrt(sq16))
     return out

@@ -104,7 +104,7 @@ class ClusterSix:
     points is (T, 6, 4); one cluster is the stack of one.  Each cluster is
     the boundary of the 5-simplex on its points, realized through
     _DELTA5's index arrays for all T at once: one squared-length matmul,
-    one cell_volumes call over the 6T cells, one Cayley-Menger batch for
+    one cell_volumes call over the 6T cells, one triangle_areas call for
     the two central triangles and one face_angle_rows call over the 6T
     length tables at FACES5 rows 0 (ABC in cells 3-5) and 9 (DEF in cells
     0-2).  Each cell keeps the angle and (10,) dtheta/dL row of the one it
@@ -146,9 +146,7 @@ class ClusterSix:
             cell = tuple(_CELL_VERTICES[sid].tolist())
             raise DegenerateSimplexError(f"trial {t}: simplex {cell} (id {sid}) is degenerate")
         eps = np.where(V > 0, 1, -1)
-        tri_edges = _offset_rows(_DELTA5.triangle_edges[_SIDE_ROWS], 15, T)
-        tris = np.tile(_DELTA5.face_ids(2)[_SIDE_ROWS], (T, 1))
-        S = triangle_areas(L.ravel(), tri_edges, tris).reshape(T, 2)
+        S = triangle_areas(L, _DELTA5.triangle_edges[_SIDE_ROWS], _DELTA5.face_ids(2)[_SIDE_ROWS])
 
         tables = length_tables(L.ravel(), _offset_rows(_DELTA5.simplex_edges, 15, T))
         theta, dtheta = face_angle_rows(tables, eps, _CENTRAL_FACES)
@@ -367,10 +365,9 @@ def _result(name, draws, tol, residuals, failed=None, extras=None):
 
 
 def _face_areas(L):
-    """(T, 10) face areas of a (T, 5, 5) stack, FACES5 order: one triangle_areas batch."""
-    edges = _offset_rows(geometry.FACE_EDGES5, 10, len(L))
-    Lv = L[:, geometry.EDGE_I, geometry.EDGE_J].ravel()
-    return triangle_areas(Lv, edges, geometry.FACES5 * len(L)).reshape(-1, 10)
+    """(T, 10) face areas of a (T, 5, 5) stack, FACES5 order: one triangle_areas call."""
+    return triangle_areas(L[:, geometry.EDGE_I, geometry.EDGE_J], geometry.FACE_EDGES5,
+                          geometry.FACES5)
 
 
 def battery_opposite_edge_derivative(draws, tol=DEFAULT_TOL):

@@ -115,11 +115,6 @@ def _eliminate(G):
     return np.ascontiguousarray(A[:, :, 4:]), pivots
 
 
-def _edge_gram(L):
-    """(N, 4, 4) edge-vector Gram matrices at vertex 0, G_pq = (L_0p + L_0q - L_pq) / 2, in L's dtype."""
-    return 0.5 * (L[:, 0, 1:, None] + L[:, 0, None, 1:] - L[:, 1:, 1:])
-
-
 def _squared_quality(pivots, scale):
     """(N,) squared qualities (|V| / mean_edge^4)^2 from the (N, 4) elimination pivots.
 
@@ -149,7 +144,7 @@ def _normal_grams(L):
 
     P is the lower-right 5x5 block of the inverse bordered Cayley-Menger
     matrix, the inverse of the edge-vector Gram matrix at vertex 0
-    (_edge_gram, det G = 576 V^2) bordered by its row sums
+    (geometry.edge_gram, det G = 576 V^2) bordered by its row sums
     (_gram_of_inverse).  The float64 pass eliminates every table
     (_eliminate in float64) and keeps those it can trust; the others are
     thin and are eliminated again in np.longdouble, where on thin simplices
@@ -179,7 +174,7 @@ def _normal_grams(L):
     scale = np.sqrt(np.maximum(L[:, geometry.EDGE_I, geometry.EDGE_J], 0.0)).mean(axis=1)
     scale *= scale
     with np.errstate(all="ignore"):  # the values of thin tables are discarded
-        inv, pivots = _eliminate(_edge_gram(L))
+        inv, pivots = _eliminate(geometry.edge_gram(L))
         quality2 = _squared_quality(pivots, scale)
     kept = ((quality2 >= geometry.THIN_QUALITY**2) & (pivots > 0.0).all(axis=1)
             & np.isfinite(inv).all(axis=(1, 2))
@@ -188,7 +183,7 @@ def _normal_grams(L):
         return [(slice(None), _gram_of_inverse(inv))]
     kept, thin = np.flatnonzero(kept), np.flatnonzero(~kept)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        inv_thin, pivots = _eliminate(_edge_gram(L[thin].astype(np.longdouble)))
+        inv_thin, pivots = _eliminate(geometry.edge_gram(L[thin].astype(np.longdouble)))
         quality2 = _squared_quality(pivots, scale[thin])
     not_positive = ~(pivots > 0.0)
     if not_positive.any():

@@ -16,25 +16,53 @@ from pachner33 import jacobians as jb
 from pachner33.errors import DegenerateSimplexError, MovePreconditionError, SelectionError
 
 LADDER_RUNGS = (26, 86, 166)
+# The relative error bound of a triangle area against the 50-digit area of the
+# same float64 squared lengths (test_reference): the library's closed form
+# reads at most 4.2e-14 on the fixtures, the ladder and the 72-join.
+AREA_REL_TOL = 5e-14
 
 
 # One-table references: the library computes these only in batches
-# (cm_squared_volumes, the stacked batteries, deficit_omega).
+# (squared_areas16 and edge_gram over stacks, the stacked batteries,
+# deficit_omega).
 
 def cm_squared_volume(k, L):
-    """Squared k-volume of one (k+1)-point squared-length table (Cayley-Menger)."""
+    """Squared k-volume of one (k+1)-point squared-length table, from its bordered
+    Cayley-Menger determinant: an oracle the library's closed-form areas and
+    Gram volumes do not share."""
     L = g.validate_length_table(L, size=k + 1)
     if L.ndim != 2:
-        raise ValueError("cm_squared_volume takes one table; stacks go to cm_squared_volumes")
-    return float(g.cm_squared_volumes(k, L[np.triu_indices(k + 1, 1)][None])[0])
+        raise ValueError("cm_squared_volume takes one table")
+    bordered = np.ones((k + 2, k + 2))
+    bordered[0, 0] = 0.0
+    bordered[1:, 1:] = L
+    return float((-1) ** (k + 1) * np.linalg.det(bordered) / (2**k * math.factorial(k) ** 2))
 
 
 def face_area(L, face):
-    """Area of one face of a squared-length table."""
+    """Area of one face of a squared-length table, from its Cayley-Menger determinant."""
     sq = cm_squared_volume(2, L[np.ix_(face, face)])
     if sq <= 0.0:
         raise DegenerateSimplexError(f"face {face} has nonpositive squared area")
     return math.sqrt(sq)
+
+
+def heron_area(L, face):
+    """Area of the face (a, b, c), a < b < c, of one table by the closed form
+    16 S^2 = 2 (ab ac + ac bc + bc ab) - ab^2 - ac^2 - bc^2, one float at a time."""
+    a, b, c = face
+    ab, ac, bc = float(L[a, b]), float(L[a, c]), float(L[b, c])
+    sq16 = 2.0 * (ab * ac + ac * bc + bc * ab) - ab * ab - ac * ac - bc * bc
+    if not sq16 > 0.0:
+        raise DegenerateSimplexError(f"face {face} has nonpositive squared area")
+    return math.sqrt(sq16) / 4.0
+
+
+def gram_volume(L):
+    """|V| of one (5, 5) squared-length table from the determinant of its edge-vector
+    Gram matrix at vertex 0, det G = 576 V^2."""
+    G = 0.5 * (L[0, 1:, None] + L[0, None, 1:] - L[1:, 1:])
+    return math.sqrt(float(np.linalg.det(G)) / 576.0)
 
 
 def reduce_angle_scalar(x):
@@ -479,24 +507,30 @@ def bipyramid():
     return cx.bipyramid_sphere()
 
 
-@pytest.fixture(scope="session")
-def stellar_ladder():
+def stellar_ladder_rungs(rungs):
     """Nested stellar subdivisions of the 5-simplex boundary, with placements.
 
     Each step splits a cell chosen with probability proportional to its
     volume at a point with Dirichlet(20) barycentric weights, so new cells
-    stay well inside the old.  Returns {cell count: (complex, coords)}.
+    stay well inside the old.  The ladder is seeded, so each rung is the same
+    whatever the others asked for.  Returns {cell count: (complex, coords)}.
     """
     rng = np.random.default_rng(2026)
     c = cx.boundary_delta5()
     coords = fm.random_realization(c, seed=int(rng.integers(2**31)))
-    rungs = {}
-    while len(c.simplices) < max(LADDER_RUNGS):
+    out = {}
+    while len(c.simplices) < max(rungs):
         cells = [np.stack([coords[v] for v in verts]) for verts, _ in c.simplices]
         volumes = np.array([abs(g.signed_volume4(pts)) for pts in cells])
         sid = int(rng.choice(len(cells), p=volumes / volumes.sum()))
         coords[c.vertices[-1] + 1] = rng.dirichlet(np.full(5, 20.0)) @ cells[sid]
         c = cx.stellar_subdivide(c, sid)
-        if len(c.simplices) in LADDER_RUNGS:
-            rungs[len(c.simplices)] = (c, dict(coords))
-    return rungs
+        if len(c.simplices) in rungs:
+            out[len(c.simplices)] = (c, dict(coords))
+    return out
+
+
+@pytest.fixture(scope="session")
+def stellar_ladder():
+    """stellar_ladder_rungs at LADDER_RUNGS."""
+    return stellar_ladder_rungs(LADDER_RUNGS)

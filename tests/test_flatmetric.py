@@ -14,7 +14,13 @@ from pachner33.errors import ComplexStructureError, DegenerateSimplexError, Pach
 from pachner33.identities import signed_angles
 from pachner33.io import load_fixture
 
-from conftest import area_length_weights, reduce_angle_scalar
+from conftest import (
+    area_length_weights,
+    cm_squared_volume,
+    gram_volume,
+    heron_area,
+    reduce_angle_scalar,
+)
 
 
 def test_realize_delta5_signed_volumes_cancel(delta5, delta5_metric):
@@ -28,13 +34,6 @@ def test_realize_delta5_signed_volumes_cancel(delta5, delta5_metric):
 
 # ------------------------------------------- per-simplex reference versions
 
-def _cm_squared_volume_loop(k, T):
-    bordered = np.ones((k + 2, k + 2))
-    bordered[0, 0] = 0.0
-    bordered[1:, 1:] = T
-    return float((-1) ** (k + 1) * np.linalg.det(bordered) / (2**k * math.factorial(k) ** 2))
-
-
 def _pair_table_loop(c, L, verts):
     T = np.zeros((len(verts), len(verts)))
     for i in range(len(verts)):
@@ -44,9 +43,7 @@ def _pair_table_loop(c, L, verts):
 
 
 def _areas_loop(c, L):
-    return np.array(
-        [math.sqrt(_cm_squared_volume_loop(2, _pair_table_loop(c, L, t))) for t in c.faces[2]]
-    )
+    return np.array([heron_area(_pair_table_loop(c, L, t), (0, 1, 2)) for t in c.faces[2]])
 
 
 def realize_loop(c, coords):
@@ -65,10 +62,7 @@ def realize_loop(c, coords):
 
 
 def metric_from_lengths_loop(c, L, eps):
-    V = [
-        e * math.sqrt(_cm_squared_volume_loop(4, _pair_table_loop(c, L, verts)))
-        for (verts, _), e in zip(c.simplices, eps)
-    ]
+    V = [e * gram_volume(_pair_table_loop(c, L, verts)) for (verts, _), e in zip(c.simplices, eps)]
     return L, _areas_loop(c, L), eps, np.array(V)
 
 
@@ -101,6 +95,20 @@ def test_batched_metric_is_bitwise_the_loop_version(
         _assert_bitwise(fm.metric_from_lengths(c, L, m.eps), metric_from_lengths_loop(c, L, m.eps))
 
 
+def test_metric_from_lengths_volumes_are_the_placement_volumes(stellar_ladder):
+    # the Gram volumes of the lengths against the coordinate volumes of realize
+    # and the one-table Cayley-Menger oracle of the same lengths: 1.5e-11 and
+    # 1.9e-11 at worst, on thin cells
+    c, coords = stellar_ladder[166]
+    m = fm.realize(c, coords)
+    from_lengths = fm.metric_from_lengths(c, m.L, m.eps)
+    assert np.array_equal(from_lengths.S, m.S)
+    assert np.abs(from_lengths.V / m.V - 1.0).max() <= 1e-10
+    tables = jb.length_tables(m.L, c.simplex_edges)
+    oracle = np.array([math.sqrt(cm_squared_volume(4, T)) for T in tables])
+    assert np.abs(np.abs(from_lengths.V) / oracle - 1.0).max() <= 1e-10
+
+
 def test_realize_names_the_first_degenerate_simplex(delta5, delta5_coords):
     coords = dict(delta5_coords)
     coords[5] = coords[0]  # every cell on both 0 and 5 collapses; ids 1..4
@@ -117,7 +125,7 @@ def test_metric_from_lengths_names_the_first_bad_triangle(delta5, delta5_metric)
 
 @pytest.mark.parametrize("value, kind", [(1e300, "non-finite"), (-5.0, "nonpositive")])
 def test_triangle_areas_names_the_kind_of_a_bad_squared_area(delta5, delta5_metric, value, kind):
-    # 1e300 overflows the Cayley-Menger determinant to inf/nan; -5 makes it negative
+    # 1e300 overflows the squared area to inf/nan; -5 makes it negative
     L = delta5_metric.L.copy()
     L[delta5.face_index[1][(0, 1)]] = value
     message = rf"^triangle \(0, 1, 2\) has {kind} squared area$"

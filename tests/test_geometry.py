@@ -555,6 +555,27 @@ def test_area_length_derivative_zero_off_face():
     assert area_length_derivative(UNIT_L, (0, 1, 2), (3, 4)) == 0.0
 
 
+def test_dS_dL_blocks_names_the_table_face_and_kind_of_a_bad_squared_area():
+    # table 2 stretches edge 01 past the triangle inequality; table 4 gives
+    # edge 13 a squared length whose square overflows
+    _, L, _ = stacked_simplices((6,), 60)
+    L[2, 0, 1] = L[2, 1, 0] = 100.0 * L[2].max()
+    L[4, 1, 3] = L[4, 3, 1] = 1e300
+    nonpositive = "face (0, 1, 2) has nonpositive squared area"
+    non_finite = "face (0, 1, 3) has non-finite squared area"
+    for stack, message in [
+        (L, f"table 2 of the stack: {nonpositive}"),
+        (L.reshape(2, 3, 5, 5), f"table 2 of the stack: {nonpositive}"),
+        (L[3:], f"table 1 of the stack: {non_finite}"),
+        (L[3:].reshape(3, 1, 5, 5), f"table 1 of the stack: {non_finite}"),
+        (L[4], f"table 0 of the stack: {non_finite}"),
+    ]:
+        with pytest.raises(DegenerateSimplexError) as exc:
+            g.dS_dL_blocks(stack)
+        assert str(exc.value) == message
+    assert np.isfinite(g.dS_dL_blocks(np.delete(L, [2, 4], axis=0))).all()
+
+
 def test_local_index_tables_match_a_faces5_loop():
     # the (face, edge) terms of dS_dL_blocks, derived from FACE_EDGES5, and the
     # vertices opposite each face, which jacobians reads from here, are the

@@ -14,6 +14,7 @@ from pachner33.errors import DegenerateSimplexError
 from pachner33.flatmetric import triangle_areas
 
 from conftest import (
+    AREA_REL_TOL,
     CLUSTER_FIELDS,
     DELTA5,
     DELTA5_CELLS,
@@ -21,6 +22,7 @@ from conftest import (
     check_6term_one,
     check_basic2_one,
     face_area,
+    heron_area,
     symmetric_cluster,
     unit_ball_placement_loop,
 )
@@ -320,9 +322,11 @@ def test_schlafli_areas_are_the_face_areas():
     tables = g.squared_length_table(idn.random_simplices(range(5)))
     stacked = idn._face_areas(tables)
     for L, areas in zip(tables, stacked):
-        want = [face_area(L, f) for f in g.FACES5]
+        want = [heron_area(L, f) for f in g.FACES5]
         assert areas.tolist() == want
         assert triangle_areas(L[g.EDGE_I, g.EDGE_J], g.FACE_EDGES5, g.FACES5).tolist() == want
+        oracle = np.array([face_area(L, f) for f in g.FACES5])
+        assert np.abs(areas - oracle).max() <= AREA_REL_TOL * oracle.min()
     flat = g.squared_length_table(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [0.0, 1.0],
                                             [1.0, 1.0]]))
     with pytest.raises(DegenerateSimplexError):
@@ -387,7 +391,7 @@ def opposite_edge_derivative_loop(draws, tol):
         eps = 1 if V > 0 else -1
         L = g.squared_length_table(pts)
         face, edge = (1, 2, 3), (0, 4)
-        S = face_area(L, face)
+        S = heron_area(L, face)
         oracle = central_difference_one_table(
             lambda T: idn.signed_angles(T, eps), L, idn._EDGE_DIRECTIONS
         ).T

@@ -403,7 +403,7 @@ def test_cli_check_flat_rejects_a_non_finite_perturb_amount(amount, capsys):
 
 
 def test_cli_check_flat_reports_an_overflowing_amount_as_degenerate():
-    # a finite AMOUNT whose Cayley-Menger determinants overflow gets the typed
+    # a finite AMOUNT whose squared areas overflow gets the typed
     # error report; tier-1 turns any numpy RuntimeWarning on the way into a failure
     code, out = run_cli(
         "check-flat", fixture_path("boundary_delta5.json"), "--perturb", "0,1,1e300"

@@ -700,7 +700,7 @@ def test_mixed_stack_takes_each_cell_through_its_pass_bitwise():
     # each pass is bitwise its kernel on its own tables: the float64
     # elimination on the thick ones, today's extended-precision route on
     # the thin ones
-    P64 = jb._gram_of_inverse(jb._eliminate(jb._edge_gram(tables[kept]))[0])
+    P64 = jb._gram_of_inverse(jb._eliminate(g.edge_gram(tables[kept]))[0])
     for cells, P in ((kept, P64), (rerun, normal_gram_rowwise(tables[rerun]))):
         assert blocks[cells].tobytes() == gram_dtheta_dL_reference(P, signs[cells]).tobytes()
         assert angles[cells].tobytes() == gram_angles_reference(P).tobytes()
