@@ -81,11 +81,12 @@ def realize(c, coords):
     naming the first degenerate simplex.
     """
     require_closed_oriented(c)
-    missing = [v for v in c.vertices if v not in coords]
+    vertices = c.vertex_ids.tolist()
+    missing = [v for v in vertices if v not in coords]
     if missing:
         raise Pachner33Error(f"realization lacks coordinates for vertices {missing}")
 
-    X = np.array([coords[v] for v in c.vertices], dtype=float).reshape(len(c.vertices), 4)
+    X = np.array([coords[v] for v in vertices], dtype=float).reshape(len(vertices), 4)
     d = X[c.edge_ends[:, 0]] - X[c.edge_ends[:, 1]]
     # a stack of 1x4 by 4x1 products rounds exactly like d @ d per edge
     L = np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0]
@@ -126,8 +127,8 @@ def metric_from_lengths(c, L, eps):
 
 def random_realization(c, seed):
     """Seed-deterministic unit-ball placement with no simplex below DEFAULT_QUALITY."""
-    pts = geometry.unit_ball_placement([seed], len(c.vertices), c.simplex_vertices)[0]
-    return {v: pts[n] for n, v in enumerate(c.vertices)}
+    pts = geometry.unit_ball_placement([seed], len(c.vertex_ids), c.simplex_vertices)[0]
+    return dict(zip(c.vertex_ids.tolist(), pts))
 
 
 def deficit_omega(c, m):

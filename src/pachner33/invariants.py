@@ -231,7 +231,7 @@ def compare_under_move(c, coords, t):
     sign_before, log_before = restricted_invariant(c, m, sel)
 
     B_after, def_row = virtual_rebuild(c, sel, star, shares, new_rows, new_cols)
-    B_after[sel.rows.index(row_abc)] = def_row
+    B_after[0] = def_row  # the forced row of ABC is always the first pivot row
     volumes = np.append(np.delete(m.V, star), new_volumes)
     # the edges de, df, ef of the appearing triangle, in its first replacement cell
     is_def = new_rows[0] == len(c.triangle_vertices)

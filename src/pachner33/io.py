@@ -21,12 +21,13 @@ text as writing them item by item: a dict key (json's C string encoder,
 as json.dumps writes a str), a list of exactly-float items (one format
 per item), a list of exactly-int items, a list of lists or tuples of
 exactly-int items (simplices), a 1-d float64 ndarray (the correctly
-rounded "%.17g" digits and layout formed with array steps, in chunks of
-at most 4096 items; zeros, nan, infinities and magnitudes outside
-[1e-6, 1e17) formatted one at a time) and a 1-d or 2-d integer ndarray
-(triplet indices, face keys, selection keys: the text of
-json.dumps(a.tolist()), gathered in one step from a NUL-padded byte table
-of each value's text).
+rounded "%.17g" text formed with array steps, in chunks of at most 4096
+items; zeros, nan, infinities and magnitudes outside [1e-6, 1e17) are
+formatted one at a time) and a 1-d or 2-d integer ndarray (triplet
+indices, face keys, selection keys: the text of json.dumps(a.tolist())).
+Both array writers read digits four at a time from one table of "0000"
+to "9999", lay each item's text out in a NUL-padded byte table and
+delete the NULs with one bytes.translate.
 Anything else, a bool or a numpy scalar inside a list included, is
 written item by item.  Other ndarrays are not supported.
 """
@@ -76,8 +77,19 @@ def _split(a):
 _POW10, _POW10_HI, _POW10_LO = np.array(
     [(float(10**p), *_split(float(10**p))) for p in range(23)]
 ).T
-# "00", "01", ..., "99": two ASCII digits per entry
-_PAIRS = np.frombuffer("".join(map("{:02d}".format, range(100))).encode(), dtype=np.uint16)
+
+
+def _quad_table():
+    """"0000", "0001", ..., "9999" as uint32: entry 100 h + l joins the digit pairs of h and l."""
+    # "00" to "99" as (100, 1) uint16: the last two digits of 100 to 199
+    text = np.frombuffer("".join(map(str, range(100, 200))).encode(), np.uint8).reshape(100, 3)
+    pairs = text[:, 1:].copy().view(np.uint16)
+    table = np.empty((100, 100, 2), np.uint16)
+    table[..., 0], table[..., 1] = pairs, pairs.T
+    return table.view(np.uint32).ravel()
+
+
+_QUADS = _quad_table()
 # Text slots of one item, in order: sign, "0.000" of fixed notation below 1,
 # 17 digits and the point, "e-0N" of scientific notation, ", ".
 _SIGN, _ZEROS, _DIGITS, _EXPONENT, _SEPARATOR, _SLOTS = 0, 1, 6, 24, 28, 30
@@ -86,6 +98,27 @@ _EXPONENT_TEXT = np.frombuffer(b"e-0", np.uint8)[:, None]
 _ROW5 = np.arange(5)[:, None]
 _ROW18 = np.arange(18)[:, None]
 _DIGIT_PLACE = np.arange(1, 18, dtype=np.uint8)[:, None]
+
+
+def _decimal_digits(values, groups):
+    """(n, 4 * groups) bytes: the last 4 * groups ASCII decimal digits of each item
+    of the uint64 array values, the highest place first, with leading zeros.
+
+    values is split into 4-digit groups (five hold any uint64, 2**64 < 10**20),
+    and each group's text is read from _QUADS.
+    """
+    quads = np.empty((len(values), groups), np.uint32)
+    for k in range(groups - 1, 0, -1):
+        high = values // np.uint64(10000)
+        quads[:, k] = values - high * np.uint64(10000)
+        values = high
+    quads[:, 0] = values
+    return _QUADS.take(quads).view(np.uint8)
+
+
+def _table_text(T):
+    """The text of the byte table T: its bytes in C order, NULs deleted."""
+    return T.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _significands(x):
@@ -122,27 +155,6 @@ def _significands(x):
     return N, 16 - p, exact
 
 
-def _digits(N):
-    """(19, n) bytes: row 0 the point, rows 1-17 the digits of N < 10**17, row 18 "0"."""
-    n = len(N)
-    D = np.empty((19, n), np.uint8)
-    D[0] = ord(".")
-    lead = N // 10**16
-    D[1] = lead + ord("0")
-    rest = N - lead * 10**16
-    high = rest // 10**8
-    pairs = np.stack((high, rest - high * 10**8)).astype(np.int32)
-    for div in (10**4, 100):
-        high = pairs // div
-        pairs = np.stack((high, pairs - high * div), axis=-2)
-    # pair i gives the digits of rows 2 + 2i and 3 + 2i
-    D[2:18].reshape(8, 2, n).transpose(0, 2, 1)[...] = (
-        _PAIRS.take(pairs.reshape(8, n)).view(np.uint8).reshape(8, n, 2)
-    )
-    D[18] = ord("0")
-    return D
-
-
 def _slots(x, N, X):
     """(slots, n) bytes: the "%.17g" text of each item of x, from its significand N
     and exponent X, followed by ", ", with a NUL in each slot the text leaves empty.
@@ -152,8 +164,9 @@ def _slots(x, N, X):
     out, "-" from the sign bit.
     """
     n = len(x)
-    D = _digits(N)
-    significant = ((D[1:18] != ord("0")) * _DIGIT_PLACE).max(axis=0)
+    # the 17 digits of N < 10**17, one row per place
+    D = np.ascontiguousarray(_decimal_digits(N.view(np.uint64), 5)[:, 3:].T)
+    significant = ((D != ord("0")) * _DIGIT_PLACE).max(axis=0)
     scientific = X < -4
     at_least_one = X >= 0
     # the point follows digit `point`; fixed notation below 1 has it in "0.000"
@@ -166,8 +179,8 @@ def _slots(x, N, X):
     np.multiply(_ZEROS_TEXT, _ROW5 < zeros, out=T[_ZEROS:_DIGITS])
     digits = T[_DIGITS:_EXPONENT]
     # slot j holds digit j before the point and digit j - 1 after it
-    np.multiply(_ROW18 >= point, D[0:18] - D[1:19], out=digits)
-    digits += D[1:19]
+    digits[:17] = D
+    np.copyto(digits[1:], D, where=_ROW18[:17] >= point)
     digits[point, np.arange(n)] = ord(".")
     digits *= _ROW18 < shown
     np.multiply(_EXPONENT_TEXT, scientific, out=T[_EXPONENT:_EXPONENT + 3])
@@ -180,25 +193,16 @@ def _slots(x, N, X):
 def _float64_text(x):
     """The "%.17g" text of each item of the 1-d float64 array x, each followed by ", ".
 
-    The text of the items with an exact significand is laid out by _slots
-    and read item by item with the NULs deleted.  The other items are then
-    written one at a time, by _FORMAT17 (the same text as "%.17g"), at their
-    places in the text.
+    The text of the items with an exact significand is laid out by _slots.
+    The other items are written one at a time, by _FORMAT17 (the same text
+    as "%.17g", at most 24 bytes), into their own text slots, NUL-padded.
     """
     N, X, exact = _significands(x)
     T = _slots(x, N, X)
     per_item = np.flatnonzero(~exact)
-    T[:_SEPARATOR, per_item] = 0
-    text = np.ascontiguousarray(T.T).tobytes().translate(None, b"\0").decode("ascii")
-    if not len(per_item):
-        return text
-    lengths = np.count_nonzero(T, axis=0)
-    starts = (np.cumsum(lengths) - lengths)[per_item].tolist()
-    pieces = [text[:starts[0]]]
-    for start, end, value in zip(starts, starts[1:] + [len(text)], x[per_item].tolist()):
-        pieces.append(_FORMAT17(value))
-        pieces.append(text[start:end])
-    return "".join(pieces)
+    texts = np.array([_FORMAT17(value) for value in x[per_item].tolist()], f"S{_SEPARATOR}")
+    T[:_SEPARATOR, per_item] = texts.view(np.uint8).reshape(-1, _SEPARATOR).T
+    return _table_text(T.T)
 
 
 def _int_slots(values, separator):
@@ -215,14 +219,11 @@ def _int_slots(values, separator):
     T = np.empty((len(values), signs + width + len(separator)), np.uint8)
     if signs:
         np.multiply(negative, np.uint8(ord("-")), out=T[:, 0])
-    # each item over the powers of ten down to 1: a leading zero gives a
-    # quotient of 0 and is a NUL; the units digit is always shown
-    quotients = rest[:, None] // np.uint64(10) ** np.arange(width - 1, -1, -1, dtype=np.uint64)
-    shown = quotients != 0
-    shown[:, -1] = True
-    quotients %= np.uint64(10)
-    quotients += np.uint64(ord("0"))
-    np.multiply(quotients, shown, out=T[:, signs:signs + width], casting="unsafe")
+    # the last `width` digits, with a NUL in each place above an item's
+    # highest digit (the units digit of 0 is shown)
+    D = _decimal_digits(rest, -(-width // 4))[:, -width:]
+    places = np.uint64(10) ** np.arange(width - 1, -1, -1, dtype=np.uint64)
+    np.multiply(D, np.maximum(rest, np.uint64(1))[:, None] >= places, out=T[:, signs:signs + width])
     T[:, signs + width:] = np.frombuffer(separator, np.uint8)
     return T
 
@@ -235,7 +236,7 @@ def _int_array_text(a):
     whose last column gets "], [" in their place.  The table spans
     min(a)..max(a) when that range holds fewer values than a has items,
     and one gather takes each item's row; otherwise it holds the items
-    themselves.  The NULs are then deleted with bytes.translate.
+    themselves.  _table_text then deletes the NULs.
     """
     if not a.size:
         return json.dumps(a.tolist())
@@ -250,9 +251,7 @@ def _int_array_text(a):
         T = _int_slots(a.astype(wide).ravel(), separator).reshape(a.shape + (-1,))
     if a.ndim == 2:
         T[:, -1, -4:] = np.frombuffer(b"], [", np.uint8)
-    text = T.tobytes().translate(None, b"\0").decode("ascii")
-    cut = len(separator)
-    return "[" * a.ndim + text[:-cut] + "]" * a.ndim
+    return "[" * a.ndim + _table_text(T)[:-len(separator)] + "]" * a.ndim
 
 
 def _dump(obj, pieces):

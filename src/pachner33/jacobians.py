@@ -549,15 +549,16 @@ def rank_and_submatrix(matrix, must_include_row=None):
     argmax of |work[r]|: the first maximum of |work| in row-major order.  A
     step updates only the rows with a nonzero entry in the pivot column, in
     passes of at most _UPDATE_BYTES per temporary, then zeroes that column
-    and the pivot row and refreshes row_best on the touched rows.  Every
-    other row would only have a signed zero subtracted from it, which
-    changes no |entry|, so the pivots and the complements are bitwise those
-    of eliminating the whole array at every step; on the sparse dOmega_dL a
-    step costs the touched rows, not the matrix.  Once a step has touched
-    more than half of the rows and the whole array fits in one pass
-    (work.nbytes <= _UPDATE_BYTES), the remaining steps do just that, in
-    one array-sized buffer: the pivot is the first argmax of |work| and the
-    update is x - (x_c / piv) * p, with no row maxima.
+    and refreshes row_best on the touched rows.  The pivot row's own update,
+    p - 1.0 * p, zeroes it exactly.  Every other row would only have a
+    signed zero subtracted from it, which changes no |entry|, so the pivots
+    and the complements are bitwise those of eliminating the whole array at
+    every step; on the sparse dOmega_dL a step costs the touched rows, not
+    the matrix.  Once a step has touched more than half of the rows and the
+    whole array fits in one pass (work.nbytes <= _UPDATE_BYTES), the
+    remaining steps do just that, in one array-sized buffer: the pivot is
+    the first argmax of |work| and the update is x - (x_c / piv) * p, with
+    no row maxima.
     """
     work = np.require(np.asarray(matrix, dtype=float), requirements="W")
     if work.ndim != 2:
@@ -594,12 +595,12 @@ def rank_and_submatrix(matrix, must_include_row=None):
         else:
             r = forced if forced is not None and not pivots else int(row_best.argmax())
             c = int(np.abs(work[r]).argmax())
-        piv = work[r, c]
-        if pivots and abs(piv) <= pivot_floor:
+        piv = float(work[r, c])
+        # the first pivot is the largest entry (or a forced row's, above the
+        # floor), so only a zero matrix stops there
+        if abs(piv) <= pivot_floor:
             break
-        if not pivots and piv == 0.0:
-            break
-        pivots.append(float(piv))
+        pivots.append(piv)
         pivot_rows.append(r)
         pivot_cols.append(c)
         if whole is not None:
@@ -620,8 +621,6 @@ def rank_and_submatrix(matrix, must_include_row=None):
                 row_best[part] = np.abs(touched, out=update).max(axis=1)
             if 2 * len(rows) > n_rows and work.nbytes <= _UPDATE_BYTES:
                 whole = np.empty_like(work)
-        work[r] = 0.0
-        row_best[r] = 0.0
 
     return SubmatrixSelection(
         rows=tuple(pivot_rows),

@@ -910,6 +910,7 @@ def test_commands_read_no_tuple_table(monkeypatch, tmp_path):
     flat_move = _moved_vertex_document(tmp_path / "flat_move.json", 6, (0, 1, 4, 5))
     cases = {
         ("invariant", join): None,
+        ("invariant", join, "--seed", "3"): None,
         ("jacobian", join): None,
         ("compare", join, "--face", "0,1,2"): None,
         ("compare", delta5, "--face", "0,1,2"): None,
@@ -937,7 +938,7 @@ def test_commands_read_no_tuple_table(monkeypatch, tmp_path):
             raise AssertionError(f"Complex4.{name} was read")
         return read
 
-    for name in ("faces", "face_index", "simplices"):
+    for name in ("faces", "face_index", "simplices", "vertices"):
         monkeypatch.setattr(cx.Complex4, name, property(refuse(name)))
     monkeypatch.setattr(cx.Complex4, "oriented_simplex", refuse("oriented_simplex"))
     for argv, message in cases.items():
@@ -1149,6 +1150,10 @@ def test_dumps_writes_integer_arrays_as_their_item_text():
         rng.integers(-50, 50, size=1000), rng.integers(0, 1020, size=5000),
         rng.integers(0, 1020, size=(600, 3)), rng.integers(-10**15, 10**15, size=(300, 2)),
         np.array([-1, 5, -1, 5, 5, 0, -1]), np.array([[1, 10, 100], [1000, 9, 99]]),
+        # 10**(4k) - 1, 10**(4k) and 10**(4k) + 1: the edges of the 4-digit groups
+        np.array([10 ** (4 * k) + d for k in range(1, 5) for d in (-1, 0, 1)] + [2**64 - 1],
+                 dtype=np.uint64),
+        -np.array([10 ** (4 * k) + d for k in range(1, 5) for d in (-1, 0, 1)]).reshape(4, 3),
     ]
     for dtype in INTEGER_DTYPES:
         info = np.iinfo(dtype)
@@ -1247,6 +1252,10 @@ def test_dumps_writes_float_arrays_as_the_reference_writer():
         np.repeat(rng.integers(10**16, 10**17, 17) // 10 ** np.arange(17), 23)
         * 10.0 ** np.tile(np.arange(-6, 17), 17),
         np.zeros(0), np.array([0.1]), np.array([-0.0]),
+        # significands at the edges of the 4-digit groups, at every exponent
+        np.array([float(f"{N}e{e}") for N in (10**16, 10**16 + 1, 10000999900009999,
+                                             10001000000000000, 10**17 - 1)
+                  for e in range(-22, 1)]),
     ]
     # more than one chunk, with per-item values on both sides of each chunk boundary
     long = rng.uniform(-2.0, 2.0, 3 * pio._CHUNK + 5)
