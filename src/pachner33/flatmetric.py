@@ -174,7 +174,6 @@ class FlatnessReport:
     passed: bool
     max_omega: float
     max_Omega: float
-    tol: float
     bad_faces: tuple
     bad_edges: tuple
 
@@ -190,7 +189,6 @@ def check_flat(c, m, tol=FLATNESS_TOL):
         passed=max_o <= tol and max_O <= tol,
         max_omega=max_o,
         max_Omega=max_O,
-        tol=tol,
         bad_faces=bad_faces,
         bad_edges=bad_edges,
     )

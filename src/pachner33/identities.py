@@ -55,7 +55,6 @@ FD_REL_STEP = 1e-5
 class BatteryResult:
     name: str
     trials: int
-    tol: float
     max_residual: float
     failures: int
     extras: dict = field(default_factory=dict)
@@ -359,7 +358,7 @@ def _result(name, draws, tol, residuals, failed=None, extras=None):
     if failed is None:
         failed = residuals > tol
     return BatteryResult(
-        name, len(draws.seeds), tol, float(residuals.max(initial=0.0)),
+        name, len(draws.seeds), float(residuals.max(initial=0.0)),
         int(np.count_nonzero(failed)), extras or {},
     )
 

@@ -195,7 +195,6 @@ class MoveComparison:
 
     old_face: tuple
     new_face: tuple
-    six_vertices: tuple
     selection: object
     sign_before: int
     log_abs_before: float
@@ -251,7 +250,6 @@ def compare_under_move(c, coords, t):
     return MoveComparison(
         old_face=abc,
         new_face=def_,
-        six_vertices=abc + def_,
         selection=sel,
         sign_before=sign_before,
         log_abs_before=log_before,

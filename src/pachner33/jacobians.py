@@ -53,8 +53,11 @@ rows its pivot column reaches and finds the next pivot through the row
 maxima, so on the sparse dOmega_dL (a few percent nonzero) a step costs
 the rows it changes rather than the whole matrix; on a small array that
 fills in, the later steps take the whole array.  The elimination runs in
-the float64 matrix it is handed and forms no whole-matrix temporary, so a
-command that selects holds one faces x edges array.
+the float64 matrix it is handed, and each of its temporaries stays within
+_UPDATE_BYTES (256 KiB): those of a step's passes over its touched rows,
+and the array-sized buffer of the whole-array steps, which only an array
+that fits in one pass switches to.  So a command that selects holds one
+faces x edges array.
 """
 from __future__ import annotations
 

@@ -534,3 +534,9 @@ def stellar_ladder_rungs(rungs):
 def stellar_ladder():
     """stellar_ladder_rungs at LADDER_RUNGS."""
     return stellar_ladder_rungs(LADDER_RUNGS)
+
+
+@pytest.fixture(scope="session")
+def ladder406():
+    """(complex, coords) of the ladder's 406-cell rung, built once for every module."""
+    return stellar_ladder_rungs((406,))[406]

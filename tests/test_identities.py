@@ -451,6 +451,6 @@ def test_stacked_battery_is_bitwise_the_per_trial_loop(stacked, loop):
     for draws in cases:
         for tol in (idn.DEFAULT_TOL, 1e-12):  # the second fails some trials
             got, want = stacked(draws, tol), loop(draws, tol)
-            # BatteryResult equality: name, trials, tol, max_residual, failures, extras
+            # BatteryResult equality: name, trials, max_residual, failures, extras
             assert got == want
             assert np.float64(got.max_residual).tobytes() == np.float64(want.max_residual).tobytes()

@@ -1037,15 +1037,30 @@ def test_cli_realize_emits_coords(tmp_path):
     assert doc.coords is not None and len(doc.coords) == 7
 
 
-def test_cli_unknown_command_exits_2():
-    # the child imports the package the tests imported, whatever PYTHONPATH says
+def run_child(*args):
+    """A fresh interpreter's run of args; it imports the package the tests
+    imported, whatever PYTHONPATH says."""
     src = os.path.dirname(os.path.dirname(pachner33.__file__))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-m", "pachner33", "frobnicate"],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
-    assert proc.returncode == 2
+
+
+def test_cli_unknown_command_exits_2():
+    assert run_child("-m", "pachner33", "frobnicate").returncode == 2
+
+
+def test_importing_a_module_loads_only_what_it_imports():
+    # the modules perfbench/inputs.py imports; the package namespace re-exports nothing
+    proc = run_child("-c", (
+        "import sys, pachner33.complexes, pachner33.flatmetric, pachner33.io\n"
+        "print(sorted(m for m in ('identities', 'invariants', 'cli')\n"
+        "             if 'pachner33.' + m in sys.modules))"
+    ))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_cli_parser_survives_a_usage_error():

@@ -30,7 +30,7 @@ from pachner33 import flatmetric as fm
 from pachner33 import invariants as iv
 from pachner33 import io as pio
 
-from conftest import join72, stellar_ladder_rungs
+from conftest import join72
 
 FIXTURES = ("boundary_delta5.json", "join_tetra_triangle.json", "bipyramid_10cell.json")
 RUNGS = (26, 86, 166)
@@ -99,9 +99,9 @@ def test_full_invariant_follows_scaling_rigid_motion_and_reflection(name, placed
 
 
 @pytest.fixture(scope="module")
-def rung406():
-    """motions of the ladder's 406-cell rung, built once: no other module needs it."""
-    return motions(*stellar_ladder_rungs((406,))[406])
+def rung406(ladder406):
+    """motions of the ladder's 406-cell rung."""
+    return motions(*ladder406)
 
 
 def test_rigid_motion_and_reflection_at_406_cells(rung406):
