@@ -180,7 +180,10 @@ def _slots(x, N, X):
     digits = T[_DIGITS:_EXPONENT]
     # slot j holds digit j before the point and digit j - 1 after it
     digits[:17] = D
-    np.copyto(digits[1:], D, where=_ROW18[:17] >= point)
+    # from the point on, each digit moves one slot down: a uint8 blend, in
+    # wrapping arithmetic, is several times faster than a masked copy
+    tail = digits[1:]
+    tail += (_ROW18[:17] >= point).view(np.uint8) * (D - tail)
     digits[point, np.arange(n)] = ord(".")
     digits *= _ROW18 < shown
     np.multiply(_EXPONENT_TEXT, scientific, out=T[_EXPONENT:_EXPONENT + 3])

@@ -18,12 +18,14 @@ of each simplex's sorted vertex tuple.
   (10,) rows of a list of faces of every simplex (face_angle_rows), for a
   caller that reads no other face.
 
-  The kernel runs in float64, and only thin cells, those whose quality
-  |V| / mean_edge^4 is below geometry.THIN_QUALITY = 2e-4, are re-run in
-  extended precision (np.longdouble where the platform has it), through
-  the same elimination and derivative (_normal_grams).  One scale-free
-  quality, taken from the elimination pivots (_squared_quality), decides
-  both which cells are thin and which fall below the degeneracy floor.
+  The kernel runs once in float64 over every cell, and the rows of thin
+  cells, those whose quality |V| / mean_edge^4 is below
+  geometry.THIN_QUALITY = 2e-4, are then overwritten from a second run
+  over those cells alone in extended precision (np.longdouble where the
+  platform has it), through the same elimination and derivative
+  (_normal_grams, _by_pass).  One scale-free quality, taken from the
+  elimination pivots (_squared_quality), decides both which cells are
+  thin and which fall below the degeneracy floor.
   Against a 50-digit reference from the coordinates (the 60 thinnest
   cells of each band on fifteen 406-cell ladder rungs), a float64 block
   is within 3.6e-12 of its largest entry from quality 2e-4 to 1e-3 and
@@ -84,8 +86,6 @@ _UPDATE_BYTES = 1 << 18
 _FLOAT64_SCALE = 1e100
 
 _VERTICES = np.arange(5)[:, None]
-# the rows a Gauss-Jordan step at pivot k eliminates
-_OTHER_ROWS = tuple(np.array([r for r in range(4) if r != k]) for k in range(4))
 
 
 def _eliminate(G):
@@ -93,10 +93,10 @@ def _eliminate(G):
 
     The elimination runs on one augmented (N, 4, 8) array [G | I], whose
     right half ends as G^-1.  Each step divides the pivot row and then
-    clears the pivot column from the three other rows with one broadcast
-    update.  The pivot row does not change during the step, so every entry
-    gets the operations a row-by-row update of G and of its inverse gives
-    it, bitwise.  Step k touches only the columns k+1 .. k+4: the columns
+    clears the pivot column from the rows above it and the rows below it,
+    one broadcast update each.  The pivot row does not change during the
+    step, so every entry gets the operations a row-by-row update of G and
+    of its inverse gives it, bitwise.  Step k touches only the columns k+1 .. k+4: the columns
     to their left are spent (unit columns, which the update would leave as
     they are and which nothing reads again) and those to their right are
     still exact identity columns, zero in the pivot row, which it would
@@ -112,8 +112,8 @@ def _eliminate(G):
         pivots[:, k] = A[:, k, k]
         window = slice(k + 1, k + 5)
         A[:, k, window] /= pivots[:, k, None]
-        others = _OTHER_ROWS[k]
-        A[:, others, window] -= A[:, others, k, None] * A[:, k, None, window]
+        for others in (slice(k), slice(k + 1, 4)):
+            A[:, others, window] -= A[:, others, k, None] * A[:, k, None, window]
     # contiguous, so that the sums of _gram_of_inverse reduce in the order they always have
     return np.ascontiguousarray(A[:, :, 4:]), pivots
 
@@ -143,48 +143,48 @@ def _gram_of_inverse(inv):
 
 
 def _normal_grams(L):
-    """The facet-normal Gram matrices of an (N, 5, 5) stack, by pass: [(cells, P), ...].
+    """The facet-normal Gram matrices of an (N, 5, 5) stack: (P, thin, P_thin).
 
     P is the lower-right 5x5 block of the inverse bordered Cayley-Menger
     matrix, the inverse of the edge-vector Gram matrix at vertex 0
     (geometry.edge_gram, det G = 576 V^2) bordered by its row sums
-    (_gram_of_inverse).  The float64 pass eliminates every table
-    (_eliminate in float64) and keeps those it can trust; the others are
-    thin and are eliminated again in np.longdouble, where on thin simplices
-    a float64 inverse loses about ten times more than the rounding of the
-    lengths themselves.  Both passes judge a table by one squared quality,
-    _squared_quality of their pivots and the float64 squared mean edge s,
-    taken as geometry.cell_volumes takes it.  A table is thin when
+    (_gram_of_inverse).  The float64 stack P holds every table (_eliminate
+    in float64); thin holds the indices of the tables it cannot be trusted
+    on, and P_thin their Grams eliminated again in np.longdouble, where on
+    thin simplices a float64 inverse loses about ten times more than the
+    rounding of the lengths themselves.  The thin tables' rows of P mean
+    nothing, and may not be finite.  Both eliminations judge a table by one
+    squared quality, _squared_quality of their pivots and the float64
+    squared mean edge s, taken as geometry.cell_volumes takes it.  A table
+    is thin when
         - its quality is below geometry.THIN_QUALITY,
         - a float64 pivot is not positive or an entry of its inverse is not
           finite, or
         - s lies outside [1 / _FLOAT64_SCALE, _FLOAT64_SCALE]: from about
           1e+-200 on, products of entries of P leave the float64 range and
           the blocks would not be finite.
-    The thin pass rejects a table whose G is not positive definite, or
-    whose quality is below geometry.DEGENERACY_REL (NaN included), the
-    floor of cell_volumes.  A pivot that is not positive is reported at the
-    first step that has one, for the first table there, as an elimination
-    that stops at that step reports it; every error names the table's
-    index in the batch.  Degenerate tables are far below THIN_QUALITY in
-    either precision, so every error is the thin pass's own.
-
-    Returns one pass, (slice(None), P) in float64, when no table is thin,
-    else the float64 tables' (indices, P) and the thin ones' (indices, P)
-    in np.longdouble.
+    The extended elimination rejects a table whose G is not positive
+    definite, or whose quality is below geometry.DEGENERACY_REL (NaN
+    included), the floor of cell_volumes.  A pivot that is not positive is
+    reported at the first step that has one, for the first table there, as
+    an elimination that stops at that step reports it; every error names
+    the table's index in the batch.  Degenerate tables are far below
+    THIN_QUALITY in either precision, so every error is the extended
+    elimination's own.  With no thin table, thin is empty and P_thin None.
     """
     L = np.asarray(L, dtype=float)
     scale = np.sqrt(np.maximum(L[:, geometry.EDGE_I, geometry.EDGE_J], 0.0)).mean(axis=1)
     scale *= scale
-    with np.errstate(all="ignore"):  # the values of thin tables are discarded
+    with np.errstate(all="ignore"):  # the values of thin tables mean nothing
         inv, pivots = _eliminate(geometry.edge_gram(L))
         quality2 = _squared_quality(pivots, scale)
+        P = _gram_of_inverse(inv)
     kept = ((quality2 >= geometry.THIN_QUALITY**2) & (pivots > 0.0).all(axis=1)
             & np.isfinite(inv).all(axis=(1, 2))
             & (scale >= 1.0 / _FLOAT64_SCALE) & (scale <= _FLOAT64_SCALE))
-    if kept.all():
-        return [(slice(None), _gram_of_inverse(inv))]
-    kept, thin = np.flatnonzero(kept), np.flatnonzero(~kept)
+    thin = np.flatnonzero(~kept)
+    if not thin.size:
+        return P, thin, None
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         inv_thin, pivots = _eliminate(geometry.edge_gram(L[thin].astype(np.longdouble)))
         quality2 = _squared_quality(pivots, scale[thin])
@@ -201,23 +201,37 @@ def _normal_grams(L):
             f"simplex {thin[int(bad[0])]} of the batch is degenerate "
             f"(|V| below {geometry.DEGENERACY_REL:g} mean_edge^4)"
         )
-    return [(kept, _gram_of_inverse(inv[kept])), (thin, _gram_of_inverse(inv_thin))]
+    return P, thin, _gram_of_inverse(inv_thin)
 
 
 def _by_pass(L, kernel):
-    """kernel(P, cells) of each pass of _normal_grams(L), a tuple of (n, ...)
-    float64 arrays per pass, merged into batch order."""
-    passes = _normal_grams(L)
-    results = [kernel(P, cells) for cells, P in passes]
-    if len(results) == 1:
-        return results[0]
-    merged = []
-    for parts in zip(*results):
-        out = np.empty((len(L),) + parts[0].shape[1:])
-        for (cells, _), part in zip(passes, parts):
-            out[cells] = part
-        merged.append(out)
-    return tuple(merged)
+    """kernel(P, cells) over every table of _normal_grams(L) in float64, a tuple
+    of (N, ...) float64 arrays, with the thin tables' rows overwritten by
+    kernel(P_thin, thin)."""
+    P, thin, P_thin = _normal_grams(L)
+    with np.errstate(all="ignore"):  # the thin tables' float64 values are overwritten
+        out = kernel(P, slice(None))
+    if thin.size:
+        for full, rows in zip(out, kernel(P_thin, thin)):
+            full[thin] = rows
+    return out
+
+
+def _derivatives_by_pass(L, eps, kernel):
+    """_by_pass of kernel(P, signs) for the (N,) simplex signs eps; the last of
+    its outputs are dtheta/dL rows.
+
+    The signs are checked first: the kernel divides by them, which is exact
+    only for +-1, so any other sign is a ValueError.  The rows are checked
+    once merged: DegenerateSimplexError when one is not finite in float64.
+    """
+    eps = np.asarray(eps, dtype=float).reshape(-1)
+    if not np.all(np.abs(eps) == 1.0):
+        raise ValueError("simplex signs must be +1 or -1")
+    out = _by_pass(L, lambda P, cells: kernel(P, eps[cells]))
+    if not np.isfinite(out[-1]).all():
+        raise DegenerateSimplexError("dihedral-angle derivatives are not finite")
+    return out
 
 
 def _gram_angles(P, faces=range(10)):
@@ -249,45 +263,38 @@ def _gram_dtheta_dL(P, eps, faces=range(10)):
     do (halving, doubling and sign flips are exact).  The bracket is
     W[x] + W[y] for the per-vertex terms W[v, ij] = P_vi P_vj / P_vv,
     formed once per table for its five vertices and gathered at the faces.
-    P is float64 or, on the thin pass, np.longdouble; every block-sized
-    operation is in place, ordered so that at most four block-sized arrays
-    are alive.  The division by eps is exact only for eps = +-1, so any
-    other sign is a ValueError.  Raises DegenerateSimplexError when a
-    derivative is not finite in float64.
+    P is float64 or, for the thin tables, np.longdouble; every block-sized
+    operation is in place, ordered so that at most three block-sized arrays
+    are alive.  The signs are taken as they are and the derivatives may not
+    be finite: _derivatives_by_pass checks both.
     """
     x, y = geometry.OPP_X[faces, None], geometry.OPP_Y[faces, None]
     i, j, v = geometry.EDGE_I, geometry.EDGE_J, _VERTICES
-    Pxx, Pyy = P[:, x, x], P[:, y, y]
-    norm = np.sqrt(Pxx * Pyy)
-    cos = -P[:, x, y] / norm
-    # formed before the block-sized arrays, W leaves the process's heap
-    # lower (its peak RSS on the benchmark ladder), at the same traced peak
-    W = P[:, v, i]
-    W *= P[:, v, j]
-    W /= P[:, v, v]
     dcos = P[:, j, y]
     dcos *= P[:, x, i]
     Piy = P[:, i, y]
     Piy *= P[:, x, j]
     dcos += Piy
     del Piy
+    norm = np.sqrt(P[:, x, x] * P[:, y, y])
+    cos = -P[:, x, y] / norm
     dcos /= -2.0 * norm
+    W = P[:, v, i]
+    W *= P[:, v, j]
+    W /= P[:, v, v]
     bracket = W[:, geometry.OPP_X[faces]]
-    bracket += W[:, geometry.OPP_Y[faces]]
+    # W[y] face by face, from views: gathered whole, it would be a third
+    # block-sized array beside dcos and bracket, with W alive too
+    for f, vertex in enumerate(geometry.OPP_Y[faces]):
+        bracket[:, f] += W[:, vertex]
     del W
     bracket *= 0.5 * cos
     dcos -= bracket
     del bracket
-    eps = np.asarray(eps, dtype=float).reshape(-1, 1, 1)
-    if not np.all(np.abs(eps) == 1.0):
-        raise ValueError("simplex signs must be +1 or -1")
-    dcos /= -eps * np.sqrt(1.0 - cos * cos)
+    dcos /= -eps[:, None, None] * np.sqrt(1.0 - cos * cos)
     # the gathers lay the blocks out face-major; the cast returns them C-ordered
     with np.errstate(over="ignore"):
-        D = dcos.astype(float, order="C")
-    if not np.isfinite(D).all():
-        raise DegenerateSimplexError("dihedral-angle derivatives are not finite")
-    return D
+        return dcos.astype(float, order="C")
 
 
 def dihedral_angles_batch(L):
@@ -305,8 +312,7 @@ def dtheta_dL_blocks(L, eps):
     L is an (N, 5, 5) stack of squared-length tables and eps the N simplex
     signs.  Raises DegenerateSimplexError on a degenerate table.
     """
-    eps = np.asarray(eps, dtype=float).reshape(-1)
-    return _by_pass(L, lambda P, cells: (_gram_dtheta_dL(P, eps[cells]),))[0]
+    return _derivatives_by_pass(L, eps, lambda P, eps: (_gram_dtheta_dL(P, eps),))[0]
 
 
 def face_angle_rows(L, eps, faces):
@@ -317,9 +323,8 @@ def face_angle_rows(L, eps, faces):
     rows of its k faces, each entry bitwise that of dihedral_angles_batch(L)
     and dtheta_dL_blocks(L, eps) at that face.
     """
-    eps = np.asarray(eps, dtype=float).reshape(-1)
-    return _by_pass(
-        L, lambda P, cells: (_gram_angles(P, faces), _gram_dtheta_dL(P, eps[cells], faces))
+    return _derivatives_by_pass(
+        L, eps, lambda P, eps: (_gram_angles(P, faces), _gram_dtheta_dL(P, eps, faces))
     )
 
 

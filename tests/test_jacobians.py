@@ -158,27 +158,32 @@ def float64_pass_rowwise(L):
 
 
 def normal_grams_reference(L, normal_gram=normal_gram_rowwise):
-    """The passes of jb._normal_grams from float64_pass_rowwise, the thin tables
-    through a reference of the thin pass (row by row unless given)."""
+    """jb._normal_grams's (P, thin, P_thin) from float64_pass_rowwise, the thin
+    tables through a reference of the extended elimination (row by row unless
+    given)."""
     P, kept = float64_pass_rowwise(L)
-    if kept.all():
-        return [(slice(None), P)]
-    kept, thin = np.flatnonzero(kept), np.flatnonzero(~kept)
-    return [(kept, P[kept]), (thin, normal_gram(np.asarray(L)[thin], thin))]
+    thin = np.flatnonzero(~kept)
+    return P, thin, (normal_gram(np.asarray(L)[thin], thin) if thin.size else None)
 
 
 def thin_pass(L):
-    """The Gram matrices of every table of L from the thin pass of jb._normal_grams
-    as it is at the call (a reference when patched), every table taken as thin."""
+    """The Gram matrices of every table of L from the extended elimination of
+    jb._normal_grams as it is at the call (a reference when patched), every
+    table taken as thin; the empty float64 stack of an empty L."""
     with pytest.MonkeyPatch.context() as patched:
         patched.setattr(g, "THIN_QUALITY", math.inf)
-        return jb._normal_grams(L)[-1][1]
+        P, _, P_thin = jb._normal_grams(L)
+        return P if P_thin is None else P_thin
 
 
-def passes_bytes(passes):
-    """The cells and Gram values of each pass of a _normal_grams result."""
-    return [(np.arange(len(P))[cells].tobytes() if isinstance(cells, slice) else cells.tobytes(),
-             P.dtype, value_bytes(P)) for cells, P in passes]
+def passes_bytes(grams):
+    """The thin indices and the Gram values a _normal_grams result passes on:
+    the float64 P of the other tables and the extended P_thin.  The float64
+    rows of thin tables mean nothing and are left out."""
+    P, thin, P_thin = grams
+    kept = np.delete(np.arange(len(P)), thin)
+    return [(thin.tobytes(), P.dtype, value_bytes(P[kept]))] + (
+        [] if P_thin is None else [(P_thin.dtype, value_bytes(P_thin))])
 
 
 def value_bytes(a):
@@ -220,7 +225,8 @@ def gram_angles_reference(P, faces=None):
 def gram_dtheta_dL_reference(P, eps, faces=None):
     """The derivative formula term by term, kept as the bitwise reference of
     jb._gram_dtheta_dL, which folds its halvings and sign flips, runs in place
-    and gathers by slices only."""
+    and gathers by slices only.  Neither checks the signs or the finiteness:
+    jb._derivatives_by_pass does, once."""
     take, x, y = face_gather(P, faces)
     i, j = g.EDGE_I, g.EDGE_J
     Pxx, Pyy = take(x, x), take(y, y)
@@ -234,11 +240,26 @@ def gram_dtheta_dL_reference(P, eps, faces=None):
     if faces is not None:
         eps = np.repeat(eps, len(faces))
     eps = eps.reshape((-1,) + (1,) * (dcos.ndim - 1))
-    D = -eps * dcos / np.sqrt(1.0 - cos * cos)
-    if not np.all(np.isfinite(D)):
-        raise DegenerateSimplexError("dihedral-angle derivatives are not finite")
-    D = D.astype(float)
+    D = (-eps * dcos / np.sqrt(1.0 - cos * cos)).astype(float)
     return D if faces is None else D.reshape(len(P), len(faces), 10)
+
+
+def by_pass_merge(L, kernel):
+    """jb._by_pass as two passes merged: kernel(P, cells) of the float64 tables
+    alone and of the thin ones, each written into a fresh (N, ...) array in
+    batch order; kept as the bitwise reference of the float64 pass over every
+    table whose thin rows are overwritten."""
+    P, thin, P_thin = jb._normal_grams(L)
+    kept = np.delete(np.arange(len(P)), thin)
+    passes = [(kept, P[kept])] + ([] if P_thin is None else [(thin, P_thin)])
+    results = [kernel(P, cells) for cells, P in passes]
+    merged = []
+    for parts in zip(*results):
+        out = np.empty((len(L),) + parts[0].shape[1:])
+        for (cells, _), part in zip(passes, parts):
+            out[cells] = part
+        merged.append(out)
+    return tuple(merged)
 
 
 def scatter_blocks_add_at(shape, rows, cols, blocks):
@@ -250,9 +271,10 @@ def scatter_blocks_add_at(shape, rows, cols, blocks):
 
 def use_reference_routes(patched, normal_gram=normal_gram_rowwise):
     """Swap in the row-by-row float64 pass, a reference Gram for the thin pass
-    (row by row unless given), the angles in the gathers' layout, the
-    term-by-term kernel and the add.at scatter."""
+    (row by row unless given), the merge of the two passes, the angles in the
+    gathers' layout, the term-by-term kernel and the add.at scatter."""
     patched.setattr(jb, "_normal_grams", lambda L: normal_grams_reference(L, normal_gram))
+    patched.setattr(jb, "_by_pass", by_pass_merge)
     patched.setattr(jb, "_gram_angles", gram_angles_reference)
     patched.setattr(jb, "_gram_dtheta_dL", gram_dtheta_dL_reference)
     patched.setattr(jb, "scatter_blocks", scatter_blocks_add_at)
@@ -407,10 +429,13 @@ def thin_tables():
     return g.squared_length_table(points), signs.tolist()
 
 
-@pytest.mark.skipif(
+needs_extended_precision = pytest.mark.skipif(
     np.finfo(np.longdouble).eps >= np.finfo(float).eps,
     reason="no extended precision on this platform",
 )
+
+
+@needs_extended_precision
 def test_dtheta_dL_thin_simplices_lose_no_more_than_rounding():
     # thin simplices, where a float64 inverse of the Cayley-Menger matrix loses ~1e-10
     for L, eps in zip(*thin_tables()):
@@ -454,9 +479,9 @@ def test_normal_gram_broadcast_step_is_the_rowwise_elimination(
         tables = jb.length_tables(m.L, c.simplex_edges)
         # longdouble padding bytes are not part of the value: compare values, not bytes
         assert np.array_equal(thin_pass(tables), normal_gram_rowwise(tables))
-        passes = jb._normal_grams(tables)
-        assert passes_bytes(passes) == passes_bytes(normal_grams_reference(tables))
-        split += len(passes) == 2
+        grams = jb._normal_grams(tables)
+        assert passes_bytes(grams) == passes_bytes(normal_grams_reference(tables))
+        split += grams[2] is not None
         blocks = jb.dtheta_dL_blocks(tables, m.eps)
         with monkeypatch.context() as patched:
             patched.setattr(jb, "_normal_grams", normal_grams_reference)
@@ -517,9 +542,10 @@ def test_angles_are_c_ordered_and_bitwise_the_gathered_ones(stellar_ladder):
     theta = jb.dihedral_angles_batch(tables)
     rows = jb.face_angle_rows(tables, m.eps, [0, 9])[0]
     assert theta.flags.c_contiguous and rows.flags.c_contiguous
-    passes = jb._normal_grams(tables)
-    assert [P.dtype for _, P in passes] == [np.dtype(float), np.dtype(np.longdouble)]
-    for cells, P in passes:
+    P64, thin, P_thin = jb._normal_grams(tables)
+    assert [P64.dtype, P_thin.dtype] == [np.dtype(float), np.dtype(np.longdouble)]
+    kept = np.delete(np.arange(len(tables)), thin)
+    for cells, P in ((kept, P64[kept]), (thin, P_thin)):
         gathered = gram_angles_reference(P)
         assert not gathered.flags.c_contiguous  # the gathers lay the batch axis innermost
         got = jb._gram_angles(P)
@@ -546,10 +572,12 @@ def test_kernel_and_assembly_peak_no_higher_than_the_reference_routes(
 ):
     # the in-place kernel frees each block-sized array early and the
     # bincount scatter forms one (N, 10, 10) key array in its place; the
-    # rung has thin cells, so both passes run
+    # rung has thin cells, so the float64 pass runs over them too and their
+    # rows are overwritten from the extended pass
     c, coords = stellar_ladder[max(LADDER_RUNGS)]
     m = fm.realize(c, coords)
     tables = jb.length_tables(m.L, c.simplex_edges)
+    assert jb._normal_grams(tables)[1].size
     calls = {
         "dtheta_dL_blocks": lambda: jb.dtheta_dL_blocks(tables, m.eps),
         "assemble_domega_dL": lambda: jb.assemble_domega_dL(c, m),
@@ -565,24 +593,32 @@ def test_kernel_and_assembly_peak_no_higher_than_the_reference_routes(
 def test_dtheta_dL_overflowing_float64_raises_a_typed_error():
     # entries up to 4.5 / L, finite in extended precision and beyond float64
     # after the cast at L ~ 1e-308: a typed error, not +-inf blocks (or an
-    # overflow warning)
+    # overflow warning), alone and among float64 tables, whose finite rows
+    # do not hide the overwritten thin row
     pts = np.vstack([np.zeros(4), np.eye(4)])
     pts[4] = [0.2, 0.2, 0.2, 0.2]
     tables = g.squared_length_table(pts)[None] * 1e-308
-    with pytest.raises(DegenerateSimplexError, match="not finite"):
-        jb.dtheta_dL_blocks(tables, [1])
-    with pytest.raises(DegenerateSimplexError, match="not finite"):
-        jb.face_angle_rows(tables, [1], [0])
-    assert np.isfinite(jb.dihedral_angles_batch(tables)).all()
+    for stack, signs in ((tables, [1]), (np.stack([UNIT_L, tables[0], UNIT_L]), [1, 1, -1])):
+        assert jb._normal_grams(stack)[1].tolist() == [len(stack) // 2]
+        with pytest.raises(DegenerateSimplexError, match="not finite"):
+            jb.dtheta_dL_blocks(stack, signs)
+        with pytest.raises(DegenerateSimplexError, match="not finite"):
+            jb.face_angle_rows(stack, signs, [0])
+        assert np.isfinite(jb.dihedral_angles_batch(stack)).all()
 
 
 @pytest.mark.parametrize("eps", [0, 2, -0.5, math.nan])
 def test_dtheta_dL_rejects_a_sign_other_than_plus_or_minus_one(eps):
-    tables = np.stack([UNIT_L, UNIT_L])
-    with pytest.raises(ValueError, match="signs"):
-        jb.dtheta_dL_blocks(tables, [1, eps])
-    with pytest.raises(ValueError, match="signs"):
-        jb.face_angle_rows(tables, [eps, -1], [0, 3])
+    # at a float64 table and at a thin one
+    tables = np.stack([UNIT_L, thin_tables()[0][0]])
+    assert jb._normal_grams(tables)[1].tolist() == [1]
+    for at in (0, 1):
+        signs = [1, -1]
+        signs[at] = eps
+        with pytest.raises(ValueError, match="signs"):
+            jb.dtheta_dL_blocks(tables, signs)
+        with pytest.raises(ValueError, match="signs"):
+            jb.face_angle_rows(tables, signs, [0, 3])
 
 
 def test_normal_gram_rejects_what_the_rowwise_elimination_rejects():
@@ -689,12 +725,11 @@ def test_mixed_stack_takes_each_cell_through_its_pass_bitwise():
     faces = [0, 9, 4]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        passes = jb._normal_grams(tables)
+        P64, rerun, P = jb._normal_grams(tables)
         blocks = jb.dtheta_dL_blocks(tables, signs)
         angles = jb.dihedral_angles_batch(tables)
         theta, rows = jb.face_angle_rows(tables, signs, faces)
-    (kept, P64), (rerun, P) = passes
-    assert kept.tolist() == np.flatnonzero(~thin).tolist()
+    kept = np.flatnonzero(~thin)
     assert rerun.tolist() == np.flatnonzero(thin).tolist()
     assert P64.dtype == np.float64 and P.dtype == np.longdouble
     # each pass is bitwise its kernel on its own tables: the float64
@@ -707,6 +742,56 @@ def test_mixed_stack_takes_each_cell_through_its_pass_bitwise():
         assert theta[cells].tobytes() == gram_angles_reference(P, faces).tobytes()
         assert rows[cells].tobytes() == gram_dtheta_dL_reference(P, signs[cells], faces).tobytes()
     assert blocks.flags.c_contiguous and np.isfinite(blocks).all()
+
+
+def float64_nonpositive_pivot_table():
+    """A squared-length table whose float64 elimination meets a pivot that is
+    not positive, while in extended precision the cell is above the floor.
+
+    Four points in the hyperplane x_3 = 0 and a fifth 1e-8 above a point
+    inside their tetrahedron: the last pivot, the squared height 1e-16 of the
+    quality 2e-10 cell, is below the rounding of the float64 Gram."""
+    rng = np.random.default_rng(5)
+    pts = np.zeros((5, 4))
+    pts[:4, :3] = rng.standard_normal((4, 3))
+    pts[4] = rng.dirichlet(np.full(4, 3.0)) @ pts[:4]
+    pts[4, 3] = 1e-8
+    return g.squared_length_table(pts)
+
+
+@needs_extended_precision
+def test_thin_tables_whose_float64_rows_are_not_finite_are_each_table_alone():
+    # among the mixed stack, thin tables whose float64 pass is not finite: a
+    # float64 pivot that is not positive, and thick and thin cells whose
+    # squared mean edges, 1e-300 and 1e300, take products of entries of P
+    # out of the float64 range
+    tables, signs, _ = mixed_stack()
+    thick, thin = g.squared_length_table(random_simplex(300)), thin_tables()[0][0]
+    extra = [float64_nonpositive_pivot_table()]
+    extra += [t * scale for t in (thick, thin) for scale in (1e-300, 1e300)]
+    order = np.random.default_rng(9).permutation(len(tables) + len(extra))
+    stack = np.concatenate([tables, extra])[order]
+    eps = np.concatenate([signs, [1.0, -1.0, 1.0, -1.0, 1.0]])[order]
+    at = np.flatnonzero(order >= len(tables))  # the extra tables' places
+    faces = [0, 9, 4]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        P, rerun, _ = jb._normal_grams(stack)
+        with np.errstate(all="ignore"):
+            raw = jb._gram_dtheta_dL(P, eps)
+        blocks = jb.dtheta_dL_blocks(stack, eps)
+        angles = jb.dihedral_angles_batch(stack)
+        theta, rows = jb.face_angle_rows(stack, eps, faces)
+        alone = [(jb.dtheta_dL_blocks(stack[n:n + 1], eps[n:n + 1]),
+                  jb.dihedral_angles_batch(stack[n:n + 1]),
+                  *jb.face_angle_rows(stack[n:n + 1], eps[n:n + 1], faces))
+                 for n in range(len(stack))]
+    assert set(at.tolist()) <= set(rerun.tolist())
+    assert not np.isfinite(raw[at]).all(axis=(1, 2)).any()
+    assert np.isfinite(blocks).all()
+    for n, (D, A, T, R) in enumerate(alone):
+        assert blocks[n].tobytes() == D[0].tobytes() and angles[n].tobytes() == A[0].tobytes()
+        assert theta[n].tobytes() == T[0].tobytes() and rows[n].tobytes() == R[0].tobytes()
 
 
 def assert_mixed_stack_errors_name_the_batch_index():
